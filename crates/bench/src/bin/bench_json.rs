@@ -4,11 +4,12 @@
 //! Unlike the criterion benches this binary installs a counting global
 //! allocator, so every row carries allocations/step next to ns/iter —
 //! the two axes the worker-pool + arena work optimises. Rows cover the
-//! persistent-pool dispatcher against the legacy spawn-per-kernel
-//! baseline (`Dispatch::Spawn`) at 1/2/4 workers, and the arena on/off.
+//! worker pool at 1/2/4 workers — only the counts the host can run in
+//! parallel, since wider rows would time oversubscription, not the
+//! kernels — and the arena on/off pair at `min(4, available_parallelism)`
+//! workers.
 //!
-//! Every row also carries a `simd` column (`"avx2"` / `"sse2"` /
-//! `"scalar"`); `BENCH_ops.json` additionally runs the per-kernel cases
+//! Every row also carries a `simd` column (`"avx2"` / `"scalar"`); `BENCH_ops.json` additionally runs the per-kernel cases
 //! once more with `cts_tensor::simd` forced to the scalar path so the
 //! vector speedup is a recorded scalar-vs-simd row pair, and both files
 //! open with a `host` header (available parallelism + detected SIMD).
@@ -26,7 +27,7 @@ use cts_autograd::Tape;
 use cts_bench::{prepare, ExpContext};
 use cts_data::{batches_from_windows, DatasetSpec};
 use cts_nn::{Adam, Forecaster, LossKind, Optimizer};
-use cts_tensor::parallel::{set_dispatch, set_num_threads, Dispatch};
+use cts_tensor::parallel::set_num_threads;
 use cts_tensor::simd::{self, SimdLevel};
 use cts_tensor::{arena, init, ops, Tensor};
 use rand::{rngs::SmallRng, SeedableRng};
@@ -86,24 +87,10 @@ fn measure(warmup: usize, iters: usize, mut f: impl FnMut()) -> Measure {
     }
 }
 
-fn dispatch_name(d: Dispatch) -> &'static str {
-    match d {
-        Dispatch::Pool => "pool",
-        Dispatch::Spawn => "spawn",
-    }
-}
-
-fn row_json(
-    op: &str,
-    shape: &str,
-    threads: usize,
-    dispatch: &str,
-    arena_on: bool,
-    m: &Measure,
-) -> String {
+fn row_json(op: &str, shape: &str, threads: usize, arena_on: bool, m: &Measure) -> String {
     format!(
         "    {{\"op\": \"{op}\", \"shape\": \"{shape}\", \"threads\": {threads}, \
-         \"dispatch\": \"{dispatch}\", \"arena\": {arena_on}, \"simd\": \"{}\", \
+         \"arena\": {arena_on}, \"simd\": \"{}\", \
          \"ns_per_iter\": {}, \"allocs_per_iter\": {}, \"bytes_per_iter\": {}}}",
         simd::level_name(),
         m.ns_per_iter,
@@ -117,7 +104,7 @@ fn row_json(
 /// `cts_tensor::simd` detected, so numbers from different machines are
 /// never compared blind.
 fn host_json() -> String {
-    let par = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let par = available_parallelism();
     format!(
         "  \"host\": {{\"available_parallelism\": {par}, \"simd_detected\": \"{}\", \
          \"simd_active\": \"{}\"}}",
@@ -126,9 +113,20 @@ fn host_json() -> String {
     )
 }
 
+fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+}
+
+/// Worker counts the rows cover: 1/2/4, keeping only those the host can
+/// run in parallel.
+fn thread_counts() -> Vec<usize> {
+    let par = available_parallelism();
+    [1, 2, 4].into_iter().filter(|&t| t <= par).collect()
+}
+
 /// Per-kernel rows: the projection/attention shapes the supernet is built
-/// from, at every (threads, dispatch) combination, plus a forced-scalar
-/// pass at (threads=1, pool) so each kernel has a scalar-vs-simd row pair.
+/// from, at every worker count of [`thread_counts`], plus a forced-scalar
+/// pass at threads=1 so each kernel has a scalar-vs-simd row pair.
 ///
 /// Asserts (rather than merely records) the two perf contracts of the
 /// SIMD work: `matmul_nt` within 1.3× of `matmul`, and vectorized matmul
@@ -171,22 +169,19 @@ fn bench_ops() -> (Vec<String>, String) {
     ];
 
     let mut rows = Vec::new();
-    // ns/iter at (threads=1, pool), keyed by (op, simd level name) — the
-    // config the speedup assertions below read from.
-    let mut t1_pool: HashMap<(String, &'static str), u64> = HashMap::new();
-    for &threads in &[1usize, 2, 4] {
-        for &d in &[Dispatch::Pool, Dispatch::Spawn] {
-            set_num_threads(threads);
-            set_dispatch(Some(d));
-            for (op, shape, f) in &cases {
-                let m = measure(5, 20, || {
-                    std::hint::black_box(f());
-                });
-                if threads == 1 && d == Dispatch::Pool {
-                    t1_pool.insert((op.to_string(), simd::level_name()), m.ns_per_iter);
-                }
-                rows.push(row_json(op, shape, threads, dispatch_name(d), arena::enabled(), &m));
+    // ns/iter at threads=1, keyed by (op, simd level name) — the config
+    // the speedup assertions below read from.
+    let mut t1: HashMap<(String, &'static str), u64> = HashMap::new();
+    for threads in thread_counts() {
+        set_num_threads(threads);
+        for (op, shape, f) in &cases {
+            let m = measure(5, 20, || {
+                std::hint::black_box(f());
+            });
+            if threads == 1 {
+                t1.insert((op.to_string(), simd::level_name()), m.ns_per_iter);
             }
+            rows.push(row_json(op, shape, threads, arena::enabled(), &m));
         }
     }
 
@@ -196,21 +191,19 @@ fn bench_ops() -> (Vec<String>, String) {
     if simd::active() {
         simd::set_level(Some(SimdLevel::Scalar));
         set_num_threads(1);
-        set_dispatch(Some(Dispatch::Pool));
         for (op, shape, f) in &cases {
             let m = measure(5, 20, || {
                 std::hint::black_box(f());
             });
-            t1_pool.insert((op.to_string(), simd::level_name()), m.ns_per_iter);
-            rows.push(row_json(op, shape, 1, dispatch_name(Dispatch::Pool), arena::enabled(), &m));
+            t1.insert((op.to_string(), simd::level_name()), m.ns_per_iter);
+            rows.push(row_json(op, shape, 1, arena::enabled(), &m));
         }
         simd::set_level(None);
     }
-    set_dispatch(None);
     set_num_threads(0);
 
     let ns = |op: &str, lvl: &'static str| -> f64 {
-        t1_pool.get(&(op.to_string(), lvl)).copied().unwrap_or(0).max(1) as f64
+        t1.get(&(op.to_string(), lvl)).copied().unwrap_or(0).max(1) as f64
     };
     let speedup = |op: &str| ns(op, "scalar") / ns(op, active);
     let nt_ratio = ns("matmul.nt", active) / ns("matmul", active);
@@ -222,8 +215,8 @@ fn bench_ops() -> (Vec<String>, String) {
     );
     let summary = format!(
         "  \"summary\": {{\"simd_active\": \"{active}\", \
-         \"ratio_matmul_nt_vs_matmul_t1_pool\": {nt_ratio:.3}, \
-         \"speedup_simd_vs_scalar_t1_pool\": {{\"matmul\": {mm:.3}, \
+         \"ratio_matmul_nt_vs_matmul_t1\": {nt_ratio:.3}, \
+         \"speedup_simd_vs_scalar_t1\": {{\"matmul\": {mm:.3}, \
          \"elementwise.add\": {ew:.3}, \"softmax.last\": {sm:.3}, \
          \"elementwise.reduce_to_shape\": {rd:.3}}}}}"
     );
@@ -232,7 +225,7 @@ fn bench_ops() -> (Vec<String>, String) {
     // line at 1.3× so the regression cannot silently return.
     assert!(
         nt_ratio <= 1.3,
-        "matmul_nt regressed: {nt_ratio:.3}x matmul at threads=1/pool (budget 1.3x)"
+        "matmul_nt regressed: {nt_ratio:.3}x matmul at threads=1 (budget 1.3x)"
     );
     if simd::detected() == SimdLevel::Avx2 && simd::active() {
         assert!(
@@ -248,8 +241,8 @@ fn bench_ops() -> (Vec<String>, String) {
 ///
 /// Uses [`ExpContext::from_env`] (the documented `NODES`/`BATCH`/`D_MODEL`
 /// knobs), not the smoke context: at smoke scale nearly every kernel sits
-/// below `PAR_THRESHOLD` and runs serial under either dispatcher, so the
-/// step would measure compute, not the dispatch overhead this file tracks.
+/// below `PAR_THRESHOLD` and runs serial at any worker count, so the step
+/// would measure compute, not the dispatch overhead this file tracks.
 fn bench_search_step() -> (Vec<String>, String) {
     let ctx = ExpContext::from_env();
     let p = prepare(&ctx, &DatasetSpec::metr_la());
@@ -284,62 +277,43 @@ fn bench_search_step() -> (Vec<String>, String) {
         weight_opt.step();
     };
 
-    // (threads, dispatch, arena)
-    let configs = [
-        (1usize, Dispatch::Pool, true),
-        (2, Dispatch::Pool, true),
-        (4, Dispatch::Pool, true),
-        (1, Dispatch::Spawn, true),
-        (4, Dispatch::Spawn, true),
-        (4, Dispatch::Pool, false),
-    ];
+    // (threads, arena): the pool at every worker count, then the arena
+    // on/off pair at `min(4, available_parallelism)` workers.
+    let pair_threads = available_parallelism().min(4);
+    let mut configs: Vec<(usize, bool)> = thread_counts().into_iter().map(|t| (t, true)).collect();
+    if !configs.contains(&(pair_threads, true)) {
+        configs.push((pair_threads, true));
+    }
+    configs.push((pair_threads, false));
     let mut rows = Vec::new();
-    let mut pool_t4 = None;
-    let mut spawn_t4 = None;
-    let mut arena_on_t4 = None;
-    let mut arena_off_t4 = None;
-    for &(threads, d, arena_on) in &configs {
+    let mut arena_on = (1, 1);
+    let mut arena_off = (1, 1);
+    for &(threads, on) in &configs {
         set_num_threads(threads);
-        set_dispatch(Some(d));
-        arena::set_enabled(Some(arena_on));
-        if !arena_on {
+        arena::set_enabled(Some(on));
+        if !on {
             arena::clear(); // free lists must not serve this config
         }
         let m = measure(2, 5, &mut step);
-        rows.push(row_json(
-            "search_step.bilevel",
-            "metr-la default-scale supernet",
-            threads,
-            dispatch_name(d),
-            arena_on,
-            &m,
-        ));
-        match (threads, d, arena_on) {
-            (4, Dispatch::Pool, true) => {
-                pool_t4 = Some(m.ns_per_iter);
-                arena_on_t4 = Some((m.allocs_per_iter, m.bytes_per_iter));
+        rows.push(row_json("search_step.bilevel", "metr-la default-scale supernet", threads, on, &m));
+        if threads == pair_threads {
+            let counts = (m.allocs_per_iter, m.bytes_per_iter);
+            if on {
+                arena_on = counts;
+            } else {
+                arena_off = counts;
             }
-            (4, Dispatch::Spawn, true) => spawn_t4 = Some(m.ns_per_iter),
-            (4, Dispatch::Pool, false) => {
-                arena_off_t4 = Some((m.allocs_per_iter, m.bytes_per_iter));
-            }
-            _ => {}
         }
     }
     arena::set_enabled(None);
-    set_dispatch(None);
     set_num_threads(0);
 
     let ratio = |num: u64, den: u64| num as f64 / den.max(1) as f64;
-    let (pool, spawn) = (pool_t4.unwrap_or(1), spawn_t4.unwrap_or(1));
-    let (on_a, on_b) = arena_on_t4.unwrap_or((1, 1));
-    let (off_a, off_b) = arena_off_t4.unwrap_or((1, 1));
     let summary = format!(
-        "  \"summary\": {{\"speedup_pool_vs_spawn_threads4\": {:.3}, \
-         \"alloc_count_reduction_arena\": {:.3}, \"alloc_bytes_reduction_arena\": {:.3}}}",
-        ratio(spawn, pool),
-        ratio(off_a, on_a),
-        ratio(off_b, on_b)
+        "  \"summary\": {{\"alloc_count_reduction_arena\": {:.3}, \
+         \"alloc_bytes_reduction_arena\": {:.3}}}",
+        ratio(arena_off.0, arena_on.0),
+        ratio(arena_off.1, arena_on.1)
     );
     (rows, summary)
 }

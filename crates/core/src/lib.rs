@@ -46,6 +46,6 @@ pub use macro_space::MacroTopology;
 pub use micro::MicroCell;
 pub use model::DerivedModel;
 pub use search::{joint_search, EpochStats, SearchStats};
-pub use stats::{estimate_search_memory_mb, search_memory_estimate, MemoryEstimate, ModelStats};
+pub use stats::{search_memory_estimate, MemoryEstimate, ModelStats};
 
 pub use model::SupernetModel;

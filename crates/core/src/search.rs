@@ -55,10 +55,6 @@ pub struct SearchStats {
     /// (parameters + optimiser state + peak live activations, slot-padded,
     /// floored at the derived plan's static peak).
     pub memory_mb: f64,
-    /// The pre-cost-model flat heuristic for the same quantity, kept so
-    /// historical run reports stay comparable.
-    #[deprecated(note = "flat heuristic that ignores arena slot padding; use memory_mb")]
-    pub memory_mb_heuristic: f64,
     /// Final temperature at derivation time.
     pub final_tau: f32,
     /// Mean pseudo-validation loss of the last epoch.
@@ -597,12 +593,10 @@ pub fn joint_search(
     )
     .map_or(0, |c| c.peak_bytes);
     let mem = crate::stats::search_memory_estimate(&model, memory_scalars, plan_peak);
-    #[allow(deprecated)]
     let stats = SearchStats {
         secs: secs_before + started.elapsed_secs(),
         steps,
         memory_mb: mem.peak_mb,
-        memory_mb_heuristic: mem.heuristic_mb,
         final_tau: model.tau(),
         final_val_loss,
         rollbacks,

@@ -22,34 +22,12 @@ impl ModelStats {
     }
 }
 
-/// Estimated peak memory of a search step in MB: parameters ×4 (weights +
-/// gradients + the two Adam moments m and v) plus activations ×2 (forward
-/// values + backward gradients). This is the historical flat heuristic —
-/// it ignores the arena's power-of-two slot padding, so it can *undercut*
-/// what the allocator actually holds resident. Prefer
-/// [`search_memory_estimate`].
-pub fn search_memory_mb(model: &dyn Forecaster, peak_activation_scalars: usize) -> f64 {
-    let params = count_parameters(&model.parameters());
-    let param_bytes = params as f64 * 4.0 * 4.0; // value + grad + adam m + v
-    let act_bytes = peak_activation_scalars as f64 * 4.0 * 2.0;
-    (param_bytes + act_bytes) / 1e6
-}
-
-/// Public alias kept for harness ergonomics.
-pub fn estimate_search_memory_mb(model: &dyn Forecaster, peak_activation_scalars: usize) -> f64 {
-    search_memory_mb(model, peak_activation_scalars)
-}
-
 /// Peak-memory estimate of one search step, in MB.
 #[derive(Clone, Copy, Debug)]
 pub struct MemoryEstimate {
     /// Liveness-based estimate (see [`search_memory_estimate`]): an upper
     /// bound on the arena bytes the step holds resident at its peak.
     pub peak_mb: f64,
-    /// The historical flat heuristic ([`search_memory_mb`]), kept so run
-    /// reports stay comparable across versions.
-    #[deprecated(note = "flat heuristic that ignores arena slot padding; use peak_mb")]
-    pub heuristic_mb: f64,
 }
 
 /// Liveness-based peak-bytes estimate of a search step.
@@ -81,10 +59,8 @@ pub fn search_memory_estimate(
     // value + gradient per live scalar × 4 bytes × ≤2 slot padding.
     let act_payload = (peak_activation_scalars as u64).saturating_mul(2 * 4 * 2);
     let act_bytes = act_payload.max(plan_peak_bytes);
-    #[allow(deprecated)]
     MemoryEstimate {
         peak_mb: param_bytes.saturating_add(act_bytes) as f64 / 1e6,
-        heuristic_mb: search_memory_mb(model, peak_activation_scalars),
     }
 }
 
@@ -123,20 +99,16 @@ mod tests {
         let m = Dummy {
             p: Parameter::new("p", Tensor::zeros([10])),
         };
-        let small = search_memory_mb(&m, 1_000);
-        let large = search_memory_mb(&m, 1_000_000);
+        let small = search_memory_estimate(&m, 1_000, 0).peak_mb;
+        let large = search_memory_estimate(&m, 1_000_000, 0).peak_mb;
         assert!(large > small * 100.0);
     }
 
     #[test]
-    fn estimate_floors_at_plan_peak_and_dominates_heuristic() {
+    fn estimate_floors_at_plan_peak() {
         let m = Dummy {
             p: Parameter::new("p", Tensor::zeros([10])),
         };
-        let est = search_memory_estimate(&m, 1_000, 0);
-        #[allow(deprecated)]
-        let heuristic = est.heuristic_mb;
-        assert!(est.peak_mb >= heuristic, "{est:?}");
         // A large static plan peak floors the activation term.
         let floored = search_memory_estimate(&m, 1_000, 50_000_000);
         assert!(floored.peak_mb >= 50.0, "{floored:?}");

@@ -8,17 +8,14 @@
 //! complete run state (optimizer moments, schedules, counters, RNG), so
 //! an interrupted run resumes bit-identically.
 //!
-//! # Formats
+//! # Format
 //!
-//! **v1** (legacy, still readable): magic `CTSCKPT1`, `u32` parameter
-//! count, then per parameter: `u32` name length + UTF-8 name, `u32` rank,
-//! `u64` dims, `f32` data. No integrity footer.
-//!
-//! **v2**: magic `CTSCKPT2`, a sequence of chunks (`[u8; 4]` tag +
-//! `u64` payload length + payload), and a trailing CRC32 (IEEE) over
-//! everything before it. Torn or corrupted writes are therefore
-//! *detected and rejected*, never loaded. Unknown chunk tags are skipped,
-//! so the format is forward-extensible. All integers little-endian.
+//! Magic `CTSCKPT2`, a sequence of chunks (`[u8; 4]` tag + `u64` payload
+//! length + payload), and a trailing CRC32 (IEEE) over everything before
+//! it. Torn or corrupted writes are therefore *detected and rejected*,
+//! never loaded. Unknown chunk tags are skipped, so the format is
+//! forward-extensible. All integers little-endian. A stream with any
+//! other magic is rejected as corrupt ("bad checkpoint magic").
 //!
 //! Writes via [`save_run_state`]/[`save_parameters`] are atomic: the
 //! bytes go to a `<path>.tmp` sibling, are fsynced, then renamed over the
@@ -37,7 +34,6 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-const MAGIC_V1: &[u8; 8] = b"CTSCKPT1";
 const MAGIC_V2: &[u8; 8] = b"CTSCKPT2";
 
 /// Hard caps on attacker-controlled header fields. A hostile checkpoint
@@ -640,147 +636,25 @@ fn parse_v2(bytes: &[u8]) -> Result<RunState, CheckpointError> {
 }
 
 // ---------------------------------------------------------------------------
-// v1 (legacy) stream parsing, hardened
-// ---------------------------------------------------------------------------
-
-/// Serialise parameters in the legacy v1 layout (kept for compatibility
-/// tests and old tooling; new code writes v2 via [`save_parameters`] /
-/// [`save_run_state`]).
-pub fn write_checkpoint(mut w: impl Write, params: &[Parameter]) -> io::Result<()> {
-    w.write_all(MAGIC_V1)?;
-    w.write_all(&len_u32(params.len()).to_le_bytes())?;
-    for p in params {
-        let name = p.name();
-        let value = p.value();
-        w.write_all(&len_u32(name.len()).to_le_bytes())?;
-        w.write_all(name.as_bytes())?;
-        w.write_all(&len_u32(value.rank()).to_le_bytes())?;
-        for &d in value.shape() {
-            w.write_all(&(d as u64).to_le_bytes())?;
-        }
-        for &x in value.data() {
-            w.write_all(&x.to_le_bytes())?;
-        }
-    }
-    Ok(())
-}
-
-/// Read `numel` little-endian `f32`s without trusting `numel` for the
-/// allocation: the buffer grows as data actually arrives, so a hostile
-/// header on a truncated stream fails with `UnexpectedEof` instead of
-/// triggering a giant allocation.
-fn read_f32s(r: &mut impl Read, numel: usize) -> io::Result<Vec<f32>> {
-    let mut data = Vec::with_capacity(numel.min(1 << 16));
-    let mut chunk = [0u8; 4096];
-    let mut left = numel;
-    while left > 0 {
-        let take = left.min(chunk.len() / 4);
-        let (head, _) = chunk.split_at_mut(take * 4);
-        r.read_exact(head)?;
-        for b in head.chunks_exact(4) {
-            data.push(le_f32(b));
-        }
-        left -= take;
-    }
-    Ok(data)
-}
-
-fn read_v1_entries(mut r: impl Read) -> io::Result<Vec<(String, Tensor)>> {
-    let count = read_len(&mut r)?;
-    let mut out = Vec::with_capacity(count.min(4096));
-    for _ in 0..count {
-        let name_len = read_len(&mut r)?;
-        if name_len > MAX_NAME_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("name length {name_len} exceeds cap {MAX_NAME_LEN}"),
-            ));
-        }
-        let mut name_bytes = vec![0u8; name_len];
-        r.read_exact(&mut name_bytes)?;
-        let name = String::from_utf8(name_bytes)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let rank = read_len(&mut r)?;
-        if rank > MAX_RANK {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("tensor rank {rank} exceeds cap {MAX_RANK}"),
-            ));
-        }
-        let mut shape = Vec::with_capacity(rank);
-        let mut numel = 1usize;
-        for _ in 0..rank {
-            let mut b = [0u8; 8];
-            r.read_exact(&mut b)?;
-            let d = u64::from_le_bytes(b);
-            let d = usize::try_from(d).map_err(|_| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("dimension {d} overflows"))
-            })?;
-            numel = numel.checked_mul(d).ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidData, "tensor element count overflows")
-            })?;
-            shape.push(d);
-        }
-        let data = read_f32s(&mut r, numel)?;
-        out.push((name, Tensor::from_vec(shape, data)));
-    }
-    Ok(out)
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-/// Read a `u32` count/length field as `usize`, rejecting values the
-/// platform cannot index.
-fn read_len(r: &mut impl Read) -> io::Result<usize> {
-    usize::try_from(read_u32(r)?).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
-
-// ---------------------------------------------------------------------------
 // Public read/write API
 // ---------------------------------------------------------------------------
 
-/// Parse a checkpoint (v1 or v2) into `(name, tensor)` pairs.
-pub fn read_checkpoint(mut r: impl Read) -> io::Result<Vec<(String, Tensor)>> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic == MAGIC_V1 {
-        read_v1_entries(r)
-    } else if &magic == MAGIC_V2 {
-        let mut rest = Vec::new();
-        r.read_to_end(&mut rest)?;
-        let mut bytes = magic.to_vec();
-        bytes.extend_from_slice(&rest);
-        Ok(parse_v2(&bytes).map_err(io::Error::from)?.params)
-    } else {
-        Err(io::Error::new(io::ErrorKind::InvalidData, "bad checkpoint magic"))
-    }
+/// Parse a checkpoint's parameters into `(name, tensor)` pairs.
+pub fn read_checkpoint(r: impl Read) -> io::Result<Vec<(String, Tensor)>> {
+    Ok(read_run_state(r)?.params)
 }
 
-/// Parse a full [`RunState`] from a reader.
-///
-/// v1 checkpoints load backward-compatibly as a params-only state (no
-/// optimizer moments / counters / RNG).
+/// Parse a full [`RunState`] from a reader. The magic is checked before
+/// the rest of the stream is read.
 pub fn read_run_state(mut r: impl Read) -> Result<RunState, CheckpointError> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
-    if &magic == MAGIC_V1 {
-        Ok(RunState {
-            params: read_v1_entries(r)?,
-            ..RunState::default()
-        })
-    } else if &magic == MAGIC_V2 {
-        let mut rest = Vec::new();
-        r.read_to_end(&mut rest)?;
-        let mut bytes = magic.to_vec();
-        bytes.extend_from_slice(&rest);
-        parse_v2(&bytes)
-    } else {
-        Err(corrupt("bad checkpoint magic"))
+    if &magic != MAGIC_V2 {
+        return Err(corrupt("bad checkpoint magic"));
     }
+    let mut bytes = magic.to_vec();
+    r.read_to_end(&mut bytes)?;
+    parse_v2(&bytes)
 }
 
 /// Serialise a [`RunState`] (v2 layout) into a writer.
@@ -896,8 +770,9 @@ mod tests {
     #[test]
     fn roundtrip_through_memory() {
         let ps = params(1);
+        let rs = RunState { params: RunState::capture_params(&ps).unwrap(), ..RunState::default() };
         let mut buf = Vec::new();
-        write_checkpoint(&mut buf, &ps).unwrap();
+        write_run_state(&mut buf, &rs).unwrap();
         let entries = read_checkpoint(&buf[..]).unwrap();
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].0, "layer.weight");
@@ -964,36 +839,6 @@ mod tests {
         assert!(msg.contains("nope.a"), "{msg}");
         assert!(msg.contains("nope.b"), "{msg}");
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn hostile_v1_header_fails_without_huge_allocation() {
-        // Claims 2^31 parameters / giant tensors on a tiny stream: must
-        // error out (EOF / InvalidData), not OOM.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC_V1);
-        buf.extend_from_slice(&u32::MAX.to_le_bytes()); // count
-        buf.extend_from_slice(&8u32.to_le_bytes()); // name_len
-        buf.extend_from_slice(b"evilname");
-        buf.extend_from_slice(&1u32.to_le_bytes()); // rank
-        buf.extend_from_slice(&(u64::MAX / 8).to_le_bytes()); // dim
-        assert!(read_checkpoint(&buf[..]).is_err());
-
-        // Oversized name length.
-        let mut buf2 = Vec::new();
-        buf2.extend_from_slice(MAGIC_V1);
-        buf2.extend_from_slice(&1u32.to_le_bytes());
-        buf2.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(read_checkpoint(&buf2[..]).is_err());
-
-        // Rank beyond the cap.
-        let mut buf3 = Vec::new();
-        buf3.extend_from_slice(MAGIC_V1);
-        buf3.extend_from_slice(&1u32.to_le_bytes());
-        buf3.extend_from_slice(&1u32.to_le_bytes());
-        buf3.push(b'x');
-        buf3.extend_from_slice(&1000u32.to_le_bytes());
-        assert!(read_checkpoint(&buf3[..]).is_err());
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Property tests of the `CTSCKPT2` run-state format: random run states
-//! round-trip bit-exactly, v1 checkpoints load as params-only run states,
-//! and every strict prefix of a valid file is rejected as corrupt.
+//! round-trip bit-exactly, streams in the retired v1 layout are rejected
+//! with a typed error, and every strict prefix of a valid file is
+//! rejected as corrupt.
 
-use cts_nn::checkpoint::{
-    read_run_state, write_checkpoint, write_run_state, MidEpochState, OptimizerState, RunCounters,
-    RunState, ScheduleState,
-};
 use cts_autograd::Parameter;
+use cts_nn::checkpoint::{
+    load_parameters, read_checkpoint, read_run_state, write_run_state, CheckpointError,
+    MidEpochState, OptimizerState, RunCounters, RunState, ScheduleState,
+};
 use cts_tensor::Tensor;
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -106,6 +107,78 @@ fn encode(rs: &RunState) -> Vec<u8> {
     buf
 }
 
+/// Magic of the retired v1 layout.
+const V1_MAGIC: &[u8; 8] = b"CTSCKPT1";
+
+/// Bytes in the retired v1 layout: [`V1_MAGIC`], `u32` parameter count,
+/// then per parameter `u32` name length + name, `u32` rank, `u64` dims
+/// and `f32` data.
+fn v1_bytes(params: &[(String, Tensor)]) -> Vec<u8> {
+    let mut buf = V1_MAGIC.to_vec();
+    buf.extend_from_slice(&(params.len() as u32).to_le_bytes());
+    for (name, t) in params {
+        buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        buf.extend_from_slice(name.as_bytes());
+        buf.extend_from_slice(&(t.rank() as u32).to_le_bytes());
+        for &d in t.shape() {
+            buf.extend_from_slice(&(d as u64).to_le_bytes());
+        }
+        for &x in t.data() {
+            buf.extend_from_slice(&x.to_le_bytes());
+        }
+    }
+    buf
+}
+
+/// v1-prefixed streams — well-formed ones and the hostile headers the
+/// old v1 reader had to survive — fail through the "bad checkpoint magic"
+/// typed error on every read path, never a panic or a load.
+#[test]
+fn v1_checkpoints_are_rejected_with_typed_error() {
+    let mut inputs: Vec<Vec<u8>> = (0..8).map(|seed| v1_bytes(&arb_run_state(seed).params)).collect();
+    // Claims 2^32-1 parameters and a giant tensor on a tiny stream.
+    let mut huge = V1_MAGIC.to_vec();
+    huge.extend_from_slice(&u32::MAX.to_le_bytes());
+    huge.extend_from_slice(&8u32.to_le_bytes());
+    huge.extend_from_slice(b"evilname");
+    huge.extend_from_slice(&1u32.to_le_bytes());
+    huge.extend_from_slice(&(u64::MAX / 8).to_le_bytes());
+    inputs.push(huge);
+    // Oversized name length.
+    let mut long_name = V1_MAGIC.to_vec();
+    long_name.extend_from_slice(&1u32.to_le_bytes());
+    long_name.extend_from_slice(&u32::MAX.to_le_bytes());
+    inputs.push(long_name);
+    // Rank beyond any cap.
+    let mut deep = V1_MAGIC.to_vec();
+    deep.extend_from_slice(&1u32.to_le_bytes());
+    deep.extend_from_slice(&1u32.to_le_bytes());
+    deep.push(b'x');
+    deep.extend_from_slice(&1000u32.to_le_bytes());
+    inputs.push(deep);
+    // The bare magic.
+    inputs.push(V1_MAGIC.to_vec());
+
+    let dir = std::env::temp_dir().join(format!("cts_v1_rejected_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("legacy.ckpt");
+    let target = vec![Parameter::new("layer0.weight", Tensor::zeros([1]))];
+    for (i, bytes) in inputs.iter().enumerate() {
+        match read_run_state(Cursor::new(bytes)) {
+            Err(CheckpointError::Corrupt(m)) => assert!(m.contains("bad checkpoint magic"), "input {i}: {m}"),
+            other => panic!("input {i}: read_run_state returned {other:?}"),
+        }
+        let err = read_checkpoint(Cursor::new(bytes)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "input {i}");
+        assert!(err.to_string().contains("bad checkpoint magic"), "input {i}: {err}");
+        std::fs::write(&path, bytes).unwrap();
+        let err = load_parameters(&path, &target).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "input {i}");
+        assert!(err.to_string().contains("bad checkpoint magic"), "input {i}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A legacy/hand-edited checkpoint carrying a τ below the schedule floor
 /// must resume clamped to the floor, not below it — resuming below would
 /// diverge from the trace a fresh run produces ([`cts_nn::TemperatureSchedule::step`]
@@ -134,23 +207,6 @@ proptest! {
         let bytes = encode(&rs);
         let back = read_run_state(Cursor::new(&bytes)).unwrap();
         prop_assert_eq!(back, rs);
-    }
-
-    fn v1_checkpoints_load_as_params_only_run_state(seed in 0u64..1_000_000) {
-        let rs = arb_run_state(seed);
-        let params: Vec<Parameter> = rs
-            .params
-            .iter()
-            .map(|(name, t)| Parameter::new(name, t.clone()))
-            .collect();
-        let mut v1 = Vec::new();
-        write_checkpoint(&mut v1, &params).unwrap();
-        let back = read_run_state(Cursor::new(&v1)).unwrap();
-        prop_assert_eq!(&back.params, &rs.params);
-        prop_assert!(back.optimizers.is_empty());
-        prop_assert!(back.schedule.is_none());
-        prop_assert!(back.rng.is_none());
-        prop_assert_eq!(back.counters, RunCounters::default());
     }
 
     fn every_truncation_is_rejected(seed in 0u64..1_000_000) {

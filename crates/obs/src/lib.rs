@@ -522,8 +522,9 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    /// Tests here flip the process-wide metrics switch; serialize them.
-    static LOCK: Mutex<()> = Mutex::new(());
+    /// Tests here (and in `runlog`) flip the process-wide metrics switch;
+    /// serialize them.
+    pub(crate) static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn metrics_switch_roundtrip() {

@@ -202,6 +202,7 @@ mod tests {
 
     #[test]
     fn emit_writes_escaped_flat_json() {
+        let _g = crate::tests::LOCK.lock().unwrap();
         let dir = std::env::temp_dir().join("cts_obs_runlog_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("log.jsonl");

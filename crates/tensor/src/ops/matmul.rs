@@ -118,7 +118,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 
 /// Fixed-width microkernel: `out_row[j] += Σ_kk a_row[kk] · b[kk·ldb + j]`
 /// for every `j`, dispatched to [`crate::simd::gemm_rowblock`] (AVX2 /
-/// SSE2 / scalar).
+/// scalar).
 ///
 /// Accumulators are *loaded from* `out_row` (never zeroed), so each output
 /// element's addition chain stays strictly ascending in `kk` across calls —

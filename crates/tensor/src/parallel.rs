@@ -12,16 +12,13 @@
 //! Shares execute on a lazily-started persistent worker pool
 //! ([`crate::pool`]): workers are spawned on the first sufficiently large
 //! kernel, then park on a condvar between jobs, so steady-state dispatch
-//! is a wake/sleep round-trip instead of an OS thread spawn per kernel
-//! (PR 1's scoped-thread dispatch cost tens of microseconds per launch —
-//! ruinous for the search loop's thousands of small kernels per epoch).
-//! The old spawn-per-kernel path is retained as a benchmark baseline:
-//! select it with [`set_dispatch`] or `CTS_DISPATCH=spawn`.
+//! is a wake/sleep round-trip instead of an OS thread spawn per kernel.
 //!
-//! Dispatch mode affects scheduling only. Partitioning ([`share`]) and
-//! result combination (fixed worker order) are identical in both modes,
-//! so results are bit-identical between pool and spawn dispatch, at any
-//! thread count, and across pool teardown/re-init.
+//! The pool affects scheduling only. Partitioning ([`share`]) and result
+//! combination (fixed worker order) live here, so results are
+//! bit-identical at any thread count and across pool teardown/re-init.
+//! Per-launch share bookkeeping lives in bounded inline storage, so a
+//! warmed multi-thread launch allocates nothing.
 //!
 //! # Thread count
 //!
@@ -54,6 +51,7 @@
 //! of its static report.
 
 use crate::{arena, pool};
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -89,7 +87,7 @@ pub enum Reduction {
 ///
 /// Every variant is bit-deterministic: `ElementChains` and
 /// `PinnedMaxTree` produce outputs bit-identical to the scalar path at
-/// every SIMD level, thread count, and dispatcher.
+/// every SIMD level and thread count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LaneOrder {
     /// No vector path: the kernel's inner loops are scalar at every SIMD
@@ -312,53 +310,6 @@ pub fn set_num_threads(n: usize) {
     THREAD_OVERRIDE.store(if n == 0 { UNSET } else { n }, Ordering::Relaxed);
 }
 
-/// How parallel shares reach worker threads. Results are bit-identical in
-/// both modes; only scheduling overhead differs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Dispatch {
-    /// Persistent worker pool (default): workers park between kernels.
-    Pool,
-    /// PR 1 behaviour: spawn scoped threads per kernel call. Kept as the
-    /// benchmark baseline for measuring dispatch overhead.
-    Spawn,
-}
-
-/// 0 = unset (follow `CTS_DISPATCH` env, default pool), 1 = pool, 2 = spawn.
-static DISPATCH_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-static ENV_DISPATCH: OnceLock<Dispatch> = OnceLock::new();
-
-fn env_dispatch() -> Dispatch {
-    *ENV_DISPATCH.get_or_init(|| {
-        match std::env::var("CTS_DISPATCH").as_deref() {
-            Ok("spawn") => Dispatch::Spawn,
-            _ => Dispatch::Pool,
-        }
-    })
-}
-
-/// The dispatch mode kernels will use for sufficiently large work.
-pub fn dispatch() -> Dispatch {
-    match DISPATCH_OVERRIDE.load(Ordering::Relaxed) {
-        1 => Dispatch::Pool,
-        2 => Dispatch::Spawn,
-        _ => env_dispatch(),
-    }
-}
-
-/// Override the dispatch mode process-wide (`None` restores the
-/// `CTS_DISPATCH` env default). Benchmarks use this to compare pool
-/// dispatch against the spawn-per-kernel baseline in one process.
-pub fn set_dispatch(d: Option<Dispatch>) {
-    DISPATCH_OVERRIDE.store(
-        match d {
-            None => 0,
-            Some(Dispatch::Pool) => 1,
-            Some(Dispatch::Spawn) => 2,
-        },
-        Ordering::Relaxed,
-    );
-}
-
 /// Tear down the persistent pool (joining its workers); the next parallel
 /// kernel lazily re-creates it. Results before and after a reset are
 /// bit-identical — the pool holds no numeric state.
@@ -390,28 +341,65 @@ fn share(units: usize, threads: usize, w: usize) -> usize {
 /// A pre-assigned work share, handed to exactly one worker. The mutex is
 /// uncontended (each worker takes only its own slot); it exists so the
 /// share's `&mut` chunk can cross the closure boundary without `unsafe`.
-type Slot<'a, T> = Mutex<Option<T>>;
+type Slot<T> = Mutex<Option<T>>;
 
-fn take_slot<T>(slot: &Slot<'_, T>) -> Option<T> {
+fn take_slot<T>(slot: &Slot<T>) -> Option<T> {
     slot.lock()
         .unwrap_or_else(PoisonError::into_inner)
         .take()
 }
 
-/// Run `task(0..n_shares)` under the active dispatch mode.
-fn execute(n_shares: usize, task: &(dyn Fn(usize) + Sync)) {
-    match dispatch() {
-        Dispatch::Pool => pool::run(n_shares, task),
-        Dispatch::Spawn => {
-            crossbeam::thread::scope(|s| {
-                for w in 1..n_shares {
-                    s.spawn(move |_| task(w));
-                }
-                task(0);
-            })
-            // invariant: scope() only errs when a worker panicked;
-            // re-raising the panic is the intended behaviour.
-            .expect("parallel kernel worker panicked");
+/// Shares per launch kept inline; launches wider than this spill to the
+/// heap.
+const INLINE_SHARES: usize = 32;
+
+/// Per-launch share list: up to [`INLINE_SHARES`] entries inline, more
+/// spill to a `Vec` — the [`crate::Shape`] idiom, so launches at
+/// realistic thread counts never touch the system allocator. Derefs to
+/// the filled prefix.
+struct Shares<T> {
+    len: usize,
+    inline: [T; INLINE_SHARES],
+    // Used only when `len > INLINE_SHARES`; an empty Vec never allocates.
+    spill: Vec<T>,
+}
+
+impl<T: Default> Shares<T> {
+    fn new() -> Self {
+        Shares { len: 0, inline: std::array::from_fn(|_| T::default()), spill: Vec::new() }
+    }
+
+    fn push(&mut self, v: T) {
+        if self.len < INLINE_SHARES {
+            self.inline[self.len] = v;
+        } else {
+            if self.len == INLINE_SHARES {
+                self.spill.reserve(INLINE_SHARES + 1);
+                self.spill.extend(self.inline.iter_mut().map(std::mem::take));
+            }
+            self.spill.push(v);
+        }
+        self.len += 1;
+    }
+}
+
+impl<T> Deref for Shares<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        if self.len <= INLINE_SHARES {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+}
+
+impl<T> DerefMut for Shares<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        if self.len <= INLINE_SHARES {
+            &mut self.inline[..self.len]
+        } else {
+            &mut self.spill
         }
     }
 }
@@ -443,8 +431,8 @@ where
         return;
     }
     // Deal out contiguous chunks (deterministic: depends only on units
-    // and thread count), then execute the shares on the dispatch layer.
-    let mut slots: Vec<Slot<'_, (usize, &mut [f32])>> = Vec::with_capacity(threads);
+    // and thread count), then execute the shares on the pool.
+    let mut slots: Shares<Slot<(usize, &mut [f32])>> = Shares::new();
     {
         let mut rest = out;
         let mut first = 0usize;
@@ -460,7 +448,7 @@ where
         }
     }
     let f = &f;
-    execute(slots.len(), &|w| {
+    pool::run(slots.len(), &|w| {
         if let Some((start, chunk)) = take_slot(&slots[w]) {
             f(start, chunk);
         }
@@ -502,26 +490,21 @@ where
     // Accumulators are allocated (from the caller's arena) and summed on
     // the calling thread; workers only fill the slices handed to them, so
     // buffers never migrate between per-thread arenas.
-    let mut partials: Vec<Vec<f32>> = Vec::with_capacity(threads);
-    let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(threads);
-    let mut first = 0usize;
-    for w in 0..threads {
-        let n_units = share(units, threads, w);
-        if n_units == 0 {
-            break;
-        }
+    // threads <= units, so every worker's share is non-empty.
+    let mut partials: Shares<Vec<f32>> = Shares::new();
+    for _ in 0..threads {
         partials.push(arena::take_zeroed(acc_len));
-        ranges.push((first, n_units));
-        first += n_units;
     }
     {
-        let slots: Vec<Slot<'_, (usize, usize, &mut [f32])>> = partials
-            .iter_mut()
-            .zip(ranges.iter())
-            .map(|(acc, &(start, n))| Mutex::new(Some((start, n, acc.as_mut_slice()))))
-            .collect();
+        let mut slots: Shares<Slot<(usize, usize, &mut [f32])>> = Shares::new();
+        let mut first = 0usize;
+        for (w, acc) in partials.iter_mut().enumerate() {
+            let n_units = share(units, threads, w);
+            slots.push(Mutex::new(Some((first, n_units, acc.as_mut_slice()))));
+            first += n_units;
+        }
         let f = &f;
-        execute(slots.len(), &|w| {
+        pool::run(slots.len(), &|w| {
             if let Some((start, n, acc)) = take_slot(&slots[w]) {
                 for u in start..start + n {
                     f(u, acc);
@@ -529,15 +512,15 @@ where
             }
         });
     }
-    let mut it = partials.into_iter();
     // invariant: threads >= 2 here and units >= threads, so at least one
     // share (and one accumulator) exists.
-    let mut acc = it.next().expect("at least one partial accumulator");
-    for p in it {
+    let (head, rest) = partials.split_first_mut().expect("at least one partial accumulator");
+    let mut acc = std::mem::take(head);
+    for p in rest {
         // Ascending-worker combine; simd::accum keeps one independent
         // vertical chain per element, so the order is unchanged.
-        crate::simd::accum(&mut acc, &p);
-        arena::recycle(p);
+        crate::simd::accum(&mut acc, p);
+        arena::recycle(std::mem::take(p));
     }
     spec.stats.record(t, units as u64, true);
     crate::meter::add_exec(work, acc_len);
@@ -578,16 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_override_roundtrip() {
-        let _g = LOCK.lock().unwrap();
-        set_dispatch(Some(Dispatch::Spawn));
-        assert_eq!(dispatch(), Dispatch::Spawn);
-        set_dispatch(Some(Dispatch::Pool));
-        assert_eq!(dispatch(), Dispatch::Pool);
-        set_dispatch(None);
-    }
-
-    #[test]
     fn for_units_covers_every_unit_once() {
         let _g = LOCK.lock().unwrap();
         for threads in [1, 2, 5] {
@@ -608,22 +581,23 @@ mod tests {
     }
 
     #[test]
-    fn for_units_covers_every_unit_once_in_spawn_mode() {
+    fn launches_wider_than_inline_storage_spill_correctly() {
         let _g = LOCK.lock().unwrap();
-        set_dispatch(Some(Dispatch::Spawn));
-        set_num_threads(3);
-        let mut out = vec![0.0f32; 7 * 3];
-        for_units(&kernels::EW_UNARY, &mut out, 3, PAR_THRESHOLD * 2, |first, chunk| {
-            for (u, slot) in chunk.chunks_mut(3).enumerate() {
-                for s in slot.iter_mut() {
-                    *s += (first + u) as f32;
-                }
+        let threads = INLINE_SHARES + 3;
+        set_num_threads(threads);
+        let mut out = vec![0.0f32; threads * 2];
+        for_units(&kernels::EW_UNARY, &mut out, 1, PAR_THRESHOLD * 2, |first, chunk| {
+            for (u, s) in chunk.iter_mut().enumerate() {
+                *s = (first + u) as f32;
             }
         });
-        let expect: Vec<f32> = (0..7).flat_map(|u| [u as f32; 3]).collect();
+        let expect: Vec<f32> = (0..threads * 2).map(|u| u as f32).collect();
         assert_eq!(out, expect);
+        let sums = partial_sums(&kernels::TEMPORAL_CONV_GRAD_W, threads, 1, PAR_THRESHOLD * 2, |u, acc| {
+            acc[0] += u as f32;
+        });
         set_num_threads(0);
-        set_dispatch(None);
+        assert_eq!(sums, vec![(0..threads).sum::<usize>() as f32]);
     }
 
     #[test]

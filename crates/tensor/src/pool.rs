@@ -1,12 +1,11 @@
 //! Persistent worker pool behind [`crate::parallel`].
 //!
-//! PR 1's dispatch spawned OS threads per kernel call (crossbeam scoped
-//! threads). That costs tens of microseconds per launch — fatal in the
-//! bi-level search loop, which issues thousands of small kernels per
-//! epoch. This pool spawns workers once (lazily, on the first parallel
-//! kernel), parks them on a condvar between jobs, and wakes them with a
-//! generation counter, so steady-state dispatch is a mutex + condvar
-//! round-trip instead of a thread spawn.
+//! Spawning OS threads per kernel call costs tens of microseconds per
+//! launch — fatal in the bi-level search loop, which issues thousands of
+//! small kernels per epoch. This pool spawns workers once (lazily, on the
+//! first parallel kernel), parks them on a condvar between jobs, and
+//! wakes them with a generation counter, so steady-state dispatch is a
+//! mutex + condvar round-trip instead of a thread spawn.
 //!
 //! Determinism is unaffected by construction: the pool only changes *who*
 //! executes a share, never how shares are partitioned (`share()`) or how

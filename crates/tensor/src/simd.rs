@@ -1,11 +1,10 @@
 //! Explicit SIMD microkernels with bit-exact scalar fallbacks.
 //!
 //! Every hot kernel in [`crate::ops`] dispatches its innermost loops
-//! through this module: AVX2 when the host has it, SSE2 otherwise (part
-//! of the x86_64 baseline), and a plain scalar path everywhere else or
-//! when `CTS_SIMD=off` is set. Dispatch is per kernel call, so the branch
-//! is amortized over the whole inner loop, and the selected level is
-//! process-wide ([`level`] / [`set_level`]).
+//! through this module: AVX2 when the host has it, and a plain scalar
+//! path everywhere else or when `CTS_SIMD=off` is set. Dispatch is per
+//! kernel call, so the branch is amortized over the whole inner loop, and
+//! the selected level is process-wide ([`level`] / [`set_level`]).
 //!
 //! # Determinism contract
 //!
@@ -15,10 +14,8 @@
 //! kernel uses. Multiplies and adds stay separate instructions — never
 //! FMA, which rounds once where mul+add rounds twice — division is IEEE
 //! correctly rounded, and neg/abs are sign-bit operations. No single
-//! element's chain is ever reassociated, so AVX2, SSE2, and scalar
-//! results are bit-identical by construction, not merely close. SSE2
-//! runs the same [`LANES`]-wide layout as two 4-wide halves; because the
-//! lanes are independent elements, the grouping cannot change any bits.
+//! element's chain is ever reassociated, so AVX2 and scalar results are
+//! bit-identical by construction, not merely close.
 //!
 //! Where x86 min/max semantics leak (`maxps(a, b)` returns `b` when
 //! either operand is NaN or both compare equal), the scalar forms in
@@ -40,7 +37,7 @@
 //! `core::arch` loads/stores take raw pointers, and calling a
 //! `#[target_feature]` function requires asserting the feature is
 //! present. Both obligations are discharged locally: every kernel
-//! asserts its slice bounds before touching a pointer, and the AVX2/SSE2
+//! asserts its slice bounds before touching a pointer, and the AVX2
 //! entry points are only reachable through [`level`], which has verified
 //! the host feature. The crate is `deny(unsafe_code)`; this module and
 //! [`crate::pool`] are the only opt-outs, enforced by
@@ -58,13 +55,11 @@ pub const LANES: usize = 8;
 pub const MAX_RDIMS: usize = 8;
 
 /// Instruction-set level the kernels dispatch on. Ordered: `Scalar <
-/// Sse2 < Avx2`, so requested levels clamp to the host with `min`.
+/// Avx2`, so requested levels clamp to the host with `min`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
     /// Pure scalar loops (always available; the reference behaviour).
     Scalar,
-    /// 128-bit SSE2 (x86_64 baseline).
-    Sse2,
     /// 256-bit AVX2 (runtime-detected).
     Avx2,
 }
@@ -74,7 +69,6 @@ impl SimdLevel {
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
         }
     }
@@ -86,41 +80,32 @@ const UNSET: u8 = 0;
 fn enc(l: SimdLevel) -> u8 {
     match l {
         SimdLevel::Scalar => 1,
-        SimdLevel::Sse2 => 2,
-        SimdLevel::Avx2 => 3,
+        SimdLevel::Avx2 => 2,
     }
 }
 
 fn dec(v: u8) -> Option<SimdLevel> {
     match v {
         1 => Some(SimdLevel::Scalar),
-        2 => Some(SimdLevel::Sse2),
-        3 => Some(SimdLevel::Avx2),
+        2 => Some(SimdLevel::Avx2),
         _ => None,
     }
 }
 
-/// Best level the host supports, independent of `CTS_SIMD` and overrides.
+/// Best level the host supports, independent of `CTS_SIMD` and overrides:
+/// AVX2 when detected, else scalar.
 pub fn detected() -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            SimdLevel::Avx2
-        } else {
-            SimdLevel::Sse2
-        }
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return SimdLevel::Avx2;
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        SimdLevel::Scalar
-    }
+    SimdLevel::Scalar
 }
 
 fn env_level() -> SimdLevel {
     let host = detected();
     match std::env::var("CTS_SIMD").as_deref().map(str::trim) {
         Ok("off") | Ok("scalar") | Ok("0") => SimdLevel::Scalar,
-        Ok("sse2") => SimdLevel::Sse2.min(host),
         Ok("avx2") => SimdLevel::Avx2.min(host),
         _ => host,
     }
@@ -130,7 +115,7 @@ static DEFAULT_LEVEL: AtomicU8 = AtomicU8::new(UNSET);
 static OVERRIDE_LEVEL: AtomicU8 = AtomicU8::new(UNSET);
 
 /// The level kernels currently dispatch on: [`set_level`] override if
-/// set, else the `CTS_SIMD` env knob (`off`/`scalar`, `sse2`, `avx2`;
+/// set, else the `CTS_SIMD` env knob (`off`/`scalar`, `avx2`;
 /// read once), else the detected host maximum.
 #[inline]
 pub fn level() -> SimdLevel {
@@ -161,7 +146,7 @@ pub fn active() -> bool {
     level() != SimdLevel::Scalar
 }
 
-/// Name of the active dispatch level (`"avx2"` / `"sse2"` / `"scalar"`).
+/// Name of the active dispatch level (`"avx2"` / `"scalar"`).
 pub fn level_name() -> &'static str {
     level().name()
 }
@@ -296,9 +281,6 @@ pub fn gemm_rowblock(a_row: &[f32], b: &[f32], ldb: usize, out: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: level() == Avx2 only after is_x86_feature_detected!("avx2").
         SimdLevel::Avx2 => unsafe { x86::gemm_avx2(a_row, b, ldb, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is unconditionally part of the x86_64 baseline.
-        SimdLevel::Sse2 => unsafe { x86::gemm_sse2(a_row, b, ldb, out) },
         _ => gemm_scalar(a_row, b, ldb, out),
     }
 }
@@ -343,9 +325,6 @@ pub fn binary_map(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: level() == Avx2 only after is_x86_feature_detected!("avx2").
         SimdLevel::Avx2 => unsafe { x86::binary_map_avx2(op, a, b, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is unconditionally part of the x86_64 baseline.
-        SimdLevel::Sse2 => unsafe { x86::binary_map_sse2(op, a, b, out) },
         _ => {
             for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
                 *o = op.apply(x, y);
@@ -362,9 +341,6 @@ pub fn unary_map(op: UnOp, a: &[f32], out: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: level() == Avx2 only after is_x86_feature_detected!("avx2").
         SimdLevel::Avx2 => unsafe { x86::unary_map_avx2(op, a, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is unconditionally part of the x86_64 baseline.
-        SimdLevel::Sse2 => unsafe { x86::unary_map_sse2(op, a, out) },
         _ => {
             for (o, &x) in out.iter_mut().zip(a.iter()) {
                 *o = op.apply(x);
@@ -380,9 +356,6 @@ pub fn scale_in_place(data: &mut [f32], c: f32) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: level() == Avx2 only after is_x86_feature_detected!("avx2").
         SimdLevel::Avx2 => unsafe { x86::scale_in_place_avx2(data, c) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is unconditionally part of the x86_64 baseline.
-        SimdLevel::Sse2 => unsafe { x86::scale_in_place_sse2(data, c) },
         _ => {
             for x in data.iter_mut() {
                 *x *= c;
@@ -403,9 +376,6 @@ pub fn axpy(dst: &mut [f32], s: f32, x: &[f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: level() == Avx2 only after is_x86_feature_detected!("avx2").
         SimdLevel::Avx2 => unsafe { x86::axpy_avx2(dst, s, x) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is unconditionally part of the x86_64 baseline.
-        SimdLevel::Sse2 => unsafe { x86::axpy_sse2(dst, s, x) },
         _ => {
             for (d, &v) in dst.iter_mut().zip(x.iter()) {
                 *d += s * v;
@@ -422,9 +392,6 @@ pub fn accum(dst: &mut [f32], x: &[f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: level() == Avx2 only after is_x86_feature_detected!("avx2").
         SimdLevel::Avx2 => unsafe { x86::accum_avx2(dst, x) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is unconditionally part of the x86_64 baseline.
-        SimdLevel::Sse2 => unsafe { x86::accum_sse2(dst, x) },
         _ => {
             for (d, &v) in dst.iter_mut().zip(x.iter()) {
                 *d += v;
@@ -442,9 +409,6 @@ pub fn max_accum(dst: &mut [f32], x: &[f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: level() == Avx2 only after is_x86_feature_detected!("avx2").
         SimdLevel::Avx2 => unsafe { x86::max_accum_avx2(dst, x) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is unconditionally part of the x86_64 baseline.
-        SimdLevel::Sse2 => unsafe { x86::max_accum_sse2(dst, x) },
         _ => {
             for (d, &v) in dst.iter_mut().zip(x.iter()) {
                 if v > *d {
@@ -472,9 +436,6 @@ pub fn row_max(x: &[f32]) -> f32 {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: level() == Avx2 only after is_x86_feature_detected!("avx2").
         SimdLevel::Avx2 => unsafe { x86::row_max_avx2(x) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is unconditionally part of the x86_64 baseline.
-        SimdLevel::Sse2 => unsafe { x86::row_max_sse2(x) },
         _ => fold_max(f32::NEG_INFINITY, x),
     }
 }
@@ -500,9 +461,6 @@ pub fn softmax_grad_row(out: &mut [f32], y: &[f32], g: &[f32], dot: f32) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: level() == Avx2 only after is_x86_feature_detected!("avx2").
         SimdLevel::Avx2 => unsafe { x86::softmax_grad_row_avx2(out, y, g, dot) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is unconditionally part of the x86_64 baseline.
-        SimdLevel::Sse2 => unsafe { x86::softmax_grad_row_sse2(out, y, g, dot) },
         _ => {
             for ((o, &yv), &gv) in out.iter_mut().zip(y.iter()).zip(g.iter()) {
                 *o = yv * (gv - dot);
@@ -537,9 +495,6 @@ pub fn reduce_lanes8(gd: &[f32], base: usize, dims: &[(usize, usize)], total: us
         // SAFETY: level() == Avx2 only after is_x86_feature_detected!("avx2");
         // bounds for every load were asserted above.
         SimdLevel::Avx2 => unsafe { x86::reduce8_avx2(gd, base, dims, total, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is baseline on x86_64; bounds asserted above.
-        SimdLevel::Sse2 => unsafe { x86::reduce8_sse2(gd, base, dims, total, out) },
         _ => {
             let mut acc = [0.0f32; LANES];
             preimage_walk!(dims, total, roff, {
@@ -560,7 +515,7 @@ pub fn reduce_lanes8(gd: &[f32], base: usize, dims: &[(usize, usize)], total: us
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! AVX2 / SSE2 bodies. Callers (the dispatchers above) guarantee the
+    //! AVX2 bodies. Callers (the dispatchers above) guarantee the
     //! target feature is present; each body asserts its slice bounds
     //! before the pointer loop, so every load/store below is in bounds.
     use super::{fold_max, BinOp, UnOp, LANES, MAX_RDIMS};
@@ -596,37 +551,6 @@ mod x86 {
             }
             _mm256_storeu_ps(op.add(j), acc);
             j += 8;
-        }
-        gemm_tail(a_row, b, ldb, out, j);
-    }
-
-    // SAFETY: to call, SSE2 is part of the x86_64 baseline.
-    pub unsafe fn gemm_sse2(a_row: &[f32], b: &[f32], ldb: usize, out: &mut [f32]) {
-        let (k, n) = (a_row.len(), out.len());
-        assert!(n <= ldb && (k == 0 || b.len() >= (k - 1) * ldb + n));
-        let (bp, op) = (b.as_ptr(), out.as_mut_ptr());
-        let mut j = 0;
-        while j + 8 <= n {
-            let mut acc0 = _mm_loadu_ps(op.add(j));
-            let mut acc1 = _mm_loadu_ps(op.add(j + 4));
-            for (kk, &av) in a_row.iter().enumerate() {
-                let va = _mm_set1_ps(av);
-                let row = bp.add(kk * ldb + j);
-                acc0 = _mm_add_ps(acc0, _mm_mul_ps(va, _mm_loadu_ps(row)));
-                acc1 = _mm_add_ps(acc1, _mm_mul_ps(va, _mm_loadu_ps(row.add(4))));
-            }
-            _mm_storeu_ps(op.add(j), acc0);
-            _mm_storeu_ps(op.add(j + 4), acc1);
-            j += 8;
-        }
-        if j + 4 <= n {
-            let mut acc = _mm_loadu_ps(op.add(j));
-            for (kk, &av) in a_row.iter().enumerate() {
-                let vb = _mm_loadu_ps(bp.add(kk * ldb + j));
-                acc = _mm_add_ps(acc, _mm_mul_ps(_mm_set1_ps(av), vb));
-            }
-            _mm_storeu_ps(op.add(j), acc);
-            j += 4;
         }
         gemm_tail(a_row, b, ldb, out, j);
     }
@@ -669,33 +593,6 @@ mod x86 {
             BinOp::Sub => lanes8!(_mm256_sub_ps),
             BinOp::Mul => lanes8!(_mm256_mul_ps),
             BinOp::Div => lanes8!(_mm256_div_ps),
-        }
-    }
-
-    // SAFETY: to call, SSE2 is part of the x86_64 baseline.
-    pub unsafe fn binary_map_sse2(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        assert!(a.len() >= n && b.len() >= n);
-        let (ap, bp, op_) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-        macro_rules! lanes4 {
-            ($vop:ident) => {{
-                let mut j = 0;
-                while j + 4 <= n {
-                    let v = $vop(_mm_loadu_ps(ap.add(j)), _mm_loadu_ps(bp.add(j)));
-                    _mm_storeu_ps(op_.add(j), v);
-                    j += 4;
-                }
-                while j < n {
-                    out[j] = op.apply(a[j], b[j]);
-                    j += 1;
-                }
-            }};
-        }
-        match op {
-            BinOp::Add => lanes4!(_mm_add_ps),
-            BinOp::Sub => lanes4!(_mm_sub_ps),
-            BinOp::Mul => lanes4!(_mm_mul_ps),
-            BinOp::Div => lanes4!(_mm_div_ps),
         }
     }
 
@@ -747,53 +644,6 @@ mod x86 {
         }
     }
 
-    // SAFETY: to call, SSE2 is part of the x86_64 baseline.
-    pub unsafe fn unary_map_sse2(op: UnOp, a: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        assert!(a.len() >= n);
-        let (ap, op_) = (a.as_ptr(), out.as_mut_ptr());
-        macro_rules! lanes4 {
-            ($f:expr) => {{
-                let mut j = 0;
-                while j + 4 <= n {
-                    _mm_storeu_ps(op_.add(j), $f(_mm_loadu_ps(ap.add(j))));
-                    j += 4;
-                }
-                while j < n {
-                    out[j] = op.apply(a[j]);
-                    j += 1;
-                }
-            }};
-        }
-        match op {
-            UnOp::Neg => {
-                let sign = _mm_set1_ps(-0.0);
-                lanes4!(|v| _mm_xor_ps(v, sign))
-            }
-            UnOp::Abs => {
-                let sign = _mm_set1_ps(-0.0);
-                lanes4!(|v| _mm_andnot_ps(sign, v))
-            }
-            UnOp::Square => lanes4!(|v| _mm_mul_ps(v, v)),
-            UnOp::Relu => {
-                let zero = _mm_setzero_ps();
-                lanes4!(|v| _mm_max_ps(v, zero))
-            }
-            UnOp::Scale(c) => {
-                let vc = _mm_set1_ps(c);
-                lanes4!(|v| _mm_mul_ps(v, vc))
-            }
-            UnOp::AddScalar(c) => {
-                let vc = _mm_set1_ps(c);
-                lanes4!(|v| _mm_add_ps(v, vc))
-            }
-            UnOp::Clamp(lo, hi) => {
-                let (vl, vh) = (_mm_set1_ps(lo), _mm_set1_ps(hi));
-                lanes4!(|v| _mm_min_ps(vh, _mm_max_ps(vl, v)))
-            }
-        }
-    }
-
     // SAFETY: to call, AVX2 must be available on the host.
     #[target_feature(enable = "avx2")]
     pub unsafe fn scale_in_place_avx2(data: &mut [f32], c: f32) {
@@ -804,22 +654,6 @@ mod x86 {
         while j + 8 <= n {
             _mm256_storeu_ps(dp.add(j), _mm256_mul_ps(_mm256_loadu_ps(dp.add(j)), vc));
             j += 8;
-        }
-        while j < n {
-            data[j] *= c;
-            j += 1;
-        }
-    }
-
-    // SAFETY: to call, SSE2 is part of the x86_64 baseline.
-    pub unsafe fn scale_in_place_sse2(data: &mut [f32], c: f32) {
-        let n = data.len();
-        let dp = data.as_mut_ptr();
-        let vc = _mm_set1_ps(c);
-        let mut j = 0;
-        while j + 4 <= n {
-            _mm_storeu_ps(dp.add(j), _mm_mul_ps(_mm_loadu_ps(dp.add(j)), vc));
-            j += 4;
         }
         while j < n {
             data[j] *= c;
@@ -849,25 +683,6 @@ mod x86 {
         }
     }
 
-    // SAFETY: to call, SSE2 is part of the x86_64 baseline.
-    pub unsafe fn axpy_sse2(dst: &mut [f32], s: f32, x: &[f32]) {
-        let n = dst.len();
-        assert!(x.len() >= n);
-        let (dp, xp) = (dst.as_mut_ptr(), x.as_ptr());
-        let vs = _mm_set1_ps(s);
-        let mut j = 0;
-        while j + 4 <= n {
-            let d = _mm_loadu_ps(dp.add(j));
-            let v = _mm_mul_ps(vs, _mm_loadu_ps(xp.add(j)));
-            _mm_storeu_ps(dp.add(j), _mm_add_ps(d, v));
-            j += 4;
-        }
-        while j < n {
-            dst[j] += s * x[j];
-            j += 1;
-        }
-    }
-
     // SAFETY: to call, AVX2 must be available on the host.
     #[target_feature(enable = "avx2")]
     pub unsafe fn accum_avx2(dst: &mut [f32], x: &[f32]) {
@@ -879,23 +694,6 @@ mod x86 {
             let v = _mm256_add_ps(_mm256_loadu_ps(dp.add(j)), _mm256_loadu_ps(xp.add(j)));
             _mm256_storeu_ps(dp.add(j), v);
             j += 8;
-        }
-        while j < n {
-            dst[j] += x[j];
-            j += 1;
-        }
-    }
-
-    // SAFETY: to call, SSE2 is part of the x86_64 baseline.
-    pub unsafe fn accum_sse2(dst: &mut [f32], x: &[f32]) {
-        let n = dst.len();
-        assert!(x.len() >= n);
-        let (dp, xp) = (dst.as_mut_ptr(), x.as_ptr());
-        let mut j = 0;
-        while j + 4 <= n {
-            let v = _mm_add_ps(_mm_loadu_ps(dp.add(j)), _mm_loadu_ps(xp.add(j)));
-            _mm_storeu_ps(dp.add(j), v);
-            j += 4;
         }
         while j < n {
             dst[j] += x[j];
@@ -924,29 +722,10 @@ mod x86 {
         }
     }
 
-    // SAFETY: to call, SSE2 is part of the x86_64 baseline.
-    pub unsafe fn max_accum_sse2(dst: &mut [f32], x: &[f32]) {
-        let n = dst.len();
-        assert!(x.len() >= n);
-        let (dp, xp) = (dst.as_mut_ptr(), x.as_ptr());
-        let mut j = 0;
-        while j + 4 <= n {
-            let v = _mm_max_ps(_mm_loadu_ps(xp.add(j)), _mm_loadu_ps(dp.add(j)));
-            _mm_storeu_ps(dp.add(j), v);
-            j += 4;
-        }
-        while j < n {
-            if x[j] > dst[j] {
-                dst[j] = x[j];
-            }
-            j += 1;
-        }
-    }
-
     // -- row max ------------------------------------------------------------
 
     /// Fixed 4-lane horizontal max tree: pairs `(0,2)/(1,3)`, then the
-    /// winners — identical structure for the AVX2 and SSE2 paths.
+    /// winners.
     fn hmax4(v: __m128) -> f32 {
         // SAFETY: SSE shuffles/max on values only; no memory access.
         unsafe {
@@ -975,23 +754,6 @@ mod x86 {
         fold_max(hmax4(m4), &x[j..])
     }
 
-    // SAFETY: to call, SSE2 is part of the x86_64 baseline.
-    pub unsafe fn row_max_sse2(x: &[f32]) -> f32 {
-        let n = x.len();
-        let xp = x.as_ptr();
-        // Same 8-lane layout as AVX2: acc0 = lanes 0..4, acc1 = lanes 4..8.
-        let mut acc0 = _mm_set1_ps(f32::NEG_INFINITY);
-        let mut acc1 = acc0;
-        let mut j = 0;
-        while j + 8 <= n {
-            acc0 = _mm_max_ps(_mm_loadu_ps(xp.add(j)), acc0);
-            acc1 = _mm_max_ps(_mm_loadu_ps(xp.add(j + 4)), acc1);
-            j += 8;
-        }
-        let m4 = _mm_max_ps(acc0, acc1);
-        fold_max(hmax4(m4), &x[j..])
-    }
-
     // -- softmax backward row ----------------------------------------------
 
     // SAFETY: to call, AVX2 must be available on the host.
@@ -1006,24 +768,6 @@ mod x86 {
             let gv = _mm256_sub_ps(_mm256_loadu_ps(gp.add(j)), vd);
             _mm256_storeu_ps(op.add(j), _mm256_mul_ps(_mm256_loadu_ps(yp.add(j)), gv));
             j += 8;
-        }
-        while j < n {
-            out[j] = y[j] * (g[j] - dot);
-            j += 1;
-        }
-    }
-
-    // SAFETY: to call, SSE2 is part of the x86_64 baseline.
-    pub unsafe fn softmax_grad_row_sse2(out: &mut [f32], y: &[f32], g: &[f32], dot: f32) {
-        let n = out.len();
-        assert!(y.len() >= n && g.len() >= n);
-        let (op, yp, gp) = (out.as_mut_ptr(), y.as_ptr(), g.as_ptr());
-        let vd = _mm_set1_ps(dot);
-        let mut j = 0;
-        while j + 4 <= n {
-            let gv = _mm_sub_ps(_mm_loadu_ps(gp.add(j)), vd);
-            _mm_storeu_ps(op.add(j), _mm_mul_ps(_mm_loadu_ps(yp.add(j)), gv));
-            j += 4;
         }
         while j < n {
             out[j] = y[j] * (g[j] - dot);
@@ -1046,20 +790,6 @@ mod x86 {
         _mm256_storeu_ps(out.as_mut_ptr(), acc);
     }
 
-    // SAFETY: to call, SSE2 is baseline on x86_64; same bounds contract
-    // as `reduce8_avx2` (asserted by the dispatcher).
-    pub unsafe fn reduce8_sse2(gd: &[f32], base: usize, dims: &[(usize, usize)], total: usize, out: &mut [f32]) {
-        assert_eq!(out.len(), LANES);
-        let gp = gd.as_ptr();
-        let mut acc0 = _mm_setzero_ps();
-        let mut acc1 = acc0;
-        preimage_walk!(dims, total, roff, {
-            acc0 = _mm_add_ps(acc0, _mm_loadu_ps(gp.add(base + roff)));
-            acc1 = _mm_add_ps(acc1, _mm_loadu_ps(gp.add(base + roff + 4)));
-        });
-        _mm_storeu_ps(out.as_mut_ptr(), acc0);
-        _mm_storeu_ps(out.as_mut_ptr().add(4), acc1);
-    }
 }
 
 #[cfg(test)]
@@ -1071,14 +801,12 @@ mod tests {
     fn across_levels(f: impl Fn() -> Vec<f32>) -> Vec<f32> {
         set_level(Some(SimdLevel::Scalar));
         let base = f();
-        for l in [SimdLevel::Sse2, SimdLevel::Avx2] {
-            if l <= detected() {
-                set_level(Some(l));
-                let got = f();
-                let eq = base.len() == got.len()
-                    && base.iter().zip(got.iter()).all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(eq, "{l:?} diverged from scalar: {base:?} vs {got:?}");
-            }
+        if detected() == SimdLevel::Avx2 {
+            set_level(Some(SimdLevel::Avx2));
+            let got = f();
+            let eq = base.len() == got.len()
+                && base.iter().zip(got.iter()).all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(eq, "Avx2 diverged from scalar: {base:?} vs {got:?}");
         }
         set_level(None);
         base

@@ -15,7 +15,7 @@
 //! mutex.
 
 use cts_tensor::ops::{self, reference};
-use cts_tensor::parallel::{reset_pool, set_dispatch, set_num_threads, Dispatch};
+use cts_tensor::parallel::{reset_pool, set_num_threads};
 use cts_tensor::simd::{self, SimdLevel};
 use cts_tensor::{arena, Tensor};
 use proptest::prelude::*;
@@ -57,7 +57,7 @@ fn with_simd<T>(level: SimdLevel, f: impl FnOnce() -> T) -> T {
 
 /// Every SIMD level the host can actually run (always includes `Scalar`).
 fn host_levels() -> Vec<SimdLevel> {
-    [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2]
+    [SimdLevel::Scalar, SimdLevel::Avx2]
         .into_iter()
         .filter(|&l| l <= simd::detected())
         .collect()
@@ -248,8 +248,7 @@ proptest! {
     /// SIMD determinism contract, matmul family: every vector level the
     /// host supports returns the *bits* of the forced-scalar path
     /// (`CTS_SIMD=off`), with `n` deliberately straddling the 8-lane width
-    /// (`n % 8` covers 0..=7) and under both thread counts and both
-    /// dispatchers.
+    /// (`n % 8` covers 0..=7) and under both thread counts.
     fn simd_levels_bit_identical_matmul_family(
         bsz in 1usize..3,
         m in 1usize..12,
@@ -257,7 +256,6 @@ proptest! {
         nq in 0usize..3,
         nrem in 0usize..8,
         four_threads in proptest::bool::ANY,
-        spawn in proptest::bool::ANY,
         seed in 0u64..1_000_000
     ) {
         let _g = LOCK.lock().unwrap();
@@ -268,7 +266,6 @@ proptest! {
         let b = rand_tensor(&mut rng, vec![k, n]);
         let bt = rand_tensor(&mut rng, vec![bsz, n, k]);
         let g = rand_tensor(&mut rng, vec![bsz, m, n]);
-        set_dispatch(Some(if spawn { Dispatch::Spawn } else { Dispatch::Pool }));
         let run = || (ops::matmul(&a, &b), ops::matmul_nt(&a, &bt), ops::matmul_tn(&a, &g));
         let scalar = with_threads(threads, || with_simd(SimdLevel::Scalar, run));
         for level in host_levels() {
@@ -277,7 +274,6 @@ proptest! {
             prop_assert_eq!(bits(&scalar.1), bits(&out.1), "matmul_nt at {:?}", level);
             prop_assert_eq!(bits(&scalar.2), bits(&out.2), "matmul_tn at {:?}", level);
         }
-        set_dispatch(None);
     }
 
     /// SIMD determinism contract, elementwise + softmax: vector levels are
@@ -387,11 +383,10 @@ fn pipeline_bit_exact_across_thread_counts() {
     assert_eq!(one.data(), eight.data());
 }
 
-/// Every pooled kernel must produce identical bits before a pool teardown,
-/// after the pool is lazily re-initialised at a different width, and under
-/// the legacy spawn-per-call dispatcher kept as the benchmark baseline.
+/// Every pooled kernel must produce identical bits before a pool teardown
+/// and after the pool is lazily re-initialised at a different width.
 #[test]
-fn pool_teardown_reinit_and_spawn_dispatch_are_bit_identical() {
+fn pool_teardown_and_reinit_are_bit_identical() {
     let _g = LOCK.lock().unwrap();
     let mut rng = SmallRng::seed_from_u64(7);
     // Large enough that every kernel crosses PAR_THRESHOLD.
@@ -409,18 +404,14 @@ fn pool_teardown_reinit_and_spawn_dispatch_are_bit_identical() {
     let pooled = with_threads(4, run);
     reset_pool();
     let reinit = with_threads(2, run); // pool comes back lazily, narrower
-    set_dispatch(Some(Dispatch::Spawn));
-    let spawned = with_threads(4, run);
-    set_dispatch(None);
-    for (x, y, z) in [
-        (&pooled.0, &reinit.0, &spawned.0),
-        (&pooled.1, &reinit.1, &spawned.1),
-        (&pooled.2, &reinit.2, &spawned.2),
-        (&pooled.3, &reinit.3, &spawned.3),
-        (&pooled.4, &reinit.4, &spawned.4),
+    for (x, y) in [
+        (&pooled.0, &reinit.0),
+        (&pooled.1, &reinit.1),
+        (&pooled.2, &reinit.2),
+        (&pooled.3, &reinit.3),
+        (&pooled.4, &reinit.4),
     ] {
         assert_eq!(x.data(), y.data(), "pool re-init changed results");
-        assert_eq!(x.data(), z.data(), "spawn dispatch diverges from pool");
     }
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Emit machine-readable benchmark JSON at the repo root:
-#   BENCH_ops.json          per-kernel ns/iter + allocs across threads/dispatch
-#   BENCH_search_step.json  bi-level search-step cost, pool vs spawn, arena on/off
+#   BENCH_ops.json          per-kernel ns/iter + allocs across worker counts
+#   BENCH_search_step.json  bi-level search-step cost per worker count, arena on/off
 #   BENCH_obs.json          observability smoke run: per-kernel time shares,
 #                           phase breakdown, arena/pool/tape counters
 #   BENCH_serve.json        serving latency: one row per SERVE_THREADS entry

@@ -50,23 +50,39 @@ echo "==> fault-injection suite (explicit)"
 cargo test --offline --test fault_injection -- --nocapture
 cargo test --offline -p cts-nn --test run_state
 
+# The zero-allocation and front-end gates below run once per worker count:
+# serial (CTS_NUM_THREADS=1) and the host's core count, so a 1-core box
+# cannot hide a regression on the multi-thread launch path. A 1-core host
+# runs them once.
+thread_counts=(1)
+if [[ "$(nproc)" -gt 1 ]]; then
+  thread_counts+=("$(nproc)")
+fi
+
 echo "==> serving chaos suite"
 # The request path must degrade, never panic: typed errors, batch
 # isolation under injected faults, oversize splitting under the cap,
 # canary-gate rollback, and the packing proptests (tests/serve_fault.rs).
 cargo test --offline --test serve_fault
 
-echo "==> compiled-plan parity gate"
-# The tape-free ExecPlan forward must stay bit-identical to the tape
-# forward (randomized genotypes/batch sizes, live-weight tracking) and
-# allocate nothing at steady state (tests/compiled_parity.rs).
-cargo test --offline --test compiled_parity
+for n in "${thread_counts[@]}"; do
+  echo "==> compiled-plan parity gate (CTS_NUM_THREADS=$n)"
+  # The tape-free ExecPlan forward must stay bit-identical to the tape
+  # forward (randomized genotypes/batch sizes, live-weight tracking) and
+  # allocate nothing at steady state (tests/compiled_parity.rs).
+  CTS_NUM_THREADS="$n" cargo test --offline --test compiled_parity
 
-echo "==> allocation-regression gate"
-# A steady-state supernet train step must stay within the pinned
-# system-allocator budget (tests/alloc_budget.rs); catches per-step Vec
-# churn or arena bypasses creeping back into the hot path.
-cargo test --offline --test alloc_budget
+  echo "==> allocation-regression gate (CTS_NUM_THREADS=$n)"
+  # A steady-state supernet train step must stay within the pinned
+  # system-allocator budget (tests/alloc_budget.rs); catches per-step Vec
+  # churn or arena bypasses creeping back into the hot path.
+  CTS_NUM_THREADS="$n" cargo test --offline --test alloc_budget
+
+  echo "==> serving front-end gate (CTS_NUM_THREADS=$n)"
+  # Sharded ingestion, forecast cache and multi-model routing
+  # (tests/serve_front.rs).
+  CTS_NUM_THREADS="$n" cargo test --offline --test serve_front
+done
 
 echo "==> observability gate"
 # Metrics collection must be a pure observer: bit-identical genotype and
