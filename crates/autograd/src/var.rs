@@ -52,7 +52,14 @@ impl Var {
         f(&inner.nodes[self.id].value, &inner.nodes[other.id].value)
     }
 
-    fn with_value<R>(&self, f: impl FnOnce(&Tensor) -> R) -> R {
+    /// Apply `f` to this node's forward value in place (no copy, no
+    /// gradient).
+    ///
+    /// `f` runs while the tape is borrowed: it must not record on, or
+    /// otherwise touch, the tape (any `Var` op inside `f` panics with a
+    /// `BorrowMutError`). Use only raw `cts_tensor::ops` on the borrowed
+    /// tensor.
+    pub fn with_value<R>(&self, f: impl FnOnce(&Tensor) -> R) -> R {
         let inner = self.tape.inner.borrow();
         f(&inner.nodes[self.id].value)
     }
@@ -196,16 +203,17 @@ impl Var {
         self.unary(Op::Reshape, v)
     }
 
-    /// Concatenate along `axis`. All vars must share a tape.
-    pub fn concat(parts: &[Var], axis: usize) -> Var {
+    /// Concatenate along `axis` (parts given as `Var`s or `&Var`s). All
+    /// vars must share a tape.
+    pub fn concat<P: std::borrow::Borrow<Var>>(parts: &[P], axis: usize) -> Var {
         assert!(!parts.is_empty(), "concat of zero vars");
-        let tape = parts[0].tape.clone();
+        let ids: Vec<usize> = parts.iter().map(|p| p.borrow().id).collect();
+        let tape = parts[0].borrow().tape.clone();
         let value = {
             let inner = tape.inner.borrow();
-            let tensors: Vec<&Tensor> = parts.iter().map(|p| &inner.nodes[p.id].value).collect();
+            let tensors: Vec<&Tensor> = ids.iter().map(|&id| &inner.nodes[id].value).collect();
             ops::concat(&tensors, axis)
         };
-        let ids: Vec<usize> = parts.iter().map(|p| p.id).collect();
         tape.push_op(Op::Concat { axis }, &ids, value)
     }
 

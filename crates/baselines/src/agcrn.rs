@@ -29,7 +29,7 @@ impl AdaptiveGconv {
     fn forward(&self, tape: &Tape, x: &Var, adj: &Var) -> Var {
         let s = x.shape();
         let x4 = x.reshape(&[s[0], s[1], 1, s[2]]);
-        let mixed = node_mix(&x4, adj);
+        let mixed = node_mix(tape, &x4, adj);
         let out = self.w0.forward(tape, &x4).add(&self.w1.forward(tape, &mixed));
         // invariant: the projection output is at least rank 1.
         let d_out = *out.shape().last().expect("non-empty");

@@ -45,10 +45,9 @@ impl StgcnBlock {
 impl HumanStBlock for StgcnBlock {
     fn forward(&self, tape: &Tape, x: &Var, ctx: &GraphContext) -> Var {
         let t1 = self.tcn1.forward(tape, x);
-        let basis = ctx.chebyshev(tape);
         let mut gc: Option<Var> = None;
-        for (t_k, w_k) in basis.iter().zip(self.cheb.iter()) {
-            let term = w_k.forward(tape, &node_mix(&t1, t_k));
+        for (t_k, w_k) in ctx.chebyshev(tape).zip(self.cheb.iter()) {
+            let term = w_k.forward(tape, &node_mix(tape, &t1, &t_k));
             gc = Some(match gc {
                 Some(a) => a.add(&term),
                 None => term,
@@ -111,14 +110,14 @@ impl HumanStBlock for GwnetBlock {
         let t = self.gdcc.forward(tape, x);
         // diffusion GCN applied across the whole [B,N,T,D] tensor
         let mut acc = self.self_w.forward(tape, &t);
-        for (p, w) in ctx.diffusion_fwd(tape).iter().zip(self.fwd.iter()) {
-            acc = acc.add(&w.forward(tape, &node_mix(&t, p)));
+        for (p, w) in ctx.diffusion_fwd(tape).zip(self.fwd.iter()) {
+            acc = acc.add(&w.forward(tape, &node_mix(tape, &t, &p)));
         }
-        for (p, w) in ctx.diffusion_bwd(tape).iter().zip(self.bwd.iter()) {
-            acc = acc.add(&w.forward(tape, &node_mix(&t, p)));
+        for (p, w) in ctx.diffusion_bwd(tape).zip(self.bwd.iter()) {
+            acc = acc.add(&w.forward(tape, &node_mix(tape, &t, &p)));
         }
         if let Some(adp) = ctx.adaptive_support(tape) {
-            acc = acc.add(&self.fwd[0].forward(tape, &node_mix(&t, &adp)));
+            acc = acc.add(&self.fwd[0].forward(tape, &node_mix(tape, &t, &adp)));
         }
         self.norm.forward(tape, &acc.add(x))
     }
@@ -175,7 +174,7 @@ impl HumanStBlock for MtgnnBlock {
         let mut acc = self.hop_w[0].forward(tape, &t);
         let mut h = t.clone();
         for w in &self.hop_w[1..] {
-            h = node_mix(&h, &adj);
+            h = node_mix(tape, &h, &adj);
             acc = acc.add(&w.forward(tape, &h));
         }
         self.norm.forward(tape, &acc.add(x))

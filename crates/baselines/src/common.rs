@@ -112,16 +112,16 @@ pub fn diffusion_gconv(
     let s = x.shape(); // [B,N,D]
     let x4 = x.reshape(&[s[0], s[1], 1, s[2]]);
     let mut acc = self_w.forward(tape, &x4);
-    for (p, w) in ctx.diffusion_fwd(tape).iter().zip(fwd_w.iter()) {
-        acc = acc.add(&w.forward(tape, &node_mix(&x4, p)));
+    for (p, w) in ctx.diffusion_fwd(tape).zip(fwd_w.iter()) {
+        acc = acc.add(&w.forward(tape, &node_mix(tape, &x4, &p)));
     }
-    for (p, w) in ctx.diffusion_bwd(tape).iter().zip(bwd_w.iter()) {
-        acc = acc.add(&w.forward(tape, &node_mix(&x4, p)));
+    for (p, w) in ctx.diffusion_bwd(tape).zip(bwd_w.iter()) {
+        acc = acc.add(&w.forward(tape, &node_mix(tape, &x4, &p)));
     }
     if let Some(adp) = ctx.adaptive_support(tape) {
         // reuse the forward weights for the adaptive direction
         if let Some(w) = fwd_w.first() {
-            acc = acc.add(&w.forward(tape, &node_mix(&x4, &adp)));
+            acc = acc.add(&w.forward(tape, &node_mix(tape, &x4, &adp)));
         }
     }
     // invariant: the accumulator tensor is at least rank 1.

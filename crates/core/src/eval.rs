@@ -11,38 +11,11 @@ use cts_nn::{train_full, Forecaster, LossKind, TrainConfig, TrainError};
 use cts_tensor::{ops, Tensor};
 use rand::{rngs::SmallRng, SeedableRng};
 
-/// RAII guard: flips a model into eval mode and restores the mode it had on
-/// entry when dropped. The eval helpers used to `set_training(false)` and
-/// never restore, silently leaving a mid-training model (batch-norm
-/// statistics frozen) in eval mode after any validation pass.
-struct EvalModeGuard<'a> {
-    model: &'a dyn Forecaster,
-    was_training: bool,
-}
-
-impl<'a> EvalModeGuard<'a> {
-    fn new(model: &'a dyn Forecaster) -> Self {
-        let was_training = model.is_training();
-        model.set_training(false);
-        Self {
-            model,
-            was_training,
-        }
-    }
-}
-
-impl Drop for EvalModeGuard<'_> {
-    fn drop(&mut self) {
-        self.model.set_training(self.was_training);
-    }
-}
-
 /// Stacked predictions and targets over a batch list: both `[S, N, Q]`.
 ///
 /// Uses the model's gradient-free [`Forecaster::forward_inference`] — for a
 /// [`DerivedModel`] that is the compiled tape-free plan.
 pub fn collect_predictions(model: &dyn Forecaster, batches: &Batches) -> (Tensor, Tensor) {
-    let _eval = EvalModeGuard::new(model);
     let mut preds: Vec<Tensor> = Vec::with_capacity(batches.len());
     let mut targets: Vec<Tensor> = Vec::with_capacity(batches.len());
     for (x, y) in batches {
@@ -90,7 +63,6 @@ pub fn evaluate_model(
 /// Measure mean inference latency per window (milliseconds) through the
 /// model's gradient-free forward (the compiled plan for derived models).
 pub fn inference_ms_per_window(model: &dyn Forecaster, batches: &Batches) -> f64 {
-    let _eval = EvalModeGuard::new(model);
     let mut windows = 0usize;
     let started = cts_obs::Stopwatch::start();
     for (x, _) in batches {
@@ -190,7 +162,6 @@ pub fn evaluate_genotype(
 mod tests {
     use super::*;
     use cts_autograd::{Parameter, Tape, Var};
-    use std::cell::Cell;
 
     /// Predicts the mean of the input history per node (sane baseline).
     struct MeanModel;
@@ -232,55 +203,6 @@ mod tests {
         assert_eq!(overall.mae, 0.0);
         assert_eq!(horizons.len(), 1);
         assert_eq!(horizons[0].rmse, 0.0);
-    }
-
-    /// A model with mode-dependent state (stand-in for batch-norm).
-    struct ModalModel {
-        training: Cell<bool>,
-    }
-
-    impl Forecaster for ModalModel {
-        fn forward(&self, _tape: &Tape, x: &Var) -> Var {
-            x.slice(3, 0, 1).mean_axis(2, false)
-        }
-        fn parameters(&self) -> Vec<Parameter> {
-            vec![]
-        }
-        fn set_training(&self, training: bool) {
-            self.training.set(training);
-        }
-        fn is_training(&self) -> bool {
-            self.training.get()
-        }
-    }
-
-    /// Regression: the eval helpers used to leave any stateful model stuck
-    /// in eval mode. They must restore the entry mode — both directions.
-    #[test]
-    fn eval_helpers_restore_training_mode() {
-        let model = ModalModel {
-            training: Cell::new(true),
-        };
-        let batches: Batches = vec![(
-            Tensor::full([2, 2, 4, 1], 3.0),
-            Tensor::full([2, 2, 1], 3.0),
-        )];
-        let _ = collect_predictions(&model, &batches);
-        assert!(
-            model.is_training(),
-            "collect_predictions left the model in eval mode"
-        );
-        let _ = inference_ms_per_window(&model, &batches);
-        assert!(
-            model.is_training(),
-            "inference_ms_per_window left the model in eval mode"
-        );
-        let _ = evaluate_model(&model, &batches, None);
-        assert!(model.is_training(), "evaluate_model flipped the mode");
-        // An already-eval model must stay in eval mode afterwards.
-        model.set_training(false);
-        let _ = collect_predictions(&model, &batches);
-        assert!(!model.is_training());
     }
 
     #[test]

@@ -82,15 +82,9 @@ impl Scaffold {
 
     /// Output layer over the merged backbone representation `[B,N,T,D]`.
     fn project(&self, tape: &Tape, merged: &Var) -> Var {
-        let s = merged.shape();
-        let (b, n) = (s[0], s[1]);
-        let flat = merged
-            .relu()
-            .reshape(&[b, n, self.input_len * self.d_model]);
-        self.output
-            .forward(tape, &flat)
-            .scale(self.out_scale)
-            .add_scalar(self.out_shift)
+        let flat_width = self.input_len * self.d_model;
+        let (scale, shift) = (self.out_scale, self.out_shift);
+        cts_runtime::project(tape, &self.output, merged, flat_width, scale, shift)
     }
 
     fn parameters(&self) -> Vec<Parameter> {

@@ -4,7 +4,8 @@
 //! `[B·N, T, D]` for temporal attention or `[B·T, N, D]` for spatial
 //! attention (Table 1, Eqs. 12–13 and 16–17).
 
-use cts_autograd::{Parameter, Tape, Var};
+use crate::Backend;
+use cts_autograd::Parameter;
 use cts_tensor::{ops, Tensor};
 use rand::Rng;
 use std::cell::RefCell;
@@ -27,14 +28,37 @@ pub enum AttentionKind {
 /// `mask`, when given, is added to the raw scores before the softmax
 /// (use large negative values to forbid positions); shape `[L, L]`,
 /// broadcast over the batch.
-pub fn scaled_dot_attention(tape: &Tape, q: &Var, k: &Var, v: &Var, mask: Option<&Tensor>) -> Var {
+pub fn scaled_dot_attention<B: Backend>(
+    be: &B,
+    q: &B::V,
+    k: &B::V,
+    v: &B::V,
+    mask: Option<&Tensor>,
+) -> B::V {
     // invariant: attention inputs are at least rank 1.
-    let d = *q.shape().last().expect("attention on rank-0") as f32;
-    let mut scores = q.matmul(&k.permute(&[0, 2, 1])).scale(1.0 / d.sqrt());
+    let d = *be.shape(q).last().expect("attention on rank-0") as f32;
+    let mut scores = be.scale(&be.matmul(q, &be.permute(k, &[0, 2, 1])), 1.0 / d.sqrt());
     if let Some(m) = mask {
-        scores = scores.add(&tape.constant(m.clone()));
+        scores = be.add(&scores, &be.lend(m));
     }
-    scores.softmax_last().matmul(v)
+    be.matmul(&be.softmax_last(&scores), v)
+}
+
+/// The number of active queries ProbSparse attention selects for sequence
+/// length `l`: `u = ⌈c·ln L⌉`, clamped to `[1, l]`. At `u = l` the
+/// attention falls back to the full path.
+pub fn prob_sparse_u(factor: f32, l: usize) -> usize {
+    ((factor * (l as f32).ln()).ceil() as usize).clamp(1, l)
+}
+
+/// Index scratch (idx, sel, nonsel, inv) for the ProbSparse selection.
+type SparseScratch = (Vec<usize>, Vec<usize>, Vec<usize>, Vec<usize>);
+
+thread_local! {
+    /// Reused across ProbSparse forwards so a steady-state compiled plan
+    /// performs no per-forward `Vec` allocation.
+    static SPARSE_SCRATCH: RefCell<SparseScratch> =
+        const { RefCell::new((Vec::new(), Vec::new(), Vec::new(), Vec::new())) };
 }
 
 /// ProbSparse attention: only the top-`u` queries (by the max-mean sparsity
@@ -44,45 +68,54 @@ pub fn scaled_dot_attention(tape: &Tape, q: &Var, k: &Var, v: &Var, mask: Option
 /// Deviation from the original Informer, noted in DESIGN.md: the
 /// measurement is averaged over the batch so one index set serves the whole
 /// batch (keeps the op expressible with differentiable gathers).
-pub fn prob_sparse_attention(tape: &Tape, q: &Var, k: &Var, v: &Var, factor: f32) -> Var {
-    let shape = q.shape();
+pub fn prob_sparse_attention<B: Backend>(
+    be: &B,
+    q: &B::V,
+    k: &B::V,
+    v: &B::V,
+    factor: f32,
+) -> B::V {
+    let shape = be.shape(q);
     let (l, d) = (shape[1], shape[2]);
-    let u = ((factor * (l as f32).ln()).ceil() as usize).clamp(1, l);
+    let u = prob_sparse_u(factor, l);
     if u >= l {
-        return scaled_dot_attention(tape, q, k, v, None);
+        return scaled_dot_attention(be, q, k, v, None);
     }
+    SPARSE_SCRATCH.with(|scratch| {
+        let mut scratch = scratch.borrow_mut();
+        let (idx, sel, nonsel, inv) = &mut *scratch;
+        be.with_value(q, |q| be.with_value(k, |k| top_queries(q, k, u, idx, sel)));
+        nonsel.clear();
+        nonsel.extend((0..l).filter(|i| !sel.contains(i)));
 
-    // Sparsity measurement on detached values: M(q_i) = max_j s_ij − mean_j s_ij.
-    let sel = top_queries(&q.value(), &k.value(), u);
-    let nonsel: Vec<usize> = (0..l).filter(|i| !sel.contains(i)).collect();
+        let q_sel = be.index_select(q, 1, sel);
+        let scores = be.scale(
+            &be.matmul(&q_sel, &be.permute(k, &[0, 2, 1])),
+            1.0 / (d as f32).sqrt(),
+        );
+        let attn_sel = be.matmul(&be.softmax_last(&scores), v); // [B', u, D]
 
-    let q_sel = q.index_select(1, &sel);
-    let scores = q_sel
-        .matmul(&k.permute(&[0, 2, 1]))
-        .scale(1.0 / (d as f32).sqrt());
-    let attn_sel = scores.softmax_last().matmul(v); // [B', u, D]
+        // Lazy queries output mean(V) (the Informer "self-attention
+        // distilling" default for the non-causal case).
+        let v_mean = be.mean_axis(v, 1, true); // [B', 1, D]
+        let expand = be.constant(Tensor::ones([1, l - u, 1]));
+        let v_rep = be.mul(&v_mean, &expand); // [B', L-u, D]
 
-    // Lazy queries output mean(V) (the Informer "self-attention distilling"
-    // default for the non-causal case).
-    let v_mean = v.mean_axis(1, true); // [B', 1, D]
-    let expand = tape.constant(Tensor::ones([1, l - u, 1]));
-    let v_rep = v_mean.mul(&expand); // [B', L-u, D]
-
-    // Reassemble rows in original order via an inverse gather.
-    let stacked = Var::concat(&[attn_sel, v_rep], 1); // rows: sel ++ nonsel
-    let mut inv = vec![0usize; l];
-    for (pos, &orig) in sel.iter().chain(nonsel.iter()).enumerate() {
-        inv[orig] = pos;
-    }
-    stacked.index_select(1, &inv)
+        // Reassemble rows in original order via an inverse gather.
+        let stacked = be.concat(&[&attn_sel, &v_rep], 1); // rows: sel ++ nonsel
+        inv.clear();
+        inv.resize(l, 0);
+        for (pos, &orig) in sel.iter().chain(nonsel.iter()).enumerate() {
+            inv[orig] = pos;
+        }
+        be.index_select(&stacked, 1, inv)
+    })
 }
 
 /// Pick the `u` query indices with the largest batch-averaged max-mean
-/// sparsity measurement, writing into caller-provided scratch.
-///
-/// Shared by the tape and tape-free paths so their selections are
-/// identical by construction (the sort's tie-breaking included).
-fn top_queries_into(q: &Tensor, k: &Tensor, u: usize, idx: &mut Vec<usize>, sel: &mut Vec<usize>) {
+/// sparsity measurement into `sel` (sorted ascending), using `idx` as
+/// scratch.
+fn top_queries(q: &Tensor, k: &Tensor, u: usize, idx: &mut Vec<usize>, sel: &mut Vec<usize>) {
     let scores = ops::matmul(q, &ops::transpose_last2(k)); // [B', L, L]
     let max = ops::max_axis(&scores, 2, false); // [B', L]
     let mean = ops::mean_axis(&scores, 2, false); // [B', L]
@@ -98,79 +131,6 @@ fn top_queries_into(q: &Tensor, k: &Tensor, u: usize, idx: &mut Vec<usize>, sel:
     sel.clear();
     sel.extend_from_slice(&idx[..u]);
     sel.sort_unstable();
-}
-
-/// Pick the `u` query indices with the largest batch-averaged max-mean
-/// sparsity measurement.
-fn top_queries(q: &Tensor, k: &Tensor, u: usize) -> Vec<usize> {
-    let mut idx = Vec::new();
-    let mut sel = Vec::new();
-    top_queries_into(q, k, u, &mut idx, &mut sel);
-    sel
-}
-
-/// Index scratch (idx, sel, nonsel, inv) for the tape-free ProbSparse path.
-type SparseScratch = (Vec<usize>, Vec<usize>, Vec<usize>, Vec<usize>);
-
-thread_local! {
-    /// Reused across tape-free ProbSparse forwards so a steady-state
-    /// compiled plan performs no per-forward `Vec` allocation.
-    static SPARSE_SCRATCH: RefCell<SparseScratch> =
-        const { RefCell::new((Vec::new(), Vec::new(), Vec::new(), Vec::new())) };
-}
-
-/// Tape-free [`scaled_dot_attention`]: the same kernels in the same order,
-/// bit-identical output.
-pub fn scaled_dot_attention_eval(
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    mask: Option<&Tensor>,
-) -> Tensor {
-    // invariant: attention inputs are at least rank 1.
-    let d = *q.shape().last().expect("attention on rank-0") as f32;
-    let mut scores = ops::scale(&ops::matmul(q, &ops::permute(k, &[0, 2, 1])), 1.0 / d.sqrt());
-    if let Some(m) = mask {
-        scores = ops::add(&scores, m);
-    }
-    ops::matmul(&ops::softmax_last(&scores), v)
-}
-
-/// Tape-free [`prob_sparse_attention`]: the same kernels and the same
-/// query selection (via the shared measurement), bit-identical output.
-pub fn prob_sparse_attention_eval(q: &Tensor, k: &Tensor, v: &Tensor, factor: f32) -> Tensor {
-    let shape = q.shape();
-    let (l, d) = (shape[1], shape[2]);
-    let u = ((factor * (l as f32).ln()).ceil() as usize).clamp(1, l);
-    if u >= l {
-        return scaled_dot_attention_eval(q, k, v, None);
-    }
-    SPARSE_SCRATCH.with(|scratch| {
-        let mut scratch = scratch.borrow_mut();
-        let (idx, sel, nonsel, inv) = &mut *scratch;
-        top_queries_into(q, k, u, idx, sel);
-        nonsel.clear();
-        nonsel.extend((0..l).filter(|i| !sel.contains(i)));
-
-        let q_sel = ops::index_select(q, 1, sel);
-        let scores = ops::scale(
-            &ops::matmul(&q_sel, &ops::permute(k, &[0, 2, 1])),
-            1.0 / (d as f32).sqrt(),
-        );
-        let attn_sel = ops::matmul(&ops::softmax_last(&scores), v); // [B', u, D]
-
-        let v_mean = ops::mean_axis(v, 1, true); // [B', 1, D]
-        let expand = Tensor::ones([1, l - u, 1]);
-        let v_rep = ops::mul(&v_mean, &expand); // [B', L-u, D]
-
-        let stacked = ops::concat(&[&attn_sel, &v_rep], 1); // rows: sel ++ nonsel
-        inv.clear();
-        inv.resize(l, 0);
-        for (pos, &orig) in sel.iter().chain(nonsel.iter()).enumerate() {
-            inv[orig] = pos;
-        }
-        ops::index_select(&stacked, 1, inv)
-    })
 }
 
 /// A self-attention layer with learned Q/K/V projections.
@@ -193,28 +153,13 @@ impl AttentionLayer {
     }
 
     /// Self-attention over `[B', L, D]`.
-    pub fn forward(&self, tape: &Tape, x: &Var) -> Var {
-        let q = self.wq.forward(tape, x);
-        let k = self.wk.forward(tape, x);
-        let v = self.wv.forward(tape, x);
+    pub fn forward<B: Backend>(&self, be: &B, x: &B::V) -> B::V {
+        let q = self.wq.forward(be, x);
+        let k = self.wk.forward(be, x);
+        let v = self.wv.forward(be, x);
         match self.kind {
-            AttentionKind::Full => scaled_dot_attention(tape, &q, &k, &v, None),
-            AttentionKind::ProbSparse { factor } => {
-                prob_sparse_attention(tape, &q, &k, &v, factor)
-            }
-        }
-    }
-
-    /// Tape-free self-attention mirroring [`Self::forward`].
-    pub fn forward_eval(&self, x: &Tensor) -> Tensor {
-        let q = self.wq.forward_eval(x);
-        let k = self.wk.forward_eval(x);
-        let v = self.wv.forward_eval(x);
-        match self.kind {
-            AttentionKind::Full => scaled_dot_attention_eval(&q, &k, &v, None),
-            AttentionKind::ProbSparse { factor } => {
-                prob_sparse_attention_eval(&q, &k, &v, factor)
-            }
+            AttentionKind::Full => scaled_dot_attention(be, &q, &k, &v, None),
+            AttentionKind::ProbSparse { factor } => prob_sparse_attention(be, &q, &k, &v, factor),
         }
     }
 
@@ -235,6 +180,7 @@ impl AttentionLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cts_autograd::Tape;
     use cts_tensor::init;
     use rand::{rngs::SmallRng, SeedableRng};
 

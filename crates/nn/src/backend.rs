@@ -1,0 +1,252 @@
+//! One forward, two executions: the [`Backend`] trait.
+//!
+//! Every layer in this crate (and every operator in `cts-ops`) writes its
+//! forward once, as `forward<B: Backend>(&self, be: &B, x: &B::V) -> B::V`.
+//! Run on a [`Tape`], each op records a node for the backward pass; run on
+//! [`Eval`], each op calls the `cts_tensor::ops` kernel directly. Both
+//! backends invoke the same kernel for every op, so a compiled inference
+//! plan and the tape forward are bit-identical by construction rather than
+//! by keeping two hand-written copies in step.
+
+use cts_autograd::{Parameter, Tape, Var};
+use cts_tensor::{ops, Shape, Tensor};
+use std::cell::Ref;
+use std::ops::Deref;
+
+/// An execution strategy for a generic forward: the value type it flows
+/// and one method per kernel the layers use.
+///
+/// Methods take operands by reference and return a fresh value, except
+/// [`Backend::reshape`], which consumes its operand so the tape-free path
+/// reinterprets the buffer in place (the tape records a copy either way).
+pub trait Backend {
+    /// An activation: a tape [`Var`] or a plain [`Tensor`].
+    type V: Clone;
+    /// A weight as the backend reads it: copied onto the tape, or borrowed
+    /// in place so weight updates flow through without a copy.
+    type Param<'a>: Deref<Target = Self::V>;
+    /// A fixed tensor (e.g. a graph support) as the backend reads it.
+    type Const<'a>: Deref<Target = Self::V>;
+
+    /// Read a trainable weight.
+    fn param<'a>(&self, p: &'a Parameter) -> Self::Param<'a>;
+    /// Read a fixed tensor without taking ownership.
+    fn lend<'a>(&self, t: &'a Tensor) -> Self::Const<'a>;
+    /// Take ownership of a fixed tensor built by the caller.
+    fn constant(&self, t: Tensor) -> Self::V;
+    /// Shape of a value.
+    fn shape(&self, x: &Self::V) -> Shape;
+    /// Run `f` on the raw forward value of `x` (no gradient flows).
+    ///
+    /// On `Tape`, `f` runs while the tape is borrowed, so it must not
+    /// record on, or otherwise touch, the tape: use only raw
+    /// `cts_tensor::ops` on the borrowed tensor.
+    fn with_value<R>(&self, x: &Self::V, f: impl FnOnce(&Tensor) -> R) -> R;
+
+    /// `a + b` (broadcasting).
+    fn add(&self, a: &Self::V, b: &Self::V) -> Self::V;
+    /// `a - b` (broadcasting).
+    fn sub(&self, a: &Self::V, b: &Self::V) -> Self::V;
+    /// `a * b` (broadcasting).
+    fn mul(&self, a: &Self::V, b: &Self::V) -> Self::V;
+    /// `a / b` (broadcasting).
+    fn div(&self, a: &Self::V, b: &Self::V) -> Self::V;
+    /// Batched matrix multiplication over the trailing two dims.
+    fn matmul(&self, a: &Self::V, b: &Self::V) -> Self::V;
+    /// Negation.
+    fn neg(&self, x: &Self::V) -> Self::V;
+    /// ReLU.
+    fn relu(&self, x: &Self::V) -> Self::V;
+    /// Sigmoid.
+    fn sigmoid(&self, x: &Self::V) -> Self::V;
+    /// Tanh.
+    fn tanh(&self, x: &Self::V) -> Self::V;
+    /// Square root.
+    fn sqrt(&self, x: &Self::V) -> Self::V;
+    /// Elementwise square.
+    fn square(&self, x: &Self::V) -> Self::V;
+    /// Softmax over the last axis.
+    fn softmax_last(&self, x: &Self::V) -> Self::V;
+    /// Multiply by scalar `c`.
+    fn scale(&self, x: &Self::V, c: f32) -> Self::V;
+    /// Add scalar `c`.
+    fn add_scalar(&self, x: &Self::V, c: f32) -> Self::V;
+    /// Mean over `axis`.
+    fn mean_axis(&self, x: &Self::V, axis: usize, keepdim: bool) -> Self::V;
+    /// Dilated causal temporal convolution of `[B,N,T,Din]` by `[K,Din,Dout]`.
+    fn temporal_conv(&self, x: &Self::V, w: &Self::V, dilation: usize) -> Self::V;
+    /// Permute dimensions.
+    fn permute(&self, x: &Self::V, perm: &[usize]) -> Self::V;
+    /// Reshape to `shape` (same element count).
+    fn reshape(&self, x: Self::V, shape: &[usize]) -> Self::V;
+    /// Slice `[start, end)` along `axis`.
+    fn slice(&self, x: &Self::V, axis: usize, start: usize, end: usize) -> Self::V;
+    /// Gather `indices` along `axis`.
+    fn index_select(&self, x: &Self::V, axis: usize, indices: &[usize]) -> Self::V;
+    /// Concatenate along `axis`.
+    fn concat(&self, parts: &[&Self::V], axis: usize) -> Self::V;
+}
+
+/// The tape-free backend: every op is the `cts_tensor::ops` kernel itself.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Eval;
+
+/// A tape leaf as a [`Backend::Param`] / [`Backend::Const`] of [`Tape`].
+pub struct Leaf(Var);
+
+impl Deref for Leaf {
+    type Target = Var;
+    fn deref(&self) -> &Var {
+        &self.0
+    }
+}
+
+/// Forward each listed op to the same-named `Var` method.
+macro_rules! tape_ops {
+    (unary: $($u:ident)*; binary: $($b:ident)*) => {
+        $(fn $u(&self, x: &Var) -> Var { x.$u() })*
+        $(fn $b(&self, a: &Var, b: &Var) -> Var { a.$b(b) })*
+    };
+}
+
+/// Forward each listed op to the same-named `cts_tensor::ops` kernel.
+macro_rules! eval_ops {
+    (unary: $($u:ident)*; binary: $($b:ident)*) => {
+        $(fn $u(&self, x: &Tensor) -> Tensor { ops::$u(x) })*
+        $(fn $b(&self, a: &Tensor, b: &Tensor) -> Tensor { ops::$b(a, b) })*
+    };
+}
+
+impl Backend for Tape {
+    type V = Var;
+    type Param<'a> = Leaf;
+    type Const<'a> = Leaf;
+
+    fn param(&self, p: &Parameter) -> Leaf {
+        Leaf(Tape::param(self, p))
+    }
+
+    fn lend(&self, t: &Tensor) -> Leaf {
+        Leaf(Tape::constant(self, t.clone()))
+    }
+
+    fn constant(&self, t: Tensor) -> Var {
+        Tape::constant(self, t)
+    }
+
+    fn shape(&self, x: &Var) -> Shape {
+        x.shape()
+    }
+
+    fn with_value<R>(&self, x: &Var, f: impl FnOnce(&Tensor) -> R) -> R {
+        x.with_value(f)
+    }
+
+    tape_ops! {
+        unary: neg relu sigmoid tanh sqrt square softmax_last;
+        binary: add sub mul div matmul
+    }
+
+    fn scale(&self, x: &Var, c: f32) -> Var {
+        x.scale(c)
+    }
+
+    fn add_scalar(&self, x: &Var, c: f32) -> Var {
+        x.add_scalar(c)
+    }
+
+    fn mean_axis(&self, x: &Var, axis: usize, keepdim: bool) -> Var {
+        x.mean_axis(axis, keepdim)
+    }
+
+    fn temporal_conv(&self, x: &Var, w: &Var, dilation: usize) -> Var {
+        x.temporal_conv(w, dilation)
+    }
+
+    fn permute(&self, x: &Var, perm: &[usize]) -> Var {
+        x.permute(perm)
+    }
+
+    fn reshape(&self, x: Var, shape: &[usize]) -> Var {
+        x.reshape(shape)
+    }
+
+    fn slice(&self, x: &Var, axis: usize, start: usize, end: usize) -> Var {
+        x.slice(axis, start, end)
+    }
+
+    fn index_select(&self, x: &Var, axis: usize, indices: &[usize]) -> Var {
+        x.index_select(axis, indices)
+    }
+
+    fn concat(&self, parts: &[&Var], axis: usize) -> Var {
+        Var::concat(parts, axis)
+    }
+}
+
+impl Backend for Eval {
+    type V = Tensor;
+    type Param<'a> = Ref<'a, Tensor>;
+    type Const<'a> = &'a Tensor;
+
+    fn param<'a>(&self, p: &'a Parameter) -> Ref<'a, Tensor> {
+        p.value()
+    }
+
+    fn lend<'a>(&self, t: &'a Tensor) -> &'a Tensor {
+        t
+    }
+
+    fn constant(&self, t: Tensor) -> Tensor {
+        t
+    }
+
+    fn shape(&self, x: &Tensor) -> Shape {
+        Shape::from_slice(x.shape())
+    }
+
+    fn with_value<R>(&self, x: &Tensor, f: impl FnOnce(&Tensor) -> R) -> R {
+        f(x)
+    }
+
+    eval_ops! {
+        unary: neg relu sigmoid tanh sqrt square softmax_last;
+        binary: add sub mul div matmul
+    }
+
+    fn scale(&self, x: &Tensor, c: f32) -> Tensor {
+        ops::scale(x, c)
+    }
+
+    fn add_scalar(&self, x: &Tensor, c: f32) -> Tensor {
+        ops::add_scalar(x, c)
+    }
+
+    fn mean_axis(&self, x: &Tensor, axis: usize, keepdim: bool) -> Tensor {
+        ops::mean_axis(x, axis, keepdim)
+    }
+
+    fn temporal_conv(&self, x: &Tensor, w: &Tensor, dilation: usize) -> Tensor {
+        ops::temporal_conv(x, w, dilation)
+    }
+
+    fn permute(&self, x: &Tensor, perm: &[usize]) -> Tensor {
+        ops::permute(x, perm)
+    }
+
+    fn reshape(&self, x: Tensor, shape: &[usize]) -> Tensor {
+        x.reshaped(shape)
+    }
+
+    fn slice(&self, x: &Tensor, axis: usize, start: usize, end: usize) -> Tensor {
+        ops::slice(x, axis, start, end)
+    }
+
+    fn index_select(&self, x: &Tensor, axis: usize, indices: &[usize]) -> Tensor {
+        ops::index_select(x, axis, indices)
+    }
+
+    fn concat(&self, parts: &[&Tensor], axis: usize) -> Tensor {
+        ops::concat(parts, axis)
+    }
+}

@@ -1,7 +1,8 @@
 //! Temporal convolution layers over `[B, N, T, D]` activations.
 
-use cts_autograd::{Parameter, Tape, Var};
-use cts_tensor::{init, ops, Tensor};
+use crate::Backend;
+use cts_autograd::Parameter;
+use cts_tensor::{init, Tensor};
 use rand::Rng;
 
 /// Dilated causal temporal convolution with optional bias.
@@ -35,20 +36,10 @@ impl TemporalConvLayer {
     }
 
     /// Apply to `[B, N, T, d_in]`, producing `[B, N, T, d_out]`.
-    pub fn forward(&self, tape: &Tape, x: &Var) -> Var {
-        let w = tape.param(&self.kernel);
-        let y = x.temporal_conv(&w, self.dilation);
+    pub fn forward<B: Backend>(&self, be: &B, x: &B::V) -> B::V {
+        let y = be.temporal_conv(x, &be.param(&self.kernel), self.dilation);
         match &self.bias {
-            Some(b) => y.add(&tape.param(b)),
-            None => y,
-        }
-    }
-
-    /// Tape-free forward: same kernels as [`Self::forward`], bit-identical.
-    pub fn forward_eval(&self, x: &Tensor) -> Tensor {
-        let y = ops::temporal_conv(x, &self.kernel.value(), self.dilation);
-        match &self.bias {
-            Some(b) => ops::add(&y, &b.value()),
+            Some(b) => be.add(&y, &be.param(b)),
             None => y,
         }
     }
@@ -87,17 +78,10 @@ impl GatedTemporalConv {
     }
 
     /// Apply the gated convolution.
-    pub fn forward(&self, tape: &Tape, x: &Var) -> Var {
-        let f = self.filter.forward(tape, x).tanh();
-        let g = self.gate.forward(tape, x).sigmoid();
-        f.mul(&g)
-    }
-
-    /// Tape-free forward mirroring [`Self::forward`] kernel for kernel.
-    pub fn forward_eval(&self, x: &Tensor) -> Tensor {
-        let f = ops::tanh(&self.filter.forward_eval(x));
-        let g = ops::sigmoid(&self.gate.forward_eval(x));
-        ops::mul(&f, &g)
+    pub fn forward<B: Backend>(&self, be: &B, x: &B::V) -> B::V {
+        let f = be.tanh(&self.filter.forward(be, x));
+        let g = be.sigmoid(&self.gate.forward(be, x));
+        be.mul(&f, &g)
     }
 
     /// Parameters of both branches.
@@ -111,6 +95,7 @@ impl GatedTemporalConv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cts_autograd::Tape;
     use rand::{rngs::SmallRng, SeedableRng};
 
     #[test]

@@ -2,17 +2,19 @@
 //!
 //! Provides the layers every model in the workspace is assembled from
 //! (linear, temporal convolutions, normalisation, recurrent cells, full and
-//! ProbSparse attention), the optimisers of the paper (Adam with weight
-//! decay, plus SGD), the temperature/learning-rate schedules, masked losses,
-//! and a small generic training engine shared by baselines and AutoCTS.
+//! ProbSparse attention), each with one forward generic over a [`Backend`]
+//! (the autograd [`cts_autograd::Tape`] or the tape-free [`Eval`]); the
+//! optimisers of the paper (Adam with weight decay, plus SGD), the
+//! temperature/learning-rate schedules, masked losses, and a small generic
+//! training engine shared by baselines and AutoCTS.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod attention;
+mod backend;
 pub mod checkpoint;
 pub mod fault;
-mod mha;
 mod conv;
 mod linear;
 mod loss;
@@ -25,15 +27,14 @@ mod schedule;
 mod trainer;
 
 pub use attention::{
-    prob_sparse_attention, prob_sparse_attention_eval, scaled_dot_attention,
-    scaled_dot_attention_eval, AttentionKind, AttentionLayer,
+    prob_sparse_attention, prob_sparse_u, scaled_dot_attention, AttentionKind, AttentionLayer,
 };
+pub use backend::{Backend, Eval, Leaf};
 pub use conv::{GatedTemporalConv, TemporalConvLayer};
 pub use linear::Linear;
 pub use loss::{l1_loss, masked_mae_loss, masked_mse_loss, mse_loss, LossKind};
-pub use mha::MultiHeadAttention;
 pub use module::{count_parameters, Forecaster, ParamBundle};
-pub use norm::{BatchNorm, LayerNorm};
+pub use norm::LayerNorm;
 pub use optim::{clip_grad_norm, global_grad_norm, Adam, Optimizer, Sgd};
 pub use rnn::{Gru, Lstm};
 pub use runstate::{CheckpointConfig, DivergenceReason, TrainError, WatchdogConfig};

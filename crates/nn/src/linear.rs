@@ -1,7 +1,8 @@
 //! Dense (fully connected) layer applied to the last axis.
 
-use cts_autograd::{Parameter, Tape, Var};
-use cts_tensor::{init, ops, Tensor};
+use crate::Backend;
+use cts_autograd::Parameter;
+use cts_tensor::init;
 use rand::Rng;
 
 /// `y = x · W (+ b)` over the last axis; leading axes are batch.
@@ -47,22 +48,10 @@ impl Linear {
     }
 
     /// Apply to `[..., d_in]`, producing `[..., d_out]`.
-    pub fn forward(&self, tape: &Tape, x: &Var) -> Var {
-        let w = tape.param(&self.weight);
-        let y = x.matmul(&w);
+    pub fn forward<B: Backend>(&self, be: &B, x: &B::V) -> B::V {
+        let y = be.matmul(x, &be.param(&self.weight));
         match &self.bias {
-            Some(b) => y.add(&tape.param(b)),
-            None => y,
-        }
-    }
-
-    /// Tape-free forward: the same kernels as [`Self::forward`] in the same
-    /// order (bit-identical output), reading the weights in place instead of
-    /// copying them onto a tape.
-    pub fn forward_eval(&self, x: &Tensor) -> Tensor {
-        let y = ops::matmul(x, &self.weight.value());
-        match &self.bias {
-            Some(b) => ops::add(&y, &b.value()),
+            Some(b) => be.add(&y, &be.param(b)),
             None => y,
         }
     }
@@ -80,6 +69,7 @@ impl Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cts_autograd::Tape;
     use cts_tensor::Tensor;
     use rand::{rngs::SmallRng, SeedableRng};
 

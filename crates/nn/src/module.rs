@@ -59,17 +59,6 @@ pub trait Forecaster {
     /// Every trainable parameter of the model.
     fn parameters(&self) -> Vec<Parameter>;
 
-    /// Toggle train/eval behaviour (batch-norm statistics, dropout).
-    fn set_training(&self, _training: bool) {}
-
-    /// Current train/eval mode. Models without mode-dependent behaviour may
-    /// keep the default (`true`); stateful models should report the mode
-    /// their last `set_training` call installed so eval guards can restore
-    /// it.
-    fn is_training(&self) -> bool {
-        true
-    }
-
     /// Gradient-free forward for inference: `x` is `[B, N, P, F]`, the
     /// result `[B, N, Q]`. The default builds a throwaway tape; models with
     /// a compiled execution plan override this with a tape-free path that

@@ -5,9 +5,9 @@
 //! (Table 1's full operator set) and for the DCRNN / AGCRN / LSTNet /
 //! TPA-LSTM baselines.
 
-use crate::Linear;
-use cts_autograd::{Parameter, Tape, Var};
-use cts_tensor::{ops, Tensor};
+use crate::{Backend, Linear};
+use cts_autograd::Parameter;
+use cts_tensor::Tensor;
 use rand::Rng;
 
 /// A long short-term memory layer over `[B', T, D]`.
@@ -33,72 +33,40 @@ impl Lstm {
     }
 
     /// One step: `(h, c) = cell(x_t, h, c)`, all `[B', H]`-shaped.
-    pub fn step(&self, tape: &Tape, x_t: &Var, h: &Var, c: &Var) -> (Var, Var) {
-        let gates = self.wx.forward(tape, x_t).add(&self.wh.forward(tape, h));
+    pub fn step<B: Backend>(&self, be: &B, x_t: &B::V, h: &B::V, c: &B::V) -> (B::V, B::V) {
+        let gates = be.add(&self.wx.forward(be, x_t), &self.wh.forward(be, h));
         let hsz = self.hidden;
-        let i = gates.slice(1, 0, hsz).sigmoid();
-        let f = gates.slice(1, hsz, 2 * hsz).sigmoid();
-        let g = gates.slice(1, 2 * hsz, 3 * hsz).tanh();
-        let o = gates.slice(1, 3 * hsz, 4 * hsz).sigmoid();
-        let c_new = f.mul(c).add(&i.mul(&g));
-        let h_new = o.mul(&c_new.tanh());
+        let i = be.sigmoid(&be.slice(&gates, 1, 0, hsz));
+        let f = be.sigmoid(&be.slice(&gates, 1, hsz, 2 * hsz));
+        let g = be.tanh(&be.slice(&gates, 1, 2 * hsz, 3 * hsz));
+        let o = be.sigmoid(&be.slice(&gates, 1, 3 * hsz, 4 * hsz));
+        let c_new = be.add(&be.mul(&f, c), &be.mul(&i, &g));
+        let h_new = be.mul(&o, &be.tanh(&c_new));
         (h_new, c_new)
     }
 
     /// Unroll over `[B', T, D]`; returns all hidden states `[B', T, H]`.
-    pub fn forward_sequence(&self, tape: &Tape, x: &Var) -> Var {
-        let shape = x.shape();
-        let (b, t) = (shape[0], shape[1]);
-        let mut h = tape.constant(cts_tensor::Tensor::zeros([b, self.hidden]));
+    pub fn forward_sequence<B: Backend>(&self, be: &B, x: &B::V) -> B::V {
+        let shape = be.shape(x);
+        let (b, t, d) = (shape[0], shape[1], shape[2]);
+        let mut h = be.constant(Tensor::zeros([b, self.hidden]));
         let mut c = h.clone();
         let mut outputs = Vec::with_capacity(t);
         for ti in 0..t {
-            let x_t = x.slice(1, ti, ti + 1).reshape(&[b, shape[2]]);
-            let (h2, c2) = self.step(tape, &x_t, &h, &c);
-            h = h2;
-            c = c2;
-            outputs.push(h.reshape(&[b, 1, self.hidden]));
+            let x_t = be.reshape(be.slice(x, 1, ti, ti + 1), &[b, d]);
+            (h, c) = self.step(be, &x_t, &h, &c);
+            outputs.push(be.reshape(h.clone(), &[b, 1, self.hidden]));
         }
-        Var::concat(&outputs, 1)
+        let refs: Vec<&B::V> = outputs.iter().collect();
+        be.concat(&refs, 1)
     }
 
     /// Only the final hidden state `[B', H]`.
-    pub fn forward_last(&self, tape: &Tape, x: &Var) -> Var {
-        let t = x.shape()[1];
-        let all = self.forward_sequence(tape, x);
-        let b = x.shape()[0];
-        all.slice(1, t - 1, t).reshape(&[b, self.hidden])
-    }
-
-    /// Tape-free step mirroring [`Self::step`] kernel for kernel.
-    fn step_eval(&self, x_t: &Tensor, h: &Tensor, c: &Tensor) -> (Tensor, Tensor) {
-        let gates = ops::add(&self.wx.forward_eval(x_t), &self.wh.forward_eval(h));
-        let hsz = self.hidden;
-        let i = ops::sigmoid(&ops::slice(&gates, 1, 0, hsz));
-        let f = ops::sigmoid(&ops::slice(&gates, 1, hsz, 2 * hsz));
-        let g = ops::tanh(&ops::slice(&gates, 1, 2 * hsz, 3 * hsz));
-        let o = ops::sigmoid(&ops::slice(&gates, 1, 3 * hsz, 4 * hsz));
-        let c_new = ops::add(&ops::mul(&f, c), &ops::mul(&i, &g));
-        let h_new = ops::mul(&o, &ops::tanh(&c_new));
-        (h_new, c_new)
-    }
-
-    /// Tape-free unroll mirroring [`Self::forward_sequence`], bit-identical.
-    pub fn forward_sequence_eval(&self, x: &Tensor) -> Tensor {
-        let shape = x.shape();
-        let (b, t, d) = (shape[0], shape[1], shape[2]);
-        let mut h = Tensor::zeros([b, self.hidden]);
-        let mut c = h.clone();
-        let mut outputs = Vec::with_capacity(t);
-        for ti in 0..t {
-            let x_t = ops::slice(x, 1, ti, ti + 1).reshaped([b, d]);
-            let (h2, c2) = self.step_eval(&x_t, &h, &c);
-            h = h2;
-            c = c2;
-            outputs.push(h.clone().reshaped([b, 1, self.hidden]));
-        }
-        let refs: Vec<&Tensor> = outputs.iter().collect();
-        ops::concat(&refs, 1)
+    pub fn forward_last<B: Backend>(&self, be: &B, x: &B::V) -> B::V {
+        let shape = be.shape(x);
+        let (b, t) = (shape[0], shape[1]);
+        let all = self.forward_sequence(be, x);
+        be.reshape(be.slice(&all, 1, t - 1, t), &[b, self.hidden])
     }
 
     /// Parameters of the cell.
@@ -136,73 +104,40 @@ impl Gru {
     }
 
     /// One step: `h' = (1-z)⊙n + z⊙h`.
-    pub fn step(&self, tape: &Tape, x_t: &Var, h: &Var) -> Var {
+    pub fn step<B: Backend>(&self, be: &B, x_t: &B::V, h: &B::V) -> B::V {
         let hsz = self.hidden;
-        let zr = self
-            .wx_zr
-            .forward(tape, x_t)
-            .add(&self.wh_zr.forward(tape, h));
-        let z = zr.slice(1, 0, hsz).sigmoid();
-        let r = zr.slice(1, hsz, 2 * hsz).sigmoid();
-        let n = self
-            .wx_n
-            .forward(tape, x_t)
-            .add(&self.wh_n.forward(tape, &r.mul(h)))
-            .tanh();
-        let one_minus_z = z.neg().add_scalar(1.0);
-        one_minus_z.mul(&n).add(&z.mul(h))
+        let zr = be.add(&self.wx_zr.forward(be, x_t), &self.wh_zr.forward(be, h));
+        let z = be.sigmoid(&be.slice(&zr, 1, 0, hsz));
+        let r = be.sigmoid(&be.slice(&zr, 1, hsz, 2 * hsz));
+        let n = be.tanh(&be.add(
+            &self.wx_n.forward(be, x_t),
+            &self.wh_n.forward(be, &be.mul(&r, h)),
+        ));
+        let one_minus_z = be.add_scalar(&be.neg(&z), 1.0);
+        be.add(&be.mul(&one_minus_z, &n), &be.mul(&z, h))
     }
 
     /// Unroll over `[B', T, D]`; returns all hidden states `[B', T, H]`.
-    pub fn forward_sequence(&self, tape: &Tape, x: &Var) -> Var {
-        let shape = x.shape();
-        let (b, t) = (shape[0], shape[1]);
-        let mut h = tape.constant(cts_tensor::Tensor::zeros([b, self.hidden]));
+    pub fn forward_sequence<B: Backend>(&self, be: &B, x: &B::V) -> B::V {
+        let shape = be.shape(x);
+        let (b, t, d) = (shape[0], shape[1], shape[2]);
+        let mut h = be.constant(Tensor::zeros([b, self.hidden]));
         let mut outputs = Vec::with_capacity(t);
         for ti in 0..t {
-            let x_t = x.slice(1, ti, ti + 1).reshape(&[b, shape[2]]);
-            h = self.step(tape, &x_t, &h);
-            outputs.push(h.reshape(&[b, 1, self.hidden]));
+            let x_t = be.reshape(be.slice(x, 1, ti, ti + 1), &[b, d]);
+            h = self.step(be, &x_t, &h);
+            outputs.push(be.reshape(h.clone(), &[b, 1, self.hidden]));
         }
-        Var::concat(&outputs, 1)
+        let refs: Vec<&B::V> = outputs.iter().collect();
+        be.concat(&refs, 1)
     }
 
     /// Only the final hidden state `[B', H]`.
-    pub fn forward_last(&self, tape: &Tape, x: &Var) -> Var {
-        let t = x.shape()[1];
-        let b = x.shape()[0];
-        self.forward_sequence(tape, x)
-            .slice(1, t - 1, t)
-            .reshape(&[b, self.hidden])
-    }
-
-    /// Tape-free step mirroring [`Self::step`] kernel for kernel.
-    fn step_eval(&self, x_t: &Tensor, h: &Tensor) -> Tensor {
-        let hsz = self.hidden;
-        let zr = ops::add(&self.wx_zr.forward_eval(x_t), &self.wh_zr.forward_eval(h));
-        let z = ops::sigmoid(&ops::slice(&zr, 1, 0, hsz));
-        let r = ops::sigmoid(&ops::slice(&zr, 1, hsz, 2 * hsz));
-        let n = ops::tanh(&ops::add(
-            &self.wx_n.forward_eval(x_t),
-            &self.wh_n.forward_eval(&ops::mul(&r, h)),
-        ));
-        let one_minus_z = ops::add_scalar(&ops::neg(&z), 1.0);
-        ops::add(&ops::mul(&one_minus_z, &n), &ops::mul(&z, h))
-    }
-
-    /// Tape-free unroll mirroring [`Self::forward_sequence`], bit-identical.
-    pub fn forward_sequence_eval(&self, x: &Tensor) -> Tensor {
-        let shape = x.shape();
-        let (b, t, d) = (shape[0], shape[1], shape[2]);
-        let mut h = Tensor::zeros([b, self.hidden]);
-        let mut outputs = Vec::with_capacity(t);
-        for ti in 0..t {
-            let x_t = ops::slice(x, 1, ti, ti + 1).reshaped([b, d]);
-            h = self.step_eval(&x_t, &h);
-            outputs.push(h.clone().reshaped([b, 1, self.hidden]));
-        }
-        let refs: Vec<&Tensor> = outputs.iter().collect();
-        ops::concat(&refs, 1)
+    pub fn forward_last<B: Backend>(&self, be: &B, x: &B::V) -> B::V {
+        let shape = be.shape(x);
+        let (b, t) = (shape[0], shape[1]);
+        let all = self.forward_sequence(be, x);
+        be.reshape(be.slice(&all, 1, t - 1, t), &[b, self.hidden])
     }
 
     /// Parameters of the cell.
@@ -218,7 +153,8 @@ impl Gru {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cts_tensor::{init, Tensor};
+    use cts_autograd::Tape;
+    use cts_tensor::init;
     use rand::{rngs::SmallRng, SeedableRng};
 
     #[test]

@@ -77,7 +77,6 @@ pub fn train_one_epoch(
     loss_kind: LossKind,
     clip: f32,
 ) -> f32 {
-    model.set_training(true);
     let mut total = 0.0f64;
     for (x, y) in batches {
         let tape = Tape::new();
@@ -100,7 +99,6 @@ pub fn train_one_epoch(
 /// compiled plan for derived models — no gradient is needed here); only the
 /// loss itself is computed on a throwaway tape.
 pub fn evaluate_loss(model: &dyn Forecaster, batches: &[(Tensor, Tensor)], loss_kind: LossKind) -> f32 {
-    model.set_training(false);
     let mut total = 0.0f64;
     for (x, y) in batches {
         let tape = Tape::new();
@@ -145,7 +143,6 @@ fn run_epoch_checked(
     carry: f64,
     on_step: &mut StepHook<'_>,
 ) -> Result<f32, EpochAbort> {
-    model.set_training(true);
     let mut total = carry;
     for (bi, (x, y)) in batches.iter().enumerate().skip(start_batch) {
         if fault::take_abort(*step) {
@@ -485,7 +482,6 @@ mod tests {
         fn name(&self) -> &str {
             "tiny"
         }
-        fn set_training(&self, _t: bool) {}
     }
 
     fn toy_batches(rng: &mut impl Rng, n_batches: usize) -> Vec<(Tensor, Tensor)> {

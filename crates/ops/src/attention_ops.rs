@@ -1,67 +1,17 @@
 //! Attention-family T- and S-operators (Eqs. 12–13, 16–17).
 
-use crate::registry::StOperator;
+use crate::registry::Operator;
+use crate::view::{from_spatial, from_temporal, spatial_view, temporal_view};
 use crate::{GraphContext, OpKind};
-use cts_autograd::{Parameter, Tape, Var};
-use cts_nn::{AttentionKind, AttentionLayer};
-use cts_tensor::{ops, Tensor};
+use cts_autograd::Parameter;
+use cts_nn::{AttentionKind, AttentionLayer, Backend};
 use rand::Rng;
 
 /// Informer's default sampling factor `c` in `u = ⌈c·ln L⌉`.
-const INFORMER_FACTOR: f32 = 1.0;
-
-fn temporal_view(x: &Var) -> (Var, [usize; 4]) {
-    let s = x.shape();
-    let dims = [s[0], s[1], s[2], s[3]];
-    (x.reshape(&[s[0] * s[1], s[2], s[3]]), dims)
-}
-
-fn spatial_view(x: &Var) -> (Var, [usize; 4]) {
-    let s = x.shape();
-    let dims = [s[0], s[1], s[2], s[3]];
-    // [B,N,T,D] -> [B,T,N,D] -> [B·T, N, D]
-    (
-        x.permute(&[0, 2, 1, 3]).reshape(&[s[0] * s[2], s[1], s[3]]),
-        dims,
-    )
-}
-
-fn from_temporal(y: &Var, d: [usize; 4]) -> Var {
-    y.reshape(&[d[0], d[1], d[2], d[3]])
-}
-
-fn from_spatial(y: &Var, d: [usize; 4]) -> Var {
-    y.reshape(&[d[0], d[2], d[1], d[3]]).permute(&[0, 2, 1, 3])
-}
-
-// Tape-free view mirrors: a `Var::reshape` clones the value then
-// reinterprets the shape, so `clone().reshaped(..)` is bit-identical.
-
-fn temporal_view_eval(x: &Tensor) -> (Tensor, [usize; 4]) {
-    let s = x.shape();
-    let dims = [s[0], s[1], s[2], s[3]];
-    (x.clone().reshaped([dims[0] * dims[1], dims[2], dims[3]]), dims)
-}
-
-fn spatial_view_eval(x: &Tensor) -> (Tensor, [usize; 4]) {
-    let s = x.shape();
-    let dims = [s[0], s[1], s[2], s[3]];
-    (
-        ops::permute(x, &[0, 2, 1, 3]).reshaped([dims[0] * dims[2], dims[1], dims[3]]),
-        dims,
-    )
-}
-
-fn from_temporal_eval(y: Tensor, d: [usize; 4]) -> Tensor {
-    y.reshaped([d[0], d[1], d[2], d[3]])
-}
-
-fn from_spatial_eval(y: Tensor, d: [usize; 4]) -> Tensor {
-    ops::permute(&y.reshaped([d[0], d[2], d[1], d[3]]), &[0, 2, 1, 3])
-}
+pub(crate) const INFORMER_FACTOR: f32 = 1.0;
 
 macro_rules! attention_op {
-    ($name:ident, $kind:expr, $attn:expr, $view:ident, $unview:ident, $view_eval:ident, $unview_eval:ident, $doc:literal) => {
+    ($name:ident, $kind:expr, $attn:expr, $view:ident, $unview:ident, $doc:literal) => {
         #[doc = $doc]
         pub struct $name {
             attn: AttentionLayer,
@@ -76,25 +26,17 @@ macro_rules! attention_op {
             }
         }
 
-        impl StOperator for $name {
-            fn forward(&self, tape: &Tape, x: &Var, _ctx: &GraphContext) -> Var {
-                let (v, dims) = $view(x);
-                let y = self.attn.forward(tape, &v);
-                $unview(&y, dims)
+        impl Operator for $name {
+            const KIND: OpKind = $kind;
+
+            fn apply<B: Backend>(&self, be: &B, x: &B::V, _ctx: &GraphContext) -> B::V {
+                let (v, dims) = $view(be, x);
+                let y = self.attn.forward(be, &v);
+                $unview(be, y, dims)
             }
 
-            fn forward_eval(&self, x: &Tensor, _ctx: &GraphContext) -> Tensor {
-                let (v, dims) = $view_eval(x);
-                let y = self.attn.forward_eval(&v);
-                $unview_eval(y, dims)
-            }
-
-            fn parameters(&self) -> Vec<Parameter> {
+            fn weights(&self) -> Vec<Parameter> {
                 self.attn.parameters()
-            }
-
-            fn kind(&self) -> OpKind {
-                $kind
             }
         }
     };
@@ -106,8 +48,6 @@ attention_op!(
     AttentionKind::Full,
     temporal_view,
     from_temporal,
-    temporal_view_eval,
-    from_temporal_eval,
     "Full self-attention over timestamps per series (Eq. 12)."
 );
 
@@ -117,8 +57,6 @@ attention_op!(
     AttentionKind::ProbSparse { factor: INFORMER_FACTOR },
     temporal_view,
     from_temporal,
-    temporal_view_eval,
-    from_temporal_eval,
     "ProbSparse self-attention over timestamps per series — INF-T (Eq. 13)."
 );
 
@@ -128,8 +66,6 @@ attention_op!(
     AttentionKind::Full,
     spatial_view,
     from_spatial,
-    spatial_view_eval,
-    from_spatial_eval,
     "Full self-attention over series per timestamp (Eq. 16)."
 );
 
@@ -139,37 +75,19 @@ attention_op!(
     AttentionKind::ProbSparse { factor: INFORMER_FACTOR },
     spatial_view,
     from_spatial,
-    spatial_view_eval,
-    from_spatial_eval,
     "ProbSparse self-attention over series per timestamp — INF-S (Eq. 17)."
 );
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StOperator;
     use cts_graph::SensorGraph;
     use cts_tensor::init;
     use rand::{rngs::SmallRng, SeedableRng};
 
     fn ctx(n: usize) -> GraphContext {
         GraphContext::from_graph(&SensorGraph::identity(n), 2)
-    }
-
-    #[test]
-    fn views_roundtrip() {
-        let tape = cts_autograd::Tape::new();
-        let x = tape.constant(init::uniform(
-            &mut SmallRng::seed_from_u64(0),
-            [2, 3, 4, 5],
-            -1.0,
-            1.0,
-        ));
-        let (tv, td) = temporal_view(&x);
-        assert_eq!(tv.shape(), vec![6, 4, 5]);
-        assert!(from_temporal(&tv, td).value().approx_eq(&x.value(), 0.0));
-        let (sv, sd) = spatial_view(&x);
-        assert_eq!(sv.shape(), vec![8, 3, 5]);
-        assert!(from_spatial(&sv, sd).value().approx_eq(&x.value(), 1e-6));
     }
 
     #[test]

@@ -1,51 +1,38 @@
 //! Non-parametric ops and the CNN-family T-operators.
 
+use crate::registry::Operator;
 use crate::{GraphContext, OpKind};
-use crate::registry::StOperator;
-use cts_autograd::{Parameter, Tape, Var};
-use cts_nn::{GatedTemporalConv, TemporalConvLayer};
-use cts_tensor::{ops, Tensor};
+use cts_autograd::Parameter;
+use cts_nn::{Backend, GatedTemporalConv, TemporalConvLayer};
 use rand::Rng;
 
 /// The zero operator: cuts an edge in the micro-DAG.
 pub struct ZeroOp;
 
-impl StOperator for ZeroOp {
-    fn forward(&self, _tape: &Tape, x: &Var, _ctx: &GraphContext) -> Var {
-        x.scale(0.0)
+impl Operator for ZeroOp {
+    const KIND: OpKind = OpKind::Zero;
+
+    fn apply<B: Backend>(&self, be: &B, x: &B::V, _ctx: &GraphContext) -> B::V {
+        be.scale(x, 0.0)
     }
 
-    fn forward_eval(&self, x: &Tensor, _ctx: &GraphContext) -> Tensor {
-        ops::scale(x, 0.0)
-    }
-
-    fn parameters(&self) -> Vec<Parameter> {
+    fn weights(&self) -> Vec<Parameter> {
         vec![]
-    }
-
-    fn kind(&self) -> OpKind {
-        OpKind::Zero
     }
 }
 
 /// The identity operator: a residual edge.
 pub struct IdentityOp;
 
-impl StOperator for IdentityOp {
-    fn forward(&self, _tape: &Tape, x: &Var, _ctx: &GraphContext) -> Var {
+impl Operator for IdentityOp {
+    const KIND: OpKind = OpKind::Identity;
+
+    fn apply<B: Backend>(&self, _be: &B, x: &B::V, _ctx: &GraphContext) -> B::V {
         x.clone()
     }
 
-    fn forward_eval(&self, x: &Tensor, _ctx: &GraphContext) -> Tensor {
-        x.clone()
-    }
-
-    fn parameters(&self) -> Vec<Parameter> {
+    fn weights(&self) -> Vec<Parameter> {
         vec![]
-    }
-
-    fn kind(&self) -> OpKind {
-        OpKind::Identity
     }
 }
 
@@ -63,21 +50,15 @@ impl Conv1dOp {
     }
 }
 
-impl StOperator for Conv1dOp {
-    fn forward(&self, tape: &Tape, x: &Var, _ctx: &GraphContext) -> Var {
-        self.conv.forward(tape, x)
+impl Operator for Conv1dOp {
+    const KIND: OpKind = OpKind::Conv1d;
+
+    fn apply<B: Backend>(&self, be: &B, x: &B::V, _ctx: &GraphContext) -> B::V {
+        self.conv.forward(be, x)
     }
 
-    fn forward_eval(&self, x: &Tensor, _ctx: &GraphContext) -> Tensor {
-        self.conv.forward_eval(x)
-    }
-
-    fn parameters(&self) -> Vec<Parameter> {
+    fn weights(&self) -> Vec<Parameter> {
         self.conv.parameters()
-    }
-
-    fn kind(&self) -> OpKind {
-        OpKind::Conv1d
     }
 }
 
@@ -96,27 +77,23 @@ impl GdccOp {
     }
 }
 
-impl StOperator for GdccOp {
-    fn forward(&self, tape: &Tape, x: &Var, _ctx: &GraphContext) -> Var {
-        self.gate.forward(tape, x)
+impl Operator for GdccOp {
+    const KIND: OpKind = OpKind::Gdcc;
+
+    fn apply<B: Backend>(&self, be: &B, x: &B::V, _ctx: &GraphContext) -> B::V {
+        self.gate.forward(be, x)
     }
 
-    fn forward_eval(&self, x: &Tensor, _ctx: &GraphContext) -> Tensor {
-        self.gate.forward_eval(x)
-    }
-
-    fn parameters(&self) -> Vec<Parameter> {
+    fn weights(&self) -> Vec<Parameter> {
         self.gate.parameters()
-    }
-
-    fn kind(&self) -> OpKind {
-        OpKind::Gdcc
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StOperator;
+    use cts_autograd::Tape;
     use cts_graph::SensorGraph;
     use cts_tensor::{init, Tensor};
     use rand::{rngs::SmallRng, SeedableRng};

@@ -1,9 +1,10 @@
 //! Graph context shared by all S-operators: precomputed diffusion supports,
 //! Chebyshev bases, and (optionally) a learned adaptive adjacency.
 
-use cts_autograd::{Parameter, Tape, Var};
+use cts_autograd::Parameter;
 use cts_graph::{chebyshev_basis, transition_matrices, transition_powers, SensorGraph};
-use cts_tensor::{init, ops, Tensor};
+use cts_nn::Backend;
+use cts_tensor::{init, Tensor};
 use rand::Rng;
 
 /// Everything an S-operator needs beyond its own weights.
@@ -55,53 +56,33 @@ impl GraphContext {
         self.diffusion_fwd.len()
     }
 
-    /// Forward diffusion supports `P_f¹..P_f^K` as tape constants.
-    pub fn diffusion_fwd(&self, tape: &Tape) -> Vec<Var> {
-        self.diffusion_fwd.iter().map(|m| tape.constant(m.clone())).collect()
+    /// Forward diffusion supports `P_f¹..P_f^K`.
+    pub fn diffusion_fwd<'a, B: Backend>(
+        &'a self,
+        be: &'a B,
+    ) -> impl Iterator<Item = B::Const<'a>> {
+        self.diffusion_fwd.iter().map(move |m| be.lend(m))
     }
 
-    /// Backward diffusion supports `P_b¹..P_b^K` as tape constants.
-    pub fn diffusion_bwd(&self, tape: &Tape) -> Vec<Var> {
-        self.diffusion_bwd.iter().map(|m| tape.constant(m.clone())).collect()
+    /// Backward diffusion supports `P_b¹..P_b^K`.
+    pub fn diffusion_bwd<'a, B: Backend>(
+        &'a self,
+        be: &'a B,
+    ) -> impl Iterator<Item = B::Const<'a>> {
+        self.diffusion_bwd.iter().map(move |m| be.lend(m))
     }
 
-    /// Chebyshev basis `T₀..T_K` as tape constants.
-    pub fn chebyshev(&self, tape: &Tape) -> Vec<Var> {
-        self.cheb.iter().map(|m| tape.constant(m.clone())).collect()
+    /// Chebyshev basis `T₀..T_K`.
+    pub fn chebyshev<'a, B: Backend>(&'a self, be: &'a B) -> impl Iterator<Item = B::Const<'a>> {
+        self.cheb.iter().map(move |m| be.lend(m))
     }
 
-    /// The adaptive adjacency `softmax(relu(E₁·E₂))` as a differentiable
-    /// var, when embeddings are present.
-    pub fn adaptive_support(&self, tape: &Tape) -> Option<Var> {
+    /// The adaptive adjacency `softmax(relu(E₁·E₂))`, when embeddings are
+    /// present; differentiable on the tape.
+    pub fn adaptive_support<B: Backend>(&self, be: &B) -> Option<B::V> {
         self.adaptive.as_ref().map(|(e1, e2)| {
-            tape.param(e1)
-                .matmul(&tape.param(e2))
-                .relu()
-                .softmax_last()
-        })
-    }
-
-    /// Forward diffusion supports as raw tensors (tape-free path).
-    pub fn diffusion_fwd_tensors(&self) -> &[Tensor] {
-        &self.diffusion_fwd
-    }
-
-    /// Backward diffusion supports as raw tensors (tape-free path).
-    pub fn diffusion_bwd_tensors(&self) -> &[Tensor] {
-        &self.diffusion_bwd
-    }
-
-    /// Chebyshev basis as raw tensors (tape-free path).
-    pub fn chebyshev_tensors(&self) -> &[Tensor] {
-        &self.cheb
-    }
-
-    /// Tape-free adaptive adjacency mirroring [`Self::adaptive_support`]
-    /// kernel for kernel; reads the embeddings in place, so weight updates
-    /// flow through without recompilation.
-    pub fn adaptive_support_eval(&self) -> Option<Tensor> {
-        self.adaptive.as_ref().map(|(e1, e2)| {
-            ops::softmax_last(&ops::relu(&ops::matmul(&e1.value(), &e2.value())))
+            let logits = be.matmul(&be.param(e1), &be.param(e2));
+            be.softmax_last(&be.relu(&logits))
         })
     }
 
@@ -137,26 +118,17 @@ impl GraphContext {
 ///
 /// `support` is `[N, N]` (constant or learned). Implemented as
 /// permute → broadcast matmul → permute.
-pub fn node_mix(x: &Var, support: &Var) -> Var {
-    let shape = x.shape(); // [B,N,T,D]
-    debug_assert_eq!(shape.len(), 4);
-    let xt = x.permute(&[0, 2, 1, 3]); // [B,T,N,D]
-    let mixed = support.matmul(&xt); // broadcast over [B,T]
-    mixed.permute(&[0, 2, 1, 3])
-}
-
-/// Tape-free [`node_mix`]: the same permute → matmul → permute kernels,
-/// bit-identical output.
-pub fn node_mix_eval(x: &Tensor, support: &Tensor) -> Tensor {
-    debug_assert_eq!(x.rank(), 4);
-    let xt = ops::permute(x, &[0, 2, 1, 3]); // [B,T,N,D]
-    let mixed = ops::matmul(support, &xt); // broadcast over [B,T]
-    ops::permute(&mixed, &[0, 2, 1, 3])
+pub fn node_mix<B: Backend>(be: &B, x: &B::V, support: &B::V) -> B::V {
+    debug_assert_eq!(be.shape(x).len(), 4);
+    let xt = be.permute(x, &[0, 2, 1, 3]); // [B,T,N,D]
+    let mixed = be.matmul(support, &xt); // broadcast over [B,T]
+    be.permute(&mixed, &[0, 2, 1, 3])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cts_autograd::Tape;
     use cts_graph::{random_geometric_graph, GraphGenConfig};
     use rand::{rngs::SmallRng, SeedableRng};
 
@@ -170,10 +142,10 @@ mod tests {
     fn supports_have_right_counts_and_shapes() {
         let c = ctx();
         let tape = Tape::new();
-        assert_eq!(c.diffusion_fwd(&tape).len(), 2);
-        assert_eq!(c.diffusion_bwd(&tape).len(), 2);
-        assert_eq!(c.chebyshev(&tape).len(), 3);
-        assert_eq!(c.diffusion_fwd(&tape)[0].shape(), vec![6, 6]);
+        assert_eq!(c.diffusion_fwd(&tape).count(), 2);
+        assert_eq!(c.diffusion_bwd(&tape).count(), 2);
+        assert_eq!(c.chebyshev(&tape).count(), 3);
+        assert!(c.diffusion_fwd(&tape).all(|p| p.shape() == vec![6, 6]));
         assert!(c.adaptive_support(&tape).is_none());
         assert!(c.has_spatial_signal());
     }
@@ -201,7 +173,7 @@ mod tests {
             1.0,
         ));
         let eye = tape.constant(Tensor::eye(4));
-        let y = node_mix(&x, &eye);
+        let y = node_mix(&tape, &x, &eye);
         assert!(y.value().approx_eq(&x.value(), 1e-6));
     }
 
@@ -211,7 +183,7 @@ mod tests {
         // two nodes, swap matrix
         let x = tape.constant(Tensor::from_vec([1, 2, 1, 1], vec![1.0, 5.0]));
         let swap = tape.constant(Tensor::from_vec([2, 2], vec![0.0, 1.0, 1.0, 0.0]));
-        let y = node_mix(&x, &swap).value();
+        let y = node_mix(&tape, &x, &swap).value();
         assert_eq!(y.data(), &[5.0, 1.0]);
     }
 

@@ -1,9 +1,9 @@
 //! Static op pricing: the `cost_fn` contract mirroring [`OpKind::infer_shape`].
 //!
 //! Every operator kind declares, *without being instantiated or executed*,
-//! how much work its tape-free `forward_eval` performs: floating-point
-//! operations, bytes moved through the element-wise/matmul kernels, kernel
-//! dispatches, parameter count, and an upper bound on the arena bytes its
+//! how much work one forward performs: floating-point operations, bytes
+//! moved through the element-wise/matmul kernels, kernel dispatches,
+//! parameter count, and an upper bound on the arena bytes its
 //! intermediates occupy. `cts-verify` rolls these up into whole-genotype
 //! budgets checked before a single forward pass runs.
 //!
@@ -12,24 +12,27 @@
 //!
 //! * `flops` / `bytes_read` / `bytes_written` / `kernel_calls` are **exact**:
 //!   they must equal, bit for bit, what [`cts_tensor::meter`] observes during
-//!   one `forward_eval` of the same operator on the same concrete shape. A
-//!   workspace test (`tests/cost_oracle.rs`) and the unit tests below enforce
-//!   this against randomized genotypes. The traces therefore mirror the eval
-//!   paths kernel by kernel — including which kernels are *free* (shape ops,
-//!   clones, `sum_all`, `scale_inplace`) and fast paths (same-shape zips,
-//!   ProbSparse's full-attention fallback when `u ≥ L`).
+//!   one forward of the same operator on the same concrete shape, on the
+//!   tape and on the tape-free backend alike (both run the one generic
+//!   forward). A workspace test (`tests/cost_oracle.rs`) and the unit tests
+//!   below enforce this against randomized genotypes. The traces therefore
+//!   replay that forward kernel by kernel — including which kernels are
+//!   *free* (shape ops, clones, `sum_all`, `scale_inplace`) and fast paths
+//!   (same-shape zips, ProbSparse's full-attention fallback when `u ≥ L`).
 //! * `dense_flops` is the matmul/conv-class subset of `flops`, used by the
 //!   latency model (dense flops run much faster per flop than strided
 //!   element-wise traffic).
 //! * `scratch_bytes` is an arena-aligned **upper bound** (sum, not max) on
-//!   the bytes of every buffer the op allocates while evaluating, including
-//!   un-metered shape-op outputs and clones. It over-counts the true
-//!   transient peak by design; it must never under-count.
+//!   the bytes of every buffer the op allocates while evaluating on the
+//!   tape-free backend, including un-metered shape-op outputs and clones.
+//!   It over-counts the true transient peak by design; it must never
+//!   under-count.
 //!
 //! New operators MUST extend [`OpKind::cost`]; the exhaustive match makes
 //! forgetting a compile error, and the oracle test makes a wrong trace a
 //! test failure.
 
+use crate::attention_ops::INFORMER_FACTOR;
 use crate::meta::{ShapeCtx, ShapeIssue};
 use crate::OpKind;
 use cts_tensor::sym::SymDim;
@@ -37,18 +40,12 @@ use cts_tensor::sym::SymDim;
 /// Every tensor element is an `f32`.
 pub const BYTES_PER_ELEM: u64 = 4;
 
-/// Informer's sampling factor `c` in `u = ⌈c·ln L⌉` (must match
-/// `attention_ops::INFORMER_FACTOR`; `informer_u` replicates the f32 math).
-const INFORMER_FACTOR: f32 = 1.0;
-
 /// The number of active queries Informer's ProbSparse attention selects for
-/// sequence length `l` — the exact `f32` computation of
-/// `prob_sparse_attention_eval`, exposed so cost and runtime can never
-/// disagree about which path (sparse or full fallback) executes.
+/// sequence length `l` — the same [`cts_nn::prob_sparse_u`] the attention
+/// itself calls, so cost and runtime can never disagree about which path
+/// (sparse or full fallback) executes.
 pub fn informer_u(l: u64) -> u64 {
-    let lf = l as f32;
-    let u = ((INFORMER_FACTOR * lf.ln()).ceil() as usize).clamp(1, l as usize);
-    u as u64
+    cts_nn::prob_sparse_u(INFORMER_FACTOR, l as usize) as u64
 }
 
 /// Static resource price of one operator application (or any composition of
@@ -150,7 +147,7 @@ pub fn arena_bytes(elems: u64) -> u64 {
         .saturating_mul(BYTES_PER_ELEM)
 }
 
-/// A virtual execution trace: replays an eval path's kernel sequence on
+/// A virtual execution trace: replays a forward's kernel sequence on
 /// shapes alone, accumulating an [`OpCost`].
 ///
 /// Each method mirrors one `cts_tensor::ops` kernel's metering contract
@@ -289,8 +286,8 @@ impl Trace {
         }
     }
 
-    /// `LayerNorm(d)` eval over `len` total elements (`len / d` rows): the
-    /// exact nine-kernel sequence of `LayerNorm::forward_eval`.
+    /// `LayerNorm(d)` over `len` total elements (`len / d` rows): the
+    /// exact nine-kernel sequence of `LayerNorm::forward`.
     pub fn layernorm(&mut self, len: u64, d: u64) {
         let rows = len.checked_div(d).unwrap_or(0);
         // mean_axis → sum_axis over the channel axis.
@@ -310,7 +307,7 @@ impl Trace {
         self.zip_bcast(len, d, len);
     }
 
-    /// `node_mix_eval`: permute → `support[N,N] · x[B,T,N,D]` → permute.
+    /// `node_mix`: permute → `support[N,N] · x[B,T,N,D]` → permute.
     pub fn node_mix(&mut self, b: u64, n: u64, t: u64, d: u64) {
         let len = b.saturating_mul(n).saturating_mul(t).saturating_mul(d);
         self.alloc(len); // permute to [B,T,N,D]
@@ -318,7 +315,7 @@ impl Trace {
         self.alloc(len); // permute back
     }
 
-    /// One `AttentionLayer::forward_eval` on `[bp, l, d]` (projections plus
+    /// One `AttentionLayer::forward` on `[bp, l, d]` (projections plus
     /// full or ProbSparse attention — the sparse path falls back to full
     /// when `u ≥ l`, exactly like the kernel).
     pub fn attention(&mut self, bp: u64, l: u64, d: u64, probsparse: bool) {
@@ -365,7 +362,7 @@ impl Trace {
         self.alloc(bld);
     }
 
-    /// One LSTM step of `Lstm::step_eval` on `[b, d]` rows, hidden = d.
+    /// One LSTM step of `Lstm::step` on `[b, d]` rows, hidden = d.
     fn lstm_step(&mut self, b: u64, d: u64) {
         let bh = b.saturating_mul(d);
         let b4h = bh.saturating_mul(4);
@@ -388,7 +385,7 @@ impl Trace {
         self.alloc(bh); // h.clone() pushed to outputs
     }
 
-    /// `Lstm::forward_sequence_eval` on `[b, t, d]`, hidden = d.
+    /// `Lstm::forward_sequence` on `[b, t, d]`, hidden = d.
     pub fn lstm(&mut self, b: u64, t: u64, d: u64) {
         let bh = b.saturating_mul(d);
         self.alloc(bh); // h = zeros
@@ -399,7 +396,7 @@ impl Trace {
         self.alloc(b.saturating_mul(t).saturating_mul(d)); // concat
     }
 
-    /// One GRU step of `Gru::step_eval` on `[b, d]` rows, hidden = d.
+    /// One GRU step of `Gru::step` on `[b, d]` rows, hidden = d.
     fn gru_step(&mut self, b: u64, d: u64) {
         let bh = b.saturating_mul(d);
         let b2h = bh.saturating_mul(2);
@@ -424,7 +421,7 @@ impl Trace {
         self.alloc(bh); // h.clone() pushed to outputs
     }
 
-    /// `Gru::forward_sequence_eval` on `[b, t, d]`, hidden = d.
+    /// `Gru::forward_sequence` on `[b, t, d]`, hidden = d.
     pub fn gru(&mut self, b: u64, t: u64, d: u64) {
         self.alloc(b.saturating_mul(d)); // h = zeros
         for _ in 0..t {
@@ -437,8 +434,8 @@ impl Trace {
 impl OpKind {
     /// Price one application of this operator on the symbolic `input`
     /// shape, resolved and evaluated under `ctx` — pure metadata, mirroring
-    /// [`OpKind::infer_shape`]'s validation and the operator's
-    /// `forward_eval` kernel sequence.
+    /// [`OpKind::infer_shape`]'s validation and the operator's forward
+    /// kernel sequence.
     ///
     /// # Errors
     /// The same [`ShapeIssue`]s `infer_shape` reports: costs exist only for
@@ -565,6 +562,7 @@ impl OpKind {
 mod tests {
     use super::*;
     use crate::{build_operator, full_set, GraphContext};
+    use cts_autograd::Tape;
     use cts_graph::{random_geometric_graph, GraphGenConfig};
     use cts_tensor::{init, meter};
     use rand::{rngs::SmallRng, SeedableRng};
@@ -579,8 +577,10 @@ mod tests {
     }
 
     /// The heart of the contract: for every operator kind, the static cost
-    /// must equal the instrumented meter's observation of one forward_eval,
-    /// bit for bit, and the parameter count must match the real weights.
+    /// must equal the instrumented meter's observation of one forward, bit
+    /// for bit, on both the tape-free and the tape entry point (pre-flight
+    /// budgets price training steps with this cost), and the parameter
+    /// count must match the real weights.
     #[test]
     fn cost_matches_meter_for_every_op() {
         let (b, n, t, d, k) = (2usize, 5usize, 12usize, 6usize, 2usize);
@@ -607,28 +607,19 @@ mod tests {
             for kind in full_set() {
                 let op = build_operator(&mut rng, kind, "op", d, k, adaptive);
                 let x = init::uniform(&mut rng, [b, n, t, d], -1.0, 1.0);
-                meter::set_enabled(true);
-                meter::reset();
-                let y = op.forward_eval(&x, &ctx);
-                let got = meter::snapshot();
-                meter::set_enabled(false);
-                assert_eq!(y.shape(), x.shape(), "{kind} changed shape");
                 let want = kind.cost(&bntd(n, t, d), &cctx).unwrap();
-                assert_eq!(want.flops, got.flops, "{kind} (adaptive={adaptive}): flops");
-                assert_eq!(
-                    want.bytes_read,
-                    got.bytes_read(),
-                    "{kind} (adaptive={adaptive}): bytes_read"
-                );
-                assert_eq!(
-                    want.bytes_written,
-                    got.bytes_written(),
-                    "{kind} (adaptive={adaptive}): bytes_written"
-                );
-                assert_eq!(
-                    want.kernel_calls, got.kernel_calls,
-                    "{kind} (adaptive={adaptive}): kernel_calls"
-                );
+                let tape = Tape::new();
+                let xv = tape.constant(x.clone());
+                let eval = metered(|| op.forward_eval(&x, &ctx).shape().to_vec());
+                let taped = metered(|| op.forward(&tape, &xv, &ctx).shape().to_vec());
+                for (path, (shape, got)) in [("eval", eval), ("tape", taped)] {
+                    let at = format!("{kind} (adaptive={adaptive}, {path})");
+                    assert_eq!(shape, x.shape(), "{at}: changed shape");
+                    assert_eq!(want.flops, got.flops, "{at}: flops");
+                    assert_eq!(want.bytes_read, got.bytes_read(), "{at}: bytes_read");
+                    assert_eq!(want.bytes_written, got.bytes_written(), "{at}: bytes_written");
+                    assert_eq!(want.kernel_calls, got.kernel_calls, "{at}: kernel_calls");
+                }
                 let real_params: usize = op.parameters().iter().map(|p| p.len()).sum();
                 assert_eq!(
                     want.param_count, real_params as u64,
@@ -637,6 +628,16 @@ mod tests {
                 assert!(want.dense_flops <= want.flops, "{kind}: dense subset");
             }
         }
+    }
+
+    /// Run `f` under the kernel meter, returning its result and the counts.
+    fn metered<R>(f: impl FnOnce() -> R) -> (R, meter::MeterSnapshot) {
+        meter::set_enabled(true);
+        meter::reset();
+        let r = f();
+        let got = meter::snapshot();
+        meter::set_enabled(false);
+        (r, got)
     }
 
     /// ProbSparse must fall back to the full path exactly when the runtime

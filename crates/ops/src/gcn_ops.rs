@@ -1,11 +1,10 @@
 //! GCN-family S-operators: Chebyshev GCN (Eq. 14) and Diffusion GCN
 //! (Eq. 15).
 
-use crate::registry::StOperator;
-use crate::{node_mix, node_mix_eval, GraphContext, OpKind};
-use cts_autograd::{Parameter, Tape, Var};
-use cts_nn::Linear;
-use cts_tensor::{ops, Tensor};
+use crate::registry::Operator;
+use crate::{node_mix, GraphContext, OpKind};
+use cts_autograd::Parameter;
+use cts_nn::{Backend, Linear};
 use rand::Rng;
 
 /// Chebyshev graph convolution: `H_t = Σ_k W_k T_k(L̃) Z_t`.
@@ -26,15 +25,15 @@ impl ChebGcnOp {
     }
 }
 
-impl StOperator for ChebGcnOp {
-    fn forward(&self, tape: &Tape, x: &Var, ctx: &GraphContext) -> Var {
-        let basis = ctx.chebyshev(tape);
-        let mut acc: Option<Var> = None;
-        for (t_k, w_k) in basis.iter().zip(self.weights.iter()) {
-            let mixed = node_mix(x, t_k);
-            let term = w_k.forward(tape, &mixed);
+impl Operator for ChebGcnOp {
+    const KIND: OpKind = OpKind::ChebGcn;
+
+    fn apply<B: Backend>(&self, be: &B, x: &B::V, ctx: &GraphContext) -> B::V {
+        let mut acc: Option<B::V> = None;
+        for (t_k, w_k) in ctx.chebyshev(be).zip(&self.weights) {
+            let term = w_k.forward(be, &node_mix(be, x, &t_k));
             acc = Some(match acc {
-                Some(a) => a.add(&term),
+                Some(a) => be.add(&a, &term),
                 None => term,
             });
         }
@@ -42,26 +41,8 @@ impl StOperator for ChebGcnOp {
         acc.expect("chebyshev basis is never empty")
     }
 
-    fn forward_eval(&self, x: &Tensor, ctx: &GraphContext) -> Tensor {
-        let mut acc: Option<Tensor> = None;
-        for (t_k, w_k) in ctx.chebyshev_tensors().iter().zip(self.weights.iter()) {
-            let mixed = node_mix_eval(x, t_k);
-            let term = w_k.forward_eval(&mixed);
-            acc = Some(match acc {
-                Some(a) => ops::add(&a, &term),
-                None => term,
-            });
-        }
-        // invariant: gcn_k >= 1 (validated config), so the basis is non-empty.
-        acc.expect("chebyshev basis is never empty")
-    }
-
-    fn parameters(&self) -> Vec<Parameter> {
+    fn weights(&self) -> Vec<Parameter> {
         self.weights.iter().flat_map(Linear::parameters).collect()
-    }
-
-    fn kind(&self) -> OpKind {
-        OpKind::ChebGcn
     }
 }
 
@@ -99,48 +80,29 @@ impl DgcnOp {
     }
 }
 
-impl StOperator for DgcnOp {
-    fn forward(&self, tape: &Tape, x: &Var, ctx: &GraphContext) -> Var {
+impl Operator for DgcnOp {
+    const KIND: OpKind = OpKind::Dgcn;
+
+    fn apply<B: Backend>(&self, be: &B, x: &B::V, ctx: &GraphContext) -> B::V {
         // k = 0 term: the node's own features.
-        let mut acc = self.self_weight.forward(tape, x);
-        let fwd = ctx.diffusion_fwd(tape);
-        let bwd = ctx.diffusion_bwd(tape);
-        for (p_k, w_k) in fwd.iter().zip(self.fwd_weights.iter()) {
-            acc = acc.add(&w_k.forward(tape, &node_mix(x, p_k)));
+        let mut acc = self.self_weight.forward(be, x);
+        for (p_k, w_k) in ctx.diffusion_fwd(be).zip(&self.fwd_weights) {
+            acc = be.add(&acc, &w_k.forward(be, &node_mix(be, x, &p_k)));
         }
-        for (p_k, w_k) in bwd.iter().zip(self.bwd_weights.iter()) {
-            acc = acc.add(&w_k.forward(tape, &node_mix(x, p_k)));
+        for (p_k, w_k) in ctx.diffusion_bwd(be).zip(&self.bwd_weights) {
+            acc = be.add(&acc, &w_k.forward(be, &node_mix(be, x, &p_k)));
         }
-        if let Some(adp) = ctx.adaptive_support(tape) {
+        if let Some(adp) = ctx.adaptive_support(be) {
             let mut mixed = x.clone();
             for w_k in &self.adp_weights {
-                mixed = node_mix(&mixed, &adp);
-                acc = acc.add(&w_k.forward(tape, &mixed));
+                mixed = node_mix(be, &mixed, &adp);
+                acc = be.add(&acc, &w_k.forward(be, &mixed));
             }
         }
         acc
     }
 
-    fn forward_eval(&self, x: &Tensor, ctx: &GraphContext) -> Tensor {
-        // k = 0 term: the node's own features.
-        let mut acc = self.self_weight.forward_eval(x);
-        for (p_k, w_k) in ctx.diffusion_fwd_tensors().iter().zip(self.fwd_weights.iter()) {
-            acc = ops::add(&acc, &w_k.forward_eval(&node_mix_eval(x, p_k)));
-        }
-        for (p_k, w_k) in ctx.diffusion_bwd_tensors().iter().zip(self.bwd_weights.iter()) {
-            acc = ops::add(&acc, &w_k.forward_eval(&node_mix_eval(x, p_k)));
-        }
-        if let Some(adp) = ctx.adaptive_support_eval() {
-            let mut mixed = x.clone();
-            for w_k in &self.adp_weights {
-                mixed = node_mix_eval(&mixed, &adp);
-                acc = ops::add(&acc, &w_k.forward_eval(&mixed));
-            }
-        }
-        acc
-    }
-
-    fn parameters(&self) -> Vec<Parameter> {
+    fn weights(&self) -> Vec<Parameter> {
         let mut v: Vec<Parameter> = self
             .fwd_weights
             .iter()
@@ -151,15 +113,12 @@ impl StOperator for DgcnOp {
         v.extend(self.self_weight.parameters());
         v
     }
-
-    fn kind(&self) -> OpKind {
-        OpKind::Dgcn
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StOperator;
     use cts_graph::{random_geometric_graph, GraphGenConfig, SensorGraph};
     use cts_tensor::init;
     use rand::{rngs::SmallRng, SeedableRng};

@@ -22,14 +22,15 @@ mod meta;
 mod registry;
 mod rnn_ops;
 mod taxonomy;
+mod view;
 
 pub use attention_ops::{InformerSOp, InformerTOp, TransformerSOp, TransformerTOp};
 pub use basic::{Conv1dOp, GdccOp, IdentityOp, ZeroOp};
-pub use context::{node_mix, node_mix_eval, GraphContext};
+pub use context::{node_mix, GraphContext};
 pub use cost::{arena_bytes, informer_u, CostCtx, OpCost, Trace, BYTES_PER_ELEM};
 pub use gcn_ops::{ChebGcnOp, DgcnOp};
 pub use kinds::{OpFamily, OpKind};
 pub use meta::{ShapeCtx, ShapeIssue};
-pub use registry::{build_operator, compact_set, full_set, StOperator};
+pub use registry::{build_operator, compact_set, full_set, Operator, StOperator};
 pub use rnn_ops::{GruOp, LstmOp};
 pub use taxonomy::{operator_table, st_block_taxonomy, OperatorRow, TaxonomyCell};

@@ -1,26 +1,56 @@
-//! The `StOperator` trait, the compact/full operator sets, and the factory.
+//! The operator traits, the compact/full operator sets, and the factory.
 
 use crate::{
     ChebGcnOp, Conv1dOp, DgcnOp, GdccOp, GraphContext, GruOp, IdentityOp, InformerSOp,
     InformerTOp, LstmOp, OpKind, TransformerSOp, TransformerTOp, ZeroOp,
 };
 use cts_autograd::{Parameter, Tape, Var};
-use cts_nn::LayerNorm;
+use cts_nn::{Backend, Eval, LayerNorm};
 use cts_tensor::Tensor;
 use rand::Rng;
 
-/// A spatio-temporal operator: `[B,N,T,D] → [B,N,T,D]`.
+/// A spatio-temporal operator `[B,N,T,D] → [B,N,T,D]`, defined once: its
+/// forward is generic over the [`Backend`], so the tape and the compiled
+/// plan run the same body.
+pub trait Operator {
+    /// Which kind this operator instantiates.
+    const KIND: OpKind;
+    /// Apply the operator on backend `be`.
+    fn apply<B: Backend>(&self, be: &B, x: &B::V, ctx: &GraphContext) -> B::V;
+    /// The operator's trainable weights (excluding shared context params).
+    fn weights(&self) -> Vec<Parameter>;
+}
+
+/// The object-safe face of an [`Operator`], for `Rc<dyn StOperator>` in
+/// models and compiled plans. Implemented once, for every [`Operator`].
 pub trait StOperator {
-    /// Apply the operator.
+    /// Apply the operator on a tape.
     fn forward(&self, tape: &Tape, x: &Var, ctx: &GraphContext) -> Var;
-    /// Tape-free forward for compiled inference plans. Implementations MUST
-    /// call the same kernels in the same order as [`Self::forward`] so the
-    /// output is bit-identical (weights are read in place, never copied).
+    /// Apply the operator without a tape (compiled inference plans);
+    /// bit-identical to [`Self::forward`], reading weights in place.
     fn forward_eval(&self, x: &Tensor, ctx: &GraphContext) -> Tensor;
     /// The operator's trainable weights (excluding shared context params).
     fn parameters(&self) -> Vec<Parameter>;
     /// Which kind this operator instantiates.
     fn kind(&self) -> OpKind;
+}
+
+impl<O: Operator> StOperator for O {
+    fn forward(&self, tape: &Tape, x: &Var, ctx: &GraphContext) -> Var {
+        self.apply(tape, x, ctx)
+    }
+
+    fn forward_eval(&self, x: &Tensor, ctx: &GraphContext) -> Tensor {
+        self.apply(&Eval, x, ctx)
+    }
+
+    fn parameters(&self) -> Vec<Parameter> {
+        self.weights()
+    }
+
+    fn kind(&self) -> OpKind {
+        O::KIND
+    }
 }
 
 /// The paper's compact operator set `O` (§3.2.3): GDCC, INF-T, DGCN, INF-S
@@ -45,33 +75,33 @@ pub fn full_set() -> Vec<OpKind> {
 /// ReLU → op → LayerNorm wrapper applied to every parametric operator for
 /// training stability (the paper follows DARTS's ReLU-op-BN ordering;
 /// LayerNorm substitutes for BN, see DESIGN.md).
-struct ReluNormed {
-    inner: Box<dyn StOperator>,
+struct ReluNormed<O> {
+    inner: O,
     norm: LayerNorm,
 }
 
-impl StOperator for ReluNormed {
-    fn forward(&self, tape: &Tape, x: &Var, ctx: &GraphContext) -> Var {
-        let activated = x.relu();
-        let out = self.inner.forward(tape, &activated, ctx);
-        self.norm.forward(tape, &out)
+impl<O: Operator> Operator for ReluNormed<O> {
+    const KIND: OpKind = O::KIND;
+
+    fn apply<B: Backend>(&self, be: &B, x: &B::V, ctx: &GraphContext) -> B::V {
+        let activated = be.relu(x);
+        let out = self.inner.apply(be, &activated, ctx);
+        self.norm.forward(be, &out)
     }
 
-    fn forward_eval(&self, x: &Tensor, ctx: &GraphContext) -> Tensor {
-        let activated = cts_tensor::ops::relu(x);
-        let out = self.inner.forward_eval(&activated, ctx);
-        self.norm.forward_eval(&out)
-    }
-
-    fn parameters(&self) -> Vec<Parameter> {
-        let mut v = self.inner.parameters();
+    fn weights(&self) -> Vec<Parameter> {
+        let mut v = self.inner.weights();
         v.extend(self.norm.parameters());
         v
     }
+}
 
-    fn kind(&self) -> OpKind {
-        self.inner.kind()
-    }
+/// Box `inner` in the ReLU-op-norm wrapper of width `d`.
+fn normed<O: Operator + 'static>(inner: O, name: &str, d: usize) -> Box<dyn StOperator> {
+    Box::new(ReluNormed {
+        inner,
+        norm: LayerNorm::new(&format!("{name}.norm"), d),
+    })
 }
 
 /// Instantiate an operator of `kind` with channel width `d`.
@@ -92,24 +122,20 @@ pub fn build_operator(
     gcn_k: usize,
     adaptive: bool,
 ) -> Box<dyn StOperator> {
-    let inner: Box<dyn StOperator> = match kind {
-        OpKind::Zero => return Box::new(ZeroOp),
-        OpKind::Identity => return Box::new(IdentityOp),
-        OpKind::Conv1d => Box::new(Conv1dOp::new(rng, name, d)),
-        OpKind::Gdcc => Box::new(GdccOp::new(rng, name, d)),
-        OpKind::Lstm => Box::new(LstmOp::new(rng, name, d)),
-        OpKind::Gru => Box::new(GruOp::new(rng, name, d)),
-        OpKind::TransformerT => Box::new(TransformerTOp::new(rng, name, d)),
-        OpKind::InformerT => Box::new(InformerTOp::new(rng, name, d)),
-        OpKind::ChebGcn => Box::new(ChebGcnOp::new(rng, name, d, gcn_k)),
-        OpKind::Dgcn => Box::new(DgcnOp::new(rng, name, d, gcn_k, adaptive)),
-        OpKind::TransformerS => Box::new(TransformerSOp::new(rng, name, d)),
-        OpKind::InformerS => Box::new(InformerSOp::new(rng, name, d)),
-    };
-    Box::new(ReluNormed {
-        inner,
-        norm: LayerNorm::new(&format!("{name}.norm"), d),
-    })
+    match kind {
+        OpKind::Zero => Box::new(ZeroOp),
+        OpKind::Identity => Box::new(IdentityOp),
+        OpKind::Conv1d => normed(Conv1dOp::new(rng, name, d), name, d),
+        OpKind::Gdcc => normed(GdccOp::new(rng, name, d), name, d),
+        OpKind::Lstm => normed(LstmOp::new(rng, name, d), name, d),
+        OpKind::Gru => normed(GruOp::new(rng, name, d), name, d),
+        OpKind::TransformerT => normed(TransformerTOp::new(rng, name, d), name, d),
+        OpKind::InformerT => normed(InformerTOp::new(rng, name, d), name, d),
+        OpKind::ChebGcn => normed(ChebGcnOp::new(rng, name, d, gcn_k), name, d),
+        OpKind::Dgcn => normed(DgcnOp::new(rng, name, d, gcn_k, adaptive), name, d),
+        OpKind::TransformerS => normed(TransformerSOp::new(rng, name, d), name, d),
+        OpKind::InformerS => normed(InformerSOp::new(rng, name, d), name, d),
+    }
 }
 
 #[cfg(test)]
@@ -144,23 +170,38 @@ mod tests {
     fn every_operator_preserves_shape_and_trains() {
         let mut rng = SmallRng::seed_from_u64(0);
         let g = random_geometric_graph(&mut rng, &GraphGenConfig { n: 5, ..Default::default() });
-        let ctx = GraphContext::from_graph(&g, 2);
         let d = 6;
-        for kind in full_set() {
-            let op = build_operator(&mut rng, kind, "op", d, 2, false);
-            assert_eq!(op.kind(), kind);
-            let tape = Tape::new();
-            let x = tape.constant(init::uniform(&mut rng, [2, 5, 8, d], -1.0, 1.0));
-            let y = op.forward(&tape, &x, &ctx);
-            assert_eq!(y.shape(), vec![2, 5, 8, d], "{kind} changed shape");
-            if kind.is_parametric() {
-                let loss = y.square().sum_all();
-                tape.backward(&loss);
-                let got_grad = op.parameters().iter().any(|p| p.grad().norm() > 0.0);
-                assert!(got_grad, "{kind}: no gradient reached any parameter");
-                assert!(!op.parameters().is_empty());
+        for adaptive in [false, true] {
+            let ctx = if adaptive {
+                GraphContext::from_graph(&g, 2).with_adaptive(&mut rng, 4)
             } else {
-                assert!(op.parameters().is_empty());
+                GraphContext::from_graph(&g, 2)
+            };
+            for kind in full_set() {
+                let op = build_operator(&mut rng, kind, "op", d, 2, adaptive);
+                assert_eq!(op.kind(), kind);
+                let tape = Tape::new();
+                let xt = init::uniform(&mut rng, [2, 5, 8, d], -1.0, 1.0);
+                let x = tape.constant(xt.clone());
+                let y = op.forward(&tape, &x, &ctx);
+                assert_eq!(y.shape(), vec![2, 5, 8, d], "{kind} changed shape");
+                // The tape and tape-free entry points run one generic body,
+                // so their outputs agree to the bit.
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&y.value()),
+                    bits(&op.forward_eval(&xt, &ctx)),
+                    "{kind} (adaptive={adaptive}): tape and eval outputs differ"
+                );
+                if kind.is_parametric() {
+                    let loss = y.square().sum_all();
+                    tape.backward(&loss);
+                    let got_grad = op.parameters().iter().any(|p| p.grad().norm() > 0.0);
+                    assert!(got_grad, "{kind}: no gradient reached any parameter");
+                    assert!(!op.parameters().is_empty());
+                } else {
+                    assert!(op.parameters().is_empty());
+                }
             }
         }
     }

@@ -2,35 +2,12 @@
 //! design principle 1, but required for the *w/o design principles*
 //! ablation.
 
-use crate::registry::StOperator;
+use crate::registry::Operator;
+use crate::view::{from_temporal, temporal_view};
 use crate::{GraphContext, OpKind};
-use cts_autograd::{Parameter, Tape, Var};
-use cts_nn::{Gru, Lstm};
-use cts_tensor::Tensor;
+use cts_autograd::Parameter;
+use cts_nn::{Backend, Gru, Lstm};
 use rand::Rng;
-
-fn to_series(x: &Var) -> (Var, [usize; 4]) {
-    let s = x.shape();
-    let dims = [s[0], s[1], s[2], s[3]];
-    (x.reshape(&[s[0] * s[1], s[2], s[3]]), dims)
-}
-
-fn from_series(y: &Var, dims: [usize; 4]) -> Var {
-    y.reshape(&[dims[0], dims[1], dims[2], dims[3]])
-}
-
-// Tape-free view mirrors of `to_series` / `from_series`: `Var::reshape`
-// clones the value and reinterprets the shape, so these are bit-identical.
-
-fn to_series_eval(x: &Tensor) -> (Tensor, [usize; 4]) {
-    let s = x.shape();
-    let dims = [s[0], s[1], s[2], s[3]];
-    (x.clone().reshaped([dims[0] * dims[1], dims[2], dims[3]]), dims)
-}
-
-fn from_series_eval(y: Tensor, dims: [usize; 4]) -> Tensor {
-    y.reshaped([dims[0], dims[1], dims[2], dims[3]])
-}
 
 /// LSTM applied independently to each series (Eq. 10); hidden width = D so
 /// the shape is preserved.
@@ -47,25 +24,17 @@ impl LstmOp {
     }
 }
 
-impl StOperator for LstmOp {
-    fn forward(&self, tape: &Tape, x: &Var, _ctx: &GraphContext) -> Var {
-        let (series, dims) = to_series(x);
-        let y = self.cell.forward_sequence(tape, &series);
-        from_series(&y, dims)
+impl Operator for LstmOp {
+    const KIND: OpKind = OpKind::Lstm;
+
+    fn apply<B: Backend>(&self, be: &B, x: &B::V, _ctx: &GraphContext) -> B::V {
+        let (series, dims) = temporal_view(be, x);
+        let y = self.cell.forward_sequence(be, &series);
+        from_temporal(be, y, dims)
     }
 
-    fn forward_eval(&self, x: &Tensor, _ctx: &GraphContext) -> Tensor {
-        let (series, dims) = to_series_eval(x);
-        let y = self.cell.forward_sequence_eval(&series);
-        from_series_eval(y, dims)
-    }
-
-    fn parameters(&self) -> Vec<Parameter> {
+    fn weights(&self) -> Vec<Parameter> {
         self.cell.parameters()
-    }
-
-    fn kind(&self) -> OpKind {
-        OpKind::Lstm
     }
 }
 
@@ -83,31 +52,25 @@ impl GruOp {
     }
 }
 
-impl StOperator for GruOp {
-    fn forward(&self, tape: &Tape, x: &Var, _ctx: &GraphContext) -> Var {
-        let (series, dims) = to_series(x);
-        let y = self.cell.forward_sequence(tape, &series);
-        from_series(&y, dims)
+impl Operator for GruOp {
+    const KIND: OpKind = OpKind::Gru;
+
+    fn apply<B: Backend>(&self, be: &B, x: &B::V, _ctx: &GraphContext) -> B::V {
+        let (series, dims) = temporal_view(be, x);
+        let y = self.cell.forward_sequence(be, &series);
+        from_temporal(be, y, dims)
     }
 
-    fn forward_eval(&self, x: &Tensor, _ctx: &GraphContext) -> Tensor {
-        let (series, dims) = to_series_eval(x);
-        let y = self.cell.forward_sequence_eval(&series);
-        from_series_eval(y, dims)
-    }
-
-    fn parameters(&self) -> Vec<Parameter> {
+    fn weights(&self) -> Vec<Parameter> {
         self.cell.parameters()
-    }
-
-    fn kind(&self) -> OpKind {
-        OpKind::Gru
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StOperator;
+    use cts_autograd::Tape;
     use cts_graph::SensorGraph;
     use cts_tensor::init;
     use rand::{rngs::SmallRng, SeedableRng};

@@ -10,9 +10,10 @@
 //! tensor kernels directly. After [`ExecPlan::prewarm`], a steady-state
 //! forward performs **zero** heap allocations (all buffers cycle through the
 //! tensor arena) and is bit-identical to the tape forward by construction:
-//! each op's `forward_eval` invokes the same kernels in the same order as
-//! its tape `forward`, reading weights in place so retraining updates flow
-//! through without recompilation.
+//! every layer and operator has one forward, generic over a
+//! `cts_nn::Backend`, and the plan runs it on the tape-free `cts_nn::Eval`
+//! backend, reading weights in place so retraining updates flow through
+//! without recompilation.
 //!
 //! On top of the plan sit the serving pieces: a [`PlanRegistry`] keyed by
 //! model id (with a canary gate that parity-checks new plans against a
@@ -47,7 +48,7 @@ pub use batcher::{MicroBatcher, TapeFallback};
 pub use cache::{CacheKey, ForecastCache};
 pub use error::ServeError;
 pub use front::{FrontConfig, ServeFront, ShardCanary, ShardFactory, ShardModel, TicketAnswer};
-pub use plan::{BlockPlan, ExecPlan, PlanError, PlanSpec};
+pub use plan::{project, BlockPlan, ExecPlan, PlanError, PlanSpec};
 pub use registry::PlanRegistry;
 
 #[cfg(test)]

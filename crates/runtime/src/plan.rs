@@ -1,7 +1,7 @@
 //! Genotype → flat execution plan compilation and the tape-free interpreter.
 
 use crate::error::ServeError;
-use cts_nn::Linear;
+use cts_nn::{Backend, Eval, Linear};
 use cts_ops::{CostCtx, GraphContext, OpCost, OpKind, ShapeCtx, ShapeIssue, StOperator, Trace};
 use cts_tensor::sym::{eval_shape, format_shape, SymDim};
 use cts_tensor::{arena, ops, Tensor};
@@ -92,6 +92,23 @@ impl fmt::Display for PlanError {
 }
 
 impl std::error::Error for PlanError {}
+
+/// The forecast head over the merged backbone output `[B,N,T,D]`: relu →
+/// flatten to `[B,N,flat_width]` → `output` linear → inverse-scaler affine
+/// `y·scale + shift`. The tape forward of a derived model and the compiled
+/// plan both end here.
+pub fn project<B: Backend>(
+    be: &B,
+    output: &Linear,
+    merged: &B::V,
+    flat_width: usize,
+    scale: f32,
+    shift: f32,
+) -> B::V {
+    let s = be.shape(merged);
+    let flat = be.reshape(be.relu(merged), &[s[0], s[1], flat_width]);
+    be.add_scalar(&be.scale(&output.forward(be, &flat), scale), shift)
+}
 
 /// One record of the flat program. Slots index the plan's workspace.
 enum Step {
@@ -346,7 +363,7 @@ impl ExecPlan {
             });
         }
         let mut slots = self.slots.borrow_mut();
-        slots[0] = Some(self.embed.forward_eval(x));
+        slots[0] = Some(self.embed.forward(&Eval, x));
         for step in &self.steps {
             match step {
                 Step::Op {
@@ -379,12 +396,14 @@ impl ExecPlan {
         }
         // invariant: merged_slot is the last slot the step list writes.
         let merged = slots[self.merged_slot].as_ref().expect("program writes merged slot");
-        // Projection epilogue, mirroring Scaffold::project kernel for kernel:
-        // relu → flatten [B,N,T·D] → output linear → inverse-scaler affine.
-        let (b, n) = (merged.shape()[0], merged.shape()[1]);
-        let flat = ops::relu(merged).reshaped([b, n, self.flat_width]);
-        let out = self.output.forward_eval(&flat);
-        let mut y = ops::add_scalar(&ops::scale(&out, self.out_scale), self.out_shift);
+        let mut y = project(
+            &Eval,
+            &self.output,
+            merged,
+            self.flat_width,
+            self.out_scale,
+            self.out_shift,
+        );
         if fault == cts_nn::fault::ServeFault::NanOutput {
             if let Some(v) = y.data_mut().first_mut() {
                 *v = f32::NAN;

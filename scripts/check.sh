@@ -20,6 +20,9 @@ fi
 
 echo "==> cargo build --release"
 cargo build --release --offline
+# The root build covers only the root package; the cost gate's binary
+# lives in cts-bench.
+cargo build --release --offline -p cts-bench --bin bench_cost
 
 echo "==> static analyzer sweep over the discrete space"
 # verify-space cross-checks every cts-verify verdict against the runtime
@@ -38,6 +41,14 @@ BENCH_OUT_DIR=target ./target/release/bench_cost --gate
 
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace --offline
+
+echo "==> benchmark crate (e2ebench) build + tests"
+# e2ebench/ is a cargo workspace of its own, so the workspace steps above
+# never compile it; a public-API change in the library crates must fail
+# here rather than at benchmark time. --locked keeps its Cargo.lock as is
+# (cargo 1.95 accepts the lock's stale crossbeam entry; ROADMAP item 5).
+cargo build --release --offline --locked --manifest-path e2ebench/Cargo.toml
+cargo test -q --offline --locked --manifest-path e2ebench/Cargo.toml
 
 echo "==> cargo test -q (workspace, CTS_SIMD=off)"
 # The SIMD determinism contract: the scalar fallback is not a degraded

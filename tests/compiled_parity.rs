@@ -4,10 +4,11 @@
 //! forward must perform **zero** system allocations, with every buffer
 //! served from the warmed arena.
 //!
-//! Bit-exactness holds by construction: every `forward_eval` mirror
-//! invokes exactly the same `cts_tensor::ops` kernels in exactly the
-//! same order as the tape path, and plans read the live `Parameter`
-//! cells rather than snapshots. This suite pins both halves of that
+//! Bit-exactness holds by construction: every layer and operator has one
+//! forward, generic over `cts_nn::Backend`, which the tape runs with
+//! `Tape` and the plan with `Eval` — the same `cts_tensor::ops` kernels
+//! in the same order — and plans read the live `Parameter` cells rather
+//! than snapshots. This suite pins both halves of that
 //! contract; `scripts/check.sh` runs it as part of the tier-1 gate, and
 //! the `verify_space` sweep repeats the parity check on every accepted
 //! candidate of the discrete space.
@@ -20,7 +21,7 @@ use autocts::{BlockGenotype, DerivedModel, Genotype, SearchConfig};
 use cts_autograd::Tape;
 use cts_data::{batches_from_windows, build_windows, generate, DatasetSpec};
 use cts_nn::Forecaster;
-use cts_ops::compact_set;
+use cts_ops::{compact_set, full_set};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 /// Serializes the tests: the allocation counters are process-global.
@@ -73,46 +74,44 @@ fn compiled_forward_is_bit_identical_to_tape() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     cts_obs::set_metrics(Some(false));
     let (cfg, spec, data, windows) = fixture();
-    let ops = compact_set();
     let mut rng = SmallRng::seed_from_u64(42);
 
-    for trial in 0..12usize {
-        let block = BlockGenotype {
-            m: 3,
-            edges: SLOTS
-                .iter()
-                .map(|&(f, t)| (f, t, ops[rng.gen_range(0..ops.len())]))
-                .collect(),
-        };
-        let backbone = if rng.gen_range(0..2) == 0 { vec![0, 0] } else { vec![0, 1] };
-        let genotype = Genotype {
-            blocks: vec![block.clone(); cfg.b],
-            backbone,
-        };
-        let batch = rng.gen_range(1..4usize);
-        let model =
-            DerivedModel::new(&mut rng, &cfg, &genotype, &spec, &data.graph, &windows.scaler);
-        let batches = batches_from_windows(&windows.train, batch);
-        let (x, _) = &batches[trial % batches.len()];
+    // The compact set is what search derives; the full set covers the six
+    // Table 1 kinds outside it (Conv1d, LSTM, GRU, Transformer-T/S, ChebGCN).
+    for (set, ops) in [("compact", compact_set()), ("full", full_set())] {
+        for trial in 0..12usize {
+            let block = BlockGenotype {
+                m: 3,
+                edges: SLOTS
+                    .iter()
+                    .map(|&(f, t)| (f, t, ops[rng.gen_range(0..ops.len())]))
+                    .collect(),
+            };
+            let backbone = if rng.gen_range(0..2) == 0 { vec![0, 0] } else { vec![0, 1] };
+            let genotype = Genotype {
+                blocks: vec![block.clone(); cfg.b],
+                backbone,
+            };
+            let batch = rng.gen_range(1..4usize);
+            let model =
+                DerivedModel::new(&mut rng, &cfg, &genotype, &spec, &data.graph, &windows.scaler);
+            let batches = batches_from_windows(&windows.train, batch);
+            let (x, _) = &batches[trial % batches.len()];
 
-        let tape = Tape::new();
-        let tape_out = model.forward(&tape, &tape.constant(x.clone())).value();
-        let plan = model.compiled_plan().expect("every structural genotype compiles");
-        let compiled = plan.try_run(x).expect("parity fixture input matches plan dims");
+            let tape = Tape::new();
+            let tape_out = model.forward(&tape, &tape.constant(x.clone())).value();
+            let plan = model.compiled_plan().expect("every structural genotype compiles");
+            let compiled = plan.try_run(x).expect("parity fixture input matches plan dims");
 
-        assert_eq!(
-            compiled.shape(),
-            tape_out.shape(),
-            "trial {trial} ({}): compiled shape diverged",
-            genotype.to_text()
-        );
-        for (i, (a, b)) in compiled.data().iter().zip(tape_out.data()).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "trial {trial} ({}): scalar {i} diverges: compiled {a} vs tape {b}",
-                genotype.to_text()
-            );
+            let at = format!("{set} trial {trial} ({})", genotype.to_text());
+            assert_eq!(compiled.shape(), tape_out.shape(), "{at}: compiled shape diverged");
+            for (i, (a, b)) in compiled.data().iter().zip(tape_out.data()).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{at}: scalar {i} diverges: compiled {a} vs tape {b}"
+                );
+            }
         }
     }
 }
