@@ -63,7 +63,7 @@ pub fn cost_budgets(cfg: &SearchConfig) -> CostBudgets {
 /// When any cost budget is set on `cfg`, the genotype is additionally
 /// priced by [`cts_verify::analyze_cost`] at `cfg.batch_size` and
 /// over-budget candidates are rejected with `OverBudget` findings naming
-/// the offending step — all before a single tensor is allocated.
+/// the offending step — all without executing a kernel.
 pub fn preflight(
     cfg: &SearchConfig,
     genotype: &Genotype,

@@ -4,9 +4,10 @@
 //! `[B·N, T, D]` for temporal attention or `[B·T, N, D]` for spatial
 //! attention (Table 1, Eqs. 12–13 and 16–17).
 
+use crate::backend::Kernels;
 use crate::Backend;
 use cts_autograd::Parameter;
-use cts_tensor::{ops, Tensor};
+use cts_tensor::Tensor;
 use rand::Rng;
 use std::cell::RefCell;
 
@@ -84,7 +85,7 @@ pub fn prob_sparse_attention<B: Backend>(
     SPARSE_SCRATCH.with(|scratch| {
         let mut scratch = scratch.borrow_mut();
         let (idx, sel, nonsel, inv) = &mut *scratch;
-        be.with_value(q, |q| be.with_value(k, |k| top_queries(q, k, u, idx, sel)));
+        be.top_queries(q, k, u, idx, sel);
         nonsel.clear();
         nonsel.extend((0..l).filter(|i| !sel.contains(i)));
 
@@ -115,22 +116,20 @@ pub fn prob_sparse_attention<B: Backend>(
 /// Pick the `u` query indices with the largest batch-averaged max-mean
 /// sparsity measurement into `sel` (sorted ascending), using `idx` as
 /// scratch.
-fn top_queries(q: &Tensor, k: &Tensor, u: usize, idx: &mut Vec<usize>, sel: &mut Vec<usize>) {
-    let scores = ops::matmul(q, &ops::transpose_last2(k)); // [B', L, L]
-    let max = ops::max_axis(&scores, 2, false); // [B', L]
-    let mean = ops::mean_axis(&scores, 2, false); // [B', L]
-    let m = ops::sub(&max, &mean);
-    let batch_avg = ops::mean_axis(&m, 0, false); // [L]
-    idx.clear();
-    idx.extend(0..batch_avg.len());
-    idx.sort_by(|&a, &b| {
-        batch_avg.data()[b]
-            .partial_cmp(&batch_avg.data()[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    sel.clear();
-    sel.extend_from_slice(&idx[..u]);
-    sel.sort_unstable();
+pub(crate) fn top_queries<K: Kernels>(
+    kn: &K,
+    q: &K::T,
+    k: &K::T,
+    u: usize,
+    idx: &mut Vec<usize>,
+    sel: &mut Vec<usize>,
+) {
+    let scores = kn.matmul(q, &kn.transpose_last2(k)); // [B', L, L]
+    let max = kn.max_axis(&scores, 2); // [B', L]
+    let mean = kn.mean_axis(&scores, 2); // [B', L]
+    let m = kn.sub(&max, &mean);
+    let batch_avg = kn.mean_axis(&m, 0); // [L]
+    kn.top_u(&batch_avg, u, idx, sel);
 }
 
 /// A self-attention layer with learned Q/K/V projections.
@@ -181,7 +180,7 @@ impl AttentionLayer {
 mod tests {
     use super::*;
     use cts_autograd::Tape;
-    use cts_tensor::init;
+    use cts_tensor::{init, ops};
     use rand::{rngs::SmallRng, SeedableRng};
 
     fn rand_x(rng: &mut impl Rng, b: usize, l: usize, d: usize) -> Tensor {

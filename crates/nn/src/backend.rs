@@ -1,13 +1,16 @@
-//! One forward, two executions: the [`Backend`] trait.
+//! One forward, three executions: the [`Backend`] trait.
 //!
 //! Every layer in this crate (and every operator in `cts-ops`) writes its
 //! forward once, as `forward<B: Backend>(&self, be: &B, x: &B::V) -> B::V`.
 //! Run on a [`Tape`], each op records a node for the backward pass; run on
-//! [`Eval`], each op calls the `cts_tensor::ops` kernel directly. Both
-//! backends invoke the same kernel for every op, so a compiled inference
-//! plan and the tape forward are bit-identical by construction rather than
-//! by keeping two hand-written copies in step.
+//! [`Eval`], each op calls the `cts_tensor::ops` kernel directly; run on
+//! [`crate::Price`], each op adds that kernel's metered cost to a running
+//! total. The tape and `Eval` invoke the same kernel for every op, so a
+//! compiled inference plan and the tape forward are bit-identical by
+//! construction, and the price of a forward is the forward itself rather
+//! than a hand-written replay of it.
 
+use crate::attention::top_queries;
 use cts_autograd::{Parameter, Tape, Var};
 use cts_tensor::{ops, Shape, Tensor};
 use std::cell::Ref;
@@ -36,12 +39,10 @@ pub trait Backend {
     fn constant(&self, t: Tensor) -> Self::V;
     /// Shape of a value.
     fn shape(&self, x: &Self::V) -> Shape;
-    /// Run `f` on the raw forward value of `x` (no gradient flows).
-    ///
-    /// On `Tape`, `f` runs while the tape is borrowed, so it must not
-    /// record on, or otherwise touch, the tape: use only raw
-    /// `cts_tensor::ops` on the borrowed tensor.
-    fn with_value<R>(&self, x: &Self::V, f: impl FnOnce(&Tensor) -> R) -> R;
+    /// Pick the `u` most active queries of ProbSparse attention into `sel`
+    /// (sorted ascending; `idx` is scratch), by the max-mean measurement of
+    /// `q·kᵀ` on the raw values: nothing is recorded and no gradient flows.
+    fn top_queries(&self, q: &Self::V, k: &Self::V, u: usize, idx: &mut Vec<usize>, sel: &mut Vec<usize>);
 
     /// `a + b` (broadcasting).
     fn add(&self, a: &Self::V, b: &Self::V) -> Self::V;
@@ -87,16 +88,38 @@ pub trait Backend {
     fn concat(&self, parts: &[&Self::V], axis: usize) -> Self::V;
 }
 
+/// The few raw kernels ProbSparse's query measurement needs, so that the
+/// measurement is written once for real values ([`Eval`], which the tape
+/// also uses on its raw values) and for shapes ([`crate::Price`]).
+pub(crate) trait Kernels {
+    /// A raw value: a tensor, or a priced shape.
+    type T;
+    /// Swap the last two axes.
+    fn transpose_last2(&self, x: &Self::T) -> Self::T;
+    /// Batched matrix multiplication over the trailing two dims.
+    fn matmul(&self, a: &Self::T, b: &Self::T) -> Self::T;
+    /// `a - b` (broadcasting).
+    fn sub(&self, a: &Self::T, b: &Self::T) -> Self::T;
+    /// Maximum over `axis`, which is dropped.
+    fn max_axis(&self, x: &Self::T, axis: usize) -> Self::T;
+    /// Mean over `axis`, which is dropped.
+    fn mean_axis(&self, x: &Self::T, axis: usize) -> Self::T;
+    /// The `u` indices of the largest entries of the 1-D `score` into
+    /// `sel`, sorted ascending (`idx` is scratch).
+    fn top_u(&self, score: &Self::T, u: usize, idx: &mut Vec<usize>, sel: &mut Vec<usize>);
+}
+
 /// The tape-free backend: every op is the `cts_tensor::ops` kernel itself.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Eval;
 
-/// A tape leaf as a [`Backend::Param`] / [`Backend::Const`] of [`Tape`].
-pub struct Leaf(Var);
+/// A value a backend made for a weight or fixed tensor: a tape leaf, or a
+/// priced shape ([`Backend::Param`] / [`Backend::Const`]).
+pub struct Leaf<V>(pub(crate) V);
 
-impl Deref for Leaf {
-    type Target = Var;
-    fn deref(&self) -> &Var {
+impl<V> Deref for Leaf<V> {
+    type Target = V;
+    fn deref(&self) -> &V {
         &self.0
     }
 }
@@ -119,14 +142,14 @@ macro_rules! eval_ops {
 
 impl Backend for Tape {
     type V = Var;
-    type Param<'a> = Leaf;
-    type Const<'a> = Leaf;
+    type Param<'a> = Leaf<Var>;
+    type Const<'a> = Leaf<Var>;
 
-    fn param(&self, p: &Parameter) -> Leaf {
+    fn param(&self, p: &Parameter) -> Leaf<Var> {
         Leaf(Tape::param(self, p))
     }
 
-    fn lend(&self, t: &Tensor) -> Leaf {
+    fn lend(&self, t: &Tensor) -> Leaf<Var> {
         Leaf(Tape::constant(self, t.clone()))
     }
 
@@ -138,8 +161,8 @@ impl Backend for Tape {
         x.shape()
     }
 
-    fn with_value<R>(&self, x: &Var, f: impl FnOnce(&Tensor) -> R) -> R {
-        x.with_value(f)
+    fn top_queries(&self, q: &Var, k: &Var, u: usize, idx: &mut Vec<usize>, sel: &mut Vec<usize>) {
+        q.with_value(|q| k.with_value(|k| top_queries(&Eval, q, k, u, idx, sel)));
     }
 
     tape_ops! {
@@ -205,8 +228,8 @@ impl Backend for Eval {
         Shape::from_slice(x.shape())
     }
 
-    fn with_value<R>(&self, x: &Tensor, f: impl FnOnce(&Tensor) -> R) -> R {
-        f(x)
+    fn top_queries(&self, q: &Tensor, k: &Tensor, u: usize, idx: &mut Vec<usize>, sel: &mut Vec<usize>) {
+        top_queries(self, q, k, u, idx, sel);
     }
 
     eval_ops! {
@@ -248,5 +271,39 @@ impl Backend for Eval {
 
     fn concat(&self, parts: &[&Tensor], axis: usize) -> Tensor {
         ops::concat(parts, axis)
+    }
+}
+
+impl Kernels for Eval {
+    type T = Tensor;
+
+    fn transpose_last2(&self, x: &Tensor) -> Tensor {
+        ops::transpose_last2(x)
+    }
+
+    fn matmul(&self, a: &Tensor, b: &Tensor) -> Tensor {
+        ops::matmul(a, b)
+    }
+
+    fn sub(&self, a: &Tensor, b: &Tensor) -> Tensor {
+        ops::sub(a, b)
+    }
+
+    fn max_axis(&self, x: &Tensor, axis: usize) -> Tensor {
+        ops::max_axis(x, axis, false)
+    }
+
+    fn mean_axis(&self, x: &Tensor, axis: usize) -> Tensor {
+        ops::mean_axis(x, axis, false)
+    }
+
+    fn top_u(&self, score: &Tensor, u: usize, idx: &mut Vec<usize>, sel: &mut Vec<usize>) {
+        let s = score.data();
+        idx.clear();
+        idx.extend(0..s.len());
+        idx.sort_by(|&a, &b| s[b].partial_cmp(&s[a]).unwrap_or(std::cmp::Ordering::Equal));
+        sel.clear();
+        sel.extend_from_slice(&idx[..u]);
+        sel.sort_unstable();
     }
 }

@@ -3,7 +3,8 @@
 //! Provides the layers every model in the workspace is assembled from
 //! (linear, temporal convolutions, normalisation, recurrent cells, full and
 //! ProbSparse attention), each with one forward generic over a [`Backend`]
-//! (the autograd [`cts_autograd::Tape`] or the tape-free [`Eval`]); the
+//! (the autograd [`cts_autograd::Tape`], the tape-free [`Eval`], or the
+//! symbolic [`Price`], which prices a forward by running it on shapes); the
 //! optimisers of the paper (Adam with weight decay, plus SGD), the
 //! temperature/learning-rate schedules, masked losses, and a small generic
 //! training engine shared by baselines and AutoCTS.
@@ -21,6 +22,7 @@ mod loss;
 mod module;
 mod norm;
 mod optim;
+mod price;
 mod rnn;
 mod runstate;
 mod schedule;
@@ -30,6 +32,7 @@ pub use attention::{
     prob_sparse_attention, prob_sparse_u, scaled_dot_attention, AttentionKind, AttentionLayer,
 };
 pub use backend::{Backend, Eval, Leaf};
+pub use price::{arena_bytes, OpCost, Price, Priced, BYTES_PER_ELEM};
 pub use conv::{GatedTemporalConv, TemporalConvLayer};
 pub use linear::Linear;
 pub use loss::{l1_loss, masked_mae_loss, masked_mse_loss, mse_loss, LossKind};

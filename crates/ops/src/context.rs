@@ -38,6 +38,26 @@ impl GraphContext {
         }
     }
 
+    /// A context of `n` nodes whose supports are all-zero `[n, n]`
+    /// matrices, in the counts [`Self::from_graph`] builds for order `k`.
+    ///
+    /// Pricing a forward on `cts_nn::Price` reads only the supports'
+    /// shapes, so this skips `from_graph`'s O(K·N³) transition powers. The
+    /// buffers come from zeroed `Vec`s that are never written, so even at
+    /// thousands of nodes they commit no memory.
+    pub fn zeroed(n: usize, k: usize) -> Self {
+        let zeros = |count: usize| -> Vec<Tensor> {
+            (0..count).map(|_| Tensor::from_vec([n, n], vec![0.0; n * n])).collect()
+        };
+        Self {
+            n,
+            diffusion_fwd: zeros(k),
+            diffusion_bwd: zeros(k),
+            cheb: zeros(k + 1),
+            adaptive: None,
+        }
+    }
+
     /// Add learned node embeddings for an adaptive adjacency.
     pub fn with_adaptive(mut self, rng: &mut impl Rng, emb_dim: usize) -> Self {
         let e1 = Parameter::new("adaptive.e1", init::normal(rng, [self.n, emb_dim], 0.1));
@@ -98,13 +118,6 @@ impl GraphContext {
     /// adaptive-direction weights should only allocate them in this case).
     pub fn has_adaptive(&self) -> bool {
         self.adaptive.is_some()
-    }
-
-    /// Embedding width of the adaptive adjacency factors, when present —
-    /// the `emb_dim` passed to [`Self::with_adaptive`]. Static cost
-    /// analysis prices the per-eval `softmax(relu(E₁·E₂))` from this.
-    pub fn adaptive_emb_dim(&self) -> Option<usize> {
-        self.adaptive.as_ref().map(|(e1, _)| e1.value().shape()[1])
     }
 
     /// True when the context carries usable spatial structure (either a

@@ -15,7 +15,6 @@
 mod attention_ops;
 mod basic;
 mod context;
-mod cost;
 mod gcn_ops;
 mod kinds;
 mod meta;
@@ -27,7 +26,6 @@ mod view;
 pub use attention_ops::{InformerSOp, InformerTOp, TransformerSOp, TransformerTOp};
 pub use basic::{Conv1dOp, GdccOp, IdentityOp, ZeroOp};
 pub use context::{node_mix, GraphContext};
-pub use cost::{arena_bytes, informer_u, CostCtx, OpCost, Trace, BYTES_PER_ELEM};
 pub use gcn_ops::{ChebGcnOp, DgcnOp};
 pub use kinds::{OpFamily, OpKind};
 pub use meta::{ShapeCtx, ShapeIssue};

@@ -5,13 +5,13 @@ use crate::{
     InformerTOp, LstmOp, OpKind, TransformerSOp, TransformerTOp, ZeroOp,
 };
 use cts_autograd::{Parameter, Tape, Var};
-use cts_nn::{Backend, Eval, LayerNorm};
+use cts_nn::{count_parameters, Backend, Eval, LayerNorm, OpCost, Price, Priced};
 use cts_tensor::Tensor;
 use rand::Rng;
 
 /// A spatio-temporal operator `[B,N,T,D] → [B,N,T,D]`, defined once: its
-/// forward is generic over the [`Backend`], so the tape and the compiled
-/// plan run the same body.
+/// forward is generic over the [`Backend`], so the tape, the compiled plan
+/// and the static cost model run the same body.
 pub trait Operator {
     /// Which kind this operator instantiates.
     const KIND: OpKind;
@@ -29,10 +29,29 @@ pub trait StOperator {
     /// Apply the operator without a tape (compiled inference plans);
     /// bit-identical to [`Self::forward`], reading weights in place.
     fn forward_eval(&self, x: &Tensor, ctx: &GraphContext) -> Tensor;
+    /// Apply the operator on the pricing backend: no kernel runs, and `be`
+    /// is charged what [`Self::forward_eval`] would meter and allocate.
+    fn forward_price(&self, be: &Price, x: &Priced, ctx: &GraphContext) -> Priced;
     /// The operator's trainable weights (excluding shared context params).
     fn parameters(&self) -> Vec<Parameter>;
     /// Which kind this operator instantiates.
     fn kind(&self) -> OpKind;
+
+    /// Static cost of one forward on an `input`-shaped activation: the
+    /// operator's own forward run on [`Price`], with `param_count` the
+    /// length of its parameters.
+    ///
+    /// `input` must be a shape the operator accepts (see
+    /// [`OpKind::infer_shape`]); like the forward itself, pricing panics
+    /// on one it does not.
+    fn cost(&self, input: &[usize], ctx: &GraphContext) -> OpCost {
+        let be = Price::new();
+        self.forward_price(&be, &be.input(input), ctx);
+        OpCost {
+            param_count: count_parameters(&self.parameters()) as u64,
+            ..be.take()
+        }
+    }
 }
 
 impl<O: Operator> StOperator for O {
@@ -42,6 +61,10 @@ impl<O: Operator> StOperator for O {
 
     fn forward_eval(&self, x: &Tensor, ctx: &GraphContext) -> Tensor {
         self.apply(&Eval, x, ctx)
+    }
+
+    fn forward_price(&self, be: &Price, x: &Priced, ctx: &GraphContext) -> Priced {
+        self.apply(be, x, ctx)
     }
 
     fn parameters(&self) -> Vec<Parameter> {
@@ -142,8 +165,106 @@ pub fn build_operator(
 mod tests {
     use super::*;
     use cts_graph::{random_geometric_graph, GraphGenConfig};
-    use cts_tensor::init;
+    use cts_tensor::{init, meter};
     use rand::{rngs::SmallRng, SeedableRng};
+
+    /// Run `f` under the kernel meter, returning its result and the counts.
+    fn metered<R>(f: impl FnOnce() -> R) -> (R, meter::MeterSnapshot) {
+        meter::set_enabled(true);
+        meter::reset();
+        let r = f();
+        let got = meter::snapshot();
+        meter::set_enabled(false);
+        (r, got)
+    }
+
+    /// The heart of the cost contract: for every operator kind, the price
+    /// of its forward on `Price` must equal, bit for bit, the instrumented
+    /// meter's observation of one forward on both the tape-free and the
+    /// tape entry point (pre-flight budgets price training steps with this
+    /// cost), and pricing itself must run no kernel.
+    #[test]
+    fn cost_matches_meter_for_every_op() {
+        let (b, n, t, d, k) = (2usize, 5usize, 12usize, 6usize, 2usize);
+        let mut rng = SmallRng::seed_from_u64(42);
+        let g = random_geometric_graph(
+            &mut rng,
+            &GraphGenConfig { n, sigma: 0.8, threshold: 0.1 },
+        );
+        for adaptive in [false, true] {
+            let ctx = if adaptive {
+                GraphContext::from_graph(&g, k).with_adaptive(&mut rng, 4)
+            } else {
+                GraphContext::from_graph(&g, k)
+            };
+            for kind in full_set() {
+                let op = build_operator(&mut rng, kind, "op", d, k, adaptive);
+                let x = init::uniform(&mut rng, [b, n, t, d], -1.0, 1.0);
+                let (want, pricing) = metered(|| op.cost(x.shape(), &ctx));
+                assert_eq!(pricing, meter::MeterSnapshot::default(), "{kind}: pricing ran a kernel");
+                let tape = Tape::new();
+                let xv = tape.constant(x.clone());
+                let eval = metered(|| op.forward_eval(&x, &ctx).shape().to_vec());
+                let taped = metered(|| op.forward(&tape, &xv, &ctx).shape().to_vec());
+                for (path, (shape, got)) in [("eval", eval), ("tape", taped)] {
+                    let at = format!("{kind} (adaptive={adaptive}, {path})");
+                    assert_eq!(shape, x.shape(), "{at}: changed shape");
+                    assert_eq!(want.flops, got.flops, "{at}: flops");
+                    assert_eq!(want.bytes_read, got.bytes_read(), "{at}: bytes_read");
+                    assert_eq!(want.bytes_written, got.bytes_written(), "{at}: bytes_written");
+                    assert_eq!(want.kernel_calls, got.kernel_calls, "{at}: kernel_calls");
+                }
+                assert!(want.dense_flops <= want.flops, "{kind}: dense subset");
+            }
+        }
+    }
+
+    /// ProbSparse must fall back to the full path exactly when the runtime
+    /// does (u ≥ L), including the boundary the f32 ceil math produces.
+    #[test]
+    fn informer_fallback_boundary_matches_runtime() {
+        let (b, n, d, k) = (1usize, 3usize, 4usize, 2usize);
+        let mut rng = SmallRng::seed_from_u64(7);
+        let g = random_geometric_graph(&mut rng, &GraphGenConfig { n, ..Default::default() });
+        let ctx = GraphContext::from_graph(&g, k);
+        for t in [2usize, 3, 4, 8, 16, 24] {
+            let op = build_operator(&mut rng, OpKind::InformerT, "op", d, k, false);
+            let x = init::uniform(&mut rng, [b, n, t, d], -1.0, 1.0);
+            let (_, got) = metered(|| op.forward_eval(&x, &ctx));
+            let want = op.cost(x.shape(), &ctx);
+            assert_eq!(want.flops, got.flops, "T={t}: flops");
+            assert_eq!(want.kernel_calls, got.kernel_calls, "T={t}: calls");
+        }
+    }
+
+    #[test]
+    fn costs_scale_with_batch() {
+        let mut rng = SmallRng::seed_from_u64(3);
+        let ctx = GraphContext::zeroed(5, 2);
+        let op = build_operator(&mut rng, OpKind::Gdcc, "op", 6, 2, false);
+        let small = op.cost(&[1, 5, 8, 6], &ctx);
+        let big = op.cost(&[4, 5, 8, 6], &ctx);
+        assert!(big.flops > small.flops);
+        assert_eq!(big.param_count, small.param_count);
+    }
+
+    /// ProbSparse's query measurement runs on raw values: an Informer
+    /// forward records only the attention itself on the tape.
+    #[test]
+    fn informer_measurement_records_no_tape_nodes() {
+        let (b, n, t, d, k) = (2usize, 5usize, 12usize, 6usize, 2usize);
+        let mut rng = SmallRng::seed_from_u64(42);
+        let g = random_geometric_graph(&mut rng, &GraphGenConfig { n, sigma: 0.8, threshold: 0.1 });
+        let ctx = GraphContext::from_graph(&g, k);
+        for (kind, nodes) in [(OpKind::InformerT, 31), (OpKind::InformerS, 33)] {
+            let op = build_operator(&mut rng, kind, "op", d, k, false);
+            let tape = Tape::new();
+            let x = tape.constant(init::uniform(&mut rng, [b, n, t, d], -1.0, 1.0));
+            let before = tape.len();
+            let _ = op.forward(&tape, &x, &ctx);
+            assert_eq!(tape.len() - before, nodes, "{kind}");
+        }
+    }
 
     #[test]
     fn compact_set_matches_paper() {

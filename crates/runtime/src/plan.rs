@@ -1,10 +1,10 @@
 //! Genotype → flat execution plan compilation and the tape-free interpreter.
 
 use crate::error::ServeError;
-use cts_nn::{Backend, Eval, Linear};
-use cts_ops::{CostCtx, GraphContext, OpCost, OpKind, ShapeCtx, ShapeIssue, StOperator, Trace};
+use cts_nn::{count_parameters, Backend, Eval, Linear, OpCost, Price, Priced};
+use cts_ops::{GraphContext, OpKind, ShapeCtx, ShapeIssue, StOperator};
 use cts_tensor::sym::{eval_shape, format_shape, SymDim};
-use cts_tensor::{arena, ops, Tensor};
+use cts_tensor::{arena, Tensor};
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
@@ -113,15 +113,65 @@ pub fn project<B: Backend>(
 /// One record of the flat program. Slots index the plan's workspace.
 enum Step {
     /// `dst (+)= op(slot[src])`; `accumulate` folds onto the existing value
-    /// exactly like the tape's `acc.add(&y)`.
+    /// exactly like the tape's `acc.add(&y)`. `edge` indexes the block's
+    /// genotype edge list.
     Op {
         op: Rc<dyn StOperator>,
         src: usize,
         dst: usize,
         accumulate: bool,
+        block: usize,
+        edge: usize,
     },
-    /// `dst = slot[a] + slot[b]` (block residual / skip merge).
-    Add { a: usize, b: usize, dst: usize },
+    /// `dst = slot[a] + slot[b]`: block `block`'s residual, or the skip
+    /// merge that folds block `block`'s output in.
+    Add {
+        a: usize,
+        b: usize,
+        dst: usize,
+        block: usize,
+        merge: bool,
+    },
+}
+
+impl Step {
+    /// Where the step sits in the architecture: `block0.e2`,
+    /// `block1 residual`, `merge block2`.
+    fn site(&self) -> String {
+        match self {
+            Step::Op { block, edge, .. } => format!("block{block}.e{edge}"),
+            Step::Add { block, merge: false, .. } => format!("block{block} residual"),
+            Step::Add { block, merge: true, .. } => format!("merge block{block}"),
+        }
+    }
+}
+
+/// A stage of one forward, as [`ExecPlan::exec`] reports it.
+enum Stage<'a> {
+    Embed,
+    Step(&'a Step),
+    Head,
+}
+
+/// The static price of one stage of a compiled forward: the embedding, a
+/// step of the flat program, or the output head.
+#[derive(Clone, Debug)]
+pub struct StepCost {
+    /// Where: `"embed"`, `"block0.e2"`, `"block1 residual"`,
+    /// `"merge block2"`, `"output head"`.
+    pub site: String,
+    /// The operator kind, for op-edge steps.
+    pub kind: Option<OpKind>,
+    /// Exact flops/bytes plus scratch upper bound for this step (edge steps
+    /// that accumulate into an already-written node include the fold add),
+    /// and the parameter count of the layer or operator it runs.
+    pub cost: OpCost,
+    /// Workspace slots this step reads.
+    pub srcs: Vec<usize>,
+    /// Workspace slot this step writes.
+    pub dst: usize,
+    /// True when `dst` is written for the first time (resident set grows).
+    pub new_slot: bool,
 }
 
 /// A compiled, tape-free forward program for one derived architecture.
@@ -141,7 +191,6 @@ pub struct ExecPlan {
     out_scale: f32,
     out_shift: f32,
     input_len: usize,
-    d_model: usize,
     nodes: usize,
     features: usize,
     /// `input_len · d_model`, overflow-checked once at compile time.
@@ -232,7 +281,7 @@ impl ExecPlan {
                     slot_shapes.push(s);
                     slot_shapes.len() - 1
                 };
-                for (from, to, op) in &block.edges {
+                for (edge, (from, to, op)) in block.edges.iter().enumerate() {
                     if *to != j {
                         continue;
                     }
@@ -263,6 +312,8 @@ impl ExecPlan {
                         src,
                         dst,
                         accumulate: !first,
+                        block: i,
+                        edge,
                     });
                     first = false;
                 }
@@ -289,6 +340,8 @@ impl ExecPlan {
                 a: out_slot,
                 b: input_slot,
                 dst: resid,
+                block: i,
+                merge: false,
             });
             source_slots.push(resid);
             block_out_slots.push(resid);
@@ -297,7 +350,7 @@ impl ExecPlan {
         // Skip-merge: merged = Σ block outputs, folded in block order
         // exactly like the tape forward.
         let mut merged_slot = block_out_slots[0];
-        for &next in &block_out_slots[1..] {
+        for (block, &next) in block_out_slots.iter().enumerate().skip(1) {
             if slot_shapes[next] != slot_shapes[merged_slot] {
                 return Err(PlanError::Mismatch {
                     step: steps.len(),
@@ -312,6 +365,8 @@ impl ExecPlan {
                 a: merged_slot,
                 b: next,
                 dst,
+                block,
+                merge: true,
             });
             merged_slot = dst;
         }
@@ -327,7 +382,6 @@ impl ExecPlan {
             out_scale: spec.out_scale,
             out_shift: spec.out_shift,
             input_len: spec.input_len,
-            d_model: spec.d_model,
             nodes: spec.nodes,
             features: spec.features,
             flat_width,
@@ -362,47 +416,12 @@ impl ExecPlan {
                 cause: "injected plan-execution fault".into(),
             });
         }
-        let mut slots = self.slots.borrow_mut();
-        slots[0] = Some(self.embed.forward(&Eval, x));
-        for step in &self.steps {
-            match step {
-                Step::Op {
-                    op,
-                    src,
-                    dst,
-                    accumulate,
-                } => {
-                    // invariant: compile emits steps in topological order, so
-                    // the source slot of every step is already filled.
-                    let y = op.forward_eval(slots[*src].as_ref().expect("topological order"), &self.ctx);
-                    if *accumulate {
-                        // invariant: accumulate is only set after a first
-                        // non-accumulating write to the same slot.
-                        let acc = slots[*dst].take().expect("first edge wrote the slot");
-                        slots[*dst] = Some(ops::add(&acc, &y));
-                    } else {
-                        slots[*dst] = Some(y);
-                    }
-                }
-                Step::Add { a, b, dst } => {
-                    // invariant: compile emits steps in topological order, so
-                    // both operand slots are already filled.
-                    let left = slots[*a].as_ref().expect("topological order");
-                    let right = slots[*b].as_ref().expect("topological order");
-                    let sum = ops::add(left, right);
-                    slots[*dst] = Some(sum);
-                }
-            }
-        }
-        // invariant: merged_slot is the last slot the step list writes.
-        let merged = slots[self.merged_slot].as_ref().expect("program writes merged slot");
-        let mut y = project(
+        let mut y = self.exec(
             &Eval,
-            &self.output,
-            merged,
-            self.flat_width,
-            self.out_scale,
-            self.out_shift,
+            x,
+            &mut self.slots.borrow_mut(),
+            |op, x| op.forward_eval(x, &self.ctx),
+            |_| {},
         );
         if fault == cts_nn::fault::ServeFault::NanOutput {
             if let Some(v) = y.data_mut().first_mut() {
@@ -434,78 +453,107 @@ impl ExecPlan {
         let _ = self.try_run(&x);
     }
 
-    /// Price one `try_run` at batch size `batch` without executing it,
-    /// walking the compiled step list through the per-op `OpKind::cost`
-    /// contract (embedding and projection epilogue included).
-    ///
-    /// The `flops`/`bytes`/`kernel_calls` fields are exact against the
-    /// instrumented kernel meter for the same batch; `scratch_bytes` is an
-    /// arena-aligned upper bound. Pure metadata — no tensors touched.
-    pub fn static_cost(&self, batch: usize) -> OpCost {
-        let cctx = CostCtx {
-            batch,
-            nodes: self.nodes,
-            width: self.d_model,
-            graph_nodes: Some(self.nodes),
-            gcn_k: self.ctx.k(),
-            adaptive: self.ctx.has_adaptive(),
-            adaptive_emb: self.ctx.adaptive_emb_dim().unwrap_or(0),
-        };
-        let l_elems = [batch, self.nodes, self.input_len, self.d_model]
-            .iter()
-            .fold(1u64, |acc, &d| acc.saturating_mul(d as u64));
-        let rows = (batch as u64)
-            .saturating_mul(self.nodes as u64)
-            .saturating_mul(self.input_len as u64);
-
-        // Embedding: Linear(features → d_model) over B·N·T positions.
-        let mut embed = Trace::new();
-        embed.linear(rows, self.features as u64, self.d_model as u64, true);
-        let mut total = embed.finish();
-        total.param_count = (self.features as u64)
-            .saturating_mul(self.d_model as u64)
-            .saturating_add(self.d_model as u64);
-
+    /// The forward on backend `be`: the embedding of `x`, every step in
+    /// emission order, then the head. `apply` runs one operator on `be`
+    /// and `done` sees each stage as it finishes. `slots` is the
+    /// workspace, one cell per slot.
+    fn exec<B: Backend>(
+        &self,
+        be: &B,
+        x: &B::V,
+        slots: &mut [Option<B::V>],
+        apply: impl Fn(&dyn StOperator, &B::V) -> B::V,
+        mut done: impl FnMut(Stage<'_>),
+    ) -> B::V {
+        slots[0] = Some(self.embed.forward(be, x));
+        done(Stage::Embed);
         for step in &self.steps {
             match step {
                 Step::Op {
                     op,
                     src,
+                    dst,
                     accumulate,
                     ..
                 } => {
-                    let c = op
-                        .kind()
-                        // invariant: compile ran infer_shape on this exact slot list
-                        .cost(&self.slot_shapes[*src], &cctx)
-                        .expect("compile validated every step shape");
-                    total = total.saturating_add(&c);
+                    // invariant: compile emits steps in topological order, so
+                    // the source slot of every step is already filled.
+                    let y = apply(op.as_ref(), slots[*src].as_ref().expect("topological order"));
                     if *accumulate {
-                        let mut fold = Trace::new();
-                        fold.zip_same(l_elems);
-                        total = total.saturating_add(&fold.finish());
+                        // invariant: accumulate is only set after a first
+                        // non-accumulating write to the same slot.
+                        let acc = slots[*dst].take().expect("first edge wrote the slot");
+                        slots[*dst] = Some(be.add(&acc, &y));
+                    } else {
+                        slots[*dst] = Some(y);
                     }
                 }
-                Step::Add { .. } => {
-                    let mut add = Trace::new();
-                    add.zip_same(l_elems);
-                    total = total.saturating_add(&add.finish());
+                Step::Add { a, b, dst, .. } => {
+                    // invariant: compile emits steps in topological order, so
+                    // both operand slots are already filled.
+                    let left = slots[*a].as_ref().expect("topological order");
+                    let right = slots[*b].as_ref().expect("topological order");
+                    let sum = be.add(left, right);
+                    slots[*dst] = Some(sum);
                 }
             }
+            done(Stage::Step(step));
         }
+        // invariant: merged_slot is the last slot the step list writes.
+        let merged = slots[self.merged_slot].as_ref().expect("program writes merged slot");
+        let y = project(
+            be,
+            &self.output,
+            merged,
+            self.flat_width,
+            self.out_scale,
+            self.out_shift,
+        );
+        done(Stage::Head);
+        y
+    }
 
-        // Projection epilogue: relu → flatten (free) → output → affine.
-        let bn = (batch as u64).saturating_mul(self.nodes as u64);
-        let q = self.output.d_out() as u64;
-        let bnq = bn.saturating_mul(q);
-        let mut epi = Trace::new();
-        epi.unary(l_elems); // relu
-        epi.linear(bn, self.flat_width as u64, q, true);
-        epi.unary(bnq); // scale
-        epi.unary(bnq); // add_scalar
-        let mut epi_cost = epi.finish();
-        epi_cost.param_count = (self.flat_width as u64).saturating_mul(q).saturating_add(q);
-        total.saturating_add(&epi_cost)
+    /// Price one `try_run` at batch size `batch`, stage by stage, by
+    /// running the same forward on [`Price`]: no kernel executes.
+    ///
+    /// The `flops`/`bytes`/`kernel_calls` fields are exact against the
+    /// instrumented kernel meter for the same batch; `scratch_bytes` is an
+    /// arena-aligned upper bound.
+    pub fn step_costs(&self, batch: usize) -> Vec<StepCost> {
+        let be = Price::new();
+        let x = be.input(&[batch, self.nodes, self.input_len, self.features]);
+        let mut slots: Vec<Option<Priced>> = (0..self.slot_shapes.len()).map(|_| None).collect();
+        let mut costs = Vec::with_capacity(self.steps.len().saturating_add(2));
+        let apply = |op: &dyn StOperator, x: &Priced| op.forward_price(&be, x, &self.ctx);
+        self.exec(&be, &x, &mut slots, apply, |stage| {
+            let (site, kind, srcs, dst, new_slot, params) = match stage {
+                Stage::Embed => ("embed".into(), None, vec![], 0, true, self.embed.parameters()),
+                Stage::Step(step @ Step::Op { op, src, dst, accumulate, .. }) => {
+                    (step.site(), Some(op.kind()), vec![*src], *dst, !accumulate, op.parameters())
+                }
+                Stage::Step(step @ Step::Add { a, b, dst, .. }) => {
+                    (step.site(), None, vec![*a, *b], *dst, true, Vec::new())
+                }
+                Stage::Head => {
+                    let m = self.merged_slot;
+                    ("output head".into(), None, vec![m], m, false, self.output.parameters())
+                }
+            };
+            let cost = OpCost {
+                param_count: count_parameters(&params) as u64,
+                ..be.take()
+            };
+            costs.push(StepCost { site, kind, cost, srcs, dst, new_slot });
+        });
+        costs
+    }
+
+    /// Price one `try_run` at batch size `batch`: the sum of
+    /// [`Self::step_costs`].
+    pub fn static_cost(&self, batch: usize) -> OpCost {
+        self.step_costs(batch)
+            .iter()
+            .fold(OpCost::default(), |acc, s| acc.saturating_add(&s.cost))
     }
 
     /// Number of records in the flat program (diagnostics / reports).

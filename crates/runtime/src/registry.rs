@@ -5,7 +5,6 @@
 use crate::error::ServeError;
 use crate::ExecPlan;
 use cts_obs::serve as counters;
-use cts_ops::OpCost;
 use cts_tensor::Tensor;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -18,9 +17,6 @@ use std::rc::Rc;
 #[derive(Default)]
 pub struct PlanRegistry {
     plans: HashMap<String, Rc<ExecPlan>>,
-    /// Static per-forward cost at the admission probe's batch size,
-    /// recorded by [`PlanRegistry::admit`] for capacity reports.
-    costs: HashMap<String, OpCost>,
 }
 
 impl PlanRegistry {
@@ -32,10 +28,7 @@ impl PlanRegistry {
     /// Register (or replace) a plan under `id`; returns the plan it
     /// displaced, if any.
     pub fn insert(&mut self, id: impl Into<String>, plan: Rc<ExecPlan>) -> Option<Rc<ExecPlan>> {
-        let id = id.into();
-        // Un-gated inserts carry no probe, so no admission-time cost.
-        self.costs.remove(&id);
-        self.plans.insert(id, plan)
+        self.plans.insert(id.into(), plan)
     }
 
     /// Canary-gated registration: run `plan` on a probe window and admit
@@ -80,8 +73,6 @@ impl PlanRegistry {
             )));
         }
         counters::record_canary_pass();
-        self.costs
-            .insert(id.clone(), plan.static_cost(probe.shape()[0]));
         Ok(self.plans.insert(id, plan))
     }
 
@@ -90,15 +81,8 @@ impl PlanRegistry {
         self.plans.get(id).cloned()
     }
 
-    /// The static per-forward cost recorded when `id` was admitted (at the
-    /// admission probe's batch size). `None` for un-gated inserts.
-    pub fn static_cost(&self, id: &str) -> Option<&OpCost> {
-        self.costs.get(id)
-    }
-
     /// Remove a plan, returning it if it was registered.
     pub fn remove(&mut self, id: &str) -> Option<Rc<ExecPlan>> {
-        self.costs.remove(id);
         self.plans.remove(id)
     }
 
@@ -166,10 +150,6 @@ mod tests {
             .admit("m", Rc::clone(&good), &probe, &reference, 1e-6)
             .unwrap();
         assert!(registry.get("m").is_some());
-        // Admission records the plan's static price at the probe batch.
-        let cost = registry.static_cost("m").expect("cost recorded");
-        assert_eq!(*cost, good.static_cost(1));
-        assert!(cost.flops > 0);
         // A diverging plan is rejected and the good plan keeps serving.
         let err = match registry.admit("m", Rc::clone(&imposter), &probe, &reference, 1e-6) {
             Err(e) => e,

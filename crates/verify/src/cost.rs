@@ -1,14 +1,14 @@
 //! Whole-architecture static resource analysis: FLOPs, bytes, peak arena
 //! residency, and predicted latency for a candidate genotype — without
-//! building or running a model.
+//! training a model or executing a kernel.
 //!
-//! [`analyze_cost`] replays the exact step-emission order of
-//! `cts_runtime::ExecPlan::compile` (embedding, per-block edges in genotype
-//! order with accumulate folds, block residual, skip merge, projection
-//! epilogue), pricing each step through the per-op [`OpKind::cost`]
-//! contract. The per-step `flops`/`bytes` are **exact** against the
+//! [`analyze_cost`] compiles the `cts_runtime::ExecPlan` a genotype would
+//! serve with and prices its steps by running them on the symbolic
+//! `cts_nn::Price` backend, so the program's step order is the plan
+//! compiler's and each kernel's price is `Price`'s: neither is replayed
+//! here. The per-step `flops`/`bytes` are **exact** against the
 //! instrumented kernel meter; two peak-memory estimates come out of the
-//! same walk:
+//! priced steps:
 //!
 //! * `peak_bytes` — *plan-faithful*: workspace slots fill in emission order
 //!   and are never freed mid-run (matching `ExecPlan`'s persistent slots),
@@ -36,27 +36,11 @@ use crate::check_genotype;
 use crate::finding::{FindingKind, VerifyReport};
 use crate::spec::ArchSpec;
 use crate::VerifyError;
-use cts_ops::{arena_bytes, CostCtx, OpCost, OpKind, ShapeIssue, Trace};
-use cts_tensor::sym::SymDim;
-
-/// One priced record of the flat forward program.
-#[derive(Clone, Debug)]
-pub struct StepCost {
-    /// Where: `"embed"`, `"block0.e2"`, `"block1 residual"`,
-    /// `"merge block2"`, `"output head"`.
-    pub site: String,
-    /// The operator kind, for op-edge steps.
-    pub kind: Option<OpKind>,
-    /// Exact flops/bytes plus scratch upper bound for this step (edge steps
-    /// that accumulate into an already-written node include the fold add).
-    pub cost: OpCost,
-    /// Workspace slots this step reads.
-    pub srcs: Vec<usize>,
-    /// Workspace slot this step writes.
-    pub dst: usize,
-    /// True when `dst` is written for the first time (resident set grows).
-    pub new_slot: bool,
-}
+use cts_nn::{arena_bytes, Linear, OpCost};
+use cts_ops::{build_operator, GraphContext, OpKind, ShapeIssue, StOperator};
+use cts_runtime::{BlockPlan, ExecPlan, PlanError, PlanSpec, StepCost};
+use rand::{rngs::SmallRng, SeedableRng};
+use std::rc::Rc;
 
 /// The priced architecture: per-step costs, totals, and both peak models.
 #[derive(Clone, Debug)]
@@ -231,181 +215,89 @@ fn issue_kind(issue: &ShapeIssue) -> FindingKind {
     }
 }
 
+/// The plan [`analyze_cost`] prices: the genotype compiled as it would be
+/// served, with one fixed-seed operator instance per kind shared by every
+/// edge of that kind (pricing reads only weight shapes), on a context of
+/// zero supports over `N` nodes (`N` = 1 when unbound).
+fn pricing_plan(spec: &ArchSpec) -> Result<ExecPlan, PlanError> {
+    let dims = &spec.dims;
+    let nodes = dims.num_nodes.unwrap_or(1);
+    let mut rng = SmallRng::seed_from_u64(0);
+    let mut ctx = GraphContext::zeroed(nodes, dims.gcn_k);
+    if dims.adaptive {
+        ctx = ctx.with_adaptive(&mut rng, dims.adaptive_emb);
+    }
+    let mut instances: Vec<(OpKind, Rc<dyn StOperator>)> = Vec::new();
+    let mut instance = |kind: OpKind| -> Rc<dyn StOperator> {
+        if let Some((_, op)) = instances.iter().find(|(k, _)| *k == kind) {
+            return Rc::clone(op);
+        }
+        let op: Rc<dyn StOperator> =
+            Rc::from(build_operator(&mut rng, kind, kind.label(), dims.d_model, dims.gcn_k, dims.adaptive));
+        instances.push((kind, Rc::clone(&op)));
+        op
+    };
+    let blocks = spec
+        .blocks
+        .iter()
+        .map(|b| BlockPlan {
+            m: b.m,
+            edges: b.edges.iter().map(|&(from, to, kind)| (from, to, instance(kind))).collect(),
+        })
+        .collect();
+    let flat_width = dims.input_len.saturating_mul(dims.d_model);
+    ExecPlan::compile(PlanSpec {
+        embed: Rc::new(Linear::new(&mut rng, "embed", dims.features, dims.d_model, true)),
+        output: Rc::new(Linear::new(&mut rng, "output", flat_width, dims.horizon, true)),
+        ctx: Rc::new(ctx),
+        blocks,
+        backbone: spec.backbone.clone(),
+        out_scale: 1.0,
+        out_shift: 0.0,
+        input_len: dims.input_len,
+        d_model: dims.d_model,
+        nodes,
+        features: dims.features,
+    })
+}
+
+/// A plan the compiler refused, as a verifier error.
+fn refusal(err: &PlanError) -> VerifyError {
+    let (kind, site) = match err {
+        PlanError::Shape { step, issue, .. } => (issue_kind(issue), format!("step{step}")),
+        PlanError::Mismatch { step, .. } => (FindingKind::BroadcastMismatch, format!("step{step}")),
+        PlanError::Invalid(_) => (FindingKind::MalformedBlock, "model".to_string()),
+    };
+    let mut report = VerifyReport::default();
+    report.error(kind, site, format!("the architecture cannot be priced: {err}"));
+    VerifyError { report }
+}
+
 /// Price a validated architecture for batch size `batch`.
 ///
-/// The walk mirrors `ExecPlan::compile`'s emission order exactly, so the
-/// per-step flops/bytes match what the instrumented meter observes during
-/// one `ExecPlan::try_run` of the same genotype, bit for bit. When
-/// `dims.num_nodes` is `None` the node dim prices as 1 — callers that want
-/// node-count scaling must bind it.
+/// The steps are those of the `ExecPlan` the genotype compiles to, priced
+/// on `cts_nn::Price`, so the per-step flops/bytes match what the
+/// instrumented meter observes during one `ExecPlan::try_run` of the same
+/// genotype, bit for bit. When `dims.num_nodes` is `None` the node dim
+/// prices as 1 — callers that want node-count scaling must bind it.
 ///
 /// # Errors
 /// [`VerifyError`] when the genotype fails validation ([`check_genotype`])
-/// or any edge's cost rule rejects its input shape.
+/// or the plan compiler refuses it.
 pub fn analyze_cost(spec: &ArchSpec, batch: usize) -> Result<CostReport, VerifyError> {
     check_genotype(spec)?;
+    let plan = pricing_plan(spec).map_err(|e| refusal(&e))?;
+    let steps = plan.step_costs(batch);
+    let num_slots = plan.num_slots();
     let dims = &spec.dims;
-    let nodes = dims.num_nodes.unwrap_or(1);
-    let cctx = CostCtx {
-        batch,
-        nodes,
-        width: dims.d_model,
-        graph_nodes: dims.num_nodes,
-        gcn_k: dims.gcn_k,
-        adaptive: dims.adaptive,
-        adaptive_emb: dims.adaptive_emb,
-    };
-    let node_dim = match dims.num_nodes {
-        Some(n) => SymDim::Const(n),
-        None => SymDim::Sym("N"),
-    };
-    let bntd = vec![
-        SymDim::Sym("B"),
-        node_dim,
-        SymDim::Const(dims.input_len),
-        SymDim::Const(dims.d_model),
-    ];
-    let l_elems = [batch, nodes, dims.input_len, dims.d_model]
+    let l_elems = [batch, plan.nodes(), dims.input_len, dims.d_model]
         .iter()
         .fold(1u64, |acc, &d| acc.saturating_mul(d as u64));
     let slot_bytes = arena_bytes(l_elems);
 
-    let mut report = VerifyReport::default();
-    let mut steps: Vec<StepCost> = Vec::new();
-
-    // Slot 0: the embedding output, Linear(features → d_model) over B·N·T.
-    let rows = (batch as u64)
-        .saturating_mul(nodes as u64)
-        .saturating_mul(dims.input_len as u64);
-    let mut tr = Trace::new();
-    tr.linear(rows, dims.features as u64, dims.d_model as u64, true);
-    let mut embed_cost = tr.finish();
-    embed_cost.param_count = (dims.features as u64)
-        .saturating_mul(dims.d_model as u64)
-        .saturating_add(dims.d_model as u64);
-    steps.push(StepCost {
-        site: "embed".into(),
-        kind: None,
-        cost: embed_cost,
-        srcs: Vec::new(),
-        dst: 0,
-        new_slot: true,
-    });
-
-    let mut next_slot = 1usize;
-    let mut source_slots = vec![0usize];
-    let mut block_out_slots = Vec::with_capacity(spec.blocks.len());
-    for (bi, block) in spec.blocks.iter().enumerate() {
-        let input_slot = source_slots[spec.backbone[bi]];
-        let mut node_slots = vec![input_slot];
-        for j in 1..block.m {
-            let dst = next_slot;
-            next_slot = next_slot.saturating_add(1);
-            let mut first = true;
-            for (ei, (from, to, op)) in block.edges.iter().enumerate() {
-                if *to != j {
-                    continue;
-                }
-                let site = format!("block{bi}.e{ei}");
-                match op.cost(&bntd, &cctx) {
-                    Ok(edge_cost) => {
-                        let cost = if first {
-                            edge_cost
-                        } else {
-                            // Accumulate fold: acc = ops::add(acc, y).
-                            let mut fold = Trace::new();
-                            fold.zip_same(l_elems);
-                            edge_cost.saturating_add(&fold.finish())
-                        };
-                        steps.push(StepCost {
-                            site,
-                            kind: Some(*op),
-                            cost,
-                            srcs: vec![node_slots[*from]],
-                            dst,
-                            new_slot: first,
-                        });
-                    }
-                    Err(issue) => {
-                        report.error(
-                            issue_kind(&issue),
-                            site,
-                            format!(
-                                "edge e{ei} ({from}→{to}, {op}) of block{bi} cannot be priced: {issue}"
-                            ),
-                        );
-                    }
-                }
-                first = false;
-            }
-            node_slots.push(dst);
-        }
-        // Block residual: resid = block_out ⊕ block_in.
-        // invariant: check_genotype rejected m < 2 before pricing
-        let out_slot = *node_slots.last().expect("m ≥ 2 checked");
-        let dst = next_slot;
-        next_slot = next_slot.saturating_add(1);
-        let mut resid = Trace::new();
-        resid.zip_same(l_elems);
-        steps.push(StepCost {
-            site: format!("block{bi} residual"),
-            kind: None,
-            cost: resid.finish(),
-            srcs: vec![out_slot, input_slot],
-            dst,
-            new_slot: true,
-        });
-        source_slots.push(dst);
-        block_out_slots.push(dst);
-    }
-
-    // Skip-merge fold over block outputs, in block order.
-    let mut merged = block_out_slots[0];
-    for (bi, &next) in block_out_slots.iter().enumerate().skip(1) {
-        let dst = next_slot;
-        next_slot = next_slot.saturating_add(1);
-        let mut fold = Trace::new();
-        fold.zip_same(l_elems);
-        steps.push(StepCost {
-            site: format!("merge block{bi}"),
-            kind: None,
-            cost: fold.finish(),
-            srcs: vec![merged, next],
-            dst,
-            new_slot: true,
-        });
-        merged = dst;
-    }
-
-    // Projection epilogue: relu → flatten → output linear → affine.
-    let bn = (batch as u64).saturating_mul(nodes as u64);
-    let bnq = bn.saturating_mul(dims.horizon as u64);
-    let flat_width = (dims.input_len as u64).saturating_mul(dims.d_model as u64);
-    let mut epi = Trace::new();
-    epi.unary(l_elems); // relu (reshaped view is free)
-    epi.linear(bn, flat_width, dims.horizon as u64, true);
-    epi.unary(bnq); // scale
-    epi.unary(bnq); // add_scalar
-    let mut epi_cost = epi.finish();
-    epi_cost.param_count = flat_width
-        .saturating_mul(dims.horizon as u64)
-        .saturating_add(dims.horizon as u64);
-    steps.push(StepCost {
-        site: "output head".into(),
-        kind: None,
-        cost: epi_cost,
-        srcs: vec![merged],
-        dst: merged,
-        new_slot: false,
-    });
-
-    if !report.is_ok() {
-        return Err(VerifyError { report });
-    }
-
     // Plan-faithful peak: slots persist once filled; each step's transient
     // scratch rides on top of the resident set at that moment.
-    let mut filled = vec![false; next_slot];
+    let mut filled = vec![false; num_slots];
     let mut resident = 0u64;
     let mut peak = 0u64;
     let mut peak_site = String::new();
@@ -422,13 +314,13 @@ pub fn analyze_cost(spec: &ArchSpec, batch: usize) -> Result<CostReport, VerifyE
     }
 
     // Ideal liveness-interval peak: free every slot after its last read.
-    let mut last_use = vec![usize::MAX; next_slot];
+    let mut last_use = vec![usize::MAX; num_slots];
     for (i, s) in steps.iter().enumerate() {
         for &src in &s.srcs {
             last_use[src] = i;
         }
     }
-    let mut live = vec![false; next_slot];
+    let mut live = vec![false; num_slots];
     let mut live_bytes = 0u64;
     let mut ideal = 0u64;
     for (i, s) in steps.iter().enumerate() {
@@ -455,7 +347,7 @@ pub fn analyze_cost(spec: &ArchSpec, batch: usize) -> Result<CostReport, VerifyE
         steps,
         total,
         slot_bytes,
-        num_slots: next_slot,
+        num_slots,
         peak_bytes: peak,
         peak_site,
         ideal_peak_bytes: ideal,

@@ -30,6 +30,12 @@ echo "==> static analyzer sweep over the discrete space"
 # positive/negative exits non-zero.
 ./target/release/verify_space
 
+echo "==> static pricing at 1000 nodes"
+# cost_scaling prices every operator family at N = 100, 300 and 1000 — the
+# only caller that prices at graph sizes where building the pricing
+# context matters — and exits non-zero if the analyzer refuses one.
+./target/release/cost_scaling
+
 echo "==> static cost model gate"
 # bench_cost prices every operator family statically and re-counts it
 # under the kernel meter: flops/bytes must match bit for bit, the

@@ -32,9 +32,11 @@
 #      must map to `ServeError::ShardDown`/`FrontClosed`, never be
 #      unwrapped or expected (a worker dying is an operational event,
 #      not an invariant the sender controls).
-#   7. The cost model (`crates/verify/src/cost.rs`) and the plan compiler
-#      (`crates/runtime/src/plan.rs`) size buffers in u64/usize; bare
-#      ` * ` / ` + ` there must be `checked_*`/`saturating_*` instead —
+#   7. The cost model (`crates/verify/src/cost.rs`), the kernel price
+#      rules of the `Price` backend (`crates/nn/src/price.rs`) and the
+#      plan compiler (`crates/runtime/src/plan.rs`) size buffers in
+#      u64/usize; bare ` * ` / ` + ` there must be
+#      `checked_*`/`saturating_*` instead —
 #      an overflow in a size computation silently prices a genotype
 #      wrong. Float lines are exempt when marked `f32`/`f64` on the
 #      line (comment counts).
@@ -76,7 +78,8 @@ while IFS= read -r f; do
                 printf "%s:%d: Instant outside cts-obs/cts-bench (use cts_obs timers)\n", FILENAME, NR
             if (FILENAME ~ /^crates\/runtime\/src\// && line ~ /cts_autograd/)
                 printf "%s:%d: cts_autograd referenced inside cts-runtime (plans are tape-free)\n", FILENAME, NR
-            if ((FILENAME ~ /crates\/verify\/src\/cost\.rs$/ || FILENAME ~ /crates\/runtime\/src\/plan\.rs$/) \
+            if ((FILENAME ~ /crates\/verify\/src\/cost\.rs$/ || FILENAME ~ /crates\/nn\/src\/price\.rs$/ \
+                 || FILENAME ~ /crates\/runtime\/src\/plan\.rs$/) \
                 && $0 !~ /f32|f64/ && line ~ / \* | \+ /)
                 printf "%s:%d: bare size arithmetic in cost model (use checked_/saturating_, or mark f64)\n", FILENAME, NR
             if (FILENAME ~ /^crates\/(runtime|serve)\/src\// \

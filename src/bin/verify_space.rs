@@ -6,7 +6,7 @@
 //! every macro backbone at B = 2, the sweep:
 //!
 //! 1. runs `cts-verify` pre-flight (shape inference + gradient
-//!    reachability + structure) — no tensors allocated;
+//!    reachability + structure) — no kernel executed;
 //! 2. smoke-trains every *accepted* candidate for one step,
 //!    cross-checks the static edge-liveness verdict against the autograd
 //!    tape (`Tape::reachable_params`) and the actual gradients, and

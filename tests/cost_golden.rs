@@ -10,9 +10,9 @@
 //! Each row reads `label flops bytes_read bytes_written param_count
 //! kernel_calls dense_flops scratch_bytes`.
 
-use cts_ops::{full_set, CostCtx, OpCost};
-use cts_tensor::sym::SymDim;
-use cts_verify::{analyze_cost, ArchSpec, BlockSpec, ModelDims, OpKind};
+use cts_ops::{build_operator, full_set, GraphContext};
+use cts_verify::{analyze_cost, ArchSpec, BlockSpec, ModelDims, OpCost, OpKind};
+use rand::{rngs::SmallRng, SeedableRng};
 
 fn row(label: &str, c: &OpCost) -> String {
     format!(
@@ -67,20 +67,17 @@ const OP_COSTS: &str = "
 #[test]
 fn every_kind_prices_to_its_golden_cost() {
     let (b, n, t, d, k) = (2usize, 5usize, 12usize, 6usize, 2usize);
+    let mut rng = SmallRng::seed_from_u64(0);
     let mut got = Vec::new();
     for adaptive in [false, true] {
-        let cctx = CostCtx {
-            batch: b,
-            nodes: n,
-            width: d,
-            graph_nodes: Some(n),
-            gcn_k: k,
-            adaptive,
-            adaptive_emb: 4,
+        let ctx = if adaptive {
+            GraphContext::zeroed(n, k).with_adaptive(&mut rng, 4)
+        } else {
+            GraphContext::zeroed(n, k)
         };
-        let input = [SymDim::Sym("B"), SymDim::Const(n), SymDim::Const(t), SymDim::Const(d)];
         for kind in full_set() {
-            let cost = kind.cost(&input, &cctx).expect("bntd input prices");
+            let op = build_operator(&mut rng, kind, "op", d, k, adaptive);
+            let cost = op.cost(&[b, n, t, d], &ctx);
             got.push(row(&format!("{}/{}", kind.label(), u8::from(adaptive)), &cost));
         }
     }

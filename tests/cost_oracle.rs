@@ -2,15 +2,19 @@
 //!
 //! The analyzer (`cts_verify::analyze_cost`) and the compiled plan
 //! (`ExecPlan::static_cost`) both claim to price a genotype's forward
-//! **exactly** — not approximately. This suite holds them to it across
-//! randomized accepted genotypes:
+//! **exactly** — not approximately. Both run the plan's one step walk on
+//! the symbolic `cts_nn::Price` backend. This suite holds them to it
+//! across randomized accepted genotypes over the full operator set:
 //!
 //! 1. the plan's static FLOPs / bytes-read / bytes-written /
 //!    kernel-call counts must match the `cts_tensor::meter` debug
 //!    instrumentation, bit for bit, around a real `try_run`;
-//! 2. the analyzer's rollup must agree with the plan's — same totals
-//!    from two independent walks (symbolic spec vs compiled steps);
-//! 3. the analyzer's plan-faithful peak-bytes estimate must be `≥` the
+//! 2. the analyzer's rollup must agree with the plan's: the analyzer
+//!    compiles its own plan from the symbolic spec (fresh operator
+//!    instances, zero graph supports), the plan prices the model's;
+//! 3. pricing executes no kernel: the meter records nothing while either
+//!    side prices;
+//! 4. the analyzer's plan-faithful peak-bytes estimate must be `≥` the
 //!    arena's observed high-water mark for the same run (soundness),
 //!    and its ideal-liveness peak must never exceed the plan-faithful
 //!    one.
@@ -22,7 +26,7 @@
 use autocts::preflight::arch_spec;
 use autocts::{BlockGenotype, DerivedModel, Genotype, SearchConfig};
 use cts_data::{batches_from_windows, build_windows, generate, CtsData, DatasetSpec, SplitWindows};
-use cts_ops::compact_set;
+use cts_ops::full_set;
 use cts_tensor::{arena, meter};
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -48,10 +52,10 @@ thread_local! {
     };
 }
 
-/// Sample genotypes until the analyzer accepts one (the compact set
-/// accepts ~72% of assignments, so a handful of draws suffices).
+/// Sample genotypes over the full Table 1 set until the analyzer accepts
+/// one (a handful of draws suffices).
 fn accepted_genotype(rng: &mut SmallRng, cfg: &SearchConfig, spec: &DatasetSpec, data: &CtsData) -> Genotype {
-    let ops = compact_set();
+    let ops = full_set();
     for _ in 0..256 {
         let block = BlockGenotype {
             m: 3,
@@ -70,7 +74,7 @@ fn accepted_genotype(rng: &mut SmallRng, cfg: &SearchConfig, spec: &DatasetSpec,
             return genotype;
         }
     }
-    unreachable!("256 draws from the compact set produced no accepted genotype");
+    unreachable!("256 draws from the full set produced no accepted genotype");
 }
 
 proptest! {
@@ -91,12 +95,20 @@ proptest! {
             let model =
                 DerivedModel::new(&mut rng, cfg, &genotype, spec, &data.graph, &windows.scaler);
             let plan = model.compiled_plan().expect("accepted genotypes compile");
-            let static_cost = plan.static_cost(batch);
 
-            // Independent rollup from the symbolic spec must agree with
-            // the walk over compiled steps.
+            // The analyzer's rollup from the symbolic spec must agree with
+            // the model's compiled plan, and neither prices by running a
+            // kernel.
             let arch = arch_spec(cfg, &genotype, spec, &data.graph);
-            let report = cts_verify::analyze_cost(&arch, batch).expect("accepted genotypes price");
+            meter::reset();
+            meter::set_enabled(true);
+            let static_cost = plan.static_cost(batch);
+            let report = cts_verify::analyze_cost(&arch, batch);
+            meter::set_enabled(false);
+            let pricing = meter::snapshot();
+            prop_assert_eq!(pricing.flops, 0, "pricing ran kernels for {}", genotype.to_text());
+            prop_assert_eq!(pricing.kernel_calls, 0, "pricing ran kernels for {}", genotype.to_text());
+            let report = report.expect("accepted genotypes price");
             prop_assert_eq!(
                 report.total, static_cost,
                 "analyzer rollup disagrees with ExecPlan::static_cost for {}",
