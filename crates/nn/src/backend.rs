@@ -42,7 +42,14 @@ pub trait Backend {
     /// Pick the `u` most active queries of ProbSparse attention into `sel`
     /// (sorted ascending; `idx` is scratch), by the max-mean measurement of
     /// `q·kᵀ` on the raw values: nothing is recorded and no gradient flows.
-    fn top_queries(&self, q: &Self::V, k: &Self::V, u: usize, idx: &mut Vec<usize>, sel: &mut Vec<usize>);
+    fn top_queries(
+        &self,
+        q: &Self::V,
+        k: &Self::V,
+        u: usize,
+        idx: &mut Vec<usize>,
+        sel: &mut Vec<usize>,
+    );
 
     /// `a + b` (broadcasting).
     fn add(&self, a: &Self::V, b: &Self::V) -> Self::V;
@@ -161,7 +168,14 @@ impl Backend for Tape {
         x.shape()
     }
 
-    fn top_queries(&self, q: &Var, k: &Var, u: usize, idx: &mut Vec<usize>, sel: &mut Vec<usize>) {
+    fn top_queries(
+        &self,
+        q: &Var,
+        k: &Var,
+        u: usize,
+        idx: &mut Vec<usize>,
+        sel: &mut Vec<usize>,
+    ) {
         q.with_value(|q| k.with_value(|k| top_queries(&Eval, q, k, u, idx, sel)));
     }
 
@@ -228,7 +242,14 @@ impl Backend for Eval {
         Shape::from_slice(x.shape())
     }
 
-    fn top_queries(&self, q: &Tensor, k: &Tensor, u: usize, idx: &mut Vec<usize>, sel: &mut Vec<usize>) {
+    fn top_queries(
+        &self,
+        q: &Tensor,
+        k: &Tensor,
+        u: usize,
+        idx: &mut Vec<usize>,
+        sel: &mut Vec<usize>,
+    ) {
         top_queries(self, q, k, u, idx, sel);
     }
 

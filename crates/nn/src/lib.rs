@@ -32,7 +32,7 @@ pub use attention::{
     prob_sparse_attention, prob_sparse_u, scaled_dot_attention, AttentionKind, AttentionLayer,
 };
 pub use backend::{Backend, Eval, Leaf};
-pub use price::{arena_bytes, OpCost, Price, Priced, BYTES_PER_ELEM};
+pub use price::{arena_bytes, OpCost, Price, Priced};
 pub use conv::{GatedTemporalConv, TemporalConvLayer};
 pub use linear::Linear;
 pub use loss::{l1_loss, masked_mae_loss, masked_mse_loss, mse_loss, LossKind};

@@ -35,7 +35,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 /// Every tensor element is an `f32`.
-pub const BYTES_PER_ELEM: u64 = 4;
+const BYTES_PER_ELEM: u64 = 4;
 
 /// Static resource price of one forward (or any composition of kernel
 /// invocations — costs add).
@@ -73,11 +73,6 @@ impl OpCost {
         }
     }
 
-    /// Total bytes moved (read + written).
-    pub fn bytes_total(&self) -> u64 {
-        self.bytes_read.saturating_add(self.bytes_written)
-    }
-
     /// One arena allocation of `elems` elements.
     fn alloc(&mut self, elems: u64) {
         self.scratch_bytes = self.scratch_bytes.saturating_add(arena_bytes(elems));
@@ -110,7 +105,8 @@ pub fn arena_bytes(elems: u64) -> u64 {
 
 /// Saturating element count of `dims`.
 fn elems(dims: &[usize]) -> u64 {
-    dims.iter().fold(1u64, |acc, &d| acc.saturating_mul(d as u64))
+    dims.iter()
+        .fold(1u64, |acc, &d| acc.saturating_mul(d as u64))
 }
 
 /// The pricing backend. Values are [`Priced`] shapes; every op adds its
@@ -212,7 +208,13 @@ impl Price {
         if keepdim {
             out[axis] = 1;
         } else {
-            out = x.shape.iter().enumerate().filter(|&(i, _)| i != axis).map(|(_, &d)| d).collect();
+            out = x
+                .shape
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i != axis)
+                .map(|(_, &d)| d)
+                .collect();
         }
         let (n, kept) = (x.len(), elems(&out));
         self.charge(|c| c.kernel(n, n, kept));
@@ -241,7 +243,14 @@ impl Backend for Price {
         x.shape.clone()
     }
 
-    fn top_queries(&self, q: &Priced, k: &Priced, u: usize, idx: &mut Vec<usize>, sel: &mut Vec<usize>) {
+    fn top_queries(
+        &self,
+        q: &Priced,
+        k: &Priced,
+        u: usize,
+        idx: &mut Vec<usize>,
+        sel: &mut Vec<usize>,
+    ) {
         crate::attention::top_queries(self, q, k, u, idx, sel);
     }
 
@@ -372,7 +381,9 @@ impl Backend for Price {
 
     fn concat(&self, parts: &[&Priced], axis: usize) -> Priced {
         let mut out = parts[0].shape.clone();
-        out[axis] = parts.iter().fold(0usize, |acc, p| acc.saturating_add(p.shape[axis]));
+        out[axis] = parts
+            .iter()
+            .fold(0usize, |acc, p| acc.saturating_add(p.shape[axis]));
         self.moved(out)
     }
 }

@@ -232,8 +232,9 @@ fn pricing_plan(spec: &ArchSpec) -> Result<ExecPlan, PlanError> {
         if let Some((_, op)) = instances.iter().find(|(k, _)| *k == kind) {
             return Rc::clone(op);
         }
+        let (d, k) = (dims.d_model, dims.gcn_k);
         let op: Rc<dyn StOperator> =
-            Rc::from(build_operator(&mut rng, kind, kind.label(), dims.d_model, dims.gcn_k, dims.adaptive));
+            Rc::from(build_operator(&mut rng, kind, kind.label(), d, k, dims.adaptive));
         instances.push((kind, Rc::clone(&op)));
         op
     };

@@ -28,7 +28,11 @@ fn row(label: &str, c: &OpCost) -> String {
 }
 
 fn assert_rows(got: &[String], want: &str) {
-    let want: Vec<&str> = want.lines().map(str::trim).filter(|l| !l.is_empty()).collect();
+    let want: Vec<&str> = want
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty())
+        .collect();
     assert_eq!(got.len(), want.len(), "row count\n{}", got.join("\n"));
     for (g, w) in got.iter().zip(&want) {
         assert_eq!(g, w, "\nfull table:\n{}", got.join("\n"));
@@ -78,7 +82,10 @@ fn every_kind_prices_to_its_golden_cost() {
         for kind in full_set() {
             let op = build_operator(&mut rng, kind, "op", d, k, adaptive);
             let cost = op.cost(&[b, n, t, d], &ctx);
-            got.push(row(&format!("{}/{}", kind.label(), u8::from(adaptive)), &cost));
+            got.push(row(
+                &format!("{}/{}", kind.label(), u8::from(adaptive)),
+                &cost,
+            ));
         }
     }
     assert_rows(&got, OP_COSTS);
@@ -146,7 +153,11 @@ const REPORT_SUMMARY: &str = "
 #[test]
 fn every_kind_architecture_reports_its_golden_cost() {
     let report = analyze_cost(&every_kind_arch(), 2).expect("architecture prices");
-    let steps: Vec<String> = report.steps.iter().map(|s| row(&s.site.replace(' ', "_"), &s.cost)).collect();
+    let steps: Vec<String> = report
+        .steps
+        .iter()
+        .map(|s| row(&s.site.replace(' ', "_"), &s.cost))
+        .collect();
     assert_rows(&steps, REPORT_STEPS);
     let summary = vec![
         row("total", &report.total),

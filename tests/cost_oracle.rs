@@ -106,8 +106,9 @@ proptest! {
             let report = cts_verify::analyze_cost(&arch, batch);
             meter::set_enabled(false);
             let pricing = meter::snapshot();
-            prop_assert_eq!(pricing.flops, 0, "pricing ran kernels for {}", genotype.to_text());
-            prop_assert_eq!(pricing.kernel_calls, 0, "pricing ran kernels for {}", genotype.to_text());
+            let at = genotype.to_text();
+            prop_assert_eq!(pricing.flops, 0, "pricing ran kernels for {}", at);
+            prop_assert_eq!(pricing.kernel_calls, 0, "pricing ran kernels for {}", at);
             let report = report.expect("accepted genotypes price");
             prop_assert_eq!(
                 report.total, static_cost,
