@@ -7,7 +7,7 @@
 //! the analyzer accepts the genotype), compiled to a tape-free
 //! `ExecPlan`, and then priced twice:
 //!
-//! - **statically** by `cts_verify::analyze_cost`, which never executes
+//! - **statically** by `autocts::preflight::analyze_cost`, which never executes
 //!   a kernel, and
 //! - **dynamically** by running the plan under the `cts_tensor::meter`
 //!   instrumentation and a wall-clock timer.
@@ -28,7 +28,7 @@
 //! excluded). Probe-calibration drift beyond 10x is `verify_space`'s
 //! alarm, not this gate's.
 
-use autocts::preflight::arch_spec;
+use autocts::preflight::{analyze_cost, arch_spec};
 use autocts::{BlockGenotype, DerivedModel, Genotype, SearchConfig};
 use cts_data::{batches_from_windows, build_windows, generate, DatasetSpec};
 use cts_ops::{full_set, OpKind};
@@ -154,7 +154,7 @@ fn main() {
         let static_cost = plan.static_cost(batch);
         let arch = arch_spec(&cfg, &genotype, &spec, &data.graph);
         // invariant: the same accepted spec priced fine via the plan walk above
-        let report = cts_verify::analyze_cost(&arch, batch).expect("accepted genotypes price");
+        let report = analyze_cost(&arch, batch).expect("accepted genotypes price");
         assert_eq!(report.total, static_cost, "analyzer disagrees with plan walk");
 
         // Exactness: one instrumented forward against the static counts.

@@ -62,7 +62,7 @@ pub struct SearchConfig {
     pub cost_penalty: f32,
     /// Static-cost budget: reject any genotype whose most expensive single
     /// analyzer step exceeds this many FLOPs at `batch_size` (None
-    /// disables). Enforced at pre-flight, before any tensor is allocated.
+    /// disables). Enforced at pre-flight, before the model is built.
     pub max_flops_per_step: Option<u64>,
     /// Static-cost budget: reject any genotype whose predicted peak
     /// resident arena bytes at `batch_size` exceed this (None disables).

@@ -1,10 +1,11 @@
 //! Pre-flight static verification: bridge from `autocts` types to the
-//! `cts-verify` analyzer.
+//! `cts-verify` analyzer, and static pricing of a candidate's compiled
+//! plan ([`analyze_cost`]).
 //!
 //! Both [`AutoCts::try_search`](crate::AutoCts::try_search) (on the freshly
 //! derived genotype) and [`AutoCts::try_evaluate`](crate::AutoCts::try_evaluate)
 //! (on whatever genotype the caller hands in, e.g. a transferred one) run
-//! the analyzer before any tensor is allocated, so a malformed or
+//! the analyzer before the model is built, so a malformed or
 //! degenerate architecture is rejected with named findings instead of a
 //! panic deep inside model construction — or worse, a silently wasted
 //! retraining run.
@@ -12,9 +13,15 @@
 use crate::{Genotype, SearchConfig};
 use cts_data::DatasetSpec;
 use cts_graph::SensorGraph;
+use cts_nn::{arena_bytes, Linear};
+use cts_ops::{build_operator, GraphContext, OpKind, StOperator};
+use cts_runtime::{BlockPlan, ExecPlan, PlanError, PlanSpec};
 use cts_verify::{
-    ArchSpec, BlockSpec, CostBudgets, LatencyModel, ModelDims, VerifyError, VerifyReport,
+    ArchSpec, BlockSpec, CostBudgets, CostReport, FindingKind, LatencyModel, ModelDims,
+    VerifyError, VerifyReport,
 };
+use rand::{rngs::SmallRng, SeedableRng};
+use std::rc::Rc;
 
 /// Describe a candidate architecture to the analyzer: genotype topology
 /// plus the concrete dims the model would be instantiated with.
@@ -61,7 +68,7 @@ pub fn cost_budgets(cfg: &SearchConfig) -> CostBudgets {
 /// finding.
 ///
 /// When any cost budget is set on `cfg`, the genotype is additionally
-/// priced by [`cts_verify::analyze_cost`] at `cfg.batch_size` and
+/// priced by [`analyze_cost`] at `cfg.batch_size` and
 /// over-budget candidates are rejected with `OverBudget` findings naming
 /// the offending step — all without executing a kernel.
 pub fn preflight(
@@ -74,7 +81,7 @@ pub fn preflight(
     let mut report = cts_verify::check_genotype(&arch)?;
     let budgets = cost_budgets(cfg);
     if !budgets.is_unbounded() {
-        let cost = cts_verify::analyze_cost(&arch, cfg.batch_size)?;
+        let cost = analyze_cost(&arch, cfg.batch_size)?;
         cts_verify::check_budgets(&mut report, &cost, &budgets, &LatencyModel::default());
         if !report.is_ok() {
             return Err(VerifyError { report });
@@ -83,12 +90,123 @@ pub fn preflight(
     Ok(report)
 }
 
+/// The plan [`analyze_cost`] prices: the genotype compiled as it would be
+/// served, with one fixed-seed operator instance per kind shared by every
+/// edge of that kind (pricing reads only weight shapes), on a shape-only
+/// context over `N` nodes (`N` = 1 when unbound).
+fn pricing_plan(spec: &ArchSpec) -> Result<ExecPlan, PlanError> {
+    let dims = &spec.dims;
+    let nodes = dims.num_nodes.unwrap_or(1);
+    let mut rng = SmallRng::seed_from_u64(0);
+    let mut ctx = GraphContext::shapes_only(nodes, dims.gcn_k);
+    if dims.adaptive {
+        ctx = ctx.with_adaptive(&mut rng, dims.adaptive_emb);
+    }
+    let mut instances: Vec<(OpKind, Rc<dyn StOperator>)> = Vec::new();
+    let mut instance = |kind: OpKind| -> Rc<dyn StOperator> {
+        if let Some((_, op)) = instances.iter().find(|(k, _)| *k == kind) {
+            return Rc::clone(op);
+        }
+        let (d, k) = (dims.d_model, dims.gcn_k);
+        let op: Rc<dyn StOperator> = Rc::from(build_operator(
+            &mut rng,
+            kind,
+            kind.label(),
+            d,
+            k,
+            dims.adaptive,
+        ));
+        instances.push((kind, Rc::clone(&op)));
+        op
+    };
+    let blocks = spec
+        .blocks
+        .iter()
+        .map(|b| BlockPlan {
+            m: b.m,
+            edges: b
+                .edges
+                .iter()
+                .map(|&(from, to, kind)| (from, to, instance(kind)))
+                .collect(),
+        })
+        .collect();
+    let flat_width = dims.input_len.saturating_mul(dims.d_model);
+    ExecPlan::compile(PlanSpec {
+        embed: Rc::new(Linear::new(
+            &mut rng,
+            "embed",
+            dims.features,
+            dims.d_model,
+            true,
+        )),
+        output: Rc::new(Linear::new(
+            &mut rng,
+            "output",
+            flat_width,
+            dims.horizon,
+            true,
+        )),
+        ctx: Rc::new(ctx),
+        blocks,
+        backbone: spec.backbone.clone(),
+        out_scale: 1.0,
+        out_shift: 0.0,
+        input_len: dims.input_len,
+        d_model: dims.d_model,
+        nodes,
+        features: dims.features,
+    })
+}
+
+/// A plan the compiler refused, as a verifier error.
+fn refusal(err: &PlanError) -> VerifyError {
+    let (kind, site) = match err {
+        PlanError::Shape { step, issue, .. } => (FindingKind::from(issue), format!("step{step}")),
+        PlanError::Mismatch { step, .. } => (FindingKind::BroadcastMismatch, format!("step{step}")),
+        PlanError::Invalid(_) => (FindingKind::MalformedBlock, "model".to_string()),
+    };
+    let mut report = VerifyReport::default();
+    report.error(
+        kind,
+        site,
+        format!("the architecture cannot be priced: {err}"),
+    );
+    VerifyError { report }
+}
+
+/// Price a validated architecture for batch size `batch`, without
+/// executing a kernel.
+///
+/// The steps are those of the `ExecPlan` the genotype compiles to, priced
+/// on `cts_nn::Price`, so the per-step flops/bytes match what the
+/// instrumented meter observes during one `ExecPlan::try_run` of the same
+/// genotype, bit for bit; [`CostReport::from_steps`] adds the totals and
+/// both peak models. The graph supports are known by shape only, so any
+/// node count prices. When `dims.num_nodes` is `None` the node dim prices
+/// as 1 — callers that want node-count scaling must bind it.
+///
+/// # Errors
+/// [`VerifyError`] when the genotype fails validation
+/// ([`cts_verify::check_genotype`]) or the plan compiler refuses it.
+pub fn analyze_cost(spec: &ArchSpec, batch: usize) -> Result<CostReport, VerifyError> {
+    cts_verify::check_genotype(spec)?;
+    let plan = pricing_plan(spec).map_err(|e| refusal(&e))?;
+    let slot_elems = [batch, plan.nodes(), spec.dims.input_len, spec.dims.d_model]
+        .iter()
+        .fold(1u64, |acc, &d| acc.saturating_mul(d as u64));
+    Ok(CostReport::from_steps(
+        plan.step_costs(batch),
+        plan.num_slots(),
+        arena_bytes(slot_elems),
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::BlockGenotype;
     use cts_data::generate;
-    use cts_ops::OpKind;
     use cts_tensor::sym::format_shape;
 
     fn fixture() -> (SearchConfig, DatasetSpec, SensorGraph) {
@@ -156,5 +274,94 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("block0.e0"), "{msg}");
         assert!(msg.contains("gdcc"), "{msg}");
+    }
+
+    fn dims(num_nodes: usize) -> ModelDims {
+        ModelDims {
+            features: 2,
+            input_len: 12,
+            horizon: 12,
+            d_model: 8,
+            num_nodes: Some(num_nodes),
+            gcn_k: 2,
+            adaptive: false,
+            adaptive_emb: 0,
+        }
+    }
+
+    fn healthy_block() -> BlockSpec {
+        BlockSpec {
+            m: 3,
+            edges: vec![
+                (0, 1, OpKind::Gdcc),
+                (0, 2, OpKind::InformerS),
+                (1, 2, OpKind::Identity),
+            ],
+        }
+    }
+
+    fn arch(blocks: Vec<BlockSpec>, backbone: Vec<usize>) -> ArchSpec {
+        ArchSpec { dims: dims(5), blocks, backbone }
+    }
+
+    #[test]
+    fn prices_a_healthy_architecture() {
+        let spec = arch(vec![healthy_block(), healthy_block()], vec![0, 1]);
+        let report = analyze_cost(&spec, 4).expect("healthy arch prices");
+        // embed + 2×(3 edges + residual) + 1 merge + output head = 11 steps.
+        assert_eq!(report.steps.len(), 11);
+        assert!(report.total.flops > 0);
+        assert!(report.total.param_count > 0);
+        assert!(report.total.bytes_read > 0);
+        assert!(report.peak_bytes >= report.ideal_peak_bytes);
+        assert!(report.peak_bytes >= report.slot_bytes);
+        assert!(!report.peak_site.is_empty());
+        assert!(report.total.dense_flops <= report.total.flops);
+    }
+
+    #[test]
+    fn cost_grows_with_batch() {
+        let spec = arch(vec![healthy_block()], vec![0]);
+        let small = analyze_cost(&spec, 1).unwrap();
+        let big = analyze_cost(&spec, 8).unwrap();
+        assert!(big.total.flops > small.total.flops);
+        assert!(big.peak_bytes > small.peak_bytes);
+        // Parameters are batch-independent.
+        assert_eq!(big.total.param_count, small.total.param_count);
+    }
+
+    #[test]
+    fn invalid_genotype_is_rejected_before_pricing() {
+        let broken = BlockSpec {
+            m: 3,
+            edges: vec![(0, 1, OpKind::Gdcc)], // node 2 dangling
+        };
+        let err = analyze_cost(&arch(vec![broken], vec![0]), 1).unwrap_err();
+        assert!(!err.report.is_ok());
+    }
+
+    #[test]
+    fn latency_model_orders_architectures_sensibly() {
+        let small = analyze_cost(&arch(vec![healthy_block()], vec![0]), 1).unwrap();
+        let large =
+            analyze_cost(&arch(vec![healthy_block(), healthy_block()], vec![0, 1]), 1).unwrap();
+        let m = LatencyModel::default();
+        assert!(large.predicted_ns(&m) > small.predicted_ns(&m));
+        assert!(small.predicted_ns(&m) > 0.0);
+    }
+
+    /// Supports are priced by shape, so a graph far past what training can
+    /// hold prices without allocating its `[N, N]` supports (10 GB each at
+    /// this size), and the node-mixing matmul scales as `N²`.
+    #[test]
+    fn prices_graphs_too_large_to_materialise() {
+        let block = BlockSpec {
+            m: 2,
+            edges: vec![(0, 1, OpKind::Dgcn), (0, 1, OpKind::ChebGcn)],
+        };
+        let spec = |n| ArchSpec { dims: dims(n), blocks: vec![block.clone()], backbone: vec![0] };
+        let small = analyze_cost(&spec(500), 1).expect("500 nodes price");
+        let large = analyze_cost(&spec(50_000), 1).expect("50 000 nodes price");
+        assert!(large.total.dense_flops > small.total.dense_flops.saturating_mul(5_000));
     }
 }

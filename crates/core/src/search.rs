@@ -583,11 +583,11 @@ pub fn joint_search(
         let _span = cts_obs::span(cts_obs::Phase::Derive);
         model.derive()?
     };
-    // Static plan peak of the derived architecture (liveness analysis in
-    // cts-verify) floors the activation term of the memory estimate. A
-    // derived genotype always passes validation, but fall back to 0 rather
-    // than fail the whole search over a cost-model refusal.
-    let plan_peak = cts_verify::analyze_cost(
+    // Static plan peak of the derived architecture (its compiled plan
+    // priced on shapes) floors the activation term of the memory estimate.
+    // A derived genotype always passes validation, but fall back to 0
+    // rather than fail the whole search over a cost-model refusal.
+    let plan_peak = crate::preflight::analyze_cost(
         &crate::preflight::arch_spec(cfg, &genotype, spec, graph),
         cfg.batch_size,
     )

@@ -40,7 +40,7 @@ pub struct MemoryEstimate {
 /// * the tape's peak live activation set keeps a forward value plus at
 ///   most one backward gradient per scalar, padded the same way;
 /// * `plan_peak_bytes` — the statically priced peak of the derived
-///   architecture's compiled forward (`cts_verify::analyze_cost`) —
+///   architecture's compiled forward (`crate::preflight::analyze_cost`) —
 ///   floors the activation term, so the estimate never undercuts what
 ///   the inference plan alone is known to need. Pass 0 when no derived
 ///   plan exists yet.

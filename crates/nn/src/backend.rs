@@ -35,6 +35,12 @@ pub trait Backend {
     fn param<'a>(&self, p: &'a Parameter) -> Self::Param<'a>;
     /// Read a fixed tensor without taking ownership.
     fn lend<'a>(&self, t: &'a Tensor) -> Self::Const<'a>;
+    /// A fixed tensor known only by its shape, as a backend that never
+    /// reads values ([`crate::Price`]) can lend one; `None` on backends
+    /// that compute.
+    fn lend_shape<'a>(&self, _shape: &[usize]) -> Option<Self::Const<'a>> {
+        None
+    }
     /// Take ownership of a fixed tensor built by the caller.
     fn constant(&self, t: Tensor) -> Self::V;
     /// Shape of a value.

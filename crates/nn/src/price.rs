@@ -21,7 +21,7 @@
 //! * `scratch_bytes` is an arena-aligned **upper bound** (sum, not max) on
 //!   the bytes of every buffer the forward allocates on `Eval`: kernel and
 //!   shape-op outputs, constants and clones. `reshape` reuses its buffer,
-//!   and `param`/`lend` borrow in place, so those are free.
+//!   and `param`/`lend`/`lend_shape` borrow in place, so those are free.
 //! * `param_count` is not a kernel quantity; callers that price a whole
 //!   operator or layer set it from the instance's parameters.
 //!
@@ -233,6 +233,10 @@ impl Backend for Price {
 
     fn lend(&self, t: &Tensor) -> Leaf<Priced> {
         Leaf(self.value(Shape::from_slice(t.shape())))
+    }
+
+    fn lend_shape<'a>(&self, shape: &[usize]) -> Option<Self::Const<'a>> {
+        Some(Leaf(self.value(Shape::from_slice(shape))))
     }
 
     fn constant(&self, t: Tensor) -> Priced {

@@ -17,10 +17,17 @@ use rand::Rng;
 /// (Graph WaveNet / MTGNN style).
 pub struct GraphContext {
     n: usize,
+    k: usize,
+    /// `None` in a shape-only pricing context ([`Self::shapes_only`]).
+    supports: Option<Supports>,
+    adaptive: Option<(Parameter, Parameter)>,
+}
+
+/// The precomputed constant supports of a graph.
+struct Supports {
     diffusion_fwd: Vec<Tensor>,
     diffusion_bwd: Vec<Tensor>,
     cheb: Vec<Tensor>,
-    adaptive: Option<(Parameter, Parameter)>,
 }
 
 impl GraphContext {
@@ -30,30 +37,28 @@ impl GraphContext {
         let (fwd, bwd) = transition_matrices(graph.adjacency());
         Self {
             n: graph.n(),
-            // skip power 0 (identity) — the identity path is the DAG's job
-            diffusion_fwd: transition_powers(&fwd, k)[1..].to_vec(),
-            diffusion_bwd: transition_powers(&bwd, k)[1..].to_vec(),
-            cheb: chebyshev_basis(graph.adjacency(), k + 1),
+            k,
+            supports: Some(Supports {
+                // skip power 0 (identity) — the identity path is the DAG's job
+                diffusion_fwd: transition_powers(&fwd, k)[1..].to_vec(),
+                diffusion_bwd: transition_powers(&bwd, k)[1..].to_vec(),
+                cheb: chebyshev_basis(graph.adjacency(), k + 1),
+            }),
             adaptive: None,
         }
     }
 
-    /// A context of `n` nodes whose supports are all-zero `[n, n]`
-    /// matrices, in the counts [`Self::from_graph`] builds for order `k`.
+    /// A context of `n` nodes that knows its supports only by shape: the
+    /// counts [`Self::from_graph`] builds for order `k`, each `[n, n]`.
     ///
-    /// Pricing a forward on `cts_nn::Price` reads only the supports'
-    /// shapes, so this skips `from_graph`'s O(K·N³) transition powers. The
-    /// buffers come from zeroed `Vec`s that are never written, so even at
-    /// thousands of nodes they commit no memory.
-    pub fn zeroed(n: usize, k: usize) -> Self {
-        let zeros = |count: usize| -> Vec<Tensor> {
-            (0..count).map(|_| Tensor::from_vec([n, n], vec![0.0; n * n])).collect()
-        };
+    /// It holds no support buffer, so pricing a forward on `cts_nn::Price`
+    /// (which reads only shapes) needs no memory that grows with `n²`. A
+    /// backend that computes cannot run on it: lending a support panics.
+    pub fn shapes_only(n: usize, k: usize) -> Self {
         Self {
             n,
-            diffusion_fwd: zeros(k),
-            diffusion_bwd: zeros(k),
-            cheb: zeros(k + 1),
+            k,
+            supports: None,
             adaptive: None,
         }
     }
@@ -73,7 +78,7 @@ impl GraphContext {
 
     /// Diffusion-step count `K`.
     pub fn k(&self) -> usize {
-        self.diffusion_fwd.len()
+        self.k
     }
 
     /// Forward diffusion supports `P_f¹..P_f^K`.
@@ -81,7 +86,7 @@ impl GraphContext {
         &'a self,
         be: &'a B,
     ) -> impl Iterator<Item = B::Const<'a>> {
-        self.diffusion_fwd.iter().map(move |m| be.lend(m))
+        self.lend_all(be, self.k, |s| &s.diffusion_fwd)
     }
 
     /// Backward diffusion supports `P_b¹..P_b^K`.
@@ -89,12 +94,31 @@ impl GraphContext {
         &'a self,
         be: &'a B,
     ) -> impl Iterator<Item = B::Const<'a>> {
-        self.diffusion_bwd.iter().map(move |m| be.lend(m))
+        self.lend_all(be, self.k, |s| &s.diffusion_bwd)
     }
 
     /// Chebyshev basis `T₀..T_K`.
     pub fn chebyshev<'a, B: Backend>(&'a self, be: &'a B) -> impl Iterator<Item = B::Const<'a>> {
-        self.cheb.iter().map(move |m| be.lend(m))
+        self.lend_all(be, self.k + 1, |s| &s.cheb)
+    }
+
+    /// Lend `count` supports picked from the precomputed set, or by shape
+    /// alone in a shape-only context.
+    fn lend_all<'a, B: Backend>(
+        &'a self,
+        be: &'a B,
+        count: usize,
+        pick: fn(&Supports) -> &[Tensor],
+    ) -> impl Iterator<Item = B::Const<'a>> {
+        (0..count).map(move |i| match &self.supports {
+            Some(s) => be.lend(&pick(s)[i]),
+            None => {
+                let lent = be.lend_shape(&[self.n, self.n]);
+                // invariant: a shape-only context is built for pricing, and
+                // the pricing backend lends by shape.
+                lent.expect("a shape-only GraphContext runs on a pricing backend only")
+            }
+        })
     }
 
     /// The adaptive adjacency `softmax(relu(E₁·E₂))`, when embeddings are
@@ -123,7 +147,11 @@ impl GraphContext {
     /// True when the context carries usable spatial structure (either a
     /// non-empty predefined graph or adaptive embeddings).
     pub fn has_spatial_signal(&self) -> bool {
-        self.adaptive.is_some() || self.diffusion_fwd.iter().any(|m| m.sum() > 0.0)
+        self.adaptive.is_some()
+            || self
+                .supports
+                .as_ref()
+                .is_some_and(|s| s.diffusion_fwd.iter().any(|m| m.sum() > 0.0))
     }
 }
 
@@ -161,6 +189,20 @@ mod tests {
         assert!(c.diffusion_fwd(&tape).all(|p| p.shape() == vec![6, 6]));
         assert!(c.adaptive_support(&tape).is_none());
         assert!(c.has_spatial_signal());
+    }
+
+    #[test]
+    fn shapes_only_context_lends_supports_by_shape() {
+        let c = GraphContext::shapes_only(50_000, 2);
+        let be = cts_nn::Price::new();
+        assert_eq!(c.diffusion_fwd(&be).count(), 2);
+        assert_eq!(c.diffusion_bwd(&be).count(), 2);
+        assert_eq!(c.chebyshev(&be).count(), 3);
+        assert!(c
+            .chebyshev(&be)
+            .all(|p| be.shape(&p).to_vec() == vec![50_000, 50_000]));
+        assert_eq!(be.take(), cts_nn::OpCost::default(), "lending is free");
+        assert!(!c.has_spatial_signal());
     }
 
     #[test]

@@ -20,6 +20,7 @@ mod kinds;
 mod meta;
 mod registry;
 mod rnn_ops;
+mod step_cost;
 mod taxonomy;
 mod view;
 
@@ -31,4 +32,9 @@ pub use kinds::{OpFamily, OpKind};
 pub use meta::{ShapeCtx, ShapeIssue};
 pub use registry::{build_operator, compact_set, full_set, Operator, StOperator};
 pub use rnn_ops::{GruOp, LstmOp};
+pub use step_cost::StepCost;
 pub use taxonomy::{operator_table, st_block_taxonomy, OperatorRow, TaxonomyCell};
+
+// Re-exported so crates that roll costs up (`cts-verify`) can name the
+// price type without a dependency edge to `cts-nn`.
+pub use cts_nn::OpCost;

@@ -241,7 +241,7 @@ mod tests {
     #[test]
     fn costs_scale_with_batch() {
         let mut rng = SmallRng::seed_from_u64(3);
-        let ctx = GraphContext::zeroed(5, 2);
+        let ctx = GraphContext::shapes_only(5, 2);
         let op = build_operator(&mut rng, OpKind::Gdcc, "op", 6, 2, false);
         let small = op.cost(&[1, 5, 8, 6], &ctx);
         let big = op.cost(&[4, 5, 8, 6], &ctx);

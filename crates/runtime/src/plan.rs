@@ -2,7 +2,7 @@
 
 use crate::error::ServeError;
 use cts_nn::{count_parameters, Backend, Eval, Linear, OpCost, Price, Priced};
-use cts_ops::{GraphContext, OpKind, ShapeCtx, ShapeIssue, StOperator};
+use cts_ops::{GraphContext, OpKind, ShapeCtx, ShapeIssue, StOperator, StepCost};
 use cts_tensor::sym::{eval_shape, format_shape, SymDim};
 use cts_tensor::{arena, Tensor};
 use std::cell::RefCell;
@@ -151,27 +151,6 @@ enum Stage<'a> {
     Embed,
     Step(&'a Step),
     Head,
-}
-
-/// The static price of one stage of a compiled forward: the embedding, a
-/// step of the flat program, or the output head.
-#[derive(Clone, Debug)]
-pub struct StepCost {
-    /// Where: `"embed"`, `"block0.e2"`, `"block1 residual"`,
-    /// `"merge block2"`, `"output head"`.
-    pub site: String,
-    /// The operator kind, for op-edge steps.
-    pub kind: Option<OpKind>,
-    /// Exact flops/bytes plus scratch upper bound for this step (edge steps
-    /// that accumulate into an already-written node include the fold add),
-    /// and the parameter count of the layer or operator it runs.
-    pub cost: OpCost,
-    /// Workspace slots this step reads.
-    pub srcs: Vec<usize>,
-    /// Workspace slot this step writes.
-    pub dst: usize,
-    /// True when `dst` is written for the first time (resident set grows).
-    pub new_slot: bool,
 }
 
 /// A compiled, tape-free forward program for one derived architecture.

@@ -3,7 +3,7 @@
 
 use crate::finding::{FindingKind, VerifyReport};
 use crate::spec::{ArchSpec, BlockSpec};
-use cts_ops::{OpKind, ShapeCtx, ShapeIssue};
+use cts_ops::{OpKind, ShapeCtx};
 use cts_tensor::sym::{broadcast_sym, format_shape, SymDim, SymShape};
 
 /// Run every pass over `spec` and collect the verdict.
@@ -250,13 +250,8 @@ fn block_shapes(
             let out = match op.infer_shape(&src, ctx) {
                 Ok(s) => s,
                 Err(issue) => {
-                    let kind = match issue {
-                        ShapeIssue::Rank { .. } => FindingKind::RankError,
-                        ShapeIssue::Channel { .. } => FindingKind::ChannelMismatch,
-                        ShapeIssue::Nodes { .. } => FindingKind::NodeCountMismatch,
-                    };
                     report.error(
-                        kind,
+                        FindingKind::from(&issue),
                         site,
                         format!("edge e{ei} ({from}→{to}, {op}) of block{bi}: {issue}"),
                     );

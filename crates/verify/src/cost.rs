@@ -2,13 +2,13 @@
 //! residency, and predicted latency for a candidate genotype — without
 //! training a model or executing a kernel.
 //!
-//! [`analyze_cost`] compiles the `cts_runtime::ExecPlan` a genotype would
-//! serve with and prices its steps by running them on the symbolic
-//! `cts_nn::Price` backend, so the program's step order is the plan
-//! compiler's and each kernel's price is `Price`'s: neither is replayed
-//! here. The per-step `flops`/`bytes` are **exact** against the
-//! instrumented kernel meter; two peak-memory estimates come out of the
-//! priced steps:
+//! The per-step prices come from the compiled plan: `autocts::preflight::
+//! analyze_cost` compiles the `cts_runtime::ExecPlan` a genotype would
+//! serve with and runs its steps on the symbolic `cts_nn::Price` backend,
+//! so the program's step order is the plan compiler's and each kernel's
+//! price is `Price`'s. [`CostReport::from_steps`] rolls those steps up;
+//! the per-step `flops`/`bytes` are **exact** against the instrumented
+//! kernel meter, and two peak-memory estimates come out of them:
 //!
 //! * `peak_bytes` — *plan-faithful*: workspace slots fill in emission order
 //!   and are never freed mid-run (matching `ExecPlan`'s persistent slots),
@@ -32,15 +32,8 @@
 //! every integer size/count product or sum must go through
 //! `saturating_*`/`checked_*` (floating-point latency math is exempt).
 
-use crate::check_genotype;
 use crate::finding::{FindingKind, VerifyReport};
-use crate::spec::ArchSpec;
-use crate::VerifyError;
-use cts_nn::{arena_bytes, Linear, OpCost};
-use cts_ops::{build_operator, GraphContext, OpKind, ShapeIssue, StOperator};
-use cts_runtime::{BlockPlan, ExecPlan, PlanError, PlanSpec, StepCost};
-use rand::{rngs::SmallRng, SeedableRng};
-use std::rc::Rc;
+use cts_ops::{OpCost, StepCost};
 
 /// The priced architecture: per-step costs, totals, and both peak models.
 #[derive(Clone, Debug)]
@@ -65,6 +58,69 @@ pub struct CostReport {
 }
 
 impl CostReport {
+    /// Roll priced plan steps (in emission order) up into totals and both
+    /// peak models. `num_slots` is the plan's workspace slot count and
+    /// `slot_bytes` the arena-aligned size of one slot.
+    pub fn from_steps(steps: Vec<StepCost>, num_slots: usize, slot_bytes: u64) -> Self {
+        // Plan-faithful peak: slots persist once filled; each step's
+        // transient scratch rides on top of the resident set at that moment.
+        let mut filled = vec![false; num_slots];
+        let mut resident = 0u64;
+        let mut peak = 0u64;
+        let mut peak_site = String::new();
+        for s in &steps {
+            let candidate = resident.saturating_add(s.cost.scratch_bytes);
+            if candidate > peak {
+                peak = candidate;
+                peak_site = s.site.clone();
+            }
+            if s.new_slot && !filled[s.dst] {
+                filled[s.dst] = true;
+                resident = resident.saturating_add(slot_bytes);
+            }
+        }
+
+        // Ideal liveness-interval peak: free every slot after its last read.
+        let mut last_use = vec![usize::MAX; num_slots];
+        for (i, s) in steps.iter().enumerate() {
+            for &src in &s.srcs {
+                last_use[src] = i;
+            }
+        }
+        let mut live = vec![false; num_slots];
+        let mut live_bytes = 0u64;
+        let mut ideal = 0u64;
+        for (i, s) in steps.iter().enumerate() {
+            if s.new_slot && !live[s.dst] {
+                live[s.dst] = true;
+                live_bytes = live_bytes.saturating_add(slot_bytes);
+            }
+            let candidate = live_bytes.saturating_add(s.cost.scratch_bytes);
+            if candidate > ideal {
+                ideal = candidate;
+            }
+            for &src in &s.srcs {
+                if live[src] && last_use[src] == i {
+                    live[src] = false;
+                    live_bytes = live_bytes.saturating_sub(slot_bytes);
+                }
+            }
+        }
+
+        let total = steps
+            .iter()
+            .fold(OpCost::default(), |acc, s| acc.saturating_add(&s.cost));
+        Self {
+            steps,
+            total,
+            slot_bytes,
+            num_slots,
+            peak_bytes: peak,
+            peak_site,
+            ideal_peak_bytes: ideal,
+        }
+    }
+
     /// Predicted wall-clock for one forward pass under `model`.
     pub fn predicted_ns(&self, model: &LatencyModel) -> f64 {
         model.predict_ns(&self.total)
@@ -207,154 +263,6 @@ impl LatencyModel {
     }
 }
 
-fn issue_kind(issue: &ShapeIssue) -> FindingKind {
-    match issue {
-        ShapeIssue::Rank { .. } => FindingKind::RankError,
-        ShapeIssue::Channel { .. } => FindingKind::ChannelMismatch,
-        ShapeIssue::Nodes { .. } => FindingKind::NodeCountMismatch,
-    }
-}
-
-/// The plan [`analyze_cost`] prices: the genotype compiled as it would be
-/// served, with one fixed-seed operator instance per kind shared by every
-/// edge of that kind (pricing reads only weight shapes), on a context of
-/// zero supports over `N` nodes (`N` = 1 when unbound).
-fn pricing_plan(spec: &ArchSpec) -> Result<ExecPlan, PlanError> {
-    let dims = &spec.dims;
-    let nodes = dims.num_nodes.unwrap_or(1);
-    let mut rng = SmallRng::seed_from_u64(0);
-    let mut ctx = GraphContext::zeroed(nodes, dims.gcn_k);
-    if dims.adaptive {
-        ctx = ctx.with_adaptive(&mut rng, dims.adaptive_emb);
-    }
-    let mut instances: Vec<(OpKind, Rc<dyn StOperator>)> = Vec::new();
-    let mut instance = |kind: OpKind| -> Rc<dyn StOperator> {
-        if let Some((_, op)) = instances.iter().find(|(k, _)| *k == kind) {
-            return Rc::clone(op);
-        }
-        let (d, k) = (dims.d_model, dims.gcn_k);
-        let op: Rc<dyn StOperator> =
-            Rc::from(build_operator(&mut rng, kind, kind.label(), d, k, dims.adaptive));
-        instances.push((kind, Rc::clone(&op)));
-        op
-    };
-    let blocks = spec
-        .blocks
-        .iter()
-        .map(|b| BlockPlan {
-            m: b.m,
-            edges: b.edges.iter().map(|&(from, to, kind)| (from, to, instance(kind))).collect(),
-        })
-        .collect();
-    let flat_width = dims.input_len.saturating_mul(dims.d_model);
-    ExecPlan::compile(PlanSpec {
-        embed: Rc::new(Linear::new(&mut rng, "embed", dims.features, dims.d_model, true)),
-        output: Rc::new(Linear::new(&mut rng, "output", flat_width, dims.horizon, true)),
-        ctx: Rc::new(ctx),
-        blocks,
-        backbone: spec.backbone.clone(),
-        out_scale: 1.0,
-        out_shift: 0.0,
-        input_len: dims.input_len,
-        d_model: dims.d_model,
-        nodes,
-        features: dims.features,
-    })
-}
-
-/// A plan the compiler refused, as a verifier error.
-fn refusal(err: &PlanError) -> VerifyError {
-    let (kind, site) = match err {
-        PlanError::Shape { step, issue, .. } => (issue_kind(issue), format!("step{step}")),
-        PlanError::Mismatch { step, .. } => (FindingKind::BroadcastMismatch, format!("step{step}")),
-        PlanError::Invalid(_) => (FindingKind::MalformedBlock, "model".to_string()),
-    };
-    let mut report = VerifyReport::default();
-    report.error(kind, site, format!("the architecture cannot be priced: {err}"));
-    VerifyError { report }
-}
-
-/// Price a validated architecture for batch size `batch`.
-///
-/// The steps are those of the `ExecPlan` the genotype compiles to, priced
-/// on `cts_nn::Price`, so the per-step flops/bytes match what the
-/// instrumented meter observes during one `ExecPlan::try_run` of the same
-/// genotype, bit for bit. When `dims.num_nodes` is `None` the node dim
-/// prices as 1 — callers that want node-count scaling must bind it.
-///
-/// # Errors
-/// [`VerifyError`] when the genotype fails validation ([`check_genotype`])
-/// or the plan compiler refuses it.
-pub fn analyze_cost(spec: &ArchSpec, batch: usize) -> Result<CostReport, VerifyError> {
-    check_genotype(spec)?;
-    let plan = pricing_plan(spec).map_err(|e| refusal(&e))?;
-    let steps = plan.step_costs(batch);
-    let num_slots = plan.num_slots();
-    let dims = &spec.dims;
-    let l_elems = [batch, plan.nodes(), dims.input_len, dims.d_model]
-        .iter()
-        .fold(1u64, |acc, &d| acc.saturating_mul(d as u64));
-    let slot_bytes = arena_bytes(l_elems);
-
-    // Plan-faithful peak: slots persist once filled; each step's transient
-    // scratch rides on top of the resident set at that moment.
-    let mut filled = vec![false; num_slots];
-    let mut resident = 0u64;
-    let mut peak = 0u64;
-    let mut peak_site = String::new();
-    for s in &steps {
-        let candidate = resident.saturating_add(s.cost.scratch_bytes);
-        if candidate > peak {
-            peak = candidate;
-            peak_site = s.site.clone();
-        }
-        if s.new_slot && !filled[s.dst] {
-            filled[s.dst] = true;
-            resident = resident.saturating_add(slot_bytes);
-        }
-    }
-
-    // Ideal liveness-interval peak: free every slot after its last read.
-    let mut last_use = vec![usize::MAX; num_slots];
-    for (i, s) in steps.iter().enumerate() {
-        for &src in &s.srcs {
-            last_use[src] = i;
-        }
-    }
-    let mut live = vec![false; num_slots];
-    let mut live_bytes = 0u64;
-    let mut ideal = 0u64;
-    for (i, s) in steps.iter().enumerate() {
-        if s.new_slot && !live[s.dst] {
-            live[s.dst] = true;
-            live_bytes = live_bytes.saturating_add(slot_bytes);
-        }
-        let candidate = live_bytes.saturating_add(s.cost.scratch_bytes);
-        if candidate > ideal {
-            ideal = candidate;
-        }
-        for &src in &s.srcs {
-            if live[src] && last_use[src] == i {
-                live[src] = false;
-                live_bytes = live_bytes.saturating_sub(slot_bytes);
-            }
-        }
-    }
-
-    let total = steps
-        .iter()
-        .fold(OpCost::default(), |acc, s| acc.saturating_add(&s.cost));
-    Ok(CostReport {
-        steps,
-        total,
-        slot_bytes,
-        num_slots,
-        peak_bytes: peak,
-        peak_site,
-        ideal_peak_bytes: ideal,
-    })
-}
-
 /// Check a priced architecture against resource budgets, recording an
 /// [`FindingKind::OverBudget`] error finding (naming the offending step)
 /// for every exceeded ceiling.
@@ -415,80 +323,62 @@ pub fn check_budgets(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{BlockSpec, ModelDims};
+    use cts_ops::OpKind;
 
-    fn dims() -> ModelDims {
-        ModelDims {
-            features: 2,
-            input_len: 12,
-            horizon: 12,
-            d_model: 8,
-            num_nodes: Some(5),
-            gcn_k: 2,
-            adaptive: false,
-            adaptive_emb: 0,
+    fn step(
+        site: &str,
+        srcs: Vec<usize>,
+        dst: usize,
+        new_slot: bool,
+        flops: u64,
+        scratch: u64,
+    ) -> StepCost {
+        StepCost {
+            site: site.to_string(),
+            kind: site.contains(".e").then_some(OpKind::Gdcc),
+            cost: OpCost {
+                flops,
+                kernel_calls: 1,
+                scratch_bytes: scratch,
+                ..OpCost::default()
+            },
+            srcs,
+            dst,
+            new_slot,
         }
     }
 
-    fn healthy_block() -> BlockSpec {
-        BlockSpec {
-            m: 3,
-            edges: vec![
-                (0, 1, OpKind::Gdcc),
-                (0, 2, OpKind::InformerS),
-                (1, 2, OpKind::Identity),
-            ],
-        }
-    }
-
-    fn arch(blocks: Vec<BlockSpec>, backbone: Vec<usize>) -> ArchSpec {
-        ArchSpec {
-            dims: dims(),
-            blocks,
-            backbone,
-        }
+    /// embed → e0 → e1 → residual(e1, embed) → head, 100-byte slots.
+    fn report() -> CostReport {
+        let steps = vec![
+            step("embed", vec![], 0, true, 1, 10),
+            step("block0.e0", vec![0], 1, true, 7, 50),
+            step("block0.e1", vec![1], 2, true, 3, 30),
+            step("block0 residual", vec![2, 0], 3, true, 2, 20),
+            step("output head", vec![3], 3, false, 4, 5),
+        ];
+        CostReport::from_steps(steps, 4, 100)
     }
 
     #[test]
-    fn prices_a_healthy_architecture() {
-        let spec = arch(vec![healthy_block(), healthy_block()], vec![0, 1]);
-        let report = analyze_cost(&spec, 4).expect("healthy arch prices");
-        // embed + 2×(3 edges + residual) + 1 merge + output head = 11 steps.
-        assert_eq!(report.steps.len(), 11);
-        assert!(report.total.flops > 0);
-        assert!(report.total.param_count > 0);
-        assert!(report.total.bytes_read > 0);
-        assert!(report.peak_bytes >= report.ideal_peak_bytes);
-        assert!(report.peak_bytes >= report.slot_bytes);
-        assert!(!report.peak_site.is_empty());
-        assert!(report.total.dense_flops <= report.total.flops);
-    }
-
-    #[test]
-    fn cost_grows_with_batch() {
-        let spec = arch(vec![healthy_block()], vec![0]);
-        let small = analyze_cost(&spec, 1).unwrap();
-        let big = analyze_cost(&spec, 8).unwrap();
-        assert!(big.total.flops > small.total.flops);
-        assert!(big.peak_bytes > small.peak_bytes);
-        // Parameters are batch-independent.
-        assert_eq!(big.total.param_count, small.total.param_count);
-    }
-
-    #[test]
-    fn invalid_genotype_is_rejected_before_pricing() {
-        let broken = BlockSpec {
-            m: 3,
-            edges: vec![(0, 1, OpKind::Gdcc)], // node 2 dangling
-        };
-        let err = analyze_cost(&arch(vec![broken], vec![0]), 1).unwrap_err();
-        assert!(!err.report.is_ok());
+    fn rolls_steps_up_into_totals_and_both_peaks() {
+        let r = report();
+        assert_eq!(r.total.flops, 17);
+        assert_eq!(r.total.kernel_calls, 5);
+        assert_eq!(r.total.scratch_bytes, 115);
+        // Slots persist: four filled slots plus the head's scratch.
+        assert_eq!((r.peak_bytes, r.peak_site.as_str()), (405, "output head"));
+        // Freed after last use: e1 holds slots 0, 1, 2 plus its scratch.
+        assert_eq!(r.ideal_peak_bytes, 330);
+        assert_eq!(
+            r.max_flops_step().map(|s| s.site.as_str()),
+            Some("block0.e0")
+        );
     }
 
     #[test]
     fn per_step_flops_budget_names_the_offending_edge() {
-        let spec = arch(vec![healthy_block()], vec![0]);
-        let cost = analyze_cost(&spec, 4).unwrap();
+        let cost = report();
         let heavy = cost.max_flops_step().unwrap();
         let budgets = CostBudgets {
             max_flops_per_step: Some(heavy.cost.flops.saturating_sub(1)),
@@ -506,8 +396,7 @@ mod tests {
 
     #[test]
     fn peak_and_latency_budgets_fire() {
-        let spec = arch(vec![healthy_block()], vec![0]);
-        let cost = analyze_cost(&spec, 4).unwrap();
+        let cost = report();
         let budgets = CostBudgets {
             max_peak_bytes: Some(1),
             max_latency_ms: Some(0.0),
@@ -533,16 +422,6 @@ mod tests {
             &LatencyModel::default(),
         );
         assert!(ok.is_ok(), "{:?}", ok.findings);
-    }
-
-    #[test]
-    fn latency_model_orders_architectures_sensibly() {
-        let small = analyze_cost(&arch(vec![healthy_block()], vec![0]), 1).unwrap();
-        let large =
-            analyze_cost(&arch(vec![healthy_block(), healthy_block()], vec![0, 1]), 1).unwrap();
-        let m = LatencyModel::default();
-        assert!(large.predicted_ns(&m) > small.predicted_ns(&m));
-        assert!(small.predicted_ns(&m) > 0.0);
     }
 
     #[test]

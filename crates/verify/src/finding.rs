@@ -1,5 +1,6 @@
 //! Findings: what the analyzer reports and how severe each item is.
 
+use cts_ops::ShapeIssue;
 use cts_tensor::sym::SymShape;
 use std::fmt;
 
@@ -49,6 +50,17 @@ pub enum FindingKind {
     /// resource budget (per-step FLOPs, peak arena bytes, or predicted
     /// latency); the finding names the offending step.
     OverBudget,
+}
+
+impl From<&ShapeIssue> for FindingKind {
+    /// The finding class of an operator's shape-rule rejection.
+    fn from(issue: &ShapeIssue) -> Self {
+        match issue {
+            ShapeIssue::Rank { .. } => FindingKind::RankError,
+            ShapeIssue::Channel { .. } => FindingKind::ChannelMismatch,
+            ShapeIssue::Nodes { .. } => FindingKind::NodeCountMismatch,
+        }
+    }
 }
 
 /// One analyzer finding: what, where, how severe, and a human-readable
@@ -109,7 +121,8 @@ impl VerifyReport {
             .filter(|f| f.severity == Severity::Warning)
     }
 
-    pub(crate) fn error(&mut self, kind: FindingKind, site: impl Into<String>, message: impl Into<String>) {
+    /// Record an error-severity finding.
+    pub fn error(&mut self, kind: FindingKind, site: impl Into<String>, message: impl Into<String>) {
         self.findings.push(Finding {
             kind,
             severity: Severity::Error,

@@ -5,8 +5,8 @@
 //! DAGs, the operator on every edge, and the backbone wiring. This crate
 //! analyzes that description without executing a kernel — the shape and
 //! reachability passes are abstract interpretation over it, and the cost
-//! pass ([`analyze_cost`]) runs the compiled plan on shapes — and reports,
-//! per architecture:
+//! report ([`CostReport`]) rolls up the compiled plan's steps priced on
+//! shapes — and reports, per architecture:
 //!
 //! 1. **Symbolic shape inference** ([`validate_genotype`]): every operator
 //!    exposes a `shape_fn` ([`OpKind::infer_shape`]) mapping a symbolic
@@ -38,16 +38,14 @@ mod finding;
 mod spec;
 
 pub use analyze::{validate_block, validate_genotype};
-pub use cost::{analyze_cost, check_budgets, CostBudgets, CostReport, LatencyModel};
-pub use cts_runtime::StepCost;
+pub use cost::{check_budgets, CostBudgets, CostReport, LatencyModel};
 pub use determinism::{audit_determinism, DeterminismReport, KernelEntry};
 pub use finding::{Finding, FindingKind, Severity, VerifyError, VerifyReport};
 pub use spec::{ArchSpec, BlockSpec, ModelDims};
 
 // Re-exported so downstream callers can name the shape-fn and cost types
-// without depending on cts-ops, cts-nn or cts-runtime directly.
-pub use cts_nn::OpCost;
-pub use cts_ops::{OpKind, ShapeCtx, ShapeIssue};
+// without depending on cts-ops directly.
+pub use cts_ops::{OpCost, OpKind, ShapeCtx, ShapeIssue, StepCost};
 
 /// Validate and convert to a `Result`: `Ok(report)` when no error-severity
 /// finding was recorded, `Err(VerifyError)` otherwise (warnings ride along

@@ -32,7 +32,8 @@
 #      must map to `ServeError::ShardDown`/`FrontClosed`, never be
 #      unwrapped or expected (a worker dying is an operational event,
 #      not an invariant the sender controls).
-#   7. The cost model (`crates/verify/src/cost.rs`), the kernel price
+#   7. The cost model (`crates/verify/src/cost.rs` and the pricing entry
+#      point in `crates/core/src/preflight.rs`), the kernel price
 #      rules of the `Price` backend (`crates/nn/src/price.rs`) and the
 #      plan compiler (`crates/runtime/src/plan.rs`) size buffers in
 #      u64/usize; bare ` * ` / ` + ` there must be
@@ -79,6 +80,7 @@ while IFS= read -r f; do
             if (FILENAME ~ /^crates\/runtime\/src\// && line ~ /cts_autograd/)
                 printf "%s:%d: cts_autograd referenced inside cts-runtime (plans are tape-free)\n", FILENAME, NR
             if ((FILENAME ~ /crates\/verify\/src\/cost\.rs$/ || FILENAME ~ /crates\/nn\/src\/price\.rs$/ \
+                 || FILENAME ~ /crates\/core\/src\/preflight\.rs$/ \
                  || FILENAME ~ /crates\/runtime\/src\/plan\.rs$/) \
                 && $0 !~ /f32|f64/ && line ~ / \* | \+ /)
                 printf "%s:%d: bare size arithmetic in cost model (use checked_/saturating_, or mark f64)\n", FILENAME, NR

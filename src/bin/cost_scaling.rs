@@ -3,7 +3,7 @@
 //!
 //! For each operator family in the full Table 1 set, a canonical
 //! two-block architecture dominated by that family is priced by
-//! `cts_verify::analyze_cost` at N = 100, 300 and 1000 nodes without
+//! `autocts::preflight::analyze_cost` at N = 100, 300 and 1000 nodes without
 //! executing a kernel, so the 1000-node column costs milliseconds, not
 //! the hours a training run would. Each priced architecture is then
 //! checked against a fixed reference budget (calibrated to pass at
@@ -14,10 +14,10 @@
 //! This binary is pure reporting: it exits non-zero only if the analyzer
 //! itself refuses an architecture it should accept.
 
+use autocts::preflight::analyze_cost;
 use cts_ops::full_set;
 use cts_verify::{
-    analyze_cost, check_budgets, ArchSpec, BlockSpec, CostBudgets, LatencyModel, ModelDims, OpKind,
-    VerifyReport,
+    check_budgets, ArchSpec, BlockSpec, CostBudgets, LatencyModel, ModelDims, OpKind, VerifyReport,
 };
 use std::process::ExitCode;
 

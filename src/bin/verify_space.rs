@@ -22,13 +22,13 @@
 //! this binary as part of the gate.
 //!
 //! Every accepted candidate is additionally priced by the static cost
-//! model (`cts_verify::analyze_cost`): the candidate table gains FLOPs,
+//! model (`autocts::preflight::analyze_cost`): the candidate table gains FLOPs,
 //! peak-bytes and predicted-latency columns, and any candidate whose
 //! priced forward latency disagrees with the measured compiled-plan
 //! forward by more than 10× in either direction is listed as a
 //! calibration bug rather than silently accepted.
 
-use autocts::preflight::arch_spec;
+use autocts::preflight::{analyze_cost, arch_spec};
 use autocts::{BlockGenotype, DerivedModel, Genotype, SearchConfig};
 use cts_autograd::Tape;
 use cts_data::{batches_from_windows, build_windows, generate, DatasetSpec, Scaler};
@@ -104,7 +104,7 @@ fn main() -> ExitCode {
                     let report = cts_verify::validate_genotype(&arch);
                     let cost = if report.is_ok() {
                         accepted += 1;
-                        match cts_verify::analyze_cost(&arch, cfg.batch_size) {
+                        match analyze_cost(&arch, cfg.batch_size) {
                             Ok(c) => Some(c),
                             Err(e) => {
                                 inconsistencies.push(format!(

@@ -10,8 +10,9 @@
 //! Each row reads `label flops bytes_read bytes_written param_count
 //! kernel_calls dense_flops scratch_bytes`.
 
+use autocts::preflight::analyze_cost;
 use cts_ops::{build_operator, full_set, GraphContext};
-use cts_verify::{analyze_cost, ArchSpec, BlockSpec, ModelDims, OpCost, OpKind};
+use cts_verify::{ArchSpec, BlockSpec, ModelDims, OpCost, OpKind};
 use rand::{rngs::SmallRng, SeedableRng};
 
 fn row(label: &str, c: &OpCost) -> String {
@@ -75,9 +76,9 @@ fn every_kind_prices_to_its_golden_cost() {
     let mut got = Vec::new();
     for adaptive in [false, true] {
         let ctx = if adaptive {
-            GraphContext::zeroed(n, k).with_adaptive(&mut rng, 4)
+            GraphContext::shapes_only(n, k).with_adaptive(&mut rng, 4)
         } else {
-            GraphContext::zeroed(n, k)
+            GraphContext::shapes_only(n, k)
         };
         for kind in full_set() {
             let op = build_operator(&mut rng, kind, "op", d, k, adaptive);

@@ -1,6 +1,6 @@
 //! Count-under-execution oracle for the static cost model.
 //!
-//! The analyzer (`cts_verify::analyze_cost`) and the compiled plan
+//! The analyzer (`autocts::preflight::analyze_cost`) and the compiled plan
 //! (`ExecPlan::static_cost`) both claim to price a genotype's forward
 //! **exactly** — not approximately. Both run the plan's one step walk on
 //! the symbolic `cts_nn::Price` backend. This suite holds them to it
@@ -23,7 +23,7 @@
 //! with the 100-case proptest below it covers well over the 100
 //! randomized genotypes the cost-model acceptance gate requires.
 
-use autocts::preflight::arch_spec;
+use autocts::preflight::{analyze_cost, arch_spec};
 use autocts::{BlockGenotype, DerivedModel, Genotype, SearchConfig};
 use cts_data::{batches_from_windows, build_windows, generate, CtsData, DatasetSpec, SplitWindows};
 use cts_ops::full_set;
@@ -103,7 +103,7 @@ proptest! {
             meter::reset();
             meter::set_enabled(true);
             let static_cost = plan.static_cost(batch);
-            let report = cts_verify::analyze_cost(&arch, batch);
+            let report = analyze_cost(&arch, batch);
             meter::set_enabled(false);
             let pricing = meter::snapshot();
             let at = genotype.to_text();
