@@ -116,35 +116,76 @@ proptest! {
         prop_assert_eq!(serial.data(), threaded.data());
     }
 
-    /// Elementwise add/mul across randomized broadcast shapes.
+    /// Every elementwise broadcast op across randomized broadcast shapes:
+    /// ranks 1–4 with each dim independently squashed to 1 on either side
+    /// (`[1]`, `[…, 1]`, row and middle broadcasts), the four arithmetic
+    /// ops, `div_grad_b`'s closure form, and thread counts 1–3 on sizes
+    /// above the parallel threshold, so chunk starts fall mid-run.
     fn elementwise_broadcast_matches_reference(
-        d0 in 1usize..5,
-        d1 in 1usize..6,
-        d2 in 1usize..48,
-        squash_a in proptest::bool::ANY,
-        squash_b in proptest::bool::ANY,
+        rank in 1usize..5,
+        dims in proptest::collection::vec(1usize..7, 4),
+        squash_a in 0usize..16,
+        squash_b in 0usize..16,
+        drop_a in 0usize..4,
+        drop_b in 0usize..4,
+        big in 0usize..4,
         seed in 0u64..1_000_000
     ) {
         let _g = LOCK.lock().unwrap();
         let mut rng = SmallRng::seed_from_u64(seed);
-        // Randomly set middle/leading dims to 1 on either side to exercise
-        // broadcasting; at least one side keeps the full shape.
-        let a_shape = if squash_a { vec![d0, 1, d2] } else { vec![d0, d1, d2] };
-        let b_shape = if squash_b && !squash_a { vec![1, d1, 1] } else { vec![d1, d2] };
-        let a = rand_tensor(&mut rng, a_shape);
-        let b = rand_tensor(&mut rng, b_shape);
-        for (fast, slow) in [
-            (ops::add(&a, &b), reference::add(&a, &b)),
-            (ops::mul(&a, &b), reference::mul(&a, &b)),
-        ] {
-            prop_assert_eq!(fast.shape(), slow.shape());
-            // Same per-element expression => bit-exact.
-            prop_assert_eq!(fast.data(), slow.data());
+        // `big == 0` swaps in a rank-4 shape past the parallel threshold.
+        let full: Vec<usize> = if big == 0 {
+            vec![dims[0] % 3 + 2, 3, 5, 1111]
+        } else {
+            dims[4 - rank..].to_vec()
+        };
+        let r = full.len();
+        // Each squash bit sets one right-aligned dim to 1; a dim squashed
+        // on both sides is squashed on neither, so the broadcast output
+        // keeps the full shape. Dropped leading dims lower the rank.
+        let both = squash_a & squash_b;
+        let side = |squash: usize, drop: usize| -> Vec<usize> {
+            let s: Vec<usize> = full
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| if (squash & !both) >> (r - 1 - i) & 1 != 0 { 1 } else { d })
+                .collect();
+            s[drop.min(r - 1)..].to_vec()
+        };
+        let a = rand_tensor(&mut rng, side(squash_a, drop_a));
+        let b = rand_tensor(&mut rng, side(squash_b, drop_b));
+        let g = rand_tensor(&mut rng, full.clone());
+        let grad_b = |num: f32, den: f32| -num / (den * den);
+        let oracle = [
+            reference::add(&a, &b),
+            reference::zip_broadcast(&a, &b, |x, y| x - y),
+            reference::mul(&a, &b),
+            reference::zip_broadcast(&a, &b, |x, y| x / y),
+            reference::zip_broadcast(&b, &a, |x, y| x - y),
+            reference::zip_broadcast(&b, &a, |x, y| x / y),
+            reference::reduce_to_shape(
+                &reference::zip_broadcast(&reference::mul(&g, &a), &b, grad_b),
+                b.shape(),
+            ),
+        ];
+        for threads in [1usize, 2, 3] {
+            let fast = with_threads(threads, || {
+                [
+                    ops::add(&a, &b),
+                    ops::sub(&a, &b),
+                    ops::mul(&a, &b),
+                    ops::div(&a, &b),
+                    ops::sub(&b, &a),
+                    ops::div(&b, &a),
+                    ops::div_grad_b(&g, &a, &b),
+                ]
+            });
+            for (i, (fast, slow)) in fast.iter().zip(oracle.iter()).enumerate() {
+                prop_assert_eq!(fast.shape(), slow.shape(), "op {} at {} threads", i, threads);
+                // Same per-element expression => bit-exact.
+                prop_assert_eq!(bits(fast), bits(slow), "op {} at {} threads", i, threads);
+            }
         }
-        // Determinism across worker counts.
-        let s1 = with_threads(1, || ops::add(&a, &b));
-        let s4 = with_threads(4, || ops::add(&a, &b));
-        prop_assert_eq!(s1.data(), s4.data());
     }
 
     /// Softmax over the last axis, rows partitioned across workers.
@@ -194,55 +235,77 @@ proptest! {
     }
 
     /// Parallel-gather `reduce_to_shape` vs the serial-scatter oracle over
-    /// randomized broadcastable target shapes and thread counts.
+    /// randomized rank-4 broadcastable targets — masked, trailing-block
+    /// (`[…, 1, 1]`) and the full `[1]` — and thread counts, including
+    /// grads past the parallel threshold.
     fn reduce_to_shape_matches_reference(
-        d0 in 1usize..5,
-        d1 in 1usize..12,
-        d2 in 1usize..32,
-        mask in 0usize..8,
-        drop_leading in proptest::bool::ANY,
+        dims in proptest::collection::vec(1usize..9, 4),
+        mask in 0usize..16,
+        form in 0usize..4,
+        drop_leading in 0usize..3,
+        big in 0usize..3,
         seed in 0u64..1_000_000
     ) {
         let _g = LOCK.lock().unwrap();
         let mut rng = SmallRng::seed_from_u64(seed);
-        let grad = rand_tensor(&mut rng, vec![d0, d1, d2]);
-        // Each mask bit squashes one right-aligned dim to 1; optionally the
-        // leading dim is dropped entirely (rank-reducing reduction).
-        let mut target = vec![
-            if mask & 1 != 0 { 1 } else { d0 },
-            if mask & 2 != 0 { 1 } else { d1 },
-            if mask & 4 != 0 { 1 } else { d2 },
-        ];
-        if drop_leading {
-            target.remove(0);
+        // `big == 0` stretches the last dim past the parallel threshold.
+        let mut gshape = dims.clone();
+        if big == 0 {
+            gshape[3] = 32_768 / (dims[0] * dims[1] * dims[2]) + 7;
+        }
+        let grad = rand_tensor(&mut rng, gshape.clone());
+        // Forms 0–1: each mask bit squashes one dim to 1. Form 2: keep a
+        // leading block, squash the trailing rest. Form 3: the full `[1]`.
+        // Forms 0–2 optionally drop leading dims (rank-reducing).
+        let mut target: Vec<usize> = match form {
+            0 | 1 => gshape
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| if mask >> i & 1 != 0 { 1 } else { d })
+                .collect(),
+            2 => gshape
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| if i < mask % 4 { d } else { 1 })
+                .collect(),
+            _ => vec![1],
+        };
+        if form != 3 {
+            target.drain(..drop_leading.min(target.len() - 1));
         }
         let slow = reference::reduce_to_shape(&grad, &target);
-        for threads in [1usize, 2, 4] {
+        for threads in [1usize, 2, 3, 4] {
             let fast = with_threads(threads, || ops::reduce_to_shape(&grad, &target));
             prop_assert_eq!(fast.shape(), slow.shape());
             // One ascending gather chain per output element => bit-exact.
-            prop_assert_eq!(fast.data(), slow.data());
+            prop_assert_eq!(bits(&fast), bits(&slow), "target {:?} at {} threads", &target, threads);
         }
     }
 
-    /// Axis reductions and transpose stay consistent with the oracle.
+    /// Axis reductions and transpose stay consistent with the oracle at
+    /// every thread count, the last axis (one contiguous row per output)
+    /// included, on sizes both below and past the parallel threshold.
     fn reduce_and_transpose_match_reference(
         d0 in 1usize..6,
         d1 in 1usize..24,
         d2 in 1usize..24,
         axis in 0usize..3,
+        big in 0usize..3,
         seed in 0u64..1_000_000
     ) {
         let _g = LOCK.lock().unwrap();
         let mut rng = SmallRng::seed_from_u64(seed);
-        let a = rand_tensor(&mut rng, vec![d0, d1, d2]);
-        let fast = with_threads(4, || ops::sum_axis(&a, axis, false));
+        let shape = if big == 0 { vec![d0 * 40 + 40, 24, d2 + 24] } else { vec![d0, d1, d2] };
+        let a = rand_tensor(&mut rng, shape);
         let slow = reference::sum_axis(&a, axis, false);
-        prop_assert_eq!(fast.shape(), slow.shape());
-        prop_assert_eq!(fast.data(), slow.data());
-        let ft = with_threads(4, || ops::transpose_last2(&a));
         let st = reference::transpose_last2(&a);
-        prop_assert_eq!(ft.data(), st.data());
+        for threads in [1usize, 2, 3] {
+            let fast = with_threads(threads, || ops::sum_axis(&a, axis, false));
+            prop_assert_eq!(fast.shape(), slow.shape());
+            prop_assert_eq!(bits(&fast), bits(&slow), "axis {} at {} threads", axis, threads);
+            let ft = with_threads(threads, || ops::transpose_last2(&a));
+            prop_assert_eq!(ft.data(), st.data());
+        }
     }
 
     /// SIMD determinism contract, matmul family: every vector level the
@@ -277,7 +340,8 @@ proptest! {
     }
 
     /// SIMD determinism contract, elementwise + softmax: vector levels are
-    /// bit-identical to forced-scalar across lane-straddling lengths,
+    /// bit-identical to forced-scalar across lane-straddling lengths, on
+    /// same-shape and broadcast operands alike,
     /// including the specials the pinned forms guarantee (relu's
     /// `maxps(x, 0)` mapping −0 to +0 is identical in both paths).
     fn simd_levels_bit_identical_elementwise_softmax(
@@ -293,6 +357,10 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut a = rand_tensor(&mut rng, vec![rows, n]);
         let b = rand_tensor(&mut rng, vec![rows, n]);
+        // Broadcast operands: a row, a column and a scalar.
+        let row = rand_tensor(&mut rng, vec![n]);
+        let col = rand_tensor(&mut rng, vec![rows, 1]);
+        let one = rand_tensor(&mut rng, vec![1]);
         // Seed specials into `a`: a negative zero and (softmax aside) the
         // elementwise ops must pass NaN through identically.
         a.data_mut()[0] = -0.0;
@@ -306,12 +374,30 @@ proptest! {
                 ops::clamp(&a, -0.5, 0.5),
             )
         };
+        // Contiguous × contiguous runs, constants on either side, and the
+        // closure form.
+        let run_bc = || {
+            [
+                ops::add(&a, &row),
+                ops::sub(&a, &col),
+                ops::mul(&a, &one),
+                ops::div(&a, &col),
+                ops::sub(&one, &a),
+                ops::div(&col, &a),
+                ops::div_grad_b(&b, &a, &col),
+            ]
+        };
         let run_sm = || ops::softmax_last(&a);
         let scalar = with_threads(threads, || with_simd(SimdLevel::Scalar, run_ew));
         let scalar_sm = with_threads(threads, || with_simd(SimdLevel::Scalar, run_sm));
+        let scalar_bc = with_threads(threads, || with_simd(SimdLevel::Scalar, run_bc));
         for level in host_levels() {
             let out = with_threads(threads, || with_simd(level, run_ew));
             let sm = with_threads(threads, || with_simd(level, run_sm));
+            let bc = with_threads(threads, || with_simd(level, run_bc));
+            for (i, (s, v)) in scalar_bc.iter().zip(bc.iter()).enumerate() {
+                prop_assert_eq!(bits(s), bits(v), "broadcast op {} at {:?}", i, level);
+            }
             prop_assert_eq!(bits(&scalar.0), bits(&out.0), "add at {:?}", level);
             prop_assert_eq!(bits(&scalar.1), bits(&out.1), "mul at {:?}", level);
             prop_assert_eq!(bits(&scalar.2), bits(&out.2), "relu at {:?}", level);
@@ -323,8 +409,9 @@ proptest! {
     }
 
     /// SIMD determinism contract, reductions + conv: axis sums/maxes,
-    /// both `reduce_to_shape` layouts (last dim preserved → vector gather;
-    /// last dim reduced → scalar walk), and the temporal conv.
+    /// every `reduce_to_shape` layout (last dim preserved → vector gather;
+    /// last dim reduced, trailing block and `[1]` → scalar chains), and
+    /// the temporal conv.
     fn simd_levels_bit_identical_reductions_conv(
         d0 in 1usize..4,
         d1 in 1usize..6,
@@ -348,6 +435,8 @@ proptest! {
                 ops::reduce_to_shape(&a, &[1, d1, n]), // last dim preserved
                 ops::reduce_to_shape(&a, &[d0, d1, 1]), // last dim reduced
                 ops::temporal_conv(&x, &w, 1),
+                ops::reduce_to_shape(&a, &[d0, 1, 1]), // trailing block
+                ops::reduce_to_shape(&a, &[1]),        // everything
             )
         };
         let scalar = with_threads(threads, || with_simd(SimdLevel::Scalar, run));
@@ -358,6 +447,8 @@ proptest! {
             prop_assert_eq!(bits(&scalar.2), bits(&out.2), "reduce keep-last at {:?}", level);
             prop_assert_eq!(bits(&scalar.3), bits(&out.3), "reduce drop-last at {:?}", level);
             prop_assert_eq!(bits(&scalar.4), bits(&out.4), "temporal_conv at {:?}", level);
+            prop_assert_eq!(bits(&scalar.5), bits(&out.5), "reduce trailing block at {:?}", level);
+            prop_assert_eq!(bits(&scalar.6), bits(&out.6), "reduce to [1] at {:?}", level);
         }
     }
 }
