@@ -13,10 +13,11 @@
 //! once more with `cts_tensor::simd` forced to the scalar path so the
 //! vector speedup is a recorded scalar-vs-simd row pair, and both files
 //! open with a `host` header (available parallelism + detected SIMD).
-//! Two regressions are *asserted* in-process, not just recorded:
+//! Three regressions are *asserted* in-process, not just recorded:
 //! `matmul_nt` must stay within 1.3× of `matmul` (the packed-B fix), and
 //! on hosts where AVX2 is detected the vectorized matmul must beat the
-//! forced-scalar path by ≥ 1.5×.
+//! forced-scalar path by ≥ 1.5× and the search's `×[1]` broadcast must
+//! stay within 1.5× of a same-shape add (the run-length broadcast).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
@@ -125,61 +126,74 @@ fn thread_counts() -> Vec<usize> {
 }
 
 /// Per-kernel rows: the projection/attention shapes the supernet is built
-/// from, at every worker count of [`thread_counts`], plus a forced-scalar
-/// pass at threads=1 so each kernel has a scalar-vs-simd row pair.
+/// from and the search step's own elementwise shapes at `[8,32,12,8]`, at
+/// every worker count of [`thread_counts`], plus a forced-scalar pass at
+/// threads=1 so each kernel has a scalar-vs-simd row pair.
 ///
-/// Asserts (rather than merely records) the two perf contracts of the
-/// SIMD work: `matmul_nt` within 1.3× of `matmul`, and vectorized matmul
-/// ≥ 1.5× over forced-scalar when AVX2 is available.
+/// Asserts (rather than merely records) the perf contracts of the SIMD
+/// work: `matmul_nt` within 1.3× of `matmul`, and, when AVX2 is
+/// available, vectorized matmul ≥ 1.5× over forced-scalar and the `×[1]`
+/// broadcast within 1.5× of the same-shape add.
 fn bench_ops() -> (Vec<String>, String) {
     let mut rng = SmallRng::seed_from_u64(0);
     let a = init::uniform(&mut rng, [8, 16, 48, 64], -1.0, 1.0);
     let w = init::uniform(&mut rng, [64, 64], -1.0, 1.0);
     let b_same = init::uniform(&mut rng, [8, 16, 48, 64], -1.0, 1.0);
     let scores = init::uniform(&mut rng, [8, 16, 48, 48], -1.0, 1.0);
+    // The search step's activation shape and its broadcast partners: Eq. 4's
+    // mixture weight, a bias row, and LayerNorm's per-row statistic.
+    let h = init::uniform(&mut rng, [8, 32, 12, 8], -1.0, 1.0);
+    let h_same = init::uniform(&mut rng, [8, 32, 12, 8], -1.0, 1.0);
+    let weight = init::uniform(&mut rng, [1], -1.0, 1.0);
+    let bias = init::uniform(&mut rng, [8], -1.0, 1.0);
+    let stat = init::uniform(&mut rng, [8, 32, 12, 1], -1.0, 1.0);
 
-    type Case<'c> = (&'c str, &'c str, Box<dyn Fn() -> Tensor + 'c>);
+    // (op, shape, timed iterations, kernel call); the search shapes are
+    // ~10 µs calls, so they time more iterations.
+    type Case<'c> = (&'c str, &'c str, usize, Box<dyn Fn() -> Tensor + 'c>);
     let cases: Vec<Case> = vec![
-        ("matmul", "[8,16,48,64]x[64,64]", Box::new(|| ops::matmul(&a, &w))),
-        (
-            "matmul.nt",
-            "[8,16,48,64]x[64,64]T",
-            Box::new(|| ops::matmul_nt(&a, &w)),
-        ),
-        (
-            "matmul.tn",
-            "[8,16,48,64]Tx[8,16,48,48]",
-            Box::new(|| ops::matmul_tn(&a, &scores)),
-        ),
-        (
-            "softmax.last",
-            "[8,16,48,48]",
-            Box::new(|| ops::softmax_last(&scores)),
-        ),
-        (
-            "elementwise.add",
-            "[8,16,48,64]+[8,16,48,64]",
-            Box::new(|| ops::add(&a, &b_same)),
-        ),
+        ("matmul", "[8,16,48,64]x[64,64]", 20, Box::new(|| ops::matmul(&a, &w))),
+        ("matmul.nt", "[8,16,48,64]x[64,64]T", 20, Box::new(|| ops::matmul_nt(&a, &w))),
+        ("matmul.tn", "[8,16,48,64]Tx[8,16,48,48]", 20, Box::new(|| ops::matmul_tn(&a, &scores))),
+        ("softmax.last", "[8,16,48,48]", 20, Box::new(|| ops::softmax_last(&scores))),
+        ("elementwise.add", "[8,16,48,64]+[8,16,48,64]", 20, Box::new(|| ops::add(&a, &b_same))),
         (
             "elementwise.reduce_to_shape",
             "[8,16,48,64]->[48,64]",
+            20,
             Box::new(|| ops::reduce_to_shape(&a, &[48, 64])),
         ),
+        ("elementwise.add", "[8,32,12,8]+[8,32,12,8]", 400, Box::new(|| ops::add(&h, &h_same))),
+        ("elementwise.mul", "[8,32,12,8]x[1]", 400, Box::new(|| ops::mul(&h, &weight))),
+        ("elementwise.add", "[8,32,12,8]+[8]", 400, Box::new(|| ops::add(&h, &bias))),
+        ("elementwise.sub", "[8,32,12,8]-[8,32,12,1]", 400, Box::new(|| ops::sub(&h, &stat))),
+        (
+            "elementwise.reduce_to_shape",
+            "[8,32,12,8]->[8,32,12,1]",
+            400,
+            Box::new(|| ops::reduce_to_shape(&h, &[8, 32, 12, 1])),
+        ),
+        (
+            "elementwise.reduce_to_shape",
+            "[8,32,12,8]->[1]",
+            400,
+            Box::new(|| ops::reduce_to_shape(&h, &[1])),
+        ),
+        ("reduce.sum_axis", "[8,32,12,8] axis 3", 400, Box::new(|| ops::sum_axis(&h, 3, true))),
     ];
 
     let mut rows = Vec::new();
-    // ns/iter at threads=1, keyed by (op, simd level name) — the config
-    // the speedup assertions below read from.
-    let mut t1: HashMap<(String, &'static str), u64> = HashMap::new();
+    // ns/iter at threads=1, keyed by (op, shape, simd level name) — the
+    // config the speedup assertions below read from.
+    let mut t1: HashMap<(&str, &str, &'static str), u64> = HashMap::new();
     for threads in thread_counts() {
         set_num_threads(threads);
-        for (op, shape, f) in &cases {
-            let m = measure(5, 20, || {
+        for (op, shape, iters, f) in &cases {
+            let m = measure(5, *iters, || {
                 std::hint::black_box(f());
             });
             if threads == 1 {
-                t1.insert((op.to_string(), simd::level_name()), m.ns_per_iter);
+                t1.insert((op, shape, simd::level_name()), m.ns_per_iter);
             }
             rows.push(row_json(op, shape, threads, arena::enabled(), &m));
         }
@@ -191,31 +205,34 @@ fn bench_ops() -> (Vec<String>, String) {
     if simd::active() {
         simd::set_level(Some(SimdLevel::Scalar));
         set_num_threads(1);
-        for (op, shape, f) in &cases {
-            let m = measure(5, 20, || {
+        for (op, shape, iters, f) in &cases {
+            let m = measure(5, *iters, || {
                 std::hint::black_box(f());
             });
-            t1.insert((op.to_string(), simd::level_name()), m.ns_per_iter);
+            t1.insert((op, shape, simd::level_name()), m.ns_per_iter);
             rows.push(row_json(op, shape, 1, arena::enabled(), &m));
         }
         simd::set_level(None);
     }
     set_num_threads(0);
 
-    let ns = |op: &str, lvl: &'static str| -> f64 {
-        t1.get(&(op.to_string(), lvl)).copied().unwrap_or(0).max(1) as f64
+    let ns = |op: &str, shape: &str, lvl: &'static str| -> f64 {
+        t1.get(&(op, shape, lvl)).copied().unwrap_or(0).max(1) as f64
     };
-    let speedup = |op: &str| ns(op, "scalar") / ns(op, active);
-    let nt_ratio = ns("matmul.nt", active) / ns("matmul", active);
+    let speedup = |op: &str, shape: &str| ns(op, shape, "scalar") / ns(op, shape, active);
+    let nt_ratio = ns("matmul.nt", "[8,16,48,64]x[64,64]T", active) / ns("matmul", "[8,16,48,64]x[64,64]", active);
+    let splat_ratio = ns("elementwise.mul", "[8,32,12,8]x[1]", active)
+        / ns("elementwise.add", "[8,32,12,8]+[8,32,12,8]", active);
     let (mm, ew, sm, rd) = (
-        speedup("matmul"),
-        speedup("elementwise.add"),
-        speedup("softmax.last"),
-        speedup("elementwise.reduce_to_shape"),
+        speedup("matmul", "[8,16,48,64]x[64,64]"),
+        speedup("elementwise.add", "[8,16,48,64]+[8,16,48,64]"),
+        speedup("softmax.last", "[8,16,48,48]"),
+        speedup("elementwise.reduce_to_shape", "[8,16,48,64]->[48,64]"),
     );
     let summary = format!(
         "  \"summary\": {{\"simd_active\": \"{active}\", \
          \"ratio_matmul_nt_vs_matmul_t1\": {nt_ratio:.3}, \
+         \"ratio_mul_splat_vs_add_t1\": {splat_ratio:.3}, \
          \"speedup_simd_vs_scalar_t1\": {{\"matmul\": {mm:.3}, \
          \"elementwise.add\": {ew:.3}, \"softmax.last\": {sm:.3}, \
          \"elementwise.reduce_to_shape\": {rd:.3}}}}}"
@@ -231,6 +248,13 @@ fn bench_ops() -> (Vec<String>, String) {
         assert!(
             mm >= 1.5,
             "vectorized matmul only {mm:.3}x over forced-scalar on an AVX2 host (need 1.5x)"
+        );
+        // A `×[1]` broadcast is one constant run over the whole tensor, so
+        // it costs what a same-shape add does; a per-element odometer walk
+        // is several times slower.
+        assert!(
+            splat_ratio <= 1.5,
+            "[8,32,12,8]x[1] broadcast regressed: {splat_ratio:.3}x the same-shape add at threads=1 (budget 1.5x)"
         );
     }
     (rows, summary)

@@ -24,6 +24,12 @@
 //! - **Bounded residency**: at most [`PER_CLASS`] buffers per class and
 //!   [`MAX_RESIDENT_FLOATS`] floats total stay cached per thread; excess
 //!   buffers fall through to the system allocator's `dealloc` as before.
+//! - **Demand-bounded free lists**: a thread keeps at most as many buffers
+//!   of a class as it has itself had out at once. Buffers freed by a
+//!   thread that never asks for their class — a serving shard freeing a
+//!   client's request window, a client freeing the shard's answer — fall
+//!   through to the system allocator instead of piling up in a free list
+//!   nobody takes from.
 //! - **Deterministic values**: every buffer handed out is fully
 //!   initialised (zeroed, constant-filled, or copied) before the caller
 //!   sees it, so recycling can never change numerical results. Debug
@@ -109,6 +115,11 @@ struct ArenaTls {
     stats: ArenaStats,
     class_hits: [u64; N_CLASSES],
     class_misses: [u64; N_CLASSES],
+    // Per-class demand: buffers taken on this thread and not yet freed on
+    // it (saturating, since buffers taken elsewhere are freed here too),
+    // and that count's high-water mark, which caps the class's free list.
+    out: [usize; N_CLASSES],
+    demand: [usize; N_CLASSES],
     // Live-buffer gauge: capacity handed out by `take_raw` and not yet
     // returned through `recycle`. `live` can only undercount (buffers
     // built outside the arena still recycle on Tensor drop), never
@@ -127,6 +138,8 @@ impl ArenaTls {
             stats: ArenaStats::default(),
             class_hits: [0; N_CLASSES],
             class_misses: [0; N_CLASSES],
+            out: [0; N_CLASSES],
+            demand: [0; N_CLASSES],
             live: 0,
             peak_live: 0,
         }
@@ -204,6 +217,8 @@ fn take_raw(len: usize) -> Vec<f32> {
     ARENA.with(|a| {
         let mut a = a.borrow_mut();
         if class < N_CLASSES {
+            a.out[class] += 1;
+            a.demand[class] = a.demand[class].max(a.out[class]);
             if let Some(mut buf) = a.bins[class].pop() {
                 a.resident -= buf.capacity();
                 a.stats.hits += 1;
@@ -267,7 +282,8 @@ pub fn prewarm(lens: &[usize]) {
 }
 
 /// Return a buffer to this thread's free lists (or drop it when the
-/// arena is disabled, the class is full, or the residency budget is hit).
+/// arena is disabled, the class is full or already holds this thread's
+/// demand for it, or the residency budget is hit).
 pub fn recycle(mut buf: Vec<f32>) {
     let cap = buf.capacity();
     if cap == 0 {
@@ -284,10 +300,13 @@ pub fn recycle(mut buf: Vec<f32>) {
         // free list accepts it. Saturating because buffers created
         // outside `take_raw` (e.g. `Tensor::from_vec`) also land here.
         a.live = a.live.saturating_sub(cap);
-        if class >= N_CLASSES
-            || a.bins[class].len() >= PER_CLASS
-            || a.resident + cap > MAX_RESIDENT_FLOATS
-        {
+        if class >= N_CLASSES {
+            a.stats.discarded += 1;
+            return;
+        }
+        a.out[class] = a.out[class].saturating_sub(1);
+        let held = a.bins[class].len();
+        if held >= PER_CLASS || held >= a.demand[class] || a.resident + cap > MAX_RESIDENT_FLOATS {
             a.stats.discarded += 1;
             return;
         }
@@ -495,14 +514,42 @@ mod tests {
     #[test]
     fn residency_is_bounded_per_class() {
         clear();
-        for _ in 0..(PER_CLASS + 4) {
-            recycle(Vec::with_capacity(256));
+        // A demand past the cap: every buffer is out at once.
+        let held: Vec<Vec<f32>> = (0..(PER_CLASS + 4)).map(|_| take_zeroed(256)).collect();
+        for buf in held {
+            recycle(buf);
         }
         ARENA.with(|a| {
             let a = a.borrow();
             assert!(a.bins[class_for_capacity(256)].len() <= PER_CLASS);
         });
         clear();
+    }
+
+    #[test]
+    fn buffers_freed_by_another_thread_stay_within_the_receivers_demand() {
+        // One thread takes a stream of buffers and another frees them, as
+        // a serving client and shard do with request windows. The
+        // receiver has had at most two buffers of that class out at once,
+        // so its free list may keep two, never the sender's stream.
+        let (tx, rx) = std::sync::mpsc::channel::<Vec<f32>>();
+        let sender = std::thread::spawn(move || {
+            for _ in 0..1000 {
+                tx.send(take_zeroed(300)).unwrap();
+            }
+        });
+        let receiver = std::thread::spawn(move || {
+            let (a, b) = (take_zeroed(300), take_zeroed(300));
+            recycle(a);
+            recycle(b);
+            for buf in rx {
+                recycle(buf);
+            }
+            stats().resident_floats
+        });
+        sender.join().unwrap();
+        let resident = receiver.join().unwrap();
+        assert!(resident <= 2 * 512, "receiver caches {resident} floats for a demand of 2 x 512");
     }
 
     #[cfg(debug_assertions)]

@@ -3,9 +3,11 @@
 //! All three shapes of elementwise work — same-shape zips, broadcasting
 //! zips, and unary maps — run through [`crate::parallel`]: the flat output
 //! is split into contiguous ranges and each worker fills its own range.
-//! Broadcast indexing uses precomputed broadcast strides and an odometer
-//! walk instead of per-element `unravel`/`ravel`, which also speeds up the
-//! serial path.
+//! A broadcasting zip merges the trailing axes over which each operand is
+//! contiguous or constant into one run, and walks the remaining outer axes
+//! with an odometer once per run. Each run is a slice-by-slice or
+//! slice-by-constant map on the SIMD lanes of [`simd`], so broadcasts run
+//! at the same vector speed as same-shape zips.
 
 use crate::arena;
 use crate::meter;
@@ -13,6 +15,8 @@ use crate::parallel;
 use crate::shape::{broadcast_shapes, numel, strides_for, unravel, Shape};
 use crate::simd::{self, BinOp, UnOp};
 use crate::Tensor;
+
+use super::reduce::sum_rows;
 
 /// Per-axis strides of `shape` viewed in the broadcast space `out_shape`
 /// (right-aligned; broadcast axes get stride 0).
@@ -26,69 +30,148 @@ fn broadcast_strides(shape: &[usize], out_shape: &[usize]) -> Shape {
     out
 }
 
-/// Arithmetic binary op with NumPy broadcasting, dispatched by [`BinOp`]
-/// descriptor so the same-shape fast path can run the SIMD lanes of
-/// [`simd::binary_map`] (the broadcast odometer path stays scalar — its
-/// strided gathers have no contiguous lanes to load).
-fn zip_arith(a: &Tensor, b: &Tensor, op: BinOp) -> Tensor {
-    if a.shape() == b.shape() {
-        meter::add_reads(a.len() + b.len());
-        let (ad, bd) = (a.data(), b.data());
-        let mut data = arena::take_zeroed(ad.len());
-        parallel::for_units(&parallel::kernels::EW_ZIP, &mut data, 1, ad.len(), |start, chunk| {
-            let end = start + chunk.len();
-            simd::binary_map(op, &ad[start..end], &bd[start..end], chunk);
-        });
-        if simd::active() {
-            parallel::kernels::EW_ZIP.stats.record_simd();
-        }
-        return Tensor::from_vec(a.shape(), data);
-    }
-    zip_broadcast(a, b, |x, y| op.apply(x, y))
+/// One operand over an output run: a contiguous slice, or one value
+/// repeated across the run (the operand is broadcast over all of it).
+#[derive(Clone, Copy)]
+enum Run<'a> {
+    Slice(&'a [f32]),
+    Splat(f32),
 }
 
-/// Elementwise binary op with NumPy broadcasting.
-fn zip_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
-    meter::add_reads(a.len() + b.len());
-    if a.shape() == b.shape() {
-        // Fast path: identical shapes, one flat parallel zip.
-        let (ad, bd) = (a.data(), b.data());
-        let mut data = arena::take_zeroed(ad.len());
-        parallel::for_units(&parallel::kernels::EW_ZIP, &mut data, 1, ad.len(), |start, chunk| {
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = f(ad[start + i], bd[start + i]);
-            }
-        });
-        return Tensor::from_vec(a.shape(), data);
+impl<'a> Run<'a> {
+    /// The operand's view of `m` elements at offset `r` into the run
+    /// whose source base is `base`.
+    fn of(d: &'a [f32], contiguous: bool, base: usize, r: usize, m: usize) -> Self {
+        if contiguous {
+            Run::Slice(&d[base + r..base + r + m])
+        } else {
+            Run::Splat(d[base])
+        }
     }
+}
+
+/// Split the broadcast space into `(k, run, contiguous)`: the axes from `k`
+/// on merge into runs of `run` elements, over which each operand is
+/// either contiguous (`contiguous[s]`, stride = the run length so far) or
+/// constant (stride 0). Axes `..k` are walked once per run.
+fn split_runs(out_shape: &[usize], strides: [&[usize]; 2]) -> (usize, usize, [bool; 2]) {
+    let mut run = 1;
+    let mut mode: [Option<bool>; 2] = [None; 2];
+    let mut k = out_shape.len();
+    'axes: while k > 0 {
+        let d = k - 1;
+        if out_shape[d] != 1 {
+            let mut next = mode;
+            for (m, st) in next.iter_mut().zip(strides) {
+                let contiguous = match st[d] {
+                    0 => false,
+                    s if s == run => true,
+                    _ => break 'axes,
+                };
+                if m.is_some_and(|prev| prev != contiguous) {
+                    break 'axes;
+                }
+                *m = Some(contiguous);
+            }
+            mode = next;
+            run *= out_shape[d];
+        }
+        k -= 1;
+    }
+    (k, run, mode.map(|m| m.unwrap_or(false)))
+}
+
+/// Arithmetic binary op with NumPy broadcasting, dispatched by [`BinOp`]
+/// descriptor: every run goes through [`simd::binary_map`] when both
+/// operands are contiguous over it and [`simd::splat_map`] when one is
+/// constant.
+fn zip_arith(a: &Tensor, b: &Tensor, op: BinOp) -> Tensor {
+    let out = zip_broadcast(a, b, |x, y, out| match (x, y) {
+        (Run::Slice(x), Run::Slice(y)) => simd::binary_map(op, x, y, out),
+        (Run::Slice(x), Run::Splat(c)) => simd::splat_map(op, c, false, x, out),
+        (Run::Splat(c), Run::Slice(y)) => simd::splat_map(op, c, true, y, out),
+        (Run::Splat(c), Run::Splat(d)) => out.fill(op.apply(c, d)),
+    });
+    if simd::active() {
+        zip_spec(a, b).stats.record_simd();
+    }
+    out
+}
+
+/// Elementwise binary closure with NumPy broadcasting, on the same run
+/// walk as [`zip_arith`].
+fn zip_map(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
+    zip_broadcast(a, b, |x, y, out| match (x, y) {
+        (Run::Slice(x), Run::Slice(y)) => {
+            for ((o, &x), &y) in out.iter_mut().zip(x).zip(y) {
+                *o = f(x, y);
+            }
+        }
+        (Run::Slice(x), Run::Splat(c)) => {
+            for (o, &x) in out.iter_mut().zip(x) {
+                *o = f(x, c);
+            }
+        }
+        (Run::Splat(c), Run::Slice(y)) => {
+            for (o, &y) in out.iter_mut().zip(y) {
+                *o = f(c, y);
+            }
+        }
+        (Run::Splat(c), Run::Splat(d)) => out.fill(f(c, d)),
+    })
+}
+
+/// The kernel a zip is accounted to: same-shape zips are one flat run.
+fn zip_spec(a: &Tensor, b: &Tensor) -> &'static parallel::KernelSpec {
+    if a.shape() == b.shape() {
+        &parallel::kernels::EW_ZIP
+    } else {
+        &parallel::kernels::EW_ZIP_BROADCAST
+    }
+}
+
+/// Broadcasting zip: `run(x, y, out)` fills each contiguous output run
+/// from the two operands' views of it. A worker's range may start or end
+/// inside a run; the partial run is passed as a shorter one.
+fn zip_broadcast(a: &Tensor, b: &Tensor, run: impl Fn(Run, Run, &mut [f32]) + Sync) -> Tensor {
+    meter::add_reads(a.len() + b.len());
     let out_shape = broadcast_shapes(a.shape(), b.shape())
         .unwrap_or_else(|| panic!("broadcast mismatch {:?} vs {:?}", a.shape(), b.shape()));
     let n = numel(&out_shape);
     let a_str = broadcast_strides(a.shape(), &out_shape);
     let b_str = broadcast_strides(b.shape(), &out_shape);
+    let (k, len, [a_run, b_run]) = split_runs(&out_shape, [&a_str, &b_str]);
+    let (outer, a_str, b_str) = (&out_shape[..k], &a_str[..k], &b_str[..k]);
     let (ad, bd) = (a.data(), b.data());
     let mut data = arena::take_zeroed(n);
-    parallel::for_units(&parallel::kernels::EW_ZIP_BROADCAST, &mut data, 1, n, |start, chunk| {
-        // Odometer walk: carry coordinates and both source offsets along.
-        let mut coords = unravel(start, &out_shape);
+    parallel::for_units(zip_spec(a, b), &mut data, 1, n, |start, chunk| {
+        // Odometer over the outer axes, carrying both source bases; `r`
+        // is the offset into the current run.
+        let mut coords_buf = unravel(start / len, outer);
+        let coords: &mut [usize] = &mut coords_buf;
         let mut ia: usize = coords.iter().zip(a_str.iter()).map(|(c, s)| c * s).sum();
         let mut ib: usize = coords.iter().zip(b_str.iter()).map(|(c, s)| c * s).sum();
-        let last = chunk.len() - 1;
-        for (i, o) in chunk.iter_mut().enumerate() {
-            *o = f(ad[ia], bd[ib]);
-            if i == last {
+        let mut r = start % len;
+        let mut rest = chunk;
+        loop {
+            let m = (len - r).min(rest.len());
+            let (head, tail) = rest.split_at_mut(m);
+            run(Run::of(ad, a_run, ia, r, m), Run::of(bd, b_run, ib, r, m), head);
+            rest = tail;
+            if rest.is_empty() {
                 break;
             }
-            for d in (0..out_shape.len()).rev() {
+            r = 0;
+            for d in (0..k).rev() {
                 coords[d] += 1;
                 ia += a_str[d];
                 ib += b_str[d];
-                if coords[d] < out_shape[d] {
+                if coords[d] < outer[d] {
                     break;
                 }
                 coords[d] = 0;
-                ia -= a_str[d] * out_shape[d];
-                ib -= b_str[d] * out_shape[d];
+                ia -= a_str[d] * outer[d];
+                ib -= b_str[d] * outer[d];
             }
         }
     });
@@ -148,6 +231,11 @@ fn zip_exact(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tens
 /// of the seed's serial scatter-add (`ops::reference::reduce_to_shape`), so
 /// results are bit-identical to it at every thread count — while workers
 /// write disjoint target ranges, so no scatter races.
+///
+/// When every reduced axis comes after every kept axis longer than 1, a
+/// target element's preimage is the contiguous block
+/// `grad[t·total .. (t+1)·total]`, summed as one ascending chain — the
+/// same chain the odometer builds.
 pub fn reduce_to_shape(grad: &Tensor, target_shape: &[usize]) -> Tensor {
     if grad.shape() == target_shape {
         return grad.clone();
@@ -161,16 +249,25 @@ pub fn reduce_to_shape(grad: &Tensor, target_shape: &[usize]) -> Tensor {
     // axis order, so the odometer below walks them row-major — i.e. in
     // ascending grad-flat order for a fixed target element.
     let mut reduce_dims: Vec<(usize, usize)> = Vec::with_capacity(gshape.len());
+    let mut trailing = true;
     for (d, (&gdim, &gstride)) in gshape.iter().zip(g_str.iter()).enumerate() {
         let tdim = if d < offset { 1 } else { target_shape[d - offset] };
         if tdim != gdim {
             reduce_dims.push((gdim, gstride));
+        } else if gdim > 1 && !reduce_dims.is_empty() {
+            trailing = false;
         }
     }
     let total: usize = reduce_dims.iter().map(|&(len, _)| len).product();
     let n_out = numel(target_shape);
     let gd = grad.data();
     let mut out = arena::take_zeroed(n_out);
+    if trailing {
+        parallel::for_units(&parallel::kernels::REDUCE_TO_SHAPE, &mut out, 1, grad.len(), |start, chunk| {
+            sum_rows(&gd[start * total..(start + chunk.len()) * total], total, chunk);
+        });
+        return Tensor::from_vec(target_shape, out);
+    }
     // Vector groups apply when the grad's last axis is preserved in the
     // target: then [`simd::LANES`] consecutive target elements have grad
     // bases `base..base+LANES` (last stride is 1) and share one preimage
@@ -288,7 +385,7 @@ pub fn div_grad_a(grad: &Tensor, b: &Tensor, a_shape: &[usize]) -> Tensor {
 
 /// ∂(a/b)/∂b = -grad * a / b², reduced to b's shape.
 pub fn div_grad_b(grad: &Tensor, a: &Tensor, b: &Tensor) -> Tensor {
-    let gb = zip_broadcast(&mul(grad, a), b, |num, den| -num / (den * den));
+    let gb = zip_map(&mul(grad, a), b, |num, den| -num / (den * den));
     reduce_to_shape(&gb, b.shape())
 }
 

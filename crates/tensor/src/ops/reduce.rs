@@ -41,7 +41,22 @@ fn split_at_axis(shape: &[usize], axis: usize) -> (usize, usize, usize) {
     (outer, len, inner)
 }
 
-/// Sum over one axis.
+/// `out[i] = Σ rows[i·len .. (i+1)·len]`, each sum one ascending scalar
+/// chain starting from 0.0 — the chain that accumulating each row into a
+/// zeroed output builds, so contiguous reductions stay bit-identical to
+/// it. A zero `len` leaves `out` as it is.
+pub(crate) fn sum_rows(rows: &[f32], len: usize, out: &mut [f32]) {
+    if len == 0 {
+        return;
+    }
+    for (o, row) in out.iter_mut().zip(rows.chunks_exact(len)) {
+        *o = row.iter().fold(0.0f32, |acc, &v| acc + v);
+    }
+}
+
+/// Sum over one axis. On the last axis (`inner == 1`) each output is one
+/// contiguous row summed by [`sum_rows`]; otherwise rows of `inner`
+/// outputs accumulate on the SIMD lanes.
 pub fn sum_axis(a: &Tensor, axis: usize, keepdim: bool) -> Tensor {
     meter::add_reads(a.len());
     let (outer, len, inner) = split_at_axis(a.shape(), axis);
@@ -49,6 +64,10 @@ pub fn sum_axis(a: &Tensor, axis: usize, keepdim: bool) -> Tensor {
     let data = a.data();
     parallel::for_units(&parallel::kernels::REDUCE_SUM_AXIS, &mut out, inner.max(1), outer * len * inner, |o0, chunk| {
         if inner == 0 {
+            return;
+        }
+        if inner == 1 {
+            sum_rows(&data[o0 * len..(o0 + chunk.len()) * len], len, chunk);
             return;
         }
         for (oi, oslice) in chunk.chunks_mut(inner).enumerate() {
@@ -59,7 +78,7 @@ pub fn sum_axis(a: &Tensor, axis: usize, keepdim: bool) -> Tensor {
             }
         }
     });
-    if crate::simd::active() {
+    if inner > 1 && crate::simd::active() {
         parallel::kernels::REDUCE_SUM_AXIS.stats.record_simd();
     }
     Tensor::from_vec(reduced_shape(a.shape(), axis, keepdim), out)

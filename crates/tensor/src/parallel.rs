@@ -181,8 +181,11 @@ pub mod kernels {
     pub static TRANSPOSE: KernelSpec = disjoint("matmul.transpose_last2");
     /// Same-shape elementwise zip (one unit = one scalar).
     pub static EW_ZIP: KernelSpec = vectorized(disjoint("elementwise.zip"), LaneOrder::ElementChains);
-    /// Broadcasting elementwise zip (odometer walk).
-    pub static EW_ZIP_BROADCAST: KernelSpec = disjoint("elementwise.zip_broadcast");
+    /// Broadcasting elementwise zip (one unit = one scalar): trailing axes
+    /// merge into contiguous or constant runs, each mapped on the vector
+    /// lanes; an odometer walks the outer axes once per run.
+    pub static EW_ZIP_BROADCAST: KernelSpec =
+        vectorized(disjoint("elementwise.zip_broadcast"), LaneOrder::ElementChains);
     /// Elementwise unary map.
     pub static EW_UNARY: KernelSpec = vectorized(disjoint("elementwise.unary"), LaneOrder::ElementChains);
     /// Exact-length zip used by saved-value gradient kernels.
@@ -190,7 +193,9 @@ pub mod kernels {
     /// Broadcast-gradient reduction: one unit = one *target* element,
     /// each summing its grad preimage in ascending flat order (the same
     /// per-element order as the old serial scatter, so results are
-    /// bit-identical to it).
+    /// bit-identical to it). A contiguous preimage (reduced axes trailing
+    /// the kept ones) is one scalar chain; otherwise, when the last axis
+    /// is kept, 8 consecutive targets share a vector preimage walk.
     pub static REDUCE_TO_SHAPE: KernelSpec =
         vectorized(disjoint("elementwise.reduce_to_shape"), LaneOrder::ElementChains);
     /// Axis sum (one unit = one inner slice).

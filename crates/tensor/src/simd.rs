@@ -333,6 +333,35 @@ pub fn binary_map(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
     }
 }
 
+/// `out[i] = op(c, x[i])` when `c_first`, else `out[i] = op(x[i], c)`:
+/// a binary op with one operand broadcast across the whole slice. The
+/// constant keeps its side, so `c − x` and `c / x` round as written.
+#[inline]
+pub fn splat_map(op: BinOp, c: f32, c_first: bool, x: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(x.len(), out.len());
+    match level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: level() == Avx2 only after is_x86_feature_detected!("avx2").
+        SimdLevel::Avx2 => unsafe { x86::splat_map_avx2(op, c, c_first, x, out) },
+        _ => splat_tail(op, c, c_first, x, out, 0),
+    }
+}
+
+/// Scalar `splat_map` over `j0..`: the pinned form for the scalar level
+/// and the vector tails.
+#[inline(always)]
+fn splat_tail(op: BinOp, c: f32, c_first: bool, x: &[f32], out: &mut [f32], j0: usize) {
+    if c_first {
+        for (o, &v) in out[j0..].iter_mut().zip(x[j0..].iter()) {
+            *o = op.apply(c, v);
+        }
+    } else {
+        for (o, &v) in out[j0..].iter_mut().zip(x[j0..].iter()) {
+            *o = op.apply(v, c);
+        }
+    }
+}
+
 /// `out[i] = op(a[i])` over equal-length slices.
 #[inline]
 pub fn unary_map(op: UnOp, a: &[f32], out: &mut [f32]) {
@@ -518,7 +547,7 @@ mod x86 {
     //! AVX2 bodies. Callers (the dispatchers above) guarantee the
     //! target feature is present; each body asserts its slice bounds
     //! before the pointer loop, so every load/store below is in bounds.
-    use super::{fold_max, BinOp, UnOp, LANES, MAX_RDIMS};
+    use super::{fold_max, splat_tail, BinOp, UnOp, LANES, MAX_RDIMS};
     use std::arch::x86_64::*;
 
     // -- gemm ---------------------------------------------------------------
@@ -594,6 +623,38 @@ mod x86 {
             BinOp::Mul => lanes8!(_mm256_mul_ps),
             BinOp::Div => lanes8!(_mm256_div_ps),
         }
+    }
+
+    // SAFETY: to call, AVX2 must be available on the host.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn splat_map_avx2(op: BinOp, c: f32, c_first: bool, x: &[f32], out: &mut [f32]) {
+        let n = out.len();
+        assert!(x.len() >= n);
+        let (xp, op_) = (x.as_ptr(), out.as_mut_ptr());
+        let vc = _mm256_set1_ps(c);
+        let mut j = 0;
+        macro_rules! lanes8 {
+            ($vop:ident) => {{
+                if c_first {
+                    while j + 8 <= n {
+                        _mm256_storeu_ps(op_.add(j), $vop(vc, _mm256_loadu_ps(xp.add(j))));
+                        j += 8;
+                    }
+                } else {
+                    while j + 8 <= n {
+                        _mm256_storeu_ps(op_.add(j), $vop(_mm256_loadu_ps(xp.add(j)), vc));
+                        j += 8;
+                    }
+                }
+            }};
+        }
+        match op {
+            BinOp::Add => lanes8!(_mm256_add_ps),
+            BinOp::Sub => lanes8!(_mm256_sub_ps),
+            BinOp::Mul => lanes8!(_mm256_mul_ps),
+            BinOp::Div => lanes8!(_mm256_div_ps),
+        }
+        splat_tail(op, c, c_first, x, out, j);
     }
 
     // SAFETY: to call, AVX2 must be available on the host.
@@ -863,6 +924,30 @@ mod tests {
                     binary_map(op, &a, &b, &mut out);
                     out
                 });
+            }
+        }
+    }
+
+    #[test]
+    fn splat_maps_levels_agree_both_sides() {
+        for n in 0..=18 {
+            let mut x = pattern(n, 7);
+            if n > 2 {
+                x[1] = f32::NAN;
+                x[2] = -0.0;
+            }
+            for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div] {
+                for c_first in [false, true] {
+                    let got = across_levels(|| {
+                        let mut out = vec![0.0; n];
+                        splat_map(op, -1.375, c_first, &x, &mut out);
+                        out
+                    });
+                    for (g, &v) in got.iter().zip(x.iter()) {
+                        let want = if c_first { op.apply(-1.375, v) } else { op.apply(v, -1.375) };
+                        assert_eq!(g.to_bits(), want.to_bits(), "{op:?} c_first={c_first}");
+                    }
+                }
             }
         }
     }

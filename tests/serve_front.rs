@@ -84,6 +84,41 @@ fn worker_replicas_answer_bit_identically_in_ticket_order() {
 }
 
 #[test]
+fn submitting_thread_arena_stops_growing_after_warm_up() {
+    // Every request crosses threads twice: the window is cloned out of
+    // this thread's arena and freed on the shard, and the answer is
+    // taken on the shard and freed here. Neither thread takes the other's
+    // size class back, so a free list that kept whatever was freed into
+    // it would grow with every request served.
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let (_model, _local, pool) = fixture(22);
+    let cfg = FrontConfig {
+        threads: 1,
+        max_batch: 4,
+        ..FrontConfig::default()
+    };
+    let mut front = ServeFront::new(cfg, single_model_factory(22)).expect("front starts");
+    let mut serve_rounds = |rounds: usize| {
+        for _ in 0..rounds {
+            for x in &pool {
+                front.submit("m", x.clone()).expect("submit");
+            }
+            for (ticket, answer) in front.flush().expect("flush") {
+                answer.unwrap_or_else(|e| panic!("request {ticket} failed: {e}"));
+            }
+        }
+    };
+    serve_rounds(4);
+    let warm = cts_tensor::arena::stats().resident_floats;
+    serve_rounds(40);
+    let after = cts_tensor::arena::stats().resident_floats;
+    assert!(
+        after <= warm,
+        "submitting thread's arena grew from {warm} to {after} floats after warm-up"
+    );
+}
+
+#[test]
 fn cache_hits_are_bit_identical_expire_past_horizon_and_evict_under_cap() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let (_model, local, pool) = fixture(21);
