@@ -172,3 +172,60 @@ pub fn transpose_last2(a: &Tensor) -> Tensor {
     }
     Tensor::from_vec(out_shape, out)
 }
+
+/// Naive dilated causal temporal conv, `x: [B, N, T, Din]` with
+/// `w: [K, Din, Dout]` (tap `K-1` reads the current step). Each output
+/// element sums taps in ascending order, input channels ascending within
+/// a tap, from a zero start.
+pub fn temporal_conv(x: &Tensor, w: &Tensor, dilation: usize) -> Tensor {
+    let (xs, ws) = (x.shape(), w.shape());
+    let (series, t, din) = (xs[0] * xs[1], xs[2], xs[3]);
+    let (k, dout) = (ws[0], ws[2]);
+    assert_eq!(ws[1], din, "temporal_conv channel mismatch");
+    let (xd, wd) = (x.data(), w.data());
+    let mut out = vec![0.0f32; series * t * dout];
+    for s in 0..series {
+        for ti in 0..t {
+            for j in 0..dout {
+                let mut acc = 0.0f32;
+                for ki in 0..k {
+                    let lag = (k - 1 - ki) * dilation;
+                    if lag > ti {
+                        continue;
+                    }
+                    for i in 0..din {
+                        acc += xd[(s * t + ti - lag) * din + i] * wd[(ki * din + i) * dout + j];
+                    }
+                }
+                out[(s * t + ti) * dout + j] = acc;
+            }
+        }
+    }
+    Tensor::from_vec([xs[0], xs[1], t, dout], out)
+}
+
+/// Naive ∂temporal_conv/∂w: each weight element sums over series
+/// ascending, then steps `t ≥ lag` ascending, from a zero start — the
+/// order of the optimized kernel on one worker.
+pub fn temporal_conv_grad_w(grad: &Tensor, x: &Tensor, w_shape: &[usize], dilation: usize) -> Tensor {
+    let xs = x.shape();
+    let (series, t, din) = (xs[0] * xs[1], xs[2], xs[3]);
+    let (k, dout) = (w_shape[0], w_shape[2]);
+    let (gd, xd) = (grad.data(), x.data());
+    let mut gw = vec![0.0f32; k * din * dout];
+    for ki in 0..k {
+        let lag = (k - 1 - ki) * dilation;
+        for i in 0..din {
+            for j in 0..dout {
+                let mut acc = 0.0f32;
+                for s in 0..series {
+                    for ti in lag..t {
+                        acc += xd[(s * t + ti - lag) * din + i] * gd[(s * t + ti) * dout + j];
+                    }
+                }
+                gw[(ki * din + i) * dout + j] = acc;
+            }
+        }
+    }
+    Tensor::from_vec(w_shape, gw)
+}

@@ -208,29 +208,88 @@ proptest! {
 
     /// Fused-transpose gradient kernels (`matmul_nt` = a·bᵀ, `matmul_tn` =
     /// aᵀ·g) vs the explicit transpose-then-matmul oracle composition, at
-    /// every thread count the pool is expected to run under.
+    /// every thread count the pool is expected to run under. `matmul_tn`
+    /// also runs against a shared `a: [m, k]` (the graph-conv adjacency
+    /// shape) and a shared `g: [m, n]`. `m` and `k` cover every residue
+    /// mod 4, so the microkernel's 4-row blocks meet ragged remainders.
     fn fused_transpose_matmuls_match_reference(
         bsz in 1usize..4,
-        m in 1usize..24,
-        k in 1usize..24,
+        mq in 0usize..6,
+        mrem in 0usize..4,
+        kq in 0usize..6,
+        krem in 0usize..4,
         n in 1usize..24,
         seed in 0u64..1_000_000
     ) {
         let _g = LOCK.lock().unwrap();
+        let m = (mq * 4 + mrem).max(1);
+        let k = (kq * 4 + krem).max(1);
         let mut rng = SmallRng::seed_from_u64(seed);
         let a = rand_tensor(&mut rng, vec![bsz, m, k]);
         let b = rand_tensor(&mut rng, vec![bsz, n, k]);
         let g = rand_tensor(&mut rng, vec![bsz, m, n]);
+        let a_shared = rand_tensor(&mut rng, vec![m, k]);
+        let g_shared = rand_tensor(&mut rng, vec![m, n]);
         let nt_oracle = reference::matmul(&a, &reference::transpose_last2(&b));
         let tn_oracle = reference::matmul(&reference::transpose_last2(&a), &g);
-        for threads in [1usize, 2, 4] {
+        let tn_shared_a_oracle = reference::matmul(&reference::transpose_last2(&a_shared), &g);
+        let tn_shared_g_oracle = reference::matmul(&reference::transpose_last2(&a), &g_shared);
+        for threads in [1usize, 2, 3, 4] {
             let nt = with_threads(threads, || ops::matmul_nt(&a, &b));
             let tn = with_threads(threads, || ops::matmul_tn(&a, &g));
+            let tn_shared_a = with_threads(threads, || ops::matmul_tn(&a_shared, &g));
+            let tn_shared_g = with_threads(threads, || ops::matmul_tn(&a, &g_shared));
             prop_assert_eq!(nt.shape(), nt_oracle.shape());
             prop_assert_eq!(tn.shape(), tn_oracle.shape());
+            prop_assert_eq!(tn_shared_a.shape(), tn_shared_a_oracle.shape());
+            prop_assert_eq!(tn_shared_g.shape(), tn_shared_g_oracle.shape());
             // Ascending-k accumulation on both sides => bit-exact.
-            prop_assert_eq!(nt.data(), nt_oracle.data());
-            prop_assert_eq!(tn.data(), tn_oracle.data());
+            prop_assert_eq!(bits(&nt), bits(&nt_oracle), "matmul_nt at {} threads", threads);
+            prop_assert_eq!(bits(&tn), bits(&tn_oracle), "matmul_tn at {} threads", threads);
+            prop_assert_eq!(bits(&tn_shared_a), bits(&tn_shared_a_oracle), "shared-a matmul_tn at {} threads", threads);
+            prop_assert_eq!(bits(&tn_shared_g), bits(&tn_shared_g_oracle), "shared-g matmul_tn at {} threads", threads);
+        }
+    }
+
+    /// Temporal conv and its weight gradient vs the naive oracles over
+    /// ragged `[B, N, T, D]` shapes, taps 1–4 and dilations 1–4 (lags past
+    /// `T` included), on sizes below and past the parallel threshold. The
+    /// forward is bit-exact at every thread count. The weight gradient sums
+    /// one partial buffer per worker, so it is bit-exact on one worker and,
+    /// on more, run-to-run identical and within rounding of the oracle.
+    fn temporal_conv_matches_reference(
+        bsz in 1usize..4,
+        nodes in 1usize..5,
+        t in 1usize..14,
+        din in 1usize..11,
+        dout in 1usize..21,
+        taps in 1usize..5,
+        dilation in 1usize..5,
+        big in 0usize..3,
+        seed in 0u64..1_000_000
+    ) {
+        let _g = LOCK.lock().unwrap();
+        // `big == 0` multiplies the series count past the parallel threshold.
+        let bsz = if big == 0 { bsz * 8 } else { bsz };
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let x = rand_tensor(&mut rng, vec![bsz, nodes, t, din]);
+        let w = rand_tensor(&mut rng, vec![taps, din, dout]);
+        let g = rand_tensor(&mut rng, vec![bsz, nodes, t, dout]);
+        let y_oracle = reference::temporal_conv(&x, &w, dilation);
+        let gw_oracle = reference::temporal_conv_grad_w(&g, &x, w.shape(), dilation);
+        for threads in [1usize, 2, 3] {
+            let y = with_threads(threads, || ops::temporal_conv(&x, &w, dilation));
+            prop_assert_eq!(y.shape(), y_oracle.shape());
+            prop_assert_eq!(bits(&y), bits(&y_oracle), "temporal_conv at {} threads", threads);
+            let gw = with_threads(threads, || ops::temporal_conv_grad_w(&g, &x, w.shape(), dilation));
+            prop_assert_eq!(gw.shape(), gw_oracle.shape());
+            if threads == 1 {
+                prop_assert_eq!(bits(&gw), bits(&gw_oracle), "temporal_conv_grad_w on one worker");
+            } else {
+                let again = with_threads(threads, || ops::temporal_conv_grad_w(&g, &x, w.shape(), dilation));
+                prop_assert_eq!(bits(&gw), bits(&again), "temporal_conv_grad_w rerun at {} threads", threads);
+                prop_assert!(max_abs_diff(&gw, &gw_oracle) <= 1e-3, "temporal_conv_grad_w at {} threads", threads);
+            }
         }
     }
 
@@ -329,13 +388,23 @@ proptest! {
         let b = rand_tensor(&mut rng, vec![k, n]);
         let bt = rand_tensor(&mut rng, vec![bsz, n, k]);
         let g = rand_tensor(&mut rng, vec![bsz, m, n]);
-        let run = || (ops::matmul(&a, &b), ops::matmul_nt(&a, &bt), ops::matmul_tn(&a, &g));
+        // A shared `[m, k]` left operand: the graph-conv adjacency shape.
+        let a_shared = rand_tensor(&mut rng, vec![m, k]);
+        let run = || {
+            (
+                ops::matmul(&a, &b),
+                ops::matmul_nt(&a, &bt),
+                ops::matmul_tn(&a, &g),
+                ops::matmul_tn(&a_shared, &g),
+            )
+        };
         let scalar = with_threads(threads, || with_simd(SimdLevel::Scalar, run));
         for level in host_levels() {
             let out = with_threads(threads, || with_simd(level, run));
             prop_assert_eq!(bits(&scalar.0), bits(&out.0), "matmul at {:?}", level);
             prop_assert_eq!(bits(&scalar.1), bits(&out.1), "matmul_nt at {:?}", level);
             prop_assert_eq!(bits(&scalar.2), bits(&out.2), "matmul_tn at {:?}", level);
+            prop_assert_eq!(bits(&scalar.3), bits(&out.3), "shared-a matmul_tn at {:?}", level);
         }
     }
 
@@ -472,6 +541,28 @@ fn pipeline_bit_exact_across_thread_counts() {
     let eight = with_threads(8, run);
     assert_eq!(one.data(), two.data());
     assert_eq!(one.data(), eight.data());
+}
+
+/// `matmul_tn` with `m·n > KC·NC` (128 × 64) takes the packed-panel path,
+/// and `m = 130` splits its reduction across two `KC` blocks. Shared and
+/// batched `a`, against the oracle composition, at threads 1–3.
+#[test]
+fn matmul_tn_packed_panel_path_matches_reference() {
+    let _g = LOCK.lock().unwrap();
+    let (m, kd, n) = (130usize, 9usize, 70usize);
+    assert!(m * n > 128 * 64);
+    let mut rng = SmallRng::seed_from_u64(17);
+    let a_shared = rand_tensor(&mut rng, vec![m, kd]);
+    let a = rand_tensor(&mut rng, vec![2, m, kd]);
+    let g = rand_tensor(&mut rng, vec![2, m, n]);
+    let shared_oracle = reference::matmul(&reference::transpose_last2(&a_shared), &g);
+    let batched_oracle = reference::matmul(&reference::transpose_last2(&a), &g);
+    for threads in [1usize, 2, 3] {
+        let shared = with_threads(threads, || ops::matmul_tn(&a_shared, &g));
+        let batched = with_threads(threads, || ops::matmul_tn(&a, &g));
+        assert_eq!(bits(&shared), bits(&shared_oracle), "shared-a at {threads} threads");
+        assert_eq!(bits(&batched), bits(&batched_oracle), "batched at {threads} threads");
+    }
 }
 
 /// Every pooled kernel must produce identical bits before a pool teardown

@@ -1,8 +1,9 @@
 //! Cross-crate integration tests: the full AutoCTS pipeline, ablation
 //! variants, and transfer, exercised end to end on tiny synthetic data.
 
-use autocts::{AutoCts, Genotype, SearchConfig};
+use autocts::{derive_genotype, AutoCts, Genotype, SearchConfig, SupernetModel};
 use cts_data::{build_windows, generate, DatasetSpec, SplitWindows};
+use rand::{rngs::SmallRng, SeedableRng};
 
 fn tiny_traffic(seed: u64) -> (DatasetSpec, cts_data::CtsData, SplitWindows) {
     let spec = DatasetSpec::metr_la().scaled(0.045, 0.014);
@@ -107,5 +108,45 @@ fn search_cost_scales_with_operator_set() {
         "full set {} not slower than compact {}",
         full.secs,
         compact.secs
+    );
+}
+
+#[test]
+fn repeated_retraining_arena_residency_stops_growing() {
+    // Each `try_evaluate` builds a model whose parameters come from
+    // `Tensor::from_vec`, frees them into this thread's arena and never
+    // takes them back. Free lists capped at the thread's own demand keep
+    // that from piling up: residency plateaus once every size class has
+    // seen its peak, instead of growing with every call.
+    let spec = DatasetSpec::metr_la().scaled(0.04, 0.015);
+    let data = generate(&spec, 3);
+    let windows = build_windows(&data, 4, 40);
+    let cfg = SearchConfig {
+        m: 3,
+        b: 2,
+        d_model: 8,
+        epochs: 1,
+        batch_size: 4,
+        ..Default::default()
+    };
+    let mut rng = SmallRng::seed_from_u64(5);
+    let supernet = SupernetModel::new(&mut rng, &cfg, &spec, &data.graph, &windows.scaler);
+    let genotype = derive_genotype(&supernet).expect("finite snapshot derives");
+    drop(supernet);
+    let auto = AutoCts::new(cfg);
+    let evaluate = |calls: usize| {
+        for _ in 0..calls {
+            auto.try_evaluate(&genotype, &spec, &data.graph, &windows, 1)
+                .expect("evaluation runs");
+        }
+        cts_tensor::arena::stats().resident_floats
+    };
+    // Measured plateau: the 18th call (about 621K floats). Before the cap,
+    // residency grew by about 30K floats per call without bound.
+    let warm = evaluate(20);
+    let after = evaluate(8);
+    assert!(
+        after <= warm,
+        "arena residency grew from {warm} to {after} floats over 8 calls after warm-up"
     );
 }
