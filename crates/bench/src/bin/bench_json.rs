@@ -13,11 +13,13 @@
 //! once more with `cts_tensor::simd` forced to the scalar path so the
 //! vector speedup is a recorded scalar-vs-simd row pair, and both files
 //! open with a `host` header (available parallelism + detected SIMD).
-//! Three regressions are *asserted* in-process, not just recorded:
-//! `matmul_nt` must stay within 1.3× of `matmul` (the packed-B fix), and
-//! on hosts where AVX2 is detected the vectorized matmul must beat the
-//! forced-scalar path by ≥ 1.5× and the search's `×[1]` broadcast must
-//! stay within 1.5× of a same-shape add (the run-length broadcast).
+//! Five regressions are *asserted* in-process, not just recorded:
+//! `matmul_nt` must stay within 1.3× of `matmul` (the packed-B fix), the
+//! graph conv's adjacency `matmul_tn` within 1.3× of its forward twin (the
+//! packed-aᵀ fix), and on hosts where AVX2 is detected the vectorized
+//! `matmul` and `matmul_tn` must beat the forced-scalar path by ≥ 1.5× and
+//! the search's `×[1]` broadcast must stay within 1.5× of a same-shape add
+//! (the run-length broadcast).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
@@ -126,14 +128,16 @@ fn thread_counts() -> Vec<usize> {
 }
 
 /// Per-kernel rows: the projection/attention shapes the supernet is built
-/// from and the search step's own elementwise shapes at `[8,32,12,8]`, at
+/// from, the search step's own elementwise shapes at `[8,32,12,8]` and its
+/// own GEMMs (graph conv, linear weight gradient, temporal conv), at
 /// every worker count of [`thread_counts`], plus a forced-scalar pass at
 /// threads=1 so each kernel has a scalar-vs-simd row pair.
 ///
 /// Asserts (rather than merely records) the perf contracts of the SIMD
-/// work: `matmul_nt` within 1.3× of `matmul`, and, when AVX2 is
-/// available, vectorized matmul ≥ 1.5× over forced-scalar and the `×[1]`
-/// broadcast within 1.5× of the same-shape add.
+/// work: `matmul_nt` within 1.3× of `matmul`, the adjacency `matmul_tn`
+/// within 1.3× of its forward twin, and, when AVX2 is available,
+/// vectorized `matmul` and `matmul_tn` ≥ 1.5× over forced-scalar and the
+/// `×[1]` broadcast within 1.5× of the same-shape add.
 fn bench_ops() -> (Vec<String>, String) {
     let mut rng = SmallRng::seed_from_u64(0);
     let a = init::uniform(&mut rng, [8, 16, 48, 64], -1.0, 1.0);
@@ -147,6 +151,14 @@ fn bench_ops() -> (Vec<String>, String) {
     let weight = init::uniform(&mut rng, [1], -1.0, 1.0);
     let bias = init::uniform(&mut rng, [8], -1.0, 1.0);
     let stat = init::uniform(&mut rng, [8, 32, 12, 1], -1.0, 1.0);
+    // The search step's own GEMMs: the graph conv's shared adjacency
+    // against the node axis, the linear weight gradient, and the temporal
+    // conv at d_model 16 with two taps.
+    let adj = init::uniform(&mut rng, [32, 32], -1.0, 1.0);
+    let hn = init::uniform(&mut rng, [8, 12, 32, 8], -1.0, 1.0);
+    let hs = init::uniform(&mut rng, [8, 32, 12, 8], -1.0, 1.0);
+    let xc = init::uniform(&mut rng, [8, 32, 12, 16], -1.0, 1.0);
+    let wc = init::uniform(&mut rng, [2, 16, 16], -1.0, 1.0);
 
     // (op, shape, timed iterations, kernel call); the search shapes are
     // ~10 µs calls, so they time more iterations.
@@ -180,6 +192,16 @@ fn bench_ops() -> (Vec<String>, String) {
             Box::new(|| ops::reduce_to_shape(&h, &[1])),
         ),
         ("reduce.sum_axis", "[8,32,12,8] axis 3", 400, Box::new(|| ops::sum_axis(&h, 3, true))),
+        ("matmul", "[32,32]x[8,12,32,8]", 1000, Box::new(|| ops::matmul(&adj, &hn))),
+        ("matmul.tn", "[32,32]Tx[8,12,32,8]", 1000, Box::new(|| ops::matmul_tn(&adj, &hn))),
+        ("matmul.tn", "[8,32,12,8]Tx[8,32,12,8]", 200, Box::new(|| ops::matmul_tn(&hs, &h))),
+        ("conv.temporal", "[8,32,12,16] taps 2", 100, Box::new(|| ops::temporal_conv(&xc, &wc, 1))),
+        (
+            "conv.temporal_grad_w",
+            "[8,32,12,16] taps 2",
+            100,
+            Box::new(|| ops::temporal_conv_grad_w(&xc, &xc, wc.shape(), 1)),
+        ),
     ];
 
     let mut rows = Vec::new();
@@ -221,10 +243,12 @@ fn bench_ops() -> (Vec<String>, String) {
     };
     let speedup = |op: &str, shape: &str| ns(op, shape, "scalar") / ns(op, shape, active);
     let nt_ratio = ns("matmul.nt", "[8,16,48,64]x[64,64]T", active) / ns("matmul", "[8,16,48,64]x[64,64]", active);
+    let tn_ratio = ns("matmul.tn", "[32,32]Tx[8,12,32,8]", active) / ns("matmul", "[32,32]x[8,12,32,8]", active);
     let splat_ratio = ns("elementwise.mul", "[8,32,12,8]x[1]", active)
         / ns("elementwise.add", "[8,32,12,8]+[8,32,12,8]", active);
-    let (mm, ew, sm, rd) = (
+    let (mm, tn, ew, sm, rd) = (
         speedup("matmul", "[8,16,48,64]x[64,64]"),
+        speedup("matmul.tn", "[8,16,48,64]Tx[8,16,48,48]"),
         speedup("elementwise.add", "[8,16,48,64]+[8,16,48,64]"),
         speedup("softmax.last", "[8,16,48,48]"),
         speedup("elementwise.reduce_to_shape", "[8,16,48,64]->[48,64]"),
@@ -232,8 +256,9 @@ fn bench_ops() -> (Vec<String>, String) {
     let summary = format!(
         "  \"summary\": {{\"simd_active\": \"{active}\", \
          \"ratio_matmul_nt_vs_matmul_t1\": {nt_ratio:.3}, \
+         \"ratio_adjacency_matmul_tn_vs_matmul_t1\": {tn_ratio:.3}, \
          \"ratio_mul_splat_vs_add_t1\": {splat_ratio:.3}, \
-         \"speedup_simd_vs_scalar_t1\": {{\"matmul\": {mm:.3}, \
+         \"speedup_simd_vs_scalar_t1\": {{\"matmul\": {mm:.3}, \"matmul.tn\": {tn:.3}, \
          \"elementwise.add\": {ew:.3}, \"softmax.last\": {sm:.3}, \
          \"elementwise.reduce_to_shape\": {rd:.3}}}}}"
     );
@@ -244,10 +269,20 @@ fn bench_ops() -> (Vec<String>, String) {
         nt_ratio <= 1.3,
         "matmul_nt regressed: {nt_ratio:.3}x matmul at threads=1 (budget 1.3x)"
     );
+    // The packed-aᵀ matmul_tn: the axpy walk over a's columns took 5.7x
+    // its forward twin's time on the graph conv's adjacency shape.
+    assert!(
+        tn_ratio <= 1.3,
+        "adjacency matmul_tn regressed: {tn_ratio:.3}x its forward twin at threads=1 (budget 1.3x)"
+    );
     if simd::detected() == SimdLevel::Avx2 && simd::active() {
         assert!(
             mm >= 1.5,
             "vectorized matmul only {mm:.3}x over forced-scalar on an AVX2 host (need 1.5x)"
+        );
+        assert!(
+            tn >= 1.5,
+            "vectorized matmul_tn only {tn:.3}x over forced-scalar on an AVX2 host (need 1.5x)"
         );
         // A `×[1]` broadcast is one constant run over the whole tensor, so
         // it costs what a same-shape add does; a per-element odometer walk

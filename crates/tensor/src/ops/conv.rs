@@ -5,6 +5,15 @@
 //! unchanged), matching the gated dilated causal convolutions of
 //! Graph WaveNet / WaveNet-style ST models.
 //!
+//! Per series, each tap is one matrix product on the GEMM microkernel
+//! ([`super::matmul::gemm_rows`]): the forward adds `x[0..T-lag] · w_tap`
+//! into output rows `lag..T`, and the weight gradient adds
+//! `x[0..T-lag]ᵀ · g[lag..T]` into the tap's `[Din, Dout]` slice, with `xᵀ`
+//! packed once per series. Taps go in ascending order and the products
+//! accumulate into their output, so every element keeps the per-element
+//! order of the naive loops in `ops::reference` and is bit-identical to
+//! them.
+//!
 //! Series (the `B*N` leading dims) are independent, so forward and both
 //! gradients run on the scoped-thread pool in [`crate::parallel`]. The
 //! weight gradient accumulates into a shared `[K, Din, Dout]` buffer, so it
@@ -17,10 +26,18 @@
 //! checks downstream — same bug class as the old matmul kernel. The skip
 //! is gone; see `zero_times_nan_propagates` below.
 
+use super::matmul::gemm_rows;
 use crate::arena;
 use crate::meter;
 use crate::parallel;
 use crate::Tensor;
+use std::cell::RefCell;
+
+thread_local! {
+    /// Per-thread `xᵀ` of one series (`[Din, T]`) for
+    /// [`temporal_conv_grad_w`].
+    static XT: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Forward dilated causal conv.
 ///
@@ -45,22 +62,14 @@ pub fn temporal_conv(x: &Tensor, w: &Tensor, dilation: usize) -> Tensor {
             return;
         }
         for (si, oser) in chunk.chunks_mut(unit).enumerate() {
-            let s = u0 + si;
-            let x_off = s * t * din;
-            for ti in 0..t {
-                let orow = &mut oser[ti * dout..(ti + 1) * dout];
-                for ki in 0..k {
-                    let lag = (k - 1 - ki) * dilation;
-                    if lag > ti {
-                        continue;
-                    }
-                    let src = ti - lag;
-                    let xrow = &xd[x_off + src * din..x_off + (src + 1) * din];
-                    let wmat = &wd[ki * din * dout..(ki + 1) * din * dout];
-                    for (i, &xv) in xrow.iter().enumerate() {
-                        crate::simd::axpy(orow, xv, &wmat[i * dout..(i + 1) * dout]);
-                    }
+            let xser = &xd[(u0 + si) * t * din..(u0 + si + 1) * t * din];
+            for ki in 0..k {
+                let lag = (k - 1 - ki) * dilation;
+                if lag >= t {
+                    continue;
                 }
+                let wmat = &wd[ki * din * dout..(ki + 1) * din * dout];
+                gemm_rows(&xser[..(t - lag) * din], din, wmat, &mut oser[lag * dout..], din, dout);
             }
         }
     });
@@ -123,23 +132,27 @@ pub fn temporal_conv_grad_w(grad: &Tensor, x: &Tensor, w_shape: &[usize], dilati
     let series = b * n;
     let work = 2 * series * t * k * din * dout;
     let gw = parallel::partial_sums(&parallel::kernels::TEMPORAL_CONV_GRAD_W, series, k * din * dout, work, |s, acc| {
-        let x_off = s * t * din;
-        let g_off = s * t * dout;
-        for ti in 0..t {
-            let grow = &gd[g_off + ti * dout..g_off + (ti + 1) * dout];
-            for ki in 0..k {
-                let lag = (k - 1 - ki) * dilation;
-                if lag > ti {
-                    continue;
-                }
-                let src = ti - lag;
-                let xrow = &xd[x_off + src * din..x_off + (src + 1) * din];
-                let wmat = &mut acc[ki * din * dout..(ki + 1) * din * dout];
-                for (i, &xv) in xrow.iter().enumerate() {
-                    crate::simd::axpy(&mut wmat[i * dout..(i + 1) * dout], xv, grow);
+        let xser = &xd[s * t * din..(s + 1) * t * din];
+        let gser = &gd[s * t * dout..(s + 1) * t * dout];
+        XT.with(|p| {
+            let mut xt = p.borrow_mut();
+            if xt.len() < din * t {
+                xt.resize(din * t, 0.0);
+            }
+            for (ti, xrow) in xser.chunks_exact(din).enumerate() {
+                for (i, &v) in xrow.iter().enumerate() {
+                    xt[i * t + ti] = v;
                 }
             }
-        }
+            for ki in 0..k {
+                let lag = (k - 1 - ki) * dilation;
+                if lag >= t {
+                    continue;
+                }
+                let wmat = &mut acc[ki * din * dout..(ki + 1) * din * dout];
+                gemm_rows(&xt[..din * t], t, &gser[lag * dout..], wmat, t - lag, dout);
+            }
+        });
     });
     if crate::simd::active() {
         parallel::kernels::TEMPORAL_CONV_GRAD_W.stats.record_simd();

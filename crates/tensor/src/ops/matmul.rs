@@ -10,21 +10,24 @@
 //! nothing.
 //!
 //! The innermost loops are the SIMD row-block microkernel
-//! ([`crate::simd::gemm_rowblock`], reached via [`micro_accum`]): a strip of
-//! output columns is held in vector accumulators while a block of `k` is
-//! streamed through. Crucially the accumulators are loaded from (and stored
-//! back to) the output, never zero-initialised, so each output element still
-//! sees one strictly ascending-`k` addition chain — results are
-//! bit-identical to the naive serial triple loop (`ops::reference::matmul`)
-//! for every block size, thread count, and SIMD level.
+//! ([`crate::simd::gemm_rowblock`]): a strip of output columns for up to
+//! four output rows is held in vector accumulators while a block of `k` is
+//! streamed through, each `b` row load shared by the rows. Crucially the
+//! accumulators are loaded from (and stored back to) the output, never
+//! zero-initialised, so each output element still sees one strictly
+//! ascending-`k` addition chain — results are bit-identical to the naive
+//! serial triple loop (`ops::reference::matmul`) for every block size,
+//! thread count, and SIMD level.
 //!
 //! The backward products do not materialise full transposes: [`matmul_nt`]
-//! (`A·Bᵀ`, for ∂/∂a) transpose-packs B tiles into the panel and runs the
-//! same microkernel as the forward product, and [`matmul_tn`] (`Aᵀ·G`, for
-//! ∂/∂b) walks A's columns with an axpy loop. Both reproduce the exact
-//! accumulation order of the transpose-then-matmul composition they
-//! replaced, so they are bit-identical to it (asserted in tests and the
-//! parallel-consistency proptests).
+//! (`A·Bᵀ`, for ∂/∂a) transpose-packs B into per-worker scratch, and
+//! [`matmul_tn`] (`Aᵀ·G`, for ∂/∂b) transpose-packs the rows of Aᵀ a worker
+//! needs; both then run the same [`gemm_rows`] as the forward product. The
+//! temporal convolution (`ops::conv`) runs its forward and weight gradient
+//! through [`gemm_rows`] too. Every path reproduces the exact accumulation
+//! order of the transpose-then-matmul composition it replaced, so it is
+//! bit-identical to it (asserted in tests and the parallel-consistency
+//! proptests).
 //!
 //! Non-finite values propagate: `0 × NaN = NaN` contributions are *not*
 //! skipped, so a NaN/∞ in either operand always reaches the output (the
@@ -34,6 +37,7 @@ use crate::arena;
 use crate::meter;
 use crate::parallel;
 use crate::shape::{broadcast_shapes, numel, ravel_broadcast, unravel};
+use crate::simd::{gemm_rowblock, Gemm};
 use crate::Tensor;
 use std::cell::RefCell;
 
@@ -49,13 +53,16 @@ thread_local! {
     static PANEL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Per-thread full `bᵀ` buffer for [`matmul_nt`]'s small-B fast path.
     static NT_BT: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread packed rows of `aᵀ` for [`matmul_tn`].
+    static TN_AT: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Largest `bᵀ` (in floats) that [`matmul_nt`] materialises whole per
-/// worker. Below this the transpose is done once per *distinct* B matrix
-/// (typically once, for shared weights) and the product runs the exact
-/// forward [`gemm_rows`] path; above it, B is transpose-packed tile by
-/// tile per batch element instead of held resident.
+/// Largest transposed operand (in floats) that [`matmul_nt`] and
+/// [`matmul_tn`] pack per worker. Below this [`matmul_nt`] transposes once
+/// per *distinct* B matrix (typically once, for shared weights); above it,
+/// B is transpose-packed tile by tile per batch element instead of held
+/// resident. [`matmul_tn`] packs at most this many floats of `aᵀ` (and at
+/// least one row) at a time.
 const NT_FULL_CAP: usize = 1 << 20;
 
 /// Matrix product over the last two dims: `a: [..., m, k] × b: [..., k, n]`.
@@ -102,6 +109,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
             let b_off = ravel_broadcast(&coords, b_batch) * k * n;
             gemm_rows(
                 &a_data[a_off + i0 * k..a_off + (i0 + take) * k],
+                k,
                 &b_data[b_off..b_off + k * n],
                 &mut chunk[done * n..(done + take) * n],
                 k,
@@ -116,35 +124,36 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(out_shape, out)
 }
 
-/// Fixed-width microkernel: `out_row[j] += Σ_kk a_row[kk] · b[kk·ldb + j]`
-/// for every `j`, dispatched to [`crate::simd::gemm_rowblock`] (AVX2 /
-/// scalar).
+/// `out[rows × n] += a[rows × k] · b[k × n]` for one batch element, where
+/// row `i` of `a` starts at `a[i·lda]`.
 ///
-/// Accumulators are *loaded from* `out_row` (never zeroed), so each output
-/// element's addition chain stays strictly ascending in `kk` across calls —
-/// the bit-exactness invariant every caller relies on. All dispatch levels
-/// keep one independent vertical accumulator per output column, so they
-/// are bit-identical to each other and to the naive serial loop.
-#[inline]
-fn micro_accum(a_row: &[f32], b: &[f32], ldb: usize, out_row: &mut [f32]) {
-    crate::simd::gemm_rowblock(a_row, b, ldb, out_row);
-}
-
-/// `out[rows × n] += a[rows × k] · b[k × n]` for one batch element.
-///
-/// `out` must be zero-initialised by the caller. Small `b` matrices are
-/// streamed directly (they already fit in cache); larger ones go through the
-/// packed-panel path.
-fn gemm_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    let rows = out.len() / n;
-    if k * n <= KC * NC {
-        for i in 0..rows {
-            micro_accum(&a[i * k..(i + 1) * k], b, n, &mut out[i * n..(i + 1) * n]);
-        }
+/// Small `b` matrices are streamed directly (they already fit in cache);
+/// larger ones go through the packed-panel path ([`packed_rows`]).
+pub(crate) fn gemm_rows(a: &[f32], lda: usize, b: &[f32], out: &mut [f32], k: usize, n: usize) {
+    if n == 0 {
         return;
     }
-    // Packed path: copy each KC × NC tile of b into a dense panel so the
-    // inner loops hit a compact, contiguous working set.
+    let rows = out.len() / n;
+    if k * n <= KC * NC {
+        gemm_rowblock(a, b, out, Gemm { rows, k, nc: n, lda, ldo: n });
+        return;
+    }
+    packed_rows(a, lda, out, k, n, |panel, k0, j0, nc| {
+        for (kk, dst) in panel.chunks_exact_mut(nc).enumerate() {
+            let src = (k0 + kk) * n + j0;
+            dst.copy_from_slice(&b[src..src + nc]);
+        }
+    });
+}
+
+/// `out[rows × n] += a[rows × k] · B` through a packed panel: each
+/// `KC × NC` tile of `B` is copied by `pack(panel, k0, j0, nc)` into the
+/// dense thread-local panel (`kc × nc`, row-major), which stays resident
+/// in L1/L2 while every row of the block consumes it. Tiles advance `k0`
+/// outermost, so each output element's chain stays strictly ascending in
+/// `k`.
+fn packed_rows(a: &[f32], lda: usize, out: &mut [f32], k: usize, n: usize, pack: impl Fn(&mut [f32], usize, usize, usize)) {
+    let rows = out.len() / n;
     PANEL.with(|p| {
         let mut panel = p.borrow_mut();
         let need = KC * NC.min(n);
@@ -157,18 +166,9 @@ fn gemm_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
             let mut j0 = 0;
             while j0 < n {
                 let nc = NC.min(n - j0);
-                for kk in 0..kc {
-                    let src = (k0 + kk) * n + j0;
-                    panel[kk * nc..kk * nc + nc].copy_from_slice(&b[src..src + nc]);
-                }
-                for i in 0..rows {
-                    micro_accum(
-                        &a[i * k + k0..i * k + k0 + kc],
-                        &panel,
-                        nc,
-                        &mut out[i * n + j0..i * n + j0 + nc],
-                    );
-                }
+                let tile = &mut panel[..kc * nc];
+                pack(tile, k0, j0, nc);
+                gemm_rowblock(&a[k0..], tile, &mut out[j0..], Gemm { rows, k: kc, nc, lda, ldo: n });
                 j0 += nc;
             }
             k0 += kc;
@@ -230,7 +230,7 @@ fn transpose_tile(src: &[f32], dst: &mut [f32], m: usize, n: usize) {
 /// per-worker buffer — once per *distinct* B, so a shared weight broadcast
 /// over a big batch transposes exactly once per worker — and then multiply
 /// through the identical [`gemm_rows`] path as the forward product. Larger
-/// B falls back to per-tile transpose-packing ([`nt_rows`]). Both orders
+/// B is transpose-packed tile by tile into the panel instead. Both orders
 /// accumulate each output element in strictly ascending `k`, so the result
 /// is bit-identical to `matmul(a, transpose_last2(b))`.
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
@@ -284,9 +284,18 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
                         transpose_tile(&b_data[b_off..b_off + n * k], &mut bt[..k * n], n, k);
                         packed_off = b_off;
                     }
-                    gemm_rows(a_rows, &bt[..k * n], out_rows, k, n);
+                    gemm_rows(a_rows, k, &bt[..k * n], out_rows, k, n);
                 } else {
-                    nt_rows(a_rows, &b_data[b_off..b_off + n * k], out_rows, k, n);
+                    let b = &b_data[b_off..b_off + n * k];
+                    packed_rows(a_rows, k, out_rows, k, n, |panel, k0, j0, nc| {
+                        let kc = panel.len() / nc;
+                        for jj in 0..nc {
+                            let src = &b[(j0 + jj) * k + k0..(j0 + jj) * k + k0 + kc];
+                            for (kk, &v) in src.iter().enumerate() {
+                                panel[kk * nc + jj] = v;
+                            }
+                        }
+                    });
                 }
                 done += take;
             }
@@ -298,59 +307,16 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(out_shape, out)
 }
 
-/// `out[rows × n] += a[rows × k] · bᵀ` where `b` is `[n × k]` row-major —
-/// the large-B fallback of [`matmul_nt`] (`n·k >` [`NT_FULL_CAP`]).
-///
-/// Each `KC × NC` tile of `bᵀ` is transpose-packed into the thread-local
-/// panel (`panel[kk·nc + jj] = b[(j0+jj)·k + k0+kk]`) and then consumed by
-/// the *same* vectorized microkernel as plain [`matmul`]. The seed path
-/// strode `b` row-wise with interleaved dot products — ~2.1× slower at the
-/// bench volume because every output column walked a strided `k`-vector.
-/// Per output element the chain is still strictly ascending in `k` (tiles
-/// advance `k0` outermost), so the result stays bit-identical to
-/// `matmul(a, transpose_last2(b))`.
-fn nt_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    let rows = out.len() / n;
-    PANEL.with(|p| {
-        let mut panel = p.borrow_mut();
-        let need = KC * NC.min(n.max(1));
-        if panel.len() < need {
-            panel.resize(need, 0.0);
-        }
-        let mut k0 = 0;
-        while k0 < k {
-            let kc = KC.min(k - k0);
-            let mut j0 = 0;
-            while j0 < n {
-                let nc = NC.min(n - j0);
-                for jj in 0..nc {
-                    let src = &b[(j0 + jj) * k + k0..(j0 + jj) * k + k0 + kc];
-                    for (kk, &v) in src.iter().enumerate() {
-                        panel[kk * nc + jj] = v;
-                    }
-                }
-                for i in 0..rows {
-                    micro_accum(
-                        &a[i * k + k0..i * k + k0 + kc],
-                        &panel,
-                        nc,
-                        &mut out[i * n + j0..i * n + j0 + nc],
-                    );
-                }
-                j0 += nc;
-            }
-            k0 += kc;
-        }
-    });
-}
-
 /// Fused `Aᵀ · G`: `a: [..., m, k] × g: [..., m, n] → [..., k, n]` with
 /// `out[r, j] = Σ_i a[i, r] · g[i, j]` (batch dims broadcast).
 ///
-/// A's columns are walked in place (one scalar per `i`) while G's rows are
-/// streamed contiguously with an axpy update — no transpose materialised.
-/// Each output element accumulates in ascending `i`, the exact order of
-/// `matmul(transpose_last2(a), g)`, so the result is bit-identical to it.
+/// Each worker transpose-packs the rows of `aᵀ` its output rows need into
+/// per-worker scratch — once per *distinct* A and row range, so a shared
+/// adjacency broadcast over a big batch is packed once per worker — and
+/// then runs the same [`gemm_rows`] as the forward product, with the
+/// reduction over `i`. Each output element accumulates in ascending `i`,
+/// the exact order of `matmul(transpose_last2(a), g)`, so the result is
+/// bit-identical to it.
 pub fn matmul_tn(a: &Tensor, g: &Tensor) -> Tensor {
     assert!(a.rank() >= 2 && g.rank() >= 2, "matmul_tn needs rank >= 2");
     meter::add_reads(a.len() + g.len());
@@ -373,31 +339,45 @@ pub fn matmul_tn(a: &Tensor, g: &Tensor) -> Tensor {
     let a_data = a.data();
     let g_data = g.data();
     let work = 2usize.saturating_mul(batch).saturating_mul(m).saturating_mul(kd).saturating_mul(n);
+    // Rows of aᵀ packed at a time: the scratch stays within NT_FULL_CAP.
+    let max_take = (NT_FULL_CAP / m.max(1)).max(1);
     parallel::for_units(&parallel::kernels::MATMUL_TN, &mut out, n.max(1), work, |row0, chunk| {
         if n == 0 || kd == 0 {
             return;
         }
         let rows = chunk.len() / n;
-        let mut done = 0;
-        while done < rows {
-            let row = row0 + done;
-            let bi = row / kd;
-            let r0 = row % kd;
-            let take = (kd - r0).min(rows - done);
-            let coords = unravel(bi, &batch_shape);
-            let a_off = ravel_broadcast(&coords, a_batch) * m * kd;
-            let g_off = ravel_broadcast(&coords, g_batch) * m * n;
-            tn_rows(
-                &a_data[a_off..a_off + m * kd],
-                &g_data[g_off..g_off + m * n],
-                &mut chunk[done * n..(done + take) * n],
-                m,
-                kd,
-                n,
-                r0,
-            );
-            done += take;
-        }
+        TN_AT.with(|p| {
+            let mut at = p.borrow_mut();
+            // (a offset, first row, rows) of the packed block; `usize::MAX`
+            // can never be a valid element offset.
+            let mut packed = (usize::MAX, 0, 0);
+            let mut done = 0;
+            while done < rows {
+                let row = row0 + done;
+                let bi = row / kd;
+                let r0 = row % kd;
+                let take = (kd - r0).min(rows - done).min(max_take);
+                let coords = unravel(bi, &batch_shape);
+                let a_off = ravel_broadcast(&coords, a_batch) * m * kd;
+                let g_off = ravel_broadcast(&coords, g_batch) * m * n;
+                if packed != (a_off, r0, take) {
+                    if at.len() < take * m {
+                        at.resize(take * m, 0.0);
+                    }
+                    pack_transposed_rows(&a_data[a_off..a_off + m * kd], &mut at[..take * m], kd, r0);
+                    packed = (a_off, r0, take);
+                }
+                gemm_rows(
+                    &at[..take * m],
+                    m,
+                    &g_data[g_off..g_off + m * n],
+                    &mut chunk[done * n..(done + take) * n],
+                    m,
+                    n,
+                );
+                done += take;
+            }
+        });
     });
     if crate::simd::active() {
         parallel::kernels::MATMUL_TN.stats.record_simd();
@@ -405,16 +385,17 @@ pub fn matmul_tn(a: &Tensor, g: &Tensor) -> Tensor {
     Tensor::from_vec(out_shape, out)
 }
 
-/// `out[take × n] += aᵀ[r0.., :] · g` for one batch element, where `a` is
-/// `[m × kd]` and `g` is `[m × n]`, producing output rows `r0..r0+take`.
-fn tn_rows(a: &[f32], g: &[f32], out: &mut [f32], m: usize, kd: usize, n: usize, r0: usize) {
-    let take = out.len() / n;
-    for rr in 0..take {
-        let r = r0 + rr;
-        let out_row = &mut out[rr * n..(rr + 1) * n];
-        for i in 0..m {
-            let av = a[i * kd + r];
-            crate::simd::axpy(out_row, av, &g[i * n..(i + 1) * n]);
+/// `dst[rr·m + i] = a[i·kd + r0 + rr]`: rows `r0..r0 + dst.len()/m` of
+/// `aᵀ`, where `a` is `[m × kd]`.
+fn pack_transposed_rows(a: &[f32], dst: &mut [f32], kd: usize, r0: usize) {
+    let m = a.len() / kd;
+    if m == 0 {
+        return;
+    }
+    let take = dst.len() / m;
+    for (i, src) in a.chunks_exact(kd).enumerate() {
+        for (rr, &v) in src[r0..r0 + take].iter().enumerate() {
+            dst[rr * m + i] = v;
         }
     }
 }
@@ -550,7 +531,7 @@ mod tests {
     #[test]
     fn nt_large_b_tile_fallback_bit_exact() {
         // n·k just over NT_FULL_CAP forces the per-tile transpose-pack
-        // path (`nt_rows`) instead of the whole-bᵀ fast path.
+        // path instead of the whole-bᵀ fast path.
         let (m, k, n) = (3usize, 1020usize, 1030usize);
         assert!(n * k > NT_FULL_CAP);
         let a = t(&[m, k], &(0..m * k).map(|i| ((i * 37) % 19) as f32 - 9.0).collect::<Vec<_>>());

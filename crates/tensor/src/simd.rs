@@ -269,47 +269,110 @@ macro_rules! preimage_walk {
 // GEMM row-block microkernel
 // ---------------------------------------------------------------------------
 
-/// `out[j] += Σ_kk a_row[kk] · b[kk·ldb + j]` for every `j`.
+/// Output rows the GEMM microkernel holds in registers at once.
+pub const MR: usize = 4;
+
+/// Geometry of one [`gemm_rowblock`] call: `rows` rows of `a`, each `k`
+/// long at stride `lda`, times a dense row-major `b: [k × nc]`, summed
+/// into `rows` rows of `out`, each `nc` wide at stride `ldo`.
+#[derive(Clone, Copy, Debug)]
+pub struct Gemm {
+    /// Output rows (any count; the bodies take [`MR`] at a time).
+    pub rows: usize,
+    /// Reduction length: elements per `a` row, rows of `b`.
+    pub k: usize,
+    /// Output columns per row, and the row length of `b`.
+    pub nc: usize,
+    /// Row stride of `a` (`≥ k`).
+    pub lda: usize,
+    /// Row stride of `out` (`≥ nc`).
+    pub ldo: usize,
+}
+
+/// `out[r·ldo + j] += Σ_kk a[r·lda + kk] · b[kk·nc + j]` for every row `r`
+/// and column `j`.
 ///
-/// The accumulators are loaded from `out` (never zeroed), so each output
-/// element keeps one strictly ascending-`kk` addition chain across calls
-/// — the bit-exactness invariant `ops::matmul` relies on. Requires
-/// `out.len() <= ldb` and `b` to cover `a_row.len()` rows of `ldb`.
+/// Rows go through the body [`MR`] at a time (the last block takes the
+/// remainder), so each `b` row load feeds `MR` rows and `MR` independent
+/// accumulator chains hide the add latency. The accumulators are loaded
+/// from `out` (never zeroed), so each output element keeps one strictly
+/// ascending-`kk` addition chain across calls — the bit-exactness
+/// invariant `ops::matmul` and `ops::conv` rely on. Every level and every
+/// row-block size keeps that chain, so results are bit-identical to the
+/// naive serial loop.
 #[inline]
-pub fn gemm_rowblock(a_row: &[f32], b: &[f32], ldb: usize, out: &mut [f32]) {
+pub fn gemm_rowblock(a: &[f32], b: &[f32], out: &mut [f32], g: Gemm) {
+    if g.rows == 0 || g.nc == 0 {
+        return;
+    }
+    assert!(g.k <= g.lda && g.nc <= g.ldo, "gemm_rowblock strides: {g:?}");
+    assert!(
+        a.len() >= (g.rows - 1) * g.lda + g.k && b.len() >= g.k * g.nc && out.len() >= (g.rows - 1) * g.ldo + g.nc,
+        "gemm_rowblock operands too short for {g:?}"
+    );
     match level() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: level() == Avx2 only after is_x86_feature_detected!("avx2").
-        SimdLevel::Avx2 => unsafe { x86::gemm_avx2(a_row, b, ldb, out) },
-        _ => gemm_scalar(a_row, b, ldb, out),
+        // SAFETY: level() == Avx2 only after is_x86_feature_detected!("avx2");
+        // the operand lengths were asserted above.
+        SimdLevel::Avx2 => unsafe { x86::gemm_avx2(a, b, out, g) },
+        _ => gemm_scalar(a, b, out, g),
     }
 }
 
-/// Scalar microkernel: [`LANES`] output columns accumulated per pass in a
-/// fixed-width array (independent lanes for the autovectorizer), then a
-/// per-column tail — per-element chains identical to the vector paths.
-fn gemm_scalar(a_row: &[f32], b: &[f32], ldb: usize, out: &mut [f32]) {
-    let nc = out.len();
+/// Scalar body: per block of up to [`MR`] rows, [`LANES`] output columns
+/// accumulated per pass in fixed-width arrays (independent lanes for the
+/// autovectorizer), then [`gemm_tail`] — per-element chains identical to
+/// the vector paths.
+fn gemm_scalar(a: &[f32], b: &[f32], out: &mut [f32], g: Gemm) {
+    let mut i = 0;
+    while i < g.rows {
+        let (a, out) = (&a[i * g.lda..], &mut out[i * g.ldo..]);
+        match g.rows - i {
+            1 => gemm_scalar_block::<1>(a, b, out, g),
+            2 => gemm_scalar_block::<2>(a, b, out, g),
+            3 => gemm_scalar_block::<3>(a, b, out, g),
+            _ => gemm_scalar_block::<MR>(a, b, out, g),
+        }
+        i += MR;
+    }
+}
+
+fn gemm_scalar_block<const R: usize>(a: &[f32], b: &[f32], out: &mut [f32], g: Gemm) {
+    let Gemm { k, nc, lda, ldo, .. } = g;
     let mut j = 0;
     while j + LANES <= nc {
-        let mut acc = [0.0f32; LANES];
-        acc.copy_from_slice(&out[j..j + LANES]);
-        for (kk, &av) in a_row.iter().enumerate() {
-            let b_row = &b[kk * ldb + j..kk * ldb + j + LANES];
-            for (t, &bv) in b_row.iter().enumerate() {
-                acc[t] += av * bv;
+        let mut acc = [[0.0f32; LANES]; R];
+        for (r, acc) in acc.iter_mut().enumerate() {
+            acc.copy_from_slice(&out[r * ldo + j..r * ldo + j + LANES]);
+        }
+        for kk in 0..k {
+            let b_row = &b[kk * nc + j..kk * nc + j + LANES];
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let av = a[r * lda + kk];
+                for (t, &bv) in b_row.iter().enumerate() {
+                    acc[t] += av * bv;
+                }
             }
         }
-        out[j..j + LANES].copy_from_slice(&acc);
+        for (r, acc) in acc.iter().enumerate() {
+            out[r * ldo + j..r * ldo + j + LANES].copy_from_slice(acc);
+        }
         j += LANES;
     }
-    while j < nc {
-        let mut acc = out[j];
-        for (kk, &av) in a_row.iter().enumerate() {
-            acc += av * b[kk * ldb + j];
+    gemm_tail(a, b, out, g, R, j);
+}
+
+/// Tail columns `j0..nc` of `rows` rows, one scalar chain per element —
+/// the same chain the lanes keep.
+fn gemm_tail(a: &[f32], b: &[f32], out: &mut [f32], g: Gemm, rows: usize, j0: usize) {
+    for r in 0..rows {
+        for j in j0..g.nc {
+            let mut acc = out[r * g.ldo + j];
+            for kk in 0..g.k {
+                acc += a[r * g.lda + kk] * b[kk * g.nc + j];
+            }
+            out[r * g.ldo + j] = acc;
         }
-        out[j] = acc;
-        j += 1;
     }
 }
 
@@ -547,52 +610,78 @@ mod x86 {
     //! AVX2 bodies. Callers (the dispatchers above) guarantee the
     //! target feature is present; each body asserts its slice bounds
     //! before the pointer loop, so every load/store below is in bounds.
-    use super::{fold_max, splat_tail, BinOp, UnOp, LANES, MAX_RDIMS};
+    use super::{fold_max, gemm_tail, splat_tail, BinOp, Gemm, UnOp, LANES, MAX_RDIMS, MR};
     use std::arch::x86_64::*;
 
     // -- gemm ---------------------------------------------------------------
 
-    // SAFETY: to call, AVX2 must be available on the host.
+    // SAFETY: to call, AVX2 must be available on the host and the operands
+    // must cover `g` (asserted by the `gemm_rowblock` dispatcher).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn gemm_avx2(a_row: &[f32], b: &[f32], ldb: usize, out: &mut [f32]) {
-        let (k, n) = (a_row.len(), out.len());
-        assert!(n <= ldb && (k == 0 || b.len() >= (k - 1) * ldb + n));
-        let (bp, op) = (b.as_ptr(), out.as_mut_ptr());
-        let mut j = 0;
-        while j + 16 <= n {
-            let mut acc0 = _mm256_loadu_ps(op.add(j));
-            let mut acc1 = _mm256_loadu_ps(op.add(j + 8));
-            for (kk, &av) in a_row.iter().enumerate() {
-                let va = _mm256_set1_ps(av);
-                let row = bp.add(kk * ldb + j);
-                acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(va, _mm256_loadu_ps(row)));
-                acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(va, _mm256_loadu_ps(row.add(8))));
+    pub unsafe fn gemm_avx2(a: &[f32], b: &[f32], out: &mut [f32], g: Gemm) {
+        let mut i = 0;
+        while i < g.rows {
+            let (a, out) = (&a[i * g.lda..], &mut out[i * g.ldo..]);
+            match g.rows - i {
+                1 => gemm_avx2_block::<1>(a, b, out, g),
+                2 => gemm_avx2_block::<2>(a, b, out, g),
+                3 => gemm_avx2_block::<3>(a, b, out, g),
+                _ => gemm_avx2_block::<MR>(a, b, out, g),
             }
-            _mm256_storeu_ps(op.add(j), acc0);
-            _mm256_storeu_ps(op.add(j + 8), acc1);
-            j += 16;
+            i += MR;
         }
-        if j + 8 <= n {
-            let mut acc = _mm256_loadu_ps(op.add(j));
-            for (kk, &av) in a_row.iter().enumerate() {
-                let vb = _mm256_loadu_ps(bp.add(kk * ldb + j));
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(av), vb));
-            }
-            _mm256_storeu_ps(op.add(j), acc);
-            j += 8;
-        }
-        gemm_tail(a_row, b, ldb, out, j);
     }
 
-    /// Scalar tail columns `j0..` — same per-element chain as the lanes.
-    fn gemm_tail(a_row: &[f32], b: &[f32], ldb: usize, out: &mut [f32], j0: usize) {
-        for j in j0..out.len() {
-            let mut acc = out[j];
-            for (kk, &av) in a_row.iter().enumerate() {
-                acc += av * b[kk * ldb + j];
+    /// `R` rows: 16- then 8-column strips held in `R` (×2) accumulators
+    /// while `k` streams through, one `b` load shared by all `R` rows.
+    // SAFETY: to call, AVX2 must be available on the host and the operands
+    // must cover `R` rows of `g`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn gemm_avx2_block<const R: usize>(a: &[f32], b: &[f32], out: &mut [f32], g: Gemm) {
+        let Gemm { k, nc, lda, ldo, .. } = g;
+        assert!(a.len() >= (R - 1) * lda + k && b.len() >= k * nc && out.len() >= (R - 1) * ldo + nc);
+        let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+        let mut j = 0;
+        while j + 16 <= nc {
+            let mut acc0 = [_mm256_setzero_ps(); R];
+            let mut acc1 = [_mm256_setzero_ps(); R];
+            for r in 0..R {
+                acc0[r] = _mm256_loadu_ps(op.add(r * ldo + j));
+                acc1[r] = _mm256_loadu_ps(op.add(r * ldo + j + 8));
             }
-            out[j] = acc;
+            for kk in 0..k {
+                let row = bp.add(kk * nc + j);
+                let (b0, b1) = (_mm256_loadu_ps(row), _mm256_loadu_ps(row.add(8)));
+                for r in 0..R {
+                    let va = _mm256_set1_ps(*ap.add(r * lda + kk));
+                    acc0[r] = _mm256_add_ps(acc0[r], _mm256_mul_ps(va, b0));
+                    acc1[r] = _mm256_add_ps(acc1[r], _mm256_mul_ps(va, b1));
+                }
+            }
+            for r in 0..R {
+                _mm256_storeu_ps(op.add(r * ldo + j), acc0[r]);
+                _mm256_storeu_ps(op.add(r * ldo + j + 8), acc1[r]);
+            }
+            j += 16;
         }
+        if j + 8 <= nc {
+            let mut acc = [_mm256_setzero_ps(); R];
+            for (r, acc) in acc.iter_mut().enumerate() {
+                *acc = _mm256_loadu_ps(op.add(r * ldo + j));
+            }
+            for kk in 0..k {
+                let vb = _mm256_loadu_ps(bp.add(kk * nc + j));
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let va = _mm256_set1_ps(*ap.add(r * lda + kk));
+                    *acc = _mm256_add_ps(*acc, _mm256_mul_ps(va, vb));
+                }
+            }
+            for (r, acc) in acc.iter().enumerate() {
+                _mm256_storeu_ps(op.add(r * ldo + j), *acc);
+            }
+            j += 8;
+        }
+        gemm_tail(a, b, out, g, R, j);
     }
 
     // -- elementwise maps ---------------------------------------------------
@@ -888,22 +977,32 @@ mod tests {
 
     #[test]
     fn gemm_rowblock_levels_agree_all_widths() {
-        for n in 1..=19 {
-            for k in [0usize, 1, 3, 8] {
-                let a = pattern(k, 7);
-                let b = pattern(k * (n + 2), 11);
-                let res = across_levels(|| {
-                    let mut out = pattern(n, 13);
-                    gemm_rowblock(&a, &b, n + 2, &mut out);
-                    out
-                });
-                // spot-check one element against the naive dot
-                if n > 0 && k > 0 {
-                    let mut want = pattern(n, 13)[0];
-                    for (kk, &av) in a.iter().enumerate() {
-                        want += av * b[kk * (n + 2)];
+        // Row counts cover full MR blocks and every remainder; columns the
+        // 16- and 8-wide strips and every tail; strided rows leave their
+        // padding untouched.
+        for rows in 1..=9 {
+            for n in 1..=19 {
+                for k in [0usize, 1, 3, 8] {
+                    let g = Gemm { rows, k, nc: n, lda: k + 1, ldo: n + 3 };
+                    let a = pattern(rows * g.lda, 7);
+                    let b = pattern(k * n, 11);
+                    let init = pattern(rows * g.ldo, 13);
+                    let res = across_levels(|| {
+                        let mut out = init.clone();
+                        gemm_rowblock(&a, &b, &mut out, g);
+                        out
+                    });
+                    for r in 0..rows {
+                        for j in 0..g.ldo {
+                            let mut want = init[r * g.ldo + j];
+                            if j < n {
+                                for kk in 0..k {
+                                    want += a[r * g.lda + kk] * b[kk * n + j];
+                                }
+                            }
+                            assert_eq!(res[r * g.ldo + j].to_bits(), want.to_bits(), "rows={rows} n={n} k={k}");
+                        }
                     }
-                    assert_eq!(res[0].to_bits(), want.to_bits());
                 }
             }
         }
