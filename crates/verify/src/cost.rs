@@ -169,17 +169,17 @@ pub struct LatencyModel {
 }
 
 impl Default for LatencyModel {
-    /// Conservative single-core defaults (≈4 GFLOP/s dense, ≈3.5 GFLOP/s
+    /// Conservative single-core defaults (≈6 GFLOP/s dense, ≈6 GFLOP/s
     /// element-wise, ≈2 µs per dispatch) for budget pre-flights run before
     /// any calibration data exists. The flop coefficients are the median
     /// of ten one-thread `bench_cost --gate` refits on a 2-core AVX2 host,
-    /// taken after the run-length broadcast landed (the gate fails if they
-    /// drift more than 3x from a fresh refit). Dispatch is the gate-exempt
-    /// scheduling term and keeps its conservative value.
+    /// taken after the four-row GEMM microkernel landed (the gate fails if
+    /// they drift more than 3x from a fresh refit). Dispatch is the
+    /// gate-exempt scheduling term and keeps its conservative value.
     fn default() -> Self {
         Self {
-            dense_ns_per_flop: 0.23,
-            light_ns_per_flop: 0.29,
+            dense_ns_per_flop: 0.17,
+            light_ns_per_flop: 0.17,
             dispatch_ns: 2_000.0,
         }
     }
