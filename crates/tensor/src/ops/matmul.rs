@@ -152,7 +152,14 @@ pub(crate) fn gemm_rows(a: &[f32], lda: usize, b: &[f32], out: &mut [f32], k: us
 /// in L1/L2 while every row of the block consumes it. Tiles advance `k0`
 /// outermost, so each output element's chain stays strictly ascending in
 /// `k`.
-fn packed_rows(a: &[f32], lda: usize, out: &mut [f32], k: usize, n: usize, pack: impl Fn(&mut [f32], usize, usize, usize)) {
+fn packed_rows(
+    a: &[f32],
+    lda: usize,
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+    pack: impl Fn(&mut [f32], usize, usize, usize),
+) {
     let rows = out.len() / n;
     PANEL.with(|p| {
         let mut panel = p.borrow_mut();

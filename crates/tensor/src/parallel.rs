@@ -171,11 +171,12 @@ pub mod kernels {
     /// Cache-blocked packed-B matrix product (one unit = one output row).
     pub static MATMUL: KernelSpec = vectorized(disjoint("matmul"), LaneOrder::ElementChains);
     /// Fused A·Bᵀ product used by `matmul_grad_a` (one unit = one output
-    /// row); reads B's rows directly instead of materialising a transpose.
+    /// row); transpose-packs B into per-worker scratch instead of
+    /// materialising a transposed tensor.
     pub static MATMUL_NT: KernelSpec = vectorized(disjoint("matmul.nt"), LaneOrder::ElementChains);
     /// Fused Aᵀ·G product used by `matmul_grad_b` (one unit = one output
-    /// row); reads A's columns in place instead of materialising a
-    /// transpose.
+    /// row); transpose-packs the rows of Aᵀ each worker needs into
+    /// per-worker scratch, then runs the forward product's microkernel.
     pub static MATMUL_TN: KernelSpec = vectorized(disjoint("matmul.tn"), LaneOrder::ElementChains);
     /// Tiled last-two-dims transpose (one unit = one matrix).
     pub static TRANSPOSE: KernelSpec = disjoint("matmul.transpose_last2");
