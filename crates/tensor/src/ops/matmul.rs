@@ -346,7 +346,8 @@ pub fn matmul_tn(a: &Tensor, g: &Tensor) -> Tensor {
     let a_data = a.data();
     let g_data = g.data();
     let work = 2usize.saturating_mul(batch).saturating_mul(m).saturating_mul(kd).saturating_mul(n);
-    // Rows of aᵀ packed at a time: the scratch stays within NT_FULL_CAP.
+    // Rows of aᵀ packed at a time: NT_FULL_CAP floats, or one row when a
+    // row alone is longer.
     let max_take = (NT_FULL_CAP / m.max(1)).max(1);
     parallel::for_units(&parallel::kernels::MATMUL_TN, &mut out, n.max(1), work, |row0, chunk| {
         if n == 0 || kd == 0 {
