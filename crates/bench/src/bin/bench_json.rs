@@ -10,8 +10,8 @@
 //! workers.
 //!
 //! Every row also carries a `simd` column (`"avx2"` / `"scalar"`); `BENCH_ops.json` additionally runs each per-kernel case
-//! at threads=1 once more, right after its vector run, with
-//! `cts_tensor::simd` forced to the scalar path, so the vector speedup is
+//! at threads=1 once more, in the same timing rounds as its vector run,
+//! with `cts_tensor::simd` forced to the scalar path, so the vector speedup is
 //! a recorded scalar-vs-simd row pair; a per-kernel row's `ns_per_iter`
 //! is the fastest of ten timing windows spread over the whole pass. Both
 //! files open with a `host` header (available parallelism + detected
@@ -142,8 +142,8 @@ fn thread_counts() -> Vec<usize> {
 /// from, the search step's own elementwise shapes at `[8,32,12,8]` and its
 /// own GEMMs (graph conv, linear weight gradient, temporal conv), at
 /// every worker count of [`thread_counts`], plus a forced-scalar run of
-/// each case next to its threads=1 run, so each kernel has a
-/// scalar-vs-simd row pair.
+/// each case in the same rounds as its threads=1 run, so each kernel has
+/// a scalar-vs-simd row pair.
 ///
 /// Asserts (rather than merely records) the perf contracts of the SIMD
 /// work: `matmul_nt` within 1.3× of `matmul`, the adjacency `matmul_tn`
