@@ -229,3 +229,67 @@ pub fn temporal_conv_grad_w(grad: &Tensor, x: &Tensor, w_shape: &[usize], dilati
     }
     Tensor::from_vec(w_shape, gw)
 }
+
+/// Naive permute: every output coordinate unravelled, mapped through
+/// `perm` and ravelled into the input (`perm[i]` is the source axis of
+/// output axis `i`).
+pub fn permute(a: &Tensor, perm: &[usize]) -> Tensor {
+    assert_eq!(perm.len(), a.rank(), "permute rank mismatch");
+    let out_shape: Vec<usize> = perm.iter().map(|&p| a.shape()[p]).collect();
+    let in_strides = strides_for(a.shape());
+    let out: Vec<f32> = (0..a.len())
+        .map(|flat| {
+            let coords = unravel(flat, &out_shape);
+            let src: usize = coords.iter().zip(perm).map(|(&c, &p)| c * in_strides[p]).sum();
+            a.data()[src]
+        })
+        .collect();
+    Tensor::from_vec(out_shape, out)
+}
+
+/// Naive max over one axis: each output folds its `len` inputs in
+/// ascending order from `-∞`, keeping a value only when `v > acc` (so NaN
+/// never enters, and the first of two equal zeros wins).
+pub fn max_axis(a: &Tensor, axis: usize, keepdim: bool) -> Tensor {
+    let outer: usize = a.shape()[..axis].iter().product();
+    let len = a.shape()[axis];
+    let inner: usize = a.shape()[axis + 1..].iter().product();
+    let mut out = vec![f32::NEG_INFINITY; outer * inner];
+    for o in 0..outer {
+        for l in 0..len {
+            for i in 0..inner {
+                let v = a.data()[(o * len + l) * inner + i];
+                if v > out[o * inner + i] {
+                    out[o * inner + i] = v;
+                }
+            }
+        }
+    }
+    let mut shape = a.shape().to_vec();
+    if keepdim {
+        shape[axis] = 1;
+    } else {
+        shape.remove(axis);
+    }
+    if shape.is_empty() {
+        shape.push(1);
+    }
+    Tensor::from_vec(shape, out)
+}
+
+/// Naive ∂sum_axis/∂a: every input element takes the gradient of the
+/// output it was summed into.
+pub fn sum_axis_grad(grad: &Tensor, a_shape: &[usize], axis: usize) -> Tensor {
+    let outer: usize = a_shape[..axis].iter().product();
+    let len = a_shape[axis];
+    let inner: usize = a_shape[axis + 1..].iter().product();
+    let mut out = vec![0.0f32; outer * len * inner];
+    for o in 0..outer {
+        for l in 0..len {
+            for i in 0..inner {
+                out[(o * len + l) * inner + i] = grad.data()[o * inner + i];
+            }
+        }
+    }
+    Tensor::from_vec(a_shape.to_vec(), out)
+}

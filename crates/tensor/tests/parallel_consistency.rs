@@ -367,6 +367,70 @@ proptest! {
         }
     }
 
+    /// Permute, max over an axis and the sum-axis gradient against their
+    /// naive oracles, bit for bit: ranks 1–4, every axis (the last
+    /// included), permutations that keep a trailing run of axes in place
+    /// and ones that move the last axis, inputs salted with NaN and ±0, on
+    /// sizes below and past the parallel threshold, at threads 1–3 and
+    /// every SIMD level the host runs.
+    fn permute_and_axis_reductions_match_reference(
+        rank in 1usize..5,
+        kept_tail in 0usize..5,
+        big in proptest::bool::ANY,
+        seed in 0u64..1_000_000
+    ) {
+        let _g = LOCK.lock().unwrap();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut shape: Vec<usize> = (0..rank).map(|_| rng.gen_range(1..7usize)).collect();
+        if big {
+            let n: usize = shape.iter().product();
+            shape[0] *= 40_000 / n + 1;
+        }
+        let n: usize = shape.iter().product();
+        let salted = |rng: &mut SmallRng, n: usize| -> Vec<f32> {
+            (0..n)
+                .map(|_| match rng.gen_range(0..8u32) {
+                    0 => f32::NAN,
+                    1 => 0.0,
+                    2 => -0.0,
+                    _ => rng.gen_range(-2.0..2.0),
+                })
+                .collect()
+        };
+        let a = Tensor::from_vec(shape.clone(), salted(&mut rng, n));
+        // The first `rank - kept` axes shuffled, the tail left in place.
+        let moved = rank - kept_tail.min(rank);
+        let mut perm: Vec<usize> = (0..rank).collect();
+        for i in (1..moved).rev() {
+            perm.swap(i, rng.gen_range(0..i + 1));
+        }
+        let grads: Vec<Tensor> = (0..rank)
+            .map(|axis| {
+                let m = n / shape[axis];
+                Tensor::from_vec(reference::sum_axis(&a, axis, false).shape().to_vec(), salted(&mut rng, m))
+            })
+            .collect();
+        let slow_perm = reference::permute(&a, &perm);
+        let slow_max: Vec<Tensor> = (0..rank).map(|axis| reference::max_axis(&a, axis, false)).collect();
+        let slow_grad: Vec<Tensor> =
+            (0..rank).map(|axis| reference::sum_axis_grad(&grads[axis], &shape, axis)).collect();
+        for threads in [1usize, 2, 3] {
+            for level in host_levels() {
+                let fast = with_threads(threads, || with_simd(level, || ops::permute(&a, &perm)));
+                prop_assert_eq!(fast.shape(), slow_perm.shape());
+                prop_assert_eq!(bits(&fast), bits(&slow_perm), "permute {:?} of {:?} at {} threads, {:?}", &perm, &shape, threads, level);
+                for axis in 0..rank {
+                    let fm = with_threads(threads, || with_simd(level, || ops::max_axis(&a, axis, false)));
+                    prop_assert_eq!(fm.shape(), slow_max[axis].shape());
+                    prop_assert_eq!(bits(&fm), bits(&slow_max[axis]), "max_axis {} of {:?} at {} threads, {:?}", axis, &shape, threads, level);
+                    let fg = with_threads(threads, || with_simd(level, || ops::sum_axis_grad(&grads[axis], &shape, axis)));
+                    prop_assert_eq!(fg.shape(), slow_grad[axis].shape());
+                    prop_assert_eq!(bits(&fg), bits(&slow_grad[axis]), "sum_axis_grad {} of {:?} at {} threads, {:?}", axis, &shape, threads, level);
+                }
+            }
+        }
+    }
+
     /// SIMD determinism contract, matmul family: every vector level the
     /// host supports returns the *bits* of the forced-scalar path
     /// (`CTS_SIMD=off`), with `n` deliberately straddling the 8-lane width
