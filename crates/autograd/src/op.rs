@@ -6,19 +6,23 @@ use cts_tensor::{arena, ops, Shape, Tensor};
 /// that make up essentially the whole tape; only variadic ops (concat)
 /// spill to a heap Vec. Backward runs once per node per step, so this
 /// container is on the allocation-count hot path.
+///
+/// A multi-input slot is `None` when the sweep does not need that
+/// input's gradient: [`Op::backward`] then neither computes it nor
+/// allocates a placeholder for it.
 pub enum Grads {
     /// Leaf: nothing to differentiate.
     None,
     /// Unary op.
     One(Tensor),
     /// Binary op.
-    Two(Tensor, Tensor),
+    Two(Option<Tensor>, Option<Tensor>),
     /// Variadic op (concat).
-    Many(Vec<Tensor>),
+    Many(Vec<Option<Tensor>>),
 }
 
 impl Grads {
-    /// Number of input gradients.
+    /// Number of input slots (computed or skipped).
     pub fn len(&self) -> usize {
         match self {
             Grads::None => 0,
@@ -28,44 +32,43 @@ impl Grads {
         }
     }
 
-    /// True when there are no gradients.
+    /// True when there are no input slots.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
 
-/// Draining iterator over [`Grads`] in input order.
+/// Draining iterator over [`Grads`] in input order, one slot per input
+/// (`None` for a skipped one).
 pub struct GradsIter {
     inline: [Option<Tensor>; 2],
+    inline_len: usize,
     idx: usize,
-    spill: std::vec::IntoIter<Tensor>,
+    spill: std::vec::IntoIter<Option<Tensor>>,
 }
 
 impl Iterator for GradsIter {
-    type Item = Tensor;
-    fn next(&mut self) -> Option<Tensor> {
-        while self.idx < 2 {
-            let slot = self.inline[self.idx].take();
+    type Item = Option<Tensor>;
+    fn next(&mut self) -> Option<Option<Tensor>> {
+        if self.idx < self.inline_len {
             self.idx += 1;
-            if slot.is_some() {
-                return slot;
-            }
+            return Some(self.inline[self.idx - 1].take());
         }
         self.spill.next()
     }
 }
 
 impl IntoIterator for Grads {
-    type Item = Tensor;
+    type Item = Option<Tensor>;
     type IntoIter = GradsIter;
     fn into_iter(self) -> GradsIter {
-        let (inline, spill) = match self {
-            Grads::None => ([None, None], Vec::new()),
-            Grads::One(a) => ([Some(a), None], Vec::new()),
-            Grads::Two(a, b) => ([Some(a), Some(b)], Vec::new()),
-            Grads::Many(v) => ([None, None], v),
+        let (inline, inline_len, spill) = match self {
+            Grads::None => ([None, None], 0, Vec::new()),
+            Grads::One(a) => ([Some(a), None], 1, Vec::new()),
+            Grads::Two(a, b) => ([a, b], 2, Vec::new()),
+            Grads::Many(v) => ([None, None], 0, v),
         };
-        GradsIter { inline, idx: 0, spill: spill.into_iter() }
+        GradsIter { inline, inline_len, idx: 0, spill: spill.into_iter() }
     }
 }
 
@@ -174,31 +177,39 @@ pub enum Op {
 }
 
 impl Op {
-    /// Gradients w.r.t. each input.
+    /// Gradients w.r.t. the inputs the sweep needs.
     ///
     /// * `grad` — upstream gradient w.r.t. this node's output
     /// * `output` — the saved forward output of this node
     /// * `inputs` — the saved forward values of the node's inputs
+    /// * `needs` — per input, whether the sweep reads its gradient
     ///
-    /// Returns one gradient per input, shaped exactly like that input.
-    pub fn backward(&self, grad: &Tensor, output: &Tensor, inputs: &[&Tensor]) -> Grads {
+    /// Returns one slot per input: the gradient, shaped exactly like that
+    /// input, where `needs` is set, and `None` (nothing computed) where it
+    /// is not. An op is only swept when at least one input needs a
+    /// gradient, so a unary op's single input always does. A computed
+    /// gradient runs the same kernel on the same values whatever the rest
+    /// of the mask says, so it is bit-identical to the all-`true` call.
+    pub fn backward(&self, grad: &Tensor, output: &Tensor, inputs: &[&Tensor], needs: &[bool]) -> Grads {
+        debug_assert_eq!(needs.len(), inputs.len());
+        debug_assert!(inputs.len() != 1 || needs[0], "unary op swept without a need");
         match self {
             Op::Leaf => Grads::None,
             Op::Add => Grads::Two(
-                ops::binary_grad_passthrough(grad, inputs[0].shape()),
-                ops::binary_grad_passthrough(grad, inputs[1].shape()),
+                needs[0].then(|| ops::binary_grad_passthrough(grad, inputs[0].shape())),
+                needs[1].then(|| ops::binary_grad_passthrough(grad, inputs[1].shape())),
             ),
             Op::Sub => Grads::Two(
-                ops::binary_grad_passthrough(grad, inputs[0].shape()),
-                ops::reduce_to_shape(&ops::neg(grad), inputs[1].shape()),
+                needs[0].then(|| ops::binary_grad_passthrough(grad, inputs[0].shape())),
+                needs[1].then(|| ops::reduce_to_shape(&ops::neg(grad), inputs[1].shape())),
             ),
             Op::Mul => Grads::Two(
-                ops::mul_grad(grad, inputs[1], inputs[0].shape()),
-                ops::mul_grad(grad, inputs[0], inputs[1].shape()),
+                needs[0].then(|| ops::mul_grad(grad, inputs[1], inputs[0].shape())),
+                needs[1].then(|| ops::mul_grad(grad, inputs[0], inputs[1].shape())),
             ),
             Op::Div => Grads::Two(
-                ops::div_grad_a(grad, inputs[1], inputs[0].shape()),
-                ops::div_grad_b(grad, inputs[0], inputs[1]),
+                needs[0].then(|| ops::div_grad_a(grad, inputs[1], inputs[0].shape())),
+                needs[1].then(|| ops::div_grad_b(grad, inputs[0], inputs[1])),
             ),
             Op::Neg => Grads::One(ops::neg(grad)),
             Op::Scale(c) => Grads::One(ops::scale(grad, *c)),
@@ -224,17 +235,17 @@ impl Op {
             }
             Op::SoftmaxLast => Grads::One(ops::softmax_last_grad(grad, output)),
             Op::MatMul => Grads::Two(
-                ops::matmul_grad_a(grad, inputs[1], inputs[0].shape()),
-                ops::matmul_grad_b(grad, inputs[0], inputs[1].shape()),
+                needs[0].then(|| ops::matmul_grad_a(grad, inputs[1], inputs[0].shape())),
+                needs[1].then(|| ops::matmul_grad_b(grad, inputs[0], inputs[1].shape())),
             ),
             Op::Permute(perm) => Grads::One(ops::permute_grad(grad, perm)),
             Op::Reshape => Grads::One(grad.clone().reshaped(inputs[0].shape())),
             Op::Concat { axis } => {
                 let mut grads = Vec::with_capacity(inputs.len());
                 let mut offset = 0;
-                for inp in inputs {
+                for (inp, &need) in inputs.iter().zip(needs) {
                     let len = inp.shape()[*axis];
-                    grads.push(ops::slice(grad, *axis, offset, offset + len));
+                    grads.push(need.then(|| ops::slice(grad, *axis, offset, offset + len)));
                     offset += len;
                 }
                 Grads::Many(grads)
@@ -261,8 +272,8 @@ impl Op {
             Op::SumAll => Grads::One(ops::sum_all_grad(grad, inputs[0].shape())),
             Op::MeanAll => Grads::One(ops::mean_all_grad(grad, inputs[0].shape())),
             Op::TemporalConv { dilation } => Grads::Two(
-                ops::temporal_conv_grad_x(grad, inputs[1], inputs[0].shape(), *dilation),
-                ops::temporal_conv_grad_w(grad, inputs[0], inputs[1].shape(), *dilation),
+                needs[0].then(|| ops::temporal_conv_grad_x(grad, inputs[1], inputs[0].shape(), *dilation)),
+                needs[1].then(|| ops::temporal_conv_grad_w(grad, inputs[0], inputs[1].shape(), *dilation)),
             ),
         }
     }
@@ -284,5 +295,59 @@ fn squeeze_keepdim(grad: &Tensor, input_shape: &[usize], axis: usize) -> Tensor 
         grad.clone().reshaped(s)
     } else {
         grad.clone()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn pattern(shape: &[usize], salt: usize) -> Tensor {
+        let n: usize = shape.iter().product();
+        // Values in [0.5, 2.2): no zero divisors, no exact ties.
+        let data = (0..n).map(|i| 0.5 + ((i * 37 + salt * 11) % 17) as f32 * 0.1).collect::<Vec<_>>();
+        Tensor::from_vec(shape.to_vec(), data)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every multi-input op under every needs mask: a needed slot holds
+    /// the bits of the all-`true` call, a skipped slot holds nothing.
+    #[test]
+    fn backward_computes_exactly_the_needed_gradients() {
+        let cases: Vec<(Op, Vec<Vec<usize>>, Vec<usize>)> = vec![
+            (Op::Add, vec![vec![2, 3, 4], vec![4]], vec![2, 3, 4]),
+            (Op::Sub, vec![vec![2, 3, 4], vec![2, 3, 1]], vec![2, 3, 4]),
+            (Op::Mul, vec![vec![2, 3, 4], vec![1]], vec![2, 3, 4]),
+            (Op::Div, vec![vec![2, 3, 4], vec![3, 4]], vec![2, 3, 4]),
+            (Op::MatMul, vec![vec![2, 3, 4], vec![4, 5]], vec![2, 3, 5]),
+            (Op::TemporalConv { dilation: 2 }, vec![vec![1, 2, 6, 3], vec![2, 3, 4]], vec![1, 2, 6, 4]),
+            (Op::Concat { axis: 1 }, vec![vec![2, 1, 4], vec![2, 2, 4], vec![2, 3, 4]], vec![2, 6, 4]),
+        ];
+        for (op, in_shapes, out_shape) in cases {
+            let inputs: Vec<Tensor> = in_shapes.iter().enumerate().map(|(i, s)| pattern(s, i)).collect();
+            let views: Vec<&Tensor> = inputs.iter().collect();
+            let output = pattern(&out_shape, 7);
+            let grad = pattern(&out_shape, 9);
+            let k = inputs.len();
+            let full: Vec<Option<Tensor>> = op.backward(&grad, &output, &views, &vec![true; k]).into_iter().collect();
+            for mask in 0..1usize << k {
+                let needs: Vec<bool> = (0..k).map(|i| mask >> i & 1 == 1).collect();
+                let got = op.backward(&grad, &output, &views, &needs);
+                assert_eq!(got.len(), k, "{op:?}");
+                for (i, slot) in got.into_iter().enumerate() {
+                    match (needs[i], slot, &full[i]) {
+                        (true, Some(g), Some(f)) => {
+                            assert_eq!(g.shape(), inputs[i].shape(), "{op:?} input {i}");
+                            assert_eq!(bits(&g), bits(f), "{op:?} input {i} under {needs:?}");
+                        }
+                        (false, None, _) => {}
+                        (need, slot, _) => panic!("{op:?} input {i}: need {need}, computed {}", slot.is_some()),
+                    }
+                }
+            }
+        }
     }
 }

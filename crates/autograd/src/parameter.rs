@@ -16,7 +16,9 @@ struct ParamInner {
 /// Cloning a `Parameter` is cheap and aliases the same storage — the clone
 /// seen by an optimizer updates the weights the model reads on the next
 /// forward pass. Gradients accumulate across [`crate::Tape::backward`] calls
-/// until [`Parameter::zero_grad`] is invoked.
+/// until [`Parameter::zero_grad`] is invoked; a
+/// [`crate::Tape::backward_for`] sweep that does not name a parameter
+/// leaves its gradient as it is.
 #[derive(Clone)]
 pub struct Parameter {
     inner: Rc<RefCell<ParamInner>>,
@@ -95,6 +97,12 @@ impl Parameter {
     /// True when both sides alias the same storage.
     pub fn ptr_eq(&self, other: &Parameter) -> bool {
         Rc::ptr_eq(&self.inner, &other.inner)
+    }
+
+    /// Identity key: the address of the shared storage, equal for two
+    /// parameters exactly when [`Parameter::ptr_eq`] holds.
+    pub(crate) fn key(&self) -> usize {
+        Rc::as_ptr(&self.inner) as usize
     }
 }
 

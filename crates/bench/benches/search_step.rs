@@ -30,19 +30,13 @@ fn bench_search_step(c: &mut Criterion) {
                 let tape = Tape::new();
                 let pred = model.forward(&tape, &tape.constant(x.clone()));
                 let loss = loss_kind.compute(&tape, &pred, &y);
-                tape.backward(&loss);
-                for pm in weight_opt.params() {
-                    pm.zero_grad();
-                }
+                tape.backward_for(&loss, arch_opt.params());
                 arch_opt.step();
                 // w step
                 let tape = Tape::new();
                 let pred = model.forward(&tape, &tape.constant(x.clone()));
                 let loss = loss_kind.compute(&tape, &pred, &y);
-                tape.backward(&loss);
-                for pm in arch_opt.params() {
-                    pm.zero_grad();
-                }
+                tape.backward_for(&loss, weight_opt.params());
                 weight_opt.step();
             })
         });

@@ -16,13 +16,14 @@
 //! is the fastest of ten timing windows spread over the whole pass. Both
 //! files open with a `host` header (available parallelism + detected
 //! SIMD).
-//! Five regressions are *asserted* in-process, not just recorded:
+//! Six regressions are *asserted* in-process, not just recorded:
 //! `matmul_nt` must stay within 1.3× of `matmul` (the packed-B fix), the
 //! graph conv's adjacency `matmul_tn` within 1.3× of its forward twin (the
-//! packed-aᵀ fix), and on hosts where AVX2 is detected the vectorized
-//! `matmul` and `matmul_tn` must beat the forced-scalar path by ≥ 1.5× and
-//! the search's `×[1]` broadcast must stay within 1.5× of a same-shape add
-//! (the run-length broadcast).
+//! packed-aᵀ fix), the last-axis `max_axis` within 1.5× of the same-shape
+//! `sum_axis` (the row fold), and on hosts where AVX2 is detected the
+//! vectorized `matmul` and `matmul_tn` must beat the forced-scalar path by
+//! ≥ 1.5× and the search's `×[1]` broadcast must stay within 1.5× of a
+//! same-shape add (the run-length broadcast).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
@@ -139,17 +140,19 @@ fn thread_counts() -> Vec<usize> {
 }
 
 /// Per-kernel rows: the projection/attention shapes the supernet is built
-/// from, the search step's own elementwise shapes at `[8,32,12,8]` and its
-/// own GEMMs (graph conv, linear weight gradient, temporal conv), at
-/// every worker count of [`thread_counts`], plus a forced-scalar run of
-/// each case in the same rounds as its threads=1 run, so each kernel has
-/// a scalar-vs-simd row pair.
+/// from, the search step's own elementwise shapes at `[8,32,12,8]`, its
+/// own GEMMs (graph conv, linear weight gradient, temporal conv) and its
+/// node-major `permute`, ProbSparse's last-axis `max_axis` and LayerNorm's
+/// last-axis `sum_axis_grad`, at every worker count of [`thread_counts`],
+/// plus a forced-scalar run of each case in the same rounds as its
+/// threads=1 run, so each kernel has a scalar-vs-simd row pair.
 ///
 /// Asserts (rather than merely records) the perf contracts of the SIMD
 /// work: `matmul_nt` within 1.3× of `matmul`, the adjacency `matmul_tn`
-/// within 1.3× of its forward twin, and, when AVX2 is available,
-/// vectorized `matmul` and `matmul_tn` ≥ 1.5× over forced-scalar and the
-/// `×[1]` broadcast within 1.5× of the same-shape add.
+/// within 1.3× of its forward twin, the last-axis `max_axis` within 1.5×
+/// of the same-shape `sum_axis`, and, when AVX2 is available, vectorized
+/// `matmul` and `matmul_tn` ≥ 1.5× over forced-scalar and the `×[1]`
+/// broadcast within 1.5× of the same-shape add.
 fn bench_ops() -> (Vec<String>, String) {
     let mut rng = SmallRng::seed_from_u64(0);
     let a = init::uniform(&mut rng, [8, 16, 48, 64], -1.0, 1.0);
@@ -171,6 +174,11 @@ fn bench_ops() -> (Vec<String>, String) {
     let hs = init::uniform(&mut rng, [8, 32, 12, 8], -1.0, 1.0);
     let xc = init::uniform(&mut rng, [8, 32, 12, 16], -1.0, 1.0);
     let wc = init::uniform(&mut rng, [2, 16, 16], -1.0, 1.0);
+    // ProbSparse's sparsity measurement reduces `[B·N, T, T]` scores over
+    // the last axis; LayerNorm's mean backward broadcasts `[8,32,12]` back
+    // over d_model 16.
+    let qk = init::uniform(&mut rng, [256, 12, 12], -1.0, 1.0);
+    let mean_grad = init::uniform(&mut rng, [8, 32, 12], -1.0, 1.0);
 
     // (op, shape, timed iterations, kernel call); the search shapes are
     // ~10 µs calls, so they time more iterations.
@@ -204,6 +212,15 @@ fn bench_ops() -> (Vec<String>, String) {
             Box::new(|| ops::reduce_to_shape(&h, &[1])),
         ),
         ("reduce.sum_axis", "[8,32,12,8] axis 3", 400, Box::new(|| ops::sum_axis(&h, 3, true))),
+        ("reduce.sum_axis", "[256,12,12] axis 2", 400, Box::new(|| ops::sum_axis(&qk, 2, false))),
+        ("reduce.max_axis", "[256,12,12] axis 2", 400, Box::new(|| ops::max_axis(&qk, 2, false))),
+        (
+            "reduce.sum_axis_grad",
+            "[8,32,12,16] axis 3",
+            400,
+            Box::new(|| ops::sum_axis_grad(&mean_grad, &[8, 32, 12, 16], 3)),
+        ),
+        ("permute", "[8,32,12,8] 0213", 400, Box::new(|| ops::permute(&h, &[0, 2, 1, 3]))),
         ("matmul", "[32,32]x[8,12,32,8]", 1000, Box::new(|| ops::matmul(&adj, &hn))),
         ("matmul.tn", "[32,32]Tx[8,12,32,8]", 1000, Box::new(|| ops::matmul_tn(&adj, &hn))),
         ("matmul.tn", "[8,32,12,8]Tx[8,32,12,8]", 200, Box::new(|| ops::matmul_tn(&hs, &h))),
@@ -273,6 +290,7 @@ fn bench_ops() -> (Vec<String>, String) {
     let tn_ratio = ns("matmul.tn", "[32,32]Tx[8,12,32,8]", active) / ns("matmul", "[32,32]x[8,12,32,8]", active);
     let splat_ratio = ns("elementwise.mul", "[8,32,12,8]x[1]", active)
         / ns("elementwise.add", "[8,32,12,8]+[8,32,12,8]", active);
+    let max_ratio = ns("reduce.max_axis", "[256,12,12] axis 2", active) / ns("reduce.sum_axis", "[256,12,12] axis 2", active);
     let (mm, tn, ew, sm, rd) = (
         speedup("matmul", "[8,16,48,64]x[64,64]"),
         speedup("matmul.tn", "[8,16,48,64]Tx[8,16,48,48]"),
@@ -285,6 +303,7 @@ fn bench_ops() -> (Vec<String>, String) {
          \"ratio_matmul_nt_vs_matmul_t1\": {nt_ratio:.3}, \
          \"ratio_adjacency_matmul_tn_vs_matmul_t1\": {tn_ratio:.3}, \
          \"ratio_mul_splat_vs_add_t1\": {splat_ratio:.3}, \
+         \"ratio_last_axis_max_vs_sum_t1\": {max_ratio:.3}, \
          \"speedup_simd_vs_scalar_t1\": {{\"matmul\": {mm:.3}, \"matmul.tn\": {tn:.3}, \
          \"elementwise.add\": {ew:.3}, \"softmax.last\": {sm:.3}, \
          \"elementwise.reduce_to_shape\": {rd:.3}}}}}"
@@ -301,6 +320,12 @@ fn bench_ops() -> (Vec<String>, String) {
     assert!(
         tn_ratio <= 1.3,
         "adjacency matmul_tn regressed: {tn_ratio:.3}x its forward twin at threads=1 (budget 1.3x)"
+    );
+    // The last-axis max folds each contiguous row like sum_axis does; one
+    // `max_accum` dispatch per element took 6x the sum.
+    assert!(
+        max_ratio <= 1.5,
+        "last-axis max_axis regressed: {max_ratio:.3}x the same-shape sum_axis at threads=1 (budget 1.5x)"
     );
     if simd::detected() == SimdLevel::Avx2 && simd::active() {
         assert!(
@@ -323,7 +348,8 @@ fn bench_ops() -> (Vec<String>, String) {
 }
 
 /// One bi-level search step (Θ update + w update) on the default-scale
-/// supernet — the unit cost behind the paper's search times.
+/// supernet — the unit cost behind the paper's search times. Each pass
+/// asks for the gradients its optimizer steps, as `joint_search` does.
 ///
 /// Uses [`ExpContext::from_env`] (the documented `NODES`/`BATCH`/`D_MODEL`
 /// knobs), not the smoke context: at smoke scale nearly every kernel sits
@@ -347,19 +373,13 @@ fn bench_search_step() -> (Vec<String>, String) {
         let tape = Tape::new();
         let pred = model.forward(&tape, &tape.constant(x.clone()));
         let loss = loss_kind.compute(&tape, &pred, &y);
-        tape.backward(&loss);
-        for pm in weight_opt.params() {
-            pm.zero_grad();
-        }
+        tape.backward_for(&loss, arch_opt.params());
         arch_opt.step();
         // w step
         let tape = Tape::new();
         let pred = model.forward(&tape, &tape.constant(x.clone()));
         let loss = loss_kind.compute(&tape, &pred, &y);
-        tape.backward(&loss);
-        for pm in arch_opt.params() {
-            pm.zero_grad();
-        }
+        tape.backward_for(&loss, weight_opt.params());
         weight_opt.step();
     };
 

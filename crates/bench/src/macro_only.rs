@@ -143,18 +143,12 @@ pub fn macro_only_search_and_eval(ctx: &ExpContext, p: &Prepared) -> (EvalReport
             let tape = Tape::new();
             let pred = model.forward(&tape, &tape.constant(x_va.clone()));
             let loss = loss_kind.compute(&tape, &pred, y_va);
-            tape.backward(&loss);
-            for pm in weight_opt.params() {
-                pm.zero_grad();
-            }
+            tape.backward_for(&loss, arch_opt.params());
             arch_opt.step();
             let tape = Tape::new();
             let pred = model.forward(&tape, &tape.constant(x_tr.clone()));
             let loss = loss_kind.compute(&tape, &pred, y_tr);
-            tape.backward(&loss);
-            for pm in arch_opt.params() {
-                pm.zero_grad();
-            }
+            tape.backward_for(&loss, weight_opt.params());
             clip_grad_norm(weight_opt.params(), 5.0);
             weight_opt.step();
         }

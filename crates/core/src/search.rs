@@ -116,14 +116,11 @@ fn run_search_epoch(
                 loss = loss.add(&model.expected_cost(&tape).scale(cfg.cost_penalty));
             }
             drop(fwd);
+            // w gradients from this pass are not computed (first-order
+            // approximation): only Θ steps here.
             {
                 let _span = cts_obs::span(cts_obs::Phase::Backward);
-                tape.backward(&loss);
-            }
-            // w gradients from this pass are discarded (first-order
-            // approximation): only Θ steps here.
-            for p in weight_opt.params() {
-                p.zero_grad();
+                tape.backward_for(&loss, arch_opt.params());
             }
             if watchdog_on && !global_grad_norm(arch_opt.params()).is_finite() {
                 return Err(EpochAbort::Diverged(DivergenceReason::NonFiniteGradient {
@@ -149,12 +146,10 @@ fn run_search_epoch(
                 }));
             }
             drop(fwd);
+            // Θ gradients from this pass are not computed either.
             {
                 let _span = cts_obs::span(cts_obs::Phase::Backward);
-                tape.backward(&loss);
-            }
-            for p in arch_opt.params() {
-                p.zero_grad();
+                tape.backward_for(&loss, weight_opt.params());
             }
             if fault::take_nan_grad(gstep) {
                 fault::poison_gradients(weight_opt.params());
@@ -727,5 +722,59 @@ mod tests {
             Err(other) => panic!("expected EmptySplit, got {other:?}"),
             Ok(_) => panic!("expected EmptySplit, got Ok"),
         }
+    }
+
+    fn all_zero(params: &[Parameter]) -> bool {
+        params.iter().all(|p| p.grad().data().iter().all(|&g| g == 0.0))
+    }
+
+    /// The bi-level step computes Θ gradients only in the Θ pass and w
+    /// gradients only in the w pass, and each `Adam::step` zeroes its own
+    /// set — so the other set's gradients are zero at every step without a
+    /// discard loop, and an epoch ends with every gradient at zero.
+    #[test]
+    fn each_pass_leaves_the_other_sets_gradients_zero() {
+        let cfg = small_cfg();
+        let (spec, data, windows) = fixture(&cfg);
+        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let model = SupernetModel::new(&mut rng, &cfg, &spec, &data.graph, &windows.scaler);
+        let mut arch_opt = Adam::for_architecture(model.arch_parameters(), cfg.arch_lr, cfg.arch_wd);
+        let mut weight_opt = Adam::new(model.weight_parameters(), cfg.weight_lr, cfg.weight_wd);
+        let loss_kind = LossKind::MaskedMae { null_value: spec.null_value };
+        let batches = batches_from_windows(&windows.train, cfg.batch_size);
+        let (x, y) = &batches[0];
+        let nonzero = |ps: &[Parameter]| ps.iter().any(|p| p.grad().norm() > 0.0);
+
+        let tape = Tape::new();
+        let loss = loss_kind.compute(&tape, &model.forward(&tape, &tape.constant(x.clone())), y);
+        tape.backward_for(&loss, arch_opt.params());
+        assert!(nonzero(arch_opt.params()), "Θ pass delivered no Θ gradient");
+        assert!(all_zero(weight_opt.params()), "Θ pass computed w gradients");
+        arch_opt.step();
+        assert!(all_zero(arch_opt.params()), "Adam::step left Θ gradients behind");
+
+        let tape = Tape::new();
+        let loss = loss_kind.compute(&tape, &model.forward(&tape, &tape.constant(x.clone())), y);
+        tape.backward_for(&loss, weight_opt.params());
+        assert!(nonzero(weight_opt.params()), "w pass delivered no w gradient");
+        assert!(all_zero(arch_opt.params()), "w pass computed Θ gradients");
+        weight_opt.step();
+        assert!(all_zero(weight_opt.params()), "Adam::step left w gradients behind");
+
+        let (mut steps, mut memory) = (0, 0);
+        let outcome = run_search_epoch(
+            &model,
+            &mut arch_opt,
+            &mut weight_opt,
+            &batches[..3],
+            &batches[3..6],
+            &cfg,
+            loss_kind,
+            &mut steps,
+            &mut memory,
+        );
+        assert!(outcome.is_ok());
+        assert_eq!(steps, 3);
+        assert!(all_zero(arch_opt.params()) && all_zero(weight_opt.params()));
     }
 }

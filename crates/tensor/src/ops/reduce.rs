@@ -92,7 +92,8 @@ pub fn mean_axis(a: &Tensor, axis: usize, keepdim: bool) -> Tensor {
     s
 }
 
-/// ∂sum_axis/∂a: upstream grad broadcast back along `axis`.
+/// ∂sum_axis/∂a: upstream grad broadcast back along `axis`. On the last
+/// axis (`inner == 1`) each output fills its whole `len`-row at once.
 pub fn sum_axis_grad(grad: &Tensor, a_shape: &[usize], axis: usize) -> Tensor {
     meter::add_reads(grad.len());
     let (outer, len, inner) = split_at_axis(a_shape, axis);
@@ -101,6 +102,12 @@ pub fn sum_axis_grad(grad: &Tensor, a_shape: &[usize], axis: usize) -> Tensor {
     debug_assert_eq!(g.len(), outer * inner);
     parallel::for_units(&parallel::kernels::REDUCE_SUM_AXIS_GRAD, &mut out, (len * inner).max(1), outer * len * inner, |u0, chunk| {
         if inner == 0 || len == 0 {
+            return;
+        }
+        if inner == 1 {
+            for (row, &gv) in chunk.chunks_mut(len).zip(&g[u0..]) {
+                row.fill(gv);
+            }
             return;
         }
         for (oi, oslice) in chunk.chunks_mut(len * inner).enumerate() {
@@ -144,13 +151,26 @@ pub fn mean_all_grad(grad: &Tensor, a_shape: &[usize]) -> Tensor {
 
 /// Maximum over one axis (non-differentiable helper for e.g. Informer's
 /// sparsity measurement; used on detached values only).
+///
+/// Every output folds its inputs in ascending order from `-∞` with the
+/// `v > acc` test, so NaN never enters and of equal zeros the first wins.
+/// On the last axis (`inner == 1`) that fold runs along one contiguous
+/// row; otherwise rows of `inner` outputs fold on the SIMD lanes
+/// (`maxps` applies the same test per lane).
 pub fn max_axis(a: &Tensor, axis: usize, keepdim: bool) -> Tensor {
     meter::add_reads(a.len());
     let (outer, len, inner) = split_at_axis(a.shape(), axis);
     let mut out = arena::take_filled(outer * inner, f32::NEG_INFINITY);
     let data = a.data();
     parallel::for_units(&parallel::kernels::REDUCE_MAX_AXIS, &mut out, inner.max(1), outer * len * inner, |o0, chunk| {
-        if inner == 0 {
+        if inner == 0 || len == 0 {
+            return;
+        }
+        if inner == 1 {
+            let rows = &data[o0 * len..(o0 + chunk.len()) * len];
+            for (o, row) in chunk.iter_mut().zip(rows.chunks_exact(len)) {
+                *o = crate::simd::fold_max(f32::NEG_INFINITY, row);
+            }
             return;
         }
         for (oi, oslice) in chunk.chunks_mut(inner).enumerate() {
@@ -161,7 +181,7 @@ pub fn max_axis(a: &Tensor, axis: usize, keepdim: bool) -> Tensor {
             }
         }
     });
-    if crate::simd::active() {
+    if inner > 1 && crate::simd::active() {
         parallel::kernels::REDUCE_MAX_AXIS.stats.record_simd();
     }
     Tensor::from_vec(reduced_shape(a.shape(), axis, keepdim), out)

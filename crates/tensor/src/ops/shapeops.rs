@@ -5,23 +5,35 @@ use crate::shape::{numel, Shape};
 use crate::Tensor;
 
 /// Permute dimensions: `perm[i]` is the source axis that becomes output axis `i`.
+///
+/// The trailing axes `perm` leaves in place are contiguous in both layouts,
+/// so they merge into one run copied whole per outer output coordinate
+/// (`[0,2,1,3]` over `[B,N,T,D]` moves runs of `D` floats). A permutation
+/// that moves the last axis copies runs of one element.
 pub fn permute(a: &Tensor, perm: &[usize]) -> Tensor {
     assert_eq!(perm.len(), a.rank(), "permute rank mismatch");
     let in_shape = a.shape();
     let out_shape: Shape = perm.iter().map(|&p| in_shape[p]).collect();
     let mut out = arena::take_zeroed(a.len());
+    let rank = perm.len();
+    let kept = perm.iter().rev().zip((0..rank).rev()).take_while(|(&p, ax)| p == *ax).count();
+    let moved = rank - kept;
+    let run: usize = in_shape[moved..].iter().product();
+    if run == 0 {
+        return Tensor::from_vec(out_shape, out);
+    }
     let in_strides = a.strides();
-    // stride of output axis i in the *input* buffer
-    let mapped_strides: Shape = perm.iter().map(|&p| in_strides[p]).collect();
-    // Odometer over output coordinates carrying the source offset along —
-    // no per-element coordinate vector (this runs on every tape step).
-    let rank = out_shape.len();
-    let mut coords = Shape::zeros(rank);
+    // stride of moved output axis i in the *input* buffer
+    let mapped_strides: Shape = perm[..moved].iter().map(|&p| in_strides[p]).collect();
+    // Odometer over the moved output coordinates carrying the source
+    // offset along — no per-run coordinate vector (this runs on every tape
+    // step).
+    let mut coords = Shape::zeros(moved);
     let mut src = 0usize;
     let data = a.data();
-    for slot in out.iter_mut() {
-        *slot = data[src];
-        for ax in (0..rank).rev() {
+    for dst in out.chunks_exact_mut(run) {
+        dst.copy_from_slice(&data[src..src + run]);
+        for ax in (0..moved).rev() {
             coords[ax] += 1;
             src += mapped_strides[ax];
             if coords[ax] < out_shape[ax] {

@@ -534,7 +534,7 @@ pub fn row_max(x: &[f32]) -> f32 {
 
 /// Pinned sequential max fold: `if v > m { v } else { m }` per element.
 #[inline]
-fn fold_max(init: f32, x: &[f32]) -> f32 {
+pub(crate) fn fold_max(init: f32, x: &[f32]) -> f32 {
     let mut m = init;
     for &v in x {
         if v > m {
