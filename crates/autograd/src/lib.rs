@@ -3,11 +3,13 @@
 //!
 //! A [`Tape`] records every operation of one forward pass as a node in a
 //! topologically ordered arena; [`Tape::backward`] walks the arena in reverse
-//! and accumulates gradients. Model weights live *outside* the tape as
-//! [`Parameter`]s (shared, reference-counted), so a fresh tape per training
-//! step costs only the activations — exactly what the bi-level optimisation
-//! of AutoCTS needs, where two disjoint parameter sets (architecture `Θ` and
-//! network weights `w`) are updated by two different optimisers.
+//! and accumulates gradients, computing only those some parameter depends
+//! on. Model weights live *outside* the tape as [`Parameter`]s (shared,
+//! reference-counted), so a fresh tape per training step costs only the
+//! activations — exactly what the bi-level optimisation of AutoCTS needs,
+//! where two disjoint parameter sets (architecture `Θ` and network weights
+//! `w`) are updated by two different optimisers, each pass computing only
+//! its own set's gradients through [`Tape::backward_for`].
 //!
 //! ```
 //! use cts_autograd::{Parameter, Tape};
