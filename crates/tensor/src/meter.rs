@@ -37,11 +37,9 @@ pub struct MeterSnapshot {
     pub flops: u64,
     /// Elements read by metered ops (operand lengths at op entry).
     pub read_elems: u64,
-    /// Elements written by metered kernel dispatches (output/accumulator
-    /// lengths).
+    /// Elements written by metered kernel dispatches (output lengths).
     pub write_elems: u64,
-    /// Metered kernel dispatches (one per `for_units`/`partial_sums`
-    /// call).
+    /// Metered kernel dispatches (one per `for_units` call).
     pub kernel_calls: u64,
 }
 
@@ -95,8 +93,8 @@ pub fn snapshot() -> MeterSnapshot {
 }
 
 /// Record one metered kernel dispatch: `work` scalar ops writing
-/// `out_elems` elements. Called by `parallel::for_units` /
-/// `parallel::partial_sums` on the dispatching thread (kernel closures may
+/// `out_elems` elements. Called by `parallel::for_units` on the
+/// dispatching thread (kernel closures may
 /// run on pool workers, but dispatch — and therefore metering — is always
 /// caller-side).
 pub(crate) fn add_exec(work: usize, out_elems: usize) {

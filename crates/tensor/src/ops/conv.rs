@@ -14,11 +14,12 @@
 //! order of the naive loops in `ops::reference` and is bit-identical to
 //! them.
 //!
-//! Series (the `B*N` leading dims) are independent, so forward and both
-//! gradients run on the scoped-thread pool in [`crate::parallel`]. The
-//! weight gradient accumulates into a shared `[K, Din, Dout]` buffer, so it
-//! goes through [`crate::parallel::partial_sums`]: each worker owns a
-//! zeroed copy, summed in deterministic worker order afterwards.
+//! Series (the `B*N` leading dims) are independent, so the forward and the
+//! input gradient split series across the worker pool in
+//! [`crate::parallel`]. The weight gradient sums over series, so it splits
+//! its `[K, Din, Dout]` output rows instead: every worker walks all series
+//! for its own rows, and each element keeps the serial chain at any
+//! thread count.
 //!
 //! Note: the original kernels skipped `x == 0.0` terms as a "sparsity"
 //! shortcut. That silently masked NaN/∞ (`0 × NaN` must be NaN, but the
@@ -123,34 +124,49 @@ pub fn temporal_conv_grad_x(grad: &Tensor, w: &Tensor, x_shape: &[usize], dilati
 }
 
 /// ∂temporal_conv/∂w.
+///
+/// One unit is one `Dout`-wide row of the `[K, Din, Dout]` gradient (tap
+/// `ki`, input channel `i`). Each worker walks every series in ascending
+/// order over its own rows, so every element keeps the serial chain —
+/// series, then `t` — at any thread count.
 pub fn temporal_conv_grad_w(grad: &Tensor, x: &Tensor, w_shape: &[usize], dilation: usize) -> Tensor {
     meter::add_reads(grad.len() + x.len());
     let (b, n, t, din) = dims4(x);
     let (k, _, dout) = (w_shape[0], w_shape[1], w_shape[2]);
+    let mut gw = arena::take_zeroed(k * din * dout);
     let gd = grad.data();
     let xd = x.data();
     let series = b * n;
     let work = 2 * series * t * k * din * dout;
-    let gw = parallel::partial_sums(&parallel::kernels::TEMPORAL_CONV_GRAD_W, series, k * din * dout, work, |s, acc| {
-        let xser = &xd[s * t * din..(s + 1) * t * din];
-        let gser = &gd[s * t * dout..(s + 1) * t * dout];
+    parallel::for_units(&parallel::kernels::TEMPORAL_CONV_GRAD_W, &mut gw, dout.max(1), work, |r0, chunk| {
+        if dout == 0 {
+            return;
+        }
+        let r1 = r0 + chunk.len() / dout;
         XT.with(|p| {
             let mut xt = p.borrow_mut();
             if xt.len() < din * t {
                 xt.resize(din * t, 0.0);
             }
-            for (ti, xrow) in xser.chunks_exact(din).enumerate() {
-                for (i, &v) in xrow.iter().enumerate() {
-                    xt[i * t + ti] = v;
+            for s in 0..series {
+                let xser = &xd[s * t * din..(s + 1) * t * din];
+                let gser = &gd[s * t * dout..(s + 1) * t * dout];
+                for (ti, xrow) in xser.chunks_exact(din).enumerate() {
+                    for (i, &v) in xrow.iter().enumerate() {
+                        xt[i * t + ti] = v;
+                    }
                 }
-            }
-            for ki in 0..k {
-                let lag = (k - 1 - ki) * dilation;
-                if lag >= t {
-                    continue;
+                for ki in r0 / din..=(r1 - 1) / din {
+                    let lag = (k - 1 - ki) * dilation;
+                    if lag >= t {
+                        continue;
+                    }
+                    // This worker's rows of tap `ki`, as input channels.
+                    let lo = r0.max(ki * din);
+                    let hi = r1.min((ki + 1) * din);
+                    let rows = &mut chunk[(lo - r0) * dout..(hi - r0) * dout];
+                    gemm_rows(&xt[(lo - ki * din) * t..din * t], t, &gser[lag * dout..], rows, t - lag, dout);
                 }
-                let wmat = &mut acc[ki * din * dout..(ki + 1) * din * dout];
-                gemm_rows(&xt[..din * t], t, &gser[lag * dout..], wmat, t - lag, dout);
             }
         });
     });

@@ -14,8 +14,8 @@
 //! kernel, then park on a condvar between jobs, so steady-state dispatch
 //! is a wake/sleep round-trip instead of an OS thread spawn per kernel.
 //!
-//! The pool affects scheduling only. Partitioning ([`share`]) and result
-//! combination (fixed worker order) live here, so results are
+//! The pool affects scheduling only. Partitioning ([`share`]) lives here,
+//! and every worker writes its own output units, so results are
 //! bit-identical at any thread count and across pool teardown/re-init.
 //! Per-launch share bookkeeping lives in bounded inline storage, so a
 //! warmed multi-thread launch allocates nothing.
@@ -40,17 +40,20 @@
 //! # Determinism registry
 //!
 //! Bit-identical results at any thread count (the guarantee the
-//! checkpoint/resume layer depends on) only hold if every kernel splits
-//! and recombines its work in a *fixed* order. That contract is machine
-//! checked, not conventional: each call into [`for_units`] /
-//! [`partial_sums`] must present a [`KernelSpec`] registered in
-//! [`kernels::ALL`], and the [`Partition`] / [`Reduction`] enums only
+//! checkpoint/resume layer depends on) only hold if no element's
+//! arithmetic depends on how the work was split. Every kernel therefore
+//! writes disjoint output units, each computed by exactly the chain the
+//! serial loop would run; a kernel whose output sums over its input
+//! (a weight gradient summed over series) splits its *output* rows, never
+//! the summed axis. That contract is machine checked, not conventional:
+//! each call into [`for_units`] must present a [`KernelSpec`] registered
+//! in [`kernels::ALL`], and the [`Partition`] / [`Reduction`] enums only
 //! have order-deterministic variants. A new kernel that skips
 //! registration panics on first use; one that invents a non-deterministic
 //! strategy cannot even name it. `cts-verify` audits the registry as part
 //! of its static report.
 
-use crate::{arena, pool};
+use crate::pool;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -69,16 +72,13 @@ pub enum Partition {
 
 /// How per-worker results are combined into the kernel's output.
 ///
-/// Every variant has a fixed combination order, so floating-point
-/// summation is reproducible at a given thread count (and exactly serial
-/// at one thread).
+/// The only variant combines nothing, so no floating-point sum depends on
+/// the thread count. Summing per-worker partial buffers would regroup the
+/// additions whenever the worker count changes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Reduction {
     /// Workers write disjoint output ranges; nothing is combined.
     DisjointWrites,
-    /// Each worker fills a private accumulator; the accumulators are
-    /// summed in ascending worker order.
-    OrderedPartialSums,
 }
 
 /// How a kernel's vector (SIMD) lanes relate to its scalar accumulation
@@ -151,16 +151,6 @@ pub mod kernels {
         }
     }
 
-    const fn summed(name: &'static str) -> KernelSpec {
-        KernelSpec {
-            name,
-            partition: Partition::ContiguousUnits,
-            reduction: Reduction::OrderedPartialSums,
-            simd: SimdContract { lane_width: 1, order: LaneOrder::ScalarOnly },
-            stats: cts_obs::KernelStats::new(),
-        }
-    }
-
     /// Mark a spec's hot loops as vectorized at [`crate::simd::LANES`]
     /// width with the given lane-order contract.
     const fn vectorized(mut spec: KernelSpec, order: LaneOrder) -> KernelSpec {
@@ -217,14 +207,15 @@ pub mod kernels {
     pub static TEMPORAL_CONV: KernelSpec = vectorized(disjoint("conv.temporal"), LaneOrder::ElementChains);
     /// Temporal convolution input gradient.
     pub static TEMPORAL_CONV_GRAD_X: KernelSpec = disjoint("conv.temporal_grad_x");
-    /// Temporal convolution weight gradient: per-series partial sums,
-    /// combined in worker order.
+    /// Temporal convolution weight gradient (one unit = one `Dout` row of
+    /// the `[K, Din, Dout]` output); each worker sums every series into
+    /// its own rows.
     pub static TEMPORAL_CONV_GRAD_W: KernelSpec =
-        vectorized(summed("conv.temporal_grad_w"), LaneOrder::ElementChains);
+        vectorized(disjoint("conv.temporal_grad_w"), LaneOrder::ElementChains);
 
-    /// Every kernel allowed to use [`super::for_units`] /
-    /// [`super::partial_sums`]. Keep in sync with the statics above; the
-    /// registration assert fires on first use of an unlisted spec.
+    /// Every kernel allowed to use [`super::for_units`]. Keep in sync with
+    /// the statics above; the registration assert fires on first use of an
+    /// unlisted spec.
     pub static ALL: &[&KernelSpec] = &[
         &MATMUL,
         &MATMUL_NT,
@@ -255,20 +246,13 @@ pub mod kernels {
     }
 }
 
-/// Panic unless `spec` is registered and uses `expected` reduction.
-fn check_spec(spec: &'static KernelSpec, expected: Reduction) {
+/// Panic unless `spec` is registered.
+fn check_spec(spec: &'static KernelSpec) {
     assert!(
         kernels::is_registered(spec),
         "kernel spec {:?} is not in parallel::kernels::ALL — register it \
          so the determinism audit can see it",
         spec.name
-    );
-    assert!(
-        spec.reduction == expected,
-        "kernel {:?} declares {:?} but was routed through a {:?} entry point",
-        spec.name,
-        spec.reduction,
-        expected
     );
 }
 
@@ -414,8 +398,8 @@ impl<T> DerefMut for Shares<T> {
 /// `f(first_unit, units_slice)` over disjoint runs of units, in parallel
 /// when `work` (estimated scalar ops) is large enough.
 ///
-/// `spec` must be a kernel registered in [`kernels::ALL`] declaring
-/// [`Reduction::DisjointWrites`]; unregistered specs panic.
+/// `spec` must be a kernel registered in [`kernels::ALL`]; unregistered
+/// specs panic.
 ///
 /// `out.len()` must be a multiple of `unit_len`. The serial path is a single
 /// `f(0, out)` call, so `f` must handle any number of units.
@@ -423,7 +407,7 @@ pub fn for_units<F>(spec: &'static KernelSpec, out: &mut [f32], unit_len: usize,
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
-    check_spec(spec, Reduction::DisjointWrites);
+    check_spec(spec);
     debug_assert!(unit_len > 0 && out.len().is_multiple_of(unit_len));
     let units = out.len() / unit_len;
     let t = cts_obs::timer();
@@ -461,76 +445,6 @@ where
     });
     spec.stats.record(t, units as u64, true);
     crate::meter::add_exec(work, units * unit_len);
-}
-
-/// Parallel accumulation: each worker owns a zeroed `acc_len` buffer, calls
-/// `f(unit, acc)` for its run of units, and the per-worker buffers are summed
-/// (in worker order) into the returned vector.
-///
-/// `spec` must be a kernel registered in [`kernels::ALL`] declaring
-/// [`Reduction::OrderedPartialSums`]; unregistered specs panic.
-///
-/// Used by kernels whose output is shared across units (e.g. a weight
-/// gradient accumulated over a batch). Summation order of partial buffers is
-/// deterministic for a fixed thread count; with 1 thread it is exactly the
-/// serial accumulation order.
-///
-/// All accumulators (including the returned one) come from the buffer
-/// arena, so steady-state calls allocate nothing.
-pub fn partial_sums<F>(spec: &'static KernelSpec, units: usize, acc_len: usize, work: usize, f: F) -> Vec<f32>
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    check_spec(spec, Reduction::OrderedPartialSums);
-    let t = cts_obs::timer();
-    let threads = num_threads().min(units.max(1));
-    if threads <= 1 || work < PAR_THRESHOLD {
-        let mut acc = arena::take_zeroed(acc_len);
-        for u in 0..units {
-            f(u, &mut acc);
-        }
-        spec.stats.record(t, units as u64, false);
-        crate::meter::add_exec(work, acc_len);
-        return acc;
-    }
-    // Accumulators are allocated (from the caller's arena) and summed on
-    // the calling thread; workers only fill the slices handed to them, so
-    // buffers never migrate between per-thread arenas.
-    // threads <= units, so every worker's share is non-empty.
-    let mut partials: Shares<Vec<f32>> = Shares::new();
-    for _ in 0..threads {
-        partials.push(arena::take_zeroed(acc_len));
-    }
-    {
-        let mut slots: Shares<Slot<(usize, usize, &mut [f32])>> = Shares::new();
-        let mut first = 0usize;
-        for (w, acc) in partials.iter_mut().enumerate() {
-            let n_units = share(units, threads, w);
-            slots.push(Mutex::new(Some((first, n_units, acc.as_mut_slice()))));
-            first += n_units;
-        }
-        let f = &f;
-        pool::run(slots.len(), &|w| {
-            if let Some((start, n, acc)) = take_slot(&slots[w]) {
-                for u in start..start + n {
-                    f(u, acc);
-                }
-            }
-        });
-    }
-    // invariant: threads >= 2 here and units >= threads, so at least one
-    // share (and one accumulator) exists.
-    let (head, rest) = partials.split_first_mut().expect("at least one partial accumulator");
-    let mut acc = std::mem::take(head);
-    for p in rest {
-        // Ascending-worker combine; simd::accum keeps one independent
-        // vertical chain per element, so the order is unchanged.
-        crate::simd::accum(&mut acc, p);
-        arena::recycle(std::mem::take(p));
-    }
-    spec.stats.record(t, units as u64, true);
-    crate::meter::add_exec(work, acc_len);
-    acc
 }
 
 /// Snapshot every registered kernel's cumulative counters, in registry
@@ -597,13 +511,9 @@ mod tests {
                 *s = (first + u) as f32;
             }
         });
+        set_num_threads(0);
         let expect: Vec<f32> = (0..threads * 2).map(|u| u as f32).collect();
         assert_eq!(out, expect);
-        let sums = partial_sums(&kernels::TEMPORAL_CONV_GRAD_W, threads, 1, PAR_THRESHOLD * 2, |u, acc| {
-            acc[0] += u as f32;
-        });
-        set_num_threads(0);
-        assert_eq!(sums, vec![(0..threads).sum::<usize>() as f32]);
     }
 
     #[test]
@@ -621,25 +531,6 @@ mod tests {
         assert_eq!(*calls.get_mut(), 1, "below-threshold work must not split");
         assert_eq!(out, vec![1.0; 4]);
         set_num_threads(0);
-    }
-
-    #[test]
-    fn partial_sums_matches_serial() {
-        let _g = LOCK.lock().unwrap();
-        let run = |threads| {
-            set_num_threads(threads);
-            partial_sums(&kernels::TEMPORAL_CONV_GRAD_W, 10, 4, PAR_THRESHOLD * 2, |u, acc| {
-                for (i, a) in acc.iter_mut().enumerate() {
-                    *a += (u * 4 + i) as f32;
-                }
-            })
-        };
-        let serial = run(1);
-        let parallel = run(4);
-        set_num_threads(0);
-        assert_eq!(serial, parallel);
-        // sum over u of (u*4 + 0) for i = 0: 0+4+..+36 = 180
-        assert_eq!(serial[0], 180.0);
     }
 
     #[test]
@@ -684,16 +575,6 @@ mod tests {
         })
         .is_err();
         assert!(panicked, "unregistered kernel spec must be rejected");
-    }
-
-    #[test]
-    fn wrong_reduction_entry_point_rejected() {
-        // A disjoint-writes kernel must not reach the partial-sum combiner.
-        let panicked = std::panic::catch_unwind(|| {
-            partial_sums(&kernels::MATMUL, 4, 2, 8, |_, _| {});
-        })
-        .is_err();
-        assert!(panicked, "reduction kind is part of the registered contract");
     }
 
     #[test]

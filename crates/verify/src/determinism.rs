@@ -77,7 +77,7 @@ pub fn audit_determinism() -> DeterminismReport {
             Partition::ContiguousUnits => {}
         }
         match spec.reduction {
-            Reduction::DisjointWrites | Reduction::OrderedPartialSums => {}
+            Reduction::DisjointWrites => {}
         }
         // A lane-order declaration must be consistent with its width:
         // scalar-only kernels have no lanes, vectorized kernels must be

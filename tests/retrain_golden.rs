@@ -198,6 +198,8 @@ fn check_golden_at(threads: usize) {
 }
 
 #[test]
-fn retrain_matches_golden() {
-    check_golden_at(1);
+fn retrain_matches_golden_at_any_thread_count() {
+    for threads in [1, 2, 3] {
+        check_golden_at(threads);
+    }
 }
