@@ -99,6 +99,9 @@ impl Genotype {
 
     /// Structural validity of blocks and backbone.
     pub fn validate(&self) -> Result<(), String> {
+        if self.blocks.is_empty() {
+            return Err("a genotype needs at least one block".into());
+        }
         if self.backbone.len() != self.blocks.len() {
             return Err("backbone length != block count".into());
         }
@@ -262,6 +265,14 @@ mod tests {
         }
         // ...and through from_text, which validates on parse.
         assert!(Genotype::from_text("m=1 @ 0").is_err());
+    }
+
+    #[test]
+    fn validation_catches_empty_genotype() {
+        // A genotype without blocks has no backbone output to forecast
+        // from, and the derived model's plan refuses to compile it.
+        let empty = Genotype { blocks: vec![], backbone: vec![] };
+        assert!(empty.validate().unwrap_err().contains("at least one block"));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use cts_ops::{build_operator, GraphContext, StOperator};
 use cts_runtime::{BlockPlan, ExecPlan, PlanError, PlanSpec};
 use cts_tensor::Tensor;
 use rand::Rng;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
 /// Output horizon for a task.
@@ -34,13 +34,13 @@ fn make_context(cfg: &SearchConfig, rng: &mut impl Rng, graph: &SensorGraph) -> 
         ctx
     } else {
         // No predefined adjacency (Solar-Energy / Electricity): learn one.
-        GraphContext::from_graph(graph, cfg.gcn_k).with_adaptive(rng, cfg.adaptive_emb)
+        ctx.with_adaptive(rng, cfg.adaptive_emb)
     }
 }
 
 /// Shared embedding/output scaffolding. The layers and graph context are
-/// reference-counted so a compiled [`ExecPlan`] can share them with the
-/// model and read their weights in place.
+/// reference-counted so a derived model's [`ExecPlan`] can share them and
+/// read their weights in place.
 struct Scaffold {
     embed: Rc<Linear>,
     output: Rc<Linear>,
@@ -74,17 +74,6 @@ impl Scaffold {
             input_len: spec.input_len,
             d_model: cfg.d_model,
         }
-    }
-
-    fn embed(&self, tape: &Tape, x: &Var) -> Var {
-        self.embed.forward(tape, x)
-    }
-
-    /// Output layer over the merged backbone representation `[B,N,T,D]`.
-    fn project(&self, tape: &Tape, merged: &Var) -> Var {
-        let flat_width = self.input_len * self.d_model;
-        let (scale, shift) = (self.out_scale, self.out_shift);
-        cts_runtime::project(tape, &self.output, merged, flat_width, scale, shift)
     }
 
     fn parameters(&self) -> Vec<Parameter> {
@@ -230,7 +219,8 @@ impl SupernetModel {
 impl Forecaster for SupernetModel {
     fn forward(&self, tape: &Tape, x: &Var) -> Var {
         let tau = if self.cfg.use_temperature { self.tau.get() } else { 1.0 };
-        let z = self.scaffold.embed(tape, x);
+        let sc = &self.scaffold;
+        let z = sc.embed.forward(tape, x);
         let mut sources = vec![z.clone()];
         let mut block_outputs: Vec<Var> = Vec::with_capacity(self.cfg.b);
         for j in 1..=self.cfg.b {
@@ -245,9 +235,7 @@ impl Forecaster for SupernetModel {
             } else {
                 &self.cells[0]
             };
-            let out = cell
-                .forward(tape, &input, &self.scaffold.ctx, tau)
-                .add(&input); // block-level residual
+            let out = cell.forward(tape, &input, &sc.ctx, tau).add(&input); // block-level residual
             sources.push(out.clone());
             block_outputs.push(out);
         }
@@ -255,7 +243,8 @@ impl Forecaster for SupernetModel {
         for out in &block_outputs[1..] {
             merged = merged.add(out);
         }
-        self.scaffold.project(tape, &merged)
+        let flat_width = sc.input_len * sc.d_model;
+        cts_runtime::project(tape, &sc.output, &merged, flat_width, sc.out_scale, sc.out_shift)
     }
 
     fn parameters(&self) -> Vec<Parameter> {
@@ -269,98 +258,52 @@ impl Forecaster for SupernetModel {
     }
 }
 
-/// One discrete ST-block instantiated from a [`BlockGenotype`]. Edges are
-/// reference-counted so the compiled plan can share the live operators.
-struct DerivedBlock {
-    m: usize,
-    edges: Vec<(usize, usize, Rc<dyn StOperator>)>,
-}
-
-impl DerivedBlock {
-    fn new(
-        rng: &mut impl Rng,
-        name: &str,
-        genotype: &BlockGenotype,
-        d: usize,
-        gcn_k: usize,
-        adaptive: bool,
-    ) -> Self {
-        let edges = genotype
-            .edges
-            .iter()
-            .enumerate()
-            .map(|(idx, (from, to, kind))| {
-                (
-                    *from,
-                    *to,
-                    Rc::from(build_operator(
-                        rng,
-                        *kind,
-                        &format!("{name}.e{idx}.{}", kind.label()),
-                        d,
-                        gcn_k,
-                        adaptive,
-                    )),
-                )
-            })
-            .collect();
-        Self {
-            m: genotype.m,
-            edges,
-        }
-    }
-
-    fn forward(&self, tape: &Tape, x: &Var, ctx: &GraphContext) -> Var {
-        let mut nodes: Vec<Option<Var>> = vec![None; self.m];
-        nodes[0] = Some(x.clone());
-        for j in 1..self.m {
-            let mut acc: Option<Var> = None;
-            for (from, to, op) in &self.edges {
-                if *to != j {
-                    continue;
-                }
-                let h_from = nodes[*from]
-                    .as_ref()
-                    // invariant: validation guarantees from < to, so the source is already built.
-                    .expect("genotype validated: forward edges only")
-                    .clone();
-                let y = op.forward(tape, &h_from, ctx);
-                acc = Some(match acc {
-                    Some(a) => a.add(&y),
-                    None => y,
-                });
-            }
-            // invariant: validation guarantees every node 1..m has an incoming edge.
-            nodes[j] = Some(acc.expect("genotype validated: node has inputs"));
-        }
-        // invariant: validated genotypes have m >= 2, so the output node exists.
-        nodes[self.m - 1].take().expect("m >= 2")
-    }
-
-    fn parameters(&self) -> Vec<Parameter> {
-        self.edges
-            .iter()
-            .flat_map(|(_, _, op)| op.parameters())
-            .collect()
-    }
+/// Instantiate one [`BlockGenotype`]'s operators, drawing from `rng` in
+/// genotype edge order.
+fn block_plan(
+    rng: &mut impl Rng,
+    name: &str,
+    genotype: &BlockGenotype,
+    d: usize,
+    gcn_k: usize,
+    adaptive: bool,
+) -> BlockPlan {
+    let edges = genotype
+        .edges
+        .iter()
+        .enumerate()
+        .map(|(idx, (from, to, kind))| {
+            let label = format!("{name}.e{idx}.{}", kind.label());
+            let op: Rc<dyn StOperator> = Rc::from(build_operator(rng, *kind, &label, d, gcn_k, adaptive));
+            (*from, *to, op)
+        })
+        .collect();
+    BlockPlan { m: genotype.m, edges }
 }
 
 /// The discrete forecasting model retrained from scratch in the
 /// architecture-evaluation stage (§3.4).
+///
+/// Its one forward is the compiled [`ExecPlan`]'s walk: the tape forward
+/// that trains it runs the plan on the `Tape` backend, and
+/// `forward_inference` runs the same plan on `Eval`. The plan shares the
+/// model's layers and operators and reads their weights in place, so
+/// retraining updates flow through without recompiling.
 pub struct DerivedModel {
     scaffold: Scaffold,
-    blocks: Vec<DerivedBlock>,
-    backbone: Vec<usize>,
+    /// Every block's operators in genotype edge order: the order of
+    /// `parameters()`, which gradient clipping and checkpoints follow.
+    ops: Vec<Rc<dyn StOperator>>,
     genotype: Genotype,
-    /// Lazily compiled tape-free plan; shares the scaffold's layers and the
-    /// blocks' operators, so retraining updates flow through without
-    /// recompilation.
-    plan: RefCell<Option<Rc<ExecPlan>>>,
+    plan: Rc<ExecPlan>,
 }
 
 impl DerivedModel {
     /// Instantiate a genotype with fresh weights (full channel width —
     /// partial channels are a search-time memory trick only).
+    ///
+    /// # Panics
+    /// When `genotype` fails [`Genotype::validate`].
     pub fn new(
         rng: &mut impl Rng,
         cfg: &SearchConfig,
@@ -373,20 +316,43 @@ impl DerivedModel {
         genotype.validate().expect("invalid genotype");
         let scaffold = Scaffold::new(rng, cfg, spec, graph, scaler);
         let adaptive = scaffold.ctx.has_adaptive();
-        let blocks = genotype
+        let blocks: Vec<BlockPlan> = genotype
             .blocks
             .iter()
             .enumerate()
-            .map(|(i, b)| {
-                DerivedBlock::new(rng, &format!("block{i}"), b, cfg.d_model, cfg.gcn_k, adaptive)
-            })
+            .map(|(i, b)| block_plan(rng, &format!("block{i}"), b, cfg.d_model, cfg.gcn_k, adaptive))
             .collect();
-        Self {
-            scaffold,
+        let ops = blocks
+            .iter()
+            .flat_map(|b| b.edges.iter().map(|(_, _, op)| Rc::clone(op)))
+            .collect();
+        let spec = PlanSpec {
+            embed: Rc::clone(&scaffold.embed),
+            output: Rc::clone(&scaffold.output),
+            ctx: Rc::clone(&scaffold.ctx),
             blocks,
             backbone: genotype.backbone.clone(),
+            out_scale: scaffold.out_scale,
+            out_shift: scaffold.out_shift,
+            input_len: scaffold.input_len,
+            d_model: scaffold.d_model,
+            nodes: scaffold.ctx.n(),
+            features: scaffold.embed.d_in(),
+        };
+        // Every check in `compile` is implied here. `validate` proves the
+        // structural ones: at least one block, the backbone's length and
+        // backward-only indices, m >= 2, forward edges, an incoming edge
+        // per node. The scaffold sized the embedding to d_model and the
+        // output layer to input_len·d_model. Every operator kind maps
+        // [B, N, T, d_model] to itself over the context's own N, so no
+        // Shape or Mismatch error is left.
+        // invariant: a validated genotype over layers sized here compiles.
+        let plan = ExecPlan::compile(spec).expect("a validated genotype compiles");
+        Self {
+            scaffold,
+            ops,
             genotype: genotype.clone(),
-            plan: RefCell::new(None),
+            plan: Rc::new(plan),
         }
     }
 
@@ -395,91 +361,43 @@ impl DerivedModel {
         &self.genotype
     }
 
-    /// Compile (and cache) the tape-free execution plan for this model.
+    /// The tape-free execution plan, compiled at construction.
     ///
     /// The plan holds `Rc`s to the live layers and operators and reads
     /// their weights at execution time, so it stays valid across optimizer
-    /// steps; its output is bit-identical to the tape forward.
+    /// steps; it runs the same walk as the tape forward.
     ///
     /// # Errors
-    /// Propagates [`PlanError`] when the genotype defeats compilation
-    /// (callers fall back to the tape path).
+    /// None: [`Self::new`] already compiled the plan. The `Result` stays
+    /// for existing callers.
     pub fn compiled_plan(&self) -> Result<Rc<ExecPlan>, PlanError> {
-        if let Some(p) = self.plan.borrow().as_ref() {
-            return Ok(Rc::clone(p));
-        }
-        let spec = PlanSpec {
-            embed: Rc::clone(&self.scaffold.embed),
-            output: Rc::clone(&self.scaffold.output),
-            ctx: Rc::clone(&self.scaffold.ctx),
-            blocks: self
-                .blocks
-                .iter()
-                .map(|b| BlockPlan {
-                    m: b.m,
-                    edges: b
-                        .edges
-                        .iter()
-                        .map(|(from, to, op)| (*from, *to, Rc::clone(op)))
-                        .collect(),
-                })
-                .collect(),
-            backbone: self.backbone.clone(),
-            out_scale: self.scaffold.out_scale,
-            out_shift: self.scaffold.out_shift,
-            input_len: self.scaffold.input_len,
-            d_model: self.scaffold.d_model,
-            nodes: self.scaffold.ctx.n(),
-            features: self.scaffold.embed.d_in(),
-        };
-        let plan = Rc::new(ExecPlan::compile(spec)?);
-        *self.plan.borrow_mut() = Some(Rc::clone(&plan));
-        Ok(plan)
+        Ok(Rc::clone(&self.plan))
     }
 }
 
 impl Forecaster for DerivedModel {
     fn forward(&self, tape: &Tape, x: &Var) -> Var {
-        let z = self.scaffold.embed(tape, x);
-        let mut sources = vec![z.clone()];
-        let mut block_outputs: Vec<Var> = Vec::with_capacity(self.blocks.len());
-        for (i, block) in self.blocks.iter().enumerate() {
-            let input = sources[self.backbone[i]].clone();
-            let out = block
-                .forward(tape, &input, &self.scaffold.ctx)
-                .add(&input); // block-level residual
-            sources.push(out.clone());
-            block_outputs.push(out);
-        }
-        let mut merged = block_outputs[0].clone();
-        for out in &block_outputs[1..] {
-            merged = merged.add(out);
-        }
-        self.scaffold.project(tape, &merged)
+        self.plan.forward(tape, x, |op, x, ctx| op.forward(tape, x, ctx))
     }
 
     fn forward_inference(&self, x: &Tensor) -> Tensor {
-        if let Ok(plan) = self.compiled_plan() {
-            if let Ok(y) = plan.try_run(x) {
-                return y;
+        match self.plan.try_run(x) {
+            Ok(y) => y,
+            Err(_) => {
+                // A plan run can only fail under an injected fault or a bad
+                // shape; either way the tape answers and the degradation is
+                // counted, mirroring the serving ladder's last rung.
+                cts_obs::serve::record_degraded_tape();
+                let tape = Tape::new();
+                let xv = tape.constant(x.clone());
+                self.forward(&tape, &xv).value()
             }
-            // A plan run can only fail under an injected fault or a bad
-            // shape; either way the tape answers and the degradation is
-            // counted, mirroring the serving ladder's last rung.
-            cts_obs::serve::record_degraded_tape();
         }
-        // A genotype that defeats compilation still forecasts; the tape
-        // path is the always-correct fallback.
-        let tape = Tape::new();
-        let xv = tape.constant(x.clone());
-        self.forward(&tape, &xv).value()
     }
 
     fn parameters(&self) -> Vec<Parameter> {
         let mut v = self.scaffold.parameters();
-        for b in &self.blocks {
-            v.extend(b.parameters());
-        }
+        v.extend(self.ops.iter().flat_map(|op| op.parameters()));
         v
     }
 

@@ -13,9 +13,8 @@ use std::rc::Rc;
 pub struct BlockPlan {
     /// Number of nodes in the block's micro-DAG (`m ≥ 2`).
     pub m: usize,
-    /// Edges `(from, to, operator)` with `from < to`, in genotype order —
-    /// the interpreter folds same-target edges in exactly this order so the
-    /// accumulation sequence matches the tape forward bit for bit.
+    /// Edges `(from, to, operator)` with `from < to`, in genotype order.
+    /// The walk folds same-target edges in this order on every backend.
     pub edges: Vec<(usize, usize, Rc<dyn StOperator>)>,
 }
 
@@ -95,8 +94,8 @@ impl std::error::Error for PlanError {}
 
 /// The forecast head over the merged backbone output `[B,N,T,D]`: relu →
 /// flatten to `[B,N,flat_width]` → `output` linear → inverse-scaler affine
-/// `y·scale + shift`. The tape forward of a derived model and the compiled
-/// plan both end here.
+/// `y·scale + shift`. The supernet's forward and the compiled plan's walk
+/// both end here.
 pub fn project<B: Backend>(
     be: &B,
     output: &Linear,
@@ -153,12 +152,14 @@ enum Stage<'a> {
     Head,
 }
 
-/// A compiled, tape-free forward program for one derived architecture.
+/// A compiled forward program for one derived architecture: the only
+/// walk of its DAG.
 ///
-/// Built once by [`ExecPlan::compile`]; [`ExecPlan::try_run`] then executes
-/// the flat step list with no graph construction, no `Rc` tape nodes, and —
-/// after [`ExecPlan::prewarm`] — no heap allocation: every intermediate
-/// cycles through the tensor arena.
+/// Built once by [`ExecPlan::compile`]. One step loop runs on three
+/// backends: [`ExecPlan::forward`] on the autograd tape (training),
+/// [`ExecPlan::try_run`] on `Eval` (serving: no tape nodes and — after
+/// [`ExecPlan::prewarm`] — no heap allocation, every intermediate cycles
+/// through the tensor arena) and [`ExecPlan::step_costs`] on `Price`.
 pub struct ExecPlan {
     embed: Rc<Linear>,
     output: Rc<Linear>,
@@ -369,8 +370,9 @@ impl ExecPlan {
     }
 
     /// Execute the plan on a batch `x` of shape `[B, N, T, F]`, producing
-    /// `[B, N, Q]` in the data's original units — bit-identical to the tape
-    /// forward of the model the plan was compiled from.
+    /// `[B, N, Q]` in the data's original units — the walk of
+    /// [`Self::forward`] on the `Eval` backend, reusing the plan's warm
+    /// workspace.
     ///
     /// This is the serving path: shape violations come back as a typed
     /// [`ServeError`] instead of a panic, and the `cts_nn::fault` serving
@@ -399,7 +401,7 @@ impl ExecPlan {
             &Eval,
             x,
             &mut self.slots.borrow_mut(),
-            |op, x| op.forward_eval(x, &self.ctx),
+            |op, x, ctx| op.forward_eval(x, ctx),
             |_| {},
         );
         if fault == cts_nn::fault::ServeFault::NanOutput {
@@ -432,6 +434,20 @@ impl ExecPlan {
         let _ = self.try_run(&x);
     }
 
+    /// The forward on backend `be` with a fresh workspace: the same walk
+    /// as [`Self::try_run`] and [`Self::step_costs`]. `apply` runs one
+    /// operator on `be` over the plan's graph context; the autograd tape
+    /// passes `|op, x, ctx| op.forward(tape, x, ctx)`.
+    pub fn forward<B: Backend>(
+        &self,
+        be: &B,
+        x: &B::V,
+        apply: impl Fn(&dyn StOperator, &B::V, &GraphContext) -> B::V,
+    ) -> B::V {
+        let mut slots: Vec<Option<B::V>> = (0..self.slot_shapes.len()).map(|_| None).collect();
+        self.exec(be, x, &mut slots, apply, |_| {})
+    }
+
     /// The forward on backend `be`: the embedding of `x`, every step in
     /// emission order, then the head. `apply` runs one operator on `be`
     /// and `done` sees each stage as it finishes. `slots` is the
@@ -441,7 +457,7 @@ impl ExecPlan {
         be: &B,
         x: &B::V,
         slots: &mut [Option<B::V>],
-        apply: impl Fn(&dyn StOperator, &B::V) -> B::V,
+        apply: impl Fn(&dyn StOperator, &B::V, &GraphContext) -> B::V,
         mut done: impl FnMut(Stage<'_>),
     ) -> B::V {
         slots[0] = Some(self.embed.forward(be, x));
@@ -457,7 +473,7 @@ impl ExecPlan {
                 } => {
                     // invariant: compile emits steps in topological order, so
                     // the source slot of every step is already filled.
-                    let y = apply(op.as_ref(), slots[*src].as_ref().expect("topological order"));
+                    let y = apply(op.as_ref(), slots[*src].as_ref().expect("topological order"), &self.ctx);
                     if *accumulate {
                         // invariant: accumulate is only set after a first
                         // non-accumulating write to the same slot.
@@ -503,7 +519,7 @@ impl ExecPlan {
         let x = be.input(&[batch, self.nodes, self.input_len, self.features]);
         let mut slots: Vec<Option<Priced>> = (0..self.slot_shapes.len()).map(|_| None).collect();
         let mut costs = Vec::with_capacity(self.steps.len().saturating_add(2));
-        let apply = |op: &dyn StOperator, x: &Priced| op.forward_price(&be, x, &self.ctx);
+        let apply = |op: &dyn StOperator, x: &Priced, ctx: &GraphContext| op.forward_price(&be, x, ctx);
         self.exec(&be, &x, &mut slots, apply, |stage| {
             let (site, kind, srcs, dst, new_slot, params) = match stage {
                 Stage::Embed => ("embed".into(), None, vec![], 0, true, self.embed.parameters()),
