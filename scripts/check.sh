@@ -84,9 +84,10 @@ cargo test --offline --test serve_fault
 
 for n in "${thread_counts[@]}"; do
   echo "==> compiled-plan parity gate (CTS_NUM_THREADS=$n)"
-  # The tape-free ExecPlan forward must stay bit-identical to the tape
-  # forward (randomized genotypes/batch sizes, live-weight tracking) and
-  # allocate nothing at steady state (tests/compiled_parity.rs).
+  # The derived model's one walk (ExecPlan) must give the same bits on its
+  # Eval and Tape backends (randomized genotypes/batch sizes, live-weight
+  # tracking) and allocate nothing at steady state on Eval
+  # (tests/compiled_parity.rs).
   CTS_NUM_THREADS="$n" cargo test --offline --test compiled_parity
 
   echo "==> allocation-regression gate (CTS_NUM_THREADS=$n)"

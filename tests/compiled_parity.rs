@@ -1,15 +1,15 @@
-//! Compiled-plan parity gate: the tape-free `ExecPlan` forward must be
-//! **bit-identical** (epsilon 0) to the autograd-tape forward, across
-//! randomized genotypes and batch sizes — and a steady-state compiled
-//! forward must perform **zero** system allocations, with every buffer
-//! served from the warmed arena.
+//! Compiled-plan parity gate: two backends on one walk. A derived model's
+//! tape forward is its `ExecPlan`'s walk on the `Tape` backend, and
+//! `try_run` is the same walk on `Eval`; the two must be
+//! **bit-identical** (epsilon 0) across randomized genotypes and batch
+//! sizes — and a steady-state compiled forward must perform **zero**
+//! system allocations, with every buffer served from the warmed arena.
 //!
-//! Bit-exactness holds by construction: every layer and operator has one
-//! forward, generic over `cts_nn::Backend`, which the tape runs with
-//! `Tape` and the plan with `Eval` — the same `cts_tensor::ops` kernels
-//! in the same order — and plans read the live `Parameter` cells rather
-//! than snapshots. This suite pins both halves of that
-//! contract; `scripts/check.sh` runs it as part of the tier-1 gate, and
+//! Bit-exactness holds by construction: there is one walk, every layer
+//! and operator has one forward, generic over `cts_nn::Backend` — the
+//! same `cts_tensor::ops` kernels in the same order on both backends —
+//! and plans read the live `Parameter` cells rather than snapshots. This
+//! suite pins both halves of that contract; `scripts/check.sh` runs it as part of the tier-1 gate, and
 //! the `verify_space` sweep repeats the parity check on every accepted
 //! candidate of the discrete space.
 

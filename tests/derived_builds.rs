@@ -65,7 +65,8 @@ fn every_validated_genotype_builds_and_walks_one_program() -> Result<(), Box<dyn
             let compiled = model.compiled_plan()?.try_run(x)?;
             let at = format!("{label} trial {trial} ({})", genotype.to_text());
             assert_eq!(taped.shape(), compiled.shape(), "{at}: shape");
-            let bits = |t: &cts_tensor::Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let bits =
+                |t: &cts_tensor::Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&taped), bits(&compiled), "{at}: tape and plan diverge");
         }
     }

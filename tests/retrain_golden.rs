@@ -22,18 +22,22 @@ use rand::{rngs::SmallRng, SeedableRng};
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 fn fnv(h: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// FNV-1a over the raw IEEE bits of every value, in order.
 fn tensor_hash(h: u64, t: &Tensor) -> u64 {
-    t.data().iter().fold(h, |h, v| fnv(h, &v.to_bits().to_le_bytes()))
+    t.data()
+        .iter()
+        .fold(h, |h, v| fnv(h, &v.to_bits().to_le_bytes()))
 }
 
 fn param_hash(params: &[Parameter]) -> u64 {
-    params.iter().fold(FNV_OFFSET, |h, p| tensor_hash(h, &p.value()))
+    params
+        .iter()
+        .fold(FNV_OFFSET, |h, p| tensor_hash(h, &p.value()))
 }
 
 struct Golden {
@@ -57,7 +61,14 @@ fn retrain(genotype: &str) -> Golden {
     };
     let genotype = Genotype::from_text(genotype).unwrap();
     let mut rng = SmallRng::seed_from_u64(7);
-    let model = DerivedModel::new(&mut rng, &cfg, &genotype, &spec, &data.graph, &windows.scaler);
+    let model = DerivedModel::new(
+        &mut rng,
+        &cfg,
+        &genotype,
+        &spec,
+        &data.graph,
+        &windows.scaler,
+    );
     let train = batches_from_windows(&windows.train, cfg.batch_size);
     let val = batches_from_windows(&windows.val, cfg.batch_size);
     let report = train_full(
@@ -89,16 +100,29 @@ fn assert_golden(
     params: u64,
     inference: u64,
 ) {
-    assert_eq!(got.names, names, "{label}: parameter names in parameters() order");
+    assert_eq!(
+        got.names, names,
+        "{label}: parameter names in parameters() order"
+    );
     assert_eq!(got.train_losses, train, "{label}: train loss bits");
     assert_eq!(got.val_losses, val, "{label}: validation loss bits");
-    assert_eq!(got.params, params, "{label}: trained parameter bit-hash {:#018x}", got.params);
-    assert_eq!(got.inference, inference, "{label}: forward_inference bit-hash {:#018x}", got.inference);
+    assert_eq!(
+        got.params, params,
+        "{label}: trained parameter bit-hash {:#018x}",
+        got.params
+    );
+    assert_eq!(
+        got.inference, inference,
+        "{label}: forward_inference bit-hash {:#018x}",
+        got.inference
+    );
 }
 
 /// Block 0 lists `(0,2)` first; the forward runs it last.
-const GENOTYPE_A: &str = "m=3 0-2:gdcc 0-1:inf-t 1-2:dgcn | m=3 0-1:lstm 1-2:cheb-gcn 0-2:identity @ 0,0";
-const GENOTYPE_B: &str = "m=3 0-1:conv1d 1-2:trans-t 0-2:zero | m=3 0-1:gru 1-2:trans-s 0-2:inf-s @ 0,1";
+const GENOTYPE_A: &str =
+    "m=3 0-2:gdcc 0-1:inf-t 1-2:dgcn | m=3 0-1:lstm 1-2:cheb-gcn 0-2:identity @ 0,0";
+const GENOTYPE_B: &str =
+    "m=3 0-1:conv1d 1-2:trans-t 0-2:zero | m=3 0-1:gru 1-2:trans-s 0-2:inf-s @ 0,1";
 
 /// The scaffold first (the graph context of a graph with spatial signal
 /// has no parameters), then every operator in genotype edge order. The
