@@ -179,7 +179,9 @@ pub enum Op {
 impl Op {
     /// Gradients w.r.t. the inputs the sweep needs.
     ///
-    /// * `grad` — upstream gradient w.r.t. this node's output
+    /// * `grad` — upstream gradient w.r.t. this node's output, owned: an
+    ///   input gradient that is the upstream one unchanged (`Add`, `Sub`'s
+    ///   first side, `AddScalar`, `Reshape`) takes it by move, not by copy
     /// * `output` — the saved forward output of this node
     /// * `inputs` — the saved forward values of the node's inputs
     /// * `needs` — per input, whether the sweep reads its gradient
@@ -190,39 +192,48 @@ impl Op {
     /// gradient, so a unary op's single input always does. A computed
     /// gradient runs the same kernel on the same values whatever the rest
     /// of the mask says, so it is bit-identical to the all-`true` call.
-    pub fn backward(&self, grad: &Tensor, output: &Tensor, inputs: &[&Tensor], needs: &[bool]) -> Grads {
+    pub fn backward(&self, grad: Tensor, output: &Tensor, inputs: &[&Tensor], needs: &[bool]) -> Grads {
         debug_assert_eq!(needs.len(), inputs.len());
         debug_assert!(inputs.len() != 1 || needs[0], "unary op swept without a need");
         match self {
             Op::Leaf => Grads::None,
-            Op::Add => Grads::Two(
-                needs[0].then(|| ops::binary_grad_passthrough(grad, inputs[0].shape())),
-                needs[1].then(|| ops::binary_grad_passthrough(grad, inputs[1].shape())),
-            ),
-            Op::Sub => Grads::Two(
-                needs[0].then(|| ops::binary_grad_passthrough(grad, inputs[0].shape())),
-                needs[1].then(|| ops::reduce_to_shape(&ops::neg(grad), inputs[1].shape())),
-            ),
+            Op::Add => {
+                // `grad` moves into one needed side, into `b` only when `b`
+                // keeps the output shape and `a` does not; the other side
+                // reads it first (reduced, or copied when both keep it).
+                let (sa, sb) = (inputs[0].shape(), inputs[1].shape());
+                if needs[1] && (!needs[0] || (grad.shape() == sb && grad.shape() != sa)) {
+                    let ga = needs[0].then(|| ops::reduce_to_shape(&grad, sa));
+                    Grads::Two(ga, Some(ops::reduce_owned(grad, sb)))
+                } else {
+                    let gb = needs[1].then(|| ops::reduce_to_shape(&grad, sb));
+                    Grads::Two(needs[0].then(|| ops::reduce_owned(grad, sa)), gb)
+                }
+            }
+            Op::Sub => {
+                let gb = needs[1].then(|| ops::reduce_owned(ops::neg(&grad), inputs[1].shape()));
+                Grads::Two(needs[0].then(|| ops::reduce_owned(grad, inputs[0].shape())), gb)
+            }
             Op::Mul => Grads::Two(
-                needs[0].then(|| ops::mul_grad(grad, inputs[1], inputs[0].shape())),
-                needs[1].then(|| ops::mul_grad(grad, inputs[0], inputs[1].shape())),
+                needs[0].then(|| ops::mul_grad(&grad, inputs[1], inputs[0].shape())),
+                needs[1].then(|| ops::mul_grad(&grad, inputs[0], inputs[1].shape())),
             ),
             Op::Div => Grads::Two(
-                needs[0].then(|| ops::div_grad_a(grad, inputs[1], inputs[0].shape())),
-                needs[1].then(|| ops::div_grad_b(grad, inputs[0], inputs[1])),
+                needs[0].then(|| ops::div_grad_a(&grad, inputs[1], inputs[0].shape())),
+                needs[1].then(|| ops::div_grad_b(&grad, inputs[0], inputs[1])),
             ),
-            Op::Neg => Grads::One(ops::neg(grad)),
-            Op::Scale(c) => Grads::One(ops::scale(grad, *c)),
-            Op::AddScalar(_) => Grads::One(grad.clone()),
-            Op::Relu => Grads::One(ops::relu_grad(grad, inputs[0])),
-            Op::Sigmoid => Grads::One(ops::sigmoid_grad(grad, output)),
-            Op::Tanh => Grads::One(ops::tanh_grad(grad, output)),
-            Op::Exp => Grads::One(ops::mul(grad, output)),
-            Op::Ln => Grads::One(ops::ln_grad(grad, inputs[0])),
-            Op::Sqrt => Grads::One(ops::sqrt_grad(grad, output)),
-            Op::Abs => Grads::One(ops::abs_grad(grad, inputs[0])),
-            Op::Square => Grads::One(ops::square_grad(grad, inputs[0])),
-            Op::Gelu => Grads::One(ops::gelu_grad(grad, inputs[0])),
+            Op::Neg => Grads::One(ops::neg(&grad)),
+            Op::Scale(c) => Grads::One(ops::scale(&grad, *c)),
+            Op::AddScalar(_) => Grads::One(grad),
+            Op::Relu => Grads::One(ops::relu_grad(&grad, inputs[0])),
+            Op::Sigmoid => Grads::One(ops::sigmoid_grad(&grad, output)),
+            Op::Tanh => Grads::One(ops::tanh_grad(&grad, output)),
+            Op::Exp => Grads::One(ops::mul(&grad, output)),
+            Op::Ln => Grads::One(ops::ln_grad(&grad, inputs[0])),
+            Op::Sqrt => Grads::One(ops::sqrt_grad(&grad, output)),
+            Op::Abs => Grads::One(ops::abs_grad(&grad, inputs[0])),
+            Op::Square => Grads::One(ops::square_grad(&grad, inputs[0])),
+            Op::Gelu => Grads::One(ops::gelu_grad(&grad, inputs[0])),
             Op::Clamp(lo, hi) => {
                 let data = arena::take_from_iter(
                     grad.len(),
@@ -233,31 +244,31 @@ impl Op {
                 );
                 Grads::One(Tensor::from_vec(inputs[0].shape(), data))
             }
-            Op::SoftmaxLast => Grads::One(ops::softmax_last_grad(grad, output)),
+            Op::SoftmaxLast => Grads::One(ops::softmax_last_grad(&grad, output)),
             Op::MatMul => Grads::Two(
-                needs[0].then(|| ops::matmul_grad_a(grad, inputs[1], inputs[0].shape())),
-                needs[1].then(|| ops::matmul_grad_b(grad, inputs[0], inputs[1].shape())),
+                needs[0].then(|| ops::matmul_grad_a(&grad, inputs[1], inputs[0].shape())),
+                needs[1].then(|| ops::matmul_grad_b(&grad, inputs[0], inputs[1].shape())),
             ),
-            Op::Permute(perm) => Grads::One(ops::permute_grad(grad, perm)),
-            Op::Reshape => Grads::One(grad.clone().reshaped(inputs[0].shape())),
+            Op::Permute(perm) => Grads::One(ops::permute_grad(&grad, perm)),
+            Op::Reshape => Grads::One(grad.reshaped(inputs[0].shape())),
             Op::Concat { axis } => {
                 let mut grads = Vec::with_capacity(inputs.len());
                 let mut offset = 0;
                 for (inp, &need) in inputs.iter().zip(needs) {
                     let len = inp.shape()[*axis];
-                    grads.push(need.then(|| ops::slice(grad, *axis, offset, offset + len)));
+                    grads.push(need.then(|| ops::slice(&grad, *axis, offset, offset + len)));
                     offset += len;
                 }
                 Grads::Many(grads)
             }
             Op::Slice { axis, start } => {
-                Grads::One(ops::slice_grad(grad, inputs[0].shape(), *axis, *start))
+                Grads::One(ops::slice_grad(&grad, inputs[0].shape(), *axis, *start))
             }
             Op::IndexSelect { axis, indices } => {
-                Grads::One(ops::index_select_grad(grad, inputs[0].shape(), *axis, indices))
+                Grads::One(ops::index_select_grad(&grad, inputs[0].shape(), *axis, indices))
             }
             Op::PadAxis { axis, before, .. } => {
-                Grads::One(ops::pad_axis_grad(grad, *axis, *before, inputs[0].shape()[*axis]))
+                Grads::One(ops::pad_axis_grad(&grad, *axis, *before, inputs[0].shape()[*axis]))
             }
             Op::SumAxis { axis, .. } => Grads::One(ops::sum_axis_grad(
                 &squeeze_keepdim(grad, inputs[0].shape(), *axis),
@@ -269,19 +280,20 @@ impl Op {
                 inputs[0].shape(),
                 *axis,
             )),
-            Op::SumAll => Grads::One(ops::sum_all_grad(grad, inputs[0].shape())),
-            Op::MeanAll => Grads::One(ops::mean_all_grad(grad, inputs[0].shape())),
+            Op::SumAll => Grads::One(ops::sum_all_grad(&grad, inputs[0].shape())),
+            Op::MeanAll => Grads::One(ops::mean_all_grad(&grad, inputs[0].shape())),
             Op::TemporalConv { dilation } => Grads::Two(
-                needs[0].then(|| ops::temporal_conv_grad_x(grad, inputs[1], inputs[0].shape(), *dilation)),
-                needs[1].then(|| ops::temporal_conv_grad_w(grad, inputs[0], inputs[1].shape(), *dilation)),
+                needs[0].then(|| ops::temporal_conv_grad_x(&grad, inputs[1], inputs[0].shape(), *dilation)),
+                needs[1].then(|| ops::temporal_conv_grad_w(&grad, inputs[0], inputs[1].shape(), *dilation)),
             ),
         }
     }
 }
 
 /// `sum_axis_grad` expects the reduced (no-keepdim) layout; flatten a kept
-/// axis of length 1 if present. The buffer is identical either way.
-fn squeeze_keepdim(grad: &Tensor, input_shape: &[usize], axis: usize) -> Tensor {
+/// axis of length 1 if present. The buffer is identical either way, so
+/// the gradient is reshaped in place, not copied.
+fn squeeze_keepdim(grad: Tensor, input_shape: &[usize], axis: usize) -> Tensor {
     if grad.rank() == input_shape.len() {
         let mut s: Shape = grad
             .shape()
@@ -292,9 +304,9 @@ fn squeeze_keepdim(grad: &Tensor, input_shape: &[usize], axis: usize) -> Tensor 
         if s.is_empty() {
             s.push(1);
         }
-        grad.clone().reshaped(s)
+        grad.reshaped(s)
     } else {
-        grad.clone()
+        grad
     }
 }
 
@@ -332,10 +344,10 @@ mod tests {
             let output = pattern(&out_shape, 7);
             let grad = pattern(&out_shape, 9);
             let k = inputs.len();
-            let full: Vec<Option<Tensor>> = op.backward(&grad, &output, &views, &vec![true; k]).into_iter().collect();
+            let full: Vec<Option<Tensor>> = op.backward(grad.clone(), &output, &views, &vec![true; k]).into_iter().collect();
             for mask in 0..1usize << k {
                 let needs: Vec<bool> = (0..k).map(|i| mask >> i & 1 == 1).collect();
-                let got = op.backward(&grad, &output, &views, &needs);
+                let got = op.backward(grad.clone(), &output, &views, &needs);
                 assert_eq!(got.len(), k, "{op:?}");
                 for (i, slot) in got.into_iter().enumerate() {
                     match (needs[i], slot, &full[i]) {

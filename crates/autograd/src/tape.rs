@@ -227,7 +227,7 @@ impl Tape {
             input_values.extend(node.inputs.iter().map(|&i| &nodes[i].value));
             input_needs.clear();
             input_needs.extend(node.inputs.iter().map(|&i| needs[i]));
-            let input_grads = node.op.backward(&grad, &node.value, &input_values, &input_needs);
+            let input_grads = node.op.backward(grad, &node.value, &input_values, &input_needs);
             debug_assert_eq!(input_grads.len(), node.inputs.len());
             for (&input_id, g) in node.inputs.iter().zip(input_grads) {
                 let Some(g) = g else {

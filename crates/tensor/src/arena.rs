@@ -30,12 +30,18 @@
 //!   client's request window, a client freeing the shard's answer — fall
 //!   through to the system allocator instead of piling up in a free list
 //!   nobody takes from.
-//! - **Deterministic values**: every buffer handed out is fully
-//!   initialised (zeroed, constant-filled, or copied) before the caller
-//!   sees it, so recycling can never change numerical results. Debug
-//!   builds additionally poison-fill recycled buffers with a NaN pattern
-//!   ([`POISON`]) so any code path that could observe stale data fails
-//!   loudly in tests.
+//! - **Deterministic values**: [`take_zeroed`], [`take_filled`],
+//!   [`take_copied`] and [`take_from_iter`] hand out fully initialised
+//!   buffers. [`take_dirty`] does not: its contents are whatever the
+//!   buffer last held, and it serves only kernels that write every output
+//!   element before anyone reads it (the elementwise maps and zips, the
+//!   copies of `permute`, `concat`, `slice`, `index_select` and `stack`,
+//!   `transpose_last2` and the GEMM family), so a full overwrite is not
+//!   preceded by a zero fill. Debug builds poison-fill the whole capacity
+//!   of every recycled buffer with a NaN pattern ([`POISON`]), so a
+//!   dirty-taking kernel that skips an element surfaces as NaNs in tests;
+//!   `dirty_buffers` in the crate's tests recycles POISON-filled buffers
+//!   itself, so the same check also runs in release builds.
 //!
 //! # Counters
 //!
@@ -208,7 +214,9 @@ fn class_for_capacity(cap: usize) -> usize {
 
 /// Pop a recycled buffer with capacity ≥ `len`, or allocate a fresh one
 /// whose capacity is rounded up to the class size (so it re-enters the
-/// serving bin when recycled). The returned Vec has `len == 0`.
+/// serving bin when recycled). A recycled buffer keeps the length it was
+/// freed with (its whole capacity in debug builds, poisoned); a fresh one
+/// is empty. Callers set the length they hand out.
 fn take_raw(len: usize) -> Vec<f32> {
     if !enabled() {
         return Vec::with_capacity(len);
@@ -219,13 +227,12 @@ fn take_raw(len: usize) -> Vec<f32> {
         if class < N_CLASSES {
             a.out[class] += 1;
             a.demand[class] = a.demand[class].max(a.out[class]);
-            if let Some(mut buf) = a.bins[class].pop() {
+            if let Some(buf) = a.bins[class].pop() {
                 a.resident -= buf.capacity();
                 a.stats.hits += 1;
                 a.class_hits[class] += 1;
                 a.stats.resident_floats = a.resident as u64;
                 a.note_taken(buf.capacity());
-                buf.clear();
                 return buf;
             }
             a.class_misses[class] += 1;
@@ -239,14 +246,28 @@ fn take_raw(len: usize) -> Vec<f32> {
 
 /// A zero-filled buffer of exactly `len` floats.
 pub fn take_zeroed(len: usize) -> Vec<f32> {
+    take_filled(len, 0.0)
+}
+
+/// A buffer of exactly `len` floats whose contents are unspecified: a
+/// recycled buffer keeps what it last held (NaN poison in debug builds),
+/// and only the part past its old length is zeroed. For kernels that write
+/// every element before it is read; a same-class hit is a `truncate`.
+/// With the arena off it returns zeros.
+pub fn take_dirty(len: usize) -> Vec<f32> {
     let mut v = take_raw(len);
-    v.resize(len, 0.0);
+    if v.len() >= len {
+        v.truncate(len);
+    } else {
+        v.resize(len, 0.0);
+    }
     v
 }
 
 /// A constant-filled buffer of exactly `len` floats.
 pub fn take_filled(len: usize, value: f32) -> Vec<f32> {
     let mut v = take_raw(len);
+    v.clear();
     v.resize(len, value);
     v
 }
@@ -254,6 +275,7 @@ pub fn take_filled(len: usize, value: f32) -> Vec<f32> {
 /// A buffer holding a copy of `src`.
 pub fn take_copied(src: &[f32]) -> Vec<f32> {
     let mut v = take_raw(src.len());
+    v.clear();
     v.extend_from_slice(src);
     v
 }
@@ -261,6 +283,7 @@ pub fn take_copied(src: &[f32]) -> Vec<f32> {
 /// A buffer of `len` floats filled from `it` (must yield ≥ `len` items).
 pub fn take_from_iter(len: usize, it: impl Iterator<Item = f32>) -> Vec<f32> {
     let mut v = take_raw(len);
+    v.clear();
     v.extend(it.take(len));
     debug_assert_eq!(v.len(), len, "take_from_iter: iterator too short");
     v
@@ -283,7 +306,10 @@ pub fn prewarm(lens: &[usize]) {
 
 /// Return a buffer to this thread's free lists (or drop it when the
 /// arena is disabled, the class is full or already holds this thread's
-/// demand for it, or the residency budget is hit).
+/// demand for it, or the residency budget is hit). The buffer keeps its
+/// length and contents, so a later [`take_dirty`] of the same length
+/// writes nothing; debug builds poison its whole capacity instead.
+#[cfg_attr(not(debug_assertions), allow(unused_mut))]
 pub fn recycle(mut buf: Vec<f32>) {
     let cap = buf.capacity();
     if cap == 0 {
@@ -312,12 +338,11 @@ pub fn recycle(mut buf: Vec<f32>) {
         }
         #[cfg(debug_assertions)]
         {
-            // Poison so any use of recycled memory that skipped
-            // re-initialisation surfaces as NaNs in debug/test builds.
+            // Poison the whole capacity so any element a `take_dirty`
+            // kernel fails to write surfaces as NaNs in debug/test builds.
             buf.clear();
             buf.resize(cap, POISON);
         }
-        buf.clear();
         a.resident += cap;
         a.stats.recycled += 1;
         a.stats.resident_floats = a.resident as u64;
@@ -445,7 +470,79 @@ mod tests {
         let v = take_zeroed(128);
         recycle(v);
         assert_eq!(stats().resident_floats, 0);
+        let d = take_dirty(128);
+        assert!(d.len() == 128 && d.iter().all(|&x| x.to_bits() == 0), "no arena, no dirt: zeros");
         set_enabled(None);
+    }
+
+    /// Forget this thread's whole arena state, demand and gauges included.
+    fn reset_thread() {
+        ARENA.with(|a| *a.borrow_mut() = ArenaTls::new());
+    }
+
+    type Ledger = (ArenaStats, Vec<ClassStats>, [usize; N_CLASSES], [usize; N_CLASSES], (usize, usize));
+
+    fn ledger() -> Ledger {
+        let (out, demand) = ARENA.with(|a| {
+            let a = a.borrow();
+            (a.out, a.demand)
+        });
+        (stats(), class_stats(), out, demand, live_stats())
+    }
+
+    #[test]
+    fn take_dirty_keeps_the_ledger_of_take_zeroed() {
+        // The same script of takes and recycles (misses, same-class hits
+        // longer and shorter than the freed length, a class boundary and
+        // several buffers out at once) must leave hits, misses, demand and
+        // the live gauge exactly where `take_zeroed` leaves them.
+        let script = |take: fn(usize) -> Vec<f32>| {
+            reset_thread();
+            let (a, b, c) = (take(100), take(100), take(3000));
+            recycle(a);
+            let d = take(90);
+            recycle(b);
+            let e = take(128);
+            recycle(c);
+            recycle(d);
+            let f = take(2049);
+            let g = take(4096);
+            recycle(e);
+            recycle(f);
+            let h = take(65);
+            let mid = ledger();
+            recycle(g);
+            recycle(h);
+            (mid, ledger())
+        };
+        let zeroed = script(take_zeroed);
+        let dirty = script(take_dirty);
+        assert_eq!(zeroed, dirty);
+        reset_thread();
+    }
+
+    #[test]
+    fn take_dirty_keeps_contents_and_zeroes_only_growth() {
+        reset_thread();
+        let mut v = take_dirty(100);
+        assert!(v.len() == 100 && v.iter().all(|&x| x.to_bits() == 0), "a fresh buffer is zeroed");
+        v.fill(3.0);
+        let ptr = v.as_ptr();
+        recycle(v);
+        // Same class (128): the same buffer, grown past its freed length.
+        let w = take_dirty(120);
+        assert_eq!((w.as_ptr(), w.len()), (ptr, 120));
+        if cfg!(debug_assertions) {
+            assert!(w.iter().all(|x| x.to_bits() == POISON.to_bits()), "debug builds poison the whole capacity");
+        } else {
+            assert!(w[..100].iter().all(|&x| x == 3.0), "release builds keep the contents");
+            assert!(w[100..].iter().all(|&x| x.to_bits() == 0), "and zero only the growth");
+        }
+        recycle(w);
+        let x = take_dirty(65);
+        assert_eq!((x.as_ptr(), x.len()), (ptr, 65), "a shorter take truncates");
+        recycle(x);
+        reset_thread();
     }
 
     #[test]

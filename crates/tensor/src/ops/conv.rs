@@ -70,7 +70,7 @@ pub fn temporal_conv(x: &Tensor, w: &Tensor, dilation: usize) -> Tensor {
                     continue;
                 }
                 let wmat = &wd[ki * din * dout..(ki + 1) * din * dout];
-                gemm_rows(&xser[..(t - lag) * din], din, wmat, &mut oser[lag * dout..], din, dout);
+                gemm_rows(&xser[..(t - lag) * din], din, wmat, &mut oser[lag * dout..], din, dout, false);
             }
         }
     });
@@ -165,7 +165,7 @@ pub fn temporal_conv_grad_w(grad: &Tensor, x: &Tensor, w_shape: &[usize], dilati
                     let lo = r0.max(ki * din);
                     let hi = r1.min((ki + 1) * din);
                     let rows = &mut chunk[(lo - r0) * dout..(hi - r0) * dout];
-                    gemm_rows(&xt[(lo - ki * din) * t..din * t], t, &gser[lag * dout..], rows, t - lag, dout);
+                    gemm_rows(&xt[(lo - ki * din) * t..din * t], t, &gser[lag * dout..], rows, t - lag, dout, false);
                 }
             }
         });

@@ -5,15 +5,19 @@
 //! is split into contiguous ranges and each worker fills its own range.
 //! A broadcasting zip merges the trailing axes over which each operand is
 //! contiguous or constant into one run, and walks the remaining outer axes
-//! with an odometer once per run. Each run is a slice-by-slice or
-//! slice-by-constant map on the SIMD lanes of [`simd`], so broadcasts run
-//! at the same vector speed as same-shape zips.
+//! with an odometer. The innermost walked axis times the run is one block,
+//! mapped in one [`simd::zip_rows`] dispatch in which each operand is a
+//! slice or a splat per row, so broadcasts run at the same vector speed as
+//! same-shape zips.
+//!
+//! Every output element is written exactly once, so outputs come from
+//! [`arena::take_dirty`] and are never zero-filled first.
 
 use crate::arena;
 use crate::meter;
 use crate::parallel;
 use crate::shape::{broadcast_shapes, numel, strides_for, unravel, Shape};
-use crate::simd::{self, BinOp, UnOp};
+use crate::simd::{self, BinOp, Rows, UnOp};
 use crate::Tensor;
 
 use super::reduce::sum_rows;
@@ -28,26 +32,6 @@ fn broadcast_strides(shape: &[usize], out_shape: &[usize]) -> Shape {
         out[offset + i] = if dim == 1 { 0 } else { stride };
     }
     out
-}
-
-/// One operand over an output run: a contiguous slice, or one value
-/// repeated across the run (the operand is broadcast over all of it).
-#[derive(Clone, Copy)]
-enum Run<'a> {
-    Slice(&'a [f32]),
-    Splat(f32),
-}
-
-impl<'a> Run<'a> {
-    /// The operand's view of `m` elements at offset `r` into the run
-    /// whose source base is `base`.
-    fn of(d: &'a [f32], contiguous: bool, base: usize, r: usize, m: usize) -> Self {
-        if contiguous {
-            Run::Slice(&d[base + r..base + r + m])
-        } else {
-            Run::Splat(d[base])
-        }
-    }
 }
 
 /// Split the broadcast space into `(k, run, contiguous)`: the axes from `k`
@@ -81,43 +65,55 @@ fn split_runs(out_shape: &[usize], strides: [&[usize]; 2]) -> (usize, usize, [bo
     (k, run, mode.map(|m| m.unwrap_or(false)))
 }
 
+/// The walked (outer) axes with length-1 axes dropped and neighbours that
+/// step both operands uniformly merged: axis `p` folds into the next kept
+/// axis `d` when `stride[p] == stride[d] · len[d]` for both operands.
+/// Returns `(lens, a strides, b strides)`; the walk visits the same
+/// elements in the same order, in fewer and longer blocks.
+fn merge_outer(lens: &[usize], a_str: &[usize], b_str: &[usize]) -> (Shape, Shape, Shape) {
+    let (mut l, mut sa, mut sb) = (Shape::default(), Shape::default(), Shape::default());
+    for ((&len, &a), &b) in lens.iter().zip(a_str).zip(b_str) {
+        if len == 1 {
+            continue;
+        }
+        match l.len() {
+            p @ 1.. if sa[p - 1] == a * len && sb[p - 1] == b * len => {
+                l[p - 1] *= len;
+                sa[p - 1] = a;
+                sb[p - 1] = b;
+            }
+            _ => {
+                l.push(len);
+                sa.push(a);
+                sb.push(b);
+            }
+        }
+    }
+    (l, sa, sb)
+}
+
 /// Arithmetic binary op with NumPy broadcasting, dispatched by [`BinOp`]
-/// descriptor: every run goes through [`simd::binary_map`] when both
-/// operands are contiguous over it and [`simd::splat_map`] when one is
-/// constant.
+/// descriptor: every block goes through [`simd::zip_rows`].
 fn zip_arith(a: &Tensor, b: &Tensor, op: BinOp) -> Tensor {
-    let out = zip_broadcast(a, b, |x, y, out| match (x, y) {
-        (Run::Slice(x), Run::Slice(y)) => simd::binary_map(op, x, y, out),
-        (Run::Slice(x), Run::Splat(c)) => simd::splat_map(op, c, false, x, out),
-        (Run::Splat(c), Run::Slice(y)) => simd::splat_map(op, c, true, y, out),
-        (Run::Splat(c), Run::Splat(d)) => out.fill(op.apply(c, d)),
-    });
+    let out = zip_broadcast(a, b, |x, y, run, out| simd::zip_rows(op, x, y, run, out));
     if simd::active() {
         zip_spec(a, b).stats.record_simd();
     }
     out
 }
 
-/// Elementwise binary closure with NumPy broadcasting, on the same run
+/// Elementwise binary closure with NumPy broadcasting, on the same block
 /// walk as [`zip_arith`].
 fn zip_map(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
-    zip_broadcast(a, b, |x, y, out| match (x, y) {
-        (Run::Slice(x), Run::Slice(y)) => {
-            for ((o, &x), &y) in out.iter_mut().zip(x).zip(y) {
-                *o = f(x, y);
+    zip_broadcast(a, b, |x, y, run, out| {
+        for (i, row) in out.chunks_exact_mut(run).enumerate() {
+            let (xo, yo) = (x.base + i * x.stride, y.base + i * y.stride);
+            for (j, o) in row.iter_mut().enumerate() {
+                let xv = x.data[if x.splat { xo } else { xo + j }];
+                let yv = y.data[if y.splat { yo } else { yo + j }];
+                *o = f(xv, yv);
             }
         }
-        (Run::Slice(x), Run::Splat(c)) => {
-            for (o, &x) in out.iter_mut().zip(x) {
-                *o = f(x, c);
-            }
-        }
-        (Run::Splat(c), Run::Slice(y)) => {
-            for (o, &y) in out.iter_mut().zip(y) {
-                *o = f(c, y);
-            }
-        }
-        (Run::Splat(c), Run::Splat(d)) => out.fill(f(c, d)),
     })
 }
 
@@ -130,10 +126,13 @@ fn zip_spec(a: &Tensor, b: &Tensor) -> &'static parallel::KernelSpec {
     }
 }
 
-/// Broadcasting zip: `run(x, y, out)` fills each contiguous output run
-/// from the two operands' views of it. A worker's range may start or end
-/// inside a run; the partial run is passed as a shorter one.
-fn zip_broadcast(a: &Tensor, b: &Tensor, run: impl Fn(Run, Run, &mut [f32]) + Sync) -> Tensor {
+/// Broadcasting zip: `block(x, y, run, out)` fills `out`, rows of `run`
+/// output floats, from the two operands' [`Rows`]. A block is the rest of
+/// the innermost walked axis times the run; a worker's range may start or
+/// end inside a run, and that partial run is passed as a block of one
+/// shorter row. The odometer over the walked axes starts once per range
+/// and then advances a whole block at a time.
+fn zip_broadcast(a: &Tensor, b: &Tensor, block: impl Fn(Rows, Rows, usize, &mut [f32]) + Sync) -> Tensor {
     meter::add_reads(a.len() + b.len());
     let out_shape = broadcast_shapes(a.shape(), b.shape())
         .unwrap_or_else(|| panic!("broadcast mismatch {:?} vs {:?}", a.shape(), b.shape()));
@@ -141,37 +140,57 @@ fn zip_broadcast(a: &Tensor, b: &Tensor, run: impl Fn(Run, Run, &mut [f32]) + Sy
     let a_str = broadcast_strides(a.shape(), &out_shape);
     let b_str = broadcast_strides(b.shape(), &out_shape);
     let (k, len, [a_run, b_run]) = split_runs(&out_shape, [&a_str, &b_str]);
-    let (outer, a_str, b_str) = (&out_shape[..k], &a_str[..k], &b_str[..k]);
+    let (outer, a_str, b_str) = merge_outer(&out_shape[..k], &a_str[..k], &b_str[..k]);
+    // The innermost walked axis: its length and the operands' row strides
+    // (a single row when there is no walked axis).
+    let last = outer.len().checked_sub(1);
+    let (block_rows, a_row, b_row) = last.map_or((1, 0, 0), |d| (outer[d], a_str[d], b_str[d]));
     let (ad, bd) = (a.data(), b.data());
-    let mut data = arena::take_zeroed(n);
+    let mut data = arena::take_dirty(n);
     parallel::for_units(zip_spec(a, b), &mut data, 1, n, |start, chunk| {
-        // Odometer over the outer axes, carrying both source bases; `r`
+        // Odometer over the walked axes, carrying both source bases; `r`
         // is the offset into the current run.
-        let mut coords_buf = unravel(start / len, outer);
+        let mut coords_buf = unravel(start / len, &outer);
         let coords: &mut [usize] = &mut coords_buf;
         let mut ia: usize = coords.iter().zip(a_str.iter()).map(|(c, s)| c * s).sum();
         let mut ib: usize = coords.iter().zip(b_str.iter()).map(|(c, s)| c * s).sum();
         let mut r = start % len;
         let mut rest = chunk;
         loop {
-            let m = (len - r).min(rest.len());
-            let (head, tail) = rest.split_at_mut(m);
-            run(Run::of(ad, a_run, ia, r, m), Run::of(bd, b_run, ib, r, m), head);
+            // Whole rows to the end of the block, or one partial row.
+            let row = last.map_or(0, |d| coords[d]);
+            let whole = if r == 0 { (block_rows - row).min(rest.len() / len) } else { 0 };
+            let (rows, run) = if whole > 0 { (whole, len) } else { (1, (len - r).min(rest.len())) };
+            let (head, tail) = rest.split_at_mut(rows * run);
+            let x = Rows { data: ad, base: if a_run { ia + r } else { ia }, stride: a_row, splat: !a_run };
+            let y = Rows { data: bd, base: if b_run { ib + r } else { ib }, stride: b_row, splat: !b_run };
+            block(x, y, run, head);
             rest = tail;
-            if rest.is_empty() {
+            // Without a walked axis the output is one run, which the first
+            // block finishes.
+            let Some(d) = last.filter(|_| !rest.is_empty()) else {
                 break;
-            }
+            };
             r = 0;
-            for d in (0..k).rev() {
-                coords[d] += 1;
-                ia += a_str[d];
-                ib += b_str[d];
-                if coords[d] < outer[d] {
+            coords[d] += rows;
+            ia += rows * a_str[d];
+            ib += rows * b_str[d];
+            if coords[d] < outer[d] {
+                continue;
+            }
+            coords[d] = 0;
+            ia -= a_str[d] * outer[d];
+            ib -= b_str[d] * outer[d];
+            for e in (0..d).rev() {
+                coords[e] += 1;
+                ia += a_str[e];
+                ib += b_str[e];
+                if coords[e] < outer[e] {
                     break;
                 }
-                coords[d] = 0;
-                ia -= a_str[d] * outer[d];
-                ib -= b_str[d] * outer[d];
+                coords[e] = 0;
+                ia -= a_str[e] * outer[e];
+                ib -= b_str[e] * outer[e];
             }
         }
     });
@@ -185,7 +204,7 @@ fn zip_broadcast(a: &Tensor, b: &Tensor, run: impl Fn(Run, Run, &mut [f32]) + Sy
 fn unary_arith(a: &Tensor, op: UnOp) -> Tensor {
     meter::add_reads(a.len());
     let ad = a.data();
-    let mut data = arena::take_zeroed(ad.len());
+    let mut data = arena::take_dirty(ad.len());
     parallel::for_units(&parallel::kernels::EW_UNARY, &mut data, 1, ad.len(), |start, chunk| {
         simd::unary_map(op, &ad[start..start + chunk.len()], chunk);
     });
@@ -199,7 +218,7 @@ fn unary_arith(a: &Tensor, op: UnOp) -> Tensor {
 fn unary(a: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
     meter::add_reads(a.len());
     let ad = a.data();
-    let mut data = arena::take_zeroed(ad.len());
+    let mut data = arena::take_dirty(ad.len());
     parallel::for_units(&parallel::kernels::EW_UNARY, &mut data, 1, ad.len(), |start, chunk| {
         for (o, &x) in chunk.iter_mut().zip(ad[start..].iter()) {
             *o = f(x);
@@ -213,7 +232,7 @@ fn zip_exact(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tens
     debug_assert_eq!(a.len(), b.len(), "zip_exact length mismatch");
     meter::add_reads(a.len() + b.len());
     let (ad, bd) = (a.data(), b.data());
-    let mut data = arena::take_zeroed(ad.len());
+    let mut data = arena::take_dirty(ad.len());
     parallel::for_units(&parallel::kernels::EW_ZIP_EXACT, &mut data, 1, ad.len(), |start, chunk| {
         for (i, o) in chunk.iter_mut().enumerate() {
             *o = f(ad[start + i], bd[start + i]);
@@ -368,25 +387,29 @@ pub fn div(a: &Tensor, b: &Tensor) -> Tensor {
     zip_arith(a, b, BinOp::Div)
 }
 
-/// ∂(a∘b)/∂a for add/sub: pass-through (sign handled by caller for sub).
-pub fn binary_grad_passthrough(grad: &Tensor, input_shape: &[usize]) -> Tensor {
-    reduce_to_shape(grad, input_shape)
+/// [`reduce_to_shape`] of a tensor the caller owns: `t` itself when it
+/// already has `target_shape` (no copy), else its reduction.
+pub fn reduce_owned(t: Tensor, target_shape: &[usize]) -> Tensor {
+    if t.shape() == target_shape {
+        t
+    } else {
+        reduce_to_shape(&t, target_shape)
+    }
 }
 
 /// ∂(a*b)/∂a = grad * b, reduced to a's shape.
 pub fn mul_grad(grad: &Tensor, other: &Tensor, input_shape: &[usize]) -> Tensor {
-    reduce_to_shape(&mul(grad, other), input_shape)
+    reduce_owned(mul(grad, other), input_shape)
 }
 
 /// ∂(a/b)/∂a = grad / b, reduced to a's shape.
 pub fn div_grad_a(grad: &Tensor, b: &Tensor, a_shape: &[usize]) -> Tensor {
-    reduce_to_shape(&div(grad, b), a_shape)
+    reduce_owned(div(grad, b), a_shape)
 }
 
 /// ∂(a/b)/∂b = -grad * a / b², reduced to b's shape.
 pub fn div_grad_b(grad: &Tensor, a: &Tensor, b: &Tensor) -> Tensor {
-    let gb = zip_map(&mul(grad, a), b, |num, den| -num / (den * den));
-    reduce_to_shape(&gb, b.shape())
+    reduce_owned(zip_map(&mul(grad, a), b, |num, den| -num / (den * den)), b.shape())
 }
 
 // ---------------------------------------------------------------------------

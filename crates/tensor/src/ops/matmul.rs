@@ -13,11 +13,13 @@
 //! ([`crate::simd::gemm_rowblock`]): a strip of output columns for up to
 //! four output rows is held in vector accumulators while a block of `k` is
 //! streamed through, each `b` row load shared by the rows. Crucially the
-//! accumulators are loaded from (and stored back to) the output, never
-//! zero-initialised, so each output element still sees one strictly
-//! ascending-`k` addition chain — results are bit-identical to the naive
-//! serial triple loop (`ops::reference::matmul`) for every block size,
-//! thread count, and SIMD level.
+//! first block of `k` starts its accumulators at `+0.0` in registers and
+//! every later block loads them from the output, so each output element
+//! still sees one strictly ascending-`k` addition chain — results are
+//! bit-identical to the naive serial triple loop (`ops::reference::matmul`)
+//! for every block size, thread count, and SIMD level. That first pass
+//! writes every output element, so the products' outputs come from
+//! [`arena::take_dirty`] and are never zero-filled first.
 //!
 //! The backward products do not materialise full transposes: [`matmul_nt`]
 //! (`A·Bᵀ`, for ∂/∂a) transpose-packs B into per-worker scratch, and
@@ -86,7 +88,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let mut out_shape = batch_shape.clone();
     out_shape.push(m);
     out_shape.push(n);
-    let mut out = arena::take_zeroed(batch * m * n);
+    let mut out = arena::take_dirty(batch * m * n);
 
     let a_data = a.data();
     let b_data = b.data();
@@ -114,6 +116,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
                 &mut chunk[done * n..(done + take) * n],
                 k,
                 n,
+                true,
             );
             done += take;
         }
@@ -125,20 +128,22 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 }
 
 /// `out[rows × n] += a[rows × k] · b[k × n]` for one batch element, where
-/// row `i` of `a` starts at `a[i·lda]`.
+/// row `i` of `a` starts at `a[i·lda]`; with `first`, `out[..] =` instead,
+/// whatever `out` held (the bits of summing into zeros).
 ///
 /// Small `b` matrices are streamed directly (they already fit in cache);
 /// larger ones go through the packed-panel path ([`packed_rows`]).
-pub(crate) fn gemm_rows(a: &[f32], lda: usize, b: &[f32], out: &mut [f32], k: usize, n: usize) {
+pub(crate) fn gemm_rows(a: &[f32], lda: usize, b: &[f32], out: &mut [f32], k: usize, n: usize, first: bool) {
     if n == 0 {
         return;
     }
     let rows = out.len() / n;
+    // `k == 0` always takes this branch, so a first pass writes zeros.
     if k * n <= KC * NC {
-        gemm_rowblock(a, b, out, Gemm { rows, k, nc: n, lda, ldo: n });
+        gemm_rowblock(a, b, out, Gemm { rows, k, nc: n, lda, ldo: n, first });
         return;
     }
-    packed_rows(a, lda, out, k, n, |panel, k0, j0, nc| {
+    packed_rows(a, lda, out, k, n, first, |panel, k0, j0, nc| {
         for (kk, dst) in panel.chunks_exact_mut(nc).enumerate() {
             let src = (k0 + kk) * n + j0;
             dst.copy_from_slice(&b[src..src + nc]);
@@ -151,13 +156,14 @@ pub(crate) fn gemm_rows(a: &[f32], lda: usize, b: &[f32], out: &mut [f32], k: us
 /// dense thread-local panel (`kc × nc`, row-major), which stays resident
 /// in L1/L2 while every row of the block consumes it. Tiles advance `k0`
 /// outermost, so each output element's chain stays strictly ascending in
-/// `k`.
+/// `k`; with `first`, the `k0 = 0` tiles are first passes.
 fn packed_rows(
     a: &[f32],
     lda: usize,
     out: &mut [f32],
     k: usize,
     n: usize,
+    first: bool,
     pack: impl Fn(&mut [f32], usize, usize, usize),
 ) {
     let rows = out.len() / n;
@@ -175,7 +181,8 @@ fn packed_rows(
                 let nc = NC.min(n - j0);
                 let tile = &mut panel[..kc * nc];
                 pack(tile, k0, j0, nc);
-                gemm_rowblock(&a[k0..], tile, &mut out[j0..], Gemm { rows, k: kc, nc, lda, ldo: n });
+                let first = first && k0 == 0;
+                gemm_rowblock(&a[k0..], tile, &mut out[j0..], Gemm { rows, k: kc, nc, lda, ldo: n, first });
                 j0 += nc;
             }
             k0 += kc;
@@ -194,7 +201,7 @@ pub fn transpose_last2(a: &Tensor) -> Tensor {
     let mut out_shape = crate::shape::Shape::from_slice(a.shape());
     out_shape[r - 2] = n;
     out_shape[r - 1] = m;
-    let mut out = arena::take_zeroed(a.len());
+    let mut out = arena::take_dirty(a.len());
     let data = a.data();
     let mat = m * n;
     if mat == 0 {
@@ -211,7 +218,7 @@ pub fn transpose_last2(a: &Tensor) -> Tensor {
 }
 
 /// `dst[n × m] = src[m × n]ᵀ`, in 32×32 tiles.
-fn transpose_tile(src: &[f32], dst: &mut [f32], m: usize, n: usize) {
+pub(crate) fn transpose_tile(src: &[f32], dst: &mut [f32], m: usize, n: usize) {
     const TB: usize = 32;
     let mut i0 = 0;
     while i0 < m {
@@ -257,7 +264,7 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     let mut out_shape = batch_shape.clone();
     out_shape.push(m);
     out_shape.push(n);
-    let mut out = arena::take_zeroed(batch * m * n);
+    let mut out = arena::take_dirty(batch * m * n);
 
     let a_data = a.data();
     let b_data = b.data();
@@ -291,10 +298,10 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
                         transpose_tile(&b_data[b_off..b_off + n * k], &mut bt[..k * n], n, k);
                         packed_off = b_off;
                     }
-                    gemm_rows(a_rows, k, &bt[..k * n], out_rows, k, n);
+                    gemm_rows(a_rows, k, &bt[..k * n], out_rows, k, n, true);
                 } else {
                     let b = &b_data[b_off..b_off + n * k];
-                    packed_rows(a_rows, k, out_rows, k, n, |panel, k0, j0, nc| {
+                    packed_rows(a_rows, k, out_rows, k, n, true, |panel, k0, j0, nc| {
                         let kc = panel.len() / nc;
                         for jj in 0..nc {
                             let src = &b[(j0 + jj) * k + k0..(j0 + jj) * k + k0 + kc];
@@ -341,7 +348,7 @@ pub fn matmul_tn(a: &Tensor, g: &Tensor) -> Tensor {
     let mut out_shape = batch_shape.clone();
     out_shape.push(kd);
     out_shape.push(n);
-    let mut out = arena::take_zeroed(batch * kd * n);
+    let mut out = arena::take_dirty(batch * kd * n);
 
     let a_data = a.data();
     let g_data = g.data();
@@ -382,6 +389,7 @@ pub fn matmul_tn(a: &Tensor, g: &Tensor) -> Tensor {
                     &mut chunk[done * n..(done + take) * n],
                     m,
                     n,
+                    true,
                 );
                 done += take;
             }
@@ -412,16 +420,14 @@ fn pack_transposed_rows(a: &[f32], dst: &mut [f32], kd: usize, r0: usize) {
 /// The transpose is fused into the gemm ([`matmul_nt`]) — bit-identical to
 /// the old `matmul(grad, transpose_last2(b))` composition.
 pub fn matmul_grad_a(grad: &Tensor, b: &Tensor, a_shape: &[usize]) -> Tensor {
-    let ga = matmul_nt(grad, b);
-    super::reduce_to_shape(&ga, a_shape)
+    super::reduce_owned(matmul_nt(grad, b), a_shape)
 }
 
 /// ∂(a·b)/∂b = aᵀ · grad, reduced over broadcast batch dims to b's shape.
 /// The transpose is fused into the gemm ([`matmul_tn`]) — bit-identical to
 /// the old `matmul(transpose_last2(a), grad)` composition.
 pub fn matmul_grad_b(grad: &Tensor, a: &Tensor, b_shape: &[usize]) -> Tensor {
-    let gb = matmul_tn(a, grad);
-    super::reduce_to_shape(&gb, b_shape)
+    super::reduce_owned(matmul_tn(a, grad), b_shape)
 }
 
 #[cfg(test)]

@@ -293,3 +293,49 @@ pub fn sum_axis_grad(grad: &Tensor, a_shape: &[usize], axis: usize) -> Tensor {
     }
     Tensor::from_vec(a_shape.to_vec(), out)
 }
+
+/// Naive concatenation along `axis`: every output coordinate finds the
+/// part whose slab of `axis` holds it.
+pub fn concat(parts: &[&Tensor], axis: usize) -> Tensor {
+    let mut out_shape = parts[0].shape().to_vec();
+    out_shape[axis] = parts.iter().map(|p| p.shape()[axis]).sum();
+    let out: Vec<f32> = (0..numel(&out_shape))
+        .map(|flat| {
+            let mut coords = unravel(flat, &out_shape);
+            let mut part = 0;
+            while coords[axis] >= parts[part].shape()[axis] {
+                coords[axis] -= parts[part].shape()[axis];
+                part += 1;
+            }
+            parts[part].data()[ravel_broadcast(&coords, parts[part].shape())]
+        })
+        .collect();
+    Tensor::from_vec(out_shape, out)
+}
+
+/// Naive slice `[start, end)` along `axis`.
+pub fn slice(a: &Tensor, axis: usize, start: usize, end: usize) -> Tensor {
+    index_select(a, axis, &(start..end).collect::<Vec<_>>())
+}
+
+/// Naive gather of `indices` along `axis`.
+pub fn index_select(a: &Tensor, axis: usize, indices: &[usize]) -> Tensor {
+    let mut out_shape = a.shape().to_vec();
+    out_shape[axis] = indices.len();
+    let out: Vec<f32> = (0..numel(&out_shape))
+        .map(|flat| {
+            let mut coords = unravel(flat, &out_shape);
+            coords[axis] = indices[coords[axis]];
+            a.data()[ravel_broadcast(&coords, a.shape())]
+        })
+        .collect();
+    Tensor::from_vec(out_shape, out)
+}
+
+/// Naive stack along a new leading axis.
+pub fn stack(parts: &[&Tensor]) -> Tensor {
+    let mut out_shape = vec![parts.len()];
+    out_shape.extend_from_slice(parts[0].shape());
+    let out: Vec<f32> = parts.iter().flat_map(|p| p.data().iter().copied()).collect();
+    Tensor::from_vec(out_shape, out)
+}

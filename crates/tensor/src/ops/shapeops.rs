@@ -1,21 +1,42 @@
 //! Shape-manipulating operations: permute, concat, slice, index-select.
+//!
+//! Every output element of `permute`, `concat`, `slice`, `index_select`
+//! and `stack` is one copied input element, so their outputs come from
+//! [`arena::take_dirty`]; the scatters (`slice_grad`, `index_select_grad`)
+//! and `pad_axis` leave elements untouched and start from zeros.
 
+use super::matmul::transpose_tile;
 use crate::arena;
 use crate::shape::{numel, Shape};
 use crate::Tensor;
 
 /// Permute dimensions: `perm[i]` is the source axis that becomes output axis `i`.
 ///
-/// The trailing axes `perm` leaves in place are contiguous in both layouts,
-/// so they merge into one run copied whole per outer output coordinate
-/// (`[0,2,1,3]` over `[B,N,T,D]` moves runs of `D` floats). A permutation
-/// that moves the last axis copies runs of one element.
+/// A permutation that swaps only the last two axes (`[0,2,1]` over
+/// attention's `[B·H, T, d]` keys) transposes each trailing matrix in
+/// tiles. Otherwise the trailing axes `perm` leaves in place are
+/// contiguous in both layouts, so they merge into one run copied whole per
+/// outer output coordinate (`[0,2,1,3]` over `[B,N,T,D]` moves runs of
+/// `D` floats). Like every data-movement op, neither path is metered.
 pub fn permute(a: &Tensor, perm: &[usize]) -> Tensor {
     assert_eq!(perm.len(), a.rank(), "permute rank mismatch");
     let in_shape = a.shape();
     let out_shape: Shape = perm.iter().map(|&p| in_shape[p]).collect();
-    let mut out = arena::take_zeroed(a.len());
+    let mut out = arena::take_dirty(a.len());
     let rank = perm.len();
+    let swaps_last_two = rank >= 2
+        && perm[rank - 2] == rank - 1
+        && perm[rank - 1] == rank - 2
+        && perm[..rank - 2].iter().enumerate().all(|(i, &p)| p == i);
+    if swaps_last_two {
+        let (m, n) = (in_shape[rank - 2], in_shape[rank - 1]);
+        if m * n > 0 {
+            for (src, dst) in a.data().chunks_exact(m * n).zip(out.chunks_exact_mut(m * n)) {
+                transpose_tile(src, dst, m, n);
+            }
+        }
+        return Tensor::from_vec(out_shape, out);
+    }
     let kept = perm.iter().rev().zip((0..rank).rev()).take_while(|(&p, ax)| p == *ax).count();
     let moved = rank - kept;
     let run: usize = in_shape[moved..].iter().product();
@@ -74,7 +95,7 @@ pub fn concat(parts: &[&Tensor], axis: usize) -> Tensor {
     let outer: usize = first[..axis].iter().product();
     let inner: usize = first[axis + 1..].iter().product();
     let total_axis = out_shape[axis];
-    let mut out = arena::take_zeroed(numel(&out_shape));
+    let mut out = arena::take_dirty(numel(&out_shape));
     let mut offset = 0;
     for p in parts {
         let len = p.shape()[axis];
@@ -97,7 +118,7 @@ pub fn slice(a: &Tensor, axis: usize, start: usize, end: usize) -> Tensor {
     let out_len = end - start;
     let mut out_shape = Shape::from_slice(a.shape());
     out_shape[axis] = out_len;
-    let mut out = arena::take_zeroed(outer * out_len * inner);
+    let mut out = arena::take_dirty(outer * out_len * inner);
     for o in 0..outer {
         let src = (o * len + start) * inner;
         let dst = o * out_len * inner;
@@ -129,7 +150,7 @@ pub fn index_select(a: &Tensor, axis: usize, indices: &[usize]) -> Tensor {
     let inner: usize = a.shape()[axis + 1..].iter().product();
     let mut out_shape = Shape::from_slice(a.shape());
     out_shape[axis] = indices.len();
-    let mut out = arena::take_zeroed(outer * indices.len() * inner);
+    let mut out = arena::take_dirty(outer * indices.len() * inner);
     for o in 0..outer {
         for (j, &idx) in indices.iter().enumerate() {
             assert!(idx < len, "index_select out of bounds");
@@ -173,7 +194,7 @@ pub fn stack(parts: &[&Tensor]) -> Tensor {
     }
     let out_shape: Shape = std::iter::once(parts.len()).chain(shape.iter().copied()).collect();
     let each = parts[0].len();
-    let mut data = arena::take_zeroed(parts.len() * each);
+    let mut data = arena::take_dirty(parts.len() * each);
     for (p, dst) in parts.iter().zip(data.chunks_mut(each.max(1))) {
         dst.copy_from_slice(p.data());
     }

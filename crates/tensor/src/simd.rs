@@ -274,7 +274,8 @@ pub const MR: usize = 4;
 
 /// Geometry of one [`gemm_rowblock`] call: `rows` rows of `a`, each `k`
 /// long at stride `lda`, times a dense row-major `b: [k × nc]`, summed
-/// into `rows` rows of `out`, each `nc` wide at stride `ldo`.
+/// into `rows` rows of `out`, each `nc` wide at stride `ldo` — or, on a
+/// `first` pass, written over them.
 #[derive(Clone, Copy, Debug)]
 pub struct Gemm {
     /// Output rows (any count; the bodies take [`MR`] at a time).
@@ -287,19 +288,23 @@ pub struct Gemm {
     pub lda: usize,
     /// Row stride of `out` (`≥ nc`).
     pub ldo: usize,
+    /// First pass over `out`: the accumulators start at `+0.0` in
+    /// registers instead of loading `out`, so `out` may hold anything.
+    /// The same bits as summing into a zeroed `out`.
+    pub first: bool,
 }
 
 /// `out[r·ldo + j] += Σ_kk a[r·lda + kk] · b[kk·nc + j]` for every row `r`
-/// and column `j`.
+/// and column `j` (`=` instead of `+=` on a [`Gemm::first`] pass).
 ///
 /// Rows go through the body [`MR`] at a time (the last block takes the
 /// remainder), so each `b` row load feeds `MR` rows and `MR` independent
 /// accumulator chains hide the add latency. The accumulators are loaded
-/// from `out` (never zeroed), so each output element keeps one strictly
-/// ascending-`kk` addition chain across calls — the bit-exactness
-/// invariant `ops::matmul` and `ops::conv` rely on. Every level and every
-/// row-block size keeps that chain, so results are bit-identical to the
-/// naive serial loop.
+/// from `out`, or start at `+0.0` on a first pass, so each output element
+/// keeps one strictly ascending-`kk` addition chain across calls — the
+/// bit-exactness invariant `ops::matmul` and `ops::conv` rely on. Every
+/// level and every row-block size keeps that chain, so results are
+/// bit-identical to the naive serial loop.
 #[inline]
 pub fn gemm_rowblock(a: &[f32], b: &[f32], out: &mut [f32], g: Gemm) {
     if g.rows == 0 || g.nc == 0 {
@@ -342,8 +347,10 @@ fn gemm_scalar_block<const R: usize>(a: &[f32], b: &[f32], out: &mut [f32], g: G
     let mut j = 0;
     while j + LANES <= nc {
         let mut acc = [[0.0f32; LANES]; R];
-        for (r, acc) in acc.iter_mut().enumerate() {
-            acc.copy_from_slice(&out[r * ldo + j..r * ldo + j + LANES]);
+        if !g.first {
+            for (r, acc) in acc.iter_mut().enumerate() {
+                acc.copy_from_slice(&out[r * ldo + j..r * ldo + j + LANES]);
+            }
         }
         for kk in 0..k {
             let b_row = &b[kk * nc + j..kk * nc + j + LANES];
@@ -367,7 +374,7 @@ fn gemm_scalar_block<const R: usize>(a: &[f32], b: &[f32], out: &mut [f32], g: G
 fn gemm_tail(a: &[f32], b: &[f32], out: &mut [f32], g: Gemm, rows: usize, j0: usize) {
     for r in 0..rows {
         for j in j0..g.nc {
-            let mut acc = out[r * g.ldo + j];
+            let mut acc = if g.first { 0.0 } else { out[r * g.ldo + j] };
             for kk in 0..g.k {
                 acc += a[r * g.lda + kk] * b[kk * g.nc + j];
             }
@@ -421,6 +428,67 @@ fn splat_tail(op: BinOp, c: f32, c_first: bool, x: &[f32], out: &mut [f32], j0: 
     } else {
         for (o, &v) in out[j0..].iter_mut().zip(x[j0..].iter()) {
             *o = op.apply(v, c);
+        }
+    }
+}
+
+/// One operand of [`zip_rows`]: row `i` reads the `run` floats at
+/// `data[base + i·stride..]`, or, as a splat, the one value
+/// `data[base + i·stride]` repeated across the row.
+#[derive(Clone, Copy, Debug)]
+pub struct Rows<'a> {
+    /// The operand's buffer.
+    pub data: &'a [f32],
+    /// Offset of row 0.
+    pub base: usize,
+    /// Offset between consecutive rows (0 repeats one row or value).
+    pub stride: usize,
+    /// True when each row is one value broadcast over the run.
+    pub splat: bool,
+}
+
+impl Rows<'_> {
+    /// Panics unless every row of `rows × run` lies inside `data`.
+    fn check(&self, rows: usize, run: usize) {
+        let width = if self.splat { 1 } else { run };
+        let last = (rows - 1).checked_mul(self.stride).and_then(|o| o.checked_add(self.base + width));
+        assert!(last.is_some_and(|end| end <= self.data.len()), "zip_rows operand out of bounds");
+    }
+}
+
+/// `out[i·run + j] = op(x_i[j], y_i[j])` for `rows = out.len() / run`
+/// rows, where `x_i` and `y_i` are row `i` of each operand (a slice or a
+/// splat, [`Rows`]): a broadcasting zip's whole block in one dispatch.
+/// Every element is the same [`BinOp::apply`] that [`binary_map`] and
+/// [`splat_map`] compute, so the result is bit-identical to mapping each
+/// row with them.
+pub fn zip_rows(op: BinOp, x: Rows, y: Rows, run: usize, out: &mut [f32]) {
+    if run == 0 || out.is_empty() {
+        return;
+    }
+    assert!(out.len().is_multiple_of(run), "zip_rows: {} floats are not rows of {run}", out.len());
+    let rows = out.len() / run;
+    x.check(rows, run);
+    y.check(rows, run);
+    match level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: level() == Avx2 only after is_x86_feature_detected!("avx2");
+        // both operands' rows were bounds-checked above.
+        SimdLevel::Avx2 => unsafe { x86::zip_rows_avx2(op, x, y, run, out) },
+        _ => {
+            for (i, o) in out.chunks_exact_mut(run).enumerate() {
+                let (xo, yo) = (x.base + i * x.stride, y.base + i * y.stride);
+                match (x.splat, y.splat) {
+                    (false, false) => {
+                        for ((o, &a), &b) in o.iter_mut().zip(&x.data[xo..xo + run]).zip(&y.data[yo..yo + run]) {
+                            *o = op.apply(a, b);
+                        }
+                    }
+                    (false, true) => splat_tail(op, y.data[yo], false, &x.data[xo..xo + run], o, 0),
+                    (true, false) => splat_tail(op, x.data[xo], true, &y.data[yo..yo + run], o, 0),
+                    (true, true) => o.fill(op.apply(x.data[xo], y.data[yo])),
+                }
+            }
         }
     }
 }
@@ -610,7 +678,7 @@ mod x86 {
     //! AVX2 bodies. Callers (the dispatchers above) guarantee the
     //! target feature is present; each body asserts its slice bounds
     //! before the pointer loop, so every load/store below is in bounds.
-    use super::{fold_max, gemm_tail, splat_tail, BinOp, Gemm, UnOp, LANES, MAX_RDIMS, MR};
+    use super::{fold_max, gemm_tail, splat_tail, BinOp, Gemm, Rows, UnOp, LANES, MAX_RDIMS, MR};
     use std::arch::x86_64::*;
 
     // -- gemm ---------------------------------------------------------------
@@ -645,9 +713,11 @@ mod x86 {
         while j + 16 <= nc {
             let mut acc0 = [_mm256_setzero_ps(); R];
             let mut acc1 = [_mm256_setzero_ps(); R];
-            for r in 0..R {
-                acc0[r] = _mm256_loadu_ps(op.add(r * ldo + j));
-                acc1[r] = _mm256_loadu_ps(op.add(r * ldo + j + 8));
+            if !g.first {
+                for r in 0..R {
+                    acc0[r] = _mm256_loadu_ps(op.add(r * ldo + j));
+                    acc1[r] = _mm256_loadu_ps(op.add(r * ldo + j + 8));
+                }
             }
             for kk in 0..k {
                 let row = bp.add(kk * nc + j);
@@ -666,8 +736,10 @@ mod x86 {
         }
         if j + 8 <= nc {
             let mut acc = [_mm256_setzero_ps(); R];
-            for (r, acc) in acc.iter_mut().enumerate() {
-                *acc = _mm256_loadu_ps(op.add(r * ldo + j));
+            if !g.first {
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    *acc = _mm256_loadu_ps(op.add(r * ldo + j));
+                }
             }
             for kk in 0..k {
                 let vb = _mm256_loadu_ps(bp.add(kk * nc + j));
@@ -744,6 +816,21 @@ mod x86 {
             BinOp::Div => lanes8!(_mm256_div_ps),
         }
         splat_tail(op, c, c_first, x, out, j);
+    }
+
+    // SAFETY: to call, AVX2 must be available on the host (each row is a
+    // bounds-checked slice).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn zip_rows_avx2(op: BinOp, x: Rows, y: Rows, run: usize, out: &mut [f32]) {
+        for (i, o) in out.chunks_exact_mut(run).enumerate() {
+            let (xo, yo) = (x.base + i * x.stride, y.base + i * y.stride);
+            match (x.splat, y.splat) {
+                (false, false) => binary_map_avx2(op, &x.data[xo..xo + run], &y.data[yo..yo + run], o),
+                (false, true) => splat_map_avx2(op, y.data[yo], false, &x.data[xo..xo + run], o),
+                (true, false) => splat_map_avx2(op, x.data[xo], true, &y.data[yo..yo + run], o),
+                (true, true) => o.fill(op.apply(x.data[xo], y.data[yo])),
+            }
+        }
     }
 
     // SAFETY: to call, AVX2 must be available on the host.
@@ -979,11 +1066,11 @@ mod tests {
     fn gemm_rowblock_levels_agree_all_widths() {
         // Row counts cover full MR blocks and every remainder; columns the
         // 16- and 8-wide strips and every tail; strided rows leave their
-        // padding untouched.
+        // padding untouched; a first pass ignores what `out` held.
         for rows in 1..=9 {
             for n in 1..=19 {
-                for k in [0usize, 1, 3, 8] {
-                    let g = Gemm { rows, k, nc: n, lda: k + 1, ldo: n + 3 };
+                for (k, first) in [0usize, 1, 3, 8].into_iter().flat_map(|k| [(k, false), (k, true)]) {
+                    let g = Gemm { rows, k, nc: n, lda: k + 1, ldo: n + 3, first };
                     let a = pattern(rows * g.lda, 7);
                     let b = pattern(k * n, 11);
                     let init = pattern(rows * g.ldo, 13);
@@ -996,11 +1083,14 @@ mod tests {
                         for j in 0..g.ldo {
                             let mut want = init[r * g.ldo + j];
                             if j < n {
+                                if first {
+                                    want = 0.0;
+                                }
                                 for kk in 0..k {
                                     want += a[r * g.lda + kk] * b[kk * n + j];
                                 }
                             }
-                            assert_eq!(res[r * g.ldo + j].to_bits(), want.to_bits(), "rows={rows} n={n} k={k}");
+                            assert_eq!(res[r * g.ldo + j].to_bits(), want.to_bits(), "rows={rows} n={n} k={k} first={first}");
                         }
                     }
                 }
