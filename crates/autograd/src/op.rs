@@ -68,7 +68,12 @@ impl IntoIterator for Grads {
             Grads::Two(a, b) => ([a, b], 2, Vec::new()),
             Grads::Many(v) => ([None, None], 0, v),
         };
-        GradsIter { inline, inline_len, idx: 0, spill: spill.into_iter() }
+        GradsIter {
+            inline,
+            inline_len,
+            idx: 0,
+            spill: spill.into_iter(),
+        }
     }
 }
 
@@ -192,9 +197,18 @@ impl Op {
     /// gradient, so a unary op's single input always does. A computed
     /// gradient runs the same kernel on the same values whatever the rest
     /// of the mask says, so it is bit-identical to the all-`true` call.
-    pub fn backward(&self, grad: Tensor, output: &Tensor, inputs: &[&Tensor], needs: &[bool]) -> Grads {
+    pub fn backward(
+        &self,
+        grad: Tensor,
+        output: &Tensor,
+        inputs: &[&Tensor],
+        needs: &[bool],
+    ) -> Grads {
         debug_assert_eq!(needs.len(), inputs.len());
-        debug_assert!(inputs.len() != 1 || needs[0], "unary op swept without a need");
+        debug_assert!(
+            inputs.len() != 1 || needs[0],
+            "unary op swept without a need"
+        );
         match self {
             Op::Leaf => Grads::None,
             Op::Add => {
@@ -212,7 +226,10 @@ impl Op {
             }
             Op::Sub => {
                 let gb = needs[1].then(|| ops::reduce_owned(ops::neg(&grad), inputs[1].shape()));
-                Grads::Two(needs[0].then(|| ops::reduce_owned(grad, inputs[0].shape())), gb)
+                Grads::Two(
+                    needs[0].then(|| ops::reduce_owned(grad, inputs[0].shape())),
+                    gb,
+                )
             }
             Op::Mul => Grads::Two(
                 needs[0].then(|| ops::mul_grad(&grad, inputs[1], inputs[0].shape())),
@@ -264,12 +281,18 @@ impl Op {
             Op::Slice { axis, start } => {
                 Grads::One(ops::slice_grad(&grad, inputs[0].shape(), *axis, *start))
             }
-            Op::IndexSelect { axis, indices } => {
-                Grads::One(ops::index_select_grad(&grad, inputs[0].shape(), *axis, indices))
-            }
-            Op::PadAxis { axis, before, .. } => {
-                Grads::One(ops::pad_axis_grad(&grad, *axis, *before, inputs[0].shape()[*axis]))
-            }
+            Op::IndexSelect { axis, indices } => Grads::One(ops::index_select_grad(
+                &grad,
+                inputs[0].shape(),
+                *axis,
+                indices,
+            )),
+            Op::PadAxis { axis, before, .. } => Grads::One(ops::pad_axis_grad(
+                &grad,
+                *axis,
+                *before,
+                inputs[0].shape()[*axis],
+            )),
             Op::SumAxis { axis, .. } => Grads::One(ops::sum_axis_grad(
                 &squeeze_keepdim(grad, inputs[0].shape(), *axis),
                 inputs[0].shape(),
@@ -283,8 +306,12 @@ impl Op {
             Op::SumAll => Grads::One(ops::sum_all_grad(&grad, inputs[0].shape())),
             Op::MeanAll => Grads::One(ops::mean_all_grad(&grad, inputs[0].shape())),
             Op::TemporalConv { dilation } => Grads::Two(
-                needs[0].then(|| ops::temporal_conv_grad_x(&grad, inputs[1], inputs[0].shape(), *dilation)),
-                needs[1].then(|| ops::temporal_conv_grad_w(&grad, inputs[0], inputs[1].shape(), *dilation)),
+                needs[0].then(|| {
+                    ops::temporal_conv_grad_x(&grad, inputs[1], inputs[0].shape(), *dilation)
+                }),
+                needs[1].then(|| {
+                    ops::temporal_conv_grad_w(&grad, inputs[0], inputs[1].shape(), *dilation)
+                }),
             ),
         }
     }
@@ -317,7 +344,9 @@ mod tests {
     fn pattern(shape: &[usize], salt: usize) -> Tensor {
         let n: usize = shape.iter().product();
         // Values in [0.5, 2.2): no zero divisors, no exact ties.
-        let data = (0..n).map(|i| 0.5 + ((i * 37 + salt * 11) % 17) as f32 * 0.1).collect::<Vec<_>>();
+        let data = (0..n)
+            .map(|i| 0.5 + ((i * 37 + salt * 11) % 17) as f32 * 0.1)
+            .collect::<Vec<_>>();
         Tensor::from_vec(shape.to_vec(), data)
     }
 
@@ -335,16 +364,31 @@ mod tests {
             (Op::Mul, vec![vec![2, 3, 4], vec![1]], vec![2, 3, 4]),
             (Op::Div, vec![vec![2, 3, 4], vec![3, 4]], vec![2, 3, 4]),
             (Op::MatMul, vec![vec![2, 3, 4], vec![4, 5]], vec![2, 3, 5]),
-            (Op::TemporalConv { dilation: 2 }, vec![vec![1, 2, 6, 3], vec![2, 3, 4]], vec![1, 2, 6, 4]),
-            (Op::Concat { axis: 1 }, vec![vec![2, 1, 4], vec![2, 2, 4], vec![2, 3, 4]], vec![2, 6, 4]),
+            (
+                Op::TemporalConv { dilation: 2 },
+                vec![vec![1, 2, 6, 3], vec![2, 3, 4]],
+                vec![1, 2, 6, 4],
+            ),
+            (
+                Op::Concat { axis: 1 },
+                vec![vec![2, 1, 4], vec![2, 2, 4], vec![2, 3, 4]],
+                vec![2, 6, 4],
+            ),
         ];
         for (op, in_shapes, out_shape) in cases {
-            let inputs: Vec<Tensor> = in_shapes.iter().enumerate().map(|(i, s)| pattern(s, i)).collect();
+            let inputs: Vec<Tensor> = in_shapes
+                .iter()
+                .enumerate()
+                .map(|(i, s)| pattern(s, i))
+                .collect();
             let views: Vec<&Tensor> = inputs.iter().collect();
             let output = pattern(&out_shape, 7);
             let grad = pattern(&out_shape, 9);
             let k = inputs.len();
-            let full: Vec<Option<Tensor>> = op.backward(grad.clone(), &output, &views, &vec![true; k]).into_iter().collect();
+            let full: Vec<Option<Tensor>> = op
+                .backward(grad.clone(), &output, &views, &vec![true; k])
+                .into_iter()
+                .collect();
             for mask in 0..1usize << k {
                 let needs: Vec<bool> = (0..k).map(|i| mask >> i & 1 == 1).collect();
                 let got = op.backward(grad.clone(), &output, &views, &needs);
@@ -356,7 +400,9 @@ mod tests {
                             assert_eq!(bits(&g), bits(f), "{op:?} input {i} under {needs:?}");
                         }
                         (false, None, _) => {}
-                        (need, slot, _) => panic!("{op:?} input {i}: need {need}, computed {}", slot.is_some()),
+                        (need, slot, _) => {
+                            panic!("{op:?} input {i}: need {need}, computed {}", slot.is_some())
+                        }
                     }
                 }
             }

@@ -90,7 +90,11 @@ impl Parameter {
     /// Overwrite the value (used for checkpoint restore / re-init).
     pub fn set_value(&self, value: Tensor) {
         let mut inner = self.inner.borrow_mut();
-        assert_eq!(inner.value.shape(), value.shape(), "set_value shape mismatch");
+        assert_eq!(
+            inner.value.shape(),
+            value.shape(),
+            "set_value shape mismatch"
+        );
         inner.value = value;
     }
 
@@ -109,7 +113,12 @@ impl Parameter {
 impl fmt::Debug for Parameter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let inner = self.inner.borrow();
-        write!(f, "Parameter({:?}, shape {:?})", inner.name, inner.value.shape())
+        write!(
+            f,
+            "Parameter({:?}, shape {:?})",
+            inner.name,
+            inner.value.shape()
+        )
     }
 }
 

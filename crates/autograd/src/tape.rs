@@ -94,7 +94,12 @@ impl Tape {
 
     /// Total number of activation scalars held by the tape (memory proxy).
     pub fn activation_scalars(&self) -> usize {
-        self.inner.borrow().nodes.iter().map(|n| n.value.len()).sum()
+        self.inner
+            .borrow()
+            .nodes
+            .iter()
+            .map(|n| n.value.len())
+            .sum()
     }
 
     pub(crate) fn push_node(
@@ -227,7 +232,9 @@ impl Tape {
             input_values.extend(node.inputs.iter().map(|&i| &nodes[i].value));
             input_needs.clear();
             input_needs.extend(node.inputs.iter().map(|&i| needs[i]));
-            let input_grads = node.op.backward(grad, &node.value, &input_values, &input_needs);
+            let input_grads = node
+                .op
+                .backward(grad, &node.value, &input_values, &input_needs);
             debug_assert_eq!(input_grads.len(), node.inputs.len());
             for (&input_id, g) in node.inputs.iter().zip(input_grads) {
                 let Some(g) = g else {
@@ -423,14 +430,20 @@ mod tests {
 
     /// `tanh(x·a + b) * c` summed, over three parameters and a constant.
     fn three_param_loss(tape: &Tape, a: &Parameter, b: &Parameter, c: &Parameter) -> Var {
-        let x = tape.constant(Tensor::from_vec([2, 3], vec![0.5, -1.0, 2.0, 1.5, 0.25, -0.75]));
+        let x = tape.constant(Tensor::from_vec(
+            [2, 3],
+            vec![0.5, -1.0, 2.0, 1.5, 0.25, -0.75],
+        ));
         let h = x.matmul(&tape.param(a)).add(&tape.param(b)).tanh();
         h.mul(&tape.param(c)).sum_all()
     }
 
     fn three_params() -> [Parameter; 3] {
         [
-            Parameter::new("a", Tensor::from_vec([3, 2], vec![0.1, -0.2, 0.3, 0.4, -0.5, 0.6])),
+            Parameter::new(
+                "a",
+                Tensor::from_vec([3, 2], vec![0.1, -0.2, 0.3, 0.4, -0.5, 0.6]),
+            ),
             Parameter::new("b", Tensor::from_vec([2], vec![0.05, -0.15])),
             Parameter::new("c", Tensor::from_vec([2, 2], vec![1.0, -2.0, 0.5, 3.0])),
         ]
@@ -443,11 +456,14 @@ mod tests {
         tape.backward(&three_param_loss(&tape, &ps[0], &ps[1], &ps[2]));
         let full: Vec<Vec<u32>> = ps.iter().map(|p| bits(&p.grad())).collect();
         for mask in 0..8usize {
-            let wanted: Vec<Parameter> =
-                (0..3).filter(|i| mask >> i & 1 == 1).map(|i| ps[i].clone()).collect();
+            let wanted: Vec<Parameter> = (0..3)
+                .filter(|i| mask >> i & 1 == 1)
+                .map(|i| ps[i].clone())
+                .collect();
             for (i, p) in ps.iter().enumerate() {
                 // zero where a gradient is wanted, a sentinel elsewhere
-                p.grad_mut().fill(if mask >> i & 1 == 1 { 0.0 } else { 7.0 });
+                p.grad_mut()
+                    .fill(if mask >> i & 1 == 1 { 0.0 } else { 7.0 });
             }
             let tape = Tape::new();
             tape.backward_for(&three_param_loss(&tape, &ps[0], &ps[1], &ps[2]), &wanted);
@@ -455,7 +471,10 @@ mod tests {
                 if mask >> i & 1 == 1 {
                     assert_eq!(bits(&p.grad()), full[i], "param {i} under mask {mask:03b}");
                 } else {
-                    assert!(p.grad().data().iter().all(|&g| g == 7.0), "param {i} touched under mask {mask:03b}");
+                    assert!(
+                        p.grad().data().iter().all(|&g| g == 7.0),
+                        "param {i} touched under mask {mask:03b}"
+                    );
                 }
             }
         }
@@ -466,14 +485,21 @@ mod tests {
         // loss = sum(x · w) with x constant: only ∂/∂w = xᵀ·1 is a product.
         let w = Parameter::new("w", Tensor::from_vec([3, 2], vec![1.0; 6]));
         let tape = Tape::new();
-        let x = tape.constant(Tensor::from_vec([4, 3], (0..12).map(|v| v as f32).collect()));
+        let x = tape.constant(Tensor::from_vec(
+            [4, 3],
+            (0..12).map(|v| v as f32).collect(),
+        ));
         let loss = x.matmul(&tape.param(&w)).sum_all();
         meter::reset();
         meter::set_enabled(true);
         tape.backward(&loss);
         meter::set_enabled(false);
         let m = meter::snapshot();
-        assert_eq!(m.flops, 2 * 4 * 3 * 2, "one [4,3]ᵀ×[4,2] product, no [4,2]×[3,2]ᵀ");
+        assert_eq!(
+            m.flops,
+            2 * 4 * 3 * 2,
+            "one [4,3]ᵀ×[4,2] product, no [4,2]×[3,2]ᵀ"
+        );
         assert_eq!(w.grad().data(), &[18.0, 18.0, 22.0, 22.0, 26.0, 26.0]);
     }
 

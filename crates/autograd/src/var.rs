@@ -238,7 +238,14 @@ impl Var {
     /// Zero-pad along `axis`.
     pub fn pad_axis(&self, axis: usize, before: usize, after: usize) -> Var {
         let v = self.with_value(|a| ops::pad_axis(a, axis, before, after));
-        self.unary(Op::PadAxis { axis, before, after }, v)
+        self.unary(
+            Op::PadAxis {
+                axis,
+                before,
+                after,
+            },
+            v,
+        )
     }
 
     // -- reductions ------------------------------------------------------------
@@ -318,7 +325,10 @@ mod tests {
     #[test]
     fn chained_shape_ops_grad() {
         // sum(permute(reshape(x))) == sum(x); gradient should be all ones.
-        let p = Parameter::new("x", Tensor::from_vec([2, 3], (0..6).map(|i| i as f32).collect::<Vec<_>>()));
+        let p = Parameter::new(
+            "x",
+            Tensor::from_vec([2, 3], (0..6).map(|i| i as f32).collect::<Vec<_>>()),
+        );
         let tape = Tape::new();
         let x = tape.param(&p);
         let y = x.reshape(&[3, 2]).permute(&[1, 0]).sum_all();

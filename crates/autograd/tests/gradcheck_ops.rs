@@ -49,7 +49,11 @@ fn grad_exp() {
 fn grad_ln_of_positive() {
     let p = param("x", &[2, 2], 5);
     assert_gradients(std::slice::from_ref(&p), 1e-3, TOL, |tape| {
-        tape.param(&p).mul(&tape.param(&p)).add_scalar(1.0).ln().sum_all()
+        tape.param(&p)
+            .mul(&tape.param(&p))
+            .add_scalar(1.0)
+            .ln()
+            .sum_all()
     });
 }
 
@@ -64,7 +68,9 @@ fn grad_sqrt_of_positive() {
 #[test]
 fn grad_abs_away_from_zero() {
     let p = Parameter::new("x", Tensor::from_vec([4], vec![0.5, -0.7, 1.2, -2.0]));
-    assert_gradients(std::slice::from_ref(&p), 1e-3, TOL, |tape| tape.param(&p).abs().sum_all());
+    assert_gradients(std::slice::from_ref(&p), 1e-3, TOL, |tape| {
+        tape.param(&p).abs().sum_all()
+    });
 }
 
 #[test]

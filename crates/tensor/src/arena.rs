@@ -456,7 +456,10 @@ mod tests {
         let v2 = take_zeroed(900); // same class (1024)
         assert_eq!(v2.as_ptr(), ptr, "same-class request must reuse the buffer");
         assert_eq!(v2.len(), 900);
-        assert!(v2.iter().all(|&x| x == 0.0), "recycled buffer must be zeroed");
+        assert!(
+            v2.iter().all(|&x| x == 0.0),
+            "recycled buffer must be zeroed"
+        );
         let s = stats();
         assert_eq!(s.hits, 1);
         recycle(v2);
@@ -471,7 +474,10 @@ mod tests {
         recycle(v);
         assert_eq!(stats().resident_floats, 0);
         let d = take_dirty(128);
-        assert!(d.len() == 128 && d.iter().all(|&x| x.to_bits() == 0), "no arena, no dirt: zeros");
+        assert!(
+            d.len() == 128 && d.iter().all(|&x| x.to_bits() == 0),
+            "no arena, no dirt: zeros"
+        );
         set_enabled(None);
     }
 
@@ -480,7 +486,13 @@ mod tests {
         ARENA.with(|a| *a.borrow_mut() = ArenaTls::new());
     }
 
-    type Ledger = (ArenaStats, Vec<ClassStats>, [usize; N_CLASSES], [usize; N_CLASSES], (usize, usize));
+    type Ledger = (
+        ArenaStats,
+        Vec<ClassStats>,
+        [usize; N_CLASSES],
+        [usize; N_CLASSES],
+        (usize, usize),
+    );
 
     fn ledger() -> Ledger {
         let (out, demand) = ARENA.with(|a| {
@@ -525,7 +537,10 @@ mod tests {
     fn take_dirty_keeps_contents_and_zeroes_only_growth() {
         reset_thread();
         let mut v = take_dirty(100);
-        assert!(v.len() == 100 && v.iter().all(|&x| x.to_bits() == 0), "a fresh buffer is zeroed");
+        assert!(
+            v.len() == 100 && v.iter().all(|&x| x.to_bits() == 0),
+            "a fresh buffer is zeroed"
+        );
         v.fill(3.0);
         let ptr = v.as_ptr();
         recycle(v);
@@ -533,10 +548,19 @@ mod tests {
         let w = take_dirty(120);
         assert_eq!((w.as_ptr(), w.len()), (ptr, 120));
         if cfg!(debug_assertions) {
-            assert!(w.iter().all(|x| x.to_bits() == POISON.to_bits()), "debug builds poison the whole capacity");
+            assert!(
+                w.iter().all(|x| x.to_bits() == POISON.to_bits()),
+                "debug builds poison the whole capacity"
+            );
         } else {
-            assert!(w[..100].iter().all(|&x| x == 3.0), "release builds keep the contents");
-            assert!(w[100..].iter().all(|&x| x.to_bits() == 0), "and zero only the growth");
+            assert!(
+                w[..100].iter().all(|&x| x == 3.0),
+                "release builds keep the contents"
+            );
+            assert!(
+                w[100..].iter().all(|&x| x.to_bits() == 0),
+                "and zero only the growth"
+            );
         }
         recycle(w);
         let x = take_dirty(65);
@@ -646,7 +670,10 @@ mod tests {
         });
         sender.join().unwrap();
         let resident = receiver.join().unwrap();
-        assert!(resident <= 2 * 512, "receiver caches {resident} floats for a demand of 2 x 512");
+        assert!(
+            resident <= 2 * 512,
+            "receiver caches {resident} floats for a demand of 2 x 512"
+        );
     }
 
     #[cfg(debug_assertions)]

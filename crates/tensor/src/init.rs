@@ -33,7 +33,12 @@ pub fn normal(rng: &mut impl Rng, shape: impl Into<Vec<usize>>, std: f32) -> Ten
 }
 
 /// Glorot/Xavier uniform for a weight with `fan_in`/`fan_out`.
-pub fn xavier_uniform(rng: &mut impl Rng, shape: impl Into<Vec<usize>>, fan_in: usize, fan_out: usize) -> Tensor {
+pub fn xavier_uniform(
+    rng: &mut impl Rng,
+    shape: impl Into<Vec<usize>>,
+    fan_in: usize,
+    fan_out: usize,
+) -> Tensor {
     let bound = (6.0 / (fan_in + fan_out) as f32).sqrt();
     uniform(rng, shape, -bound, bound)
 }

@@ -86,7 +86,9 @@ pub fn emit_epoch_rows(epoch: u64) {
 fn emit_host_row() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
-        let par = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let par = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
         runlog::emit(
             "host",
             &[

@@ -58,22 +58,36 @@ pub fn temporal_conv(x: &Tensor, w: &Tensor, dilation: usize) -> Tensor {
     let series = b * n;
     let unit = t * dout;
     let work = 2 * series * t * k * din * dout;
-    parallel::for_units(&parallel::kernels::TEMPORAL_CONV, &mut out, unit.max(1), work, |u0, chunk| {
-        if unit == 0 {
-            return;
-        }
-        for (si, oser) in chunk.chunks_mut(unit).enumerate() {
-            let xser = &xd[(u0 + si) * t * din..(u0 + si + 1) * t * din];
-            for ki in 0..k {
-                let lag = (k - 1 - ki) * dilation;
-                if lag >= t {
-                    continue;
-                }
-                let wmat = &wd[ki * din * dout..(ki + 1) * din * dout];
-                gemm_rows(&xser[..(t - lag) * din], din, wmat, &mut oser[lag * dout..], din, dout, false);
+    parallel::for_units(
+        &parallel::kernels::TEMPORAL_CONV,
+        &mut out,
+        unit.max(1),
+        work,
+        |u0, chunk| {
+            if unit == 0 {
+                return;
             }
-        }
-    });
+            for (si, oser) in chunk.chunks_mut(unit).enumerate() {
+                let xser = &xd[(u0 + si) * t * din..(u0 + si + 1) * t * din];
+                for ki in 0..k {
+                    let lag = (k - 1 - ki) * dilation;
+                    if lag >= t {
+                        continue;
+                    }
+                    let wmat = &wd[ki * din * dout..(ki + 1) * din * dout];
+                    gemm_rows(
+                        &xser[..(t - lag) * din],
+                        din,
+                        wmat,
+                        &mut oser[lag * dout..],
+                        din,
+                        dout,
+                        false,
+                    );
+                }
+            }
+        },
+    );
     if crate::simd::active() {
         parallel::kernels::TEMPORAL_CONV.stats.record_simd();
     }
@@ -81,7 +95,12 @@ pub fn temporal_conv(x: &Tensor, w: &Tensor, dilation: usize) -> Tensor {
 }
 
 /// ∂temporal_conv/∂x.
-pub fn temporal_conv_grad_x(grad: &Tensor, w: &Tensor, x_shape: &[usize], dilation: usize) -> Tensor {
+pub fn temporal_conv_grad_x(
+    grad: &Tensor,
+    w: &Tensor,
+    x_shape: &[usize],
+    dilation: usize,
+) -> Tensor {
     meter::add_reads(grad.len() + w.len());
     let (b, n, t, din) = (x_shape[0], x_shape[1], x_shape[2], x_shape[3]);
     let (k, _, dout) = dims3(w);
@@ -91,35 +110,41 @@ pub fn temporal_conv_grad_x(grad: &Tensor, w: &Tensor, x_shape: &[usize], dilati
     let series = b * n;
     let unit = t * din;
     let work = 2 * series * t * k * din * dout;
-    parallel::for_units(&parallel::kernels::TEMPORAL_CONV_GRAD_X, &mut gx, unit.max(1), work, |u0, chunk| {
-        if unit == 0 {
-            return;
-        }
-        for (si, xser) in chunk.chunks_mut(unit).enumerate() {
-            let s = u0 + si;
-            let g_off = s * t * dout;
-            for ti in 0..t {
-                let grow = &gd[g_off + ti * dout..g_off + (ti + 1) * dout];
-                for ki in 0..k {
-                    let lag = (k - 1 - ki) * dilation;
-                    if lag > ti {
-                        continue;
-                    }
-                    let src = ti - lag;
-                    let xrow = &mut xser[src * din..(src + 1) * din];
-                    let wmat = &wd[ki * din * dout..(ki + 1) * din * dout];
-                    for (i, xg) in xrow.iter_mut().enumerate() {
-                        let wrow = &wmat[i * dout..(i + 1) * dout];
-                        let mut acc = 0.0f32;
-                        for (gv, wv) in grow.iter().zip(wrow.iter()) {
-                            acc += gv * wv;
+    parallel::for_units(
+        &parallel::kernels::TEMPORAL_CONV_GRAD_X,
+        &mut gx,
+        unit.max(1),
+        work,
+        |u0, chunk| {
+            if unit == 0 {
+                return;
+            }
+            for (si, xser) in chunk.chunks_mut(unit).enumerate() {
+                let s = u0 + si;
+                let g_off = s * t * dout;
+                for ti in 0..t {
+                    let grow = &gd[g_off + ti * dout..g_off + (ti + 1) * dout];
+                    for ki in 0..k {
+                        let lag = (k - 1 - ki) * dilation;
+                        if lag > ti {
+                            continue;
                         }
-                        *xg += acc;
+                        let src = ti - lag;
+                        let xrow = &mut xser[src * din..(src + 1) * din];
+                        let wmat = &wd[ki * din * dout..(ki + 1) * din * dout];
+                        for (i, xg) in xrow.iter_mut().enumerate() {
+                            let wrow = &wmat[i * dout..(i + 1) * dout];
+                            let mut acc = 0.0f32;
+                            for (gv, wv) in grow.iter().zip(wrow.iter()) {
+                                acc += gv * wv;
+                            }
+                            *xg += acc;
+                        }
                     }
                 }
             }
-        }
-    });
+        },
+    );
     Tensor::from_vec(x_shape, gx)
 }
 
@@ -129,7 +154,12 @@ pub fn temporal_conv_grad_x(grad: &Tensor, w: &Tensor, x_shape: &[usize], dilati
 /// `ki`, input channel `i`). Each worker walks every series in ascending
 /// order over its own rows, so every element keeps the serial chain —
 /// series, then `t` — at any thread count.
-pub fn temporal_conv_grad_w(grad: &Tensor, x: &Tensor, w_shape: &[usize], dilation: usize) -> Tensor {
+pub fn temporal_conv_grad_w(
+    grad: &Tensor,
+    x: &Tensor,
+    w_shape: &[usize],
+    dilation: usize,
+) -> Tensor {
     meter::add_reads(grad.len() + x.len());
     let (b, n, t, din) = dims4(x);
     let (k, _, dout) = (w_shape[0], w_shape[1], w_shape[2]);
@@ -138,38 +168,52 @@ pub fn temporal_conv_grad_w(grad: &Tensor, x: &Tensor, w_shape: &[usize], dilati
     let xd = x.data();
     let series = b * n;
     let work = 2 * series * t * k * din * dout;
-    parallel::for_units(&parallel::kernels::TEMPORAL_CONV_GRAD_W, &mut gw, dout.max(1), work, |r0, chunk| {
-        if dout == 0 {
-            return;
-        }
-        let r1 = r0 + chunk.len() / dout;
-        XT.with(|p| {
-            let mut xt = p.borrow_mut();
-            if xt.len() < din * t {
-                xt.resize(din * t, 0.0);
+    parallel::for_units(
+        &parallel::kernels::TEMPORAL_CONV_GRAD_W,
+        &mut gw,
+        dout.max(1),
+        work,
+        |r0, chunk| {
+            if dout == 0 {
+                return;
             }
-            for s in 0..series {
-                let xser = &xd[s * t * din..(s + 1) * t * din];
-                let gser = &gd[s * t * dout..(s + 1) * t * dout];
-                for (ti, xrow) in xser.chunks_exact(din).enumerate() {
-                    for (i, &v) in xrow.iter().enumerate() {
-                        xt[i * t + ti] = v;
+            let r1 = r0 + chunk.len() / dout;
+            XT.with(|p| {
+                let mut xt = p.borrow_mut();
+                if xt.len() < din * t {
+                    xt.resize(din * t, 0.0);
+                }
+                for s in 0..series {
+                    let xser = &xd[s * t * din..(s + 1) * t * din];
+                    let gser = &gd[s * t * dout..(s + 1) * t * dout];
+                    for (ti, xrow) in xser.chunks_exact(din).enumerate() {
+                        for (i, &v) in xrow.iter().enumerate() {
+                            xt[i * t + ti] = v;
+                        }
+                    }
+                    for ki in r0 / din..=(r1 - 1) / din {
+                        let lag = (k - 1 - ki) * dilation;
+                        if lag >= t {
+                            continue;
+                        }
+                        // This worker's rows of tap `ki`, as input channels.
+                        let lo = r0.max(ki * din);
+                        let hi = r1.min((ki + 1) * din);
+                        let rows = &mut chunk[(lo - r0) * dout..(hi - r0) * dout];
+                        gemm_rows(
+                            &xt[(lo - ki * din) * t..din * t],
+                            t,
+                            &gser[lag * dout..],
+                            rows,
+                            t - lag,
+                            dout,
+                            false,
+                        );
                     }
                 }
-                for ki in r0 / din..=(r1 - 1) / din {
-                    let lag = (k - 1 - ki) * dilation;
-                    if lag >= t {
-                        continue;
-                    }
-                    // This worker's rows of tap `ki`, as input channels.
-                    let lo = r0.max(ki * din);
-                    let hi = r1.min((ki + 1) * din);
-                    let rows = &mut chunk[(lo - r0) * dout..(hi - r0) * dout];
-                    gemm_rows(&xt[(lo - ki * din) * t..din * t], t, &gser[lag * dout..], rows, t - lag, dout, false);
-                }
-            }
-        });
-    });
+            });
+        },
+    );
     if crate::simd::active() {
         parallel::kernels::TEMPORAL_CONV_GRAD_W.stats.record_simd();
     }
@@ -238,11 +282,19 @@ mod tests {
         let x = Tensor::zeros([1, 1, 3, 2]);
         let w = Tensor::from_vec([1, 2, 1], vec![f32::NAN, 1.0]);
         let y = temporal_conv(&x, &w, 1);
-        assert!(y.data().iter().all(|v| v.is_nan()), "NaN masked: {:?}", y.data());
+        assert!(
+            y.data().iter().all(|v| v.is_nan()),
+            "NaN masked: {:?}",
+            y.data()
+        );
         // Same for the weight gradient with a NaN upstream and zero input.
         let g = Tensor::full(vec![1, 1, 3, 1], f32::NAN);
         let gw = temporal_conv_grad_w(&g, &x, w.shape(), 1);
-        assert!(gw.data().iter().all(|v| v.is_nan()), "gw masked: {:?}", gw.data());
+        assert!(
+            gw.data().iter().all(|v| v.is_nan()),
+            "gw masked: {:?}",
+            gw.data()
+        );
     }
 
     #[test]
@@ -251,11 +303,15 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         let x = Tensor::from_vec(
             [2, 2, 5, 3],
-            (0..60).map(|_| rng.gen_range(-1.0..1.0)).collect::<Vec<f32>>(),
+            (0..60)
+                .map(|_| rng.gen_range(-1.0..1.0))
+                .collect::<Vec<f32>>(),
         );
         let w = Tensor::from_vec(
             [2, 3, 2],
-            (0..12).map(|_| rng.gen_range(-1.0..1.0)).collect::<Vec<f32>>(),
+            (0..12)
+                .map(|_| rng.gen_range(-1.0..1.0))
+                .collect::<Vec<f32>>(),
         );
         let dil = 2;
         let y = temporal_conv(&x, &w, dil);

@@ -132,7 +132,11 @@ fn zip_spec(a: &Tensor, b: &Tensor) -> &'static parallel::KernelSpec {
 /// end inside a run, and that partial run is passed as a block of one
 /// shorter row. The odometer over the walked axes starts once per range
 /// and then advances a whole block at a time.
-fn zip_broadcast(a: &Tensor, b: &Tensor, block: impl Fn(Rows, Rows, usize, &mut [f32]) + Sync) -> Tensor {
+fn zip_broadcast(
+    a: &Tensor,
+    b: &Tensor,
+    block: impl Fn(Rows, Rows, usize, &mut [f32]) + Sync,
+) -> Tensor {
     meter::add_reads(a.len() + b.len());
     let out_shape = broadcast_shapes(a.shape(), b.shape())
         .unwrap_or_else(|| panic!("broadcast mismatch {:?} vs {:?}", a.shape(), b.shape()));
@@ -159,11 +163,29 @@ fn zip_broadcast(a: &Tensor, b: &Tensor, block: impl Fn(Rows, Rows, usize, &mut 
         loop {
             // Whole rows to the end of the block, or one partial row.
             let row = last.map_or(0, |d| coords[d]);
-            let whole = if r == 0 { (block_rows - row).min(rest.len() / len) } else { 0 };
-            let (rows, run) = if whole > 0 { (whole, len) } else { (1, (len - r).min(rest.len())) };
+            let whole = if r == 0 {
+                (block_rows - row).min(rest.len() / len)
+            } else {
+                0
+            };
+            let (rows, run) = if whole > 0 {
+                (whole, len)
+            } else {
+                (1, (len - r).min(rest.len()))
+            };
             let (head, tail) = rest.split_at_mut(rows * run);
-            let x = Rows { data: ad, base: if a_run { ia + r } else { ia }, stride: a_row, splat: !a_run };
-            let y = Rows { data: bd, base: if b_run { ib + r } else { ib }, stride: b_row, splat: !b_run };
+            let x = Rows {
+                data: ad,
+                base: if a_run { ia + r } else { ia },
+                stride: a_row,
+                splat: !a_run,
+            };
+            let y = Rows {
+                data: bd,
+                base: if b_run { ib + r } else { ib },
+                stride: b_row,
+                splat: !b_run,
+            };
             block(x, y, run, head);
             rest = tail;
             // Without a walked axis the output is one run, which the first
@@ -205,9 +227,15 @@ fn unary_arith(a: &Tensor, op: UnOp) -> Tensor {
     meter::add_reads(a.len());
     let ad = a.data();
     let mut data = arena::take_dirty(ad.len());
-    parallel::for_units(&parallel::kernels::EW_UNARY, &mut data, 1, ad.len(), |start, chunk| {
-        simd::unary_map(op, &ad[start..start + chunk.len()], chunk);
-    });
+    parallel::for_units(
+        &parallel::kernels::EW_UNARY,
+        &mut data,
+        1,
+        ad.len(),
+        |start, chunk| {
+            simd::unary_map(op, &ad[start..start + chunk.len()], chunk);
+        },
+    );
     if simd::active() {
         parallel::kernels::EW_UNARY.stats.record_simd();
     }
@@ -219,11 +247,17 @@ fn unary(a: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
     meter::add_reads(a.len());
     let ad = a.data();
     let mut data = arena::take_dirty(ad.len());
-    parallel::for_units(&parallel::kernels::EW_UNARY, &mut data, 1, ad.len(), |start, chunk| {
-        for (o, &x) in chunk.iter_mut().zip(ad[start..].iter()) {
-            *o = f(x);
-        }
-    });
+    parallel::for_units(
+        &parallel::kernels::EW_UNARY,
+        &mut data,
+        1,
+        ad.len(),
+        |start, chunk| {
+            for (o, &x) in chunk.iter_mut().zip(ad[start..].iter()) {
+                *o = f(x);
+            }
+        },
+    );
     Tensor::from_vec(a.shape(), data)
 }
 
@@ -233,11 +267,17 @@ fn zip_exact(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tens
     meter::add_reads(a.len() + b.len());
     let (ad, bd) = (a.data(), b.data());
     let mut data = arena::take_dirty(ad.len());
-    parallel::for_units(&parallel::kernels::EW_ZIP_EXACT, &mut data, 1, ad.len(), |start, chunk| {
-        for (i, o) in chunk.iter_mut().enumerate() {
-            *o = f(ad[start + i], bd[start + i]);
-        }
-    });
+    parallel::for_units(
+        &parallel::kernels::EW_ZIP_EXACT,
+        &mut data,
+        1,
+        ad.len(),
+        |start, chunk| {
+            for (i, o) in chunk.iter_mut().enumerate() {
+                *o = f(ad[start + i], bd[start + i]);
+            }
+        },
+    );
     Tensor::from_vec(b.shape(), data)
 }
 
@@ -270,7 +310,11 @@ pub fn reduce_to_shape(grad: &Tensor, target_shape: &[usize]) -> Tensor {
     let mut reduce_dims: Vec<(usize, usize)> = Vec::with_capacity(gshape.len());
     let mut trailing = true;
     for (d, (&gdim, &gstride)) in gshape.iter().zip(g_str.iter()).enumerate() {
-        let tdim = if d < offset { 1 } else { target_shape[d - offset] };
+        let tdim = if d < offset {
+            1
+        } else {
+            target_shape[d - offset]
+        };
         if tdim != gdim {
             reduce_dims.push((gdim, gstride));
         } else if gdim > 1 && !reduce_dims.is_empty() {
@@ -282,9 +326,19 @@ pub fn reduce_to_shape(grad: &Tensor, target_shape: &[usize]) -> Tensor {
     let gd = grad.data();
     let mut out = arena::take_zeroed(n_out);
     if trailing {
-        parallel::for_units(&parallel::kernels::REDUCE_TO_SHAPE, &mut out, 1, grad.len(), |start, chunk| {
-            sum_rows(&gd[start * total..(start + chunk.len()) * total], total, chunk);
-        });
+        parallel::for_units(
+            &parallel::kernels::REDUCE_TO_SHAPE,
+            &mut out,
+            1,
+            grad.len(),
+            |start, chunk| {
+                sum_rows(
+                    &gd[start * total..(start + chunk.len()) * total],
+                    total,
+                    chunk,
+                );
+            },
+        );
         return Tensor::from_vec(target_shape, out);
     }
     // Vector groups apply when the grad's last axis is preserved in the
@@ -297,70 +351,84 @@ pub fn reduce_to_shape(grad: &Tensor, target_shape: &[usize]) -> Tensor {
         && target_shape[tr - 1] >= simd::LANES
         && total > 0
         && reduce_dims.len() <= simd::MAX_RDIMS;
-    parallel::for_units(&parallel::kernels::REDUCE_TO_SHAPE, &mut out, 1, grad.len(), |start, chunk| {
-        if chunk.is_empty() {
-            return;
-        }
-        // Target-coordinate odometer carries the grad base offset along.
-        let mut tcoords = unravel(start, target_shape);
-        let mut base: usize =
-            tcoords.iter().enumerate().map(|(i, &c)| c * g_str[offset + i]).sum();
-        // Advance the odometer by `step` target elements; `step` never
-        // exceeds what remains in the current last-axis row, so the carry
-        // fires on exact `== dim` boundaries like the single-step walk.
-        let advance = |tcoords: &mut Shape, base: &mut usize, step: usize| {
-            tcoords[tr - 1] += step;
-            *base += step * g_str[offset + tr - 1];
-            let mut d = tr - 1;
-            loop {
-                if tcoords[d] < target_shape[d] {
-                    break;
-                }
-                tcoords[d] = 0;
-                *base -= g_str[offset + d] * target_shape[d];
-                if d == 0 {
-                    break;
-                }
-                d -= 1;
-                tcoords[d] += 1;
-                *base += g_str[offset + d];
+    parallel::for_units(
+        &parallel::kernels::REDUCE_TO_SHAPE,
+        &mut out,
+        1,
+        grad.len(),
+        |start, chunk| {
+            if chunk.is_empty() {
+                return;
             }
-        };
-        let n = chunk.len();
-        let mut i = 0;
-        while i < n {
-            let step = if lanes_ok
-                && n - i >= simd::LANES
-                && target_shape[tr - 1] - tcoords[tr - 1] >= simd::LANES
-                && simd::reduce_lanes8(gd, base, &reduce_dims, total, &mut chunk[i..i + simd::LANES])
-            {
-                simd::LANES
-            } else {
-                let mut acc = 0.0f32;
-                let mut roff = 0usize;
-                let mut r = Shape::zeros(reduce_dims.len());
-                for _ in 0..total {
-                    acc += gd[base + roff];
-                    for j in (0..reduce_dims.len()).rev() {
-                        let (len, stride) = reduce_dims[j];
-                        r[j] += 1;
-                        roff += stride;
-                        if r[j] < len {
-                            break;
-                        }
-                        r[j] = 0;
-                        roff -= len * stride;
+            // Target-coordinate odometer carries the grad base offset along.
+            let mut tcoords = unravel(start, target_shape);
+            let mut base: usize = tcoords
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| c * g_str[offset + i])
+                .sum();
+            // Advance the odometer by `step` target elements; `step` never
+            // exceeds what remains in the current last-axis row, so the carry
+            // fires on exact `== dim` boundaries like the single-step walk.
+            let advance = |tcoords: &mut Shape, base: &mut usize, step: usize| {
+                tcoords[tr - 1] += step;
+                *base += step * g_str[offset + tr - 1];
+                let mut d = tr - 1;
+                loop {
+                    if tcoords[d] < target_shape[d] {
+                        break;
                     }
+                    tcoords[d] = 0;
+                    *base -= g_str[offset + d] * target_shape[d];
+                    if d == 0 {
+                        break;
+                    }
+                    d -= 1;
+                    tcoords[d] += 1;
+                    *base += g_str[offset + d];
                 }
-                chunk[i] = acc;
-                1
             };
-            i += step;
-            if i < n {
-                advance(&mut tcoords, &mut base, step);
+            let n = chunk.len();
+            let mut i = 0;
+            while i < n {
+                let step = if lanes_ok
+                    && n - i >= simd::LANES
+                    && target_shape[tr - 1] - tcoords[tr - 1] >= simd::LANES
+                    && simd::reduce_lanes8(
+                        gd,
+                        base,
+                        &reduce_dims,
+                        total,
+                        &mut chunk[i..i + simd::LANES],
+                    ) {
+                    simd::LANES
+                } else {
+                    let mut acc = 0.0f32;
+                    let mut roff = 0usize;
+                    let mut r = Shape::zeros(reduce_dims.len());
+                    for _ in 0..total {
+                        acc += gd[base + roff];
+                        for j in (0..reduce_dims.len()).rev() {
+                            let (len, stride) = reduce_dims[j];
+                            r[j] += 1;
+                            roff += stride;
+                            if r[j] < len {
+                                break;
+                            }
+                            r[j] = 0;
+                            roff -= len * stride;
+                        }
+                    }
+                    chunk[i] = acc;
+                    1
+                };
+                i += step;
+                if i < n {
+                    advance(&mut tcoords, &mut base, step);
+                }
             }
-        }
-    });
+        },
+    );
     if lanes_ok && simd::active() {
         parallel::kernels::REDUCE_TO_SHAPE.stats.record_simd();
     }
@@ -409,7 +477,10 @@ pub fn div_grad_a(grad: &Tensor, b: &Tensor, a_shape: &[usize]) -> Tensor {
 
 /// ∂(a/b)/∂b = -grad * a / b², reduced to b's shape.
 pub fn div_grad_b(grad: &Tensor, a: &Tensor, b: &Tensor) -> Tensor {
-    reduce_owned(zip_map(&mul(grad, a), b, |num, den| -num / (den * den)), b.shape())
+    reduce_owned(
+        zip_map(&mul(grad, a), b, |num, den| -num / (den * den)),
+        b.shape(),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -602,7 +673,9 @@ mod tests {
         // chain would show up in the low bits.
         let g = t(
             &[3, 2, 4],
-            &(0..24).map(|i| ((i * 31) % 17) as f32 * 0.1 - 0.7).collect::<Vec<_>>(),
+            &(0..24)
+                .map(|i| ((i * 31) % 17) as f32 * 0.1 - 0.7)
+                .collect::<Vec<_>>(),
         );
         for target in [
             vec![4usize],

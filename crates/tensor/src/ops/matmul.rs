@@ -76,7 +76,13 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     meter::add_reads(a.len() + b.len());
     let (m, ka) = (a.shape()[a.rank() - 2], a.shape()[a.rank() - 1]);
     let (kb, n) = (b.shape()[b.rank() - 2], b.shape()[b.rank() - 1]);
-    assert_eq!(ka, kb, "matmul inner dims: {:?} x {:?}", a.shape(), b.shape());
+    assert_eq!(
+        ka,
+        kb,
+        "matmul inner dims: {:?} x {:?}",
+        a.shape(),
+        b.shape()
+    );
     let k = ka;
 
     let a_batch = &a.shape()[..a.rank() - 2];
@@ -92,35 +98,45 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 
     let a_data = a.data();
     let b_data = b.data();
-    let work = 2usize.saturating_mul(batch).saturating_mul(m).saturating_mul(n).saturating_mul(k);
+    let work = 2usize
+        .saturating_mul(batch)
+        .saturating_mul(m)
+        .saturating_mul(n)
+        .saturating_mul(k);
     // One unit = one output row; contiguous runs of rows go to each worker,
     // grouped by batch below so B panels are packed once per row block.
-    parallel::for_units(&parallel::kernels::MATMUL, &mut out, n.max(1), work, |row0, chunk| {
-        if n == 0 || m == 0 {
-            return;
-        }
-        let rows = chunk.len() / n;
-        let mut done = 0;
-        while done < rows {
-            let row = row0 + done;
-            let bi = row / m;
-            let i0 = row % m;
-            let take = (m - i0).min(rows - done);
-            let coords = unravel(bi, &batch_shape);
-            let a_off = ravel_broadcast(&coords, a_batch) * m * k;
-            let b_off = ravel_broadcast(&coords, b_batch) * k * n;
-            gemm_rows(
-                &a_data[a_off + i0 * k..a_off + (i0 + take) * k],
-                k,
-                &b_data[b_off..b_off + k * n],
-                &mut chunk[done * n..(done + take) * n],
-                k,
-                n,
-                true,
-            );
-            done += take;
-        }
-    });
+    parallel::for_units(
+        &parallel::kernels::MATMUL,
+        &mut out,
+        n.max(1),
+        work,
+        |row0, chunk| {
+            if n == 0 || m == 0 {
+                return;
+            }
+            let rows = chunk.len() / n;
+            let mut done = 0;
+            while done < rows {
+                let row = row0 + done;
+                let bi = row / m;
+                let i0 = row % m;
+                let take = (m - i0).min(rows - done);
+                let coords = unravel(bi, &batch_shape);
+                let a_off = ravel_broadcast(&coords, a_batch) * m * k;
+                let b_off = ravel_broadcast(&coords, b_batch) * k * n;
+                gemm_rows(
+                    &a_data[a_off + i0 * k..a_off + (i0 + take) * k],
+                    k,
+                    &b_data[b_off..b_off + k * n],
+                    &mut chunk[done * n..(done + take) * n],
+                    k,
+                    n,
+                    true,
+                );
+                done += take;
+            }
+        },
+    );
     if crate::simd::active() {
         parallel::kernels::MATMUL.stats.record_simd();
     }
@@ -133,14 +149,34 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 ///
 /// Small `b` matrices are streamed directly (they already fit in cache);
 /// larger ones go through the packed-panel path ([`packed_rows`]).
-pub(crate) fn gemm_rows(a: &[f32], lda: usize, b: &[f32], out: &mut [f32], k: usize, n: usize, first: bool) {
+pub(crate) fn gemm_rows(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+    first: bool,
+) {
     if n == 0 {
         return;
     }
     let rows = out.len() / n;
     // `k == 0` always takes this branch, so a first pass writes zeros.
     if k * n <= KC * NC {
-        gemm_rowblock(a, b, out, Gemm { rows, k, nc: n, lda, ldo: n, first });
+        gemm_rowblock(
+            a,
+            b,
+            out,
+            Gemm {
+                rows,
+                k,
+                nc: n,
+                lda,
+                ldo: n,
+                first,
+            },
+        );
         return;
     }
     packed_rows(a, lda, out, k, n, first, |panel, k0, j0, nc| {
@@ -182,7 +218,19 @@ fn packed_rows(
                 let tile = &mut panel[..kc * nc];
                 pack(tile, k0, j0, nc);
                 let first = first && k0 == 0;
-                gemm_rowblock(&a[k0..], tile, &mut out[j0..], Gemm { rows, k: kc, nc, lda, ldo: n, first });
+                gemm_rowblock(
+                    &a[k0..],
+                    tile,
+                    &mut out[j0..],
+                    Gemm {
+                        rows,
+                        k: kc,
+                        nc,
+                        lda,
+                        ldo: n,
+                        first,
+                    },
+                );
                 j0 += nc;
             }
             k0 += kc;
@@ -208,12 +256,18 @@ pub fn transpose_last2(a: &Tensor) -> Tensor {
         return Tensor::from_vec(out_shape, out);
     }
     meter::add_reads(a.len());
-    parallel::for_units(&parallel::kernels::TRANSPOSE, &mut out, mat, a.len(), |b0, chunk| {
-        for (bb, dst) in chunk.chunks_mut(mat).enumerate() {
-            let src = &data[(b0 + bb) * mat..(b0 + bb + 1) * mat];
-            transpose_tile(src, dst, m, n);
-        }
-    });
+    parallel::for_units(
+        &parallel::kernels::TRANSPOSE,
+        &mut out,
+        mat,
+        a.len(),
+        |b0, chunk| {
+            for (bb, dst) in chunk.chunks_mut(mat).enumerate() {
+                let src = &data[(b0 + bb) * mat..(b0 + bb + 1) * mat];
+                transpose_tile(src, dst, m, n);
+            }
+        },
+    );
     Tensor::from_vec(out_shape, out)
 }
 
@@ -252,13 +306,24 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     meter::add_reads(a.len() + b.len());
     let (m, ka) = (a.shape()[a.rank() - 2], a.shape()[a.rank() - 1]);
     let (n, kb) = (b.shape()[b.rank() - 2], b.shape()[b.rank() - 1]);
-    assert_eq!(ka, kb, "matmul_nt inner dims: {:?} x {:?}", a.shape(), b.shape());
+    assert_eq!(
+        ka,
+        kb,
+        "matmul_nt inner dims: {:?} x {:?}",
+        a.shape(),
+        b.shape()
+    );
     let k = ka;
 
     let a_batch = &a.shape()[..a.rank() - 2];
     let b_batch = &b.shape()[..b.rank() - 2];
-    let batch_shape = broadcast_shapes(a_batch, b_batch)
-        .unwrap_or_else(|| panic!("matmul_nt batch broadcast {:?} x {:?}", a.shape(), b.shape()));
+    let batch_shape = broadcast_shapes(a_batch, b_batch).unwrap_or_else(|| {
+        panic!(
+            "matmul_nt batch broadcast {:?} x {:?}",
+            a.shape(),
+            b.shape()
+        )
+    });
     let batch = numel(&batch_shape);
 
     let mut out_shape = batch_shape.clone();
@@ -268,53 +333,63 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
 
     let a_data = a.data();
     let b_data = b.data();
-    let work = 2usize.saturating_mul(batch).saturating_mul(m).saturating_mul(n).saturating_mul(k);
-    parallel::for_units(&parallel::kernels::MATMUL_NT, &mut out, n.max(1), work, |row0, chunk| {
-        if n == 0 || m == 0 {
-            return;
-        }
-        let rows = chunk.len() / n;
-        let full = n * k <= NT_FULL_CAP;
-        NT_BT.with(|p| {
-            let mut bt = p.borrow_mut();
-            if full && bt.len() < k * n {
-                bt.resize(k * n, 0.0);
+    let work = 2usize
+        .saturating_mul(batch)
+        .saturating_mul(m)
+        .saturating_mul(n)
+        .saturating_mul(k);
+    parallel::for_units(
+        &parallel::kernels::MATMUL_NT,
+        &mut out,
+        n.max(1),
+        work,
+        |row0, chunk| {
+            if n == 0 || m == 0 {
+                return;
             }
-            // `usize::MAX` can never be a valid element offset.
-            let mut packed_off = usize::MAX;
-            let mut done = 0;
-            while done < rows {
-                let row = row0 + done;
-                let bi = row / m;
-                let i0 = row % m;
-                let take = (m - i0).min(rows - done);
-                let coords = unravel(bi, &batch_shape);
-                let a_off = ravel_broadcast(&coords, a_batch) * m * k;
-                let b_off = ravel_broadcast(&coords, b_batch) * n * k;
-                let a_rows = &a_data[a_off + i0 * k..a_off + (i0 + take) * k];
-                let out_rows = &mut chunk[done * n..(done + take) * n];
-                if full {
-                    if b_off != packed_off {
-                        transpose_tile(&b_data[b_off..b_off + n * k], &mut bt[..k * n], n, k);
-                        packed_off = b_off;
-                    }
-                    gemm_rows(a_rows, k, &bt[..k * n], out_rows, k, n, true);
-                } else {
-                    let b = &b_data[b_off..b_off + n * k];
-                    packed_rows(a_rows, k, out_rows, k, n, true, |panel, k0, j0, nc| {
-                        let kc = panel.len() / nc;
-                        for jj in 0..nc {
-                            let src = &b[(j0 + jj) * k + k0..(j0 + jj) * k + k0 + kc];
-                            for (kk, &v) in src.iter().enumerate() {
-                                panel[kk * nc + jj] = v;
-                            }
-                        }
-                    });
+            let rows = chunk.len() / n;
+            let full = n * k <= NT_FULL_CAP;
+            NT_BT.with(|p| {
+                let mut bt = p.borrow_mut();
+                if full && bt.len() < k * n {
+                    bt.resize(k * n, 0.0);
                 }
-                done += take;
-            }
-        });
-    });
+                // `usize::MAX` can never be a valid element offset.
+                let mut packed_off = usize::MAX;
+                let mut done = 0;
+                while done < rows {
+                    let row = row0 + done;
+                    let bi = row / m;
+                    let i0 = row % m;
+                    let take = (m - i0).min(rows - done);
+                    let coords = unravel(bi, &batch_shape);
+                    let a_off = ravel_broadcast(&coords, a_batch) * m * k;
+                    let b_off = ravel_broadcast(&coords, b_batch) * n * k;
+                    let a_rows = &a_data[a_off + i0 * k..a_off + (i0 + take) * k];
+                    let out_rows = &mut chunk[done * n..(done + take) * n];
+                    if full {
+                        if b_off != packed_off {
+                            transpose_tile(&b_data[b_off..b_off + n * k], &mut bt[..k * n], n, k);
+                            packed_off = b_off;
+                        }
+                        gemm_rows(a_rows, k, &bt[..k * n], out_rows, k, n, true);
+                    } else {
+                        let b = &b_data[b_off..b_off + n * k];
+                        packed_rows(a_rows, k, out_rows, k, n, true, |panel, k0, j0, nc| {
+                            let kc = panel.len() / nc;
+                            for jj in 0..nc {
+                                let src = &b[(j0 + jj) * k + k0..(j0 + jj) * k + k0 + kc];
+                                for (kk, &v) in src.iter().enumerate() {
+                                    panel[kk * nc + jj] = v;
+                                }
+                            }
+                        });
+                    }
+                    done += take;
+                }
+            });
+        },
+    );
     if crate::simd::active() {
         parallel::kernels::MATMUL_NT.stats.record_simd();
     }
@@ -336,13 +411,24 @@ pub fn matmul_tn(a: &Tensor, g: &Tensor) -> Tensor {
     meter::add_reads(a.len() + g.len());
     let (ma, kd) = (a.shape()[a.rank() - 2], a.shape()[a.rank() - 1]);
     let (mg, n) = (g.shape()[g.rank() - 2], g.shape()[g.rank() - 1]);
-    assert_eq!(ma, mg, "matmul_tn outer dims: {:?} x {:?}", a.shape(), g.shape());
+    assert_eq!(
+        ma,
+        mg,
+        "matmul_tn outer dims: {:?} x {:?}",
+        a.shape(),
+        g.shape()
+    );
     let m = ma;
 
     let a_batch = &a.shape()[..a.rank() - 2];
     let g_batch = &g.shape()[..g.rank() - 2];
-    let batch_shape = broadcast_shapes(a_batch, g_batch)
-        .unwrap_or_else(|| panic!("matmul_tn batch broadcast {:?} x {:?}", a.shape(), g.shape()));
+    let batch_shape = broadcast_shapes(a_batch, g_batch).unwrap_or_else(|| {
+        panic!(
+            "matmul_tn batch broadcast {:?} x {:?}",
+            a.shape(),
+            g.shape()
+        )
+    });
     let batch = numel(&batch_shape);
 
     let mut out_shape = batch_shape.clone();
@@ -352,49 +438,64 @@ pub fn matmul_tn(a: &Tensor, g: &Tensor) -> Tensor {
 
     let a_data = a.data();
     let g_data = g.data();
-    let work = 2usize.saturating_mul(batch).saturating_mul(m).saturating_mul(kd).saturating_mul(n);
+    let work = 2usize
+        .saturating_mul(batch)
+        .saturating_mul(m)
+        .saturating_mul(kd)
+        .saturating_mul(n);
     // Rows of aᵀ packed at a time: NT_FULL_CAP floats, or one row when a
     // row alone is longer.
     let max_take = (NT_FULL_CAP / m.max(1)).max(1);
-    parallel::for_units(&parallel::kernels::MATMUL_TN, &mut out, n.max(1), work, |row0, chunk| {
-        if n == 0 || kd == 0 {
-            return;
-        }
-        let rows = chunk.len() / n;
-        TN_AT.with(|p| {
-            let mut at = p.borrow_mut();
-            // (a offset, first row, rows) of the packed block; `usize::MAX`
-            // can never be a valid element offset.
-            let mut packed = (usize::MAX, 0, 0);
-            let mut done = 0;
-            while done < rows {
-                let row = row0 + done;
-                let bi = row / kd;
-                let r0 = row % kd;
-                let take = (kd - r0).min(rows - done).min(max_take);
-                let coords = unravel(bi, &batch_shape);
-                let a_off = ravel_broadcast(&coords, a_batch) * m * kd;
-                let g_off = ravel_broadcast(&coords, g_batch) * m * n;
-                if packed != (a_off, r0, take) {
-                    if at.len() < take * m {
-                        at.resize(take * m, 0.0);
-                    }
-                    pack_transposed_rows(&a_data[a_off..a_off + m * kd], &mut at[..take * m], kd, r0);
-                    packed = (a_off, r0, take);
-                }
-                gemm_rows(
-                    &at[..take * m],
-                    m,
-                    &g_data[g_off..g_off + m * n],
-                    &mut chunk[done * n..(done + take) * n],
-                    m,
-                    n,
-                    true,
-                );
-                done += take;
+    parallel::for_units(
+        &parallel::kernels::MATMUL_TN,
+        &mut out,
+        n.max(1),
+        work,
+        |row0, chunk| {
+            if n == 0 || kd == 0 {
+                return;
             }
-        });
-    });
+            let rows = chunk.len() / n;
+            TN_AT.with(|p| {
+                let mut at = p.borrow_mut();
+                // (a offset, first row, rows) of the packed block; `usize::MAX`
+                // can never be a valid element offset.
+                let mut packed = (usize::MAX, 0, 0);
+                let mut done = 0;
+                while done < rows {
+                    let row = row0 + done;
+                    let bi = row / kd;
+                    let r0 = row % kd;
+                    let take = (kd - r0).min(rows - done).min(max_take);
+                    let coords = unravel(bi, &batch_shape);
+                    let a_off = ravel_broadcast(&coords, a_batch) * m * kd;
+                    let g_off = ravel_broadcast(&coords, g_batch) * m * n;
+                    if packed != (a_off, r0, take) {
+                        if at.len() < take * m {
+                            at.resize(take * m, 0.0);
+                        }
+                        pack_transposed_rows(
+                            &a_data[a_off..a_off + m * kd],
+                            &mut at[..take * m],
+                            kd,
+                            r0,
+                        );
+                        packed = (a_off, r0, take);
+                    }
+                    gemm_rows(
+                        &at[..take * m],
+                        m,
+                        &g_data[g_off..g_off + m * n],
+                        &mut chunk[done * n..(done + take) * n],
+                        m,
+                        n,
+                        true,
+                    );
+                    done += take;
+                }
+            });
+        },
+    );
     if crate::simd::active() {
         parallel::kernels::MATMUL_TN.stats.record_simd();
     }
@@ -477,11 +578,23 @@ mod tests {
     fn matmul_exceeding_block_sizes_matches_reference() {
         // k and n beyond one KC × NC panel exercise the packed path edges.
         let (m, k, n) = (3, KC + 5, NC * 2 + 3);
-        let a = t(&[m, k], &(0..m * k).map(|i| (i % 13) as f32 - 6.0).collect::<Vec<_>>());
-        let b = t(&[k, n], &(0..k * n).map(|i| (i % 7) as f32 - 3.0).collect::<Vec<_>>());
+        let a = t(
+            &[m, k],
+            &(0..m * k)
+                .map(|i| (i % 13) as f32 - 6.0)
+                .collect::<Vec<_>>(),
+        );
+        let b = t(
+            &[k, n],
+            &(0..k * n).map(|i| (i % 7) as f32 - 3.0).collect::<Vec<_>>(),
+        );
         let fast = matmul(&a, &b);
         let slow = super::super::reference::matmul(&a, &b);
-        assert_eq!(fast.data(), slow.data(), "packed kernel diverged from reference");
+        assert_eq!(
+            fast.data(),
+            slow.data(),
+            "packed kernel diverged from reference"
+        );
     }
 
     #[test]
@@ -493,13 +606,21 @@ mod tests {
         let mut b = Tensor::ones([2, 2]);
         b.data_mut()[0] = f32::NAN;
         let y = matmul(&a, &b);
-        assert!(y.data()[0].is_nan(), "NaN in b masked by zero in a: {:?}", y);
+        assert!(
+            y.data()[0].is_nan(),
+            "NaN in b masked by zero in a: {:?}",
+            y
+        );
 
         let mut a2 = Tensor::ones([2, 2]);
         a2.data_mut()[3] = f32::NAN;
         let b2 = Tensor::zeros([2, 2]);
         let y2 = matmul(&a2, &b2);
-        assert!(y2.data()[2].is_nan() && y2.data()[3].is_nan(), "NaN in a lost: {:?}", y2);
+        assert!(
+            y2.data()[2].is_nan() && y2.data()[3].is_nan(),
+            "NaN in a lost: {:?}",
+            y2
+        );
 
         // Infinity likewise: 0 × ∞ = NaN must reach the output.
         let mut b3 = Tensor::ones([2, 2]);
@@ -533,8 +654,18 @@ mod tests {
     fn nt_matches_transpose_composition_bit_exact() {
         // Sizes straddle the MR/unroll widths and the block edges.
         for (m, k, n) in [(1, 1, 1), (3, 5, 7), (4, 17, 9), (5, KC + 3, 13)] {
-            let a = t(&[m, k], &(0..m * k).map(|i| ((i * 37) % 19) as f32 - 9.0).collect::<Vec<_>>());
-            let b = t(&[n, k], &(0..n * k).map(|i| ((i * 23) % 17) as f32 - 8.0).collect::<Vec<_>>());
+            let a = t(
+                &[m, k],
+                &(0..m * k)
+                    .map(|i| ((i * 37) % 19) as f32 - 9.0)
+                    .collect::<Vec<_>>(),
+            );
+            let b = t(
+                &[n, k],
+                &(0..n * k)
+                    .map(|i| ((i * 23) % 17) as f32 - 8.0)
+                    .collect::<Vec<_>>(),
+            );
             let fused = matmul_nt(&a, &b);
             let composed = matmul(&a, &transpose_last2(&b));
             assert_eq!(fused.shape(), composed.shape());
@@ -548,8 +679,18 @@ mod tests {
         // path instead of the whole-bᵀ fast path.
         let (m, k, n) = (3usize, 1020usize, 1030usize);
         assert!(n * k > NT_FULL_CAP);
-        let a = t(&[m, k], &(0..m * k).map(|i| ((i * 37) % 19) as f32 - 9.0).collect::<Vec<_>>());
-        let b = t(&[n, k], &(0..n * k).map(|i| ((i * 23) % 17) as f32 - 8.0).collect::<Vec<_>>());
+        let a = t(
+            &[m, k],
+            &(0..m * k)
+                .map(|i| ((i * 37) % 19) as f32 - 9.0)
+                .collect::<Vec<_>>(),
+        );
+        let b = t(
+            &[n, k],
+            &(0..n * k)
+                .map(|i| ((i * 23) % 17) as f32 - 8.0)
+                .collect::<Vec<_>>(),
+        );
         let fused = matmul_nt(&a, &b);
         let composed = matmul(&a, &transpose_last2(&b));
         assert_eq!(fused.shape(), composed.shape());
@@ -559,8 +700,18 @@ mod tests {
     #[test]
     fn tn_matches_transpose_composition_bit_exact() {
         for (m, kd, n) in [(1, 1, 1), (5, 3, 7), (17, 4, 9), (KC + 3, 5, 13)] {
-            let a = t(&[m, kd], &(0..m * kd).map(|i| ((i * 31) % 19) as f32 - 9.0).collect::<Vec<_>>());
-            let g = t(&[m, n], &(0..m * n).map(|i| ((i * 29) % 17) as f32 - 8.0).collect::<Vec<_>>());
+            let a = t(
+                &[m, kd],
+                &(0..m * kd)
+                    .map(|i| ((i * 31) % 19) as f32 - 9.0)
+                    .collect::<Vec<_>>(),
+            );
+            let g = t(
+                &[m, n],
+                &(0..m * n)
+                    .map(|i| ((i * 29) % 17) as f32 - 8.0)
+                    .collect::<Vec<_>>(),
+            );
             let fused = matmul_tn(&a, &g);
             let composed = matmul(&transpose_last2(&a), &g);
             assert_eq!(fused.shape(), composed.shape());
@@ -571,14 +722,26 @@ mod tests {
     #[test]
     fn nt_tn_broadcast_batches_match_composition() {
         // Batched left operand against shared right operand, and vice versa.
-        let a = t(&[2, 3, 4], &(0..24).map(|i| (i % 11) as f32 - 5.0).collect::<Vec<_>>());
-        let b = t(&[5, 4], &(0..20).map(|i| (i % 7) as f32 - 3.0).collect::<Vec<_>>());
+        let a = t(
+            &[2, 3, 4],
+            &(0..24).map(|i| (i % 11) as f32 - 5.0).collect::<Vec<_>>(),
+        );
+        let b = t(
+            &[5, 4],
+            &(0..20).map(|i| (i % 7) as f32 - 3.0).collect::<Vec<_>>(),
+        );
         let fused = matmul_nt(&a, &b);
         let composed = matmul(&a, &transpose_last2(&b));
         assert_eq!(fused.data(), composed.data());
 
-        let g = t(&[2, 3, 5], &(0..30).map(|i| (i % 13) as f32 - 6.0).collect::<Vec<_>>());
-        let a2 = t(&[3, 4], &(0..12).map(|i| (i % 5) as f32 - 2.0).collect::<Vec<_>>());
+        let g = t(
+            &[2, 3, 5],
+            &(0..30).map(|i| (i % 13) as f32 - 6.0).collect::<Vec<_>>(),
+        );
+        let a2 = t(
+            &[3, 4],
+            &(0..12).map(|i| (i % 5) as f32 - 2.0).collect::<Vec<_>>(),
+        );
         let fused2 = matmul_tn(&a2, &g);
         let composed2 = matmul(&transpose_last2(&a2), &g);
         assert_eq!(fused2.data(), composed2.data());

@@ -62,22 +62,28 @@ pub fn sum_axis(a: &Tensor, axis: usize, keepdim: bool) -> Tensor {
     let (outer, len, inner) = split_at_axis(a.shape(), axis);
     let mut out = arena::take_zeroed(outer * inner);
     let data = a.data();
-    parallel::for_units(&parallel::kernels::REDUCE_SUM_AXIS, &mut out, inner.max(1), outer * len * inner, |o0, chunk| {
-        if inner == 0 {
-            return;
-        }
-        if inner == 1 {
-            sum_rows(&data[o0 * len..(o0 + chunk.len()) * len], len, chunk);
-            return;
-        }
-        for (oi, oslice) in chunk.chunks_mut(inner).enumerate() {
-            let o = o0 + oi;
-            for l in 0..len {
-                let base = (o * len + l) * inner;
-                crate::simd::accum(oslice, &data[base..base + inner]);
+    parallel::for_units(
+        &parallel::kernels::REDUCE_SUM_AXIS,
+        &mut out,
+        inner.max(1),
+        outer * len * inner,
+        |o0, chunk| {
+            if inner == 0 {
+                return;
             }
-        }
-    });
+            if inner == 1 {
+                sum_rows(&data[o0 * len..(o0 + chunk.len()) * len], len, chunk);
+                return;
+            }
+            for (oi, oslice) in chunk.chunks_mut(inner).enumerate() {
+                let o = o0 + oi;
+                for l in 0..len {
+                    let base = (o * len + l) * inner;
+                    crate::simd::accum(oslice, &data[base..base + inner]);
+                }
+            }
+        },
+    );
     if inner > 1 && crate::simd::active() {
         parallel::kernels::REDUCE_SUM_AXIS.stats.record_simd();
     }
@@ -100,24 +106,30 @@ pub fn sum_axis_grad(grad: &Tensor, a_shape: &[usize], axis: usize) -> Tensor {
     let mut out = arena::take_zeroed(outer * len * inner);
     let g = grad.data();
     debug_assert_eq!(g.len(), outer * inner);
-    parallel::for_units(&parallel::kernels::REDUCE_SUM_AXIS_GRAD, &mut out, (len * inner).max(1), outer * len * inner, |u0, chunk| {
-        if inner == 0 || len == 0 {
-            return;
-        }
-        if inner == 1 {
-            for (row, &gv) in chunk.chunks_mut(len).zip(&g[u0..]) {
-                row.fill(gv);
+    parallel::for_units(
+        &parallel::kernels::REDUCE_SUM_AXIS_GRAD,
+        &mut out,
+        (len * inner).max(1),
+        outer * len * inner,
+        |u0, chunk| {
+            if inner == 0 || len == 0 {
+                return;
             }
-            return;
-        }
-        for (oi, oslice) in chunk.chunks_mut(len * inner).enumerate() {
-            let o = u0 + oi;
-            let gbase = o * inner;
-            for row in oslice.chunks_mut(inner) {
-                row.copy_from_slice(&g[gbase..gbase + inner]);
+            if inner == 1 {
+                for (row, &gv) in chunk.chunks_mut(len).zip(&g[u0..]) {
+                    row.fill(gv);
+                }
+                return;
             }
-        }
-    });
+            for (oi, oslice) in chunk.chunks_mut(len * inner).enumerate() {
+                let o = u0 + oi;
+                let gbase = o * inner;
+                for row in oslice.chunks_mut(inner) {
+                    row.copy_from_slice(&g[gbase..gbase + inner]);
+                }
+            }
+        },
+    );
     Tensor::from_vec(a_shape, out)
 }
 
@@ -162,25 +174,31 @@ pub fn max_axis(a: &Tensor, axis: usize, keepdim: bool) -> Tensor {
     let (outer, len, inner) = split_at_axis(a.shape(), axis);
     let mut out = arena::take_filled(outer * inner, f32::NEG_INFINITY);
     let data = a.data();
-    parallel::for_units(&parallel::kernels::REDUCE_MAX_AXIS, &mut out, inner.max(1), outer * len * inner, |o0, chunk| {
-        if inner == 0 || len == 0 {
-            return;
-        }
-        if inner == 1 {
-            let rows = &data[o0 * len..(o0 + chunk.len()) * len];
-            for (o, row) in chunk.iter_mut().zip(rows.chunks_exact(len)) {
-                *o = crate::simd::fold_max(f32::NEG_INFINITY, row);
+    parallel::for_units(
+        &parallel::kernels::REDUCE_MAX_AXIS,
+        &mut out,
+        inner.max(1),
+        outer * len * inner,
+        |o0, chunk| {
+            if inner == 0 || len == 0 {
+                return;
             }
-            return;
-        }
-        for (oi, oslice) in chunk.chunks_mut(inner).enumerate() {
-            let o = o0 + oi;
-            for l in 0..len {
-                let base = (o * len + l) * inner;
-                crate::simd::max_accum(oslice, &data[base..base + inner]);
+            if inner == 1 {
+                let rows = &data[o0 * len..(o0 + chunk.len()) * len];
+                for (o, row) in chunk.iter_mut().zip(rows.chunks_exact(len)) {
+                    *o = crate::simd::fold_max(f32::NEG_INFINITY, row);
+                }
+                return;
             }
-        }
-    });
+            for (oi, oslice) in chunk.chunks_mut(inner).enumerate() {
+                let o = o0 + oi;
+                for l in 0..len {
+                    let base = (o * len + l) * inner;
+                    crate::simd::max_accum(oslice, &data[base..base + inner]);
+                }
+            }
+        },
+    );
     if inner > 1 && crate::simd::active() {
         parallel::kernels::REDUCE_MAX_AXIS.stats.record_simd();
     }
@@ -206,24 +224,30 @@ pub fn broadcast_to(a: &Tensor, target: &[usize]) -> Tensor {
     for (i, (&d, &s)) in shape.iter().zip(astr.iter()).enumerate() {
         bstr[offset + i] = if d == 1 { 0 } else { s };
     }
-    parallel::for_units(&parallel::kernels::BROADCAST_TO, &mut out, 1, n, |start, chunk| {
-        // One coordinate vector per chunk, then an odometer walk carrying
-        // the source offset — no per-element unravel allocation.
-        let mut coords = unravel(start, target);
-        let mut src: usize = coords.iter().zip(bstr.iter()).map(|(c, s)| c * s).sum();
-        for o in chunk.iter_mut() {
-            *o = data[src];
-            for ax in (0..rank).rev() {
-                coords[ax] += 1;
-                src += bstr[ax];
-                if coords[ax] < target[ax] {
-                    break;
+    parallel::for_units(
+        &parallel::kernels::BROADCAST_TO,
+        &mut out,
+        1,
+        n,
+        |start, chunk| {
+            // One coordinate vector per chunk, then an odometer walk carrying
+            // the source offset — no per-element unravel allocation.
+            let mut coords = unravel(start, target);
+            let mut src: usize = coords.iter().zip(bstr.iter()).map(|(c, s)| c * s).sum();
+            for o in chunk.iter_mut() {
+                *o = data[src];
+                for ax in (0..rank).rev() {
+                    coords[ax] += 1;
+                    src += bstr[ax];
+                    if coords[ax] < target[ax] {
+                        break;
+                    }
+                    src -= target[ax] * bstr[ax];
+                    coords[ax] = 0;
                 }
-                src -= target[ax] * bstr[ax];
-                coords[ax] = 0;
             }
-        }
-    });
+        },
+    );
     Tensor::from_vec(target, out)
 }
 
@@ -288,7 +312,9 @@ mod tests {
         // Big enough to cross PAR_THRESHOLD so the parallel branch runs.
         let a = Tensor::from_vec(
             vec![8, 16, 96],
-            (0..8 * 16 * 96).map(|i| (i % 97) as f32 * 0.25 - 12.0).collect(),
+            (0..8 * 16 * 96)
+                .map(|i| (i % 97) as f32 * 0.25 - 12.0)
+                .collect(),
         );
         for axis in 0..3 {
             let fast = sum_axis(&a, axis, false);

@@ -15,7 +15,13 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     assert!(a.rank() >= 2 && b.rank() >= 2, "matmul needs rank >= 2");
     let (m, k) = (a.shape()[a.rank() - 2], a.shape()[a.rank() - 1]);
     let (kb, n) = (b.shape()[b.rank() - 2], b.shape()[b.rank() - 1]);
-    assert_eq!(k, kb, "matmul inner dims: {:?} x {:?}", a.shape(), b.shape());
+    assert_eq!(
+        k,
+        kb,
+        "matmul inner dims: {:?} x {:?}",
+        a.shape(),
+        b.shape()
+    );
     let a_batch = &a.shape()[..a.rank() - 2];
     let b_batch = &b.shape()[..b.rank() - 2];
     let batch_shape = broadcast_shapes(a_batch, b_batch)
@@ -207,7 +213,12 @@ pub fn temporal_conv(x: &Tensor, w: &Tensor, dilation: usize) -> Tensor {
 /// Naive ∂temporal_conv/∂w: each weight element sums over series
 /// ascending, then steps `t ≥ lag` ascending, from a zero start — the
 /// order of the optimized kernel on one worker.
-pub fn temporal_conv_grad_w(grad: &Tensor, x: &Tensor, w_shape: &[usize], dilation: usize) -> Tensor {
+pub fn temporal_conv_grad_w(
+    grad: &Tensor,
+    x: &Tensor,
+    w_shape: &[usize],
+    dilation: usize,
+) -> Tensor {
     let xs = x.shape();
     let (series, t, din) = (xs[0] * xs[1], xs[2], xs[3]);
     let (k, dout) = (w_shape[0], w_shape[2]);
@@ -240,7 +251,11 @@ pub fn permute(a: &Tensor, perm: &[usize]) -> Tensor {
     let out: Vec<f32> = (0..a.len())
         .map(|flat| {
             let coords = unravel(flat, &out_shape);
-            let src: usize = coords.iter().zip(perm).map(|(&c, &p)| c * in_strides[p]).sum();
+            let src: usize = coords
+                .iter()
+                .zip(perm)
+                .map(|(&c, &p)| c * in_strides[p])
+                .sum();
             a.data()[src]
         })
         .collect();
@@ -336,6 +351,9 @@ pub fn index_select(a: &Tensor, axis: usize, indices: &[usize]) -> Tensor {
 pub fn stack(parts: &[&Tensor]) -> Tensor {
     let mut out_shape = vec![parts.len()];
     out_shape.extend_from_slice(parts[0].shape());
-    let out: Vec<f32> = parts.iter().flat_map(|p| p.data().iter().copied()).collect();
+    let out: Vec<f32> = parts
+        .iter()
+        .flat_map(|p| p.data().iter().copied())
+        .collect();
     Tensor::from_vec(out_shape, out)
 }

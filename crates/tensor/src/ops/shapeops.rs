@@ -31,13 +31,22 @@ pub fn permute(a: &Tensor, perm: &[usize]) -> Tensor {
     if swaps_last_two {
         let (m, n) = (in_shape[rank - 2], in_shape[rank - 1]);
         if m * n > 0 {
-            for (src, dst) in a.data().chunks_exact(m * n).zip(out.chunks_exact_mut(m * n)) {
+            for (src, dst) in a
+                .data()
+                .chunks_exact(m * n)
+                .zip(out.chunks_exact_mut(m * n))
+            {
                 transpose_tile(src, dst, m, n);
             }
         }
         return Tensor::from_vec(out_shape, out);
     }
-    let kept = perm.iter().rev().zip((0..rank).rev()).take_while(|(&p, ax)| p == *ax).count();
+    let kept = perm
+        .iter()
+        .rev()
+        .zip((0..rank).rev())
+        .take_while(|(&p, ax)| p == *ax)
+        .count();
     let moved = rank - kept;
     let run: usize = in_shape[moved..].iter().product();
     if run == 0 {
@@ -192,7 +201,9 @@ pub fn stack(parts: &[&Tensor]) -> Tensor {
     for p in parts {
         assert_eq!(p.shape(), shape, "stack shape mismatch");
     }
-    let out_shape: Shape = std::iter::once(parts.len()).chain(shape.iter().copied()).collect();
+    let out_shape: Shape = std::iter::once(parts.len())
+        .chain(shape.iter().copied())
+        .collect();
     let each = parts[0].len();
     let mut data = arena::take_dirty(parts.len() * each);
     for (p, dst) in parts.iter().zip(data.chunks_mut(each.max(1))) {

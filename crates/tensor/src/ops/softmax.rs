@@ -25,23 +25,29 @@ pub fn softmax_last(a: &Tensor) -> Tensor {
     let mut out = arena::take_zeroed(a.len());
     let data = a.data();
     // ~4 flops per element (max scan, exp, sum, scale).
-    parallel::for_units(&parallel::kernels::SOFTMAX, &mut out, n.max(1), 4 * a.len(), |start, chunk| {
-        if n == 0 {
-            return;
-        }
-        for (ri, o) in chunk.chunks_mut(n).enumerate() {
-            let base = (start + ri) * n;
-            let s = &data[base..base + n];
-            let m = crate::simd::row_max(s);
-            let mut z = 0.0f32;
-            for (oi, &x) in o.iter_mut().zip(s.iter()) {
-                let e = (x - m).exp();
-                *oi = e;
-                z += e;
+    parallel::for_units(
+        &parallel::kernels::SOFTMAX,
+        &mut out,
+        n.max(1),
+        4 * a.len(),
+        |start, chunk| {
+            if n == 0 {
+                return;
             }
-            crate::simd::scale_in_place(o, 1.0 / z);
-        }
-    });
+            for (ri, o) in chunk.chunks_mut(n).enumerate() {
+                let base = (start + ri) * n;
+                let s = &data[base..base + n];
+                let m = crate::simd::row_max(s);
+                let mut z = 0.0f32;
+                for (oi, &x) in o.iter_mut().zip(s.iter()) {
+                    let e = (x - m).exp();
+                    *oi = e;
+                    z += e;
+                }
+                crate::simd::scale_in_place(o, 1.0 / z);
+            }
+        },
+    );
     if crate::simd::active() {
         parallel::kernels::SOFTMAX.stats.record_simd();
     }
@@ -56,16 +62,22 @@ pub fn softmax_last_grad(grad: &Tensor, y: &Tensor) -> Tensor {
     let mut out = arena::take_zeroed(y.len());
     let g = grad.data();
     let yv = y.data();
-    parallel::for_units(&parallel::kernels::SOFTMAX_GRAD, &mut out, n.max(1), 4 * y.len(), |start, chunk| {
-        if n == 0 {
-            return;
-        }
-        for (ri, o) in chunk.chunks_mut(n).enumerate() {
-            let base = (start + ri) * n;
-            let dot: f32 = (0..n).map(|i| g[base + i] * yv[base + i]).sum();
-            crate::simd::softmax_grad_row(o, &yv[base..base + n], &g[base..base + n], dot);
-        }
-    });
+    parallel::for_units(
+        &parallel::kernels::SOFTMAX_GRAD,
+        &mut out,
+        n.max(1),
+        4 * y.len(),
+        |start, chunk| {
+            if n == 0 {
+                return;
+            }
+            for (ri, o) in chunk.chunks_mut(n).enumerate() {
+                let base = (start + ri) * n;
+                let dot: f32 = (0..n).map(|i| g[base + i] * yv[base + i]).sum();
+                crate::simd::softmax_grad_row(o, &yv[base..base + n], &g[base..base + n], dot);
+            }
+        },
+    );
     if crate::simd::active() {
         parallel::kernels::SOFTMAX_GRAD.stats.record_simd();
     }
@@ -80,15 +92,21 @@ pub fn logsumexp_last(a: &Tensor) -> Tensor {
     let rows = a.len() / n.max(1);
     let mut out = arena::take_zeroed(rows);
     let data = a.data();
-    parallel::for_units(&parallel::kernels::LOGSUMEXP, &mut out, 1, 3 * a.len(), |start, chunk| {
-        for (ri, o) in chunk.iter_mut().enumerate() {
-            let base = (start + ri) * n;
-            let s = &data[base..base + n];
-            let m = s.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let z: f32 = s.iter().map(|&x| (x - m).exp()).sum();
-            *o = m + z.ln();
-        }
-    });
+    parallel::for_units(
+        &parallel::kernels::LOGSUMEXP,
+        &mut out,
+        1,
+        3 * a.len(),
+        |start, chunk| {
+            for (ri, o) in chunk.iter_mut().enumerate() {
+                let base = (start + ri) * n;
+                let s = &data[base..base + n];
+                let m = s.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let z: f32 = s.iter().map(|&x| (x - m).exp()).sum();
+                *o = m + z.ln();
+            }
+        },
+    );
     let mut shape = crate::shape::Shape::from_slice(&a.shape()[..r - 1]);
     if shape.is_empty() {
         shape.push(1);
@@ -137,7 +155,9 @@ mod tests {
     fn softmax_matches_reference_above_threshold() {
         let a = Tensor::from_vec(
             vec![64, 24, 32],
-            (0..64 * 24 * 32).map(|i| ((i * 31 % 113) as f32) * 0.1 - 5.0).collect(),
+            (0..64 * 24 * 32)
+                .map(|i| ((i * 31 % 113) as f32) * 0.1 - 5.0)
+                .collect(),
         );
         let fast = softmax_last(&a);
         let slow = super::super::reference::softmax_last(&a);

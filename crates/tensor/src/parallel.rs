@@ -146,7 +146,10 @@ pub mod kernels {
             name,
             partition: Partition::ContiguousUnits,
             reduction: Reduction::DisjointWrites,
-            simd: SimdContract { lane_width: 1, order: LaneOrder::ScalarOnly },
+            simd: SimdContract {
+                lane_width: 1,
+                order: LaneOrder::ScalarOnly,
+            },
             stats: cts_obs::KernelStats::new(),
         }
     }
@@ -154,7 +157,10 @@ pub mod kernels {
     /// Mark a spec's hot loops as vectorized at [`crate::simd::LANES`]
     /// width with the given lane-order contract.
     const fn vectorized(mut spec: KernelSpec, order: LaneOrder) -> KernelSpec {
-        spec.simd = SimdContract { lane_width: crate::simd::LANES, order };
+        spec.simd = SimdContract {
+            lane_width: crate::simd::LANES,
+            order,
+        };
         spec
     }
 
@@ -171,14 +177,18 @@ pub mod kernels {
     /// Tiled last-two-dims transpose (one unit = one matrix).
     pub static TRANSPOSE: KernelSpec = disjoint("matmul.transpose_last2");
     /// Same-shape elementwise zip (one unit = one scalar).
-    pub static EW_ZIP: KernelSpec = vectorized(disjoint("elementwise.zip"), LaneOrder::ElementChains);
+    pub static EW_ZIP: KernelSpec =
+        vectorized(disjoint("elementwise.zip"), LaneOrder::ElementChains);
     /// Broadcasting elementwise zip (one unit = one scalar): trailing axes
     /// merge into contiguous or constant runs, each mapped on the vector
     /// lanes; an odometer walks the outer axes once per run.
-    pub static EW_ZIP_BROADCAST: KernelSpec =
-        vectorized(disjoint("elementwise.zip_broadcast"), LaneOrder::ElementChains);
+    pub static EW_ZIP_BROADCAST: KernelSpec = vectorized(
+        disjoint("elementwise.zip_broadcast"),
+        LaneOrder::ElementChains,
+    );
     /// Elementwise unary map.
-    pub static EW_UNARY: KernelSpec = vectorized(disjoint("elementwise.unary"), LaneOrder::ElementChains);
+    pub static EW_UNARY: KernelSpec =
+        vectorized(disjoint("elementwise.unary"), LaneOrder::ElementChains);
     /// Exact-length zip used by saved-value gradient kernels.
     pub static EW_ZIP_EXACT: KernelSpec = disjoint("elementwise.zip_exact");
     /// Broadcast-gradient reduction: one unit = one *target* element,
@@ -187,24 +197,31 @@ pub mod kernels {
     /// bit-identical to it). A contiguous preimage (reduced axes trailing
     /// the kept ones) is one scalar chain; otherwise, when the last axis
     /// is kept, 8 consecutive targets share a vector preimage walk.
-    pub static REDUCE_TO_SHAPE: KernelSpec =
-        vectorized(disjoint("elementwise.reduce_to_shape"), LaneOrder::ElementChains);
+    pub static REDUCE_TO_SHAPE: KernelSpec = vectorized(
+        disjoint("elementwise.reduce_to_shape"),
+        LaneOrder::ElementChains,
+    );
     /// Axis sum (one unit = one inner slice).
-    pub static REDUCE_SUM_AXIS: KernelSpec = vectorized(disjoint("reduce.sum_axis"), LaneOrder::ElementChains);
+    pub static REDUCE_SUM_AXIS: KernelSpec =
+        vectorized(disjoint("reduce.sum_axis"), LaneOrder::ElementChains);
     /// Axis-sum gradient broadcast-back.
     pub static REDUCE_SUM_AXIS_GRAD: KernelSpec = disjoint("reduce.sum_axis_grad");
     /// Axis max.
-    pub static REDUCE_MAX_AXIS: KernelSpec = vectorized(disjoint("reduce.max_axis"), LaneOrder::ElementChains);
+    pub static REDUCE_MAX_AXIS: KernelSpec =
+        vectorized(disjoint("reduce.max_axis"), LaneOrder::ElementChains);
     /// Broadcast materialisation.
     pub static BROADCAST_TO: KernelSpec = disjoint("reduce.broadcast_to");
     /// Softmax forward (one unit = one row).
-    pub static SOFTMAX: KernelSpec = vectorized(disjoint("softmax.forward"), LaneOrder::PinnedMaxTree);
+    pub static SOFTMAX: KernelSpec =
+        vectorized(disjoint("softmax.forward"), LaneOrder::PinnedMaxTree);
     /// Softmax backward.
-    pub static SOFTMAX_GRAD: KernelSpec = vectorized(disjoint("softmax.grad"), LaneOrder::ElementChains);
+    pub static SOFTMAX_GRAD: KernelSpec =
+        vectorized(disjoint("softmax.grad"), LaneOrder::ElementChains);
     /// Log-sum-exp rows.
     pub static LOGSUMEXP: KernelSpec = disjoint("softmax.logsumexp");
     /// Dilated causal temporal convolution (one unit = one series).
-    pub static TEMPORAL_CONV: KernelSpec = vectorized(disjoint("conv.temporal"), LaneOrder::ElementChains);
+    pub static TEMPORAL_CONV: KernelSpec =
+        vectorized(disjoint("conv.temporal"), LaneOrder::ElementChains);
     /// Temporal convolution input gradient.
     pub static TEMPORAL_CONV_GRAD_X: KernelSpec = disjoint("conv.temporal_grad_x");
     /// Temporal convolution weight gradient (one unit = one `Dout` row of
@@ -334,9 +351,7 @@ fn share(units: usize, threads: usize, w: usize) -> usize {
 type Slot<T> = Mutex<Option<T>>;
 
 fn take_slot<T>(slot: &Slot<T>) -> Option<T> {
-    slot.lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .take()
+    slot.lock().unwrap_or_else(PoisonError::into_inner).take()
 }
 
 /// Shares per launch kept inline; launches wider than this spill to the
@@ -356,7 +371,11 @@ struct Shares<T> {
 
 impl<T: Default> Shares<T> {
     fn new() -> Self {
-        Shares { len: 0, inline: std::array::from_fn(|_| T::default()), spill: Vec::new() }
+        Shares {
+            len: 0,
+            inline: std::array::from_fn(|_| T::default()),
+            spill: Vec::new(),
+        }
     }
 
     fn push(&mut self, v: T) {
@@ -365,7 +384,8 @@ impl<T: Default> Shares<T> {
         } else {
             if self.len == INLINE_SHARES {
                 self.spill.reserve(INLINE_SHARES + 1);
-                self.spill.extend(self.inline.iter_mut().map(std::mem::take));
+                self.spill
+                    .extend(self.inline.iter_mut().map(std::mem::take));
             }
             self.spill.push(v);
         }
@@ -487,13 +507,19 @@ mod tests {
             set_num_threads(threads);
             let mut out = vec![0.0f32; 7 * 3];
             // work above threshold to force the parallel path
-            for_units(&kernels::EW_UNARY, &mut out, 3, PAR_THRESHOLD * 2, |first, chunk| {
-                for (u, slot) in chunk.chunks_mut(3).enumerate() {
-                    for s in slot.iter_mut() {
-                        *s += (first + u) as f32;
+            for_units(
+                &kernels::EW_UNARY,
+                &mut out,
+                3,
+                PAR_THRESHOLD * 2,
+                |first, chunk| {
+                    for (u, slot) in chunk.chunks_mut(3).enumerate() {
+                        for s in slot.iter_mut() {
+                            *s += (first + u) as f32;
+                        }
                     }
-                }
-            });
+                },
+            );
             let expect: Vec<f32> = (0..7).flat_map(|u| [u as f32; 3]).collect();
             assert_eq!(out, expect, "threads = {threads}");
         }
@@ -506,11 +532,17 @@ mod tests {
         let threads = INLINE_SHARES + 3;
         set_num_threads(threads);
         let mut out = vec![0.0f32; threads * 2];
-        for_units(&kernels::EW_UNARY, &mut out, 1, PAR_THRESHOLD * 2, |first, chunk| {
-            for (u, s) in chunk.iter_mut().enumerate() {
-                *s = (first + u) as f32;
-            }
-        });
+        for_units(
+            &kernels::EW_UNARY,
+            &mut out,
+            1,
+            PAR_THRESHOLD * 2,
+            |first, chunk| {
+                for (u, s) in chunk.iter_mut().enumerate() {
+                    *s = (first + u) as f32;
+                }
+            },
+        );
         set_num_threads(0);
         let expect: Vec<f32> = (0..threads * 2).map(|u| u as f32).collect();
         assert_eq!(out, expect);
@@ -539,11 +571,17 @@ mod tests {
         set_num_threads(4);
         let run_kernel = || {
             let mut out = vec![0.0f32; 64];
-            for_units(&kernels::EW_UNARY, &mut out, 1, PAR_THRESHOLD * 2, |first, chunk| {
-                for (u, s) in chunk.iter_mut().enumerate() {
-                    *s = (first + u) as f32;
-                }
-            });
+            for_units(
+                &kernels::EW_UNARY,
+                &mut out,
+                1,
+                PAR_THRESHOLD * 2,
+                |first, chunk| {
+                    for (u, s) in chunk.iter_mut().enumerate() {
+                        *s = (first + u) as f32;
+                    }
+                },
+            );
             out
         };
         let before = run_kernel();
@@ -565,7 +603,10 @@ mod tests {
             name: "rogue",
             partition: Partition::ContiguousUnits,
             reduction: Reduction::DisjointWrites,
-            simd: SimdContract { lane_width: 1, order: LaneOrder::ScalarOnly },
+            simd: SimdContract {
+                lane_width: 1,
+                order: LaneOrder::ScalarOnly,
+            },
             stats: cts_obs::KernelStats::new(),
         };
         assert!(!kernels::is_registered(&ROGUE));

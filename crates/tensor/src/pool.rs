@@ -384,7 +384,11 @@ mod tests {
         for _ in 0..10 {
             run(4, &|_| {});
         }
-        assert_eq!(worker_count(), after_first, "steady-state spawns no threads");
+        assert_eq!(
+            worker_count(),
+            after_first,
+            "steady-state spawns no threads"
+        );
     }
 
     #[test]

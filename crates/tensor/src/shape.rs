@@ -24,7 +24,10 @@ pub struct Shape {
 impl Shape {
     /// Shape with the dims of `dims`.
     pub fn from_slice(dims: &[usize]) -> Self {
-        let mut s = Shape { len: dims.len(), ..Shape::default() };
+        let mut s = Shape {
+            len: dims.len(),
+            ..Shape::default()
+        };
         if dims.len() <= INLINE_RANK {
             s.inline[..dims.len()].copy_from_slice(dims);
         } else {
@@ -54,7 +57,10 @@ impl Shape {
 
     /// All-zero shape of the given rank (for building strides/coords).
     pub fn zeros(rank: usize) -> Self {
-        let mut s = Shape { len: rank, ..Shape::default() };
+        let mut s = Shape {
+            len: rank,
+            ..Shape::default()
+        };
         if rank > INLINE_RANK {
             s.spill = vec![0; rank];
         }
@@ -92,7 +98,11 @@ impl From<&[usize]> for Shape {
 impl From<Vec<usize>> for Shape {
     fn from(dims: Vec<usize>) -> Self {
         if dims.len() > INLINE_RANK {
-            Shape { len: dims.len(), inline: [0; INLINE_RANK], spill: dims }
+            Shape {
+                len: dims.len(),
+                inline: [0; INLINE_RANK],
+                spill: dims,
+            }
         } else {
             Shape::from_slice(&dims)
         }
@@ -270,7 +280,10 @@ mod tests {
         assert_eq!(broadcast_shapes(&[2, 3], &[2, 3]).unwrap(), vec![2, 3]);
         assert_eq!(broadcast_shapes(&[2, 1], &[1, 3]).unwrap(), vec![2, 3]);
         assert_eq!(broadcast_shapes(&[3], &[2, 3]).unwrap(), vec![2, 3]);
-        assert_eq!(broadcast_shapes(&[4, 1, 3], &[2, 1]).unwrap(), vec![4, 2, 3]);
+        assert_eq!(
+            broadcast_shapes(&[4, 1, 3], &[2, 1]).unwrap(),
+            vec![4, 2, 3]
+        );
         assert_eq!(broadcast_shapes(&[2, 3], &[4, 3]), None);
     }
 

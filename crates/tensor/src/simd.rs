@@ -137,7 +137,10 @@ pub fn level() -> SimdLevel {
 /// benches that compare levels in one process — results are bit-identical
 /// across levels, so flipping this mid-run is always safe.
 pub fn set_level(l: Option<SimdLevel>) {
-    OVERRIDE_LEVEL.store(l.map_or(UNSET, |l| enc(l.min(detected()))), Ordering::Relaxed);
+    OVERRIDE_LEVEL.store(
+        l.map_or(UNSET, |l| enc(l.min(detected()))),
+        Ordering::Relaxed,
+    );
 }
 
 /// True when a vector (non-scalar) path is active.
@@ -310,9 +313,14 @@ pub fn gemm_rowblock(a: &[f32], b: &[f32], out: &mut [f32], g: Gemm) {
     if g.rows == 0 || g.nc == 0 {
         return;
     }
-    assert!(g.k <= g.lda && g.nc <= g.ldo, "gemm_rowblock strides: {g:?}");
     assert!(
-        a.len() >= (g.rows - 1) * g.lda + g.k && b.len() >= g.k * g.nc && out.len() >= (g.rows - 1) * g.ldo + g.nc,
+        g.k <= g.lda && g.nc <= g.ldo,
+        "gemm_rowblock strides: {g:?}"
+    );
+    assert!(
+        a.len() >= (g.rows - 1) * g.lda + g.k
+            && b.len() >= g.k * g.nc
+            && out.len() >= (g.rows - 1) * g.ldo + g.nc,
         "gemm_rowblock operands too short for {g:?}"
     );
     match level() {
@@ -343,7 +351,9 @@ fn gemm_scalar(a: &[f32], b: &[f32], out: &mut [f32], g: Gemm) {
 }
 
 fn gemm_scalar_block<const R: usize>(a: &[f32], b: &[f32], out: &mut [f32], g: Gemm) {
-    let Gemm { k, nc, lda, ldo, .. } = g;
+    let Gemm {
+        k, nc, lda, ldo, ..
+    } = g;
     let mut j = 0;
     while j + LANES <= nc {
         let mut acc = [[0.0f32; LANES]; R];
@@ -451,8 +461,13 @@ impl Rows<'_> {
     /// Panics unless every row of `rows × run` lies inside `data`.
     fn check(&self, rows: usize, run: usize) {
         let width = if self.splat { 1 } else { run };
-        let last = (rows - 1).checked_mul(self.stride).and_then(|o| o.checked_add(self.base + width));
-        assert!(last.is_some_and(|end| end <= self.data.len()), "zip_rows operand out of bounds");
+        let last = (rows - 1)
+            .checked_mul(self.stride)
+            .and_then(|o| o.checked_add(self.base + width));
+        assert!(
+            last.is_some_and(|end| end <= self.data.len()),
+            "zip_rows operand out of bounds"
+        );
     }
 }
 
@@ -466,7 +481,11 @@ pub fn zip_rows(op: BinOp, x: Rows, y: Rows, run: usize, out: &mut [f32]) {
     if run == 0 || out.is_empty() {
         return;
     }
-    assert!(out.len().is_multiple_of(run), "zip_rows: {} floats are not rows of {run}", out.len());
+    assert!(
+        out.len().is_multiple_of(run),
+        "zip_rows: {} floats are not rows of {run}",
+        out.len()
+    );
     let rows = out.len() / run;
     x.check(rows, run);
     y.check(rows, run);
@@ -480,7 +499,11 @@ pub fn zip_rows(op: BinOp, x: Rows, y: Rows, run: usize, out: &mut [f32]) {
                 let (xo, yo) = (x.base + i * x.stride, y.base + i * y.stride);
                 match (x.splat, y.splat) {
                     (false, false) => {
-                        for ((o, &a), &b) in o.iter_mut().zip(&x.data[xo..xo + run]).zip(&y.data[yo..yo + run]) {
+                        for ((o, &a), &b) in o
+                            .iter_mut()
+                            .zip(&x.data[xo..xo + run])
+                            .zip(&y.data[yo..yo + run])
+                        {
                             *o = op.apply(a, b);
                         }
                     }
@@ -641,7 +664,13 @@ pub fn softmax_grad_row(out: &mut [f32], y: &[f32], g: &[f32], dot: f32) {
 ///
 /// Returns `false` (computing nothing) when the reduced rank exceeds the
 /// fixed odometer capacity; the caller falls back to its scalar loop.
-pub fn reduce_lanes8(gd: &[f32], base: usize, dims: &[(usize, usize)], total: usize, out: &mut [f32]) -> bool {
+pub fn reduce_lanes8(
+    gd: &[f32],
+    base: usize,
+    dims: &[(usize, usize)],
+    total: usize,
+    out: &mut [f32],
+) -> bool {
     if dims.len() > MAX_RDIMS {
         return false;
     }
@@ -649,7 +678,10 @@ pub fn reduce_lanes8(gd: &[f32], base: usize, dims: &[(usize, usize)], total: us
     // Bound every load: the largest preimage offset plus the lane width
     // must stay inside the grad buffer.
     let span: usize = dims.iter().map(|&(len, stride)| (len - 1) * stride).sum();
-    assert!(base + span + LANES <= gd.len(), "reduce_lanes8 out of bounds");
+    assert!(
+        base + span + LANES <= gd.len(),
+        "reduce_lanes8 out of bounds"
+    );
     match level() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: level() == Avx2 only after is_x86_feature_detected!("avx2");
@@ -706,8 +738,12 @@ mod x86 {
     // must cover `R` rows of `g`.
     #[target_feature(enable = "avx2")]
     unsafe fn gemm_avx2_block<const R: usize>(a: &[f32], b: &[f32], out: &mut [f32], g: Gemm) {
-        let Gemm { k, nc, lda, ldo, .. } = g;
-        assert!(a.len() >= (R - 1) * lda + k && b.len() >= k * nc && out.len() >= (R - 1) * ldo + nc);
+        let Gemm {
+            k, nc, lda, ldo, ..
+        } = g;
+        assert!(
+            a.len() >= (R - 1) * lda + k && b.len() >= k * nc && out.len() >= (R - 1) * ldo + nc
+        );
         let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
         let mut j = 0;
         while j + 16 <= nc {
@@ -825,7 +861,9 @@ mod x86 {
         for (i, o) in out.chunks_exact_mut(run).enumerate() {
             let (xo, yo) = (x.base + i * x.stride, y.base + i * y.stride);
             match (x.splat, y.splat) {
-                (false, false) => binary_map_avx2(op, &x.data[xo..xo + run], &y.data[yo..yo + run], o),
+                (false, false) => {
+                    binary_map_avx2(op, &x.data[xo..xo + run], &y.data[yo..yo + run], o)
+                }
                 (false, true) => splat_map_avx2(op, y.data[yo], false, &x.data[xo..xo + run], o),
                 (true, false) => splat_map_avx2(op, x.data[xo], true, &y.data[yo..yo + run], o),
                 (true, true) => o.fill(op.apply(x.data[xo], y.data[yo])),
@@ -1017,7 +1055,13 @@ mod x86 {
     // SAFETY: to call, AVX2 must be available, and every reachable
     // `base + roff + LANES` must be `<= gd.len()` (dispatcher asserts).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn reduce8_avx2(gd: &[f32], base: usize, dims: &[(usize, usize)], total: usize, out: &mut [f32]) {
+    pub unsafe fn reduce8_avx2(
+        gd: &[f32],
+        base: usize,
+        dims: &[(usize, usize)],
+        total: usize,
+        out: &mut [f32],
+    ) {
         assert_eq!(out.len(), LANES);
         let gp = gd.as_ptr();
         let mut acc = _mm256_setzero_ps();
@@ -1026,7 +1070,6 @@ mod x86 {
         });
         _mm256_storeu_ps(out.as_mut_ptr(), acc);
     }
-
 }
 
 #[cfg(test)]
@@ -1042,7 +1085,10 @@ mod tests {
             set_level(Some(SimdLevel::Avx2));
             let got = f();
             let eq = base.len() == got.len()
-                && base.iter().zip(got.iter()).all(|(a, b)| a.to_bits() == b.to_bits());
+                && base
+                    .iter()
+                    .zip(got.iter())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(eq, "Avx2 diverged from scalar: {base:?} vs {got:?}");
         }
         set_level(None);
@@ -1050,7 +1096,11 @@ mod tests {
     }
 
     fn pattern(n: usize, seed: u32) -> Vec<f32> {
-        (0..n).map(|i| ((i as u32).wrapping_mul(2654435761).wrapping_add(seed) % 1000) as f32 * 0.013 - 6.5).collect()
+        (0..n)
+            .map(|i| {
+                ((i as u32).wrapping_mul(2654435761).wrapping_add(seed) % 1000) as f32 * 0.013 - 6.5
+            })
+            .collect()
     }
 
     #[test]
@@ -1069,8 +1119,18 @@ mod tests {
         // padding untouched; a first pass ignores what `out` held.
         for rows in 1..=9 {
             for n in 1..=19 {
-                for (k, first) in [0usize, 1, 3, 8].into_iter().flat_map(|k| [(k, false), (k, true)]) {
-                    let g = Gemm { rows, k, nc: n, lda: k + 1, ldo: n + 3, first };
+                for (k, first) in [0usize, 1, 3, 8]
+                    .into_iter()
+                    .flat_map(|k| [(k, false), (k, true)])
+                {
+                    let g = Gemm {
+                        rows,
+                        k,
+                        nc: n,
+                        lda: k + 1,
+                        ldo: n + 3,
+                        first,
+                    };
                     let a = pattern(rows * g.lda, 7);
                     let b = pattern(k * n, 11);
                     let init = pattern(rows * g.ldo, 13);
@@ -1090,7 +1150,11 @@ mod tests {
                                     want += a[r * g.lda + kk] * b[kk * n + j];
                                 }
                             }
-                            assert_eq!(res[r * g.ldo + j].to_bits(), want.to_bits(), "rows={rows} n={n} k={k} first={first}");
+                            assert_eq!(
+                                res[r * g.ldo + j].to_bits(),
+                                want.to_bits(),
+                                "rows={rows} n={n} k={k} first={first}"
+                            );
                         }
                     }
                 }
@@ -1133,7 +1197,11 @@ mod tests {
                         out
                     });
                     for (g, &v) in got.iter().zip(x.iter()) {
-                        let want = if c_first { op.apply(-1.375, v) } else { op.apply(v, -1.375) };
+                        let want = if c_first {
+                            op.apply(-1.375, v)
+                        } else {
+                            op.apply(v, -1.375)
+                        };
                         assert_eq!(g.to_bits(), want.to_bits(), "{op:?} c_first={c_first}");
                     }
                 }
@@ -1224,7 +1292,11 @@ mod tests {
         across_levels(|| {
             let mut d = vec![f32::NEG_INFINITY; 4];
             max_accum(&mut d, &x);
-            assert_eq!(d[0], f32::NEG_INFINITY, "NaN must not enter the accumulator");
+            assert_eq!(
+                d[0],
+                f32::NEG_INFINITY,
+                "NaN must not enter the accumulator"
+            );
             assert_eq!(d[1], 2.0);
             d
         });
@@ -1237,7 +1309,9 @@ mod tests {
             if n > 3 {
                 x[3] = f32::NAN; // ignored at every level
             }
-            let want = x.iter().fold(f32::NEG_INFINITY, |m, &v| if v > m { v } else { m });
+            let want = x
+                .iter()
+                .fold(f32::NEG_INFINITY, |m, &v| if v > m { v } else { m });
             across_levels(|| vec![row_max(&x)]);
             set_level(Some(SimdLevel::Scalar));
             assert_eq!(row_max(&x).to_bits(), want.to_bits());

@@ -28,10 +28,7 @@ impl SymDim {
     pub fn eval(&self, bindings: &[(&str, usize)]) -> Option<usize> {
         match self {
             SymDim::Const(c) => Some(*c),
-            SymDim::Sym(name) => bindings
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v),
+            SymDim::Sym(name) => bindings.iter().find(|(n, _)| n == name).map(|(_, v)| *v),
         }
     }
 

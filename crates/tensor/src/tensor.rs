@@ -56,7 +56,10 @@ impl Tensor {
     pub fn zeros(shape: impl Into<Shape>) -> Self {
         let shape = shape.into();
         let n = numel(&shape);
-        Self { shape, data: arena::take_zeroed(n) }
+        Self {
+            shape,
+            data: arena::take_zeroed(n),
+        }
     }
 
     /// All-ones tensor.
@@ -68,12 +71,18 @@ impl Tensor {
     pub fn full(shape: impl Into<Shape>, value: f32) -> Self {
         let shape = shape.into();
         let n = numel(&shape);
-        Self { shape, data: arena::take_filled(n, value) }
+        Self {
+            shape,
+            data: arena::take_filled(n, value),
+        }
     }
 
     /// Rank-0-like scalar stored as shape `[1]`.
     pub fn scalar(value: f32) -> Self {
-        Self { shape: [1].into(), data: arena::take_filled(1, value) }
+        Self {
+            shape: [1].into(),
+            data: arena::take_filled(1, value),
+        }
     }
 
     /// Identity matrix of size `n`.
@@ -137,14 +146,25 @@ impl Tensor {
     /// # Panics
     /// Panics when the tensor has more than one element.
     pub fn item(&self) -> f32 {
-        assert_eq!(self.data.len(), 1, "item() on tensor of shape {:?}", self.shape);
+        assert_eq!(
+            self.data.len(),
+            1,
+            "item() on tensor of shape {:?}",
+            self.shape
+        );
         self.data[0]
     }
 
     /// Reinterpret the buffer with a new shape of identical element count.
     pub fn reshaped(mut self, shape: impl Into<Shape>) -> Self {
         let shape = shape.into();
-        assert_eq!(numel(&shape), self.data.len(), "reshape {:?} -> {:?}", self.shape, shape);
+        assert_eq!(
+            numel(&shape),
+            self.data.len(),
+            "reshape {:?} -> {:?}",
+            self.shape,
+            shape
+        );
         self.shape = shape;
         self
     }
@@ -236,7 +256,6 @@ impl fmt::Debug for Tensor {
         }
     }
 }
-
 
 #[cfg(test)]
 mod tests {

@@ -64,7 +64,9 @@ fn bits(t: &Tensor) -> Vec<u32> {
 /// Run `kernel` on a poisoned arena under every (SIMD level, thread count)
 /// and require the bits of `want` each time.
 fn check(name: &str, want: &Tensor, kernel: impl Fn() -> Tensor) {
-    let levels = [SimdLevel::Scalar, SimdLevel::Avx2].into_iter().filter(|&l| l <= simd::detected());
+    let levels = [SimdLevel::Scalar, SimdLevel::Avx2]
+        .into_iter()
+        .filter(|&l| l <= simd::detected());
     for level in levels {
         for threads in [1, 3] {
             simd::set_level(Some(level));
@@ -91,35 +93,53 @@ fn dirty_kernels_write_every_element() {
     // sizes past the parallel threshold whose worker ranges start and end
     // inside runs.
     let zips: [(&[usize], &[usize]); 10] = [
-        (&[3, 5, 7], &[3, 5, 7]),         // same shape: one run
-        (&[2, 3, 5], &[3, 5]),            // slice / slice, repeated row
-        (&[4, 6, 9], &[4, 6, 1]),         // slice / splat per row
-        (&[4, 6, 1], &[4, 6, 9]),         // splat / slice per row
-        (&[1], &[1, 1]),                  // splat / splat
-        (&[5, 1, 3], &[4, 1]),            // both broadcast on different axes
+        (&[3, 5, 7], &[3, 5, 7]),            // same shape: one run
+        (&[2, 3, 5], &[3, 5]),               // slice / slice, repeated row
+        (&[4, 6, 9], &[4, 6, 1]),            // slice / splat per row
+        (&[4, 6, 1], &[4, 6, 9]),            // splat / slice per row
+        (&[1], &[1, 1]),                     // splat / splat
+        (&[5, 1, 3], &[4, 1]),               // both broadcast on different axes
         (&[8, 32, 12, 16], &[8, 32, 12, 1]), // LayerNorm statistic
-        (&[8, 32, 12, 16], &[16]),        // bias row
-        (&[7, 33, 13, 11], &[11]),        // ragged rows split across workers
-        (&[7, 33, 13, 11], &[1]),         // one splat run split across workers
+        (&[8, 32, 12, 16], &[16]),           // bias row
+        (&[7, 33, 13, 11], &[11]),           // ragged rows split across workers
+        (&[7, 33, 13, 11], &[1]),            // one splat run split across workers
     ];
     for (sa, sb) in zips {
         let (a, b) = (pattern(sa, 1), pattern(sb, 2));
         let name = format!("{sa:?} op {sb:?}");
-        check(&format!("add {name}"), &reference::add(&a, &b), || ops::add(&a, &b));
-        check(&format!("mul {name}"), &reference::mul(&a, &b), || ops::mul(&a, &b));
-        check(&format!("sub {name}"), &reference::zip_broadcast(&a, &b, |x, y| x - y), || ops::sub(&a, &b));
-        check(&format!("div {name}"), &reference::zip_broadcast(&b, &a, |x, y| x / y), || ops::div(&b, &a));
+        check(&format!("add {name}"), &reference::add(&a, &b), || {
+            ops::add(&a, &b)
+        });
+        check(&format!("mul {name}"), &reference::mul(&a, &b), || {
+            ops::mul(&a, &b)
+        });
+        check(
+            &format!("sub {name}"),
+            &reference::zip_broadcast(&a, &b, |x, y| x - y),
+            || ops::sub(&a, &b),
+        );
+        check(
+            &format!("div {name}"),
+            &reference::zip_broadcast(&b, &a, |x, y| x / y),
+            || ops::div(&b, &a),
+        );
     }
 
     // Unary maps and exact zips.
     let x = pattern(&[7, 33, 13, 11], 3);
     let g = pattern(&[7, 33, 13, 11], 4);
-    check("relu", &x.map(|v| if v > 0.0 { v } else { 0.0 }), || ops::relu(&x));
+    check("relu", &x.map(|v| if v > 0.0 { v } else { 0.0 }), || {
+        ops::relu(&x)
+    });
     check("scale", &x.map(|v| v * 0.37), || ops::scale(&x, 0.37));
     check("exp", &x.map(f32::exp), || ops::exp(&x));
     let relu_grad = Tensor::from_vec(
         x.shape(),
-        g.data().iter().zip(x.data()).map(|(&g, &x)| if x > 0.0 { g } else { 0.0 }).collect(),
+        g.data()
+            .iter()
+            .zip(x.data())
+            .map(|(&g, &x)| if x > 0.0 { g } else { 0.0 })
+            .collect(),
     );
     check("relu_grad", &relu_grad, || ops::relu_grad(&g, &x));
 
@@ -135,11 +155,19 @@ fn dirty_kernels_write_every_element() {
     ];
     for (shape, perm) in perms {
         let a = pattern(shape, 5);
-        check(&format!("permute {shape:?} {perm:?}"), &reference::permute(&a, perm), || ops::permute(&a, perm));
+        check(
+            &format!("permute {shape:?} {perm:?}"),
+            &reference::permute(&a, perm),
+            || ops::permute(&a, perm),
+        );
     }
 
     // Copies.
-    let (p0, p1, p2) = (pattern(&[2, 1, 5], 6), pattern(&[2, 3, 5], 7), pattern(&[2, 2, 5], 8));
+    let (p0, p1, p2) = (
+        pattern(&[2, 1, 5], 6),
+        pattern(&[2, 3, 5], 7),
+        pattern(&[2, 2, 5], 8),
+    );
     for axis in [0usize, 1, 2] {
         let parts: Vec<Tensor> = (0..3u32)
             .map(|i| {
@@ -149,33 +177,71 @@ fn dirty_kernels_write_every_element() {
             })
             .collect();
         let views: Vec<&Tensor> = parts.iter().collect();
-        check(&format!("concat axis {axis}"), &reference::concat(&views, axis), || ops::concat(&views, axis));
+        check(
+            &format!("concat axis {axis}"),
+            &reference::concat(&views, axis),
+            || ops::concat(&views, axis),
+        );
     }
-    check("concat mixed", &reference::concat(&[&p0, &p1, &p2], 1), || ops::concat(&[&p0, &p1, &p2], 1));
+    check(
+        "concat mixed",
+        &reference::concat(&[&p0, &p1, &p2], 1),
+        || ops::concat(&[&p0, &p1, &p2], 1),
+    );
     let a = pattern(&[4, 9, 6], 12);
-    check("slice", &reference::slice(&a, 1, 2, 7), || ops::slice(&a, 1, 2, 7));
-    check("slice last axis", &reference::slice(&a, 2, 1, 4), || ops::slice(&a, 2, 1, 4));
-    check("index_select", &reference::index_select(&a, 1, &[8, 0, 3, 3]), || ops::index_select(&a, 1, &[8, 0, 3, 3]));
-    check("stack one", &reference::stack(&[&p2]), || ops::stack(&[&p2]));
+    check("slice", &reference::slice(&a, 1, 2, 7), || {
+        ops::slice(&a, 1, 2, 7)
+    });
+    check("slice last axis", &reference::slice(&a, 2, 1, 4), || {
+        ops::slice(&a, 2, 1, 4)
+    });
+    check(
+        "index_select",
+        &reference::index_select(&a, 1, &[8, 0, 3, 3]),
+        || ops::index_select(&a, 1, &[8, 0, 3, 3]),
+    );
+    check("stack one", &reference::stack(&[&p2]), || {
+        ops::stack(&[&p2])
+    });
     let q = pattern(&[2, 3, 5], 13);
-    check("stack three", &reference::stack(&[&p1, &q, &p1]), || ops::stack(&[&p1, &q, &p1]));
+    check("stack three", &reference::stack(&[&p1, &q, &p1]), || {
+        ops::stack(&[&p1, &q, &p1])
+    });
 
     // Transpose of the last two axes, past the parallel threshold.
     let t = pattern(&[24, 37, 41], 14);
-    check("transpose_last2", &reference::transpose_last2(&t), || ops::transpose_last2(&t));
+    check("transpose_last2", &reference::transpose_last2(&t), || {
+        ops::transpose_last2(&t)
+    });
 
     // The GEMM family: one k-block, the packed panel (k·n > 128·64, k past
     // one 128-deep block), a shared weight, and an empty reduction.
-    let gemms: [(&[usize], &[usize]); 4] =
-        [(&[3, 17, 24], &[24, 19]), (&[2, 3, 37, 150], &[150, 70]), (&[8, 16, 48, 64], &[64, 64]), (&[5, 0], &[0, 7])];
+    let gemms: [(&[usize], &[usize]); 4] = [
+        (&[3, 17, 24], &[24, 19]),
+        (&[2, 3, 37, 150], &[150, 70]),
+        (&[8, 16, 48, 64], &[64, 64]),
+        (&[5, 0], &[0, 7]),
+    ];
     for (sa, sb) in gemms {
         let (a, b) = (pattern(sa, 15), pattern(sb, 16));
         let name = format!("{sa:?}x{sb:?}");
-        check(&format!("matmul {name}"), &reference::matmul(&a, &b), || ops::matmul(&a, &b));
+        check(
+            &format!("matmul {name}"),
+            &reference::matmul(&a, &b),
+            || ops::matmul(&a, &b),
+        );
         let bt = reference::transpose_last2(&b);
-        check(&format!("matmul_nt {name}"), &reference::matmul(&a, &b), || ops::matmul_nt(&a, &bt));
+        check(
+            &format!("matmul_nt {name}"),
+            &reference::matmul(&a, &b),
+            || ops::matmul_nt(&a, &bt),
+        );
         let at = reference::transpose_last2(&a);
-        check(&format!("matmul_tn {name}"), &reference::matmul(&a, &b), || ops::matmul_tn(&at, &b));
+        check(
+            &format!("matmul_tn {name}"),
+            &reference::matmul(&a, &b),
+            || ops::matmul_tn(&at, &b),
+        );
     }
 }
 
@@ -185,18 +251,35 @@ fn dirty_kernels_write_every_element() {
 #[test]
 fn zip_rows_writes_every_row_at_every_level() {
     let data: Vec<f32> = pattern(&[400], 17).data().to_vec();
-    let levels: Vec<SimdLevel> =
-        [SimdLevel::Scalar, SimdLevel::Avx2].into_iter().filter(|&l| l <= simd::detected()).collect();
+    let levels: Vec<SimdLevel> = [SimdLevel::Scalar, SimdLevel::Avx2]
+        .into_iter()
+        .filter(|&l| l <= simd::detected())
+        .collect();
     for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div] {
         for (x_splat, y_splat) in [(false, false), (false, true), (true, false), (true, true)] {
             for run in 1..=19 {
                 for rows in 1..=3 {
                     for (xs, ys) in [(run, 0), (0, run + 1), (3, 7)] {
-                        let x = Rows { data: &data, base: 5, stride: xs, splat: x_splat };
-                        let y = Rows { data: &data, base: 40, stride: ys, splat: y_splat };
-                        let at = |r: Rows, i: usize, j: usize| r.data[r.base + i * r.stride + if r.splat { 0 } else { j }];
+                        let x = Rows {
+                            data: &data,
+                            base: 5,
+                            stride: xs,
+                            splat: x_splat,
+                        };
+                        let y = Rows {
+                            data: &data,
+                            base: 40,
+                            stride: ys,
+                            splat: y_splat,
+                        };
+                        let at = |r: Rows, i: usize, j: usize| {
+                            r.data[r.base + i * r.stride + if r.splat { 0 } else { j }]
+                        };
                         let want: Vec<u32> = (0..rows * run)
-                            .map(|e| op.apply(at(x, e / run, e % run), at(y, e / run, e % run)).to_bits())
+                            .map(|e| {
+                                op.apply(at(x, e / run, e % run), at(y, e / run, e % run))
+                                    .to_bits()
+                            })
                             .collect();
                         for &level in &levels {
                             simd::set_level(Some(level));

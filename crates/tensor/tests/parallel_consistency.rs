@@ -26,7 +26,12 @@ static LOCK: Mutex<()> = Mutex::new(());
 
 fn rand_tensor(rng: &mut SmallRng, shape: Vec<usize>) -> Tensor {
     let n: usize = shape.iter().product();
-    Tensor::from_vec(shape, (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect::<Vec<f32>>())
+    Tensor::from_vec(
+        shape,
+        (0..n)
+            .map(|_| rng.gen_range(-2.0..2.0))
+            .collect::<Vec<f32>>(),
+    )
 }
 
 fn max_abs_diff(a: &Tensor, b: &Tensor) -> f32 {
@@ -616,8 +621,16 @@ fn matmul_tn_packed_panel_path_matches_reference() {
     for threads in [1usize, 2, 3] {
         let shared = with_threads(threads, || ops::matmul_tn(&a_shared, &g));
         let batched = with_threads(threads, || ops::matmul_tn(&a, &g));
-        assert_eq!(bits(&shared), bits(&shared_oracle), "shared-a at {threads} threads");
-        assert_eq!(bits(&batched), bits(&batched_oracle), "batched at {threads} threads");
+        assert_eq!(
+            bits(&shared),
+            bits(&shared_oracle),
+            "shared-a at {threads} threads"
+        );
+        assert_eq!(
+            bits(&batched),
+            bits(&batched_oracle),
+            "batched at {threads} threads"
+        );
     }
 }
 
@@ -667,11 +680,18 @@ fn arena_reuse_never_aliases_live_buffers() {
     // tensors that will draw from the free list.
     drop(a.clone());
     let mut b = Tensor::zeros(vec![512]);
-    assert!(b.data().iter().all(|&v| v == 0.0), "recycled buffer not zeroed");
+    assert!(
+        b.data().iter().all(|&v| v == 0.0),
+        "recycled buffer not zeroed"
+    );
     for v in b.data_mut() {
         *v = -1234.5;
     }
-    assert_eq!(a.data(), &before[..], "live buffer was aliased by arena reuse");
+    assert_eq!(
+        a.data(),
+        &before[..],
+        "live buffer was aliased by arena reuse"
+    );
     // No handout may ever expose the debug poison pattern.
     let c = Tensor::full(vec![512], 3.25);
     assert!(c

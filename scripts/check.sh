@@ -10,6 +10,12 @@ cd "$(dirname "$0")/.."
 echo "==> source lint (unwrap/expect, unsafe, checkpoint casts)"
 bash scripts/lint_forbidden.sh
 
+echo "==> rustfmt (formatted crates)"
+# A ratchet: the crates listed here are rustfmt-clean and must stay so.
+# Add a crate once it has been formatted in a commit of its own; never
+# format e2ebench/, which changes only with the benchmark.
+cargo fmt --check -p cts-tensor -p cts-autograd
+
 echo "==> no ignored recovery tests"
 # The fault-tolerance suites must always run: an #[ignore] on any of them
 # would let a broken resume/watchdog path slip through the gate.
