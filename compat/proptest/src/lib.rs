@@ -176,7 +176,7 @@ pub mod bool {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Strategy for `Vec`s of a fixed length, from [`vec`].
+    /// Strategy for `Vec`s of a fixed length, from [`vec`](fn@vec).
     pub struct VecStrategy<S> {
         element: S,
         len: usize,

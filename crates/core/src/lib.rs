@@ -12,7 +12,7 @@
 //!    batches and the network weights `w` on pseudo-training batches.
 //! 3. [`derive`](derive::derive_genotype) extracts a discrete [`Genotype`]
 //!    (Eq. 7 + the two-incoming-edges rule + argmax-γ backbone).
-//! 4. [`ArchitectureEvaluation`](evaluate) retrains the derived
+//! 4. [Architecture evaluation](eval::evaluate_genotype) retrains the derived
 //!    [`DerivedModel`] from scratch on train+validation and reports test
 //!    metrics.
 //!

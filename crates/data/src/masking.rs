@@ -11,7 +11,7 @@
 use cts_tensor::Tensor;
 
 /// Tolerance for sentinel comparison, matching the masked-metric
-/// convention in [`crate::metrics`].
+/// convention in the crate's `metrics` module.
 pub const NULL_TOL: f32 = 1e-4;
 
 /// Is `v` a missing reading? Non-finite values always count as missing;

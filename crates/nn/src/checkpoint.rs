@@ -2,7 +2,7 @@
 //! state to a small self-describing binary format (no external
 //! dependencies).
 //!
-//! Combined with [`autocts::Genotype::to_text`] a searched-and-trained
+//! Combined with `autocts::Genotype::to_text` a searched-and-trained
 //! model is fully persistable: the genotype captures the architecture,
 //! the checkpoint the weights — and, since the `CTSCKPT2` format, the
 //! complete run state (optimizer moments, schedules, counters, RNG), so

@@ -146,7 +146,7 @@ impl Timer {
 }
 
 /// An always-on coarse stopwatch for per-run / per-epoch wall-clock fields
-/// in reports ([`cts-nn`]'s `TrainReport.secs_per_epoch`, `autocts`'s
+/// in reports (`cts-nn`'s `TrainReport.secs_per_epoch`, `autocts`'s
 /// `SearchStats.secs`). Use [`timer`] instead on hot paths.
 #[derive(Clone, Copy, Debug)]
 pub struct Stopwatch {

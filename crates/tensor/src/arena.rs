@@ -21,8 +21,8 @@
 //!   `ceil(log2(len))`, so any recycled hit is guaranteed to have enough
 //!   capacity. Fresh allocations round their capacity up to the class
 //!   size so they re-enter the exact bin that will serve them next time.
-//! - **Bounded residency**: at most [`PER_CLASS`] buffers per class and
-//!   [`MAX_RESIDENT_FLOATS`] floats total stay cached per thread; excess
+//! - **Bounded residency**: at most `PER_CLASS` buffers per class and
+//!   `MAX_RESIDENT_FLOATS` floats total stay cached per thread; excess
 //!   buffers fall through to the system allocator's `dealloc` as before.
 //! - **Demand-bounded free lists**: a thread keeps at most as many buffers
 //!   of a class as it has itself had out at once. Buffers freed by a

@@ -2,7 +2,7 @@
 //! worker-pool counter rows into the `cts-obs` run log.
 //!
 //! The obs crate sits *below* this one in the dependency graph (so the
-//! hot paths in [`crate::parallel`] / [`crate::pool`] can record into it),
+//! hot paths in [`crate::parallel`] / the worker pool can record into it),
 //! which means `cts-obs` cannot itself read tensor-layer state — this
 //! module is the bridge that publishes it. Callers pair
 //! [`emit_epoch_rows`] with `cts_obs::emit_epoch_rows` (phases + tape)

@@ -507,7 +507,7 @@ pub fn relu(a: &Tensor) -> Tensor {
     unary_arith(a, UnOp::Relu)
 }
 
-/// ∂relu/∂a = grad ⊙ 1[a>0].
+/// ∂relu/∂a = grad ⊙ `1[a>0]`.
 pub fn relu_grad(grad: &Tensor, a: &Tensor) -> Tensor {
     zip_exact(grad, a, |g, x| if x > 0.0 { g } else { 0.0 })
 }

@@ -294,10 +294,10 @@ pub(crate) fn transpose_tile(src: &[f32], dst: &mut [f32], m: usize, n: usize) {
 /// Fused `A · Bᵀ`: `a: [..., m, k] × b: [..., n, k] → [..., m, n]` with
 /// `out[i, j] = Σ_k a[i, k] · b[j, k]` (batch dims broadcast).
 ///
-/// Small B matrices (`n·k ≤` [`NT_FULL_CAP`]) are transposed whole into a
+/// Small B matrices (`n·k ≤ NT_FULL_CAP`) are transposed whole into a
 /// per-worker buffer — once per *distinct* B, so a shared weight broadcast
 /// over a big batch transposes exactly once per worker — and then multiply
-/// through the identical [`gemm_rows`] path as the forward product. Larger
+/// through the identical `gemm_rows` path as the forward product. Larger
 /// B is transpose-packed tile by tile into the panel instead. Both orders
 /// accumulate each output element in strictly ascending `k`, so the result
 /// is bit-identical to `matmul(a, transpose_last2(b))`.
@@ -402,7 +402,7 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
 /// Each worker transpose-packs the rows of `aᵀ` its output rows need into
 /// per-worker scratch — once per *distinct* A and row range, so a shared
 /// adjacency broadcast over a big batch is packed once per worker — and
-/// then runs the same [`gemm_rows`] as the forward product, with the
+/// then runs the same `gemm_rows` as the forward product, with the
 /// reduction over `i`. Each output element accumulates in ascending `i`,
 /// the exact order of `matmul(transpose_last2(a), g)`, so the result is
 /// bit-identical to it.

@@ -8,7 +8,7 @@
 //!
 //! Large kernels execute on the persistent worker pool behind
 //! [`crate::parallel`] (thread count via `CTS_NUM_THREADS`), with output
-//! buffers drawn from the thread-local [`crate::arena`]; [`reference`]
+//! buffers drawn from the thread-local [`crate::arena`]; [`reference`](mod@reference)
 //! holds the naive serial oracles they are tested and benchmarked against.
 
 mod conv;

@@ -55,7 +55,7 @@ pub(crate) fn sum_rows(rows: &[f32], len: usize, out: &mut [f32]) {
 }
 
 /// Sum over one axis. On the last axis (`inner == 1`) each output is one
-/// contiguous row summed by [`sum_rows`]; otherwise rows of `inner`
+/// contiguous row summed by `sum_rows`; otherwise rows of `inner`
 /// outputs accumulate on the SIMD lanes.
 pub fn sum_axis(a: &Tensor, axis: usize, keepdim: bool) -> Tensor {
     meter::add_reads(a.len());

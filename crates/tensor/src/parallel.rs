@@ -10,11 +10,11 @@
 //! # Dispatch
 //!
 //! Shares execute on a lazily-started persistent worker pool
-//! ([`crate::pool`]): workers are spawned on the first sufficiently large
+//! (`pool.rs`): workers are spawned on the first sufficiently large
 //! kernel, then park on a condvar between jobs, so steady-state dispatch
 //! is a wake/sleep round-trip instead of an OS thread spawn per kernel.
 //!
-//! The pool affects scheduling only. Partitioning ([`share`]) lives here,
+//! The pool affects scheduling only. Partitioning (`share`) lives here,
 //! and every worker writes its own output units, so results are
 //! bit-identical at any thread count and across pool teardown/re-init.
 //! Per-launch share bookkeeping lives in bounded inline storage, so a
@@ -66,7 +66,7 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Partition {
     /// Contiguous runs of fixed-size units, dealt out in worker order
-    /// (worker `w` gets units `[start_w, start_w + n_w)`; see [`share`]).
+    /// (worker `w` gets units `[start_w, start_w + n_w)`; see `share`).
     ContiguousUnits,
 }
 

@@ -8,7 +8,7 @@ pub const INLINE_RANK: usize = 6;
 
 /// A tensor shape: the extent of every dimension, outermost first.
 ///
-/// Stored inline for ranks up to [`INLINE_RANK`] so that the per-tensor
+/// Stored inline for ranks up to `INLINE_RANK` (6) so that the per-tensor
 /// shape/stride/coordinate bookkeeping of a training step never touches
 /// the heap — the same churn-elimination story as the data-buffer
 /// [`crate::arena`], but for metadata. Derefs to `&[usize]`, so all

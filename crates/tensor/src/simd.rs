@@ -40,7 +40,7 @@
 //! asserts its slice bounds before touching a pointer, and the AVX2
 //! entry points are only reachable through [`level`], which has verified
 //! the host feature. The crate is `deny(unsafe_code)`; this module and
-//! [`crate::pool`] are the only opt-outs, enforced by
+//! the worker pool (`pool.rs`) are the only opt-outs, enforced by
 //! `scripts/lint_forbidden.sh` rule 8.
 
 #![allow(unsafe_code)]

@@ -114,6 +114,11 @@ echo "==> observability gate"
 # summarize (tests/observability.rs).
 cargo test --offline --test observability
 
+echo "==> cargo doc -D warnings"
+# Intra-doc links must resolve, and public docs must not link to private
+# items.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
