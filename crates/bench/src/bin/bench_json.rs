@@ -142,10 +142,12 @@ fn thread_counts() -> Vec<usize> {
 /// Per-kernel rows: the projection/attention shapes the supernet is built
 /// from, the search step's own elementwise shapes at `[8,32,12,8]`, its
 /// own GEMMs (graph conv, linear weight gradient, temporal conv) and its
-/// node-major `permute`, ProbSparse's last-axis `max_axis` and LayerNorm's
-/// last-axis `sum_axis_grad`, at every worker count of [`thread_counts`],
-/// plus a forced-scalar run of each case in the same rounds as its
-/// threads=1 run, so each kernel has a scalar-vs-simd row pair.
+/// node-major `permute`, attention's key transpose, LayerNorm's per-row
+/// and bias broadcasts at d_model 16, ProbSparse's last-axis `max_axis`
+/// and LayerNorm's last-axis `sum_axis_grad`, at every worker count of
+/// [`thread_counts`], plus a forced-scalar run of each case in the same
+/// rounds as its threads=1 run, so each kernel has a scalar-vs-simd row
+/// pair.
 ///
 /// Asserts (rather than merely records) the perf contracts of the SIMD
 /// work: `matmul_nt` within 1.3× of `matmul`, the adjacency `matmul_tn`
@@ -179,6 +181,10 @@ fn bench_ops() -> (Vec<String>, String) {
     // over d_model 16.
     let qk = init::uniform(&mut rng, [256, 12, 12], -1.0, 1.0);
     let mean_grad = init::uniform(&mut rng, [8, 32, 12], -1.0, 1.0);
+    // Attention's keys `[B·N, T, d]`, transposed for `Q·Kᵀ`, and the
+    // d_model-16 bias row.
+    let keys = init::uniform(&mut rng, [256, 12, 16], -1.0, 1.0);
+    let bias16 = init::uniform(&mut rng, [16], -1.0, 1.0);
 
     // (op, shape, timed iterations, kernel call); the search shapes are
     // ~10 µs calls, so they time more iterations.
@@ -221,6 +227,9 @@ fn bench_ops() -> (Vec<String>, String) {
             Box::new(|| ops::sum_axis_grad(&mean_grad, &[8, 32, 12, 16], 3)),
         ),
         ("permute", "[8,32,12,8] 0213", 400, Box::new(|| ops::permute(&h, &[0, 2, 1, 3]))),
+        ("permute", "[256,12,16] 021", 400, Box::new(|| ops::permute(&keys, &[0, 2, 1]))),
+        ("elementwise.sub", "[8,32,12,16]-[8,32,12,1]", 400, Box::new(|| ops::sub(&xc, &stat))),
+        ("elementwise.add", "[8,32,12,16]+[16]", 400, Box::new(|| ops::add(&xc, &bias16))),
         ("matmul", "[32,32]x[8,12,32,8]", 1000, Box::new(|| ops::matmul(&adj, &hn))),
         ("matmul.tn", "[32,32]Tx[8,12,32,8]", 1000, Box::new(|| ops::matmul_tn(&adj, &hn))),
         ("matmul.tn", "[8,32,12,8]Tx[8,32,12,8]", 200, Box::new(|| ops::matmul_tn(&hs, &h))),
