@@ -854,20 +854,60 @@ mod x86 {
         splat_tail(op, c, c_first, x, out, j);
     }
 
-    // SAFETY: to call, AVX2 must be available on the host (each row is a
-    // bounds-checked slice).
+    /// One row loop per op and operand pairing: each row is 8-lane strips
+    /// and a scalar tail of the same [`BinOp::apply`].
+    // SAFETY: to call, AVX2 must be available and every row of `x` and `y`
+    // must lie inside its buffer (`zip_rows` checks both).
     #[target_feature(enable = "avx2")]
     pub unsafe fn zip_rows_avx2(op: BinOp, x: Rows, y: Rows, run: usize, out: &mut [f32]) {
-        for (i, o) in out.chunks_exact_mut(run).enumerate() {
-            let (xo, yo) = (x.base + i * x.stride, y.base + i * y.stride);
-            match (x.splat, y.splat) {
-                (false, false) => {
-                    binary_map_avx2(op, &x.data[xo..xo + run], &y.data[yo..yo + run], o)
+        let rows = out.len() / run;
+        let (xp, yp, op_) = (x.data.as_ptr(), y.data.as_ptr(), out.as_mut_ptr());
+        // `$lane(xr, yr, j)` is the vector at offset `j` of the row and
+        // `$one(xr, yr, j)` the scalar, where `xr`/`yr` start the row.
+        macro_rules! each_row {
+            (|$xr:ident, $yr:ident, $j:ident| $lane:expr, $one:expr) => {
+                for i in 0..rows {
+                    let ($xr, $yr) = (xp.add(x.base + i * x.stride), yp.add(y.base + i * y.stride));
+                    let o = op_.add(i * run);
+                    let mut $j = 0;
+                    while $j + 8 <= run {
+                        _mm256_storeu_ps(o.add($j), $lane);
+                        $j += 8;
+                    }
+                    while $j < run {
+                        *o.add($j) = $one;
+                        $j += 1;
+                    }
                 }
-                (false, true) => splat_map_avx2(op, y.data[yo], false, &x.data[xo..xo + run], o),
-                (true, false) => splat_map_avx2(op, x.data[xo], true, &y.data[yo..yo + run], o),
-                (true, true) => o.fill(op.apply(x.data[xo], y.data[yo])),
-            }
+            };
+        }
+        macro_rules! pairings {
+            ($vop:ident) => {
+                match (x.splat, y.splat) {
+                    (false, false) => each_row!(
+                        |xr, yr, j| $vop(_mm256_loadu_ps(xr.add(j)), _mm256_loadu_ps(yr.add(j))),
+                        op.apply(*xr.add(j), *yr.add(j))
+                    ),
+                    (false, true) => each_row!(
+                        |xr, yr, j| $vop(_mm256_loadu_ps(xr.add(j)), _mm256_set1_ps(*yr)),
+                        op.apply(*xr.add(j), *yr)
+                    ),
+                    (true, false) => each_row!(
+                        |xr, yr, j| $vop(_mm256_set1_ps(*xr), _mm256_loadu_ps(yr.add(j))),
+                        op.apply(*xr, *yr.add(j))
+                    ),
+                    (true, true) => each_row!(
+                        |xr, yr, j| _mm256_set1_ps(op.apply(*xr, *yr)),
+                        op.apply(*xr, *yr)
+                    ),
+                }
+            };
+        }
+        match op {
+            BinOp::Add => pairings!(_mm256_add_ps),
+            BinOp::Sub => pairings!(_mm256_sub_ps),
+            BinOp::Mul => pairings!(_mm256_mul_ps),
+            BinOp::Div => pairings!(_mm256_div_ps),
         }
     }
 
