@@ -30,18 +30,21 @@
 //!   client's request window, a client freeing the shard's answer — fall
 //!   through to the system allocator instead of piling up in a free list
 //!   nobody takes from.
-//! - **Deterministic values**: [`take_zeroed`], [`take_filled`],
-//!   [`take_copied`] and [`take_from_iter`] hand out fully initialised
-//!   buffers. [`take_dirty`] does not: its contents are whatever the
-//!   buffer last held, and it serves only kernels that write every output
-//!   element before anyone reads it (the elementwise maps and zips, the
-//!   copies of `permute`, `concat`, `slice`, `index_select` and `stack`,
-//!   `transpose_last2` and the GEMM family), so a full overwrite is not
-//!   preceded by a zero fill. Debug builds poison-fill the whole capacity
-//!   of every recycled buffer with a NaN pattern ([`POISON`]), so a
-//!   dirty-taking kernel that skips an element surfaces as NaNs in tests;
-//!   `dirty_buffers` in the crate's tests recycles POISON-filled buffers
-//!   itself, so the same check also runs in release builds.
+//! - **Deterministic values**: no result depends on what a recycled
+//!   buffer held. [`take_zeroed`], [`take_filled`], [`take_copied`] and
+//!   [`take_from_iter`] hand out fully initialised buffers. [`take_dirty`]
+//!   hands out whatever the buffer last held, and serves only kernels that
+//!   write every output element before anyone reads it (the elementwise
+//!   maps and zips, the copies of `permute`, `concat`, `slice`,
+//!   `index_select` and `stack`, `transpose_last2`, the GEMM family,
+//!   softmax, its gradient and `logsumexp_last`, `sum_axis_grad` and
+//!   `broadcast_to`),
+//!   so a full overwrite is not preceded by a zero fill. The poison is the
+//!   guard: debug builds fill the whole capacity of every recycled buffer
+//!   with a NaN pattern ([`POISON`]), so a dirty-taking kernel that skips
+//!   an element surfaces as NaNs in tests, and the crate's
+//!   `tests/dirty_buffers.rs` recycles POISON-filled buffers itself, so
+//!   the same check runs in release builds.
 //!
 //! # Counters
 //!

@@ -5,6 +5,10 @@
 //! `inner`-length slice of the output, so workers never share an
 //! accumulator and the per-slot ascending-`l` accumulation order is
 //! identical to the serial kernel (bit-exact at any thread count).
+//!
+//! `sum_axis_grad` and `broadcast_to` write every output element, so they
+//! take their output from [`arena::take_dirty`]; the accumulating
+//! reductions start from zeros (or `-∞` for `max_axis`).
 
 use crate::arena;
 use crate::meter;
@@ -103,7 +107,7 @@ pub fn mean_axis(a: &Tensor, axis: usize, keepdim: bool) -> Tensor {
 pub fn sum_axis_grad(grad: &Tensor, a_shape: &[usize], axis: usize) -> Tensor {
     meter::add_reads(grad.len());
     let (outer, len, inner) = split_at_axis(a_shape, axis);
-    let mut out = arena::take_zeroed(outer * len * inner);
+    let mut out = arena::take_dirty(outer * len * inner);
     let g = grad.data();
     debug_assert_eq!(g.len(), outer * inner);
     parallel::for_units(
@@ -213,7 +217,7 @@ pub fn broadcast_to(a: &Tensor, target: &[usize]) -> Tensor {
     }
     meter::add_reads(a.len());
     let n = numel(target);
-    let mut out = arena::take_zeroed(n);
+    let mut out = arena::take_dirty(n);
     let data = a.data();
     let shape = a.shape();
     // Right-aligned broadcast strides into `a`: 0 where a dim broadcasts.

@@ -11,6 +11,9 @@
 //! and the `1/z` normalization ([`crate::simd::scale_in_place`]) vectorize;
 //! the exp pass and the running `z` sum stay scalar because a vector unit
 //! would have to reassociate that single sequential addition chain.
+//!
+//! Each row writes every one of its outputs, so all three kernels take
+//! their output from [`arena::take_dirty`].
 
 use crate::arena;
 use crate::meter;
@@ -22,7 +25,7 @@ pub fn softmax_last(a: &Tensor) -> Tensor {
     meter::add_reads(a.len());
     let r = a.rank();
     let n = a.shape()[r - 1];
-    let mut out = arena::take_zeroed(a.len());
+    let mut out = arena::take_dirty(a.len());
     let data = a.data();
     // ~4 flops per element (max scan, exp, sum, scale).
     parallel::for_units(
@@ -59,7 +62,7 @@ pub fn softmax_last_grad(grad: &Tensor, y: &Tensor) -> Tensor {
     meter::add_reads(grad.len() + y.len());
     let r = y.rank();
     let n = y.shape()[r - 1];
-    let mut out = arena::take_zeroed(y.len());
+    let mut out = arena::take_dirty(y.len());
     let g = grad.data();
     let yv = y.data();
     parallel::for_units(
@@ -90,7 +93,7 @@ pub fn logsumexp_last(a: &Tensor) -> Tensor {
     let r = a.rank();
     let n = a.shape()[r - 1];
     let rows = a.len() / n.max(1);
-    let mut out = arena::take_zeroed(rows);
+    let mut out = arena::take_dirty(rows);
     let data = a.data();
     parallel::for_units(
         &parallel::kernels::LOGSUMEXP,

@@ -208,6 +208,52 @@ fn dirty_kernels_write_every_element() {
         ops::stack(&[&p1, &q, &p1])
     });
 
+    // Row kernels: softmax, its gradient and logsumexp over the last
+    // axis; the axis-sum gradient and a materialized broadcast.
+    let (sx, sg) = (pattern(&[64, 12, 45], 18), pattern(&[64, 12, 45], 19));
+    check("softmax_last", &reference::softmax_last(&sx), || {
+        ops::softmax_last(&sx)
+    });
+    let y = reference::softmax_last(&sx);
+    let mut dy = Vec::with_capacity(y.len());
+    for (yr, gr) in y.data().chunks(45).zip(sg.data().chunks(45)) {
+        let dot: f32 = (0..45).map(|i| gr[i] * yr[i]).sum();
+        dy.extend(yr.iter().zip(gr).map(|(&y, &g)| y * (g - dot)));
+    }
+    check(
+        "softmax_last_grad",
+        &Tensor::from_vec(y.shape(), dy),
+        || ops::softmax_last_grad(&sg, &y),
+    );
+    let lse: Vec<f32> = sx
+        .data()
+        .chunks(45)
+        .map(|s| {
+            let m = s.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            m + s.iter().map(|&x| (x - m).exp()).sum::<f32>().ln()
+        })
+        .collect();
+    check("logsumexp_last", &Tensor::from_vec([64, 12], lse), || {
+        ops::logsumexp_last(&sx)
+    });
+    let rows = pattern(&[8, 32, 12], 20);
+    for axis in [1usize, 3] {
+        let mut full = vec![8, 32, 12];
+        full.insert(axis, 16);
+        check(
+            &format!("sum_axis_grad axis {axis}"),
+            &reference::sum_axis_grad(&rows, &full, axis),
+            || ops::sum_axis_grad(&rows, &full, axis),
+        );
+    }
+    let stat = pattern(&[8, 1, 12, 1], 21);
+    let target = [8, 32, 12, 16];
+    check(
+        "broadcast_to",
+        &reference::zip_broadcast(&stat, &Tensor::zeros(target), |x, _| x),
+        || ops::broadcast_to(&stat, &target),
+    );
+
     // Transpose of the last two axes, past the parallel threshold.
     let t = pattern(&[24, 37, 41], 14);
     check("transpose_last2", &reference::transpose_last2(&t), || {
