@@ -106,14 +106,7 @@ fn zip_arith(a: &Tensor, b: &Tensor, op: BinOp) -> Tensor {
 /// walk as [`zip_arith`].
 fn zip_map(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
     zip_broadcast(a, b, |x, y, run, out| {
-        for (i, row) in out.chunks_exact_mut(run).enumerate() {
-            let (xo, yo) = (x.base + i * x.stride, y.base + i * y.stride);
-            for (j, o) in row.iter_mut().enumerate() {
-                let xv = x.data[if x.splat { xo } else { xo + j }];
-                let yv = y.data[if y.splat { yo } else { yo + j }];
-                *o = f(xv, yv);
-            }
-        }
+        simd::zip_rows_with(x, y, run, out, &f)
     })
 }
 

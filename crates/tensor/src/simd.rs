@@ -397,51 +397,6 @@ fn gemm_tail(a: &[f32], b: &[f32], out: &mut [f32], g: Gemm, rows: usize, j0: us
 // Elementwise maps
 // ---------------------------------------------------------------------------
 
-/// `out[i] = op(a[i], b[i])` over equal-length slices.
-#[inline]
-pub fn binary_map(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
-    debug_assert!(a.len() == out.len() && b.len() == out.len());
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level() == Avx2 only after is_x86_feature_detected!("avx2").
-        SimdLevel::Avx2 => unsafe { x86::binary_map_avx2(op, a, b, out) },
-        _ => {
-            for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-                *o = op.apply(x, y);
-            }
-        }
-    }
-}
-
-/// `out[i] = op(c, x[i])` when `c_first`, else `out[i] = op(x[i], c)`:
-/// a binary op with one operand broadcast across the whole slice. The
-/// constant keeps its side, so `c − x` and `c / x` round as written.
-#[inline]
-pub fn splat_map(op: BinOp, c: f32, c_first: bool, x: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(x.len(), out.len());
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level() == Avx2 only after is_x86_feature_detected!("avx2").
-        SimdLevel::Avx2 => unsafe { x86::splat_map_avx2(op, c, c_first, x, out) },
-        _ => splat_tail(op, c, c_first, x, out, 0),
-    }
-}
-
-/// Scalar `splat_map` over `j0..`: the pinned form for the scalar level
-/// and the vector tails.
-#[inline(always)]
-fn splat_tail(op: BinOp, c: f32, c_first: bool, x: &[f32], out: &mut [f32], j0: usize) {
-    if c_first {
-        for (o, &v) in out[j0..].iter_mut().zip(x[j0..].iter()) {
-            *o = op.apply(c, v);
-        }
-    } else {
-        for (o, &v) in out[j0..].iter_mut().zip(x[j0..].iter()) {
-            *o = op.apply(v, c);
-        }
-    }
-}
-
 /// One operand of [`zip_rows`]: row `i` reads the `run` floats at
 /// `data[base + i·stride..]`, or, as a splat, the one value
 /// `data[base + i·stride]` repeated across the row.
@@ -469,14 +424,19 @@ impl Rows<'_> {
             "zip_rows operand out of bounds"
         );
     }
+
+    /// Row `i`: its `run` floats, or its one value as a splat.
+    fn row(&self, i: usize, run: usize) -> &[f32] {
+        let start = self.base + i * self.stride;
+        &self.data[start..start + if self.splat { 1 } else { run }]
+    }
 }
 
 /// `out[i·run + j] = op(x_i[j], y_i[j])` for `rows = out.len() / run`
 /// rows, where `x_i` and `y_i` are row `i` of each operand (a slice or a
 /// splat, [`Rows`]): a broadcasting zip's whole block in one dispatch.
-/// Every element is the same [`BinOp::apply`] that [`binary_map`] and
-/// [`splat_map`] compute, so the result is bit-identical to mapping each
-/// row with them.
+/// Every element is [`BinOp::apply`] of its two operands at every level,
+/// and a splat keeps its side, so `c − x` and `c / x` round as written.
 pub fn zip_rows(op: BinOp, x: Rows, y: Rows, run: usize, out: &mut [f32]) {
     if run == 0 || out.is_empty() {
         return;
@@ -494,24 +454,41 @@ pub fn zip_rows(op: BinOp, x: Rows, y: Rows, run: usize, out: &mut [f32]) {
         // SAFETY: level() == Avx2 only after is_x86_feature_detected!("avx2");
         // both operands' rows were bounds-checked above.
         SimdLevel::Avx2 => unsafe { x86::zip_rows_avx2(op, x, y, run, out) },
-        _ => {
-            for (i, o) in out.chunks_exact_mut(run).enumerate() {
-                let (xo, yo) = (x.base + i * x.stride, y.base + i * y.stride);
-                match (x.splat, y.splat) {
-                    (false, false) => {
-                        for ((o, &a), &b) in o
-                            .iter_mut()
-                            .zip(&x.data[xo..xo + run])
-                            .zip(&y.data[yo..yo + run])
-                        {
-                            *o = op.apply(a, b);
-                        }
-                    }
-                    (false, true) => splat_tail(op, y.data[yo], false, &x.data[xo..xo + run], o, 0),
-                    (true, false) => splat_tail(op, x.data[xo], true, &y.data[yo..yo + run], o, 0),
-                    (true, true) => o.fill(op.apply(x.data[xo], y.data[yo])),
+        _ => zip_rows_with(x, y, run, out, |a, b| op.apply(a, b)),
+    }
+}
+
+/// [`zip_rows`] for any elementwise `f`, in scalar loops: the scalar
+/// level's body, and the walk of closures that have no vector form.
+pub(crate) fn zip_rows_with(
+    x: Rows,
+    y: Rows,
+    run: usize,
+    out: &mut [f32],
+    f: impl Fn(f32, f32) -> f32,
+) {
+    if run == 0 {
+        return;
+    }
+    for (i, o) in out.chunks_exact_mut(run).enumerate() {
+        let (xs, ys) = (x.row(i, run), y.row(i, run));
+        match (x.splat, y.splat) {
+            (false, false) => {
+                for ((o, &a), &b) in o.iter_mut().zip(xs).zip(ys) {
+                    *o = f(a, b);
                 }
             }
+            (false, true) => {
+                for (o, &a) in o.iter_mut().zip(xs) {
+                    *o = f(a, ys[0]);
+                }
+            }
+            (true, false) => {
+                for (o, &b) in o.iter_mut().zip(ys) {
+                    *o = f(xs[0], b);
+                }
+            }
+            (true, true) => o.fill(f(xs[0], ys[0])),
         }
     }
 }
@@ -709,8 +686,9 @@ pub fn reduce_lanes8(
 mod x86 {
     //! AVX2 bodies. Callers (the dispatchers above) guarantee the
     //! target feature is present; each body asserts its slice bounds
-    //! before the pointer loop, so every load/store below is in bounds.
-    use super::{fold_max, gemm_tail, splat_tail, BinOp, Gemm, Rows, UnOp, LANES, MAX_RDIMS, MR};
+    //! before the pointer loop (`zip_rows_avx2` relies on its
+    //! dispatcher's row check), so every load/store below is in bounds.
+    use super::{fold_max, gemm_tail, BinOp, Gemm, Rows, UnOp, LANES, MAX_RDIMS, MR};
     use std::arch::x86_64::*;
 
     // -- gemm ---------------------------------------------------------------
@@ -793,66 +771,6 @@ mod x86 {
     }
 
     // -- elementwise maps ---------------------------------------------------
-
-    // SAFETY: to call, AVX2 must be available on the host.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn binary_map_avx2(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        assert!(a.len() >= n && b.len() >= n);
-        let (ap, bp, op_) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-        macro_rules! lanes8 {
-            ($vop:ident) => {{
-                let mut j = 0;
-                while j + 8 <= n {
-                    let v = $vop(_mm256_loadu_ps(ap.add(j)), _mm256_loadu_ps(bp.add(j)));
-                    _mm256_storeu_ps(op_.add(j), v);
-                    j += 8;
-                }
-                while j < n {
-                    out[j] = op.apply(a[j], b[j]);
-                    j += 1;
-                }
-            }};
-        }
-        match op {
-            BinOp::Add => lanes8!(_mm256_add_ps),
-            BinOp::Sub => lanes8!(_mm256_sub_ps),
-            BinOp::Mul => lanes8!(_mm256_mul_ps),
-            BinOp::Div => lanes8!(_mm256_div_ps),
-        }
-    }
-
-    // SAFETY: to call, AVX2 must be available on the host.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn splat_map_avx2(op: BinOp, c: f32, c_first: bool, x: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        assert!(x.len() >= n);
-        let (xp, op_) = (x.as_ptr(), out.as_mut_ptr());
-        let vc = _mm256_set1_ps(c);
-        let mut j = 0;
-        macro_rules! lanes8 {
-            ($vop:ident) => {{
-                if c_first {
-                    while j + 8 <= n {
-                        _mm256_storeu_ps(op_.add(j), $vop(vc, _mm256_loadu_ps(xp.add(j))));
-                        j += 8;
-                    }
-                } else {
-                    while j + 8 <= n {
-                        _mm256_storeu_ps(op_.add(j), $vop(_mm256_loadu_ps(xp.add(j)), vc));
-                        j += 8;
-                    }
-                }
-            }};
-        }
-        match op {
-            BinOp::Add => lanes8!(_mm256_add_ps),
-            BinOp::Sub => lanes8!(_mm256_sub_ps),
-            BinOp::Mul => lanes8!(_mm256_mul_ps),
-            BinOp::Div => lanes8!(_mm256_div_ps),
-        }
-        splat_tail(op, c, c_first, x, out, j);
-    }
 
     /// One row loop per op and operand pairing: each row is 8-lane strips
     /// and a scalar tail of the same [`BinOp::apply`].
@@ -1203,46 +1121,50 @@ mod tests {
     }
 
     #[test]
-    fn binary_maps_levels_agree_all_widths_and_specials() {
-        for n in 0..=18 {
-            let mut a = pattern(n, 3);
-            let b = pattern(n, 5);
-            if n > 2 {
-                a[1] = f32::NAN;
-                a[2] = -0.0;
+    fn zip_rows_levels_agree_all_widths_pairings_and_specials() {
+        // Runs straddle the 8-lane width; two rows, the second strided;
+        // NaN and -0 in `x`; every op and slice/splat pairing (a splat
+        // keeps its side).
+        for run in 0..=18 {
+            let mut xd = pattern(2 * run + 2, 3);
+            let yd = pattern(2 * run + 2, 5);
+            if run > 2 {
+                xd[1] = f32::NAN;
+                xd[run + 3] = -0.0;
             }
             for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div] {
-                across_levels(|| {
-                    let mut out = vec![0.0; n];
-                    binary_map(op, &a, &b, &mut out);
-                    out
-                });
-            }
-        }
-    }
-
-    #[test]
-    fn splat_maps_levels_agree_both_sides() {
-        for n in 0..=18 {
-            let mut x = pattern(n, 7);
-            if n > 2 {
-                x[1] = f32::NAN;
-                x[2] = -0.0;
-            }
-            for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div] {
-                for c_first in [false, true] {
+                for (x_splat, y_splat) in
+                    [(false, false), (false, true), (true, false), (true, true)]
+                {
+                    let x = Rows {
+                        data: &xd,
+                        base: 1,
+                        stride: run + 1,
+                        splat: x_splat,
+                    };
+                    let y = Rows {
+                        data: &yd,
+                        base: 0,
+                        stride: run,
+                        splat: y_splat,
+                    };
                     let got = across_levels(|| {
-                        let mut out = vec![0.0; n];
-                        splat_map(op, -1.375, c_first, &x, &mut out);
+                        let mut out = vec![0.0; 2 * run];
+                        zip_rows(op, x, y, run, &mut out);
                         out
                     });
-                    for (g, &v) in got.iter().zip(x.iter()) {
-                        let want = if c_first {
-                            op.apply(-1.375, v)
-                        } else {
-                            op.apply(v, -1.375)
-                        };
-                        assert_eq!(g.to_bits(), want.to_bits(), "{op:?} c_first={c_first}");
+                    for (e, g) in got.iter().enumerate() {
+                        let (i, j) = (e / run, e % run);
+                        let (xv, yv) = (x.row(i, run), y.row(i, run));
+                        let want = op.apply(
+                            xv[if x_splat { 0 } else { j }],
+                            yv[if y_splat { 0 } else { j }],
+                        );
+                        assert_eq!(
+                            g.to_bits(),
+                            want.to_bits(),
+                            "{op:?} ({x_splat},{y_splat}) run={run}"
+                        );
                     }
                 }
             }
