@@ -360,7 +360,10 @@ mod tests {
     fn backward_computes_exactly_the_needed_gradients() {
         let cases: Vec<(Op, Vec<Vec<usize>>, Vec<usize>)> = vec![
             (Op::Add, vec![vec![2, 3, 4], vec![4]], vec![2, 3, 4]),
+            (Op::Add, vec![vec![3, 1], vec![2, 3, 4]], vec![2, 3, 4]),
+            (Op::Add, vec![vec![2, 3, 4], vec![2, 3, 4]], vec![2, 3, 4]),
             (Op::Sub, vec![vec![2, 3, 4], vec![2, 3, 1]], vec![2, 3, 4]),
+            (Op::Sub, vec![vec![2, 3, 4], vec![2, 3, 4]], vec![2, 3, 4]),
             (Op::Mul, vec![vec![2, 3, 4], vec![1]], vec![2, 3, 4]),
             (Op::Div, vec![vec![2, 3, 4], vec![3, 4]], vec![2, 3, 4]),
             (Op::MatMul, vec![vec![2, 3, 4], vec![4, 5]], vec![2, 3, 5]),
