@@ -45,41 +45,17 @@
 //! writes disjoint output units, each computed by exactly the chain the
 //! serial loop would run; a kernel whose output sums over its input
 //! (a weight gradient summed over series) splits its *output* rows, never
-//! the summed axis. That contract is machine checked, not conventional:
-//! each call into [`for_units`] must present a [`KernelSpec`] registered
-//! in [`kernels::ALL`], and the [`Partition`] / [`Reduction`] enums only
-//! have order-deterministic variants. A new kernel that skips
-//! registration panics on first use; one that invents a non-deterministic
-//! strategy cannot even name it. `cts-verify` audits the registry as part
-//! of its static report.
+//! the summed axis. [`for_units`] is the only way onto the pool, and it
+//! offers exactly that shape: contiguous runs of disjoint output units,
+//! nothing combined afterwards. Each call must present a [`KernelSpec`]
+//! registered in [`kernels::ALL`], so a new kernel that skips
+//! registration panics on first use. `cts-verify` audits the registry as
+//! part of its static report.
 
 use crate::pool;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
-
-/// How a kernel's output is split across workers.
-///
-/// Every variant is deterministic by construction: the assignment of work
-/// to a worker index depends only on the unit count and thread count,
-/// never on scheduling order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Partition {
-    /// Contiguous runs of fixed-size units, dealt out in worker order
-    /// (worker `w` gets units `[start_w, start_w + n_w)`; see `share`).
-    ContiguousUnits,
-}
-
-/// How per-worker results are combined into the kernel's output.
-///
-/// The only variant combines nothing, so no floating-point sum depends on
-/// the thread count. Summing per-worker partial buffers would regroup the
-/// additions whenever the worker count changes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Reduction {
-    /// Workers write disjoint output ranges; nothing is combined.
-    DisjointWrites,
-}
 
 /// How a kernel's vector (SIMD) lanes relate to its scalar accumulation
 /// order — the declaration the cts-verify determinism audit checks against
@@ -115,8 +91,9 @@ pub struct SimdContract {
     pub order: LaneOrder,
 }
 
-/// Static description of one parallel kernel: its name and the
-/// partition/reduction strategy it is allowed to use.
+/// Static description of one parallel kernel: its name, its SIMD
+/// contract and its counters. Every kernel splits its work the one way
+/// [`for_units`] offers.
 ///
 /// Specs are `'static` and identity-checked against [`kernels::ALL`], so
 /// the set of kernels that can touch the thread pool is a closed, auditable
@@ -125,10 +102,6 @@ pub struct SimdContract {
 pub struct KernelSpec {
     /// Stable kernel name (module-qualified, e.g. `"conv.temporal_grad_w"`).
     pub name: &'static str,
-    /// Work-splitting strategy.
-    pub partition: Partition,
-    /// Result-combination strategy.
-    pub reduction: Reduction,
     /// Declared SIMD lane width and order (audited by cts-verify).
     pub simd: SimdContract,
     /// Cumulative invocation/timing counters (observability). Embedded in
@@ -139,13 +112,11 @@ pub struct KernelSpec {
 
 /// The closed registry of kernels allowed on the parallel layer.
 pub mod kernels {
-    use super::{KernelSpec, LaneOrder, Partition, Reduction, SimdContract};
+    use super::{KernelSpec, LaneOrder, SimdContract};
 
     const fn disjoint(name: &'static str) -> KernelSpec {
         KernelSpec {
             name,
-            partition: Partition::ContiguousUnits,
-            reduction: Reduction::DisjointWrites,
             simd: SimdContract {
                 lane_width: 1,
                 order: LaneOrder::ScalarOnly,
@@ -418,6 +389,13 @@ impl<T> DerefMut for Shares<T> {
 /// `f(first_unit, units_slice)` over disjoint runs of units, in parallel
 /// when `work` (estimated scalar ops) is large enough.
 ///
+/// The contract that makes every kernel thread-count independent: worker
+/// `w` gets the units `[start_w, start_w + n_w)` (see `share`, which
+/// depends only on the unit count and thread count), writes only those,
+/// and nothing is combined afterwards. So `f` must compute each unit
+/// exactly as the one serial `f(0, out)` call would; a kernel whose
+/// output sums over its input splits the output, never the summed axis.
+///
 /// `spec` must be a kernel registered in [`kernels::ALL`]; unregistered
 /// specs panic.
 ///
@@ -601,8 +579,6 @@ mod tests {
     fn unregistered_spec_rejected() {
         static ROGUE: KernelSpec = KernelSpec {
             name: "rogue",
-            partition: Partition::ContiguousUnits,
-            reduction: Reduction::DisjointWrites,
             simd: SimdContract {
                 lane_width: 1,
                 order: LaneOrder::ScalarOnly,

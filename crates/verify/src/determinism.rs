@@ -1,9 +1,9 @@
 //! Determinism audit over the tensor kernel registry.
 //!
 //! Every parallel kernel in `cts-tensor` must route through a registered
-//! [`KernelSpec`](cts_tensor::parallel::KernelSpec) whose partition and
-//! reduction strategies are order-fixed; the runtime entry points panic on
-//! unregistered specs. This pass machine-checks the registry invariants the
+//! [`KernelSpec`](cts_tensor::parallel::KernelSpec), and
+//! `parallel::for_units` only writes disjoint output units; the runtime
+//! entry points panic on unregistered specs. This pass machine-checks the registry invariants the
 //! runtime check relies on, so `cts-verify` can vouch that a build only
 //! ships deterministic kernels.
 //!
@@ -15,7 +15,7 @@
 //! (potentially order-sensitive) lane strategy is introduced.
 
 use crate::finding::{Finding, FindingKind, Severity};
-use cts_tensor::parallel::{kernels, LaneOrder, Partition, Reduction};
+use cts_tensor::parallel::{kernels, LaneOrder};
 use std::collections::HashSet;
 
 /// One registry entry, as seen by the audit.
@@ -23,10 +23,6 @@ use std::collections::HashSet;
 pub struct KernelEntry {
     /// Registry name (unique).
     pub name: &'static str,
-    /// How the iteration space is split across threads.
-    pub partition: Partition,
-    /// How per-thread results are combined.
-    pub reduction: Reduction,
     /// Declared SIMD lane width (1 = scalar only).
     pub lane_width: usize,
     /// Declared lane-order contract for the vector path.
@@ -49,8 +45,8 @@ impl DeterminismReport {
     }
 }
 
-/// Audit the kernel registry: non-empty, unique names, and every
-/// partition/reduction drawn from the order-fixed set.
+/// Audit the kernel registry: non-empty, unique names, and every lane
+/// width consistent with its lane-order contract.
 pub fn audit_determinism() -> DeterminismReport {
     let mut findings = Vec::new();
     let mut entries = Vec::with_capacity(kernels::ALL.len());
@@ -70,14 +66,6 @@ pub fn audit_determinism() -> DeterminismReport {
                 spec.name,
                 format!("duplicate kernel name `{}`: audit cannot distinguish the entries", spec.name),
             ));
-        }
-        // Exhaustive matches: adding a new (potentially order-sensitive)
-        // strategy variant forces this audit to be revisited at compile time.
-        match spec.partition {
-            Partition::ContiguousUnits => {}
-        }
-        match spec.reduction {
-            Reduction::DisjointWrites => {}
         }
         // A lane-order declaration must be consistent with its width:
         // scalar-only kernels have no lanes, vectorized kernels must be
@@ -111,8 +99,6 @@ pub fn audit_determinism() -> DeterminismReport {
         }
         entries.push(KernelEntry {
             name: spec.name,
-            partition: spec.partition,
-            reduction: spec.reduction,
             lane_width: spec.simd.lane_width,
             lane_order: spec.simd.order,
         });

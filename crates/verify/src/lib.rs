@@ -22,8 +22,8 @@
 //!    with the runtime tape audit (`Tape::reachable_params` in
 //!    `cts-autograd`), which the sweep binary cross-checks.
 //! 3. **Determinism audit** ([`audit_determinism`]): every parallel tensor
-//!    kernel must be registered with an order-fixed partition/reduction
-//!    strategy; the audit machine-checks the registry invariants.
+//!    kernel must be registered, and each one's SIMD lane width must fit
+//!    its lane-order contract; the audit machine-checks the registry.
 //!
 //! Errors mean "reject this architecture before spending a training run on
 //! it"; warnings mean "trainable, but part of the compute is wasted".
