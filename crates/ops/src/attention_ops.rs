@@ -54,7 +54,9 @@ attention_op!(
 attention_op!(
     InformerTOp,
     OpKind::InformerT,
-    AttentionKind::ProbSparse { factor: INFORMER_FACTOR },
+    AttentionKind::ProbSparse {
+        factor: INFORMER_FACTOR
+    },
     temporal_view,
     from_temporal,
     "ProbSparse self-attention over timestamps per series — INF-T (Eq. 13)."
@@ -72,7 +74,9 @@ attention_op!(
 attention_op!(
     InformerSOp,
     OpKind::InformerS,
-    AttentionKind::ProbSparse { factor: INFORMER_FACTOR },
+    AttentionKind::ProbSparse {
+        factor: INFORMER_FACTOR
+    },
     spatial_view,
     from_spatial,
     "ProbSparse self-attention over series per timestamp — INF-S (Eq. 17)."
@@ -97,7 +101,9 @@ mod tests {
         let op = TransformerTOp::new(&mut rng, "att", 3);
         let tape = cts_autograd::Tape::new();
         let mut x = init::uniform(&mut rng, [1, 2, 4, 3], -1.0, 1.0);
-        let y0 = op.forward(&tape, &tape.constant(x.clone()), &ctx(2)).value();
+        let y0 = op
+            .forward(&tape, &tape.constant(x.clone()), &ctx(2))
+            .value();
         for t in 0..4 {
             for d in 0..3 {
                 *x.at_mut(&[0, 1, t, d]) += 3.0;
@@ -118,7 +124,9 @@ mod tests {
         let op = TransformerSOp::new(&mut rng, "att", 3);
         let tape = cts_autograd::Tape::new();
         let mut x = init::uniform(&mut rng, [1, 3, 4, 3], -1.0, 1.0);
-        let y0 = op.forward(&tape, &tape.constant(x.clone()), &ctx(3)).value();
+        let y0 = op
+            .forward(&tape, &tape.constant(x.clone()), &ctx(3))
+            .value();
         for n in 0..3 {
             for d in 0..3 {
                 *x.at_mut(&[0, n, 3, d]) += 3.0; // only t=3 changes
@@ -140,7 +148,9 @@ mod tests {
         let op = TransformerSOp::new(&mut rng, "att", 3);
         let tape = cts_autograd::Tape::new();
         let mut x = init::uniform(&mut rng, [1, 3, 2, 3], -1.0, 1.0);
-        let y0 = op.forward(&tape, &tape.constant(x.clone()), &ctx(3)).value();
+        let y0 = op
+            .forward(&tape, &tape.constant(x.clone()), &ctx(3))
+            .value();
         *x.at_mut(&[0, 2, 0, 0]) += 4.0;
         let y1 = op.forward(&tape, &tape.constant(x), &ctx(3)).value();
         // node 0 at t=0 should feel node 2's change

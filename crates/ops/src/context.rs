@@ -175,7 +175,13 @@ mod tests {
 
     fn ctx() -> GraphContext {
         let mut rng = SmallRng::seed_from_u64(0);
-        let g = random_geometric_graph(&mut rng, &GraphGenConfig { n: 6, ..Default::default() });
+        let g = random_geometric_graph(
+            &mut rng,
+            &GraphGenConfig {
+                n: 6,
+                ..Default::default()
+            },
+        );
         GraphContext::from_graph(&g, 2)
     }
 

@@ -70,7 +70,11 @@ impl DgcnOp {
         let mut build = |n: &str| Linear::new(rng, n, d, d, false);
         let fwd_weights = mk("fwd", &mut build);
         let bwd_weights = mk("bwd", &mut build);
-        let adp_weights = if adaptive { mk("adp", &mut build) } else { Vec::new() };
+        let adp_weights = if adaptive {
+            mk("adp", &mut build)
+        } else {
+            Vec::new()
+        };
         Self {
             fwd_weights,
             bwd_weights,
@@ -126,7 +130,14 @@ mod tests {
     #[test]
     fn dgcn_uses_neighbour_information() {
         let mut rng = SmallRng::seed_from_u64(0);
-        let g = random_geometric_graph(&mut rng, &GraphGenConfig { n: 5, sigma: 0.8, threshold: 0.1 });
+        let g = random_geometric_graph(
+            &mut rng,
+            &GraphGenConfig {
+                n: 5,
+                sigma: 0.8,
+                threshold: 0.1,
+            },
+        );
         let ctx = GraphContext::from_graph(&g, 2);
         let op = DgcnOp::new(&mut rng, "dgcn", 3, 2, false);
         let tape = cts_autograd::Tape::new();
@@ -178,8 +189,8 @@ mod tests {
     #[test]
     fn dgcn_adaptive_support_gets_gradients() {
         let mut rng = SmallRng::seed_from_u64(2);
-        let ctx = GraphContext::from_graph(&SensorGraph::disconnected(4), 2)
-            .with_adaptive(&mut rng, 3);
+        let ctx =
+            GraphContext::from_graph(&SensorGraph::disconnected(4), 2).with_adaptive(&mut rng, 3);
         let op = DgcnOp::new(&mut rng, "dgcn", 3, 2, true);
         let tape = cts_autograd::Tape::new();
         let x = tape.constant(init::uniform(&mut rng, [1, 4, 2, 3], -1.0, 1.0));
@@ -193,7 +204,13 @@ mod tests {
     #[test]
     fn cheb_gcn_shape_and_grads() {
         let mut rng = SmallRng::seed_from_u64(3);
-        let g = random_geometric_graph(&mut rng, &GraphGenConfig { n: 4, ..Default::default() });
+        let g = random_geometric_graph(
+            &mut rng,
+            &GraphGenConfig {
+                n: 4,
+                ..Default::default()
+            },
+        );
         let ctx = GraphContext::from_graph(&g, 2);
         let op = ChebGcnOp::new(&mut rng, "cheb", 3, 2);
         let tape = cts_autograd::Tape::new();

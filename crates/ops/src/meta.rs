@@ -81,11 +81,7 @@ impl fmt::Display for ShapeIssue {
 impl OpKind {
     /// Infer the symbolic output shape this operator produces for `input`,
     /// or explain why it rejects it. Pure metadata — no weights touched.
-    pub fn infer_shape(
-        &self,
-        input: &[SymDim],
-        ctx: &ShapeCtx,
-    ) -> Result<Vec<SymDim>, ShapeIssue> {
+    pub fn infer_shape(&self, input: &[SymDim], ctx: &ShapeCtx) -> Result<Vec<SymDim>, ShapeIssue> {
         match self {
             // Zero and Identity are plumbing: whatever comes in goes out.
             OpKind::Zero | OpKind::Identity => Ok(input.to_vec()),
@@ -142,7 +138,10 @@ mod tests {
 
     #[test]
     fn parametric_ops_preserve_bntd() {
-        let ctx = ShapeCtx { width: 6, graph_nodes: Some(5) };
+        let ctx = ShapeCtx {
+            width: 6,
+            graph_nodes: Some(5),
+        };
         for kind in OpKind::all() {
             let out = kind.infer_shape(&bntd(5, 8, 6), &ctx).unwrap();
             assert_eq!(out, bntd(5, 8, 6), "{kind}");
@@ -151,7 +150,10 @@ mod tests {
 
     #[test]
     fn zero_identity_polymorphic() {
-        let ctx = ShapeCtx { width: 6, graph_nodes: None };
+        let ctx = ShapeCtx {
+            width: 6,
+            graph_nodes: None,
+        };
         let odd = vec![SymDim::Const(3), SymDim::Const(2)];
         assert_eq!(OpKind::Zero.infer_shape(&odd, &ctx).unwrap(), odd);
         assert_eq!(OpKind::Identity.infer_shape(&odd, &ctx).unwrap(), odd);
@@ -159,7 +161,10 @@ mod tests {
 
     #[test]
     fn rank_error_reported() {
-        let ctx = ShapeCtx { width: 6, graph_nodes: None };
+        let ctx = ShapeCtx {
+            width: 6,
+            graph_nodes: None,
+        };
         let err = OpKind::Gdcc
             .infer_shape(&[B, SymDim::Const(6)], &ctx)
             .unwrap_err();
@@ -169,11 +174,19 @@ mod tests {
 
     #[test]
     fn channel_mismatch_reported() {
-        let ctx = ShapeCtx { width: 6, graph_nodes: None };
-        let err = OpKind::InformerT.infer_shape(&bntd(5, 8, 7), &ctx).unwrap_err();
+        let ctx = ShapeCtx {
+            width: 6,
+            graph_nodes: None,
+        };
+        let err = OpKind::InformerT
+            .infer_shape(&bntd(5, 8, 7), &ctx)
+            .unwrap_err();
         assert_eq!(
             err,
-            ShapeIssue::Channel { expected: 6, got: SymDim::Const(7) }
+            ShapeIssue::Channel {
+                expected: 6,
+                got: SymDim::Const(7)
+            }
         );
         // A symbolic channel dim is not *provably* the width either.
         let sym_d = vec![B, SymDim::Const(5), SymDim::Const(8), SymDim::Sym("D")];
@@ -182,13 +195,25 @@ mod tests {
 
     #[test]
     fn spatial_ops_check_node_count() {
-        let ctx = ShapeCtx { width: 6, graph_nodes: Some(5) };
+        let ctx = ShapeCtx {
+            width: 6,
+            graph_nodes: Some(5),
+        };
         let err = OpKind::Dgcn.infer_shape(&bntd(4, 8, 6), &ctx).unwrap_err();
-        assert_eq!(err, ShapeIssue::Nodes { expected: 5, got: SymDim::Const(4) });
+        assert_eq!(
+            err,
+            ShapeIssue::Nodes {
+                expected: 5,
+                got: SymDim::Const(4)
+            }
+        );
         // Temporal ops don't care about the node dim.
         assert!(OpKind::Gdcc.infer_shape(&bntd(4, 8, 6), &ctx).is_ok());
         // Without a known graph, any node dim passes.
-        let free = ShapeCtx { width: 6, graph_nodes: None };
+        let free = ShapeCtx {
+            width: 6,
+            graph_nodes: None,
+        };
         assert!(OpKind::Dgcn.infer_shape(&bntd(4, 8, 6), &free).is_ok());
     }
 
@@ -206,9 +231,18 @@ mod tests {
 
         let (n, t, d, b) = (5usize, 8usize, 6usize, 2usize);
         let mut rng = SmallRng::seed_from_u64(11);
-        let g = random_geometric_graph(&mut rng, &GraphGenConfig { n, ..Default::default() });
+        let g = random_geometric_graph(
+            &mut rng,
+            &GraphGenConfig {
+                n,
+                ..Default::default()
+            },
+        );
         let ctx = GraphContext::from_graph(&g, 2);
-        let sctx = ShapeCtx { width: d, graph_nodes: Some(n) };
+        let sctx = ShapeCtx {
+            width: d,
+            graph_nodes: Some(n),
+        };
         let input = bntd(n, t, d);
         for kind in OpKind::all() {
             let stat = kind.infer_shape(&input, &sctx).unwrap();

@@ -1,8 +1,8 @@
 //! The operator traits, the compact/full operator sets, and the factory.
 
 use crate::{
-    ChebGcnOp, Conv1dOp, DgcnOp, GdccOp, GraphContext, GruOp, IdentityOp, InformerSOp,
-    InformerTOp, LstmOp, OpKind, TransformerSOp, TransformerTOp, ZeroOp,
+    ChebGcnOp, Conv1dOp, DgcnOp, GdccOp, GraphContext, GruOp, IdentityOp, InformerSOp, InformerTOp,
+    LstmOp, OpKind, TransformerSOp, TransformerTOp, ZeroOp,
 };
 use cts_autograd::{Parameter, Tape, Var};
 use cts_nn::{count_parameters, Backend, Eval, LayerNorm, OpCost, Price, Priced};
@@ -189,7 +189,11 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(42);
         let g = random_geometric_graph(
             &mut rng,
-            &GraphGenConfig { n, sigma: 0.8, threshold: 0.1 },
+            &GraphGenConfig {
+                n,
+                sigma: 0.8,
+                threshold: 0.1,
+            },
         );
         for adaptive in [false, true] {
             let ctx = if adaptive {
@@ -212,7 +216,11 @@ mod tests {
                     assert_eq!(shape, x.shape(), "{at}: changed shape");
                     assert_eq!(want.flops, got.flops, "{at}: flops");
                     assert_eq!(want.bytes_read, got.bytes_read(), "{at}: bytes_read");
-                    assert_eq!(want.bytes_written, got.bytes_written(), "{at}: bytes_written");
+                    assert_eq!(
+                        want.bytes_written,
+                        got.bytes_written(),
+                        "{at}: bytes_written"
+                    );
                     assert_eq!(want.kernel_calls, got.kernel_calls, "{at}: kernel_calls");
                 }
                 assert!(want.dense_flops <= want.flops, "{kind}: dense subset");
@@ -226,7 +234,13 @@ mod tests {
     fn informer_fallback_boundary_matches_runtime() {
         let (b, n, d, k) = (1usize, 3usize, 4usize, 2usize);
         let mut rng = SmallRng::seed_from_u64(7);
-        let g = random_geometric_graph(&mut rng, &GraphGenConfig { n, ..Default::default() });
+        let g = random_geometric_graph(
+            &mut rng,
+            &GraphGenConfig {
+                n,
+                ..Default::default()
+            },
+        );
         let ctx = GraphContext::from_graph(&g, k);
         for t in [2usize, 3, 4, 8, 16, 24] {
             let op = build_operator(&mut rng, OpKind::InformerT, "op", d, k, false);
@@ -255,7 +269,14 @@ mod tests {
     fn informer_measurement_records_no_tape_nodes() {
         let (b, n, t, d, k) = (2usize, 5usize, 12usize, 6usize, 2usize);
         let mut rng = SmallRng::seed_from_u64(42);
-        let g = random_geometric_graph(&mut rng, &GraphGenConfig { n, sigma: 0.8, threshold: 0.1 });
+        let g = random_geometric_graph(
+            &mut rng,
+            &GraphGenConfig {
+                n,
+                sigma: 0.8,
+                threshold: 0.1,
+            },
+        );
         let ctx = GraphContext::from_graph(&g, k);
         for (kind, nodes) in [(OpKind::InformerT, 31), (OpKind::InformerS, 33)] {
             let op = build_operator(&mut rng, kind, "op", d, k, false);
@@ -291,7 +312,13 @@ mod tests {
     #[test]
     fn every_operator_preserves_shape_and_trains() {
         let mut rng = SmallRng::seed_from_u64(0);
-        let g = random_geometric_graph(&mut rng, &GraphGenConfig { n: 5, ..Default::default() });
+        let g = random_geometric_graph(
+            &mut rng,
+            &GraphGenConfig {
+                n: 5,
+                ..Default::default()
+            },
+        );
         let d = 6;
         for adaptive in [false, true] {
             let ctx = if adaptive {
@@ -335,7 +362,14 @@ mod tests {
     #[test]
     fn gcn_ops_train_every_weight_at_non_default_k() {
         let mut rng = SmallRng::seed_from_u64(9);
-        let g = random_geometric_graph(&mut rng, &GraphGenConfig { n: 5, sigma: 0.8, threshold: 0.1 });
+        let g = random_geometric_graph(
+            &mut rng,
+            &GraphGenConfig {
+                n: 5,
+                sigma: 0.8,
+                threshold: 0.1,
+            },
+        );
         for k in [1usize, 3] {
             let ctx = GraphContext::from_graph(&g, k).with_adaptive(&mut rng, 4);
             let d = 4;

@@ -57,12 +57,36 @@ pub struct TaxonomyCell {
 /// Table 38: categorisation of human-designed ST-blocks.
 pub fn st_block_taxonomy() -> Vec<TaxonomyCell> {
     vec![
-        TaxonomyCell { s_family: "GCN", t_family: "CNN", models: "[9, 11, 14, 17, 45, 46, 51]" },
-        TaxonomyCell { s_family: "GCN", t_family: "RNN", models: "[1, 4, 16, 29]" },
-        TaxonomyCell { s_family: "GCN", t_family: "Attention", models: "[14]" },
-        TaxonomyCell { s_family: "Attention", t_family: "CNN", models: "[14]" },
-        TaxonomyCell { s_family: "Attention", t_family: "RNN", models: "None" },
-        TaxonomyCell { s_family: "Attention", t_family: "Attention", models: "[47, 53]" },
+        TaxonomyCell {
+            s_family: "GCN",
+            t_family: "CNN",
+            models: "[9, 11, 14, 17, 45, 46, 51]",
+        },
+        TaxonomyCell {
+            s_family: "GCN",
+            t_family: "RNN",
+            models: "[1, 4, 16, 29]",
+        },
+        TaxonomyCell {
+            s_family: "GCN",
+            t_family: "Attention",
+            models: "[14]",
+        },
+        TaxonomyCell {
+            s_family: "Attention",
+            t_family: "CNN",
+            models: "[14]",
+        },
+        TaxonomyCell {
+            s_family: "Attention",
+            t_family: "RNN",
+            models: "None",
+        },
+        TaxonomyCell {
+            s_family: "Attention",
+            t_family: "Attention",
+            models: "[47, 53]",
+        },
     ]
 }
 
@@ -75,10 +99,19 @@ mod tests {
         let rows = operator_table();
         assert_eq!(rows.len(), 10);
         // exactly the four compact parametric choices are kept
-        let kept: Vec<OpKind> = rows.iter().filter(|r| r.in_compact_set).map(|r| r.kind).collect();
+        let kept: Vec<OpKind> = rows
+            .iter()
+            .filter(|r| r.in_compact_set)
+            .map(|r| r.kind)
+            .collect();
         assert_eq!(
             kept,
-            vec![OpKind::Gdcc, OpKind::InformerT, OpKind::Dgcn, OpKind::InformerS]
+            vec![
+                OpKind::Gdcc,
+                OpKind::InformerT,
+                OpKind::Dgcn,
+                OpKind::InformerS
+            ]
         );
     }
 
