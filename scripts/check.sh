@@ -14,7 +14,7 @@ echo "==> rustfmt (formatted crates)"
 # A ratchet: the crates listed here are rustfmt-clean and must stay so.
 # Add a crate once it has been formatted in a commit of its own; never
 # format e2ebench/, which changes only with the benchmark.
-cargo fmt --check -p cts-tensor -p cts-autograd
+cargo fmt --check -p cts-tensor -p cts-autograd -p cts-ops
 
 echo "==> no ignored recovery tests"
 # The fault-tolerance suites must always run: an #[ignore] on any of them
