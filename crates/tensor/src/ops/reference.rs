@@ -210,6 +210,47 @@ pub fn temporal_conv(x: &Tensor, w: &Tensor, dilation: usize) -> Tensor {
     Tensor::from_vec([xs[0], xs[1], t, dout], out)
 }
 
+/// Naive ∂temporal_conv/∂x: per series, steps `t` ascending, then taps
+/// ascending, each tap adds one fresh ascending-`Dout` dot product (from
+/// `+0.0`) into the input row it read, on a zeroed gradient. So each
+/// input element sums its taps in descending tap order.
+pub fn temporal_conv_grad_x(
+    grad: &Tensor,
+    w: &Tensor,
+    x_shape: &[usize],
+    dilation: usize,
+) -> Tensor {
+    let (series, t, din) = (x_shape[0] * x_shape[1], x_shape[2], x_shape[3]);
+    let (k, dout) = (w.shape()[0], w.shape()[2]);
+    let (gd, wd) = (grad.data(), w.data());
+    let mut gx = vec![0.0f32; series * t * din];
+    for s in 0..series {
+        let xser = &mut gx[s * t * din..(s + 1) * t * din];
+        let g_off = s * t * dout;
+        for ti in 0..t {
+            let grow = &gd[g_off + ti * dout..g_off + (ti + 1) * dout];
+            for ki in 0..k {
+                let lag = (k - 1 - ki) * dilation;
+                if lag > ti {
+                    continue;
+                }
+                let src = ti - lag;
+                let xrow = &mut xser[src * din..(src + 1) * din];
+                let wmat = &wd[ki * din * dout..(ki + 1) * din * dout];
+                for (i, xg) in xrow.iter_mut().enumerate() {
+                    let wrow = &wmat[i * dout..(i + 1) * dout];
+                    let mut acc = 0.0f32;
+                    for (gv, wv) in grow.iter().zip(wrow.iter()) {
+                        acc += gv * wv;
+                    }
+                    *xg += acc;
+                }
+            }
+        }
+    }
+    Tensor::from_vec(x_shape, gx)
+}
+
 /// Naive ∂temporal_conv/∂w: each weight element sums over series
 /// ascending, then steps `t ≥ lag` ascending, from a zero start — the
 /// order of the optimized kernel on one worker.

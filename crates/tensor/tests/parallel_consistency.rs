@@ -256,10 +256,10 @@ proptest! {
         }
     }
 
-    /// Temporal conv and its weight gradient vs the naive oracles over
-    /// ragged `[B, N, T, D]` shapes, taps 1–4 and dilations 1–4 (lags past
-    /// `T` included), on sizes below and past the parallel threshold. The
-    /// forward and the weight gradient are bit-exact at every thread count.
+    /// Temporal conv and its input and weight gradients vs the naive
+    /// oracles over ragged `[B, N, T, D]` shapes, taps 1–4 and dilations
+    /// 1–4 (lags past `T` included), on sizes below and past the parallel
+    /// threshold. All three are bit-exact at every thread count.
     fn temporal_conv_matches_reference(
         bsz in 1usize..4,
         nodes in 1usize..5,
@@ -280,6 +280,7 @@ proptest! {
         let g = rand_tensor(&mut rng, vec![bsz, nodes, t, dout]);
         let y_oracle = reference::temporal_conv(&x, &w, dilation);
         let gw_oracle = reference::temporal_conv_grad_w(&g, &x, w.shape(), dilation);
+        let gx_oracle = reference::temporal_conv_grad_x(&g, &w, x.shape(), dilation);
         for threads in [1usize, 2, 3] {
             let y = with_threads(threads, || ops::temporal_conv(&x, &w, dilation));
             prop_assert_eq!(y.shape(), y_oracle.shape());
@@ -287,6 +288,9 @@ proptest! {
             let gw = with_threads(threads, || ops::temporal_conv_grad_w(&g, &x, w.shape(), dilation));
             prop_assert_eq!(gw.shape(), gw_oracle.shape());
             prop_assert_eq!(bits(&gw), bits(&gw_oracle), "temporal_conv_grad_w at {} threads", threads);
+            let gx = with_threads(threads, || ops::temporal_conv_grad_x(&g, &w, x.shape(), dilation));
+            prop_assert_eq!(gx.shape(), gx_oracle.shape());
+            prop_assert_eq!(bits(&gx), bits(&gx_oracle), "temporal_conv_grad_x at {} threads", threads);
         }
     }
 
@@ -540,8 +544,8 @@ proptest! {
 
     /// SIMD determinism contract, reductions + conv: axis sums/maxes,
     /// every `reduce_to_shape` layout (last dim preserved → vector gather;
-    /// last dim reduced, trailing block and `[1]` → scalar chains), and
-    /// the temporal conv.
+    /// last dim reduced, trailing block and `[1]` → scalar chains), the
+    /// temporal conv and its input gradient.
     fn simd_levels_bit_identical_reductions_conv(
         d0 in 1usize..4,
         d1 in 1usize..6,
@@ -558,6 +562,7 @@ proptest! {
         let a = rand_tensor(&mut rng, vec![d0, d1, n]);
         let x = rand_tensor(&mut rng, vec![d0, d1, 6, 5]);
         let w = rand_tensor(&mut rng, vec![2, 5, n]);
+        let gy = rand_tensor(&mut rng, vec![d0, d1, 6, n]);
         let run = || {
             (
                 ops::sum_axis(&a, axis, false),
@@ -567,6 +572,7 @@ proptest! {
                 ops::temporal_conv(&x, &w, 1),
                 ops::reduce_to_shape(&a, &[d0, 1, 1]), // trailing block
                 ops::reduce_to_shape(&a, &[1]),        // everything
+                ops::temporal_conv_grad_x(&gy, &w, x.shape(), 1),
             )
         };
         let scalar = with_threads(threads, || with_simd(SimdLevel::Scalar, run));
@@ -579,6 +585,7 @@ proptest! {
             prop_assert_eq!(bits(&scalar.4), bits(&out.4), "temporal_conv at {:?}", level);
             prop_assert_eq!(bits(&scalar.5), bits(&out.5), "reduce trailing block at {:?}", level);
             prop_assert_eq!(bits(&scalar.6), bits(&out.6), "reduce to [1] at {:?}", level);
+            prop_assert_eq!(bits(&scalar.7), bits(&out.7), "temporal_conv_grad_x at {:?}", level);
         }
     }
 }
