@@ -212,10 +212,11 @@ fn zip_broadcast(
     Tensor::from_vec(out_shape, data)
 }
 
-/// Arithmetic unary map dispatched by [`UnOp`] descriptor through the SIMD
-/// lanes of [`simd::unary_map`]. Transcendental maps (exp, tanh, …) stay on
-/// the closure-based [`unary`]: their libm scalar calls have no bit-exact
-/// vector equivalent.
+/// Unary map dispatched by [`UnOp`] descriptor through the SIMD lanes of
+/// [`simd::unary_map`]. That covers the transcendentals too: `exp`,
+/// `sigmoid` and `tanh` are pinned polynomials whose scalar form and vector
+/// lanes run the same operations, so every level gives the same bits. Only
+/// `ln` stays on libm, through the closure-based [`unary`].
 fn unary_arith(a: &Tensor, op: UnOp) -> Tensor {
     meter::add_reads(a.len());
     let ad = a.data();
@@ -505,16 +506,9 @@ pub fn relu_grad(grad: &Tensor, a: &Tensor) -> Tensor {
     zip_exact(grad, a, |g, x| if x > 0.0 { g } else { 0.0 })
 }
 
-/// Logistic sigmoid, numerically stable for large |x|.
+/// Logistic sigmoid, numerically stable for large |x| ([`UnOp::Sigmoid`]).
 pub fn sigmoid(a: &Tensor) -> Tensor {
-    unary(a, |x| {
-        if x >= 0.0 {
-            1.0 / (1.0 + (-x).exp())
-        } else {
-            let e = x.exp();
-            e / (1.0 + e)
-        }
-    })
+    unary_arith(a, UnOp::Sigmoid)
 }
 
 /// ∂sigmoid/∂a given the saved output `y`: grad ⊙ y(1-y).
@@ -522,9 +516,9 @@ pub fn sigmoid_grad(grad: &Tensor, y: &Tensor) -> Tensor {
     zip_exact(grad, y, |g, s| g * s * (1.0 - s))
 }
 
-/// Hyperbolic tangent.
+/// Hyperbolic tangent ([`UnOp::Tanh`]).
 pub fn tanh(a: &Tensor) -> Tensor {
-    unary(a, f32::tanh)
+    unary_arith(a, UnOp::Tanh)
 }
 
 /// ∂tanh/∂a given the saved output `y`: grad ⊙ (1-y²).
@@ -532,9 +526,9 @@ pub fn tanh_grad(grad: &Tensor, y: &Tensor) -> Tensor {
     zip_exact(grad, y, |g, t| g * (1.0 - t * t))
 }
 
-/// Elementwise exp.
+/// Elementwise exp ([`simd::exp_pinned`]).
 pub fn exp(a: &Tensor) -> Tensor {
-    unary(a, f32::exp)
+    unary_arith(a, UnOp::Exp)
 }
 
 /// Natural log (inputs must be positive; callers clamp).
@@ -549,7 +543,7 @@ pub fn ln_grad(grad: &Tensor, a: &Tensor) -> Tensor {
 
 /// Elementwise square root.
 pub fn sqrt(a: &Tensor) -> Tensor {
-    unary(a, f32::sqrt)
+    unary_arith(a, UnOp::Sqrt)
 }
 
 /// ∂sqrt/∂a given the saved output `y`: grad / (2y).
@@ -592,7 +586,7 @@ pub fn gelu(a: &Tensor) -> Tensor {
 
 fn gelu_scalar(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+    0.5 * x * (1.0 + UnOp::Tanh.apply(C * (x + 0.044715 * x * x * x)))
 }
 
 /// ∂gelu/∂a via the tanh approximation derivative.
@@ -601,7 +595,7 @@ pub fn gelu_grad(grad: &Tensor, a: &Tensor) -> Tensor {
     zip_exact(grad, a, |g, x| {
         let x3 = x * x * x;
         let u = C * (x + 0.044715 * x3);
-        let t = u.tanh();
+        let t = UnOp::Tanh.apply(u);
         let du = C * (1.0 + 3.0 * 0.044715 * x * x);
         g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
     })

@@ -8,6 +8,7 @@
 //! serve as the "serial baseline" side of the serial-vs-parallel benches.
 
 use crate::shape::{broadcast_shapes, numel, ravel_broadcast, strides_for, unravel};
+use crate::simd::exp_pinned;
 use crate::Tensor;
 
 /// Naive batched matmul: `[..., m, k] × [..., k, n]` with batch broadcasting.
@@ -75,7 +76,7 @@ pub fn mul(a: &Tensor, b: &Tensor) -> Tensor {
     zip_broadcast(a, b, |x, y| x * y)
 }
 
-/// Naive softmax over the last axis.
+/// Naive softmax over the last axis, on the crate's pinned `exp`.
 pub fn softmax_last(a: &Tensor) -> Tensor {
     let n = a.shape()[a.rank() - 1];
     let rows = a.len() / n.max(1);
@@ -85,7 +86,7 @@ pub fn softmax_last(a: &Tensor) -> Tensor {
         let m = s.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let mut z = 0.0f32;
         for (o, &x) in out[row * n..(row + 1) * n].iter_mut().zip(s.iter()) {
-            let e = (x - m).exp();
+            let e = exp_pinned(x - m);
             *o = e;
             z += e;
         }

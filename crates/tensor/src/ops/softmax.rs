@@ -10,7 +10,8 @@
 //! an equal-zero maximum — is erased by the `exp(x − m)` that consumes it)
 //! and the `1/z` normalization ([`crate::simd::scale_in_place`]) vectorize;
 //! the exp pass and the running `z` sum stay scalar because a vector unit
-//! would have to reassociate that single sequential addition chain.
+//! would have to reassociate that single sequential addition chain. The
+//! exponent is the crate's one pinned [`crate::simd::exp_pinned`].
 //!
 //! Each row writes every one of its outputs, so all three kernels take
 //! their output from [`arena::take_dirty`].
@@ -18,6 +19,7 @@
 use crate::arena;
 use crate::meter;
 use crate::parallel;
+use crate::simd::exp_pinned;
 use crate::Tensor;
 
 /// Numerically stable softmax over the last axis.
@@ -43,7 +45,7 @@ pub fn softmax_last(a: &Tensor) -> Tensor {
                 let m = crate::simd::row_max(s);
                 let mut z = 0.0f32;
                 for (oi, &x) in o.iter_mut().zip(s.iter()) {
-                    let e = (x - m).exp();
+                    let e = exp_pinned(x - m);
                     *oi = e;
                     z += e;
                 }
@@ -105,7 +107,7 @@ pub fn logsumexp_last(a: &Tensor) -> Tensor {
                 let base = (start + ri) * n;
                 let s = &data[base..base + n];
                 let m = s.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let z: f32 = s.iter().map(|&x| (x - m).exp()).sum();
+                let z: f32 = s.iter().map(|&x| exp_pinned(x - m)).sum();
                 *o = m + z.ln();
             }
         },

@@ -17,6 +17,16 @@
 //! element's chain is ever reassociated, so AVX2 and scalar results are
 //! bit-identical by construction, not merely close.
 //!
+//! The transcendentals follow the same rule. `exp`, `sigmoid` and `tanh`
+//! ([`UnOp::Exp`], [`UnOp::Sigmoid`], [`UnOp::Tanh`]) are pinned
+//! polynomials, not libm calls: [`exp_pinned`] is a clamp, a
+//! round-ties-even range reduction, a degree-5 polynomial and an
+//! exponent-bit scale, each step one IEEE operation that the AVX2 lanes
+//! repeat in the same order, and `sigmoid`/`tanh` are built on it. They
+//! stay within 3 ulp of the exact values (2.1 at worst over the tests'
+//! sweep), and the softmax exponent and `gelu` use the same forms, so the
+//! crate has one `exp` and one `tanh`.
+//!
 //! Where x86 min/max semantics leak (`maxps(a, b)` returns `b` when
 //! either operand is NaN or both compare equal), the scalar forms in
 //! [`UnOp::apply`] and the max kernels are pinned to the *same*
@@ -207,6 +217,101 @@ pub enum UnOp {
     /// `minps(hi, maxps(lo, x))`; equal to `f32::clamp` for `lo <= hi`
     /// non-NaN bounds, NaN `x` passes through
     Clamp(f32, f32),
+    /// `eˣ` as the pinned polynomial of [`exp_pinned`]
+    Exp,
+    /// `1/(1+e⁻ˣ)` for `x ≥ 0` and `eˣ/(1+eˣ)` below, both on the pinned
+    /// `e^(−|x|)`
+    Sigmoid,
+    /// `tanh x`: an odd polynomial for `|x| < 0.625`, else
+    /// `1 − 2/(e^(2|x|)+1)`; the sign of `x` is copied back
+    Tanh,
+    /// `√x` (IEEE correctly rounded at every level)
+    Sqrt,
+}
+
+/// Constants of the pinned transcendentals, shared by the scalar forms and
+/// the AVX2 bodies. The polynomials are Cephes `expf` and `tanhf`.
+mod pinned {
+    /// `exp` clamps its input to `[EXP_LO, EXP_HI]`: `e^EXP_LO` rounds to
+    /// `+0` and `e^EXP_HI` overflows to `+∞`, so the clamp only keeps the
+    /// `2ⁿ` exponent bits in range.
+    pub const EXP_LO: f32 = -104.0;
+    pub const EXP_HI: f32 = 89.0;
+    pub const LOG2E: f32 = std::f32::consts::LOG2_E;
+    /// `ln 2` in two parts: `LN2_HI` = 355/512 has 9 significant bits, so
+    /// `n·LN2_HI` is exact for every `n` the clamp allows.
+    pub const LN2_HI: f32 = 0.693_359_4;
+    pub const LN2_LO: f32 = -2.121_944_4e-4;
+    /// `e^r ≈ 1 + r + r²·P(r)` on `|r| ≤ ln2/2`, highest power first.
+    pub const EXP_P: [f32; 6] = [
+        1.987_569_1e-4,
+        1.398_199_9e-3,
+        8.333_452e-3,
+        4.166_579_6e-2,
+        1.666_666_6e-1,
+        0.5,
+    ];
+    /// `tanh` switches from the polynomial to the `exp` form here.
+    pub const TANH_SMALL: f32 = 0.625;
+    /// `tanh x ≈ x + x·x²·Q(x²)` on `|x| < TANH_SMALL`, highest power first.
+    pub const TANH_Q: [f32; 5] = [
+        -5.704_988_7e-3,
+        2.063_908_8e-2,
+        -5.373_971_5e-2,
+        1.333_144_2e-1,
+        -3.333_328e-1,
+    ];
+    /// The f32 sign bit.
+    pub const SIGN: u32 = 0x8000_0000;
+}
+
+/// `2ⁿ` built from exponent bits, for `−126 ≤ n ≤ 127`.
+#[inline(always)]
+fn pow2i(n: i32) -> f32 {
+    f32::from_bits(((n + 127) as u32) << 23)
+}
+
+/// The one `exp` of the crate, written as the operation sequence the AVX2
+/// body repeats lane for lane: clamp (the [`UnOp::Clamp`] operand order),
+/// `n = round_ties_even(x·log₂e)`, `r = x − n·ln2` in two exact-then-small
+/// steps, `e^r = (r²·P(r) + r) + 1` by Horner with separate multiplies and
+/// adds, then `·2ⁿ` as two exponent-bit scales `2^⌊n/2⌋ · 2^(n−⌊n/2⌋)`.
+/// The first scale is exact, so the result rounds once more at most,
+/// which gives IEEE overflow to `+∞` and gradual underflow to `+0`. NaN
+/// passes through. Within 3 ulp of the exact value (pinned by the
+/// `transcendentals_*` tests).
+#[inline(always)]
+pub fn exp_pinned(x: f32) -> f32 {
+    use pinned::*;
+    let x = UnOp::Clamp(EXP_LO, EXP_HI).apply(x);
+    let n = (x * LOG2E).round_ties_even();
+    let r = x - n * LN2_HI;
+    let r = r - n * LN2_LO;
+    let mut p = EXP_P[0];
+    for &c in &EXP_P[1..] {
+        p = p * r + c;
+    }
+    let y = p * (r * r) + r + 1.0;
+    // NaN has no exponent to scale by; `as` maps it to 0 and `y` is NaN.
+    let n = n as i32;
+    let half = n >> 1;
+    y * pow2i(half) * pow2i(n - half)
+}
+
+/// Pinned `tanh` on `|x|` (see [`UnOp::Tanh`]); the caller copies the sign.
+#[inline(always)]
+fn tanh_abs(ax: f32) -> f32 {
+    use pinned::*;
+    if ax < TANH_SMALL {
+        let z = ax * ax;
+        let mut q = TANH_Q[0];
+        for &c in &TANH_Q[1..] {
+            q = q * z + c;
+        }
+        q * z * ax + ax
+    } else {
+        1.0 - 2.0 / (exp_pinned(ax + ax) + 1.0)
+    }
 }
 
 impl UnOp {
@@ -236,6 +341,21 @@ impl UnOp {
                     t
                 }
             }
+            UnOp::Exp => exp_pinned(x),
+            UnOp::Sigmoid => {
+                let e = exp_pinned(-x.abs());
+                let d = 1.0 + e;
+                if x >= 0.0 {
+                    1.0 / d
+                } else {
+                    e / d
+                }
+            }
+            UnOp::Tanh => {
+                let t = tanh_abs(x.abs());
+                f32::from_bits(t.to_bits() | (x.to_bits() & pinned::SIGN))
+            }
+            UnOp::Sqrt => x.sqrt(),
         }
     }
 }
@@ -688,7 +808,7 @@ mod x86 {
     //! target feature is present; each body asserts its slice bounds
     //! before the pointer loop (`zip_rows_avx2` relies on its
     //! dispatcher's row check), so every load/store below is in bounds.
-    use super::{fold_max, gemm_tail, BinOp, Gemm, Rows, UnOp, LANES, MAX_RDIMS, MR};
+    use super::{fold_max, gemm_tail, pinned, BinOp, Gemm, Rows, UnOp, LANES, MAX_RDIMS, MR};
     use std::arch::x86_64::*;
 
     // -- gemm ---------------------------------------------------------------
@@ -768,6 +888,79 @@ mod x86 {
             j += 8;
         }
         gemm_tail(a, b, out, g, R, j);
+    }
+
+    // -- pinned transcendentals ----------------------------------------------
+
+    /// `2ⁿ` per lane from exponent bits ([`super::pow2i`]).
+    #[target_feature(enable = "avx2")]
+    fn pow2i8(n: __m256i) -> __m256 {
+        _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
+            n,
+            _mm256_set1_epi32(127),
+        )))
+    }
+
+    /// [`super::exp_pinned`] on eight lanes, operation for operation.
+    #[target_feature(enable = "avx2")]
+    fn exp8(x: __m256) -> __m256 {
+        use pinned::*;
+        let x = _mm256_min_ps(
+            _mm256_set1_ps(EXP_HI),
+            _mm256_max_ps(_mm256_set1_ps(EXP_LO), x),
+        );
+        let n = _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
+            _mm256_mul_ps(x, _mm256_set1_ps(LOG2E)),
+        );
+        let r = _mm256_sub_ps(x, _mm256_mul_ps(n, _mm256_set1_ps(LN2_HI)));
+        let r = _mm256_sub_ps(r, _mm256_mul_ps(n, _mm256_set1_ps(LN2_LO)));
+        let mut p = _mm256_set1_ps(EXP_P[0]);
+        for &c in &EXP_P[1..] {
+            p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(c));
+        }
+        let y = _mm256_add_ps(
+            _mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r),
+            _mm256_set1_ps(1.0),
+        );
+        let n = _mm256_cvtps_epi32(n);
+        let half = _mm256_srai_epi32::<1>(n);
+        let y = _mm256_mul_ps(y, pow2i8(half));
+        _mm256_mul_ps(y, pow2i8(_mm256_sub_epi32(n, half)))
+    }
+
+    /// [`UnOp::Sigmoid`] on eight lanes: both branches, blended on `x ≥ 0`.
+    #[target_feature(enable = "avx2")]
+    fn sigmoid8(x: __m256) -> __m256 {
+        let sign = _mm256_castsi256_ps(_mm256_set1_epi32(pinned::SIGN as i32));
+        let one = _mm256_set1_ps(1.0);
+        let e = exp8(_mm256_or_ps(x, sign));
+        let d = _mm256_add_ps(one, e);
+        let nonneg = _mm256_cmp_ps::<_CMP_GE_OQ>(x, _mm256_setzero_ps());
+        _mm256_blendv_ps(_mm256_div_ps(e, d), _mm256_div_ps(one, d), nonneg)
+    }
+
+    /// [`UnOp::Tanh`] on eight lanes: both branches on `|x|`, blended on
+    /// `|x| < 0.625`, then the sign of `x` copied back.
+    #[target_feature(enable = "avx2")]
+    fn tanh8(x: __m256) -> __m256 {
+        use pinned::*;
+        let sign = _mm256_castsi256_ps(_mm256_set1_epi32(SIGN as i32));
+        let one = _mm256_set1_ps(1.0);
+        let ax = _mm256_andnot_ps(sign, x);
+        let z = _mm256_mul_ps(ax, ax);
+        let mut q = _mm256_set1_ps(TANH_Q[0]);
+        for &c in &TANH_Q[1..] {
+            q = _mm256_add_ps(_mm256_mul_ps(q, z), _mm256_set1_ps(c));
+        }
+        let small = _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(q, z), ax), ax);
+        let e = exp8(_mm256_add_ps(ax, ax));
+        let big = _mm256_sub_ps(
+            one,
+            _mm256_div_ps(_mm256_set1_ps(2.0), _mm256_add_ps(e, one)),
+        );
+        let is_small = _mm256_cmp_ps::<_CMP_LT_OQ>(ax, _mm256_set1_ps(TANH_SMALL));
+        let t = _mm256_blendv_ps(big, small, is_small);
+        _mm256_or_ps(t, _mm256_and_ps(x, sign))
     }
 
     // -- elementwise maps ---------------------------------------------------
@@ -874,6 +1067,10 @@ mod x86 {
                 let (vl, vh) = (_mm256_set1_ps(lo), _mm256_set1_ps(hi));
                 lanes8!(|v| _mm256_min_ps(vh, _mm256_max_ps(vl, v)))
             }
+            UnOp::Exp => lanes8!(|v| exp8(v)),
+            UnOp::Sigmoid => lanes8!(|v| sigmoid8(v)),
+            UnOp::Tanh => lanes8!(|v| tanh8(v)),
+            UnOp::Sqrt => lanes8!(|v| _mm256_sqrt_ps(v)),
         }
     }
 
@@ -1190,6 +1387,10 @@ mod tests {
                 UnOp::Scale(0.37),
                 UnOp::AddScalar(-1.25),
                 UnOp::Clamp(-2.0, 3.0),
+                UnOp::Exp,
+                UnOp::Sigmoid,
+                UnOp::Tanh,
+                UnOp::Sqrt,
             ] {
                 across_levels(|| {
                     let mut out = vec![0.0; n];
@@ -1197,6 +1398,106 @@ mod tests {
                     out
                 });
             }
+        }
+    }
+
+    /// Every 9973rd f32 bit pattern, then the specials: ±0, ±∞, NaN, the
+    /// `exp` clamp edges, the `tanh` branch point and the overflow and
+    /// underflow edges, each with its neighbours.
+    fn transcendental_inputs() -> Vec<f32> {
+        let mut xs: Vec<f32> = (0..=u32::MAX / 9973)
+            .map(|i| f32::from_bits(i * 9973))
+            .collect();
+        for edge in [
+            0.0,
+            pinned::EXP_LO,
+            pinned::EXP_HI,
+            pinned::TANH_SMALL,
+            88.72284,   // ln f32::MAX
+            -87.33655,  // ln f32::MIN_POSITIVE
+            -103.27893, // ln of the least subnormal
+            pinned::EXP_HI / 2.0,
+            1e-20,
+        ] {
+            for v in [edge, -edge] {
+                xs.extend([v.next_down(), v, v.next_up()]);
+            }
+        }
+        xs.extend([f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN]);
+        xs
+    }
+
+    /// Distance of `got` from the exact `want` in units of the f32 ulp at
+    /// `want` (subnormal spacing below the normal range), with `±∞` read
+    /// as `±2¹²⁸`, one ulp past `f32::MAX`.
+    fn ulp_error(got: f32, want: f64) -> f64 {
+        if got.is_nan() || want.is_nan() {
+            return if got.is_nan() && want.is_nan() {
+                0.0
+            } else {
+                f64::INFINITY
+            };
+        }
+        let big = 2f64.powi(128);
+        let g = if got.is_infinite() {
+            big.copysign(got as f64)
+        } else {
+            got as f64
+        };
+        let w = want.clamp(-big, big);
+        let e = if w == 0.0 {
+            -126
+        } else {
+            (w.abs().log2().floor() as i32).max(-126)
+        };
+        (g - w).abs() / 2f64.powi(e - 23)
+    }
+
+    #[test]
+    fn transcendentals_match_across_levels_and_stay_within_3_ulp() {
+        let xs = transcendental_inputs();
+        let exact: [(UnOp, fn(f64) -> f64); 3] = [
+            (UnOp::Exp, f64::exp),
+            (UnOp::Sigmoid, |x| 1.0 / (1.0 + (-x).exp())),
+            (UnOp::Tanh, f64::tanh),
+        ];
+        for (op, f) in exact {
+            let got = across_levels(|| {
+                let mut out = vec![0.0; xs.len()];
+                unary_map(op, &xs, &mut out);
+                out
+            });
+            let (worst, at) = xs
+                .iter()
+                .zip(&got)
+                .map(|(&x, &y)| (ulp_error(y, f(x as f64)), x))
+                .fold((0.0, 0.0), |m, e| if e.0 > m.0 { e } else { m });
+            assert!(worst <= 3.0, "{op:?}: {worst} ulp at x = {at:e}");
+        }
+    }
+
+    #[test]
+    fn transcendentals_pin_specials() {
+        let one = |op: UnOp, x: f32| {
+            across_levels(|| {
+                let mut out = [0.0];
+                unary_map(op, &[x], &mut out);
+                out.to_vec()
+            })[0]
+        };
+        assert_eq!(one(UnOp::Exp, f32::NEG_INFINITY).to_bits(), 0);
+        assert_eq!(one(UnOp::Exp, f32::INFINITY), f32::INFINITY);
+        assert_eq!(one(UnOp::Exp, 89.0), f32::INFINITY);
+        assert_eq!(one(UnOp::Exp, 0.0), 1.0);
+        assert_eq!(one(UnOp::Exp, -0.0), 1.0);
+        assert_eq!(one(UnOp::Tanh, -0.0).to_bits(), (-0.0f32).to_bits());
+        assert_eq!(one(UnOp::Tanh, f32::INFINITY), 1.0);
+        assert_eq!(one(UnOp::Tanh, f32::NEG_INFINITY), -1.0);
+        assert_eq!(one(UnOp::Sigmoid, -0.0), 0.5);
+        assert_eq!(one(UnOp::Sigmoid, f32::INFINITY), 1.0);
+        assert_eq!(one(UnOp::Sigmoid, f32::NEG_INFINITY).to_bits(), 0);
+        for op in [UnOp::Exp, UnOp::Sigmoid, UnOp::Tanh, UnOp::Sqrt] {
+            assert!(one(op, f32::NAN).is_nan(), "{op:?}(NaN)");
         }
     }
 
