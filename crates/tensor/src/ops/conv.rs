@@ -5,14 +5,15 @@
 //! unchanged), matching the gated dilated causal convolutions of
 //! Graph WaveNet / WaveNet-style ST models.
 //!
-//! Per series, each tap is one matrix product on the GEMM microkernel
-//! ([`super::matmul::gemm_rows`]): the forward adds `x[0..T-lag] · w_tap`
-//! into output rows `lag..T`, and the weight gradient adds
-//! `x[0..T-lag]ᵀ · g[lag..T]` into the tap's `[Din, Dout]` slice, with `xᵀ`
-//! packed once per series. Taps go in ascending order and the products
-//! accumulate into their output, so every element keeps the per-element
-//! order of the naive loops in `ops::reference` and is bit-identical to
-//! them.
+//! All three kernels run on the GEMM microkernel
+//! ([`super::matmul::gemm_rows`]). Per series, the forward adds
+//! `x[0..T-lag] · w_tap` into output rows `lag..T` tap by tap, and the
+//! weight gradient adds `x[0..T-lag]ᵀ · g[lag..T]` into the tap's
+//! `[Din, Dout]` slice, with `xᵀ` packed once per series. The input
+//! gradient computes `g · wᵀ` for all taps in one product (`wᵀ` packed once
+//! per call) and adds its rows into the gradient tap by tap. Every element
+//! keeps the per-element order of the naive loops in `ops::reference` and
+//! is bit-identical to them.
 //!
 //! Series (the `B*N` leading dims) are independent, so the forward and the
 //! input gradient split series across the worker pool in
@@ -31,6 +32,7 @@ use super::matmul::gemm_rows;
 use crate::arena;
 use crate::meter;
 use crate::parallel;
+use crate::simd;
 use crate::Tensor;
 use std::cell::RefCell;
 
@@ -38,6 +40,9 @@ thread_local! {
     /// Per-thread `xᵀ` of one series (`[Din, T]`) for
     /// [`temporal_conv_grad_w`].
     static XT: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread `g · wᵀ` of one series (`[T, K·Din]`) for
+    /// [`temporal_conv_grad_x`].
+    static DX: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Forward dilated causal conv.
@@ -95,6 +100,12 @@ pub fn temporal_conv(x: &Tensor, w: &Tensor, dilation: usize) -> Tensor {
 }
 
 /// ∂temporal_conv/∂x.
+///
+/// `wᵀ` is packed once per call as `[Dout, K·Din]`. Per series, one
+/// first-pass GEMM gives `D[t, (k, i)] = Σ_co g[t, co] · w[k, i, co]`, each
+/// element a fresh ascending-`co` chain from `+0.0`. `D`'s rows are then
+/// added into the zeroed gradient in step-then-tap order, so every element
+/// matches `ops::reference::temporal_conv_grad_x` bit for bit.
 pub fn temporal_conv_grad_x(
     grad: &Tensor,
     w: &Tensor,
@@ -104,9 +115,16 @@ pub fn temporal_conv_grad_x(
     meter::add_reads(grad.len() + w.len());
     let (b, n, t, din) = (x_shape[0], x_shape[1], x_shape[2], x_shape[3]);
     let (k, _, dout) = dims3(w);
+    let kd = k * din;
+    let wd = w.data();
+    let mut wt = arena::take_dirty(dout * kd);
+    for (r, wrow) in wd.chunks_exact(dout.max(1)).enumerate() {
+        for (co, &v) in wrow.iter().enumerate() {
+            wt[co * kd + r] = v;
+        }
+    }
     let mut gx = arena::take_zeroed(b * n * t * din);
     let gd = grad.data();
-    let wd = w.data();
     let series = b * n;
     let unit = t * din;
     let work = 2 * series * t * k * din * dout;
@@ -119,32 +137,34 @@ pub fn temporal_conv_grad_x(
             if unit == 0 {
                 return;
             }
-            for (si, xser) in chunk.chunks_mut(unit).enumerate() {
-                let s = u0 + si;
-                let g_off = s * t * dout;
-                for ti in 0..t {
-                    let grow = &gd[g_off + ti * dout..g_off + (ti + 1) * dout];
-                    for ki in 0..k {
-                        let lag = (k - 1 - ki) * dilation;
-                        if lag > ti {
-                            continue;
-                        }
-                        let src = ti - lag;
-                        let xrow = &mut xser[src * din..(src + 1) * din];
-                        let wmat = &wd[ki * din * dout..(ki + 1) * din * dout];
-                        for (i, xg) in xrow.iter_mut().enumerate() {
-                            let wrow = &wmat[i * dout..(i + 1) * dout];
-                            let mut acc = 0.0f32;
-                            for (gv, wv) in grow.iter().zip(wrow.iter()) {
-                                acc += gv * wv;
+            DX.with(|p| {
+                let mut d = p.borrow_mut();
+                if d.len() < t * kd {
+                    d.resize(t * kd, 0.0);
+                }
+                let d = &mut d[..t * kd];
+                for (si, xser) in chunk.chunks_mut(unit).enumerate() {
+                    let s = u0 + si;
+                    let gser = &gd[s * t * dout..(s + 1) * t * dout];
+                    gemm_rows(gser, dout, &wt, d, dout, kd, true);
+                    for (ti, drow) in d.chunks_exact(kd).enumerate() {
+                        for (ki, dtap) in drow.chunks_exact(din).enumerate() {
+                            let lag = (k - 1 - ki) * dilation;
+                            if lag > ti {
+                                continue;
                             }
-                            *xg += acc;
+                            let src = ti - lag;
+                            simd::accum(&mut xser[src * din..(src + 1) * din], dtap);
                         }
                     }
                 }
-            }
+            });
         },
     );
+    arena::recycle(wt);
+    if simd::active() {
+        parallel::kernels::TEMPORAL_CONV_GRAD_X.stats.record_simd();
+    }
     Tensor::from_vec(x_shape, gx)
 }
 

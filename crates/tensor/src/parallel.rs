@@ -193,8 +193,10 @@ pub mod kernels {
     /// Dilated causal temporal convolution (one unit = one series).
     pub static TEMPORAL_CONV: KernelSpec =
         vectorized(disjoint("conv.temporal"), LaneOrder::ElementChains);
-    /// Temporal convolution input gradient.
-    pub static TEMPORAL_CONV_GRAD_X: KernelSpec = disjoint("conv.temporal_grad_x");
+    /// Temporal convolution input gradient (one unit = one series): one
+    /// `g · wᵀ` product per series, then row adds, each on the vector lanes.
+    pub static TEMPORAL_CONV_GRAD_X: KernelSpec =
+        vectorized(disjoint("conv.temporal_grad_x"), LaneOrder::ElementChains);
     /// Temporal convolution weight gradient (one unit = one `Dout` row of
     /// the `[K, Din, Dout]` output); each worker sums every series into
     /// its own rows.
