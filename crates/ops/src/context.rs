@@ -157,19 +157,24 @@ impl GraphContext {
 
 /// Mix node information: `A · X` over the node axis of `[B, N, T, D]`.
 ///
-/// `support` is `[N, N]` (constant or learned). Implemented as
-/// permute → broadcast matmul → permute.
+/// `support` is `[N, N]` (constant or learned). `x` is viewed as
+/// `[B, N, T·D]`, so one broadcast matmul per batch element mixes every
+/// step and channel at once, and the product is viewed back: no permute.
+/// Each output element and each element of `∂x` keeps its ascending-node
+/// chain; `∂A` sums each batch element's `(t, d)` products in one chain.
 pub fn node_mix<B: Backend>(be: &B, x: &B::V, support: &B::V) -> B::V {
-    debug_assert_eq!(be.shape(x).len(), 4);
-    let xt = be.permute(x, &[0, 2, 1, 3]); // [B,T,N,D]
-    let mixed = be.matmul(support, &xt); // broadcast over [B,T]
-    be.permute(&mixed, &[0, 2, 1, 3])
+    let s = be.shape(x);
+    debug_assert_eq!(s.len(), 4);
+    let [b, n, t, d] = [s[0], s[1], s[2], s[3]];
+    let flat = be.reshape(x.clone(), &[b, n, t * d]);
+    let mixed = be.matmul(support, &flat); // broadcast over B
+    be.reshape(mixed, &[b, n, t, d])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cts_autograd::Tape;
+    use cts_autograd::{Tape, Var};
     use cts_graph::{random_geometric_graph, GraphGenConfig};
     use rand::{rngs::SmallRng, SeedableRng};
 
@@ -246,6 +251,31 @@ mod tests {
         let swap = tape.constant(Tensor::from_vec([2, 2], vec![0.0, 1.0, 1.0, 0.0]));
         let y = node_mix(&tape, &x, &swap).value();
         assert_eq!(y.data(), &[5.0, 1.0]);
+    }
+
+    #[test]
+    fn node_mix_keeps_the_node_major_bits_of_forward_and_dx() {
+        // The old permute → matmul → permute form, against node_mix: the
+        // forward and ∂x are bit-identical, ∂A only regroups its sum.
+        let mut rng = SmallRng::seed_from_u64(3);
+        let x = Parameter::new("x", init::uniform(&mut rng, [2, 5, 3, 4], -1.0, 1.0));
+        let a = Parameter::new("a", init::uniform(&mut rng, [5, 5], -1.0, 1.0));
+        let up = init::uniform(&mut rng, [2, 5, 3, 4], -1.0, 1.0);
+        let run = |mix: &dyn Fn(&Tape, &Var, &Var) -> Var| {
+            x.zero_grad();
+            a.zero_grad();
+            let tape = Tape::new();
+            let y = mix(&tape, &tape.param(&x), &tape.param(&a));
+            tape.backward(&y.mul(&tape.constant(up.clone())).sum_all());
+            (y.value(), x.grad().clone(), a.grad().clone())
+        };
+        let (y_new, gx_new, ga_new) = run(&|tape, x, a| node_mix(tape, x, a));
+        let (y_old, gx_old, ga_old) =
+            run(&|_, x, a| a.matmul(&x.permute(&[0, 2, 1, 3])).permute(&[0, 2, 1, 3]));
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y_new), bits(&y_old), "forward");
+        assert_eq!(bits(&gx_new), bits(&gx_old), "∂x");
+        assert!(ga_new.approx_eq(&ga_old, 1e-5), "∂A");
     }
 
     #[test]
