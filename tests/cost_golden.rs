@@ -51,8 +51,8 @@ const OP_COSTS: &str = "
     gru/0 68640 111120 79680 246 214 51840 111872
     trans-t/0 73680 60000 48000 120 17 60480 75776
     inf-t/0 64740 69636 45408 120 25 51840 81792
-    cheb-gcn/0 55680 57444 45120 126 19 47520 88064
-    dgcn/0 81600 77992 59520 198 24 72000 116736
+    cheb-gcn/0 55680 57444 45120 126 19 47520 75776
+    dgcn/0 81600 77992 59520 198 24 72000 100352
     trans-s/0 49320 49920 37920 120 17 40320 67584
     inf-s/0 49392 62220 40916 120 25 38880 79408
     zero/1 720 2880 2880 0 1 0 4096
@@ -63,8 +63,8 @@ const OP_COSTS: &str = "
     gru/1 68640 111120 79680 246 214 51840 111872
     trans-t/1 73680 60000 48000 120 17 60480 75776
     inf-t/1 64740 69636 45408 120 25 51840 81792
-    cheb-gcn/1 55680 57444 45120 126 19 47520 88064
-    dgcn/1 115045 101880 77100 270 33 103880 162176
+    cheb-gcn/1 55680 57444 45120 126 19 47520 75776
+    dgcn/1 115045 101880 77100 270 33 103880 137600
     trans-s/1 49320 49920 37920 120 17 40320 67584
     inf-s/1 49392 62220 40916 120 25 38880 79408
 ";
@@ -132,9 +132,9 @@ const REPORT_STEPS: &str = "
     block1_residual 720 5760 2880 0 1 0 4096
     block2.e0 73680 60000 48000 120 17 60480 75776
     block2.e1 64740 69636 45408 120 25 51840 81792
-    block2.e2 56400 63204 48000 126 20 47520 92160
+    block2.e2 56400 63204 48000 126 20 47520 79872
     block2_residual 720 5760 2880 0 1 0 4096
-    block3.e0 115045 101880 77100 270 33 103880 162176
+    block3.e0 115045 101880 77100 270 33 103880 137600
     block3.e1 49320 49920 37920 120 17 40320 67584
     block3.e2 50112 67980 43796 120 26 38880 83504
     block3_residual 720 5760 2880 0 1 0 4096
@@ -145,10 +145,10 @@ const REPORT_STEPS: &str = "
 ";
 
 const REPORT_SUMMARY: &str = "
-    total 649387 786864 573344 1941 564 522920 953392
+    total 649387 786864 573344 1941 564 522920 916528
     num_slots 16
-    peak_bytes 203136 at block3.e0
-    ideal_peak_bytes 178560
+    peak_bytes 178560 at block3.e0
+    ideal_peak_bytes 153984
 ";
 
 #[test]
