@@ -7,11 +7,12 @@
 //!
 //! SIMD coverage is per pass: the max scan ([`crate::simd::row_max`], a
 //! pinned horizontal-reduce tree whose one reorder artifact — the sign of
-//! an equal-zero maximum — is erased by the `exp(x − m)` that consumes it)
-//! and the `1/z` normalization ([`crate::simd::scale_in_place`]) vectorize;
-//! the exp pass and the running `z` sum stay scalar because a vector unit
-//! would have to reassociate that single sequential addition chain. The
-//! exponent is the crate's one pinned [`crate::simd::exp_pinned`].
+//! an equal-zero maximum — is erased by the `exp(x − m)` that consumes it),
+//! the exponent (the crate's one pinned [`crate::simd::exp_pinned`], as
+//! [`UnOp::Exp`] lanes) and the `1/z` normalization
+//! ([`crate::simd::scale_in_place`]) vectorize; the running `z` sum stays
+//! scalar because a vector unit would have to reassociate that single
+//! sequential addition chain.
 //!
 //! Each row writes every one of its outputs, so all three kernels take
 //! their output from [`arena::take_dirty`].
@@ -19,7 +20,7 @@
 use crate::arena;
 use crate::meter;
 use crate::parallel;
-use crate::simd::exp_pinned;
+use crate::simd::{exp_pinned, UnOp};
 use crate::Tensor;
 
 /// Numerically stable softmax over the last axis.
@@ -43,10 +44,18 @@ pub fn softmax_last(a: &Tensor) -> Tensor {
                 let base = (start + ri) * n;
                 let s = &data[base..base + n];
                 let m = crate::simd::row_max(s);
+                // `exp(x − m)` on the vector lanes, 64 shifted values at a
+                // time; `z` then sums the row in order.
+                let mut shifted = [0.0f32; 64];
+                for (oc, sc) in o.chunks_mut(64).zip(s.chunks(64)) {
+                    let sh = &mut shifted[..sc.len()];
+                    for (t, &x) in sh.iter_mut().zip(sc) {
+                        *t = x - m;
+                    }
+                    crate::simd::unary_map(UnOp::Exp, sh, oc);
+                }
                 let mut z = 0.0f32;
-                for (oi, &x) in o.iter_mut().zip(s.iter()) {
-                    let e = exp_pinned(x - m);
-                    *oi = e;
+                for &e in o.iter() {
                     z += e;
                 }
                 crate::simd::scale_in_place(o, 1.0 / z);

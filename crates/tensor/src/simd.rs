@@ -23,9 +23,9 @@
 //! round-ties-even range reduction, a degree-5 polynomial and an
 //! exponent-bit scale, each step one IEEE operation that the AVX2 lanes
 //! repeat in the same order, and `sigmoid`/`tanh` are built on it. They
-//! stay within 3 ulp of the exact values (2.1 at worst over the tests'
-//! sweep), and the softmax exponent and `gelu` use the same forms, so the
-//! crate has one `exp` and one `tanh`.
+//! stay within 3 ulp of the exact values (at worst 2.02, for `sigmoid`,
+//! over the tests' sweep), and the softmax exponent and `gelu` use the
+//! same forms, so the crate has one `exp` and one `tanh`.
 //!
 //! Where x86 min/max semantics leak (`maxps(a, b)` returns `b` when
 //! either operand is NaN or both compare equal), the scalar forms in
