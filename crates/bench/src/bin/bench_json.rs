@@ -13,7 +13,9 @@
 //! at threads=1 once more, in the same timing rounds as its vector run,
 //! with `cts_tensor::simd` forced to the scalar path, so the vector speedup is
 //! a recorded scalar-vs-simd row pair; a per-kernel row's `ns_per_iter`
-//! is the fastest of ten timing windows spread over the whole pass. Both
+//! is the fastest of ten timing windows spread over the whole pass, with
+//! the windows' median and slowest beside it, and the two levels take
+//! turns at being timed first in each round. Both
 //! files open with a `host` header (available parallelism + detected
 //! SIMD).
 //! Six regressions are *asserted* in-process, not just recorded:
@@ -114,6 +116,16 @@ fn row_json(op: &str, shape: &str, threads: usize, arena_on: bool, m: &Measure) 
     )
 }
 
+/// `row` with the median and slowest of its sorted timing `windows`
+/// (ns/iter) beside the fastest, which the row already carries.
+fn with_spread(row: String, windows: &[u64]) -> String {
+    let (median, worst) = (windows[windows.len() / 2], windows[windows.len() - 1]);
+    format!(
+        "{}, \"ns_median\": {median}, \"ns_worst\": {worst}}}",
+        row.trim_end_matches('}')
+    )
+}
+
 /// The `host` header object shared by every `BENCH_*.json` this binary
 /// writes: how many hardware threads the box offers and which SIMD level
 /// `cts_tensor::simd` detected, so numbers from different machines are
@@ -140,9 +152,11 @@ fn thread_counts() -> Vec<usize> {
 }
 
 /// Per-kernel rows: the projection/attention shapes the supernet is built
-/// from, the search step's own elementwise shapes at `[8,32,12,8]`, its
-/// own GEMMs (graph conv, linear weight gradient, temporal conv) and its
-/// node-major `permute`, attention's key transpose, LayerNorm's per-row
+/// from, the search step's own elementwise shapes at `[8,32,12,8]` (the
+/// GDCC gate's `tanh` and `sigmoid` included), its own GEMMs (graph conv,
+/// linear weight gradient, temporal conv and its input and weight
+/// gradients) and a node-major `permute`, attention's key transpose,
+/// LayerNorm's per-row
 /// and bias broadcasts at d_model 16, ProbSparse's last-axis `max_axis`
 /// and LayerNorm's last-axis `sum_axis_grad`, at every worker count of
 /// [`thread_counts`], plus a forced-scalar run of each case in the same
@@ -205,6 +219,8 @@ fn bench_ops() -> (Vec<String>, String) {
         ("elementwise.mul", "[8,32,12,8]x[1]", 400, Box::new(|| ops::mul(&h, &weight))),
         ("elementwise.add", "[8,32,12,8]+[8]", 400, Box::new(|| ops::add(&h, &bias))),
         ("elementwise.sub", "[8,32,12,8]-[8,32,12,1]", 400, Box::new(|| ops::sub(&h, &stat))),
+        ("elementwise.tanh", "[8,32,12,8]", 400, Box::new(|| ops::tanh(&h))),
+        ("elementwise.sigmoid", "[8,32,12,8]", 400, Box::new(|| ops::sigmoid(&h))),
         (
             "elementwise.reduce_to_shape",
             "[8,32,12,8]->[8,32,12,1]",
@@ -235,6 +251,12 @@ fn bench_ops() -> (Vec<String>, String) {
         ("matmul.tn", "[8,32,12,8]Tx[8,32,12,8]", 200, Box::new(|| ops::matmul_tn(&hs, &h))),
         ("conv.temporal", "[8,32,12,16] taps 2", 100, Box::new(|| ops::temporal_conv(&xc, &wc, 1))),
         (
+            "conv.temporal_grad_x",
+            "[8,32,12,16] taps 2",
+            100,
+            Box::new(|| ops::temporal_conv_grad_x(&xc, &wc, xc.shape(), 1)),
+        ),
+        (
             "conv.temporal_grad_w",
             "[8,32,12,16] taps 2",
             100,
@@ -263,15 +285,20 @@ fn bench_ops() -> (Vec<String>, String) {
         // case's iterations; a row keeps its fastest window. The host's
         // speed drifts in phases of seconds, and spreading every row's
         // windows over the whole pass lets a slow phase hit all rows alike
-        // instead of deciding one asserted ratio.
+        // instead of deciding one asserted ratio. Odd rounds time the
+        // levels in reverse, so neither level always runs right after the
+        // other (a warm cache or a clock ramp would favour one side).
         let mut best: Vec<Option<Measure>> = (0..cases.len() * levels.len()).map(|_| None).collect();
-        for _ in 0..10 {
+        let mut windows: Vec<Vec<u64>> = vec![Vec::new(); cases.len() * levels.len()];
+        for round in 0..10 {
             for (ci, (_, _, iters, f)) in cases.iter().enumerate() {
-                for (li, &level) in levels.iter().enumerate() {
-                    simd::set_level(level);
+                for k in 0..levels.len() {
+                    let li = if round % 2 == 0 { k } else { levels.len() - 1 - k };
+                    simd::set_level(levels[li]);
                     let m = window(iters.div_ceil(10), || {
                         std::hint::black_box(f());
                     });
+                    windows[ci * levels.len() + li].push(m.ns_per_iter);
                     let slot = &mut best[ci * levels.len() + li];
                     if slot.as_ref().is_none_or(|b| m.ns_per_iter < b.ns_per_iter) {
                         *slot = Some(m);
@@ -280,12 +307,15 @@ fn bench_ops() -> (Vec<String>, String) {
             }
         }
         simd::set_level(None);
-        for ((op, shape, _, _), row_best) in cases.iter().zip(best.chunks(levels.len())) {
-            for m in row_best.iter().flatten() {
+        let rows_of = cases.iter().zip(best.chunks(levels.len()).zip(windows.chunks_mut(levels.len())));
+        for ((op, shape, _, _), (row_best, row_windows)) in rows_of {
+            for (m, ws) in row_best.iter().zip(row_windows) {
+                let Some(m) = m else { continue };
                 if threads == 1 {
                     t1.insert((op, shape, m.simd), m.ns_per_iter);
                 }
-                rows.push(row_json(op, shape, threads, arena::enabled(), m));
+                ws.sort_unstable();
+                rows.push(with_spread(row_json(op, shape, threads, arena::enabled(), m), ws));
             }
         }
     }
@@ -307,6 +337,11 @@ fn bench_ops() -> (Vec<String>, String) {
         speedup("softmax.last", "[8,16,48,48]"),
         speedup("elementwise.reduce_to_shape", "[8,16,48,64]->[48,64]"),
     );
+    let (th, sg, gx) = (
+        speedup("elementwise.tanh", "[8,32,12,8]"),
+        speedup("elementwise.sigmoid", "[8,32,12,8]"),
+        speedup("conv.temporal_grad_x", "[8,32,12,16] taps 2"),
+    );
     let summary = format!(
         "  \"summary\": {{\"simd_active\": \"{active}\", \
          \"ratio_matmul_nt_vs_matmul_t1\": {nt_ratio:.3}, \
@@ -315,7 +350,8 @@ fn bench_ops() -> (Vec<String>, String) {
          \"ratio_last_axis_max_vs_sum_t1\": {max_ratio:.3}, \
          \"speedup_simd_vs_scalar_t1\": {{\"matmul\": {mm:.3}, \"matmul.tn\": {tn:.3}, \
          \"elementwise.add\": {ew:.3}, \"softmax.last\": {sm:.3}, \
-         \"elementwise.reduce_to_shape\": {rd:.3}}}}}"
+         \"elementwise.reduce_to_shape\": {rd:.3}, \"elementwise.tanh\": {th:.3}, \
+         \"elementwise.sigmoid\": {sg:.3}, \"conv.temporal_grad_x\": {gx:.3}}}}}"
     );
 
     // The packed-B fix for matmul_nt: the pre-fix ratio was ~2.1×; hold the
