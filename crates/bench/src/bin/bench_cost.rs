@@ -15,9 +15,9 @@
 //! FLOPs and bytes must match bit for bit — the model claims exactness,
 //! not approximation — so those columns are booleans. Latency is a
 //! 3-coefficient linear model; the JSON carries two calibrations: the
-//! in-process probe fit (`LatencyModel::calibrate`, what the search
-//! pre-flight uses) and a weighted least-squares refit against the
-//! measured family rows. `--gate` holds every refit ratio inside a
+//! shipped `LatencyModel::default()` (what the search pre-flight and
+//! `verify_space` price with) and a weighted least-squares refit against
+//! the measured family rows. `--gate` holds every refit ratio inside a
 //! generous 3x band — i.e. it tests that dense-flops/light-flops/calls
 //! explain real forward latency at all — and fails on any exactness
 //! miss. `--gate` also compares the compiled-in `LatencyModel::default()`
@@ -25,8 +25,8 @@
 //! the SIMD microkernels) moves real throughput more than 3x away from
 //! the shipped defaults, the gate fails until the defaults are
 //! re-calibrated (dispatch overhead is host-scheduling noise and is
-//! excluded). Probe-calibration drift beyond 10x is `verify_space`'s
-//! alarm, not this gate's.
+//! excluded). A candidate priced more than 10x off its measured forward
+//! is `verify_space`'s alarm, not this gate's.
 
 use autocts::preflight::{analyze_cost, arch_spec};
 use autocts::{BlockGenotype, DerivedModel, Genotype, SearchConfig};
@@ -135,9 +135,9 @@ fn main() {
     let (x, _) = &batches[0];
     let batch = x.shape()[0];
 
-    let latency = LatencyModel::calibrate();
+    let latency = LatencyModel::default();
     println!(
-        "bench_cost: calibrated {{dense {:.3} ns/flop, light {:.3} ns/flop, dispatch {:.0} ns/call}}",
+        "bench_cost: default {{dense {:.3} ns/flop, light {:.3} ns/flop, dispatch {:.0} ns/call}}",
         latency.dense_ns_per_flop, latency.light_ns_per_flop, latency.dispatch_ns
     );
 
@@ -222,7 +222,7 @@ fn main() {
     };
     for r in &rows {
         println!(
-            "  {:<14} exact {:<5}  probe {:>9.1} us  fit {:>9.1} us  meas {:>9.1} us  fit ratio {:>5.2}",
+            "  {:<14} exact {:<5}  default {:>9.1} us  fit {:>9.1} us  meas {:>9.1} us  fit ratio {:>5.2}",
             r.family,
             r.exact,
             r.predicted_ns / 1e3,
@@ -246,7 +246,7 @@ fn main() {
         .map(|r| {
             format!(
                 "    {{\"family\": \"{}\", \"genotype\": \"{}\", \"batch\": {}, {}, \
-                 \"peak_bytes\": {}, \"probe_predicted_ns\": {:.0}, \"fit_predicted_ns\": {:.0}, \
+                 \"peak_bytes\": {}, \"default_predicted_ns\": {:.0}, \"fit_predicted_ns\": {:.0}, \
                  \"measured_ns\": {:.0}, \"latency_ratio\": {:.4}}}",
                 r.family,
                 r.genotype,
@@ -269,7 +269,7 @@ fn main() {
     );
     body.push_str(&json_rows.join(",\n"));
     body.push_str(&format!(
-        "\n  ],\n  \"calibration_probe\": {{\"dense_ns_per_flop\": {:.4}, \
+        "\n  ],\n  \"calibration_default\": {{\"dense_ns_per_flop\": {:.4}, \
          \"light_ns_per_flop\": {:.4}, \"dispatch_ns\": {:.1}}},\n  \
          \"calibration_fit\": {{\"dense_ns_per_flop\": {:.4}, \
          \"light_ns_per_flop\": {:.4}, \"dispatch_ns\": {:.1}}},\n  \
@@ -308,11 +308,10 @@ fn main() {
             bad = true;
         }
         // Stale-default detection: the shipped coefficients back every
-        // pre-calibration budget pre-flight, so a kernel-speed change that
+        // budget pre-flight, so a kernel-speed change that
         // moves real flop throughput 3x away from them must refresh
         // `LatencyModel::default()` (dispatch excluded — it tracks the host
         // scheduler, not kernel code).
-        let shipped = LatencyModel::default();
         let band = |fit: f64, def: f64, name: &str| -> bool {
             let q = fit / def.max(1e-12);
             let q = q.max(1.0 / q.max(1e-12));
@@ -324,8 +323,8 @@ fn main() {
             }
             q > 3.0
         };
-        bad |= band(fitted.dense_ns_per_flop, shipped.dense_ns_per_flop, "dense_ns_per_flop");
-        bad |= band(fitted.light_ns_per_flop, shipped.light_ns_per_flop, "light_ns_per_flop");
+        bad |= band(fitted.dense_ns_per_flop, latency.dense_ns_per_flop, "dense_ns_per_flop");
+        bad |= band(fitted.light_ns_per_flop, latency.light_ns_per_flop, "light_ns_per_flop");
         if bad {
             std::process::exit(1);
         }

@@ -1,10 +1,10 @@
 //! Machine-readable benchmark emitter: writes `BENCH_ops.json` and
 //! `BENCH_search_step.json` at the repo root (or `$BENCH_OUT_DIR`).
 //!
-//! Unlike the criterion benches this binary installs a counting global
-//! allocator, so every row carries allocations/step next to ns/iter —
-//! the two axes the worker-pool + arena work optimises. Rows cover the
-//! worker pool at 1/2/4 workers — only the counts the host can run in
+//! This binary installs a counting global allocator, so every row
+//! carries allocations/step next to ns/iter — the two axes the
+//! worker-pool + arena work optimises. Rows cover the worker pool at
+//! 1/2/4 workers — only the counts the host can run in
 //! parallel, since wider rows would time oversubscription, not the
 //! kernels — and the arena on/off pair at `min(4, available_parallelism)`
 //! workers.

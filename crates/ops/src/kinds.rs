@@ -123,8 +123,8 @@ impl OpKind {
 
     /// Relative computational cost of one application, in units of a 1×1
     /// convolution (used by the efficiency-aware search extension — the
-    /// paper's future-work item of §6). Derived from the per-operator
-    /// criterion benchmarks (`cts-bench/benches/operators.rs`).
+    /// paper's future-work item of §6). A hand-written table, not derived
+    /// from any measurement or from [`StOperator::cost`](crate::StOperator::cost).
     pub fn relative_cost(&self) -> f32 {
         match self {
             OpKind::Zero => 0.0,

@@ -49,51 +49,15 @@
 //! offers exactly that shape: contiguous runs of disjoint output units,
 //! nothing combined afterwards. Each call must present a [`KernelSpec`]
 //! registered in [`kernels::ALL`], so a new kernel that skips
-//! registration panics on first use. `cts-verify` audits the registry as
-//! part of its static report.
+//! registration panics on first use.
 
 use crate::pool;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
-/// How a kernel's vector (SIMD) lanes relate to its scalar accumulation
-/// order — the declaration the cts-verify determinism audit checks against
-/// each kernel's lane width.
-///
-/// Every variant is bit-deterministic: `ElementChains` and
-/// `PinnedMaxTree` produce outputs bit-identical to the scalar path at
-/// every SIMD level and thread count.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LaneOrder {
-    /// No vector path: the kernel's inner loops are scalar at every SIMD
-    /// level (sequential sums, odometer gathers, pure copies).
-    ScalarOnly,
-    /// Lanes are independent *output elements*; each element keeps its
-    /// scalar ascending addition chain (separate mul + add, never FMA), so
-    /// no cross-lane combine exists and results are bit-identical to
-    /// scalar by construction.
-    ElementChains,
-    /// Per-lane running maxima combined through a fixed pairwise tree
-    /// (softmax max scan). Max is order-insensitive up to the sign of an
-    /// equal-zero result, which the consuming `exp(x − m)` cannot observe.
-    PinnedMaxTree,
-}
-
-/// A kernel's declared SIMD shape: lane width and lane-order contract.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SimdContract {
-    /// f32 lanes the vector path is written for (1 = scalar only). The
-    /// audit requires `ScalarOnly ⇔ width 1` and vectorized kernels to
-    /// match [`crate::simd::LANES`].
-    pub lane_width: usize,
-    /// How lanes relate to the scalar accumulation order.
-    pub order: LaneOrder,
-}
-
-/// Static description of one parallel kernel: its name, its SIMD
-/// contract and its counters. Every kernel splits its work the one way
-/// [`for_units`] offers.
+/// Static description of one parallel kernel: its name and its counters.
+/// Every kernel splits its work the one way [`for_units`] offers.
 ///
 /// Specs are `'static` and identity-checked against [`kernels::ALL`], so
 /// the set of kernels that can touch the thread pool is a closed, auditable
@@ -102,8 +66,6 @@ pub struct SimdContract {
 pub struct KernelSpec {
     /// Stable kernel name (module-qualified, e.g. `"conv.temporal_grad_w"`).
     pub name: &'static str,
-    /// Declared SIMD lane width and order (audited by cts-verify).
-    pub simd: SimdContract,
     /// Cumulative invocation/timing counters (observability). Embedded in
     /// the spec so recording needs no lookup; timing is only added when
     /// `cts_obs::metrics_enabled()`.
@@ -112,54 +74,35 @@ pub struct KernelSpec {
 
 /// The closed registry of kernels allowed on the parallel layer.
 pub mod kernels {
-    use super::{KernelSpec, LaneOrder, SimdContract};
+    use super::KernelSpec;
 
     const fn disjoint(name: &'static str) -> KernelSpec {
         KernelSpec {
             name,
-            simd: SimdContract {
-                lane_width: 1,
-                order: LaneOrder::ScalarOnly,
-            },
             stats: cts_obs::KernelStats::new(),
         }
     }
 
-    /// Mark a spec's hot loops as vectorized at [`crate::simd::LANES`]
-    /// width with the given lane-order contract.
-    const fn vectorized(mut spec: KernelSpec, order: LaneOrder) -> KernelSpec {
-        spec.simd = SimdContract {
-            lane_width: crate::simd::LANES,
-            order,
-        };
-        spec
-    }
-
     /// Cache-blocked packed-B matrix product (one unit = one output row).
-    pub static MATMUL: KernelSpec = vectorized(disjoint("matmul"), LaneOrder::ElementChains);
+    pub static MATMUL: KernelSpec = disjoint("matmul");
     /// Fused A·Bᵀ product used by `matmul_grad_a` (one unit = one output
     /// row); transpose-packs B into per-worker scratch instead of
     /// materialising a transposed tensor.
-    pub static MATMUL_NT: KernelSpec = vectorized(disjoint("matmul.nt"), LaneOrder::ElementChains);
+    pub static MATMUL_NT: KernelSpec = disjoint("matmul.nt");
     /// Fused Aᵀ·G product used by `matmul_grad_b` (one unit = one output
     /// row); transpose-packs the rows of Aᵀ each worker needs into
     /// per-worker scratch, then runs the forward product's microkernel.
-    pub static MATMUL_TN: KernelSpec = vectorized(disjoint("matmul.tn"), LaneOrder::ElementChains);
+    pub static MATMUL_TN: KernelSpec = disjoint("matmul.tn");
     /// Tiled last-two-dims transpose (one unit = one matrix).
     pub static TRANSPOSE: KernelSpec = disjoint("matmul.transpose_last2");
     /// Same-shape elementwise zip (one unit = one scalar).
-    pub static EW_ZIP: KernelSpec =
-        vectorized(disjoint("elementwise.zip"), LaneOrder::ElementChains);
+    pub static EW_ZIP: KernelSpec = disjoint("elementwise.zip");
     /// Broadcasting elementwise zip (one unit = one scalar): trailing axes
     /// merge into contiguous or constant runs, each mapped on the vector
     /// lanes; an odometer walks the outer axes once per run.
-    pub static EW_ZIP_BROADCAST: KernelSpec = vectorized(
-        disjoint("elementwise.zip_broadcast"),
-        LaneOrder::ElementChains,
-    );
+    pub static EW_ZIP_BROADCAST: KernelSpec = disjoint("elementwise.zip_broadcast");
     /// Elementwise unary map.
-    pub static EW_UNARY: KernelSpec =
-        vectorized(disjoint("elementwise.unary"), LaneOrder::ElementChains);
+    pub static EW_UNARY: KernelSpec = disjoint("elementwise.unary");
     /// Exact-length zip used by saved-value gradient kernels.
     pub static EW_ZIP_EXACT: KernelSpec = disjoint("elementwise.zip_exact");
     /// Broadcast-gradient reduction: one unit = one *target* element,
@@ -168,40 +111,37 @@ pub mod kernels {
     /// bit-identical to it). A contiguous preimage (reduced axes trailing
     /// the kept ones) is one scalar chain; otherwise, when the last axis
     /// is kept, 8 consecutive targets share a vector preimage walk.
-    pub static REDUCE_TO_SHAPE: KernelSpec = vectorized(
-        disjoint("elementwise.reduce_to_shape"),
-        LaneOrder::ElementChains,
-    );
+    pub static REDUCE_TO_SHAPE: KernelSpec = disjoint("elementwise.reduce_to_shape");
     /// Axis sum (one unit = one inner slice).
-    pub static REDUCE_SUM_AXIS: KernelSpec =
-        vectorized(disjoint("reduce.sum_axis"), LaneOrder::ElementChains);
+    pub static REDUCE_SUM_AXIS: KernelSpec = disjoint("reduce.sum_axis");
     /// Axis-sum gradient broadcast-back.
     pub static REDUCE_SUM_AXIS_GRAD: KernelSpec = disjoint("reduce.sum_axis_grad");
     /// Axis max.
-    pub static REDUCE_MAX_AXIS: KernelSpec =
-        vectorized(disjoint("reduce.max_axis"), LaneOrder::ElementChains);
+    pub static REDUCE_MAX_AXIS: KernelSpec = disjoint("reduce.max_axis");
     /// Broadcast materialisation.
     pub static BROADCAST_TO: KernelSpec = disjoint("reduce.broadcast_to");
-    /// Softmax forward (one unit = one row).
-    pub static SOFTMAX: KernelSpec =
-        vectorized(disjoint("softmax.forward"), LaneOrder::PinnedMaxTree);
+    /// Softmax forward (one unit = one row). The only kernel whose lanes
+    /// combine: the row max folds per-lane maxima through the fixed
+    /// pairwise tree of [`crate::simd::row_max`]. Max is order-insensitive
+    /// up to the sign of an equal-zero result, which the consuming
+    /// `exp(x − m)` cannot observe, so every SIMD level gives the scalar
+    /// bits.
+    pub static SOFTMAX: KernelSpec = disjoint("softmax.forward");
     /// Softmax backward.
-    pub static SOFTMAX_GRAD: KernelSpec =
-        vectorized(disjoint("softmax.grad"), LaneOrder::ElementChains);
-    /// Log-sum-exp rows.
+    pub static SOFTMAX_GRAD: KernelSpec = disjoint("softmax.grad");
+    /// Log-sum-exp rows. Each row's `Σ exp(x − m)` is one ascending scalar
+    /// chain at every SIMD level: vector lanes would reassociate that
+    /// single sum and move its bits.
     pub static LOGSUMEXP: KernelSpec = disjoint("softmax.logsumexp");
     /// Dilated causal temporal convolution (one unit = one series).
-    pub static TEMPORAL_CONV: KernelSpec =
-        vectorized(disjoint("conv.temporal"), LaneOrder::ElementChains);
+    pub static TEMPORAL_CONV: KernelSpec = disjoint("conv.temporal");
     /// Temporal convolution input gradient (one unit = one series): one
     /// `g · wᵀ` product per series, then row adds, each on the vector lanes.
-    pub static TEMPORAL_CONV_GRAD_X: KernelSpec =
-        vectorized(disjoint("conv.temporal_grad_x"), LaneOrder::ElementChains);
+    pub static TEMPORAL_CONV_GRAD_X: KernelSpec = disjoint("conv.temporal_grad_x");
     /// Temporal convolution weight gradient (one unit = one `Dout` row of
     /// the `[K, Din, Dout]` output); each worker sums every series into
     /// its own rows.
-    pub static TEMPORAL_CONV_GRAD_W: KernelSpec =
-        vectorized(disjoint("conv.temporal_grad_w"), LaneOrder::ElementChains);
+    pub static TEMPORAL_CONV_GRAD_W: KernelSpec = disjoint("conv.temporal_grad_w");
 
     /// Every kernel allowed to use [`super::for_units`]. Keep in sync with
     /// the statics above; the registration assert fires on first use of an
@@ -581,10 +521,6 @@ mod tests {
     fn unregistered_spec_rejected() {
         static ROGUE: KernelSpec = KernelSpec {
             name: "rogue",
-            simd: SimdContract {
-                lane_width: 1,
-                order: LaneOrder::ScalarOnly,
-            },
             stats: cts_obs::KernelStats::new(),
         };
         assert!(!kernels::is_registered(&ROGUE));

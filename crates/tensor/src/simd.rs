@@ -57,7 +57,7 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Canonical vector width (f32 lanes) declared by vectorized kernels.
+/// Vector width (f32 lanes) the SIMD kernels are written for.
 pub const LANES: usize = 8;
 
 /// Max reduced-axes rank [`reduce_lanes8`] can walk with its fixed-size

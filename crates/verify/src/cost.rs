@@ -19,9 +19,9 @@
 //!   the headroom a smarter slot allocator could reclaim.
 //!
 //! [`LatencyModel`] converts a cost into predicted nanoseconds with three
-//! coefficients (dense flops, light flops, per-dispatch overhead), either
-//! default (conservative scalar-CPU constants) or fitted in-process by
-//! [`LatencyModel::calibrate`] from timed probe kernels.
+//! coefficients (dense flops, light flops, per-dispatch overhead). Its
+//! one set of coefficients, `LatencyModel::default()`, is what the search
+//! pre-flight, `verify_space` and the `bench_cost` gate all price with.
 //!
 //! [`check_budgets`] turns a [`CostReport`] plus [`CostBudgets`] into
 //! [`FindingKind::OverBudget`] findings naming the offending step — the
@@ -194,72 +194,6 @@ impl LatencyModel {
         // f64 ns model, not buffer-size arithmetic
         dense * self.dense_ns_per_flop + light * self.light_ns_per_flop + calls * self.dispatch_ns // f64
     }
-
-    /// Fit the three coefficients from timed probe kernels run in-process:
-    /// a dense matmul prices `dense_ns_per_flop`, an element-wise chain
-    /// prices `light_ns_per_flop`, and a burst of tiny ops prices
-    /// `dispatch_ns` (solved sequentially, each already-known term
-    /// subtracted out). Takes a few milliseconds; results are clamped to
-    /// sane positive ranges so a noisy timer can never produce a zero or
-    /// negative coefficient.
-    pub fn calibrate() -> Self {
-        use cts_obs::Stopwatch;
-        use cts_tensor::{ops, Tensor};
-
-        let median = |mut v: Vec<f64>| -> f64 {
-            // invariant: samples are elapsed-time ratios, always finite
-            v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-            v[v.len() / 2]
-        };
-
-        // Dense: [64,64]·[64,64] matmul, 2·64³ flops per call.
-        let a = Tensor::full(vec![64, 64], 1.01f32);
-        let b = Tensor::full(vec![64, 64], 0.99f32);
-        let dense_flops_per_call = 2.0f64 * 64.0 * 64.0 * 64.0;
-        let mut dense_samples = Vec::new();
-        for _ in 0..9 {
-            let t0 = Stopwatch::start();
-            let y = ops::matmul(&a, &b);
-            let dt = t0.elapsed_secs() * 1e9; // f64 seconds -> ns
-            assert!(!y.is_empty());
-            dense_samples.push(dt / dense_flops_per_call);
-        }
-        let dense = median(dense_samples).clamp(0.01, 100.0);
-
-        // Light: relu over 1<<16 elements, 1 flop per element.
-        let big = Tensor::full(vec![1usize << 16], -0.5f32);
-        let light_flops_per_call = (1u64 << 16) as f64;
-        let mut light_samples = Vec::new();
-        for _ in 0..9 {
-            let t0 = Stopwatch::start();
-            let y = ops::relu(&big);
-            let dt = t0.elapsed_secs() * 1e9; // f64 seconds -> ns
-            assert!(!y.is_empty());
-            light_samples.push(dt / light_flops_per_call);
-        }
-        let light = median(light_samples).clamp(0.01, 100.0);
-
-        // Dispatch: 64 tiny unary calls; subtract the (known) light cost.
-        let tiny = Tensor::full(vec![8usize], 1.0f32);
-        let mut disp_samples = Vec::new();
-        for _ in 0..9 {
-            let t0 = Stopwatch::start();
-            for _ in 0..64 {
-                let y = ops::relu(&tiny);
-                assert!(!y.is_empty());
-            }
-            let dt = t0.elapsed_secs() * 1e9; // f64 seconds -> ns
-            let per_call = dt / 64.0 - 8.0 * light; // f64 timing residual
-            disp_samples.push(per_call);
-        }
-        let dispatch = median(disp_samples).clamp(10.0, 1_000_000.0);
-
-        Self {
-            dense_ns_per_flop: dense,
-            light_ns_per_flop: light,
-            dispatch_ns: dispatch,
-        }
-    }
 }
 
 /// Check a priced architecture against resource budgets, recording an
@@ -421,14 +355,6 @@ mod tests {
             &LatencyModel::default(),
         );
         assert!(ok.is_ok(), "{:?}", ok.findings);
-    }
-
-    #[test]
-    fn calibration_produces_sane_coefficients() {
-        let m = LatencyModel::calibrate();
-        assert!(m.dense_ns_per_flop > 0.0 && m.dense_ns_per_flop.is_finite());
-        assert!(m.light_ns_per_flop > 0.0 && m.light_ns_per_flop.is_finite());
-        assert!(m.dispatch_ns > 0.0 && m.dispatch_ns.is_finite());
     }
 
     #[test]

@@ -43,9 +43,6 @@ pub enum FindingKind {
     /// A latent node whose output never reaches the block output through
     /// a non-`zero` path (wasted compute, not fatal).
     DeadNode,
-    /// A kernel registry invariant is violated (duplicate name, empty
-    /// registry): the determinism audit cannot vouch for the build.
-    NonDeterministicKernel,
     /// The statically priced cost of the architecture exceeds a configured
     /// resource budget (per-step FLOPs, peak arena bytes, or predicted
     /// latency); the finding names the offending step.

@@ -21,9 +21,9 @@
 //!    parameters. Its edge-liveness verdict is designed to agree *exactly*
 //!    with the runtime tape audit (`Tape::reachable_params` in
 //!    `cts-autograd`), which the sweep binary cross-checks.
-//! 3. **Determinism audit** ([`audit_determinism`]): every parallel tensor
-//!    kernel must be registered, and each one's SIMD lane width must fit
-//!    its lane-order contract; the audit machine-checks the registry.
+//! 3. **Static cost** ([`CostReport`], [`check_budgets`]): FLOPs, bytes,
+//!    peak arena bytes and predicted latency of the compiled plan, priced
+//!    on shapes, with budget findings for the search pre-flight.
 //!
 //! Errors mean "reject this architecture before spending a training run on
 //! it"; warnings mean "trainable, but part of the compute is wasted".
@@ -33,13 +33,11 @@
 
 mod analyze;
 mod cost;
-mod determinism;
 mod finding;
 mod spec;
 
 pub use analyze::{validate_block, validate_genotype};
 pub use cost::{check_budgets, CostBudgets, CostReport, LatencyModel};
-pub use determinism::{audit_determinism, DeterminismReport, KernelEntry};
 pub use finding::{Finding, FindingKind, Severity, VerifyError, VerifyReport};
 pub use spec::{ArchSpec, BlockSpec, ModelDims};
 
