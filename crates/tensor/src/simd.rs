@@ -271,6 +271,17 @@ fn pow2i(n: i32) -> f32 {
     f32::from_bits(((n + 127) as u32) << 23)
 }
 
+/// `v.round_ties_even()` for `|v| < 2²²`, in two adds instead of a libm
+/// `rintf` call: `v + 1.5·2²³` lands in `[2²³, 2²⁴)`, where the f32 spacing
+/// is 1, so the add rounds `v` to the nearest integer, ties to even (the
+/// constant is even), and the subtract is exact. It differs from
+/// `round_ties_even` only in the sign of a zero result (`−0.3` gives `+0`).
+#[inline(always)]
+fn round_ties_even_small(v: f32) -> f32 {
+    const SHIFT: f32 = 12_582_912.0;
+    (v + SHIFT) - SHIFT
+}
+
 /// The one `exp` of the crate, written as the operation sequence the AVX2
 /// body repeats lane for lane: clamp (the [`UnOp::Clamp`] operand order),
 /// `n = round_ties_even(x·log₂e)`, `r = x − n·ln2` in two exact-then-small
@@ -284,7 +295,10 @@ fn pow2i(n: i32) -> f32 {
 pub fn exp_pinned(x: f32) -> f32 {
     use pinned::*;
     let x = UnOp::Clamp(EXP_LO, EXP_HI).apply(x);
-    let n = (x * LOG2E).round_ties_even();
+    // |x·log₂e| ≤ 151 after the clamp. A zero `n` may carry either sign;
+    // it only reaches `r` as `x ∓ 0`, which differs for `x = −0` alone,
+    // and then `e^r` is exactly 1 either way.
+    let n = round_ties_even_small(x * LOG2E);
     let r = x - n * LN2_HI;
     let r = r - n * LN2_LO;
     let mut p = EXP_P[0];
@@ -1498,6 +1512,26 @@ mod tests {
         assert_eq!(one(UnOp::Sigmoid, f32::NEG_INFINITY).to_bits(), 0);
         for op in [UnOp::Exp, UnOp::Sigmoid, UnOp::Tanh, UnOp::Sqrt] {
             assert!(one(op, f32::NAN).is_nan(), "{op:?}(NaN)");
+        }
+    }
+
+    #[test]
+    fn round_ties_even_small_matches_libm_over_the_exp_range() {
+        // `exp_pinned` rounds `x·log₂e` with `x` clamped to
+        // `[EXP_LO, EXP_HI]`: every tie `k + 0.5` with its neighbours, then
+        // every 997th f32 of that range. `==` reads ±0 as equal, the one
+        // documented difference.
+        let lo = pinned::EXP_LO * pinned::LOG2E;
+        let hi = pinned::EXP_HI * pinned::LOG2E;
+        let mut vs: Vec<f32> = Vec::new();
+        for k in lo.floor() as i32 - 1..=hi.ceil() as i32 {
+            let t = k as f32 + 0.5;
+            vs.extend([t.next_down(), t, t.next_up()]);
+        }
+        vs.extend((0..=hi.to_bits()).step_by(997).map(f32::from_bits));
+        vs.extend(((-0.0f32).to_bits()..=lo.to_bits()).step_by(997).map(f32::from_bits));
+        for v in vs {
+            assert_eq!(round_ties_even_small(v), v.round_ties_even(), "v = {v:e}");
         }
     }
 
