@@ -30,7 +30,10 @@ impl AdaptiveGconv {
         let s = x.shape();
         let x4 = x.reshape(&[s[0], s[1], 1, s[2]]);
         let mixed = node_mix(tape, &x4, adj);
-        let out = self.w0.forward(tape, &x4).add(&self.w1.forward(tape, &mixed));
+        let out = self
+            .w0
+            .forward(tape, &x4)
+            .add(&self.w1.forward(tape, &mixed));
         // invariant: the projection output is at least rank 1.
         let d_out = *out.shape().last().expect("non-empty");
         out.reshape(&[s[0], s[1], d_out])
@@ -56,14 +59,25 @@ pub struct Agcrn {
 
 impl Agcrn {
     /// Build for a dataset.
-    pub fn new(cfg: &BaselineConfig, spec: &DatasetSpec, graph: &SensorGraph, scaler: &Scaler) -> Self {
+    pub fn new(
+        cfg: &BaselineConfig,
+        spec: &DatasetSpec,
+        graph: &SensorGraph,
+        scaler: &Scaler,
+    ) -> Self {
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let d = cfg.hidden;
         let n = graph.n();
         Self {
             embed: Linear::new(&mut rng, "agcrn.embed", spec.features, d, true),
-            e1: Parameter::new("agcrn.e1", init::normal(&mut rng, [n, cfg.adaptive_emb], 0.1)),
-            e2: Parameter::new("agcrn.e2", init::normal(&mut rng, [cfg.adaptive_emb, n], 0.1)),
+            e1: Parameter::new(
+                "agcrn.e1",
+                init::normal(&mut rng, [n, cfg.adaptive_emb], 0.1),
+            ),
+            e2: Parameter::new(
+                "agcrn.e2",
+                init::normal(&mut rng, [cfg.adaptive_emb, n], 0.1),
+            ),
             zr: AdaptiveGconv::new(&mut rng, "agcrn.zr", 2 * d, 2 * d),
             cand: AdaptiveGconv::new(&mut rng, "agcrn.cand", 2 * d, d),
             head: OutputHead::new(&mut rng, spec, scaler, d),

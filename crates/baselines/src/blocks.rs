@@ -54,7 +54,9 @@ impl HumanStBlock for StgcnBlock {
             });
         }
         // invariant: the Chebyshev basis loop runs at least once, so `gc` is Some.
-        let t2 = self.tcn2.forward(tape, &gc.expect("basis non-empty").relu());
+        let t2 = self
+            .tcn2
+            .forward(tape, &gc.expect("basis non-empty").relu());
         self.norm.forward(tape, &t2)
     }
 
@@ -152,8 +154,14 @@ impl MtgnnBlock {
     pub fn new(rng: &mut impl Rng, name: &str, d: usize, n: usize, emb: usize) -> Self {
         Self {
             gdcc: GatedTemporalConv::new(rng, &format!("{name}.gdcc"), 2, d, d, 1),
-            e1: Parameter::new(format!("{name}.e1"), cts_tensor::init::normal(rng, [n, emb], 0.1)),
-            e2: Parameter::new(format!("{name}.e2"), cts_tensor::init::normal(rng, [emb, n], 0.1)),
+            e1: Parameter::new(
+                format!("{name}.e1"),
+                cts_tensor::init::normal(rng, [n, emb], 0.1),
+            ),
+            e2: Parameter::new(
+                format!("{name}.e2"),
+                cts_tensor::init::normal(rng, [emb, n], 0.1),
+            ),
             hop_w: (0..2)
                 .map(|k| Linear::new(rng, &format!("{name}.hop{k}"), d, d, k == 0))
                 .collect(),
@@ -213,11 +221,17 @@ pub struct DcrnnBlock {
 impl DcrnnBlock {
     /// Build with `d` channels.
     pub fn new(rng: &mut impl Rng, name: &str, d: usize) -> Self {
-        let mk_set = |rng: &mut dyn FnMut(&str, bool) -> Linear, tag: &str| -> (Linear, Vec<Linear>, Vec<Linear>) {
+        let mk_set = |rng: &mut dyn FnMut(&str, bool) -> Linear,
+                      tag: &str|
+         -> (Linear, Vec<Linear>, Vec<Linear>) {
             (
                 rng(&format!("{name}.{tag}.self"), true),
-                (0..2).map(|k| rng(&format!("{name}.{tag}.fwd{k}"), false)).collect(),
-                (0..2).map(|k| rng(&format!("{name}.{tag}.bwd{k}"), false)).collect(),
+                (0..2)
+                    .map(|k| rng(&format!("{name}.{tag}.fwd{k}"), false))
+                    .collect(),
+                (0..2)
+                    .map(|k| rng(&format!("{name}.{tag}.bwd{k}"), false))
+                    .collect(),
             )
         };
         let mut build = |n: &str, bias: bool| Linear::new(rng, n, 2 * d, d, bias);
@@ -270,7 +284,12 @@ impl HumanStBlock for DcrnnBlock {
             v.extend(lin.parameters());
         }
         for set in [
-            &self.z_fwd, &self.z_bwd, &self.r_fwd, &self.r_bwd, &self.c_fwd, &self.c_bwd,
+            &self.z_fwd,
+            &self.z_bwd,
+            &self.r_fwd,
+            &self.r_bwd,
+            &self.c_fwd,
+            &self.c_bwd,
         ] {
             v.extend(set.iter().flat_map(Linear::parameters));
         }
@@ -307,13 +326,24 @@ mod tests {
     #[test]
     fn all_human_blocks_preserve_shape_and_train() {
         let mut rng = SmallRng::seed_from_u64(0);
-        let g = random_geometric_graph(&mut rng, &GraphGenConfig { n: 4, ..Default::default() });
+        let g = random_geometric_graph(
+            &mut rng,
+            &GraphGenConfig {
+                n: 4,
+                ..Default::default()
+            },
+        );
         let ctx = GraphContext::from_graph(&g, 2);
         for block in macro_only_blocks(&mut rng, 6, 4, 4) {
             let tape = Tape::new();
             let x = tape.constant(init::uniform(&mut rng, [2, 4, 5, 6], -1.0, 1.0));
             let y = block.forward(&tape, &x, &ctx);
-            assert_eq!(y.shape(), vec![2, 4, 5, 6], "{} changed shape", block.name());
+            assert_eq!(
+                y.shape(),
+                vec![2, 4, 5, 6],
+                "{} changed shape",
+                block.name()
+            );
             let loss = y.square().sum_all();
             tape.backward(&loss);
             let live = block
@@ -328,12 +358,20 @@ mod tests {
     #[test]
     fn dcrnn_block_is_causal() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let g = random_geometric_graph(&mut rng, &GraphGenConfig { n: 3, ..Default::default() });
+        let g = random_geometric_graph(
+            &mut rng,
+            &GraphGenConfig {
+                n: 3,
+                ..Default::default()
+            },
+        );
         let ctx = GraphContext::from_graph(&g, 2);
         let block = DcrnnBlock::new(&mut rng, "d", 4);
         let tape = Tape::new();
         let mut x = init::uniform(&mut rng, [1, 3, 5, 4], -1.0, 1.0);
-        let y0 = block.forward(&tape, &tape.constant(x.clone()), &ctx).value();
+        let y0 = block
+            .forward(&tape, &tape.constant(x.clone()), &ctx)
+            .value();
         // change the final step: earlier hiddens must not move
         for n in 0..3 {
             for d in 0..4 {

@@ -159,7 +159,12 @@ mod tests {
         let scaler = Scaler::fit(&vals, 100);
         let head = OutputHead::new(&mut rng, &spec, &scaler, 4);
         let tape = Tape::new();
-        let x = tape.constant(init::uniform(&mut rng, [2, spec.n, spec.input_len, 4], -1.0, 1.0));
+        let x = tape.constant(init::uniform(
+            &mut rng,
+            [2, spec.n, spec.input_len, 4],
+            -1.0,
+            1.0,
+        ));
         let y = head.forward(&tape, &x);
         assert_eq!(y.shape(), vec![2, spec.n, spec.output_len]);
         // constant-50 training data: shift is 50, so outputs sit near 50
@@ -170,11 +175,21 @@ mod tests {
     fn diffusion_gconv_keeps_shape() {
         use cts_graph::{random_geometric_graph, GraphGenConfig};
         let mut rng = SmallRng::seed_from_u64(1);
-        let g = random_geometric_graph(&mut rng, &GraphGenConfig { n: 5, ..Default::default() });
+        let g = random_geometric_graph(
+            &mut rng,
+            &GraphGenConfig {
+                n: 5,
+                ..Default::default()
+            },
+        );
         let ctx = GraphContext::from_graph(&g, 2);
         let self_w = Linear::new(&mut rng, "s", 3, 6, true);
-        let fwd: Vec<Linear> = (0..2).map(|i| Linear::new(&mut rng, &format!("f{i}"), 3, 6, false)).collect();
-        let bwd: Vec<Linear> = (0..2).map(|i| Linear::new(&mut rng, &format!("b{i}"), 3, 6, false)).collect();
+        let fwd: Vec<Linear> = (0..2)
+            .map(|i| Linear::new(&mut rng, &format!("f{i}"), 3, 6, false))
+            .collect();
+        let bwd: Vec<Linear> = (0..2)
+            .map(|i| Linear::new(&mut rng, &format!("b{i}"), 3, 6, false))
+            .collect();
         let tape = Tape::new();
         let x = tape.constant(init::uniform(&mut rng, [2, 5, 3], -1.0, 1.0));
         let y = diffusion_gconv(&tape, &x, &ctx, &self_w, &fwd, &bwd);

@@ -22,7 +22,12 @@ pub struct Dcrnn {
 
 impl Dcrnn {
     /// Build for a dataset.
-    pub fn new(cfg: &BaselineConfig, spec: &DatasetSpec, graph: &SensorGraph, scaler: &Scaler) -> Self {
+    pub fn new(
+        cfg: &BaselineConfig,
+        spec: &DatasetSpec,
+        graph: &SensorGraph,
+        scaler: &Scaler,
+    ) -> Self {
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let d = cfg.hidden;
         Self {
@@ -70,7 +75,12 @@ mod tests {
         let spec = DatasetSpec::pems08().scaled(0.05, 0.02);
         let data = generate(&spec, 1);
         let windows = build_windows(&data, 8, 6);
-        let model = Dcrnn::new(&BaselineConfig::default(), &spec, &data.graph, &windows.scaler);
+        let model = Dcrnn::new(
+            &BaselineConfig::default(),
+            &spec,
+            &data.graph,
+            &windows.scaler,
+        );
         let batches = batches_from_windows(&windows.train, 2);
         let tape = Tape::new();
         let y = model.forward(&tape, &tape.constant(batches[0].0.clone()));

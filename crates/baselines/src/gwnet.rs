@@ -21,7 +21,12 @@ pub struct GraphWaveNet {
 impl GraphWaveNet {
     /// Build for a dataset (adaptive adjacency always on, as in the
     /// original's best configuration).
-    pub fn new(cfg: &BaselineConfig, spec: &DatasetSpec, graph: &SensorGraph, scaler: &Scaler) -> Self {
+    pub fn new(
+        cfg: &BaselineConfig,
+        spec: &DatasetSpec,
+        graph: &SensorGraph,
+        scaler: &Scaler,
+    ) -> Self {
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let d = cfg.hidden;
         Self {
@@ -77,9 +82,18 @@ mod tests {
         let spec = DatasetSpec::metr_la().scaled(0.04, 0.015);
         let data = generate(&spec, 2);
         let windows = build_windows(&data, 8, 6);
-        let model = GraphWaveNet::new(&BaselineConfig::default(), &spec, &data.graph, &windows.scaler);
+        let model = GraphWaveNet::new(
+            &BaselineConfig::default(),
+            &spec,
+            &data.graph,
+            &windows.scaler,
+        );
         assert_eq!(
-            model.blocks.iter().map(GwnetBlock::dilation).collect::<Vec<_>>(),
+            model
+                .blocks
+                .iter()
+                .map(GwnetBlock::dilation)
+                .collect::<Vec<_>>(),
             vec![1, 2, 1, 2]
         );
         let batches = batches_from_windows(&windows.train, 2);

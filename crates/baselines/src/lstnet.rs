@@ -27,7 +27,12 @@ pub struct LstNet {
 
 impl LstNet {
     /// Build for a dataset.
-    pub fn new(cfg: &BaselineConfig, spec: &DatasetSpec, graph: &SensorGraph, scaler: &Scaler) -> Self {
+    pub fn new(
+        cfg: &BaselineConfig,
+        spec: &DatasetSpec,
+        graph: &SensorGraph,
+        scaler: &Scaler,
+    ) -> Self {
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let n = graph.n();
         let c = cfg.hidden;
@@ -69,7 +74,10 @@ impl Forecaster for LstNet {
             .reshape(&[b, p, self.hidden]);
         // GRU over the convolved sequence
         let h_last = self.gru.forward_last(tape, &conv_out); // [B,C]
-        let nn_out = self.out.forward(tape, &h_last).reshape(&[b, self.n, self.q]);
+        let nn_out = self
+            .out
+            .forward(tape, &h_last)
+            .reshape(&[b, self.n, self.q]);
         // autoregressive highway on the raw last hw steps
         let recent = series
             .slice(1, p - self.hw, p) // [B,hw,N]
@@ -101,14 +109,23 @@ mod tests {
         let spec = DatasetSpec::electricity(3).scaled(0.03, 0.02);
         let data = generate(&spec, 0);
         let windows = build_windows(&data, 24, 6);
-        let model = LstNet::new(&BaselineConfig::default(), &spec, &data.graph, &windows.scaler);
+        let model = LstNet::new(
+            &BaselineConfig::default(),
+            &spec,
+            &data.graph,
+            &windows.scaler,
+        );
         let batches = batches_from_windows(&windows.train, 2);
         let tape = Tape::new();
         let y = model.forward(&tape, &tape.constant(batches[0].0.clone()));
         assert_eq!(y.shape(), vec![2, spec.n, 1]);
         let loss = cts_nn::mse_loss(&tape, &y, &batches[0].1);
         tape.backward(&loss);
-        let live = model.parameters().iter().filter(|p| p.grad().norm() > 0.0).count();
+        let live = model
+            .parameters()
+            .iter()
+            .filter(|p| p.grad().norm() > 0.0)
+            .count();
         assert!(live >= 4, "only {live} parameters got gradients");
     }
 
@@ -118,7 +135,12 @@ mod tests {
         let spec = DatasetSpec::electricity(3).scaled(0.03, 0.02);
         let data = generate(&spec, 1);
         let windows = build_windows(&data, 24, 6);
-        let model = LstNet::new(&BaselineConfig::default(), &spec, &data.graph, &windows.scaler);
+        let model = LstNet::new(
+            &BaselineConfig::default(),
+            &spec,
+            &data.graph,
+            &windows.scaler,
+        );
         let batches = batches_from_windows(&windows.train, 1);
         let tape = Tape::new();
         let mut x = batches[0].0.clone();

@@ -21,13 +21,26 @@ pub struct Mtgnn {
 impl Mtgnn {
     /// Build for a dataset (graph learning is internal to each block, so
     /// the predefined adjacency is optional — matching the original).
-    pub fn new(cfg: &BaselineConfig, spec: &DatasetSpec, graph: &SensorGraph, scaler: &Scaler) -> Self {
+    pub fn new(
+        cfg: &BaselineConfig,
+        spec: &DatasetSpec,
+        graph: &SensorGraph,
+        scaler: &Scaler,
+    ) -> Self {
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let d = cfg.hidden;
         Self {
             embed: Linear::new(&mut rng, "mtgnn.embed", spec.features, d, true),
             blocks: (0..3)
-                .map(|i| MtgnnBlock::new(&mut rng, &format!("mtgnn.b{i}"), d, graph.n(), cfg.adaptive_emb))
+                .map(|i| {
+                    MtgnnBlock::new(
+                        &mut rng,
+                        &format!("mtgnn.b{i}"),
+                        d,
+                        graph.n(),
+                        cfg.adaptive_emb,
+                    )
+                })
                 .collect(),
             head: OutputHead::new(&mut rng, spec, scaler, d),
             ctx: GraphContext::from_graph(graph, cfg.k),
@@ -75,7 +88,12 @@ mod tests {
         let spec = DatasetSpec::pems03().scaled(0.03, 0.02);
         let data = generate(&spec, 4);
         let windows = build_windows(&data, 8, 6);
-        let model = Mtgnn::new(&BaselineConfig::default(), &spec, &data.graph, &windows.scaler);
+        let model = Mtgnn::new(
+            &BaselineConfig::default(),
+            &spec,
+            &data.graph,
+            &windows.scaler,
+        );
         let batches = batches_from_windows(&windows.train, 2);
         let tape = Tape::new();
         let y = model.forward(&tape, &tape.constant(batches[0].0.clone()));
@@ -85,7 +103,12 @@ mod tests {
         let spec = DatasetSpec::solar_energy(3).scaled(0.05, 0.005);
         let data = generate(&spec, 5);
         let windows = build_windows(&data, 16, 4);
-        let model = Mtgnn::new(&BaselineConfig::default(), &spec, &data.graph, &windows.scaler);
+        let model = Mtgnn::new(
+            &BaselineConfig::default(),
+            &spec,
+            &data.graph,
+            &windows.scaler,
+        );
         let batches = batches_from_windows(&windows.train, 1);
         let tape = Tape::new();
         let y = model.forward(&tape, &tape.constant(batches[0].0.clone()));

@@ -20,7 +20,12 @@ pub struct Stgcn {
 
 impl Stgcn {
     /// Build for a dataset.
-    pub fn new(cfg: &BaselineConfig, spec: &DatasetSpec, graph: &SensorGraph, scaler: &Scaler) -> Self {
+    pub fn new(
+        cfg: &BaselineConfig,
+        spec: &DatasetSpec,
+        graph: &SensorGraph,
+        scaler: &Scaler,
+    ) -> Self {
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let d = cfg.hidden;
         Self {
@@ -68,7 +73,12 @@ mod tests {
         let spec = DatasetSpec::metr_la().scaled(0.04, 0.015);
         let data = generate(&spec, 0);
         let windows = build_windows(&data, 8, 8);
-        let model = Stgcn::new(&BaselineConfig::default(), &spec, &data.graph, &windows.scaler);
+        let model = Stgcn::new(
+            &BaselineConfig::default(),
+            &spec,
+            &data.graph,
+            &windows.scaler,
+        );
         let batches = batches_from_windows(&windows.train, 2);
         let tape = Tape::new();
         let x = tape.constant(batches[0].0.clone());

@@ -25,7 +25,12 @@ pub struct TpaLstm {
 
 impl TpaLstm {
     /// Build for a dataset.
-    pub fn new(cfg: &BaselineConfig, spec: &DatasetSpec, graph: &SensorGraph, scaler: &Scaler) -> Self {
+    pub fn new(
+        cfg: &BaselineConfig,
+        spec: &DatasetSpec,
+        graph: &SensorGraph,
+        scaler: &Scaler,
+    ) -> Self {
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let n = graph.n();
         let c = cfg.hidden;
@@ -56,7 +61,7 @@ impl Forecaster for TpaLstm {
         let z = self.embed.forward(tape, &series); // [B,P,C]
         let hs = self.lstm.forward_sequence(tape, &z); // [B,P,C]
         let h_last = hs.slice(1, p - 1, p); // [B,1,C]
-        // bilinear attention: score_t = H_t · (W h_last)
+                                            // bilinear attention: score_t = H_t · (W h_last)
         let key = self.attn_w.forward(tape, &h_last).permute(&[0, 2, 1]); // [B,C,1]
         let scores = hs.matmul(&key); // [B,P,1]
         let weights = scores.sigmoid(); // original TPA uses sigmoid gates
@@ -67,7 +72,10 @@ impl Forecaster for TpaLstm {
             .combine_c
             .forward(tape, &context)
             .add(&self.combine_h.forward(tape, &h_last_flat));
-        let out = self.out.forward(tape, &combined).reshape(&[b, self.n, self.q]);
+        let out = self
+            .out
+            .forward(tape, &combined)
+            .reshape(&[b, self.n, self.q]);
         self.scale.apply(&out)
     }
 
@@ -96,13 +104,21 @@ mod tests {
         let spec = DatasetSpec::solar_energy(3).scaled(0.05, 0.005);
         let data = generate(&spec, 0);
         let windows = build_windows(&data, 32, 4);
-        let model = TpaLstm::new(&BaselineConfig::default(), &spec, &data.graph, &windows.scaler);
+        let model = TpaLstm::new(
+            &BaselineConfig::default(),
+            &spec,
+            &data.graph,
+            &windows.scaler,
+        );
         let batches = batches_from_windows(&windows.train, 2);
         let tape = Tape::new();
         let y = model.forward(&tape, &tape.constant(batches[0].0.clone()));
         assert_eq!(y.shape(), vec![2, spec.n, 1]);
         let loss = cts_nn::mse_loss(&tape, &y, &batches[0].1);
         tape.backward(&loss);
-        assert!(model.attn_w.parameters()[0].grad().norm() > 0.0, "attention unused");
+        assert!(
+            model.attn_w.parameters()[0].grad().norm() > 0.0,
+            "attention unused"
+        );
     }
 }

@@ -144,18 +144,31 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for op in full_set() {
         let Some(genotype) = family_genotype(op, &cfg, &spec, &data) else {
-            eprintln!("bench_cost: no accepted architecture for family {}", op.label());
+            eprintln!(
+                "bench_cost: no accepted architecture for family {}",
+                op.label()
+            );
             std::process::exit(1);
         };
         let mut rng = SmallRng::seed_from_u64(17);
-        let model = DerivedModel::new(&mut rng, &cfg, &genotype, &spec, &data.graph, &windows.scaler);
+        let model = DerivedModel::new(
+            &mut rng,
+            &cfg,
+            &genotype,
+            &spec,
+            &data.graph,
+            &windows.scaler,
+        );
         // invariant: family_genotype only returns analyzer-accepted genotypes
         let plan = model.compiled_plan().expect("accepted genotypes compile");
         let static_cost = plan.static_cost(batch);
         let arch = arch_spec(&cfg, &genotype, &spec, &data.graph);
         // invariant: the same accepted spec priced fine via the plan walk above
         let report = analyze_cost(&arch, batch).expect("accepted genotypes price");
-        assert_eq!(report.total, static_cost, "analyzer disagrees with plan walk");
+        assert_eq!(
+            report.total, static_cost,
+            "analyzer disagrees with plan walk"
+        );
 
         // Exactness: one instrumented forward against the static counts.
         arena::clear();
@@ -164,7 +177,12 @@ fn main() {
         let out = plan.try_run(x);
         meter::set_enabled(false);
         let m = meter::snapshot();
-        assert!(out.is_ok(), "family {} failed to run: {:?}", op.label(), out.err());
+        assert!(
+            out.is_ok(),
+            "family {} failed to run: {:?}",
+            op.label(),
+            out.err()
+        );
         let exact = static_cost.flops == m.flops
             && static_cost.bytes_read == m.bytes_read()
             && static_cost.bytes_written == m.bytes_written()
@@ -260,7 +278,9 @@ fn main() {
             )
         })
         .collect();
-    let par = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let par = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     let mut body = format!(
         "{{\n  \"host\": {{\"available_parallelism\": {par}, \"simd_detected\": \"{}\", \
          \"simd_active\": \"{}\"}},\n  \"rows\": [\n",
@@ -323,8 +343,16 @@ fn main() {
             }
             q > 3.0
         };
-        bad |= band(fitted.dense_ns_per_flop, latency.dense_ns_per_flop, "dense_ns_per_flop");
-        bad |= band(fitted.light_ns_per_flop, latency.light_ns_per_flop, "light_ns_per_flop");
+        bad |= band(
+            fitted.dense_ns_per_flop,
+            latency.dense_ns_per_flop,
+            "dense_ns_per_flop",
+        );
+        bad |= band(
+            fitted.light_ns_per_flop,
+            latency.light_ns_per_flop,
+            "light_ns_per_flop",
+        );
         if bad {
             std::process::exit(1);
         }

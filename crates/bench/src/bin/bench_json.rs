@@ -66,7 +66,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn counters() -> (u64, u64) {
-    (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed))
+    (
+        ALLOCS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    )
 }
 
 struct Measure {
@@ -109,10 +112,7 @@ fn row_json(op: &str, shape: &str, threads: usize, arena_on: bool, m: &Measure) 
         "    {{\"op\": \"{op}\", \"shape\": \"{shape}\", \"threads\": {threads}, \
          \"arena\": {arena_on}, \"simd\": \"{}\", \
          \"ns_per_iter\": {}, \"allocs_per_iter\": {}, \"bytes_per_iter\": {}}}",
-        m.simd,
-        m.ns_per_iter,
-        m.allocs_per_iter,
-        m.bytes_per_iter
+        m.simd, m.ns_per_iter, m.allocs_per_iter, m.bytes_per_iter
     )
 }
 
@@ -141,7 +141,9 @@ fn host_json() -> String {
 }
 
 fn available_parallelism() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Worker counts the rows cover: 1/2/4, keeping only those the host can
@@ -204,23 +206,78 @@ fn bench_ops() -> (Vec<String>, String) {
     // ~10 µs calls, so they time more iterations.
     type Case<'c> = (&'c str, &'c str, usize, Box<dyn Fn() -> Tensor + 'c>);
     let cases: Vec<Case> = vec![
-        ("matmul", "[8,16,48,64]x[64,64]", 20, Box::new(|| ops::matmul(&a, &w))),
-        ("matmul.nt", "[8,16,48,64]x[64,64]T", 20, Box::new(|| ops::matmul_nt(&a, &w))),
-        ("matmul.tn", "[8,16,48,64]Tx[8,16,48,48]", 20, Box::new(|| ops::matmul_tn(&a, &scores))),
-        ("softmax.last", "[8,16,48,48]", 20, Box::new(|| ops::softmax_last(&scores))),
-        ("elementwise.add", "[8,16,48,64]+[8,16,48,64]", 20, Box::new(|| ops::add(&a, &b_same))),
+        (
+            "matmul",
+            "[8,16,48,64]x[64,64]",
+            20,
+            Box::new(|| ops::matmul(&a, &w)),
+        ),
+        (
+            "matmul.nt",
+            "[8,16,48,64]x[64,64]T",
+            20,
+            Box::new(|| ops::matmul_nt(&a, &w)),
+        ),
+        (
+            "matmul.tn",
+            "[8,16,48,64]Tx[8,16,48,48]",
+            20,
+            Box::new(|| ops::matmul_tn(&a, &scores)),
+        ),
+        (
+            "softmax.last",
+            "[8,16,48,48]",
+            20,
+            Box::new(|| ops::softmax_last(&scores)),
+        ),
+        (
+            "elementwise.add",
+            "[8,16,48,64]+[8,16,48,64]",
+            20,
+            Box::new(|| ops::add(&a, &b_same)),
+        ),
         (
             "elementwise.reduce_to_shape",
             "[8,16,48,64]->[48,64]",
             20,
             Box::new(|| ops::reduce_to_shape(&a, &[48, 64])),
         ),
-        ("elementwise.add", "[8,32,12,8]+[8,32,12,8]", 400, Box::new(|| ops::add(&h, &h_same))),
-        ("elementwise.mul", "[8,32,12,8]x[1]", 400, Box::new(|| ops::mul(&h, &weight))),
-        ("elementwise.add", "[8,32,12,8]+[8]", 400, Box::new(|| ops::add(&h, &bias))),
-        ("elementwise.sub", "[8,32,12,8]-[8,32,12,1]", 400, Box::new(|| ops::sub(&h, &stat))),
-        ("elementwise.tanh", "[8,32,12,8]", 400, Box::new(|| ops::tanh(&h))),
-        ("elementwise.sigmoid", "[8,32,12,8]", 400, Box::new(|| ops::sigmoid(&h))),
+        (
+            "elementwise.add",
+            "[8,32,12,8]+[8,32,12,8]",
+            400,
+            Box::new(|| ops::add(&h, &h_same)),
+        ),
+        (
+            "elementwise.mul",
+            "[8,32,12,8]x[1]",
+            400,
+            Box::new(|| ops::mul(&h, &weight)),
+        ),
+        (
+            "elementwise.add",
+            "[8,32,12,8]+[8]",
+            400,
+            Box::new(|| ops::add(&h, &bias)),
+        ),
+        (
+            "elementwise.sub",
+            "[8,32,12,8]-[8,32,12,1]",
+            400,
+            Box::new(|| ops::sub(&h, &stat)),
+        ),
+        (
+            "elementwise.tanh",
+            "[8,32,12,8]",
+            400,
+            Box::new(|| ops::tanh(&h)),
+        ),
+        (
+            "elementwise.sigmoid",
+            "[8,32,12,8]",
+            400,
+            Box::new(|| ops::sigmoid(&h)),
+        ),
         (
             "elementwise.reduce_to_shape",
             "[8,32,12,8]->[8,32,12,1]",
@@ -233,23 +290,78 @@ fn bench_ops() -> (Vec<String>, String) {
             400,
             Box::new(|| ops::reduce_to_shape(&h, &[1])),
         ),
-        ("reduce.sum_axis", "[8,32,12,8] axis 3", 400, Box::new(|| ops::sum_axis(&h, 3, true))),
-        ("reduce.sum_axis", "[256,12,12] axis 2", 400, Box::new(|| ops::sum_axis(&qk, 2, false))),
-        ("reduce.max_axis", "[256,12,12] axis 2", 400, Box::new(|| ops::max_axis(&qk, 2, false))),
+        (
+            "reduce.sum_axis",
+            "[8,32,12,8] axis 3",
+            400,
+            Box::new(|| ops::sum_axis(&h, 3, true)),
+        ),
+        (
+            "reduce.sum_axis",
+            "[256,12,12] axis 2",
+            400,
+            Box::new(|| ops::sum_axis(&qk, 2, false)),
+        ),
+        (
+            "reduce.max_axis",
+            "[256,12,12] axis 2",
+            400,
+            Box::new(|| ops::max_axis(&qk, 2, false)),
+        ),
         (
             "reduce.sum_axis_grad",
             "[8,32,12,16] axis 3",
             400,
             Box::new(|| ops::sum_axis_grad(&mean_grad, &[8, 32, 12, 16], 3)),
         ),
-        ("permute", "[8,32,12,8] 0213", 400, Box::new(|| ops::permute(&h, &[0, 2, 1, 3]))),
-        ("permute", "[256,12,16] 021", 400, Box::new(|| ops::permute(&keys, &[0, 2, 1]))),
-        ("elementwise.sub", "[8,32,12,16]-[8,32,12,1]", 400, Box::new(|| ops::sub(&xc, &stat))),
-        ("elementwise.add", "[8,32,12,16]+[16]", 400, Box::new(|| ops::add(&xc, &bias16))),
-        ("matmul", "[32,32]x[8,12,32,8]", 1000, Box::new(|| ops::matmul(&adj, &hn))),
-        ("matmul.tn", "[32,32]Tx[8,12,32,8]", 1000, Box::new(|| ops::matmul_tn(&adj, &hn))),
-        ("matmul.tn", "[8,32,12,8]Tx[8,32,12,8]", 200, Box::new(|| ops::matmul_tn(&hs, &h))),
-        ("conv.temporal", "[8,32,12,16] taps 2", 100, Box::new(|| ops::temporal_conv(&xc, &wc, 1))),
+        (
+            "permute",
+            "[8,32,12,8] 0213",
+            400,
+            Box::new(|| ops::permute(&h, &[0, 2, 1, 3])),
+        ),
+        (
+            "permute",
+            "[256,12,16] 021",
+            400,
+            Box::new(|| ops::permute(&keys, &[0, 2, 1])),
+        ),
+        (
+            "elementwise.sub",
+            "[8,32,12,16]-[8,32,12,1]",
+            400,
+            Box::new(|| ops::sub(&xc, &stat)),
+        ),
+        (
+            "elementwise.add",
+            "[8,32,12,16]+[16]",
+            400,
+            Box::new(|| ops::add(&xc, &bias16)),
+        ),
+        (
+            "matmul",
+            "[32,32]x[8,12,32,8]",
+            1000,
+            Box::new(|| ops::matmul(&adj, &hn)),
+        ),
+        (
+            "matmul.tn",
+            "[32,32]Tx[8,12,32,8]",
+            1000,
+            Box::new(|| ops::matmul_tn(&adj, &hn)),
+        ),
+        (
+            "matmul.tn",
+            "[8,32,12,8]Tx[8,32,12,8]",
+            200,
+            Box::new(|| ops::matmul_tn(&hs, &h)),
+        ),
+        (
+            "conv.temporal",
+            "[8,32,12,16] taps 2",
+            100,
+            Box::new(|| ops::temporal_conv(&xc, &wc, 1)),
+        ),
         (
             "conv.temporal_grad_x",
             "[8,32,12,16] taps 2",
@@ -272,7 +384,11 @@ fn bench_ops() -> (Vec<String>, String) {
     // At threads=1 each case also runs on the forced-scalar path. Safe to
     // flip mid-process: every kernel is bit-identical across levels, so
     // only timing changes.
-    let t1_levels: &[Option<SimdLevel>] = if simd::active() { &[None, Some(SimdLevel::Scalar)] } else { &[None] };
+    let t1_levels: &[Option<SimdLevel>] = if simd::active() {
+        &[None, Some(SimdLevel::Scalar)]
+    } else {
+        &[None]
+    };
     for threads in thread_counts() {
         set_num_threads(threads);
         let levels = if threads == 1 { t1_levels } else { &[None] };
@@ -288,12 +404,17 @@ fn bench_ops() -> (Vec<String>, String) {
         // instead of deciding one asserted ratio. Odd rounds time the
         // levels in reverse, so neither level always runs right after the
         // other (a warm cache or a clock ramp would favour one side).
-        let mut best: Vec<Option<Measure>> = (0..cases.len() * levels.len()).map(|_| None).collect();
+        let mut best: Vec<Option<Measure>> =
+            (0..cases.len() * levels.len()).map(|_| None).collect();
         let mut windows: Vec<Vec<u64>> = vec![Vec::new(); cases.len() * levels.len()];
         for round in 0..10 {
             for (ci, (_, _, iters, f)) in cases.iter().enumerate() {
                 for k in 0..levels.len() {
-                    let li = if round % 2 == 0 { k } else { levels.len() - 1 - k };
+                    let li = if round % 2 == 0 {
+                        k
+                    } else {
+                        levels.len() - 1 - k
+                    };
                     simd::set_level(levels[li]);
                     let m = window(iters.div_ceil(10), || {
                         std::hint::black_box(f());
@@ -307,7 +428,10 @@ fn bench_ops() -> (Vec<String>, String) {
             }
         }
         simd::set_level(None);
-        let rows_of = cases.iter().zip(best.chunks(levels.len()).zip(windows.chunks_mut(levels.len())));
+        let rows_of = cases.iter().zip(
+            best.chunks(levels.len())
+                .zip(windows.chunks_mut(levels.len())),
+        );
         for ((op, shape, _, _), (row_best, row_windows)) in rows_of {
             for (m, ws) in row_best.iter().zip(row_windows) {
                 let Some(m) = m else { continue };
@@ -315,7 +439,10 @@ fn bench_ops() -> (Vec<String>, String) {
                     t1.insert((op, shape, m.simd), m.ns_per_iter);
                 }
                 ws.sort_unstable();
-                rows.push(with_spread(row_json(op, shape, threads, arena::enabled(), m), ws));
+                rows.push(with_spread(
+                    row_json(op, shape, threads, arena::enabled(), m),
+                    ws,
+                ));
             }
         }
     }
@@ -325,11 +452,14 @@ fn bench_ops() -> (Vec<String>, String) {
         t1.get(&(op, shape, lvl)).copied().unwrap_or(0).max(1) as f64
     };
     let speedup = |op: &str, shape: &str| ns(op, shape, "scalar") / ns(op, shape, active);
-    let nt_ratio = ns("matmul.nt", "[8,16,48,64]x[64,64]T", active) / ns("matmul", "[8,16,48,64]x[64,64]", active);
-    let tn_ratio = ns("matmul.tn", "[32,32]Tx[8,12,32,8]", active) / ns("matmul", "[32,32]x[8,12,32,8]", active);
+    let nt_ratio = ns("matmul.nt", "[8,16,48,64]x[64,64]T", active)
+        / ns("matmul", "[8,16,48,64]x[64,64]", active);
+    let tn_ratio = ns("matmul.tn", "[32,32]Tx[8,12,32,8]", active)
+        / ns("matmul", "[32,32]x[8,12,32,8]", active);
     let splat_ratio = ns("elementwise.mul", "[8,32,12,8]x[1]", active)
         / ns("elementwise.add", "[8,32,12,8]+[8,32,12,8]", active);
-    let max_ratio = ns("reduce.max_axis", "[256,12,12] axis 2", active) / ns("reduce.sum_axis", "[256,12,12] axis 2", active);
+    let max_ratio = ns("reduce.max_axis", "[256,12,12] axis 2", active)
+        / ns("reduce.sum_axis", "[256,12,12] axis 2", active);
     let (mm, tn, ew, sm, rd) = (
         speedup("matmul", "[8,16,48,64]x[64,64]"),
         speedup("matmul.tn", "[8,16,48,64]Tx[8,16,48,48]"),
@@ -411,7 +541,9 @@ fn bench_search_step() -> (Vec<String>, String) {
     let (x, y) = batches[0].clone();
     let mut arch_opt = Adam::for_architecture(model.arch_parameters(), cfg.arch_lr, cfg.arch_wd);
     let mut weight_opt = Adam::new(model.weight_parameters(), cfg.weight_lr, cfg.weight_wd);
-    let loss_kind = LossKind::MaskedMae { null_value: Some(0.0) };
+    let loss_kind = LossKind::MaskedMae {
+        null_value: Some(0.0),
+    };
 
     let mut step = || {
         // Θ step
@@ -446,7 +578,13 @@ fn bench_search_step() -> (Vec<String>, String) {
             arena::clear(); // free lists must not serve this config
         }
         let m = measure(2, 5, &mut step);
-        rows.push(row_json("search_step.bilevel", "metr-la default-scale supernet", threads, on, &m));
+        rows.push(row_json(
+            "search_step.bilevel",
+            "metr-la default-scale supernet",
+            threads,
+            on,
+            &m,
+        ));
         if threads == pair_threads {
             let counts = (m.allocs_per_iter, m.bytes_per_iter);
             if on {
@@ -496,6 +634,10 @@ fn main() {
     println!("{ops_summary}");
 
     let (step_rows, summary) = bench_search_step();
-    write_json(&out.join("BENCH_search_step.json"), &step_rows, Some(&summary));
+    write_json(
+        &out.join("BENCH_search_step.json"),
+        &step_rows,
+        Some(&summary),
+    );
     println!("{summary}");
 }

@@ -33,7 +33,11 @@ pub fn run(ctx: &ExpContext) -> String {
     }
     print_table(
         "Figure 6: T-operator families — long-term accuracy vs efficiency",
-        &["Family", "RRSE (long-term, lower=better)", "Train s/epoch (lower=faster)"],
+        &[
+            "Family",
+            "RRSE (long-term, lower=better)",
+            "Train s/epoch (lower=faster)",
+        ],
         &rows,
     )
 }

@@ -69,15 +69,18 @@ pub fn run(ctx: &ExpContext) -> String {
 
         let headers: Vec<&str> = if is_table5 {
             vec![
-                "Model", "MAE@15", "RMSE@15", "MAPE@15", "MAE@30", "RMSE@30", "MAPE@30",
-                "MAE@60", "RMSE@60", "MAPE@60",
+                "Model", "MAE@15", "RMSE@15", "MAPE@15", "MAE@30", "RMSE@30", "MAPE@30", "MAE@60",
+                "RMSE@60", "MAPE@60",
             ]
         } else {
             vec!["Model", "MAE", "RMSE", "MAPE"]
         };
         let table_no = if is_table5 { 5 } else { 6 };
         out.push_str(&print_table(
-            &format!("Table {table_no}: Multi-step Forecasting, {} (synthetic)", spec.name),
+            &format!(
+                "Table {table_no}: Multi-step Forecasting, {} (synthetic)",
+                spec.name
+            ),
             &headers,
             &rows,
         ));

@@ -9,8 +9,7 @@
 
 use crate::experiments::{f2, f4, pct, sweep_specs};
 use crate::{
-    autocts_search_and_eval, macro_only_search_and_eval, prepare, print_table, ExpContext,
-    Prepared,
+    autocts_search_and_eval, macro_only_search_and_eval, prepare, print_table, ExpContext, Prepared,
 };
 use cts_data::Task;
 
@@ -43,7 +42,10 @@ pub fn run(ctx: &ExpContext) -> String {
                 ctx.search_config().without_design_principles(),
             ),
             ("w/o temperature", ctx.search_config().without_temperature()),
-            ("w/o macro search", ctx.search_config().without_macro_search()),
+            (
+                "w/o macro search",
+                ctx.search_config().without_macro_search(),
+            ),
         ];
         for (name, cfg) in variants {
             let (outcome, report) = autocts_search_and_eval(&cfg, ctx, &p);
@@ -64,7 +66,11 @@ pub fn run(ctx: &ExpContext) -> String {
             Task::SingleStep { .. } => vec!["Variant", "RRSE", "CORR", "", "Search (s)"],
         };
         out.push_str(&print_table(
-            &format!("Table {}: Ablation Studies, {} (synthetic)", 9 + idx, spec.name),
+            &format!(
+                "Table {}: Ablation Studies, {} (synthetic)",
+                9 + idx,
+                spec.name
+            ),
             &headers,
             &rows,
         ));

@@ -22,7 +22,11 @@ fn run_setting(ctx: &ExpContext, p: &Prepared, m: usize, b: usize) -> Vec<String
             f2(report.overall.rmse),
             pct(report.overall.mape),
         ],
-        Task::SingleStep { .. } => vec![f4(report.overall.rrse), f4(report.overall.corr), String::new()],
+        Task::SingleStep { .. } => vec![
+            f4(report.overall.rrse),
+            f4(report.overall.corr),
+            String::new(),
+        ],
     }
 }
 

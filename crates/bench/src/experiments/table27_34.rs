@@ -7,9 +7,7 @@
 //! streaming; AutoCTS's parameter count is comparable to the baselines.
 
 use crate::experiments::sweep_specs;
-use crate::{
-    autocts_search_and_eval, prepare, print_table, run_baseline, ExpContext,
-};
+use crate::{autocts_search_and_eval, prepare, print_table, run_baseline, ExpContext};
 use cts_data::Task;
 
 /// Run the runtime/parameter accounting.
@@ -40,8 +38,17 @@ pub fn run(ctx: &ExpContext) -> String {
             report.parameters.to_string(),
         ]);
         out.push_str(&print_table(
-            &format!("Table {}: Runtime and Parameters, {} (synthetic)", 27 + idx, spec.name),
-            &["Model", "Training (s/epoch)", "Inference (ms/window)", "Parameters"],
+            &format!(
+                "Table {}: Runtime and Parameters, {} (synthetic)",
+                27 + idx,
+                spec.name
+            ),
+            &[
+                "Model",
+                "Training (s/epoch)",
+                "Inference (ms/window)",
+                "Parameters",
+            ],
             &rows,
         ));
     }

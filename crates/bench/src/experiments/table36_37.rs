@@ -29,7 +29,10 @@ pub fn run(ctx: &ExpContext) -> String {
             ]);
         }
         out.push_str(&print_table(
-            &format!("Table {tno}: Incoming edges per node, {} (synthetic)", spec.name),
+            &format!(
+                "Table {tno}: Incoming edges per node, {} (synthetic)",
+                spec.name
+            ),
             &["# Edges", "MAE", "RMSE", "MAPE", "Training (s/epoch)"],
             &rows,
         ));

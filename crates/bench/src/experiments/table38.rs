@@ -11,7 +11,13 @@ pub fn run(_ctx: &ExpContext) -> String {
 
     let rows: Vec<Vec<String>> = st_block_taxonomy()
         .into_iter()
-        .map(|c| vec![c.s_family.to_string(), c.t_family.to_string(), c.models.to_string()])
+        .map(|c| {
+            vec![
+                c.s_family.to_string(),
+                c.t_family.to_string(),
+                c.models.to_string(),
+            ]
+        })
         .collect();
     out.push_str(&print_table(
         "Table 38: Categorization of Human Designed ST-blocks",
@@ -27,13 +33,23 @@ pub fn run(_ctx: &ExpContext) -> String {
                 r.kind.label().to_string(),
                 r.literature.to_string(),
                 r.equation.to_string(),
-                if r.in_compact_set { "kept".into() } else { "pruned".into() },
+                if r.in_compact_set {
+                    "kept".into()
+                } else {
+                    "pruned".into()
+                },
             ]
         })
         .collect();
     out.push_str(&print_table(
         "Table 1: S/T operator catalogue and compact-set selection",
-        &["Family", "Operator", "Literature", "Equation", "Compact set"],
+        &[
+            "Family",
+            "Operator",
+            "Literature",
+            "Equation",
+            "Compact set",
+        ],
         &rows,
     ));
     out

@@ -253,8 +253,14 @@ pub fn run_baseline(name: &str, ctx: &ExpContext, p: &Prepared) -> EvalReport {
         patience: 0,
         ..TrainConfig::default()
     };
-    train_and_evaluate(model.as_ref(), &p.spec, &p.windows, &cfg, ctx.batch_for(&p.spec))
-        .unwrap_or_else(|e| panic!("baseline {name} training failed: {e}"))
+    train_and_evaluate(
+        model.as_ref(),
+        &p.spec,
+        &p.windows,
+        &cfg,
+        ctx.batch_for(&p.spec),
+    )
+    .unwrap_or_else(|e| panic!("baseline {name} training failed: {e}"))
 }
 
 /// Run the full AutoCTS pipeline: search, then architecture evaluation.
@@ -310,7 +316,10 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Strin
             .collect::<Vec<_>>()
             .join("  ")
     };
-    out.push_str(&line(headers.iter().map(|h| h.to_string()).collect(), &widths));
+    out.push_str(&line(
+        headers.iter().map(|h| h.to_string()).collect(),
+        &widths,
+    ));
     out.push('\n');
     out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
     out.push('\n');
@@ -363,7 +372,10 @@ mod tests {
         let s = print_table(
             "T",
             &["a", "bbbb"],
-            &[vec!["x".into(), "y".into()], vec!["long".into(), "z".into()]],
+            &[
+                vec!["x".into(), "y".into()],
+                vec!["long".into(), "z".into()],
+            ],
         );
         assert!(s.contains("== T =="));
         assert!(s.contains("long"));

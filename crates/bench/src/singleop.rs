@@ -45,7 +45,14 @@ impl SingleOpModel {
             embed: Linear::new(&mut rng, "so.embed", spec.features, d, true),
             ops: (0..2)
                 .map(|i| {
-                    build_operator(&mut rng, kind, &format!("so.{i}"), d, 2, graph_ctx.has_adaptive())
+                    build_operator(
+                        &mut rng,
+                        kind,
+                        &format!("so.{i}"),
+                        d,
+                        2,
+                        graph_ctx.has_adaptive(),
+                    )
                 })
                 .collect(),
             output: Linear::new(&mut rng, "so.out", spec.input_len * d, q, true),

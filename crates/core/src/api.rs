@@ -86,8 +86,7 @@ impl AutoCts {
         windows: &SplitWindows,
     ) -> Result<SearchOutcome, SearchError> {
         let (genotype, _model, stats) = joint_search(&self.config, spec, graph, windows)?;
-        preflight(&self.config, &genotype, spec, graph)
-            .map_err(SearchError::InvalidGenotype)?;
+        preflight(&self.config, &genotype, spec, graph).map_err(SearchError::InvalidGenotype)?;
         Ok(SearchOutcome { genotype, stats })
     }
 
@@ -125,7 +124,14 @@ impl AutoCts {
         epochs: usize,
     ) -> Result<EvalReport, EvalError> {
         preflight(&self.config, genotype, spec, graph).map_err(EvalError::Rejected)?;
-        Ok(evaluate_genotype(&self.config, genotype, spec, graph, windows, epochs)?)
+        Ok(evaluate_genotype(
+            &self.config,
+            genotype,
+            spec,
+            graph,
+            windows,
+            epochs,
+        )?)
     }
 }
 

@@ -118,7 +118,10 @@ impl Default for SearchConfig {
 impl SearchConfig {
     /// Paper-default micro/macro sizes with a custom seed.
     pub fn with_seed(seed: u64) -> Self {
-        Self { seed, ..Self::default() }
+        Self {
+            seed,
+            ..Self::default()
+        }
     }
 
     /// The *w/o design principles* ablation: search over all of Table 1.
@@ -176,8 +179,7 @@ impl SearchConfig {
 
     /// Channel width routed through candidate operators.
     pub fn op_channels(&self) -> usize {
-        ((self.d_model as f32 * self.partial_channels).round() as usize)
-            .clamp(1, self.d_model)
+        ((self.d_model as f32 * self.partial_channels).round() as usize).clamp(1, self.d_model)
     }
 
     /// Number of node pairs `(h_i, h_j), i < j` in one micro-DAG.
@@ -245,8 +247,18 @@ mod tests {
 
     #[test]
     fn ablation_builders() {
-        assert_eq!(SearchConfig::default().without_design_principles().op_set.len(), 12);
-        assert!(!SearchConfig::default().without_temperature().use_temperature);
+        assert_eq!(
+            SearchConfig::default()
+                .without_design_principles()
+                .op_set
+                .len(),
+            12
+        );
+        assert!(
+            !SearchConfig::default()
+                .without_temperature()
+                .use_temperature
+        );
         assert!(!SearchConfig::default().without_macro_search().macro_search);
     }
 
@@ -272,7 +284,10 @@ mod tests {
     #[test]
     #[should_panic]
     fn invalid_m_rejected() {
-        let c = SearchConfig { m: 1, ..Default::default() };
+        let c = SearchConfig {
+            m: 1,
+            ..Default::default()
+        };
         c.validate();
     }
 
@@ -280,7 +295,10 @@ mod tests {
     fn zero_gcn_k_rejected() {
         // Regression: gcn_k = 0 used to pass validation, then build GCN
         // operators with empty weight stacks (zero diffusion supports).
-        let c = SearchConfig { gcn_k: 0, ..Default::default() };
+        let c = SearchConfig {
+            gcn_k: 0,
+            ..Default::default()
+        };
         assert!(c.try_validate().unwrap_err().contains("gcn_k"));
     }
 }

@@ -21,7 +21,10 @@ fn expected_cost_is_differentiable_and_positive() {
     assert!(cost.value().item() > 0.0);
     tape.backward(&cost);
     let alpha = &cell.arch_parameters()[0];
-    assert!(alpha.grad().norm() > 0.0, "cost gradient did not reach alpha");
+    assert!(
+        alpha.grad().norm() > 0.0,
+        "cost gradient did not reach alpha"
+    );
 }
 
 #[test]

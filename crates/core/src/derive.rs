@@ -70,7 +70,9 @@ pub fn derive_genotype(supernet: &SupernetModel) -> Result<Genotype, DeriveError
     };
     let genotype = Genotype { blocks, backbone };
     // invariant: internal consistency check — derivation must emit valid genotypes.
-    genotype.validate().expect("derivation produced invalid genotype");
+    genotype
+        .validate()
+        .expect("derivation produced invalid genotype");
     Ok(genotype)
 }
 
@@ -161,7 +163,11 @@ mod tests {
     use rand::{rngs::SmallRng, SeedableRng};
 
     fn cell(m: usize) -> MicroCell {
-        let cfg = SearchConfig { m, d_model: 4, ..Default::default() };
+        let cfg = SearchConfig {
+            m,
+            d_model: 4,
+            ..Default::default()
+        };
         MicroCell::new(&mut SmallRng::seed_from_u64(0), "c", &cfg, false)
     }
 

@@ -56,7 +56,11 @@ impl fmt::Display for SearchError {
                 "not enough training windows for the bi-level split \
                  (pseudo-train {train}, pseudo-val {val})"
             ),
-            SearchError::Diverged { epoch, retries, reason } => write!(
+            SearchError::Diverged {
+                epoch,
+                retries,
+                reason,
+            } => write!(
                 f,
                 "search diverged at epoch {epoch} after {retries} rollback(s): {reason}"
             ),

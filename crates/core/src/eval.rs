@@ -54,7 +54,11 @@ pub fn evaluate_model(
     let q = pred.shape()[2];
     let horizons = (0..q)
         .map(|h| {
-            EvalMetrics::compute(&horizon_slice(&pred, h), &horizon_slice(&target, h), null_value)
+            EvalMetrics::compute(
+                &horizon_slice(&pred, h),
+                &horizon_slice(&target, h),
+                null_value,
+            )
         })
         .collect();
     (overall, horizons)

@@ -212,7 +212,12 @@ mod tests {
         };
         Genotype {
             blocks: vec![
-                block([OpKind::Gdcc, OpKind::Dgcn, OpKind::InformerT, OpKind::Identity]),
+                block([
+                    OpKind::Gdcc,
+                    OpKind::Dgcn,
+                    OpKind::InformerT,
+                    OpKind::Identity,
+                ]),
                 block([OpKind::InformerS, OpKind::Gdcc, OpKind::Dgcn, OpKind::Gdcc]),
             ],
             backbone: vec![0, 1],
@@ -231,7 +236,12 @@ mod tests {
     fn histogram_counts_all_blocks() {
         let g = sample();
         let hist = g.op_histogram();
-        let count = |k: OpKind| hist.iter().find(|(o, _)| *o == k).map(|(_, c)| *c).unwrap_or(0);
+        let count = |k: OpKind| {
+            hist.iter()
+                .find(|(o, _)| *o == k)
+                .map(|(_, c)| *c)
+                .unwrap_or(0)
+        };
         assert_eq!(count(OpKind::Gdcc), 3);
         assert_eq!(count(OpKind::Dgcn), 2);
         assert_eq!(count(OpKind::Identity), 1);
@@ -241,7 +251,11 @@ mod tests {
     fn validation_catches_backward_edges() {
         let bad = BlockGenotype {
             m: 3,
-            edges: vec![(2, 1, OpKind::Gdcc), (0, 1, OpKind::Identity), (0, 2, OpKind::Identity)],
+            edges: vec![
+                (2, 1, OpKind::Gdcc),
+                (0, 1, OpKind::Identity),
+                (0, 2, OpKind::Identity),
+            ],
         };
         assert!(bad.validate().is_err());
     }
@@ -271,7 +285,10 @@ mod tests {
     fn validation_catches_empty_genotype() {
         // A genotype without blocks has no backbone output to forecast
         // from, and the derived model's plan refuses to compile it.
-        let empty = Genotype { blocks: vec![], backbone: vec![] };
+        let empty = Genotype {
+            blocks: vec![],
+            backbone: vec![],
+        };
         assert!(empty.validate().unwrap_err().contains("at least one block"));
     }
 

@@ -22,9 +22,9 @@
 #![warn(missing_docs)]
 
 mod api;
+mod config;
 #[cfg(test)]
 mod cost_tests;
-mod config;
 mod derive;
 mod error;
 mod genotype;

@@ -101,7 +101,10 @@ impl MicroCell {
         let alpha = tape.param(&self.alpha);
         let mut nodes: Vec<Var> = vec![x.clone()];
         for j in 1..self.m {
-            let beta = tape.param(&self.betas[j - 1]).reshape(&[1, j]).softmax_last();
+            let beta = tape
+                .param(&self.betas[j - 1])
+                .reshape(&[1, j])
+                .softmax_last();
             let mut acc: Option<Var> = None;
             for (i, h_i) in nodes.iter().enumerate() {
                 let f_ij = self.edge_mixture(tape, h_i, ctx, &alpha, pair_index(i, j), tau);
@@ -171,9 +174,7 @@ impl MicroCell {
     pub fn expected_cost(&self, tape: &Tape, tau: f32) -> Var {
         let costs: Vec<f32> = self.op_set.iter().map(|k| k.relative_cost()).collect();
         let cost_row = tape.constant(Tensor::from_vec(vec![1, costs.len()], costs));
-        let probs = tape
-            .param(&self.alpha)
-            .softmax_last_with_temperature(tau); // [pairs, |O|]
+        let probs = tape.param(&self.alpha).softmax_last_with_temperature(tau); // [pairs, |O|]
         probs.mul(&cost_row).sum_all()
     }
 
@@ -240,7 +241,13 @@ mod tests {
             ..Default::default()
         };
         let cell = MicroCell::new(&mut rng, "cell", &cfg, false);
-        let g = random_geometric_graph(&mut rng, &GraphGenConfig { n: 4, ..Default::default() });
+        let g = random_geometric_graph(
+            &mut rng,
+            &GraphGenConfig {
+                n: 4,
+                ..Default::default()
+            },
+        );
         (cell, GraphContext::from_graph(&g, 2))
     }
 

@@ -182,7 +182,11 @@ impl SupernetModel {
     /// Mean α entropy across cells at the current temperature — the
     /// discretisation-gap diagnostic of §3.2.2.
     pub fn mean_alpha_entropy(&self) -> f32 {
-        let tau = if self.cfg.use_temperature { self.tau.get() } else { 1.0 };
+        let tau = if self.cfg.use_temperature {
+            self.tau.get()
+        } else {
+            1.0
+        };
         let total: f32 = self.cells.iter().map(|c| c.alpha_entropy(tau)).sum();
         total / self.cells.len() as f32
     }
@@ -190,7 +194,11 @@ impl SupernetModel {
     /// Differentiable expected operator cost of the whole backbone (sum of
     /// the cells' expected costs), for efficiency-aware search.
     pub fn expected_cost(&self, tape: &Tape) -> Var {
-        let tau = if self.cfg.use_temperature { self.tau.get() } else { 1.0 };
+        let tau = if self.cfg.use_temperature {
+            self.tau.get()
+        } else {
+            1.0
+        };
         let mut acc: Option<Var> = None;
         for cell in &self.cells {
             let c = cell.expected_cost(tape, tau);
@@ -218,7 +226,11 @@ impl SupernetModel {
 
 impl Forecaster for SupernetModel {
     fn forward(&self, tape: &Tape, x: &Var) -> Var {
-        let tau = if self.cfg.use_temperature { self.tau.get() } else { 1.0 };
+        let tau = if self.cfg.use_temperature {
+            self.tau.get()
+        } else {
+            1.0
+        };
         let sc = &self.scaffold;
         let z = sc.embed.forward(tape, x);
         let mut sources = vec![z.clone()];
@@ -244,7 +256,14 @@ impl Forecaster for SupernetModel {
             merged = merged.add(out);
         }
         let flat_width = sc.input_len * sc.d_model;
-        cts_runtime::project(tape, &sc.output, &merged, flat_width, sc.out_scale, sc.out_shift)
+        cts_runtime::project(
+            tape,
+            &sc.output,
+            &merged,
+            flat_width,
+            sc.out_scale,
+            sc.out_shift,
+        )
     }
 
     fn parameters(&self) -> Vec<Parameter> {
@@ -274,11 +293,15 @@ fn block_plan(
         .enumerate()
         .map(|(idx, (from, to, kind))| {
             let label = format!("{name}.e{idx}.{}", kind.label());
-            let op: Rc<dyn StOperator> = Rc::from(build_operator(rng, *kind, &label, d, gcn_k, adaptive));
+            let op: Rc<dyn StOperator> =
+                Rc::from(build_operator(rng, *kind, &label, d, gcn_k, adaptive));
             (*from, *to, op)
         })
         .collect();
-    BlockPlan { m: genotype.m, edges }
+    BlockPlan {
+        m: genotype.m,
+        edges,
+    }
 }
 
 /// The discrete forecasting model retrained from scratch in the
@@ -320,7 +343,16 @@ impl DerivedModel {
             .blocks
             .iter()
             .enumerate()
-            .map(|(i, b)| block_plan(rng, &format!("block{i}"), b, cfg.d_model, cfg.gcn_k, adaptive))
+            .map(|(i, b)| {
+                block_plan(
+                    rng,
+                    &format!("block{i}"),
+                    b,
+                    cfg.d_model,
+                    cfg.gcn_k,
+                    adaptive,
+                )
+            })
             .collect();
         let ops = blocks
             .iter()
@@ -377,7 +409,8 @@ impl DerivedModel {
 
 impl Forecaster for DerivedModel {
     fn forward(&self, tape: &Tape, x: &Var) -> Var {
-        self.plan.forward(tape, x, |op, x, ctx| op.forward(tape, x, ctx))
+        self.plan
+            .forward(tape, x, |op, x, ctx| op.forward(tape, x, ctx))
     }
 
     fn forward_inference(&self, x: &Tensor) -> Tensor {
@@ -412,7 +445,12 @@ mod tests {
     use cts_data::{build_windows, generate};
     use rand::{rngs::SmallRng, SeedableRng};
 
-    fn fixture() -> (SearchConfig, DatasetSpec, cts_data::CtsData, cts_data::SplitWindows) {
+    fn fixture() -> (
+        SearchConfig,
+        DatasetSpec,
+        cts_data::CtsData,
+        cts_data::SplitWindows,
+    ) {
         let spec = DatasetSpec::metr_la().scaled(0.05, 0.015);
         let data = generate(&spec, 0);
         let windows = build_windows(&data, 4, 16);
@@ -461,7 +499,14 @@ mod tests {
         let supernet = SupernetModel::new(&mut rng, &cfg, &spec, &data.graph, &windows.scaler);
         let genotype = supernet.derive().unwrap();
         genotype.validate().unwrap();
-        let model = DerivedModel::new(&mut rng, &cfg, &genotype, &spec, &data.graph, &windows.scaler);
+        let model = DerivedModel::new(
+            &mut rng,
+            &cfg,
+            &genotype,
+            &spec,
+            &data.graph,
+            &windows.scaler,
+        );
         let batches = cts_data::batches_from_windows(&windows.train, 4);
         let tape = Tape::new();
         let x = tape.constant(batches[0].0.clone());

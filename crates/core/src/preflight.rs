@@ -47,7 +47,10 @@ pub fn arch_spec(
         blocks: genotype
             .blocks
             .iter()
-            .map(|b| BlockSpec { m: b.m, edges: b.edges.clone() })
+            .map(|b| BlockSpec {
+                m: b.m,
+                edges: b.edges.clone(),
+            })
             .collect(),
         backbone: genotype.backbone.clone(),
     }
@@ -212,7 +215,12 @@ mod tests {
     fn fixture() -> (SearchConfig, DatasetSpec, SensorGraph) {
         let spec = DatasetSpec::metr_la().scaled(0.05, 0.02);
         let data = generate(&spec, 7);
-        let cfg = SearchConfig { m: 3, b: 2, d_model: 8, ..Default::default() };
+        let cfg = SearchConfig {
+            m: 3,
+            b: 2,
+            d_model: 8,
+            ..Default::default()
+        };
         (cfg, spec, data.graph)
     }
 
@@ -225,7 +233,10 @@ mod tests {
                 (1, 2, OpKind::Identity),
             ],
         };
-        Genotype { blocks: vec![block.clone(), block], backbone: vec![0, 1] }
+        Genotype {
+            blocks: vec![block.clone(), block],
+            backbone: vec![0, 1],
+        }
     }
 
     #[test]
@@ -301,7 +312,11 @@ mod tests {
     }
 
     fn arch(blocks: Vec<BlockSpec>, backbone: Vec<usize>) -> ArchSpec {
-        ArchSpec { dims: dims(5), blocks, backbone }
+        ArchSpec {
+            dims: dims(5),
+            blocks,
+            backbone,
+        }
     }
 
     #[test]
@@ -359,7 +374,11 @@ mod tests {
             m: 2,
             edges: vec![(0, 1, OpKind::Dgcn), (0, 1, OpKind::ChebGcn)],
         };
-        let spec = |n| ArchSpec { dims: dims(n), blocks: vec![block.clone()], backbone: vec![0] };
+        let spec = |n| ArchSpec {
+            dims: dims(n),
+            blocks: vec![block.clone()],
+            backbone: vec![0],
+        };
         let small = analyze_cost(&spec(500), 1).expect("500 nodes price");
         let large = analyze_cost(&spec(50_000), 1).expect("50 000 nodes price");
         assert!(large.total.dense_flops > small.total.dense_flops.saturating_mul(5_000));

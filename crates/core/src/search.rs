@@ -18,8 +18,8 @@ use cts_autograd::{Parameter, Tape};
 use cts_data::{batches_from_windows, shuffle_in_place, DatasetSpec, SplitWindows, Window};
 use cts_graph::SensorGraph;
 use cts_nn::checkpoint::{
-    apply_parameters, load_run_state, save_run_state, CheckpointError, OptimizerState,
-    RunCounters, RunState, ScheduleState,
+    apply_parameters, load_run_state, save_run_state, CheckpointError, OptimizerState, RunCounters,
+    RunState, ScheduleState,
 };
 use cts_nn::{
     clip_grad_norm, fault, global_grad_norm, Adam, DivergenceReason, Forecaster, LossKind,
@@ -418,10 +418,11 @@ pub fn joint_search(
         model.set_tau(schedule.tau());
         shuffle_in_place(&mut rng, &mut perm_train);
         shuffle_in_place(&mut rng, &mut perm_val);
-        let shuffled_train: Vec<Window> =
-            perm_train.iter().map(|&i| pseudo_train[i].clone()).collect();
-        let shuffled_val: Vec<Window> =
-            perm_val.iter().map(|&i| pseudo_val[i].clone()).collect();
+        let shuffled_train: Vec<Window> = perm_train
+            .iter()
+            .map(|&i| pseudo_train[i].clone())
+            .collect();
+        let shuffled_val: Vec<Window> = perm_val.iter().map(|&i| pseudo_val[i].clone()).collect();
         let train_batches = batches_from_windows(&shuffled_train, cfg.batch_size);
         let val_batches = batches_from_windows(&shuffled_val, cfg.batch_size);
 
@@ -563,7 +564,10 @@ pub fn joint_search(
                     ("epoch", Value::U64(done)),
                     ("tau", Value::F64(epoch_stats.tau as f64)),
                     ("val_loss", Value::F64(epoch_stats.val_loss as f64)),
-                    ("alpha_entropy", Value::F64(epoch_stats.alpha_entropy as f64)),
+                    (
+                        "alpha_entropy",
+                        Value::F64(epoch_stats.alpha_entropy as f64),
+                    ),
                     ("steps", Value::U64(steps as u64)),
                     ("rollbacks", Value::U64(rollbacks as u64)),
                     ("secs", Value::F64(secs_before + started.elapsed_secs())),
@@ -701,7 +705,10 @@ mod tests {
 
     #[test]
     fn invalid_config_is_typed_error() {
-        let cfg = SearchConfig { m: 1, ..small_cfg() };
+        let cfg = SearchConfig {
+            m: 1,
+            ..small_cfg()
+        };
         let (spec, data, windows) = fixture(&cfg);
         match joint_search(&cfg, &spec, &data.graph, &windows) {
             Err(SearchError::InvalidConfig(msg)) => {
@@ -725,7 +732,9 @@ mod tests {
     }
 
     fn all_zero(params: &[Parameter]) -> bool {
-        params.iter().all(|p| p.grad().data().iter().all(|&g| g == 0.0))
+        params
+            .iter()
+            .all(|p| p.grad().data().iter().all(|&g| g == 0.0))
     }
 
     /// The bi-level step computes Θ gradients only in the Θ pass and w
@@ -738,9 +747,12 @@ mod tests {
         let (spec, data, windows) = fixture(&cfg);
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let model = SupernetModel::new(&mut rng, &cfg, &spec, &data.graph, &windows.scaler);
-        let mut arch_opt = Adam::for_architecture(model.arch_parameters(), cfg.arch_lr, cfg.arch_wd);
+        let mut arch_opt =
+            Adam::for_architecture(model.arch_parameters(), cfg.arch_lr, cfg.arch_wd);
         let mut weight_opt = Adam::new(model.weight_parameters(), cfg.weight_lr, cfg.weight_wd);
-        let loss_kind = LossKind::MaskedMae { null_value: spec.null_value };
+        let loss_kind = LossKind::MaskedMae {
+            null_value: spec.null_value,
+        };
         let batches = batches_from_windows(&windows.train, cfg.batch_size);
         let (x, y) = &batches[0];
         let nonzero = |ps: &[Parameter]| ps.iter().any(|p| p.grad().norm() > 0.0);
@@ -751,15 +763,24 @@ mod tests {
         assert!(nonzero(arch_opt.params()), "Θ pass delivered no Θ gradient");
         assert!(all_zero(weight_opt.params()), "Θ pass computed w gradients");
         arch_opt.step();
-        assert!(all_zero(arch_opt.params()), "Adam::step left Θ gradients behind");
+        assert!(
+            all_zero(arch_opt.params()),
+            "Adam::step left Θ gradients behind"
+        );
 
         let tape = Tape::new();
         let loss = loss_kind.compute(&tape, &model.forward(&tape, &tape.constant(x.clone())), y);
         tape.backward_for(&loss, weight_opt.params());
-        assert!(nonzero(weight_opt.params()), "w pass delivered no w gradient");
+        assert!(
+            nonzero(weight_opt.params()),
+            "w pass delivered no w gradient"
+        );
         assert!(all_zero(arch_opt.params()), "w pass computed Θ gradients");
         weight_opt.step();
-        assert!(all_zero(weight_opt.params()), "Adam::step left w gradients behind");
+        assert!(
+            all_zero(weight_opt.params()),
+            "Adam::step left w gradients behind"
+        );
 
         let (mut steps, mut memory) = (0, 0);
         let outcome = run_search_epoch(

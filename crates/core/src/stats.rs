@@ -128,7 +128,12 @@ mod tests {
         let spec = DatasetSpec::metr_la().scaled(0.05, 0.015);
         let data = generate(&spec, 0);
         let windows = build_windows(&data, 4, 16);
-        let cfg = SearchConfig { m: 3, b: 2, d_model: 8, ..Default::default() };
+        let cfg = SearchConfig {
+            m: 3,
+            b: 2,
+            d_model: 8,
+            ..Default::default()
+        };
         let mut rng = SmallRng::seed_from_u64(0);
         let model = SupernetModel::new(&mut rng, &cfg, &spec, &data.graph, &windows.scaler);
         let batches = batches_from_windows(&windows.train[..2], 2);
@@ -138,8 +143,10 @@ mod tests {
         let tape = Tape::new();
         let x = tape.constant(batches[0].0.clone());
         let pred = model.forward(&tape, &x);
-        let loss = LossKind::MaskedMae { null_value: spec.null_value }
-            .compute(&tape, &pred, &batches[0].1);
+        let loss = LossKind::MaskedMae {
+            null_value: spec.null_value,
+        }
+        .compute(&tape, &pred, &batches[0].1);
         tape.backward(&loss);
         let scalars = tape.activation_scalars();
         let (_, peak) = arena::live_stats();

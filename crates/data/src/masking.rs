@@ -32,7 +32,10 @@ pub fn missing_fraction(values: &[f32], null_value: Option<f32>) -> f32 {
     if values.is_empty() {
         return 0.0;
     }
-    let missing = values.iter().filter(|&&v| is_missing(v, null_value)).count();
+    let missing = values
+        .iter()
+        .filter(|&&v| is_missing(v, null_value))
+        .count();
     missing as f32 / values.len() as f32
 }
 

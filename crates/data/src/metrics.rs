@@ -275,14 +275,8 @@ mod tests {
         // node 0: targets [1,2,3] + one null; predictions track the real
         // entries perfectly but are garbage at the null slot.
         // node 1: every target null -> the node is dropped entirely.
-        let t = Tensor::from_vec(
-            [4, 2, 1],
-            vec![1.0, 0.0, 2.0, 0.0, 3.0, 0.0, 0.0, 0.0],
-        );
-        let p = Tensor::from_vec(
-            [4, 2, 1],
-            vec![1.0, 7.0, 2.0, 7.0, 3.0, 7.0, -50.0, 7.0],
-        );
+        let t = Tensor::from_vec([4, 2, 1], vec![1.0, 0.0, 2.0, 0.0, 3.0, 0.0, 0.0, 0.0]);
+        let p = Tensor::from_vec([4, 2, 1], vec![1.0, 7.0, 2.0, 7.0, 3.0, 7.0, -50.0, 7.0]);
         assert!((corr_metric(&p, &t, Some(0.0)) - 1.0).abs() < 1e-6);
         // Unmasked, the -50 at the null slot wrecks node 0's correlation.
         assert!(corr_metric(&p, &t, None) < 0.99);

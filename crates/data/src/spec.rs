@@ -58,13 +58,7 @@ pub struct DatasetSpec {
 }
 
 impl DatasetSpec {
-    fn traffic(
-        name: &str,
-        n: usize,
-        t: usize,
-        kind: SynthKind,
-        split: (f32, f32, f32),
-    ) -> Self {
+    fn traffic(name: &str, n: usize, t: usize, kind: SynthKind, split: (f32, f32, f32)) -> Self {
         Self {
             name: name.into(),
             n,
@@ -83,32 +77,68 @@ impl DatasetSpec {
 
     /// METR-LA (Table 4: N=207, T=34 272, split 7:1:2, 12→12).
     pub fn metr_la() -> Self {
-        Self::traffic("METR-LA", 207, 34_272, SynthKind::TrafficSpeed, (0.7, 0.1, 0.2))
+        Self::traffic(
+            "METR-LA",
+            207,
+            34_272,
+            SynthKind::TrafficSpeed,
+            (0.7, 0.1, 0.2),
+        )
     }
 
     /// PEMS-BAY (N=325, T=52 116, split 7:1:2, 12→12).
     pub fn pems_bay() -> Self {
-        Self::traffic("PEMS-BAY", 325, 52_116, SynthKind::TrafficSpeed, (0.7, 0.1, 0.2))
+        Self::traffic(
+            "PEMS-BAY",
+            325,
+            52_116,
+            SynthKind::TrafficSpeed,
+            (0.7, 0.1, 0.2),
+        )
     }
 
     /// PEMS03 (N=358, T=26 208, split 6:2:2, 12→12).
     pub fn pems03() -> Self {
-        Self::traffic("PEMS03", 358, 26_208, SynthKind::TrafficFlow, (0.6, 0.2, 0.2))
+        Self::traffic(
+            "PEMS03",
+            358,
+            26_208,
+            SynthKind::TrafficFlow,
+            (0.6, 0.2, 0.2),
+        )
     }
 
     /// PEMS04 (N=307, T=16 992, split 6:2:2, 12→12).
     pub fn pems04() -> Self {
-        Self::traffic("PEMS04", 307, 16_992, SynthKind::TrafficFlow, (0.6, 0.2, 0.2))
+        Self::traffic(
+            "PEMS04",
+            307,
+            16_992,
+            SynthKind::TrafficFlow,
+            (0.6, 0.2, 0.2),
+        )
     }
 
     /// PEMS07 (N=883, T=28 224, split 6:2:2, 12→12).
     pub fn pems07() -> Self {
-        Self::traffic("PEMS07", 883, 28_224, SynthKind::TrafficFlow, (0.6, 0.2, 0.2))
+        Self::traffic(
+            "PEMS07",
+            883,
+            28_224,
+            SynthKind::TrafficFlow,
+            (0.6, 0.2, 0.2),
+        )
     }
 
     /// PEMS08 (N=170, T=17 856, split 6:2:2, 12→12).
     pub fn pems08() -> Self {
-        Self::traffic("PEMS08", 170, 17_856, SynthKind::TrafficFlow, (0.6, 0.2, 0.2))
+        Self::traffic(
+            "PEMS08",
+            170,
+            17_856,
+            SynthKind::TrafficFlow,
+            (0.6, 0.2, 0.2),
+        )
     }
 
     /// Solar-Energy (N=137, T=52 560, split 6:2:2, 168→1), 10-min sampling.

@@ -67,7 +67,10 @@ impl Regime {
                 sensor_frac: 0.25,
                 span_frac: 0.2,
             },
-            Regime::MissingSpans { frac: 0.05, span: 6 },
+            Regime::MissingSpans {
+                frac: 0.05,
+                span: 6,
+            },
             Regime::RegimeShift {
                 at_frac: 0.7,
                 scale: 1.3,
@@ -198,9 +201,22 @@ mod tests {
             },
             3,
         );
-        let holes = apply_regime(&data, &Regime::MissingSpans { frac: 0.05, span: 6 }, 3);
-        assert!(target_missing(&dropped) > clean + 0.01, "dropout added no holes");
-        assert!(target_missing(&holes) > clean + 0.01, "spans added no holes");
+        let holes = apply_regime(
+            &data,
+            &Regime::MissingSpans {
+                frac: 0.05,
+                span: 6,
+            },
+            3,
+        );
+        assert!(
+            target_missing(&dropped) > clean + 0.01,
+            "dropout added no holes"
+        );
+        assert!(
+            target_missing(&holes) > clean + 0.01,
+            "spans added no holes"
+        );
         // The time-of-day feature survives untouched.
         for node in 0..data.spec.n {
             for ti in 0..data.spec.t {
@@ -247,6 +263,9 @@ mod tests {
     fn suite_names_are_distinct() {
         let suite = Regime::standard_suite();
         let names: Vec<&str> = suite.iter().map(Regime::name).collect();
-        assert_eq!(names, ["clean", "sensor_dropout", "missing_spans", "regime_shift"]);
+        assert_eq!(
+            names,
+            ["clean", "sensor_dropout", "missing_spans", "regime_shift"]
+        );
     }
 }

@@ -137,7 +137,13 @@ mod tests {
     #[test]
     fn smoothing_reduces_variance_across_nodes() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let g = random_geometric_graph(&mut rng, &GraphGenConfig { n: 20, ..Default::default() });
+        let g = random_geometric_graph(
+            &mut rng,
+            &GraphGenConfig {
+                n: 20,
+                ..Default::default()
+            },
+        );
         let x = ar1_field(&mut rng, 20, 50, 0.0, 1.0);
         let sm = spatial_smooth(&x, &g, 3, 0.5);
         let col_var = |t: &Tensor| {

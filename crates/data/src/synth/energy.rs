@@ -71,10 +71,7 @@ pub fn generate_electricity(spec: &DatasetSpec, rng: &mut impl Rng) -> CtsData {
             let profile = 0.5
                 + 0.25 * day_bump(tod, 9.0 / 24.0, 0.1)
                 + 0.6 * day_bump(tod, 19.5 / 24.0, 0.08);
-            let v = base[i]
-                * profile
-                * weekday
-                * (1.0 + noise.at(&[i, s]) + shared.at(&[0, s]));
+            let v = base[i] * profile * weekday * (1.0 + noise.at(&[i, s]) + shared.at(&[0, s]));
             target.data_mut()[i * t + s] = v.max(0.1);
         }
     }

@@ -12,7 +12,6 @@ use cts_graph::SensorGraph;
 use cts_tensor::Tensor;
 use rand::{rngs::SmallRng, SeedableRng};
 
-
 /// A generated dataset: raw values plus the sensor graph.
 #[derive(Clone, Debug)]
 pub struct CtsData {

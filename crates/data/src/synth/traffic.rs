@@ -151,7 +151,12 @@ mod tests {
                 }
             }
         }
-        assert!(rush / count < night / count, "rush {} night {}", rush / count, night / count);
+        assert!(
+            rush / count < night / count,
+            "rush {} night {}",
+            rush / count,
+            night / count
+        );
     }
 
     #[test]

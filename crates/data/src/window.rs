@@ -39,10 +39,7 @@ impl SplitWindows {
     /// for the bi-level architecture search (§3.4).
     pub fn pseudo_split(&self) -> (Vec<Window>, Vec<Window>) {
         let half = self.train.len() / 2;
-        (
-            self.train[..half].to_vec(),
-            self.train[half..].to_vec(),
-        )
+        (self.train[..half].to_vec(), self.train[half..].to_vec())
     }
 }
 
@@ -106,8 +103,14 @@ pub fn build_windows(data: &CtsData, stride: usize, cap_per_split: usize) -> Spl
     };
 
     let train = cap(starts[..n_tr].iter().map(|&s| make_window(s)).collect());
-    let val = cap(starts[n_tr..n_tr + n_va].iter().map(|&s| make_window(s)).collect());
-    let test = cap(starts[n_tr + n_va..].iter().map(|&s| make_window(s)).collect());
+    let val = cap(starts[n_tr..n_tr + n_va]
+        .iter()
+        .map(|&s| make_window(s))
+        .collect());
+    let test = cap(starts[n_tr + n_va..]
+        .iter()
+        .map(|&s| make_window(s))
+        .collect());
 
     SplitWindows {
         train,
@@ -163,7 +166,10 @@ mod tests {
         let sw = build_windows(&data, 4, 0);
         assert_eq!(sw.train[0].y.shape(), &[spec.n, 1]);
         let p = spec.input_len;
-        assert_eq!(sw.train[0].y.at(&[0, 0]), data.values.at(&[0, p + 3 - 1, 0]));
+        assert_eq!(
+            sw.train[0].y.at(&[0, 0]),
+            data.values.at(&[0, p + 3 - 1, 0])
+        );
     }
 
     #[test]

@@ -85,7 +85,13 @@ mod tests {
     #[test]
     fn every_node_has_an_edge() {
         let mut rng = SmallRng::seed_from_u64(0);
-        let g = random_geometric_graph(&mut rng, &GraphGenConfig { n: 30, ..Default::default() });
+        let g = random_geometric_graph(
+            &mut rng,
+            &GraphGenConfig {
+                n: 30,
+                ..Default::default()
+            },
+        );
         for i in 0..30 {
             let deg: f32 = (0..30).map(|j| g.adjacency().at(&[i, j])).sum();
             assert!(deg > 0.0, "node {i} isolated");
@@ -109,7 +115,14 @@ mod tests {
     #[test]
     fn closer_nodes_get_heavier_edges() {
         let mut rng = SmallRng::seed_from_u64(2);
-        let g = random_geometric_graph(&mut rng, &GraphGenConfig { n: 40, sigma: 0.5, threshold: 0.0 });
+        let g = random_geometric_graph(
+            &mut rng,
+            &GraphGenConfig {
+                n: 40,
+                sigma: 0.5,
+                threshold: 0.0,
+            },
+        );
         let c = g.coords();
         // check the kernel is monotone in distance for a few triples
         let mut checked = 0;
@@ -119,9 +132,8 @@ mod tests {
                     if i == j || i == k || j == k {
                         continue;
                     }
-                    let d = |a: (f32, f32), b: (f32, f32)| {
-                        (a.0 - b.0).powi(2) + (a.1 - b.1).powi(2)
-                    };
+                    let d =
+                        |a: (f32, f32), b: (f32, f32)| (a.0 - b.0).powi(2) + (a.1 - b.1).powi(2);
                     if d(c[i], c[j]) < d(c[i], c[k]) {
                         assert!(g.adjacency().at(&[i, j]) >= g.adjacency().at(&[i, k]));
                         checked += 1;
@@ -134,15 +146,23 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let g1 = random_geometric_graph(&mut SmallRng::seed_from_u64(7), &GraphGenConfig::default());
-        let g2 = random_geometric_graph(&mut SmallRng::seed_from_u64(7), &GraphGenConfig::default());
+        let g1 =
+            random_geometric_graph(&mut SmallRng::seed_from_u64(7), &GraphGenConfig::default());
+        let g2 =
+            random_geometric_graph(&mut SmallRng::seed_from_u64(7), &GraphGenConfig::default());
         assert!(g1.adjacency().approx_eq(g2.adjacency(), 0.0));
     }
 
     #[test]
     fn graph_is_connected_enough_for_bfs() {
         let mut rng = SmallRng::seed_from_u64(3);
-        let g = random_geometric_graph(&mut rng, &GraphGenConfig { n: 25, ..Default::default() });
+        let g = random_geometric_graph(
+            &mut rng,
+            &GraphGenConfig {
+                n: 25,
+                ..Default::default()
+            },
+        );
         let reachable = g
             .hop_distances(0)
             .iter()

@@ -7,10 +7,7 @@ use cts_tensor::{ops, Tensor};
 pub fn normalized_laplacian(adjacency: &Tensor) -> Tensor {
     let n = adjacency.shape()[0];
     // symmetrise: a_sym = (A + Aᵀ) / 2
-    let a_sym = ops::scale(
-        &ops::add(adjacency, &ops::transpose_last2(adjacency)),
-        0.5,
-    );
+    let a_sym = ops::scale(&ops::add(adjacency, &ops::transpose_last2(adjacency)), 0.5);
     let mut deg_inv_sqrt = vec![0.0f32; n];
     for (i, slot) in deg_inv_sqrt.iter_mut().enumerate() {
         let d: f32 = (0..n).map(|j| a_sym.at(&[i, j])).sum();

@@ -203,7 +203,10 @@ mod tests {
         let tape = Tape::new();
         let q = tape.constant(Tensor::zeros([1, 3, 2]));
         let k = tape.constant(Tensor::ones([1, 3, 2]));
-        let v = tape.constant(Tensor::from_vec([1, 3, 2], vec![0.0, 0.0, 3.0, 3.0, 6.0, 6.0]));
+        let v = tape.constant(Tensor::from_vec(
+            [1, 3, 2],
+            vec![0.0, 0.0, 3.0, 3.0, 6.0, 6.0],
+        ));
         let y = scaled_dot_attention(&tape, &q, &k, &v, None).value();
         for row in 0..3 {
             assert!((y.data()[row * 2] - 3.0).abs() < 1e-5);
@@ -216,7 +219,10 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         let q = tape.constant(rand_x(&mut rng, 1, 3, 2));
         let k = tape.constant(rand_x(&mut rng, 1, 3, 2));
-        let v = tape.constant(Tensor::from_vec([1, 3, 2], vec![1.0, 1.0, 2.0, 2.0, 99.0, 99.0]));
+        let v = tape.constant(Tensor::from_vec(
+            [1, 3, 2],
+            vec![1.0, 1.0, 2.0, 2.0, 99.0, 99.0],
+        ));
         // forbid everyone from attending to position 2
         let mut mask = Tensor::zeros([3, 3]);
         for i in 0..3 {
@@ -229,7 +235,12 @@ mod tests {
     #[test]
     fn prob_sparse_selects_subset_and_keeps_shape() {
         let mut rng = SmallRng::seed_from_u64(2);
-        let layer = AttentionLayer::new(&mut rng, "inf", 4, AttentionKind::ProbSparse { factor: 1.0 });
+        let layer = AttentionLayer::new(
+            &mut rng,
+            "inf",
+            4,
+            AttentionKind::ProbSparse { factor: 1.0 },
+        );
         let tape = Tape::new();
         let x = tape.constant(rand_x(&mut rng, 2, 12, 4));
         let y = layer.forward(&tape, &x);
@@ -262,7 +273,7 @@ mod tests {
         let v = tape.constant(rand_x(&mut rng, 1, 8, 2));
         let y = prob_sparse_attention(&tape, &q, &k, &v, 0.4).value(); // u=1
         let vmean = ops::mean_axis(&v.value(), 1, false); // [1,2]
-        // all rows except the selected one equal mean(V)
+                                                          // all rows except the selected one equal mean(V)
         let mut lazy = 0;
         for row in 0..8 {
             let a = y.data()[row * 2];
@@ -277,14 +288,22 @@ mod tests {
     #[test]
     fn attention_gradients_flow_through_projections() {
         let mut rng = SmallRng::seed_from_u64(5);
-        for kind in [AttentionKind::Full, AttentionKind::ProbSparse { factor: 1.0 }] {
+        for kind in [
+            AttentionKind::Full,
+            AttentionKind::ProbSparse { factor: 1.0 },
+        ] {
             let layer = AttentionLayer::new(&mut rng, "att", 4, kind);
             let tape = Tape::new();
             let x = tape.constant(rand_x(&mut rng, 2, 10, 4));
             let loss = layer.forward(&tape, &x).square().sum_all();
             tape.backward(&loss);
             for p in layer.parameters() {
-                assert!(p.grad().norm() > 0.0, "{:?}: no grad for {}", kind, p.name());
+                assert!(
+                    p.grad().norm() > 0.0,
+                    "{:?}: no grad for {}",
+                    kind,
+                    p.name()
+                );
             }
         }
     }

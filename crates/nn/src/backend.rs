@@ -174,14 +174,7 @@ impl Backend for Tape {
         x.shape()
     }
 
-    fn top_queries(
-        &self,
-        q: &Var,
-        k: &Var,
-        u: usize,
-        idx: &mut Vec<usize>,
-        sel: &mut Vec<usize>,
-    ) {
+    fn top_queries(&self, q: &Var, k: &Var, u: usize, idx: &mut Vec<usize>, sel: &mut Vec<usize>) {
         q.with_value(|q| k.with_value(|k| top_queries(&Eval, q, k, u, idx, sel)));
     }
 

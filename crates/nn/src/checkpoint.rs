@@ -251,7 +251,11 @@ const fn build_crc_table() -> [u32; 256] {
         let mut c = i as u32; // invariant: i < 256 (loop bound).
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             k += 1;
         }
         table[i] = c;
@@ -298,7 +302,9 @@ struct Enc {
 
 impl Enc {
     fn new() -> Self {
-        Enc { buf: Vec::with_capacity(4096) }
+        Enc {
+            buf: Vec::with_capacity(4096),
+        }
     }
     fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -480,7 +486,9 @@ impl<'a> Dec<'a> {
     fn str(&mut self) -> Result<String, CheckpointError> {
         let len = self.count()?;
         if len > MAX_NAME_LEN {
-            return Err(corrupt(format!("name length {len} exceeds cap {MAX_NAME_LEN}")));
+            return Err(corrupt(format!(
+                "name length {len} exceeds cap {MAX_NAME_LEN}"
+            )));
         }
         String::from_utf8(self.bytes(len)?.to_vec())
             .map_err(|e| corrupt(format!("non-UTF-8 name: {e}")))
@@ -488,7 +496,9 @@ impl<'a> Dec<'a> {
     fn tensor(&mut self) -> Result<Tensor, CheckpointError> {
         let rank = self.count()?;
         if rank > MAX_RANK {
-            return Err(corrupt(format!("tensor rank {rank} exceeds cap {MAX_RANK}")));
+            return Err(corrupt(format!(
+                "tensor rank {rank} exceeds cap {MAX_RANK}"
+            )));
         }
         let mut shape = Vec::with_capacity(rank);
         let mut numel = 1usize;
@@ -530,20 +540,28 @@ fn parse_v2(bytes: &[u8]) -> Result<RunState, CheckpointError> {
     let expect = u32::from_le_bytes(fb);
     let got = crc32(body);
     if expect != got {
-        return Err(corrupt(format!("CRC mismatch: footer {expect:#010x}, computed {got:#010x}")));
+        return Err(corrupt(format!(
+            "CRC mismatch: footer {expect:#010x}, computed {got:#010x}"
+        )));
     }
     if body.get(..MAGIC_V2.len()) != Some(MAGIC_V2.as_slice()) {
         return Err(corrupt("bad v2 magic"));
     }
     let mut rs = RunState::default();
-    let mut d = Dec { buf: body, pos: MAGIC_V2.len() };
+    let mut d = Dec {
+        buf: body,
+        pos: MAGIC_V2.len(),
+    };
     while d.remaining() > 0 {
         let tag: [u8; 4] = d.array()?;
         let len = d.u64()?;
         let len = usize::try_from(len)
             .map_err(|_| corrupt(format!("chunk length {len} overflows usize")))?;
         let payload = d.bytes(len)?;
-        let mut c = Dec { buf: payload, pos: 0 };
+        let mut c = Dec {
+            buf: payload,
+            pos: 0,
+        };
         match &tag {
             t if t == TAG_PARAMS => {
                 let count = c.count()?;
@@ -711,8 +729,7 @@ pub fn apply_parameters(
     entries: &[(String, Tensor)],
     params: &[Parameter],
 ) -> Result<usize, CheckpointError> {
-    let by_name: HashMap<&str, &Tensor> =
-        entries.iter().map(|(n, t)| (n.as_str(), t)).collect();
+    let by_name: HashMap<&str, &Tensor> = entries.iter().map(|(n, t)| (n.as_str(), t)).collect();
     let mut problems = Vec::new();
     let mut restored = 0usize;
     for p in params {
@@ -770,7 +787,10 @@ mod tests {
     #[test]
     fn roundtrip_through_memory() {
         let ps = params(1);
-        let rs = RunState { params: RunState::capture_params(&ps).unwrap(), ..RunState::default() };
+        let rs = RunState {
+            params: RunState::capture_params(&ps).unwrap(),
+            ..RunState::default()
+        };
         let mut buf = Vec::new();
         write_run_state(&mut buf, &rs).unwrap();
         let entries = read_checkpoint(&buf[..]).unwrap();
@@ -853,7 +873,11 @@ mod tests {
                 m: vec![Tensor::full([3, 4], 0.5), Tensor::full([4], -0.25)],
                 v: vec![Tensor::full([3, 4], 0.125), Tensor::full([4], 2.0)],
             }],
-            schedule: Some(ScheduleState { tau: 3.3, factor: 0.9, min: 1e-3 }),
+            schedule: Some(ScheduleState {
+                tau: 3.3,
+                factor: 0.9,
+                min: 1e-3,
+            }),
             counters: RunCounters {
                 epoch: 7,
                 step: 133,
@@ -868,13 +892,19 @@ mod tests {
             trace: vec![[5.0, 1.0, 1.5], [4.5, 0.9, 1.2]],
             train_losses: vec![1.0, 0.9],
             val_losses: vec![1.1, 1.0],
-            mid_epoch: Some(MidEpochState { batch: 3, loss_sum: 2.755 }),
+            mid_epoch: Some(MidEpochState {
+                batch: 3,
+                loss_sum: 2.755,
+            }),
         };
         let bytes = encode_run_state(&rs);
         let back = read_run_state(&bytes[..]).unwrap();
         assert_eq!(rs, back);
         // And the epoch-boundary form (no MIDE chunk) roundtrips to None.
-        let boundary = RunState { mid_epoch: None, ..rs };
+        let boundary = RunState {
+            mid_epoch: None,
+            ..rs
+        };
         let bytes2 = encode_run_state(&boundary);
         let back2 = read_run_state(&bytes2[..]).unwrap();
         assert_eq!(back2.mid_epoch, None);
@@ -908,7 +938,10 @@ mod tests {
         for &at in &[8usize, 20, bytes.len() / 2, bytes.len() - 6] {
             let mut bad = bytes.clone();
             bad[at] ^= 0x40;
-            assert!(read_run_state(&bad[..]).is_err(), "bit flip at {at} accepted");
+            assert!(
+                read_run_state(&bad[..]).is_err(),
+                "bit flip at {at} accepted"
+            );
         }
     }
 

@@ -72,8 +72,24 @@ impl GatedTemporalConv {
         dilation: usize,
     ) -> Self {
         Self {
-            filter: TemporalConvLayer::new(rng, &format!("{name}.filter"), k, d_in, d_out, dilation, true),
-            gate: TemporalConvLayer::new(rng, &format!("{name}.gate"), k, d_in, d_out, dilation, true),
+            filter: TemporalConvLayer::new(
+                rng,
+                &format!("{name}.filter"),
+                k,
+                d_in,
+                d_out,
+                dilation,
+                true,
+            ),
+            gate: TemporalConvLayer::new(
+                rng,
+                &format!("{name}.gate"),
+                k,
+                d_in,
+                d_out,
+                dilation,
+                true,
+            ),
         }
     }
 

@@ -15,8 +15,8 @@
 mod attention;
 mod backend;
 pub mod checkpoint;
-pub mod fault;
 mod conv;
+pub mod fault;
 mod linear;
 mod loss;
 mod module;
@@ -32,13 +32,13 @@ pub use attention::{
     prob_sparse_attention, prob_sparse_u, scaled_dot_attention, AttentionKind, AttentionLayer,
 };
 pub use backend::{Backend, Eval, Leaf};
-pub use price::{arena_bytes, OpCost, Price, Priced};
 pub use conv::{GatedTemporalConv, TemporalConvLayer};
 pub use linear::Linear;
 pub use loss::{l1_loss, masked_mae_loss, masked_mse_loss, mse_loss, LossKind};
 pub use module::{count_parameters, Forecaster, ParamBundle};
 pub use norm::LayerNorm;
 pub use optim::{clip_grad_norm, global_grad_norm, Adam, Optimizer, Sgd};
+pub use price::{arena_bytes, OpCost, Price, Priced};
 pub use rnn::{Gru, Lstm};
 pub use runstate::{CheckpointConfig, DivergenceReason, TrainError, WatchdogConfig};
 pub use schedule::TemperatureSchedule;

@@ -23,12 +23,8 @@ impl Linear {
             format!("{name}.weight"),
             init::xavier_uniform(rng, [d_in, d_out], d_in, d_out),
         );
-        let bias = bias.then(|| {
-            Parameter::new(
-                format!("{name}.bias"),
-                cts_tensor::Tensor::zeros([d_out]),
-            )
-        });
+        let bias = bias
+            .then(|| Parameter::new(format!("{name}.bias"), cts_tensor::Tensor::zeros([d_out])));
         Self {
             weight,
             bias,

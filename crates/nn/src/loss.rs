@@ -35,7 +35,13 @@ fn null_mask(target: &Tensor, null_value: f32) -> (Tensor, f32) {
     let data: Vec<f32> = target
         .data()
         .iter()
-        .map(|&t| if (t - null_value).abs() > 1e-4 { 1.0 } else { 0.0 })
+        .map(|&t| {
+            if (t - null_value).abs() > 1e-4 {
+                1.0
+            } else {
+                0.0
+            }
+        })
         .collect();
     let count: f32 = data.iter().sum();
     (Tensor::from_vec(target.shape().to_vec(), data), count)
@@ -104,7 +110,9 @@ mod tests {
         let pred = tape.constant(Tensor::from_vec([4], vec![10.0, 2.0, 3.0, 4.0]));
         // first entry is "missing" (0): the huge error there must not count
         let target = Tensor::from_vec([4], vec![0.0, 2.0, 5.0, 4.0]);
-        let loss = masked_mae_loss(&tape, &pred, &target, Some(0.0)).value().item();
+        let loss = masked_mae_loss(&tape, &pred, &target, Some(0.0))
+            .value()
+            .item();
         assert!((loss - 2.0 / 3.0).abs() < 1e-5, "{loss}");
     }
 
@@ -122,7 +130,9 @@ mod tests {
         let tape = Tape::new();
         let pred = tape.constant(Tensor::from_vec([2], vec![5.0, -3.0]));
         let target = Tensor::zeros([2]);
-        let loss = masked_mae_loss(&tape, &pred, &target, Some(0.0)).value().item();
+        let loss = masked_mae_loss(&tape, &pred, &target, Some(0.0))
+            .value()
+            .item();
         assert_eq!(loss, 0.0);
     }
 

@@ -79,13 +79,20 @@ impl CheckpointConfig {
         let mut path = self.path.clone();
         let file = match (path.file_stem(), path.extension()) {
             (Some(stem), Some(ext)) => {
-                format!("{}.{name}.{}", stem.to_string_lossy(), ext.to_string_lossy())
+                format!(
+                    "{}.{name}.{}",
+                    stem.to_string_lossy(),
+                    ext.to_string_lossy()
+                )
             }
             (Some(stem), None) => format!("{}.{name}", stem.to_string_lossy()),
             (None, _) => name.to_string(),
         };
         path.set_file_name(file);
-        Self { path, ..self.clone() }
+        Self {
+            path,
+            ..self.clone()
+        }
     }
 }
 
@@ -223,7 +230,11 @@ pub enum TrainError {
 impl fmt::Display for TrainError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TrainError::Diverged { epoch, retries, reason } => write!(
+            TrainError::Diverged {
+                epoch,
+                retries,
+                reason,
+            } => write!(
                 f,
                 "training diverged at epoch {epoch} after {retries} rollback(s): {reason}"
             ),
@@ -275,7 +286,10 @@ mod tests {
     fn stage_derives_sibling_path_and_keeps_policy() {
         let ck = CheckpointConfig::new("/tmp/run.ckpt").every(3).fresh();
         let retrain = ck.stage("retrain");
-        assert_eq!(retrain.path, std::path::PathBuf::from("/tmp/run.retrain.ckpt"));
+        assert_eq!(
+            retrain.path,
+            std::path::PathBuf::from("/tmp/run.retrain.ckpt")
+        );
         assert_eq!(retrain.every_epochs, 3);
         assert!(!retrain.resume);
         // extension-less paths get the stage suffix appended
@@ -288,7 +302,11 @@ mod tests {
 
     #[test]
     fn spike_needs_history() {
-        let wd = WatchdogConfig { min_history: 3, spike_factor: 10.0, ..Default::default() };
+        let wd = WatchdogConfig {
+            min_history: 3,
+            spike_factor: 10.0,
+            ..Default::default()
+        };
         assert!(!wd.is_spike(100.0, &[1.0, 1.0]));
         assert!(wd.is_spike(100.0, &[1.0, 1.2, 0.9]));
         assert!(!wd.is_spike(5.0, &[1.0, 1.2, 0.9]));
@@ -296,7 +314,10 @@ mod tests {
 
     #[test]
     fn median_ignores_non_finite() {
-        let wd = WatchdogConfig { min_history: 3, ..Default::default() };
+        let wd = WatchdogConfig {
+            min_history: 3,
+            ..Default::default()
+        };
         let m = wd.running_median(&[1.0, f32::NAN, 3.0]).unwrap();
         assert!((1.0..=3.0).contains(&m));
     }

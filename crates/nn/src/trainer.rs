@@ -46,7 +46,9 @@ impl Default for TrainConfig {
             lr: 1e-3,
             weight_decay: 1e-4,
             clip: 5.0,
-            loss: LossKind::MaskedMae { null_value: Some(0.0) },
+            loss: LossKind::MaskedMae {
+                null_value: Some(0.0),
+            },
             patience: 0,
             checkpoint: None,
             watchdog: WatchdogConfig::default(),
@@ -98,7 +100,11 @@ pub fn train_one_epoch(
 /// Uses the model's gradient-free [`Forecaster::forward_inference`] (the
 /// compiled plan for derived models — no gradient is needed here); only the
 /// loss itself is computed on a throwaway tape.
-pub fn evaluate_loss(model: &dyn Forecaster, batches: &[(Tensor, Tensor)], loss_kind: LossKind) -> f32 {
+pub fn evaluate_loss(
+    model: &dyn Forecaster,
+    batches: &[(Tensor, Tensor)],
+    loss_kind: LossKind,
+) -> f32 {
     let mut total = 0.0f64;
     for (x, y) in batches {
         let tape = Tape::new();
@@ -156,7 +162,9 @@ fn run_epoch_checked(
         let lv = loss.value().item();
         drop(fwd);
         if watchdog_on && !lv.is_finite() {
-            return Err(EpochAbort::Diverged(DivergenceReason::NonFiniteLoss { step: *step }));
+            return Err(EpochAbort::Diverged(DivergenceReason::NonFiniteLoss {
+                step: *step,
+            }));
         }
         total += lv as f64;
         {
@@ -213,7 +221,8 @@ impl GoodState {
         }
         opt.zero_grad();
         // invariant: the snapshot was exported from this same optimizer.
-        opt.import_state(&self.opt).expect("snapshot taken from this optimizer");
+        opt.import_state(&self.opt)
+            .expect("snapshot taken from this optimizer");
         self.step
     }
 }
@@ -283,7 +292,9 @@ pub fn train_full(
         // final batch of an epoch is skipped — the boundary checkpoint
         // below records that state without the mid-epoch chunk.
         let mut on_step = |opt: &Adam, step_now: u64, batches_done: u64, loss_sum: f64| {
-            let Some(ck) = &cfg.checkpoint else { return Ok(()) };
+            let Some(ck) = &cfg.checkpoint else {
+                return Ok(());
+            };
             if !ck.steps_due(step_now) || batches_done as usize >= train_batches.len() {
                 return Ok(());
             }
@@ -305,7 +316,10 @@ pub fn train_full(
                 trace: Vec::new(),
                 train_losses: train_losses.clone(),
                 val_losses: val_losses.clone(),
-                mid_epoch: Some(MidEpochState { batch: batches_done, loss_sum }),
+                mid_epoch: Some(MidEpochState {
+                    batch: batches_done,
+                    loss_sum,
+                }),
             };
             let _span = cts_obs::span(cts_obs::Phase::CheckpointWrite);
             save_run_state(&ck.path, &rs)?;
@@ -349,12 +363,19 @@ pub fn train_full(
                         ("epoch", cts_obs::runlog::Value::U64(epoch as u64)),
                         ("step", cts_obs::runlog::Value::U64(step)),
                         ("reason", cts_obs::runlog::Value::Str(&reason.to_string())),
-                        ("rollbacks", cts_obs::runlog::Value::U64(rollbacks as u64 + 1)),
+                        (
+                            "rollbacks",
+                            cts_obs::runlog::Value::U64(rollbacks as u64 + 1),
+                        ),
                     ],
                 );
             }
             if rollbacks >= cfg.watchdog.max_retries {
-                return Err(TrainError::Diverged { epoch, retries: rollbacks, reason });
+                return Err(TrainError::Diverged {
+                    epoch,
+                    retries: rollbacks,
+                    reason,
+                });
             }
             rollbacks += 1;
             step = snapshot.restore(&mut opt);
@@ -492,8 +513,7 @@ mod tests {
                 let mut y = Tensor::zeros([4, 3, 1]);
                 for b in 0..4 {
                     for n in 0..3 {
-                        let mean: f32 =
-                            (0..5).map(|t| x.at(&[b, n, t, 0])).sum::<f32>() / 5.0;
+                        let mean: f32 = (0..5).map(|t| x.at(&[b, n, t, 0])).sum::<f32>() / 5.0;
                         *y.at_mut(&[b, n, 0]) = 2.0 * mean + 1.0;
                     }
                 }
@@ -577,14 +597,22 @@ mod tests {
         };
 
         // Reference: uninterrupted run.
-        let reference = train_full(&tiny_model(3), &batches, None, &TrainConfig {
-            checkpoint: None,
-            ..cfg.clone()
-        })
+        let reference = train_full(
+            &tiny_model(3),
+            &batches,
+            None,
+            &TrainConfig {
+                checkpoint: None,
+                ..cfg.clone()
+            },
+        )
         .unwrap();
 
         // Kill mid-epoch 4 (6 batches/epoch -> step 27 is inside epoch 4).
-        fault::arm(fault::FaultPlan { abort_at_step: Some(27), ..fault::FaultPlan::default() });
+        fault::arm(fault::FaultPlan {
+            abort_at_step: Some(27),
+            ..fault::FaultPlan::default()
+        });
         let err = train_full(&tiny_model(3), &batches, None, &cfg).unwrap_err();
         fault::disarm();
         assert!(matches!(err, TrainError::Interrupted { .. }), "{err}");
@@ -617,15 +645,23 @@ mod tests {
         };
 
         // Reference: uninterrupted run.
-        let reference = train_full(&tiny_model(3), &batches, None, &TrainConfig {
-            checkpoint: None,
-            ..cfg.clone()
-        })
+        let reference = train_full(
+            &tiny_model(3),
+            &batches,
+            None,
+            &TrainConfig {
+                checkpoint: None,
+                ..cfg.clone()
+            },
+        )
         .unwrap();
 
         // Kill at step 9: the last mid-epoch checkpoint landed at step 8,
         // two batches into epoch 1, so the resume loses exactly one step.
-        fault::arm(fault::FaultPlan { abort_at_step: Some(9), ..fault::FaultPlan::default() });
+        fault::arm(fault::FaultPlan {
+            abort_at_step: Some(9),
+            ..fault::FaultPlan::default()
+        });
         let err = train_full(&tiny_model(3), &batches, None, &cfg).unwrap_err();
         fault::disarm();
         assert!(matches!(err, TrainError::Interrupted { .. }), "{err}");
@@ -656,7 +692,10 @@ mod tests {
             loss: LossKind::Mse,
             ..Default::default()
         };
-        fault::arm(fault::FaultPlan { nan_grad_at_step: Some(9), ..fault::FaultPlan::default() });
+        fault::arm(fault::FaultPlan {
+            nan_grad_at_step: Some(9),
+            ..fault::FaultPlan::default()
+        });
         let report = train_full(&tiny_model(5), &batches, None, &cfg).unwrap();
         fault::disarm();
         assert_eq!(report.rollbacks, 1);
@@ -676,7 +715,10 @@ mod tests {
             lr: 1e30,
             weight_decay: 0.0,
             loss: LossKind::Mse,
-            watchdog: WatchdogConfig { max_retries: 2, ..Default::default() },
+            watchdog: WatchdogConfig {
+                max_retries: 2,
+                ..Default::default()
+            },
             ..Default::default()
         };
         match train_full(&tiny_model(6), &batches, None, &cfg) {

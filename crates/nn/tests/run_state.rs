@@ -70,7 +70,9 @@ fn arb_run_state(seed: u64) -> RunState {
         .collect();
     let losses = |rng: &mut SmallRng| {
         let n = rng.gen_range(0usize..=4);
-        (0..n).map(|_| rng.gen_range(0.0f32..100.0)).collect::<Vec<f32>>()
+        (0..n)
+            .map(|_| rng.gen_range(0.0f32..100.0))
+            .collect::<Vec<f32>>()
     };
     RunState {
         params,
@@ -135,7 +137,9 @@ fn v1_bytes(params: &[(String, Tensor)]) -> Vec<u8> {
 /// typed error on every read path, never a panic or a load.
 #[test]
 fn v1_checkpoints_are_rejected_with_typed_error() {
-    let mut inputs: Vec<Vec<u8>> = (0..8).map(|seed| v1_bytes(&arb_run_state(seed).params)).collect();
+    let mut inputs: Vec<Vec<u8>> = (0..8)
+        .map(|seed| v1_bytes(&arb_run_state(seed).params))
+        .collect();
     // Claims 2^32-1 parameters and a giant tensor on a tiny stream.
     let mut huge = V1_MAGIC.to_vec();
     huge.extend_from_slice(&u32::MAX.to_le_bytes());
@@ -165,16 +169,24 @@ fn v1_checkpoints_are_rejected_with_typed_error() {
     let target = vec![Parameter::new("layer0.weight", Tensor::zeros([1]))];
     for (i, bytes) in inputs.iter().enumerate() {
         match read_run_state(Cursor::new(bytes)) {
-            Err(CheckpointError::Corrupt(m)) => assert!(m.contains("bad checkpoint magic"), "input {i}: {m}"),
+            Err(CheckpointError::Corrupt(m)) => {
+                assert!(m.contains("bad checkpoint magic"), "input {i}: {m}")
+            }
             other => panic!("input {i}: read_run_state returned {other:?}"),
         }
         let err = read_checkpoint(Cursor::new(bytes)).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "input {i}");
-        assert!(err.to_string().contains("bad checkpoint magic"), "input {i}: {err}");
+        assert!(
+            err.to_string().contains("bad checkpoint magic"),
+            "input {i}: {err}"
+        );
         std::fs::write(&path, bytes).unwrap();
         let err = load_parameters(&path, &target).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "input {i}");
-        assert!(err.to_string().contains("bad checkpoint magic"), "input {i}: {err}");
+        assert!(
+            err.to_string().contains("bad checkpoint magic"),
+            "input {i}: {err}"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -192,7 +204,11 @@ fn restoring_schedule_below_floor_clamps_to_floor() {
     };
     let mut sched = cts_nn::TemperatureSchedule::new(5.0, below_floor.factor, below_floor.min);
     sched.restore(below_floor.tau);
-    assert_eq!(sched.tau(), below_floor.min, "resume must clamp up to the floor");
+    assert_eq!(
+        sched.tau(),
+        below_floor.min,
+        "resume must clamp up to the floor"
+    );
     // Annealing from the clamped state stays at the floor, exactly like a
     // fresh schedule that reached it.
     sched.step();

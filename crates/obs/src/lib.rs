@@ -139,9 +139,8 @@ impl Timer {
     /// Nanoseconds since the timer started, or `None` when metrics were
     /// off at start time.
     pub fn elapsed_ns(&self) -> Option<u64> {
-        self.start.map(|s| {
-            u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        })
+        self.start
+            .map(|s| u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX))
     }
 }
 
@@ -156,7 +155,9 @@ pub struct Stopwatch {
 impl Stopwatch {
     /// Start timing now.
     pub fn start() -> Self {
-        Self { start: Instant::now() }
+        Self {
+            start: Instant::now(),
+        }
     }
 
     /// Seconds elapsed since [`Stopwatch::start`].
@@ -510,7 +511,10 @@ pub fn emit_epoch_rows(epoch: u64) {
                 ("backwards", Value::U64(t.backwards)),
                 ("nodes", Value::U64(t.nodes)),
                 ("peak_nodes", Value::U64(t.peak_nodes)),
-                ("peak_activation_scalars", Value::U64(t.peak_activation_scalars)),
+                (
+                    "peak_activation_scalars",
+                    Value::U64(t.peak_activation_scalars),
+                ),
                 ("peak_grad_scalars", Value::U64(t.peak_grad_scalars)),
             ],
         );

@@ -60,7 +60,10 @@ pub struct Event {
 /// Parse one run-log line into an [`Event`]. Returns `None` for blank,
 /// torn, or non-conforming lines.
 pub fn parse_line(line: &str) -> Option<Event> {
-    let mut p = Parser { s: line.as_bytes(), i: 0 };
+    let mut p = Parser {
+        s: line.as_bytes(),
+        i: 0,
+    };
     p.skip_ws();
     p.require(b'{')?;
     let mut fields = BTreeMap::new();
@@ -91,7 +94,10 @@ pub fn parse_line(line: &str) -> Option<Event> {
     if p.i != p.s.len() {
         return None;
     }
-    Some(Event { event: event?, fields })
+    Some(Event {
+        event: event?,
+        fields,
+    })
 }
 
 struct Parser<'a> {
@@ -143,7 +149,8 @@ impl Parser<'_> {
                         b't' => out.push('\t'),
                         b'u' => {
                             let hex = self.s.get(self.i + 1..self.i + 5)?;
-                            let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
+                            let code =
+                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
                             out.push(char::from_u32(code)?);
                             self.i += 4;
                         }
@@ -658,11 +665,20 @@ mod tests {
         .unwrap();
         assert_eq!(ev.event, "epoch");
         assert_eq!(ev.fields.get("epoch"), Some(&Field::Num(2.0)));
-        assert_eq!(ev.fields.get("kind"), Some(&Field::Str("joint_search".into())));
-        assert!(parse_line("{\"event\":\"x\"").is_none(), "torn line rejected");
+        assert_eq!(
+            ev.fields.get("kind"),
+            Some(&Field::Str("joint_search".into()))
+        );
+        assert!(
+            parse_line("{\"event\":\"x\"").is_none(),
+            "torn line rejected"
+        );
         assert!(parse_line("").is_none());
         let esc = parse_line(r#"{"event":"warn","msg":"a \"q\"\nline A"}"#).unwrap();
-        assert_eq!(esc.fields.get("msg"), Some(&Field::Str("a \"q\"\nline A".into())));
+        assert_eq!(
+            esc.fields.get("msg"),
+            Some(&Field::Str("a \"q\"\nline A".into()))
+        );
         let nul = parse_line(r#"{"event":"epoch","tau":null,"ok":true,"bad":false}"#).unwrap();
         assert_eq!(nul.fields.get("tau"), Some(&Field::Null));
         assert_eq!(nul.fields.get("ok"), Some(&Field::Bool(true)));
@@ -717,7 +733,9 @@ mod tests {
         assert!(json.contains("\"simd_calls\": 18"));
         assert!(json.contains("\"op\": \"regime.sensor_dropout\", \"mae\": 2, \"rmse\": 3"));
         assert!(json.contains("\"tau_last\": 4"));
-        assert!(json.contains("\"host\": {\"available_parallelism\": 8, \"simd_detected\": \"avx2\""));
+        assert!(
+            json.contains("\"host\": {\"available_parallelism\": 8, \"simd_detected\": \"avx2\"")
+        );
         assert!(json.starts_with("{\n"));
     }
 }

@@ -181,7 +181,10 @@ mod tests {
         assert_eq!(s.canary_fail, 1);
         assert_eq!(s.degraded_tape, 0);
         let rows = rows();
-        assert_eq!(rows.iter().find(|(k, _)| *k == "submitted"), Some(&("submitted", 2)));
+        assert_eq!(
+            rows.iter().find(|(k, _)| *k == "submitted"),
+            Some(&("submitted", 2))
+        );
         reset();
         assert_eq!(snapshot(), ServeCounters::default());
     }

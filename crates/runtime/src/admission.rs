@@ -163,7 +163,13 @@ mod tests {
         let mut x = Tensor::from_vec(
             [2, 2, 3, 2],
             (0..24)
-                .map(|i| if i >= 12 && i % 2 == 0 { 0.0 } else { 1.0 + i as f32 })
+                .map(|i| {
+                    if i >= 12 && i % 2 == 0 {
+                        0.0
+                    } else {
+                        1.0 + i as f32
+                    }
+                })
                 .collect(),
         );
         let err = policy.admit(&mut x, WANT).unwrap_err();

@@ -145,12 +145,15 @@ impl MicroBatcher {
             self.plan.input_len(),
             self.plan.features(),
         ];
-        let report = self.admission.admit(&mut x, want).inspect_err(|e| match e {
-            ServeError::BadShape { .. } => counters::record_rejected_shape(),
-            ServeError::NonFinite { .. } => counters::record_rejected_non_finite(),
-            ServeError::TooMissing { .. } => counters::record_rejected_missing(),
-            _ => {}
-        })?;
+        let report = self
+            .admission
+            .admit(&mut x, want)
+            .inspect_err(|e| match e {
+                ServeError::BadShape { .. } => counters::record_rejected_shape(),
+                ServeError::NonFinite { .. } => counters::record_rejected_non_finite(),
+                ServeError::TooMissing { .. } => counters::record_rejected_missing(),
+                _ => {}
+            })?;
         if report.masked > 0 {
             counters::record_masked_window();
         }

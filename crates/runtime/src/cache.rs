@@ -303,7 +303,10 @@ mod tests {
         let (ka, kb) = (ForecastCache::key(&a), ForecastCache::key(&b));
         cache.insert(ka.clone(), &forecast(1.0), 0);
         assert!(cache.lookup(&kb, 0).is_none(), "-0.0 aliased 0.0");
-        assert!(cache.lookup(&ka, 0).is_some(), "NaN window did not match itself");
+        assert!(
+            cache.lookup(&ka, 0).is_some(),
+            "NaN window did not match itself"
+        );
     }
 
     #[test]

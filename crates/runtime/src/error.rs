@@ -122,10 +122,9 @@ impl fmt::Display for ServeError {
                 f,
                 "plan execution failed after {attempts} attempts: {cause}"
             ),
-            ServeError::PoisonedOutput { attempts } => write!(
-                f,
-                "output stayed non-finite through {attempts} attempts"
-            ),
+            ServeError::PoisonedOutput { attempts } => {
+                write!(f, "output stayed non-finite through {attempts} attempts")
+            }
             ServeError::CanaryRejected { id, cause } => {
                 write!(f, "plan '{id}' rejected by canary gate: {cause}")
             }
@@ -136,7 +135,10 @@ impl fmt::Display for ServeError {
                 write!(f, "serving shard {shard} is unreachable: {cause}")
             }
             ServeError::FrontClosed => {
-                write!(f, "serving front-end reply channel closed: all workers exited")
+                write!(
+                    f,
+                    "serving front-end reply channel closed: all workers exited"
+                )
             }
         }
     }
@@ -150,8 +152,14 @@ mod tests {
 
     #[test]
     fn display_carries_operator_numbers() {
-        let e = ServeError::TooMissing { frac: 0.5, cap: 0.2 };
-        assert_eq!(e.to_string(), "request is 50.0% missing, above the 20.0% admission cap");
+        let e = ServeError::TooMissing {
+            frac: 0.5,
+            cap: 0.2,
+        };
+        assert_eq!(
+            e.to_string(),
+            "request is 50.0% missing, above the 20.0% admission cap"
+        );
         let e = ServeError::BadShape {
             got: vec![1, 2, 3],
             want: [3, 4, 2],

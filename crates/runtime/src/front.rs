@@ -207,7 +207,13 @@ impl Worker {
             }
             match &m.canary {
                 Some(c) => {
-                    registry.admit(m.id.clone(), Rc::clone(&m.plan), &c.probe, &c.reference, c.tol)?;
+                    registry.admit(
+                        m.id.clone(),
+                        Rc::clone(&m.plan),
+                        &c.probe,
+                        &c.reference,
+                        c.tol,
+                    )?;
                 }
                 None => {
                     registry.insert(m.id.clone(), Rc::clone(&m.plan));
@@ -613,10 +619,11 @@ impl ServeFront {
     /// they are returned as that ticket's `Err` entry.
     pub fn flush(&mut self) -> Result<Vec<TicketAnswer>, ServeError> {
         for (shard, tx) in self.to_shard.iter().enumerate() {
-            tx.send(WorkerMsg::Flush).map_err(|_| ServeError::ShardDown {
-                shard,
-                cause: "request channel disconnected".into(),
-            })?;
+            tx.send(WorkerMsg::Flush)
+                .map_err(|_| ServeError::ShardDown {
+                    shard,
+                    cause: "request channel disconnected".into(),
+                })?;
         }
         let mut answers = Vec::new();
         let mut done = 0;

@@ -139,8 +139,14 @@ impl Step {
     fn site(&self) -> String {
         match self {
             Step::Op { block, edge, .. } => format!("block{block}.e{edge}"),
-            Step::Add { block, merge: false, .. } => format!("block{block} residual"),
-            Step::Add { block, merge: true, .. } => format!("merge block{block}"),
+            Step::Add {
+                block,
+                merge: false,
+                ..
+            } => format!("block{block} residual"),
+            Step::Add {
+                block, merge: true, ..
+            } => format!("merge block{block}"),
         }
     }
 }
@@ -206,15 +212,12 @@ impl ExecPlan {
                 spec.d_model
             )));
         }
-        let flat_width = spec
-            .input_len
-            .checked_mul(spec.d_model)
-            .ok_or_else(|| {
-                PlanError::Invalid(format!(
-                    "input_len {} × d_model {} overflows the flattened head width",
-                    spec.input_len, spec.d_model
-                ))
-            })?;
+        let flat_width = spec.input_len.checked_mul(spec.d_model).ok_or_else(|| {
+            PlanError::Invalid(format!(
+                "input_len {} × d_model {} overflows the flattened head width",
+                spec.input_len, spec.d_model
+            ))
+        })?;
         if spec.output.d_in() != flat_width {
             return Err(PlanError::Invalid(format!(
                 "output layer reads {} features, backbone produces {flat_width}",
@@ -243,7 +246,10 @@ impl ExecPlan {
         let mut block_out_slots = Vec::with_capacity(spec.blocks.len());
         for (i, block) in spec.blocks.iter().enumerate() {
             if block.m < 2 {
-                return Err(PlanError::Invalid(format!("block {i}: m = {} < 2", block.m)));
+                return Err(PlanError::Invalid(format!(
+                    "block {i}: m = {} < 2",
+                    block.m
+                )));
             }
             let src_idx = spec.backbone[i];
             if src_idx >= source_slots.len() {
@@ -473,7 +479,8 @@ impl ExecPlan {
                 } => {
                     // invariant: compile emits steps in topological order, so
                     // the source slot of every step is already filled.
-                    let y = apply(op.as_ref(), slots[*src].as_ref().expect("topological order"), &self.ctx);
+                    let input = slots[*src].as_ref().expect("topological order");
+                    let y = apply(op.as_ref(), input, &self.ctx);
                     if *accumulate {
                         // invariant: accumulate is only set after a first
                         // non-accumulating write to the same slot.
@@ -495,7 +502,9 @@ impl ExecPlan {
             done(Stage::Step(step));
         }
         // invariant: merged_slot is the last slot the step list writes.
-        let merged = slots[self.merged_slot].as_ref().expect("program writes merged slot");
+        let merged = slots[self.merged_slot]
+            .as_ref()
+            .expect("program writes merged slot");
         let y = project(
             be,
             &self.output,
@@ -519,26 +528,61 @@ impl ExecPlan {
         let x = be.input(&[batch, self.nodes, self.input_len, self.features]);
         let mut slots: Vec<Option<Priced>> = (0..self.slot_shapes.len()).map(|_| None).collect();
         let mut costs = Vec::with_capacity(self.steps.len().saturating_add(2));
-        let apply = |op: &dyn StOperator, x: &Priced, ctx: &GraphContext| op.forward_price(&be, x, ctx);
+        let apply =
+            |op: &dyn StOperator, x: &Priced, ctx: &GraphContext| op.forward_price(&be, x, ctx);
         self.exec(&be, &x, &mut slots, apply, |stage| {
             let (site, kind, srcs, dst, new_slot, params) = match stage {
-                Stage::Embed => ("embed".into(), None, vec![], 0, true, self.embed.parameters()),
-                Stage::Step(step @ Step::Op { op, src, dst, accumulate, .. }) => {
-                    (step.site(), Some(op.kind()), vec![*src], *dst, !accumulate, op.parameters())
-                }
+                Stage::Embed => (
+                    "embed".into(),
+                    None,
+                    vec![],
+                    0,
+                    true,
+                    self.embed.parameters(),
+                ),
+                Stage::Step(
+                    step @ Step::Op {
+                        op,
+                        src,
+                        dst,
+                        accumulate,
+                        ..
+                    },
+                ) => (
+                    step.site(),
+                    Some(op.kind()),
+                    vec![*src],
+                    *dst,
+                    !accumulate,
+                    op.parameters(),
+                ),
                 Stage::Step(step @ Step::Add { a, b, dst, .. }) => {
                     (step.site(), None, vec![*a, *b], *dst, true, Vec::new())
                 }
                 Stage::Head => {
                     let m = self.merged_slot;
-                    ("output head".into(), None, vec![m], m, false, self.output.parameters())
+                    (
+                        "output head".into(),
+                        None,
+                        vec![m],
+                        m,
+                        false,
+                        self.output.parameters(),
+                    )
                 }
             };
             let cost = OpCost {
                 param_count: count_parameters(&params) as u64,
                 ..be.take()
             };
-            costs.push(StepCost { site, kind, cost, srcs, dst, new_slot });
+            costs.push(StepCost {
+                site,
+                kind,
+                cost,
+                srcs,
+                dst,
+                new_slot,
+            });
         });
         costs
     }
@@ -598,7 +642,8 @@ mod tests {
         let (n, t, f) = (3, 5, 2);
         let ctx = Rc::new(GraphContext::from_graph(&SensorGraph::identity(n), 2));
         let op: Rc<dyn StOperator> = Rc::from(build_operator(rng, kind, "op", d, 2, false));
-        let id: Rc<dyn StOperator> = Rc::from(build_operator(rng, OpKind::Identity, "id", d, 2, false));
+        let id: Rc<dyn StOperator> =
+            Rc::from(build_operator(rng, OpKind::Identity, "id", d, 2, false));
         PlanSpec {
             embed: Rc::new(Linear::new(rng, "embed", f, d, true)),
             output: Rc::new(Linear::new(rng, "output", t * d, 6, true)),
@@ -665,10 +710,7 @@ mod tests {
             nan_output_at_run: Some(1),
             ..fault::FaultPlan::default()
         });
-        assert!(matches!(
-            plan.try_run(&x),
-            Err(ServeError::PlanExec { .. })
-        ));
+        assert!(matches!(plan.try_run(&x), Err(ServeError::PlanExec { .. })));
         let poisoned = plan.try_run(&x).unwrap();
         assert!(poisoned.data()[0].is_nan(), "output not poisoned");
         let clean = plan.try_run(&x).unwrap();
@@ -701,7 +743,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(4);
         let mut spec = tiny_spec(&mut rng, OpKind::Gdcc);
         // An operator built for a different width than the plan's d_model.
-        let wrong: Rc<dyn StOperator> = Rc::from(build_operator(&mut rng, OpKind::Gdcc, "w", 8, 2, false));
+        let wrong: Rc<dyn StOperator> =
+            Rc::from(build_operator(&mut rng, OpKind::Gdcc, "w", 8, 2, false));
         spec.blocks[0].edges[0].2 = wrong;
         // The shape rule checks the declared kind against the plan width; a
         // width-8 GDCC inside a width-4 plan still infers fine (kind-level
@@ -764,7 +807,11 @@ mod tests {
             let want = plan.static_cost(batch);
             assert_eq!(want.flops, got.flops, "batch {batch}: flops");
             assert_eq!(want.bytes_read, got.bytes_read(), "batch {batch}: reads");
-            assert_eq!(want.bytes_written, got.bytes_written(), "batch {batch}: writes");
+            assert_eq!(
+                want.bytes_written,
+                got.bytes_written(),
+                "batch {batch}: writes"
+            );
             assert_eq!(want.kernel_calls, got.kernel_calls, "batch {batch}: calls");
             assert!(want.dense_flops > 0 && want.dense_flops <= want.flops);
             assert!(want.param_count > 0);
@@ -779,6 +826,10 @@ mod tests {
         arena::reset_stats();
         let x = init::uniform(&mut rng, [2, 3, 5, 2], -1.0, 1.0);
         let _ = plan.try_run(&x).unwrap();
-        assert_eq!(arena::stats().misses, 0, "steady-state run hit the allocator");
+        assert_eq!(
+            arena::stats().misses,
+            0,
+            "steady-state run hit the allocator"
+        );
     }
 }

@@ -438,7 +438,9 @@ fn main() -> std::io::Result<()> {
         .iter()
         .map(|(k, v)| format!("\"{k}\": {v}"))
         .collect();
-    let par = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let par = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     let cfg = SearchConfig {
         m: 3,
         b: 2,

@@ -1529,7 +1529,11 @@ mod tests {
             vs.extend([t.next_down(), t, t.next_up()]);
         }
         vs.extend((0..=hi.to_bits()).step_by(997).map(f32::from_bits));
-        vs.extend(((-0.0f32).to_bits()..=lo.to_bits()).step_by(997).map(f32::from_bits));
+        vs.extend(
+            ((-0.0f32).to_bits()..=lo.to_bits())
+                .step_by(997)
+                .map(f32::from_bits),
+        );
         for v in vs {
             assert_eq!(round_ties_even_small(v), v.round_ties_even(), "v = {v:e}");
         }

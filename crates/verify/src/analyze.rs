@@ -64,7 +64,10 @@ fn check_structure(report: &mut VerifyReport, bi: usize, block: &BlockSpec) -> b
         report.error(
             FindingKind::MalformedBlock,
             format!("block{bi}"),
-            format!("block{bi} has m = {} latent nodes; at least 2 (input and output) are required", block.m),
+            format!(
+                "block{bi} has m = {} latent nodes; at least 2 (input and output) are required",
+                block.m
+            ),
         );
         return false;
     }
@@ -202,9 +205,8 @@ fn shape_pass(report: &mut VerifyReport, spec: &ArchSpec, block_ok: &[bool]) {
     let Some(merged) = merged else { return };
     // Round-trip: the output head flattens [B, N, T, D] → [B, N, T·D] and
     // expects T == input_len, D == d_model (and N == the graph's).
-    let mut ok = merged.len() == 4
-        && merged[2].is_const(dims.input_len)
-        && merged[3].is_const(dims.d_model);
+    let mut ok =
+        merged.len() == 4 && merged[2].is_const(dims.input_len) && merged[3].is_const(dims.d_model);
     if let (true, Some(n)) = (ok, dims.num_nodes) {
         ok = merged[1].is_const(n);
     }
@@ -392,7 +394,11 @@ mod tests {
     }
 
     fn arch(blocks: Vec<BlockSpec>, backbone: Vec<usize>) -> ArchSpec {
-        ArchSpec { dims: dims(), blocks, backbone }
+        ArchSpec {
+            dims: dims(),
+            blocks,
+            backbone,
+        }
     }
 
     #[test]
@@ -475,9 +481,6 @@ mod tests {
         spec.dims.num_nodes = None;
         let report = validate_genotype(&spec);
         assert!(report.is_ok(), "{:?}", report.findings);
-        assert_eq!(
-            format_shape(&report.merged_shape.unwrap()),
-            "[B, N, 12, 8]"
-        );
+        assert_eq!(format_shape(&report.merged_shape.unwrap()), "[B, N, 12, 8]");
     }
 }

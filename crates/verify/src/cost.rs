@@ -192,7 +192,8 @@ impl LatencyModel {
         let light = cost.flops.saturating_sub(cost.dense_flops) as f64;
         let calls = cost.kernel_calls as f64;
         // f64 ns model, not buffer-size arithmetic
-        dense * self.dense_ns_per_flop + light * self.light_ns_per_flop + calls * self.dispatch_ns // f64
+        let flops_ns = dense * self.dense_ns_per_flop + light * self.light_ns_per_flop; // f64
+        flops_ns + calls * self.dispatch_ns // f64
     }
 }
 

@@ -80,7 +80,11 @@ impl fmt::Display for Finding {
             Severity::Error => "error",
             Severity::Warning => "warning",
         };
-        write!(f, "[{sev}] {:?} at {}: {}", self.kind, self.site, self.message)
+        write!(
+            f,
+            "[{sev}] {:?} at {}: {}",
+            self.kind, self.site, self.message
+        )
     }
 }
 
@@ -119,7 +123,12 @@ impl VerifyReport {
     }
 
     /// Record an error-severity finding.
-    pub fn error(&mut self, kind: FindingKind, site: impl Into<String>, message: impl Into<String>) {
+    pub fn error(
+        &mut self,
+        kind: FindingKind,
+        site: impl Into<String>,
+        message: impl Into<String>,
+    ) {
         self.findings.push(Finding {
             kind,
             severity: Severity::Error,
@@ -128,7 +137,12 @@ impl VerifyReport {
         });
     }
 
-    pub(crate) fn warning(&mut self, kind: FindingKind, site: impl Into<String>, message: impl Into<String>) {
+    pub(crate) fn warning(
+        &mut self,
+        kind: FindingKind,
+        site: impl Into<String>,
+        message: impl Into<String>,
+    ) {
         self.findings.push(Finding {
             kind,
             severity: Severity::Warning,

@@ -33,7 +33,11 @@ fn healthy_block() -> BlockSpec {
 }
 
 fn arch(blocks: Vec<BlockSpec>, backbone: Vec<usize>) -> ArchSpec {
-    ArchSpec { dims: dims(), blocks, backbone }
+    ArchSpec {
+        dims: dims(),
+        blocks,
+        backbone,
+    }
 }
 
 fn assert_rejected(spec: &ArchSpec, kind: FindingKind, site_fragment: &str, msg_fragment: &str) {
@@ -155,7 +159,10 @@ fn backward_edge_rejected() {
 // Defect class 6: degenerate block — fewer than two latent nodes.
 #[test]
 fn single_node_block_rejected() {
-    let block = BlockSpec { m: 1, edges: vec![] };
+    let block = BlockSpec {
+        m: 1,
+        edges: vec![],
+    };
     assert_rejected(
         &arch(vec![block], vec![0]),
         FindingKind::MalformedBlock,
@@ -179,7 +186,10 @@ fn backbone_length_mismatch_rejected() {
 // rank-3 tensor instead of [B, N, T, D].
 #[test]
 fn rank_error_rejected() {
-    let ctx = ShapeCtx { width: 8, graph_nodes: Some(5) };
+    let ctx = ShapeCtx {
+        width: 8,
+        graph_nodes: Some(5),
+    };
     let input = vec![SymDim::Sym("B"), SymDim::Const(5), SymDim::Const(8)];
     let report = validate_block(0, &healthy_block(), &input, &ctx);
     assert!(!report.is_ok());
@@ -195,7 +205,10 @@ fn rank_error_rejected() {
 // channel width than the operators were built for.
 #[test]
 fn channel_mismatch_rejected() {
-    let ctx = ShapeCtx { width: 8, graph_nodes: Some(5) };
+    let ctx = ShapeCtx {
+        width: 8,
+        graph_nodes: Some(5),
+    };
     let input = vec![
         SymDim::Sym("B"),
         SymDim::Const(5),
@@ -216,7 +229,10 @@ fn channel_mismatch_rejected() {
 // dim that is not the sensor graph's.
 #[test]
 fn node_count_mismatch_rejected() {
-    let ctx = ShapeCtx { width: 8, graph_nodes: Some(5) };
+    let ctx = ShapeCtx {
+        width: 8,
+        graph_nodes: Some(5),
+    };
     let input = vec![
         SymDim::Sym("B"),
         SymDim::Const(7),

@@ -25,20 +25,29 @@ fn main() {
     let windows = build_windows(&data, 12, 24);
 
     // LSTNet: no explicit spatial modelling.
-    let lstnet = LstNet::new(&BaselineConfig::default(), &spec, &data.graph, &windows.scaler);
+    let lstnet = LstNet::new(
+        &BaselineConfig::default(),
+        &spec,
+        &data.graph,
+        &windows.scaler,
+    );
     let cfg = TrainConfig {
         epochs: 10,
         loss: LossKind::Mse,
         ..TrainConfig::default()
     };
-    let report = train_and_evaluate(&lstnet, &spec, &windows, &cfg, 4).expect("LSTNet training failed");
+    let report =
+        train_and_evaluate(&lstnet, &spec, &windows, &cfg, 4).expect("LSTNet training failed");
     println!(
         "LSTNet : RRSE {:.4}  CORR {:.4}",
         report.overall.rrse, report.overall.corr
     );
 
     // AutoCTS with an adaptive adjacency learned from the series alone.
-    let auto = AutoCts::new(SearchConfig { epochs: 2, ..SearchConfig::default() });
+    let auto = AutoCts::new(SearchConfig {
+        epochs: 2,
+        ..SearchConfig::default()
+    });
     let outcome = auto.search(&spec, &data.graph, &windows);
     let report = auto.evaluate(&outcome.genotype, &spec, &data.graph, &windows, 8);
     println!(

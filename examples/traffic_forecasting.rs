@@ -23,17 +23,26 @@ fn main() {
 
     let train_cfg = TrainConfig {
         epochs: 10,
-        loss: LossKind::MaskedMae { null_value: Some(0.0) },
+        loss: LossKind::MaskedMae {
+            null_value: Some(0.0),
+        },
         ..TrainConfig::default()
     };
     let bcfg = BaselineConfig::default();
 
-    println!("\n{:<16} {:>8} {:>8} {:>8}", "model", "MAE", "RMSE", "MAPE%");
+    println!(
+        "\n{:<16} {:>8} {:>8} {:>8}",
+        "model", "MAE", "RMSE", "MAPE%"
+    );
     for (name, model) in [
         (
             "Graph WaveNet",
-            Box::new(GraphWaveNet::new(&bcfg, &spec, &data.graph, &windows.scaler))
-                as Box<dyn Forecaster>,
+            Box::new(GraphWaveNet::new(
+                &bcfg,
+                &spec,
+                &data.graph,
+                &windows.scaler,
+            )) as Box<dyn Forecaster>,
         ),
         (
             "MTGNN",
@@ -51,7 +60,10 @@ fn main() {
         );
     }
 
-    let auto = AutoCts::new(SearchConfig { epochs: 3, ..SearchConfig::default() });
+    let auto = AutoCts::new(SearchConfig {
+        epochs: 3,
+        ..SearchConfig::default()
+    });
     let outcome = auto.search(&spec, &data.graph, &windows);
     let report = auto.evaluate(&outcome.genotype, &spec, &data.graph, &windows, 10);
     println!(
@@ -62,6 +74,9 @@ fn main() {
         report.overall.mape * 100.0,
         outcome.stats.secs
     );
-    println!("\nAutoCTS backbone topology: {:?}", outcome.genotype.backbone);
+    println!(
+        "\nAutoCTS backbone topology: {:?}",
+        outcome.genotype.backbone
+    );
     println!("operator usage: {:?}", outcome.genotype.op_histogram());
 }

@@ -10,7 +10,10 @@ use autocts::{AutoCts, Genotype, SearchConfig};
 use cts_data::{build_windows, generate, DatasetSpec};
 
 fn main() {
-    let cfg = SearchConfig { epochs: 2, ..SearchConfig::default() };
+    let cfg = SearchConfig {
+        epochs: 2,
+        ..SearchConfig::default()
+    };
     let auto = AutoCts::new(cfg);
 
     // 1. search on PEMS03-like data (the paper's donor dataset)

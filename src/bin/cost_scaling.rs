@@ -77,7 +77,10 @@ fn blown(report: &VerifyReport) -> String {
         } else {
             "latency".to_string()
         };
-        if !blown.iter().any(|b| b.split(" (").next() == label.split(" (").next()) {
+        if !blown
+            .iter()
+            .any(|b| b.split(" (").next() == label.split(" (").next())
+        {
             blown.push(label);
         }
     }
@@ -139,7 +142,9 @@ fn main() -> ExitCode {
     }
 
     if failures == 0 {
-        println!("OK: every family priced at every graph size, including 1000 nodes, in pure analysis.");
+        println!(
+            "OK: every family priced at every graph size, including 1000 nodes, in pure analysis."
+        );
         ExitCode::SUCCESS
     } else {
         eprintln!("{failures} architectures refused by the cost model");

@@ -124,7 +124,13 @@ fn main() -> ExitCode {
                         }
                         None
                     };
-                    table.push(table_row(&genotype, backbone, &report, cost.as_ref(), &latency));
+                    table.push(table_row(
+                        &genotype,
+                        backbone,
+                        &report,
+                        cost.as_ref(),
+                        &latency,
+                    ));
                     reports.push((genotype, report, cost));
                 }
                 let (genotype, report, cost) = &reports[1]; // chain backbone
@@ -132,7 +138,14 @@ fn main() -> ExitCode {
                 if report.is_ok() {
                     smoked += 1;
                     match smoke_candidate(
-                        &cfg, genotype, &spec, &data, &train_batches, &windows.scaler, report, seed,
+                        &cfg,
+                        genotype,
+                        &spec,
+                        &data,
+                        &train_batches,
+                        &windows.scaler,
+                        report,
+                        seed,
                     ) {
                         Err(msg) => inconsistencies.push(format!("{}: {msg}", genotype.to_text())),
                         Ok(Some(measured_ns)) => {
@@ -153,12 +166,22 @@ fn main() -> ExitCode {
                         Ok(None) => {}
                     }
                 } else if report.errors().all(|f| {
-                    matches!(f.kind, FindingKind::StarvedParam | FindingKind::AllZeroInput)
+                    matches!(
+                        f.kind,
+                        FindingKind::StarvedParam | FindingKind::AllZeroInput
+                    )
                 }) {
                     // The model is still buildable: prove the rejection.
                     rejected_proven += 1;
                     if let Err(msg) = smoke_candidate(
-                        &cfg, genotype, &spec, &data, &train_batches, &windows.scaler, report, seed,
+                        &cfg,
+                        genotype,
+                        &spec,
+                        &data,
+                        &train_batches,
+                        &windows.scaler,
+                        report,
+                        seed,
                     ) {
                         inconsistencies.push(format!("{}: {msg}", genotype.to_text()));
                     }
@@ -167,8 +190,15 @@ fn main() -> ExitCode {
         }
     }
 
-    println!("verify-space: M=3 micro slots x {} compact ops x {} backbones at B={B}", ops.len(), backbones.len());
-    println!("  {:<40} {:>8} {:>10} {:>10} {:>10}", "genotype", "verdict", "MFLOPs", "peak KB", "pred us");
+    println!(
+        "verify-space: M=3 micro slots x {} compact ops x {} backbones at B={B}",
+        ops.len(),
+        backbones.len()
+    );
+    println!(
+        "  {:<40} {:>8} {:>10} {:>10} {:>10}",
+        "genotype", "verdict", "MFLOPs", "peak KB", "pred us"
+    );
     for row in &table {
         println!("  {row}");
     }
@@ -234,11 +264,11 @@ fn table_row(
             c.predicted_ns(latency) / 1e3,
         ),
         None => {
-            let verdict = report
-                .errors()
-                .next()
-                .map_or("ok", |f| kind_name(f.kind));
-            format!("{name:<40} {verdict:>8} {:>10} {:>10} {:>10}", "-", "-", "-")
+            let verdict = report.errors().next().map_or("ok", |f| kind_name(f.kind));
+            format!(
+                "{name:<40} {verdict:>8} {:>10} {:>10} {:>10}",
+                "-", "-", "-"
+            )
         }
     }
 }
@@ -265,7 +295,10 @@ fn smoke_candidate(
         let tape = Tape::new();
         let xv = tape.constant(x.clone());
         let pred = model.forward(&tape, &xv);
-        let loss = LossKind::MaskedMae { null_value: spec.null_value }.compute(&tape, &pred, y);
+        let loss = LossKind::MaskedMae {
+            null_value: spec.null_value,
+        }
+        .compute(&tape, &pred, y);
         let reachable = tape.reachable_params(&loss);
         tape.backward(&loss);
 
@@ -275,9 +308,14 @@ fn smoke_candidate(
         // Accepted candidates must also compile to a tape-free plan whose
         // forward is bit-identical to the tape forward (epsilon 0).
         if report.is_ok() {
-            match model.compiled_plan().map_err(|e| e.to_string()).and_then(
-                |plan| plan.try_run(x).map_err(|e| e.to_string()).map(|out| (plan, out)),
-            ) {
+            match model
+                .compiled_plan()
+                .map_err(|e| e.to_string())
+                .and_then(|plan| {
+                    plan.try_run(x)
+                        .map_err(|e| e.to_string())
+                        .map(|out| (plan, out))
+                }) {
                 Ok((plan, compiled)) => {
                     let tape_out = pred.value();
                     if compiled.shape() != tape_out.shape() {

@@ -4,7 +4,6 @@
 //! The re-exports below give examples a single import surface.
 #![forbid(unsafe_code)]
 
-
 pub use autocts;
 pub use cts_baselines as baselines;
 pub use cts_data as data;

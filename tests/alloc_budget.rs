@@ -70,7 +70,9 @@ fn steady_state_train_step_stays_under_alloc_budget() {
     let batches = batches_from_windows(&p.windows.train, ctx.batch);
     let (x, y) = batches[0].clone();
     let mut opt = Adam::new(model.weight_parameters(), cfg.weight_lr, cfg.weight_wd);
-    let loss_kind = LossKind::MaskedMae { null_value: Some(0.0) };
+    let loss_kind = LossKind::MaskedMae {
+        null_value: Some(0.0),
+    };
 
     let mut step = || {
         let tape = Tape::new();
@@ -126,17 +128,14 @@ fn metrics_do_not_change_training_trace() {
         let p = prepare(&ctx, &DatasetSpec::metr_la());
         let cfg = ctx.search_config();
         let mut rng = SmallRng::seed_from_u64(0);
-        let model = autocts::SupernetModel::new(
-            &mut rng,
-            &cfg,
-            &p.spec,
-            &p.data.graph,
-            &p.windows.scaler,
-        );
+        let model =
+            autocts::SupernetModel::new(&mut rng, &cfg, &p.spec, &p.data.graph, &p.windows.scaler);
         let batches = batches_from_windows(&p.windows.train, ctx.batch);
         let (x, y) = batches[0].clone();
         let mut opt = Adam::new(model.weight_parameters(), cfg.weight_lr, cfg.weight_wd);
-        let loss_kind = LossKind::MaskedMae { null_value: Some(0.0) };
+        let loss_kind = LossKind::MaskedMae {
+            null_value: Some(0.0),
+        };
         let mut bits = Vec::new();
         for _ in 0..4 {
             let tape = Tape::new();

@@ -21,7 +21,9 @@ fn train_improves(model: &dyn Forecaster, spec: &DatasetSpec, windows: &cts_data
         lr: 2e-3,
         weight_decay: 1e-4,
         clip: 5.0,
-        loss: LossKind::MaskedMae { null_value: spec.null_value },
+        loss: LossKind::MaskedMae {
+            null_value: spec.null_value,
+        },
         patience: 0,
         ..TrainConfig::default()
     };
@@ -39,35 +41,60 @@ fn train_improves(model: &dyn Forecaster, spec: &DatasetSpec, windows: &cts_data
 #[test]
 fn stgcn_trains_and_improves() {
     let (spec, data, windows) = traffic_fixture();
-    let m = Stgcn::new(&BaselineConfig::default(), &spec, &data.graph, &windows.scaler);
+    let m = Stgcn::new(
+        &BaselineConfig::default(),
+        &spec,
+        &data.graph,
+        &windows.scaler,
+    );
     train_improves(&m, &spec, &windows);
 }
 
 #[test]
 fn dcrnn_trains_and_improves() {
     let (spec, data, windows) = traffic_fixture();
-    let m = Dcrnn::new(&BaselineConfig::default(), &spec, &data.graph, &windows.scaler);
+    let m = Dcrnn::new(
+        &BaselineConfig::default(),
+        &spec,
+        &data.graph,
+        &windows.scaler,
+    );
     train_improves(&m, &spec, &windows);
 }
 
 #[test]
 fn gwnet_trains_and_improves() {
     let (spec, data, windows) = traffic_fixture();
-    let m = GraphWaveNet::new(&BaselineConfig::default(), &spec, &data.graph, &windows.scaler);
+    let m = GraphWaveNet::new(
+        &BaselineConfig::default(),
+        &spec,
+        &data.graph,
+        &windows.scaler,
+    );
     train_improves(&m, &spec, &windows);
 }
 
 #[test]
 fn agcrn_trains_and_improves() {
     let (spec, data, windows) = traffic_fixture();
-    let m = Agcrn::new(&BaselineConfig::default(), &spec, &data.graph, &windows.scaler);
+    let m = Agcrn::new(
+        &BaselineConfig::default(),
+        &spec,
+        &data.graph,
+        &windows.scaler,
+    );
     train_improves(&m, &spec, &windows);
 }
 
 #[test]
 fn mtgnn_trains_and_improves() {
     let (spec, data, windows) = traffic_fixture();
-    let m = Mtgnn::new(&BaselineConfig::default(), &spec, &data.graph, &windows.scaler);
+    let m = Mtgnn::new(
+        &BaselineConfig::default(),
+        &spec,
+        &data.graph,
+        &windows.scaler,
+    );
     train_improves(&m, &spec, &windows);
 }
 
@@ -82,9 +109,18 @@ fn lstnet_and_tpa_train_on_single_step() {
         ..TrainConfig::default()
     };
     for model in [
-        Box::new(LstNet::new(&BaselineConfig::default(), &spec, &data.graph, &windows.scaler))
-            as Box<dyn Forecaster>,
-        Box::new(TpaLstm::new(&BaselineConfig::default(), &spec, &data.graph, &windows.scaler)),
+        Box::new(LstNet::new(
+            &BaselineConfig::default(),
+            &spec,
+            &data.graph,
+            &windows.scaler,
+        )) as Box<dyn Forecaster>,
+        Box::new(TpaLstm::new(
+            &BaselineConfig::default(),
+            &spec,
+            &data.graph,
+            &windows.scaler,
+        )),
     ] {
         let report = train_and_evaluate(model.as_ref(), &spec, &windows, &cfg, 4).unwrap();
         assert!(report.overall.rrse.is_finite(), "{} RRSE", model.name());
@@ -96,7 +132,12 @@ fn lstnet_and_tpa_train_on_single_step() {
 fn models_predict_in_raw_units() {
     // outputs must be speeds (tens), not z-scores — the affine head works
     let (spec, data, windows) = traffic_fixture();
-    let m = GraphWaveNet::new(&BaselineConfig::default(), &spec, &data.graph, &windows.scaler);
+    let m = GraphWaveNet::new(
+        &BaselineConfig::default(),
+        &spec,
+        &data.graph,
+        &windows.scaler,
+    );
     let test = batches_from_windows(&windows.test, 2);
     let (pred, _) = autocts::eval::collect_predictions(&m, &test);
     assert!(

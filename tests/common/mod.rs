@@ -39,11 +39,7 @@ pub fn fixture_with(seed: u64, mid_op: OpKind) -> (Rc<DerivedModel>, Rc<ExecPlan
     };
     let block = BlockGenotype {
         m: 3,
-        edges: vec![
-            (0, 1, OpKind::Gdcc),
-            (1, 2, mid_op),
-            (0, 2, OpKind::Dgcn),
-        ],
+        edges: vec![(0, 1, OpKind::Gdcc), (1, 2, mid_op), (0, 2, OpKind::Dgcn)],
     };
     let genotype = Genotype {
         blocks: vec![block.clone(); cfg.b],

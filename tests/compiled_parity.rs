@@ -55,7 +55,12 @@ const SLOTS: [(usize, usize); 3] = [(0, 1), (1, 2), (0, 2)];
 
 /// Smoke-scale fixture: input_len 6 keeps ProbSparse's top-query
 /// selection inside the sort's no-allocation bound.
-fn fixture() -> (SearchConfig, DatasetSpec, cts_data::CtsData, cts_data::SplitWindows) {
+fn fixture() -> (
+    SearchConfig,
+    DatasetSpec,
+    cts_data::CtsData,
+    cts_data::SplitWindows,
+) {
     let spec = DatasetSpec::metr_la().scaled(0.04, 0.015);
     let data = generate(&spec, 11);
     let windows = build_windows(&data, 6, 24);
@@ -87,24 +92,42 @@ fn compiled_forward_is_bit_identical_to_tape() {
                     .map(|&(f, t)| (f, t, ops[rng.gen_range(0..ops.len())]))
                     .collect(),
             };
-            let backbone = if rng.gen_range(0..2) == 0 { vec![0, 0] } else { vec![0, 1] };
+            let backbone = if rng.gen_range(0..2) == 0 {
+                vec![0, 0]
+            } else {
+                vec![0, 1]
+            };
             let genotype = Genotype {
                 blocks: vec![block.clone(); cfg.b],
                 backbone,
             };
             let batch = rng.gen_range(1..4usize);
-            let model =
-                DerivedModel::new(&mut rng, &cfg, &genotype, &spec, &data.graph, &windows.scaler);
+            let model = DerivedModel::new(
+                &mut rng,
+                &cfg,
+                &genotype,
+                &spec,
+                &data.graph,
+                &windows.scaler,
+            );
             let batches = batches_from_windows(&windows.train, batch);
             let (x, _) = &batches[trial % batches.len()];
 
             let tape = Tape::new();
             let tape_out = model.forward(&tape, &tape.constant(x.clone())).value();
-            let plan = model.compiled_plan().expect("every structural genotype compiles");
-            let compiled = plan.try_run(x).expect("parity fixture input matches plan dims");
+            let plan = model
+                .compiled_plan()
+                .expect("every structural genotype compiles");
+            let compiled = plan
+                .try_run(x)
+                .expect("parity fixture input matches plan dims");
 
             let at = format!("{set} trial {trial} ({})", genotype.to_text());
-            assert_eq!(compiled.shape(), tape_out.shape(), "{at}: compiled shape diverged");
+            assert_eq!(
+                compiled.shape(),
+                tape_out.shape(),
+                "{at}: compiled shape diverged"
+            );
             for (i, (a, b)) in compiled.data().iter().zip(tape_out.data()).enumerate() {
                 assert_eq!(
                     a.to_bits(),
@@ -136,12 +159,21 @@ fn compiled_plan_tracks_retrained_weights() {
         blocks: vec![block.clone(); cfg.b],
         backbone: vec![0, 1],
     };
-    let model = DerivedModel::new(&mut rng, &cfg, &genotype, &spec, &data.graph, &windows.scaler);
+    let model = DerivedModel::new(
+        &mut rng,
+        &cfg,
+        &genotype,
+        &spec,
+        &data.graph,
+        &windows.scaler,
+    );
     let batches = batches_from_windows(&windows.train, 2);
     let (x, _) = &batches[0];
 
     let plan = model.compiled_plan().expect("compiles");
-    let before = plan.try_run(x).expect("parity fixture input matches plan dims");
+    let before = plan
+        .try_run(x)
+        .expect("parity fixture input matches plan dims");
 
     // Perturb a weight in place, as an optimizer step would.
     let params = model.parameters();
@@ -151,7 +183,9 @@ fn compiled_plan_tracks_retrained_weights() {
 
     let tape = Tape::new();
     let tape_out = model.forward(&tape, &tape.constant(x.clone())).value();
-    let after = plan.try_run(x).expect("parity fixture input matches plan dims");
+    let after = plan
+        .try_run(x)
+        .expect("parity fixture input matches plan dims");
     assert!(
         before.data().iter().zip(after.data()).any(|(a, b)| a != b),
         "weight perturbation did not reach the compiled plan"
@@ -183,21 +217,32 @@ fn steady_state_compiled_forward_allocates_nothing() {
         blocks: vec![block.clone(); cfg.b],
         backbone: vec![0, 1],
     };
-    let model = DerivedModel::new(&mut rng, &cfg, &genotype, &spec, &data.graph, &windows.scaler);
+    let model = DerivedModel::new(
+        &mut rng,
+        &cfg,
+        &genotype,
+        &spec,
+        &data.graph,
+        &windows.scaler,
+    );
     let batches = batches_from_windows(&windows.train, 2);
     let (x, _) = &batches[0];
 
     let plan = model.compiled_plan().expect("compiles");
     plan.prewarm(x.shape()[0]);
     for _ in 0..3 {
-        let _ = plan.try_run(x).expect("parity fixture input matches plan dims");
+        let _ = plan
+            .try_run(x)
+            .expect("parity fixture input matches plan dims");
     }
 
     cts_tensor::arena::reset_stats();
     ALLOCS.store(0, Ordering::Relaxed);
     BYTES.store(0, Ordering::Relaxed);
     ON.store(1, Ordering::Relaxed);
-    let out = plan.try_run(x).expect("parity fixture input matches plan dims");
+    let out = plan
+        .try_run(x)
+        .expect("parity fixture input matches plan dims");
     ON.store(0, Ordering::Relaxed);
     drop(out);
 

@@ -54,7 +54,12 @@ thread_local! {
 
 /// Sample genotypes over the full Table 1 set until the analyzer accepts
 /// one (a handful of draws suffices).
-fn accepted_genotype(rng: &mut SmallRng, cfg: &SearchConfig, spec: &DatasetSpec, data: &CtsData) -> Genotype {
+fn accepted_genotype(
+    rng: &mut SmallRng,
+    cfg: &SearchConfig,
+    spec: &DatasetSpec,
+    data: &CtsData,
+) -> Genotype {
     let ops = full_set();
     for _ in 0..256 {
         let block = BlockGenotype {
@@ -64,7 +69,11 @@ fn accepted_genotype(rng: &mut SmallRng, cfg: &SearchConfig, spec: &DatasetSpec,
                 .map(|&(f, t)| (f, t, ops[rng.gen_range(0..ops.len())]))
                 .collect(),
         };
-        let backbone = if rng.gen_range(0..2) == 0 { vec![0, 0] } else { vec![0, 1] };
+        let backbone = if rng.gen_range(0..2) == 0 {
+            vec![0, 0]
+        } else {
+            vec![0, 1]
+        };
         let genotype = Genotype {
             blocks: vec![block.clone(); cfg.b],
             backbone,

@@ -3,7 +3,9 @@
 //! gradient blasts through the divergence watchdog, and reject corrupt
 //! or truncated checkpoints with a typed error instead of loading them.
 
-use autocts::{joint_search, AutoCts, BlockGenotype, EvalError, Genotype, SearchConfig, SearchError};
+use autocts::{
+    joint_search, AutoCts, BlockGenotype, EvalError, Genotype, SearchConfig, SearchError,
+};
 use cts_data::{batches_from_windows, build_windows, generate, DatasetSpec, SplitWindows};
 use cts_nn::checkpoint::CheckpointError;
 use cts_nn::{fault, CheckpointConfig, TrainError};
@@ -42,8 +44,7 @@ fn killed_search_resumes_bit_identically() {
     let ckpt = temp_ckpt("resume.ckpt");
 
     // Reference: one uninterrupted run, no checkpointing.
-    let (g_ref, _, stats_ref) =
-        joint_search(&small_cfg(), &spec, &data.graph, &windows).unwrap();
+    let (g_ref, _, stats_ref) = joint_search(&small_cfg(), &spec, &data.graph, &windows).unwrap();
     assert_eq!(stats_ref.epochs.len(), 3);
     let steps_per_epoch = stats_ref.steps / 3;
     assert!(steps_per_epoch > 1, "fixture too small to kill mid-epoch");
@@ -63,8 +64,7 @@ fn killed_search_resumes_bit_identically() {
     assert!(ckpt.exists(), "no checkpoint was written before the kill");
 
     // Resume: must complete and match the reference bit-for-bit.
-    let (g_resumed, _, stats_resumed) =
-        joint_search(&cfg, &spec, &data.graph, &windows).unwrap();
+    let (g_resumed, _, stats_resumed) = joint_search(&cfg, &spec, &data.graph, &windows).unwrap();
     assert_eq!(g_resumed, g_ref, "resumed genotype differs");
     assert_eq!(stats_resumed.steps, stats_ref.steps);
     assert_eq!(stats_resumed.epochs.len(), stats_ref.epochs.len());
@@ -131,8 +131,14 @@ fn killed_retraining_resumes_bit_identically() {
         matches!(err, EvalError::Train(TrainError::Interrupted { .. })),
         "{err}"
     );
-    assert!(stage_ckpt.exists(), "no retrain-stage checkpoint was written");
-    assert!(!base_ckpt.exists(), "retraining must not write the search checkpoint path");
+    assert!(
+        stage_ckpt.exists(),
+        "no retrain-stage checkpoint was written"
+    );
+    assert!(
+        !base_ckpt.exists(),
+        "retraining must not write the search checkpoint path"
+    );
 
     // Resume: must finish and reproduce the reference metrics exactly.
     let report_resumed = auto_ck
@@ -145,7 +151,10 @@ fn killed_retraining_resumes_bit_identically() {
         report_resumed.overall.mae,
         report_ref.overall.mae
     );
-    assert_eq!(report_resumed.overall.rmse.to_bits(), report_ref.overall.rmse.to_bits());
+    assert_eq!(
+        report_resumed.overall.rmse.to_bits(),
+        report_ref.overall.rmse.to_bits()
+    );
     std::fs::remove_file(&stage_ckpt).ok();
 }
 
@@ -166,7 +175,10 @@ fn invalid_genotype_is_rejected_before_retraining() {
         }],
         backbone: vec![0],
     };
-    let auto = AutoCts::new(SearchConfig { b: 1, ..small_cfg() });
+    let auto = AutoCts::new(SearchConfig {
+        b: 1,
+        ..small_cfg()
+    });
     match auto.try_evaluate(&genotype, &spec, &data.graph, &windows, 1) {
         Err(EvalError::Rejected(e)) => {
             let msg = e.to_string();
@@ -184,8 +196,7 @@ fn search_watchdog_recovers_from_nan_gradients() {
         nan_grad_at_step: Some(3),
         ..fault::FaultPlan::default()
     });
-    let (genotype, _, stats) =
-        joint_search(&small_cfg(), &spec, &data.graph, &windows).unwrap();
+    let (genotype, _, stats) = joint_search(&small_cfg(), &spec, &data.graph, &windows).unwrap();
     fault::disarm();
     genotype.validate().unwrap();
     assert_eq!(stats.rollbacks, 1, "watchdog never rolled back");

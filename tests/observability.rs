@@ -60,7 +60,15 @@ fn metrics_are_a_pure_observer_and_the_log_summarizes() {
     // The log carries the documented row kinds...
     let text = std::fs::read_to_string(&log).unwrap();
     let _ = std::fs::remove_file(&log);
-    for kind in ["run_start", "epoch", "phase", "tape", "kernel", "arena", "run_end"] {
+    for kind in [
+        "run_start",
+        "epoch",
+        "phase",
+        "tape",
+        "kernel",
+        "arena",
+        "run_end",
+    ] {
         assert!(
             text.contains(&format!("\"event\":\"{kind}\"")),
             "run log is missing {kind:?} rows:\n{text}"
@@ -89,14 +97,22 @@ fn metrics_are_a_pure_observer_and_the_log_summarizes() {
         sum.kernels
     );
     assert!(
-        sum.phases.iter().any(|p| p.name == "forward" && p.calls > 0),
+        sum.phases
+            .iter()
+            .any(|p| p.name == "forward" && p.calls > 0),
         "phase table lost forward: {:?}",
         sum.phases
     );
-    assert!(sum.arena_hits + sum.arena_misses > 0, "arena counters empty");
+    assert!(
+        sum.arena_hits + sum.arena_misses > 0,
+        "arena counters empty"
+    );
     assert!(sum.tape_backwards > 0, "tape counters empty");
     let rendered = cts_obs::report::render_text(&sum);
-    assert!(rendered.contains("kernels"), "render_text missing kernel table");
+    assert!(
+        rendered.contains("kernels"),
+        "render_text missing kernel table"
+    );
     let bench = cts_obs::report::render_bench_json(&sum);
     assert!(bench.contains("\"rows\""), "bench json missing rows array");
 }

@@ -26,7 +26,14 @@ fn genotype_plus_checkpoint_reconstructs_model_exactly() {
     let auto = AutoCts::new(cfg.clone());
     let outcome = auto.search(&spec, &data.graph, &windows);
     let mut rng = SmallRng::seed_from_u64(99);
-    let model = DerivedModel::new(&mut rng, &cfg, &outcome.genotype, &spec, &data.graph, &windows.scaler);
+    let model = DerivedModel::new(
+        &mut rng,
+        &cfg,
+        &outcome.genotype,
+        &spec,
+        &data.graph,
+        &windows.scaler,
+    );
     let batches = batches_from_windows(&windows.train, 4);
     train_full(
         &model,
@@ -34,7 +41,9 @@ fn genotype_plus_checkpoint_reconstructs_model_exactly() {
         None,
         &TrainConfig {
             epochs: 2,
-            loss: LossKind::MaskedMae { null_value: Some(0.0) },
+            loss: LossKind::MaskedMae {
+                null_value: Some(0.0),
+            },
             ..Default::default()
         },
     )
@@ -50,7 +59,14 @@ fn genotype_plus_checkpoint_reconstructs_model_exactly() {
     // reconstruct from scratch with different random init
     let parsed = Genotype::from_text(&genotype_text).unwrap();
     let mut rng2 = SmallRng::seed_from_u64(12345);
-    let restored = DerivedModel::new(&mut rng2, &cfg, &parsed, &spec, &data.graph, &windows.scaler);
+    let restored = DerivedModel::new(
+        &mut rng2,
+        &cfg,
+        &parsed,
+        &spec,
+        &data.graph,
+        &windows.scaler,
+    );
     let n = load_parameters(&ckpt, &restored.parameters()).unwrap();
     assert_eq!(n, restored.parameters().len());
 

@@ -34,7 +34,13 @@ fn golden_run(cfg: SearchConfig) -> (String, Vec<[u32; 3]>, u64, u64) {
     let trace = stats
         .epochs
         .iter()
-        .map(|e| [e.tau.to_bits(), e.val_loss.to_bits(), e.alpha_entropy.to_bits()])
+        .map(|e| {
+            [
+                e.tau.to_bits(),
+                e.val_loss.to_bits(),
+                e.alpha_entropy.to_bits(),
+            ]
+        })
         .collect();
     (
         genotype.to_text(),
@@ -44,7 +50,8 @@ fn golden_run(cfg: SearchConfig) -> (String, Vec<[u32; 3]>, u64, u64) {
     )
 }
 
-const GENOTYPE: &str = "m=3 0-1:inf-t 1-2:inf-t 0-2:identity | m=3 0-1:inf-t 1-2:gdcc 0-2:identity @ 0,0";
+const GENOTYPE: &str =
+    "m=3 0-1:inf-t 1-2:inf-t 0-2:identity | m=3 0-1:inf-t 1-2:gdcc 0-2:identity @ 0,0";
 
 fn tiny_cfg() -> SearchConfig {
     SearchConfig {
@@ -59,8 +66,15 @@ fn tiny_cfg() -> SearchConfig {
 
 fn assert_golden(got: (String, Vec<[u32; 3]>, u64, u64), want: (&str, &[[u32; 3]], u64, u64)) {
     assert_eq!(got.0, want.0, "genotype text");
-    assert_eq!(got.1, want.1, "per-epoch trace bits (tau, val_loss, alpha_entropy)");
-    assert_eq!(got.2, want.2, "architecture parameter bit-hash: {:#018x}", got.2);
+    assert_eq!(
+        got.1, want.1,
+        "per-epoch trace bits (tau, val_loss, alpha_entropy)"
+    );
+    assert_eq!(
+        got.2, want.2,
+        "architecture parameter bit-hash: {:#018x}",
+        got.2
+    );
     assert_eq!(got.3, want.3, "weight bit-hash: {:#018x}", got.3);
 }
 
@@ -70,7 +84,10 @@ fn search_matches_golden() {
         golden_run(tiny_cfg()),
         (
             GENOTYPE,
-            &[[1084227584, 1094462481, 1071994976], [1083179008, 1093582168, 1071994974]],
+            &[
+                [1084227584, 1094462481, 1071994976],
+                [1083179008, 1093582168, 1071994974],
+            ],
             0x9c8a_d58e_346e_c925,
             0x9d76_a85d_b1cb_eaad,
         ),
@@ -87,7 +104,10 @@ fn cost_penalised_search_matches_golden() {
         got,
         (
             GENOTYPE,
-            &[[1084227584, 1094462452, 1071994976], [1083179008, 1093582138, 1071994974]],
+            &[
+                [1084227584, 1094462452, 1071994976],
+                [1083179008, 1093582138, 1071994974],
+            ],
             0xb157_c6f9_914c_b2e6,
             0x5e7f_b6ee_04e3_57a4,
         ),

@@ -140,7 +140,10 @@ fn conservation_invariant_holds_across_a_randomized_sequence() {
     assert!(snap.admitted > 0, "no request was admitted");
     assert!(snap.rejected_shape > 0, "no shape rejection fired");
     assert!(snap.rejected_missing > 0, "no missing-cap rejection fired");
-    assert!(snap.rejected_non_finite > 0, "no non-finite rejection fired");
+    assert!(
+        snap.rejected_non_finite > 0,
+        "no non-finite rejection fired"
+    );
     assert!(snap.queue_shed > 0, "the queue bound never shed");
     assert!(snap.deadline_shed > 0, "no deadline ever expired");
     assert!(snap.unknown_model > 0, "no unknown-model request fired");

@@ -60,11 +60,7 @@ fn fixture_with(seed: u64, mid_op: OpKind) -> (Rc<DerivedModel>, Rc<ExecPlan>, V
     };
     let block = BlockGenotype {
         m: 3,
-        edges: vec![
-            (0, 1, OpKind::Gdcc),
-            (1, 2, mid_op),
-            (0, 2, OpKind::Dgcn),
-        ],
+        edges: vec![(0, 1, OpKind::Gdcc), (1, 2, mid_op), (0, 2, OpKind::Dgcn)],
     };
     let genotype = Genotype {
         blocks: vec![block.clone(); cfg.b],
@@ -123,7 +119,9 @@ fn nan_output_fault_isolates_the_poisoned_request() {
     let out = batcher.flush();
     fault::disarm();
     for (i, (solo, y)) in solos.iter().zip(&out).enumerate() {
-        let y = y.as_ref().unwrap_or_else(|e| panic!("request {i} failed: {e}"));
+        let y = y
+            .as_ref()
+            .unwrap_or_else(|e| panic!("request {i} failed: {e}"));
         assert!(bitwise_eq(y, solo), "request {i} drifted from its solo run");
     }
     let snap = counters::snapshot();
@@ -157,7 +155,9 @@ fn kill_mid_flush_fails_one_group_and_spares_the_rest() {
     fault::disarm();
     assert_eq!(out.len(), 4);
     for (i, (solo, y)) in solos.iter().zip(&out).enumerate() {
-        let y = y.as_ref().unwrap_or_else(|e| panic!("request {i} failed: {e}"));
+        let y = y
+            .as_ref()
+            .unwrap_or_else(|e| panic!("request {i} failed: {e}"));
         assert!(bitwise_eq(y, solo), "request {i} drifted");
     }
     let snap = counters::snapshot();
@@ -195,7 +195,9 @@ fn retry_storm_degrades_to_tape_bitwise_then_to_typed_error() {
 
     // Without a fallback the same storm ends in a typed error, not a
     // panic.
-    let mut bare = MicroBatcher::new(Rc::clone(&plan), 4).unwrap().with_retries(1);
+    let mut bare = MicroBatcher::new(Rc::clone(&plan), 4)
+        .unwrap()
+        .with_retries(1);
     bare.submit(pool[0].clone()).unwrap();
     fault::arm(fault::FaultPlan {
         fail_next_plan_runs: 3,
@@ -225,7 +227,10 @@ fn oversize_flood_splits_and_never_exceeds_the_cap() {
     let out = batcher.flush();
     fault::disarm();
     let y = out[0].as_ref().expect("oversize request answers");
-    assert!(bitwise_eq(y, &solo), "split answer drifted from one-shot run");
+    assert!(
+        bitwise_eq(y, &solo),
+        "split answer drifted from one-shot run"
+    );
     assert!(out[1].is_ok());
     assert!(
         fault::max_batch_rows() <= 2,
@@ -264,10 +269,7 @@ fn adversarial_flood_is_all_typed_errors_and_service_survives() {
         Err(ServeError::TooMissing { .. })
     ));
     // NaN flood: masked into the sentinel… and then over the missing cap.
-    let nan_flood = Tensor::from_vec(
-        vec![1, n, t, f],
-        vec![f32::NAN; n * t * f],
-    );
+    let nan_flood = Tensor::from_vec(vec![1, n, t, f], vec![f32::NAN; n * t * f]);
     assert!(matches!(
         batcher.submit(nan_flood),
         Err(ServeError::TooMissing { .. })
@@ -341,11 +343,19 @@ fn prob_sparse_neighbors_match_the_no_fault_batch() {
 
     // Request 0 (the poisoned slice) recovered through a solo re-run.
     let y0 = out[0].as_ref().expect("poisoned request recovers");
-    assert!(bitwise_eq(y0, &solo0), "quarantined re-run drifted from solo");
+    assert!(
+        bitwise_eq(y0, &solo0),
+        "quarantined re-run drifted from solo"
+    );
     // Its neighbors kept their coalesced answers untouched by the fault.
     for (i, (base, y)) in baseline.iter().zip(&out).enumerate().skip(1) {
-        let y = y.as_ref().unwrap_or_else(|e| panic!("request {i} failed: {e}"));
-        assert!(bitwise_eq(y, base), "neighbor {i} drifted from the no-fault batch");
+        let y = y
+            .as_ref()
+            .unwrap_or_else(|e| panic!("request {i} failed: {e}"));
+        assert!(
+            bitwise_eq(y, base),
+            "neighbor {i} drifted from the no-fault batch"
+        );
     }
     let snap = counters::snapshot();
     assert_eq!(snap.quarantined, 1);
@@ -460,10 +470,18 @@ fn packer_scans_past_a_non_fitting_request_instead_of_stranding_later_ones() {
         runs, 2,
         "sizes [2, 3, 2] under cap 4 must pack into two forwards, ran {runs}"
     );
-    assert!(max_rows <= 4, "a forward ran {max_rows} rows, above the cap");
+    assert!(
+        max_rows <= 4,
+        "a forward ran {max_rows} rows, above the cap"
+    );
     for (i, (solo, y)) in solos.iter().zip(&out).enumerate() {
-        let y = y.as_ref().unwrap_or_else(|e| panic!("request {i} failed: {e}"));
-        assert!(bitwise_eq(y, solo), "request {i} drifted under skip-ahead packing");
+        let y = y
+            .as_ref()
+            .unwrap_or_else(|e| panic!("request {i} failed: {e}"));
+        assert!(
+            bitwise_eq(y, solo),
+            "request {i} drifted under skip-ahead packing"
+        );
     }
 }
 

@@ -22,9 +22,7 @@ mod common;
 use common::{bitwise_eq, fixture, tape_forward};
 use cts_nn::fault;
 use cts_obs::serve as counters;
-use cts_runtime::{
-    FrontConfig, ServeError, ServeFront, ShardCanary, ShardFactory, ShardModel,
-};
+use cts_runtime::{FrontConfig, ServeError, ServeFront, ShardCanary, ShardFactory, ShardModel};
 use cts_tensor::Tensor;
 use std::sync::{Arc, Mutex};
 
@@ -139,7 +137,10 @@ fn cache_hits_are_bit_identical_expire_past_horizon_and_evict_under_cap() {
     // Miss, then hit: the hit is bit-identical to a fresh try_run.
     front.submit_with("m", w0.clone(), None, 1).expect("submit");
     let out = front.flush().expect("flush");
-    assert!(bitwise_eq(out[0].1.as_ref().expect("first answer"), &fresh0));
+    assert!(bitwise_eq(
+        out[0].1.as_ref().expect("first answer"),
+        &fresh0
+    ));
     front.submit_with("m", w0.clone(), None, 1).expect("submit");
     let out = front.flush().expect("flush");
     assert!(
@@ -168,7 +169,11 @@ fn cache_hits_are_bit_identical_expire_past_horizon_and_evict_under_cap() {
         .submit_with("m", w1.clone(), None, 1 + q)
         .expect("submit");
     let _ = front.flush().expect("flush");
-    assert_eq!(counters::snapshot().cache_evict, 1, "byte cap did not evict");
+    assert_eq!(
+        counters::snapshot().cache_evict,
+        1,
+        "byte cap did not evict"
+    );
 }
 
 #[test]
@@ -204,9 +209,15 @@ fn requests_route_by_model_id_and_unknown_ids_get_typed_errors() {
         ["autocts-a".to_string(), "autocts-b".to_string()]
     );
     counters::reset();
-    let ta = front.submit("autocts-a", pool[0].clone()).expect("submit a");
-    let tb = front.submit("autocts-b", pool[0].clone()).expect("submit b");
-    let tg = front.submit("ghost", pool[0].clone()).expect("submit ghost");
+    let ta = front
+        .submit("autocts-a", pool[0].clone())
+        .expect("submit a");
+    let tb = front
+        .submit("autocts-b", pool[0].clone())
+        .expect("submit b");
+    let tg = front
+        .submit("ghost", pool[0].clone())
+        .expect("submit ghost");
     let out = front.flush().expect("flush");
     let answer = |t: u64| {
         &out.iter()
@@ -354,7 +365,10 @@ fn hostile_traffic_is_typed_and_the_front_survives() {
             .expect("ticket answered")
             .1
     };
-    assert!(matches!(answer(bad_shape), Err(ServeError::BadShape { .. })));
+    assert!(matches!(
+        answer(bad_shape),
+        Err(ServeError::BadShape { .. })
+    ));
     assert!(matches!(
         answer(non_finite),
         Err(ServeError::NonFinite { .. })

@@ -54,7 +54,13 @@ fn without_temperature_entropy_stays_high() {
         ..Default::default()
     };
     let (_, _, annealed) = joint_search(&base, &spec, &data.graph, &windows).unwrap();
-    let (_, _, flat) = joint_search(&base.clone().without_temperature(), &spec, &data.graph, &windows).unwrap();
+    let (_, _, flat) = joint_search(
+        &base.clone().without_temperature(),
+        &spec,
+        &data.graph,
+        &windows,
+    )
+    .unwrap();
     let gap_annealed = annealed.epochs.last().unwrap().alpha_entropy;
     let gap_flat = flat.epochs.last().unwrap().alpha_entropy;
     assert!(
