@@ -64,8 +64,6 @@ fn main() -> ExitCode {
     let train_batches = batches_from_windows(&windows.train, cfg.batch_size);
     let backbones: Vec<Vec<usize>> = vec![vec![0, 0], vec![0, 1]];
 
-    // The coefficients the search pre-flight prices with, so the 10x
-    // cross-check below tests what the pre-flight ships.
     let latency = LatencyModel::default();
     println!(
         "default latency model: dense {:.3} ns/flop, light {:.3} ns/flop, dispatch {:.0} ns",
