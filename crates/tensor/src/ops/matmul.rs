@@ -1,5 +1,11 @@
 //! Batched matrix multiplication with broadcasting over batch dimensions.
 //!
+//! A product whose right operand has no batch and whose left operand is
+//! not broadcast — a shared weight times a batch of activations, the
+//! model's commonest shape — is one matrix of `batch·m` rows: each worker
+//! runs its whole row range as one GEMM instead of one per batch element.
+//! Other batched products run one GEMM per batch element a worker touches.
+//!
 //! The inner kernel is cache-blocked with a packed-B panel: `B` tiles of at
 //! most `KC × NC` elements are copied into a dense thread-local panel that
 //! stays resident in L1/L2 while all rows of the block consume it. Batched
@@ -11,13 +17,14 @@
 //!
 //! The innermost loops are the SIMD row-block microkernel
 //! ([`crate::simd::gemm_rowblock`]): a strip of output columns for up to
-//! four output rows is held in vector accumulators while a block of `k` is
-//! streamed through, each `b` row load shared by the rows. Crucially the
+//! four output rows (eight for outputs narrower than 16 columns on AVX2)
+//! is held in vector accumulators while a block of `k` is streamed
+//! through, each `b` row load shared by the rows. Crucially the
 //! first block of `k` starts its accumulators at `+0.0` in registers and
 //! every later block loads them from the output, so each output element
 //! still sees one strictly ascending-`k` addition chain — results are
 //! bit-identical to the naive serial triple loop (`ops::reference::matmul`)
-//! for every block size, thread count, and SIMD level. That first pass
+//! for every block size, row grouping, thread count, and SIMD level. That first pass
 //! writes every output element, so the products' outputs come from
 //! [`arena::take_dirty`] and are never zero-filled first.
 //!
@@ -98,13 +105,14 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 
     let a_data = a.data();
     let b_data = b.data();
+    let runs = Runs::new(m, &batch_shape, a_batch, b_batch);
     let work = 2usize
         .saturating_mul(batch)
         .saturating_mul(m)
         .saturating_mul(n)
         .saturating_mul(k);
     // One unit = one output row; contiguous runs of rows go to each worker,
-    // grouped by batch below so B panels are packed once per row block.
+    // split into runs below so B panels are packed once per run.
     parallel::for_units(
         &parallel::kernels::MATMUL,
         &mut out,
@@ -117,15 +125,10 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
             let rows = chunk.len() / n;
             let mut done = 0;
             while done < rows {
-                let row = row0 + done;
-                let bi = row / m;
-                let i0 = row % m;
-                let take = (m - i0).min(rows - done);
-                let coords = unravel(bi, &batch_shape);
-                let a_off = ravel_broadcast(&coords, a_batch) * m * k;
-                let b_off = ravel_broadcast(&coords, b_batch) * k * n;
+                let (take, a_row, b_mat) = runs.run(row0 + done, rows - done);
+                let b_off = b_mat * k * n;
                 gemm_rows(
-                    &a_data[a_off + i0 * k..a_off + (i0 + take) * k],
+                    &a_data[a_row * k..(a_row + take) * k],
                     k,
                     &b_data[b_off..b_off + k * n],
                     &mut chunk[done * n..(done + take) * n],
@@ -143,9 +146,51 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(out_shape, out)
 }
 
-/// `out[rows × n] += a[rows × k] · b[k × n]` for one batch element, where
-/// row `i` of `a` starts at `a[i·lda]`; with `first`, `out[..] =` instead,
-/// whatever `out` held (the bits of summing into zeros).
+/// How the output rows of [`matmul`] and [`matmul_nt`] (`m` per batch
+/// element) map to operand matrices.
+struct Runs<'a> {
+    m: usize,
+    batch_shape: &'a [usize],
+    a_batch: &'a [usize],
+    b_batch: &'a [usize],
+    /// `b` has no batch and `a` is not broadcast: output row `r` reads
+    /// `a` row `r` and the one `b`, so any range of rows is one GEMM.
+    fold: bool,
+}
+
+impl<'a> Runs<'a> {
+    fn new(m: usize, batch_shape: &'a [usize], a_batch: &'a [usize], b_batch: &'a [usize]) -> Self {
+        Runs {
+            m,
+            batch_shape,
+            a_batch,
+            b_batch,
+            fold: numel(b_batch) == 1 && numel(a_batch) == numel(batch_shape),
+        }
+    }
+
+    /// The longest run of the `left` output rows from `row` that one
+    /// `gemm_rows` call can take — all of them when folded, else the rest
+    /// of `row`'s batch element: `(rows, first a row, b matrix index)`.
+    fn run(&self, row: usize, left: usize) -> (usize, usize, usize) {
+        if self.fold {
+            return (left, row, 0);
+        }
+        let (bi, i0) = (row / self.m, row % self.m);
+        let coords = unravel(bi, self.batch_shape);
+        (
+            (self.m - i0).min(left),
+            ravel_broadcast(&coords, self.a_batch) * self.m + i0,
+            ravel_broadcast(&coords, self.b_batch),
+        )
+    }
+}
+
+/// `out[rows × n] += a[rows × k] · b[k × n]` for rows sharing one `b` —
+/// one batch element's, or a worker's whole range of a shared-weight
+/// product — where row `i` of `a` starts at `a[i·lda]`; with `first`,
+/// `out[..] =` instead, whatever `out` held (the bits of summing into
+/// zeros).
 ///
 /// Small `b` matrices are streamed directly (they already fit in cache);
 /// larger ones go through the packed-panel path ([`packed_rows`]).
@@ -296,8 +341,9 @@ pub(crate) fn transpose_tile(src: &[f32], dst: &mut [f32], m: usize, n: usize) {
 ///
 /// Small B matrices (`n·k ≤ NT_FULL_CAP`) are transposed whole into a
 /// per-worker buffer — once per *distinct* B, so a shared weight broadcast
-/// over a big batch transposes exactly once per worker — and then multiply
-/// through the identical `gemm_rows` path as the forward product. Larger
+/// over a big batch transposes exactly once per worker and then multiplies
+/// the worker's whole row range in one `gemm_rows` call, as the forward
+/// product does. Larger
 /// B is transpose-packed tile by tile into the panel instead. Both orders
 /// accumulate each output element in strictly ascending `k`, so the result
 /// is bit-identical to `matmul(a, transpose_last2(b))`.
@@ -333,6 +379,7 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
 
     let a_data = a.data();
     let b_data = b.data();
+    let runs = Runs::new(m, &batch_shape, a_batch, b_batch);
     let work = 2usize
         .saturating_mul(batch)
         .saturating_mul(m)
@@ -358,14 +405,9 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
                 let mut packed_off = usize::MAX;
                 let mut done = 0;
                 while done < rows {
-                    let row = row0 + done;
-                    let bi = row / m;
-                    let i0 = row % m;
-                    let take = (m - i0).min(rows - done);
-                    let coords = unravel(bi, &batch_shape);
-                    let a_off = ravel_broadcast(&coords, a_batch) * m * k;
-                    let b_off = ravel_broadcast(&coords, b_batch) * n * k;
-                    let a_rows = &a_data[a_off + i0 * k..a_off + (i0 + take) * k];
+                    let (take, a_row, b_mat) = runs.run(row0 + done, rows - done);
+                    let b_off = b_mat * n * k;
+                    let a_rows = &a_data[a_row * k..(a_row + take) * k];
                     let out_rows = &mut chunk[done * n..(done + take) * n];
                     if full {
                         if b_off != packed_off {

@@ -406,8 +406,15 @@ macro_rules! preimage_walk {
 // GEMM row-block microkernel
 // ---------------------------------------------------------------------------
 
-/// Output rows the GEMM microkernel holds in registers at once.
+/// Output rows the GEMM microkernel holds in registers at once. The AVX2
+/// body takes twice as many for outputs narrower than 16 columns, which
+/// keep one 8-column strip per row.
 pub const MR: usize = 4;
+
+/// Rows per AVX2 block while at least this many remain of an output
+/// narrower than 16 columns: one strip per row leaves [`MR`] rows only
+/// four add chains in flight, so the block would wait on add latency.
+const MR_NARROW: usize = 2 * MR;
 
 /// Geometry of one [`gemm_rowblock`] call: `rows` rows of `a`, each `k`
 /// long at stride `lda`, times a dense row-major `b: [k × nc]`, summed
@@ -415,7 +422,8 @@ pub const MR: usize = 4;
 /// `first` pass, written over them.
 #[derive(Clone, Copy, Debug)]
 pub struct Gemm {
-    /// Output rows (any count; the bodies take [`MR`] at a time).
+    /// Output rows (any count; the bodies take [`MR`] at a time, or
+    /// `2·MR` on AVX2 when `nc < 16`).
     pub rows: usize,
     /// Reduction length: elements per `a` row, rows of `b`.
     pub k: usize,
@@ -436,7 +444,10 @@ pub struct Gemm {
 ///
 /// Rows go through the body [`MR`] at a time (the last block takes the
 /// remainder), so each `b` row load feeds `MR` rows and `MR` independent
-/// accumulator chains hide the add latency. The accumulators are loaded
+/// accumulator chains hide the add latency; on AVX2 an output narrower
+/// than 16 columns takes `2·MR` rows per block while that many remain. The AVX2 body runs the `nc % 8` tail columns as one masked
+/// 8-lane strip that loads and stores only columns below `nc`; the scalar
+/// body runs them one element at a time. The accumulators are loaded
 /// from `out`, or start at `+0.0` on a first pass, so each output element
 /// keeps one strictly ascending-`kk` addition chain across calls — the
 /// bit-exactness invariant `ops::matmul` and `ops::conv` rely on. Every
@@ -822,7 +833,7 @@ mod x86 {
     //! target feature is present; each body asserts its slice bounds
     //! before the pointer loop (`zip_rows_avx2` relies on its
     //! dispatcher's row check), so every load/store below is in bounds.
-    use super::{fold_max, gemm_tail, pinned, BinOp, Gemm, Rows, UnOp, LANES, MAX_RDIMS, MR};
+    use super::{fold_max, pinned, BinOp, Gemm, Rows, UnOp, LANES, MAX_RDIMS, MR, MR_NARROW};
     use std::arch::x86_64::*;
 
     // -- gemm ---------------------------------------------------------------
@@ -831,25 +842,32 @@ mod x86 {
     // must cover `g` (asserted by the `gemm_rowblock` dispatcher).
     #[target_feature(enable = "avx2")]
     pub unsafe fn gemm_avx2(a: &[f32], b: &[f32], out: &mut [f32], g: Gemm) {
+        let narrow = g.nc < 16;
         let mut i = 0;
         while i < g.rows {
             let (a, out) = (&a[i * g.lda..], &mut out[i * g.ldo..]);
-            match g.rows - i {
+            i += match g.rows - i {
+                left if narrow && left >= MR_NARROW => gemm_avx2_block::<MR_NARROW>(a, b, out, g),
                 1 => gemm_avx2_block::<1>(a, b, out, g),
                 2 => gemm_avx2_block::<2>(a, b, out, g),
                 3 => gemm_avx2_block::<3>(a, b, out, g),
                 _ => gemm_avx2_block::<MR>(a, b, out, g),
-            }
-            i += MR;
+            };
         }
     }
 
-    /// `R` rows: 16- then 8-column strips held in `R` (×2) accumulators
-    /// while `k` streams through, one `b` load shared by all `R` rows.
+    /// `R` rows: 16- then 8-column strips, then one masked strip for the
+    /// last `nc % 8` columns, held in `R` (×2) accumulators while `k`
+    /// streams through, one `b` load shared by all `R` rows. Returns `R`.
     // SAFETY: to call, AVX2 must be available on the host and the operands
     // must cover `R` rows of `g`.
     #[target_feature(enable = "avx2")]
-    unsafe fn gemm_avx2_block<const R: usize>(a: &[f32], b: &[f32], out: &mut [f32], g: Gemm) {
+    unsafe fn gemm_avx2_block<const R: usize>(
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        g: Gemm,
+    ) -> usize {
         let Gemm {
             k, nc, lda, ldo, ..
         } = g;
@@ -901,7 +919,37 @@ mod x86 {
             }
             j += 8;
         }
-        gemm_tail(a, b, out, g, R, j);
+        if j < nc {
+            // Lane t is live iff t < nc - j (1..=7 live lanes).
+            let mask = _mm256_cmpgt_epi32(
+                _mm256_set1_epi32((nc - j) as i32),
+                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            );
+            let mut acc = [_mm256_setzero_ps(); R];
+            if !g.first {
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    // SAFETY: the live lanes are columns j..nc of row r,
+                    // inside `out` by the assert above; masked-off lanes
+                    // are neither read nor faulted on.
+                    *acc = _mm256_maskload_ps(op.add(r * ldo + j), mask);
+                }
+            }
+            for kk in 0..k {
+                // SAFETY: the live lanes are columns j..nc of `b` row kk,
+                // inside `b` by the assert above.
+                let vb = _mm256_maskload_ps(bp.add(kk * nc + j), mask);
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let va = _mm256_set1_ps(*ap.add(r * lda + kk));
+                    *acc = _mm256_add_ps(*acc, _mm256_mul_ps(va, vb));
+                }
+            }
+            for (r, acc) in acc.iter().enumerate() {
+                // SAFETY: as for the load: only columns j..nc of row r are
+                // written, so the `ldo` padding past `nc` stays untouched.
+                _mm256_maskstore_ps(op.add(r * ldo + j), mask, *acc);
+            }
+        }
+        R
     }
 
     // -- pinned transcendentals ----------------------------------------------
@@ -1283,10 +1331,11 @@ mod tests {
 
     #[test]
     fn gemm_rowblock_levels_agree_all_widths() {
-        // Row counts cover full MR blocks and every remainder; columns the
-        // 16- and 8-wide strips and every tail; strided rows leave their
-        // padding untouched; a first pass ignores what `out` held.
-        for rows in 1..=9 {
+        // Row counts cover two 8-row narrow blocks, full MR blocks and
+        // every remainder; columns the 16- and 8-wide strips and every
+        // (masked) tail; strided rows leave their padding untouched; a
+        // first pass ignores what `out` held.
+        for rows in 1..=17 {
             for n in 1..=19 {
                 for (k, first) in [0usize, 1, 3, 8]
                     .into_iter()

@@ -261,11 +261,17 @@ fn dirty_kernels_write_every_element() {
     });
 
     // The GEMM family: one k-block, the packed panel (k·n > 128·64, k past
-    // one 128-deep block), a shared weight, and an empty reduction.
-    let gemms: [(&[usize], &[usize]); 4] = [
+    // one 128-deep block), shared weights, and an empty reduction. A
+    // shared `[k, n]` weight folds the whole batch into one GEMM per
+    // worker: the model's `[8,32,12,8]×[8,8]` (8-row narrow blocks) and a
+    // ragged batch with a masked 4-column tail whose worker ranges start
+    // and end inside batch elements.
+    let gemms: [(&[usize], &[usize]); 6] = [
         (&[3, 17, 24], &[24, 19]),
         (&[2, 3, 37, 150], &[150, 70]),
         (&[8, 16, 48, 64], &[64, 64]),
+        (&[8, 32, 12, 8], &[8, 8]),
+        (&[7, 5, 13, 24], &[24, 12]),
         (&[5, 0], &[0, 7]),
     ];
     for (sa, sb) in gemms {

@@ -121,6 +121,40 @@ proptest! {
         prop_assert_eq!(serial.data(), threaded.data());
     }
 
+    /// A shared `[k, n]` weight against a rank-3 or rank-4 `a`: `matmul`
+    /// and `matmul_nt` run each worker's whole row range as one GEMM. Both
+    /// must give the oracle's bits at 1–3 threads and every host SIMD
+    /// level. `m` is ragged against the 8-row blocks, `n` straddles the
+    /// 8-lane width, and the sizes mostly pass the parallel threshold, so
+    /// worker ranges start and end inside batch elements.
+    fn shared_weight_fold_matches_reference(
+        b0 in 2usize..6,
+        b1 in 1usize..4,
+        rank4 in proptest::bool::ANY,
+        m in 1usize..14,
+        k in 12usize..32,
+        n in 1usize..24,
+        seed in 0u64..1_000_000
+    ) {
+        let _g = LOCK.lock().unwrap();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let a_shape = if rank4 { vec![b0, b1, m, k] } else { vec![b0 * b1, m, k] };
+        let a = rand_tensor(&mut rng, a_shape);
+        let b = rand_tensor(&mut rng, vec![k, n]);
+        let bt = rand_tensor(&mut rng, vec![n, k]);
+        let oracle = reference::matmul(&a, &b);
+        let nt_oracle = reference::matmul(&a, &reference::transpose_last2(&bt));
+        for level in host_levels() {
+            for threads in [1usize, 2, 3] {
+                let (mm, nt) = with_threads(threads, || {
+                    with_simd(level, || (ops::matmul(&a, &b), ops::matmul_nt(&a, &bt)))
+                });
+                prop_assert_eq!(bits(&mm), bits(&oracle), "matmul at {:?}, {} threads", level, threads);
+                prop_assert_eq!(bits(&nt), bits(&nt_oracle), "matmul_nt at {:?}, {} threads", level, threads);
+            }
+        }
+    }
+
     /// Every elementwise broadcast op across randomized broadcast shapes:
     /// ranks 1–4 with each dim independently squashed to 1 on either side
     /// (`[1]`, `[…, 1]`, row and middle broadcasts), the four arithmetic
