@@ -124,7 +124,7 @@ pub(crate) fn top_queries<K: Kernels>(
     idx: &mut Vec<usize>,
     sel: &mut Vec<usize>,
 ) {
-    let scores = kn.matmul(q, &kn.transpose_last2(k)); // [B', L, L]
+    let scores = kn.matmul_nt(q, k); // [B', L, L]
     let max = kn.max_axis(&scores, 2); // [B', L]
     let mean = kn.mean_axis(&scores, 2); // [B', L]
     let m = kn.sub(&max, &mean);

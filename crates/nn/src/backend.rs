@@ -107,10 +107,8 @@ pub trait Backend {
 pub(crate) trait Kernels {
     /// A raw value: a tensor, or a priced shape.
     type T;
-    /// Swap the last two axes.
-    fn transpose_last2(&self, x: &Self::T) -> Self::T;
-    /// Batched matrix multiplication over the trailing two dims.
-    fn matmul(&self, a: &Self::T, b: &Self::T) -> Self::T;
+    /// `a · bᵀ` over the trailing two dims (batch dims broadcast).
+    fn matmul_nt(&self, a: &Self::T, b: &Self::T) -> Self::T;
     /// `a - b` (broadcasting).
     fn sub(&self, a: &Self::T, b: &Self::T) -> Self::T;
     /// Maximum over `axis`, which is dropped.
@@ -297,12 +295,8 @@ impl Backend for Eval {
 impl Kernels for Eval {
     type T = Tensor;
 
-    fn transpose_last2(&self, x: &Tensor) -> Tensor {
-        ops::transpose_last2(x)
-    }
-
-    fn matmul(&self, a: &Tensor, b: &Tensor) -> Tensor {
-        ops::matmul(a, b)
+    fn matmul_nt(&self, a: &Tensor, b: &Tensor) -> Tensor {
+        ops::matmul_nt(a, b)
     }
 
     fn sub(&self, a: &Tensor, b: &Tensor) -> Tensor {

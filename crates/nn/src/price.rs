@@ -177,6 +177,32 @@ impl Price {
         charge(&self.cost, f);
     }
 
+    /// `[.., m, k] × [.., k, n]`, or `[.., m, k] × [.., n, k]ᵀ` with
+    /// `nt`, with broadcast batch dims: `2·batch·m·n·k` dense flops, reads
+    /// both operands, writes `batch·m·n` (`ops::matmul` / `ops::matmul_nt`).
+    fn product(&self, a: &Priced, b: &Priced, nt: bool) -> Priced {
+        let (ra, rb) = (a.shape.len(), b.shape.len());
+        assert!(ra >= 2 && rb >= 2, "matmul needs rank >= 2");
+        let (m, k) = (a.shape[ra - 2], a.shape[ra - 1]);
+        let n = b.shape[rb - if nt { 2 } else { 1 }];
+        let mut out = broadcast_shapes(&a.shape[..ra - 2], &b.shape[..rb - 2])
+            .unwrap_or_else(|| panic!("matmul batch broadcast {:?} x {:?}", a.shape, b.shape));
+        let batch = elems(&out);
+        let work = 2u64
+            .saturating_mul(batch)
+            .saturating_mul(m as u64)
+            .saturating_mul(n as u64)
+            .saturating_mul(k as u64);
+        out.push(m);
+        out.push(n);
+        let writes = elems(&out);
+        self.charge(|c| {
+            c.kernel(a.len().saturating_add(b.len()), work, writes);
+            c.dense_flops = c.dense_flops.saturating_add(work);
+        });
+        self.value(out)
+    }
+
     /// A shape op: one unmetered allocation of the output.
     fn moved(&self, shape: Shape) -> Priced {
         self.charge(|c| c.alloc(elems(&shape)));
@@ -274,29 +300,8 @@ impl Backend for Price {
         self.zip(a, b)
     }
 
-    /// `[.., m, k] × [.., k, n]` with broadcast batch dims:
-    /// `2·batch·m·n·k` dense flops, reads both operands, writes
-    /// `batch·m·n`.
     fn matmul(&self, a: &Priced, b: &Priced) -> Priced {
-        let (ra, rb) = (a.shape.len(), b.shape.len());
-        assert!(ra >= 2 && rb >= 2, "matmul needs rank >= 2");
-        let (m, k, n) = (a.shape[ra - 2], a.shape[ra - 1], b.shape[rb - 1]);
-        let mut out = broadcast_shapes(&a.shape[..ra - 2], &b.shape[..rb - 2])
-            .unwrap_or_else(|| panic!("matmul batch broadcast {:?} x {:?}", a.shape, b.shape));
-        let batch = elems(&out);
-        let work = 2u64
-            .saturating_mul(batch)
-            .saturating_mul(m as u64)
-            .saturating_mul(n as u64)
-            .saturating_mul(k as u64);
-        out.push(m);
-        out.push(n);
-        let writes = elems(&out);
-        self.charge(|c| {
-            c.kernel(a.len().saturating_add(b.len()), work, writes);
-            c.dense_flops = c.dense_flops.saturating_add(work);
-        });
-        self.value(out)
+        self.product(a, b, false)
     }
 
     fn neg(&self, x: &Priced) -> Priced {
@@ -395,17 +400,8 @@ impl Backend for Price {
 impl Kernels for Price {
     type T = Priced;
 
-    fn transpose_last2(&self, x: &Priced) -> Priced {
-        let r = x.shape.len();
-        let mut out = x.shape.clone();
-        out.swap(r - 2, r - 1);
-        let n = x.len();
-        self.charge(|c| c.kernel(n, n, n));
-        self.value(out)
-    }
-
-    fn matmul(&self, a: &Priced, b: &Priced) -> Priced {
-        Backend::matmul(self, a, b)
+    fn matmul_nt(&self, a: &Priced, b: &Priced) -> Priced {
+        self.product(a, b, true)
     }
 
     fn sub(&self, a: &Priced, b: &Priced) -> Priced {

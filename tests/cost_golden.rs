@@ -50,11 +50,11 @@ const OP_COSTS: &str = "
     lstm/0 87360 117744 91200 324 166 69120 130560
     gru/0 68640 111120 79680 246 214 51840 111872
     trans-t/0 73680 60000 48000 120 17 60480 75776
-    inf-t/0 64740 69636 45408 120 25 51840 81792
+    inf-t/0 64020 66756 42528 120 24 51840 77696
     cheb-gcn/0 55680 57444 45120 126 19 47520 75776
     dgcn/0 81600 77992 59520 198 24 72000 100352
     trans-s/0 49320 49920 37920 120 17 40320 67584
-    inf-s/0 49392 62220 40916 120 25 38880 79408
+    inf-s/0 48672 59340 38036 120 24 38880 75312
     zero/1 720 2880 2880 0 1 0 4096
     identity/1 0 0 0 0 0 0 4096
     conv1d/1 24000 31080 24960 90 12 17280 34816
@@ -62,11 +62,11 @@ const OP_COSTS: &str = "
     lstm/1 87360 117744 91200 324 166 69120 130560
     gru/1 68640 111120 79680 246 214 51840 111872
     trans-t/1 73680 60000 48000 120 17 60480 75776
-    inf-t/1 64740 69636 45408 120 25 51840 81792
+    inf-t/1 64020 66756 42528 120 24 51840 77696
     cheb-gcn/1 55680 57444 45120 126 19 47520 75776
     dgcn/1 115045 101880 77100 270 33 103880 137600
     trans-s/1 49320 49920 37920 120 17 40320 67584
-    inf-s/1 49392 62220 40916 120 25 38880 79408
+    inf-s/1 48672 59340 38036 120 24 38880 75312
 ";
 
 #[test]
@@ -131,12 +131,12 @@ const REPORT_STEPS: &str = "
     block1.e2 720 5760 2880 0 1 0 8192
     block1_residual 720 5760 2880 0 1 0 4096
     block2.e0 73680 60000 48000 120 17 60480 75776
-    block2.e1 64740 69636 45408 120 25 51840 81792
+    block2.e1 64020 66756 42528 120 24 51840 77696
     block2.e2 56400 63204 48000 126 20 47520 79872
     block2_residual 720 5760 2880 0 1 0 4096
     block3.e0 115045 101880 77100 270 33 103880 137600
     block3.e1 49320 49920 37920 120 17 40320 67584
-    block3.e2 50112 67980 43796 120 26 38880 83504
+    block3.e2 49392 65100 40916 120 25 38880 79408
     block3_residual 720 5760 2880 0 1 0 4096
     merge_block1 720 5760 2880 0 1 0 4096
     merge_block2 720 5760 2880 0 1 0 4096
@@ -145,7 +145,7 @@ const REPORT_STEPS: &str = "
 ";
 
 const REPORT_SUMMARY: &str = "
-    total 649387 786864 573344 1941 564 522920 916528
+    total 647947 781104 567584 1941 562 522920 908336
     num_slots 16
     peak_bytes 178560 at block3.e0
     ideal_peak_bytes 153984
