@@ -1,8 +1,8 @@
 //! Batched matrix multiplication with broadcasting over batch dimensions.
 //!
-//! A product whose right operand has no batch and whose left operand is
-//! not broadcast — a shared weight times a batch of activations, the
-//! model's commonest shape — is one matrix of `batch·m` rows: each worker
+//! A product whose right operand has no batch — a shared weight times a
+//! batch of activations, the model's commonest shape — is one matrix of
+//! `batch·m` rows: each worker
 //! runs its whole row range as one GEMM instead of one per batch element.
 //! Other batched products run one GEMM per batch element a worker touches.
 //!
@@ -153,7 +153,7 @@ struct Runs<'a> {
     batch_shape: &'a [usize],
     a_batch: &'a [usize],
     b_batch: &'a [usize],
-    /// `b` has no batch and `a` is not broadcast: output row `r` reads
+    /// `b` has no batch (so `a` is not broadcast): output row `r` reads
     /// `a` row `r` and the one `b`, so any range of rows is one GEMM.
     fold: bool,
 }
@@ -165,7 +165,7 @@ impl<'a> Runs<'a> {
             batch_shape,
             a_batch,
             b_batch,
-            fold: numel(b_batch) == 1 && numel(a_batch) == numel(batch_shape),
+            fold: numel(b_batch) == 1,
         }
     }
 
