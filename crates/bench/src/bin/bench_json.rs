@@ -160,7 +160,9 @@ fn thread_counts() -> Vec<usize> {
 /// gradients) and a node-major `permute`, attention's key transpose,
 /// LayerNorm's per-row
 /// and bias broadcasts at d_model 16, ProbSparse's last-axis `max_axis`
-/// and LayerNorm's last-axis `sum_axis_grad`, at every worker count of
+/// and LayerNorm's last-axis `sum_axis_grad`, the shared-weight products
+/// `[8,32,12,16]×[16,16]` and `[8,32,12,8]×[8,8]ᵀ` and the 12-wide
+/// attention score product, at every worker count of
 /// [`thread_counts`], plus a forced-scalar run of each case in the same
 /// rounds as its threads=1 run, so each kernel has a scalar-vs-simd row
 /// pair.
@@ -201,6 +203,11 @@ fn bench_ops() -> (Vec<String>, String) {
     // d_model-16 bias row.
     let keys = init::uniform(&mut rng, [256, 12, 16], -1.0, 1.0);
     let bias16 = init::uniform(&mut rng, [16], -1.0, 1.0);
+    // The model's shared-weight products at d_model 16 and 8, and
+    // attention's `Q·Kᵀ` at d_model 16 with the keys already transposed.
+    let w16 = init::uniform(&mut rng, [16, 16], -1.0, 1.0);
+    let w8 = init::uniform(&mut rng, [8, 8], -1.0, 1.0);
+    let keys_t = init::uniform(&mut rng, [256, 16, 12], -1.0, 1.0);
 
     // (op, shape, timed iterations, kernel call); the search shapes are
     // ~10 µs calls, so they time more iterations.
@@ -373,6 +380,24 @@ fn bench_ops() -> (Vec<String>, String) {
             "[8,32,12,16] taps 2",
             100,
             Box::new(|| ops::temporal_conv_grad_w(&xc, &xc, wc.shape(), 1)),
+        ),
+        (
+            "matmul",
+            "[8,32,12,16]x[16,16]",
+            200,
+            Box::new(|| ops::matmul(&xc, &w16)),
+        ),
+        (
+            "matmul.nt",
+            "[8,32,12,8]x[8,8]T",
+            400,
+            Box::new(|| ops::matmul_nt(&h, &w8)),
+        ),
+        (
+            "matmul",
+            "[256,12,16]x[256,16,12]",
+            200,
+            Box::new(|| ops::matmul(&keys, &keys_t)),
         ),
     ];
 
