@@ -2,9 +2,9 @@
 //!
 //! A product whose right operand has no batch — a shared weight times a
 //! batch of activations, the model's commonest shape — is one matrix of
-//! `batch·m` rows: each worker
-//! runs its whole row range as one GEMM instead of one per batch element.
-//! Other batched products run one GEMM per batch element a worker touches.
+//! `batch·m` rows: each worker runs its whole row range as one GEMM
+//! instead of one per batch element. Other batched products run one GEMM
+//! per batch element a worker touches.
 //!
 //! The inner kernel is cache-blocked with a packed-B panel: `B` tiles of at
 //! most `KC × NC` elements are copied into a dense thread-local panel that
@@ -24,9 +24,9 @@
 //! every later block loads them from the output, so each output element
 //! still sees one strictly ascending-`k` addition chain — results are
 //! bit-identical to the naive serial triple loop (`ops::reference::matmul`)
-//! for every block size, row grouping, thread count, and SIMD level. That first pass
-//! writes every output element, so the products' outputs come from
-//! [`arena::take_dirty`] and are never zero-filled first.
+//! for every block size, row grouping, thread count, and SIMD level. That
+//! first pass writes every output element, so the products' outputs come
+//! from [`arena::take_dirty`] and are never zero-filled first.
 //!
 //! The backward products do not materialise full transposes: [`matmul_nt`]
 //! (`A·Bᵀ`, for ∂/∂a) transpose-packs B into per-worker scratch, and
@@ -343,10 +343,10 @@ pub(crate) fn transpose_tile(src: &[f32], dst: &mut [f32], m: usize, n: usize) {
 /// per-worker buffer — once per *distinct* B, so a shared weight broadcast
 /// over a big batch transposes exactly once per worker and then multiplies
 /// the worker's whole row range in one `gemm_rows` call, as the forward
-/// product does. Larger
-/// B is transpose-packed tile by tile into the panel instead. Both orders
-/// accumulate each output element in strictly ascending `k`, so the result
-/// is bit-identical to `matmul(a, transpose_last2(b))`.
+/// product does. Larger B is transpose-packed tile by tile into the panel
+/// instead. Both orders accumulate each output element in strictly
+/// ascending `k`, so the result is bit-identical to
+/// `matmul(a, transpose_last2(b))`.
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     assert!(a.rank() >= 2 && b.rank() >= 2, "matmul_nt needs rank >= 2");
     meter::add_reads(a.len() + b.len());

@@ -445,9 +445,10 @@ pub struct Gemm {
 /// Rows go through the body [`MR`] at a time (the last block takes the
 /// remainder), so each `b` row load feeds `MR` rows and `MR` independent
 /// accumulator chains hide the add latency; on AVX2 an output narrower
-/// than 16 columns takes `2·MR` rows per block while that many remain. The AVX2 body runs the `nc % 8` tail columns as one masked
-/// 8-lane strip that loads and stores only columns below `nc`; the scalar
-/// body runs them one element at a time. The accumulators are loaded
+/// than 16 columns takes `2·MR` rows per block while that many remain.
+/// The AVX2 body runs the `nc % 8` tail columns as one masked 8-lane strip
+/// that loads and stores only columns below `nc`; the scalar body runs
+/// them one element at a time. The accumulators are loaded
 /// from `out`, or start at `+0.0` on a first pass, so each output element
 /// keeps one strictly ascending-`kk` addition chain across calls — the
 /// bit-exactness invariant `ops::matmul` and `ops::conv` rely on. Every
