@@ -2,7 +2,7 @@
 
 use cts_tensor::{arena, ops, Shape, Tensor};
 
-/// Gradients of one node's inputs, held inline for the 0/1/2-input ops
+/// Gradients of one node's inputs, held inline for the 0–3-input ops
 /// that make up essentially the whole tape; only variadic ops (concat)
 /// spill to a heap Vec. Backward runs once per node per step, so this
 /// container is on the allocation-count hot path.
@@ -17,6 +17,8 @@ pub enum Grads {
     One(Tensor),
     /// Binary op.
     Two(Option<Tensor>, Option<Tensor>),
+    /// Ternary op (LayerNorm: x, γ, β).
+    Three([Option<Tensor>; 3]),
     /// Variadic op (concat).
     Many(Vec<Option<Tensor>>),
 }
@@ -28,6 +30,7 @@ impl Grads {
             Grads::None => 0,
             Grads::One(_) => 1,
             Grads::Two(_, _) => 2,
+            Grads::Three(_) => 3,
             Grads::Many(v) => v.len(),
         }
     }
@@ -41,7 +44,7 @@ impl Grads {
 /// Draining iterator over [`Grads`] in input order, one slot per input
 /// (`None` for a skipped one).
 pub struct GradsIter {
-    inline: [Option<Tensor>; 2],
+    inline: [Option<Tensor>; 3],
     inline_len: usize,
     idx: usize,
     spill: std::vec::IntoIter<Option<Tensor>>,
@@ -63,10 +66,11 @@ impl IntoIterator for Grads {
     type IntoIter = GradsIter;
     fn into_iter(self) -> GradsIter {
         let (inline, inline_len, spill) = match self {
-            Grads::None => ([None, None], 0, Vec::new()),
-            Grads::One(a) => ([Some(a), None], 1, Vec::new()),
-            Grads::Two(a, b) => ([a, b], 2, Vec::new()),
-            Grads::Many(v) => ([None, None], 0, v),
+            Grads::None => ([None, None, None], 0, Vec::new()),
+            Grads::One(a) => ([Some(a), None, None], 1, Vec::new()),
+            Grads::Two(a, b) => ([a, b, None], 2, Vec::new()),
+            Grads::Three(abc) => (abc, 3, Vec::new()),
+            Grads::Many(v) => ([None, None, None], 0, v),
         };
         GradsIter {
             inline,
@@ -124,6 +128,18 @@ pub enum Op {
     SoftmaxLast,
     /// Batched matrix multiplication over the trailing two dims.
     MatMul,
+    /// Batched `a · bᵀ` over the trailing two dims.
+    MatMulNt,
+    /// Layer normalisation over the last axis (inputs: x, γ, β), one
+    /// fused node for the chain `mean → sub → square → mean → + eps → √ →
+    /// div → ·γ → +β`. Its backward gives the chain's bits
+    /// (`ops::layer_norm_grad`) as long as nothing recorded after it reads
+    /// its input `x`: the chain's sweep would add such a consumer's
+    /// gradient into `x` before its own two paths, the fused node after.
+    LayerNorm {
+        /// Variance offset under the square root.
+        eps: f32,
+    },
     /// Dimension permutation.
     Permute(Shape),
     /// Reshape to a new shape of the same element count.
@@ -266,6 +282,20 @@ impl Op {
                 needs[0].then(|| ops::matmul_grad_a(&grad, inputs[1], inputs[0].shape())),
                 needs[1].then(|| ops::matmul_grad_b(&grad, inputs[0], inputs[1].shape())),
             ),
+            Op::MatMulNt => Grads::Two(
+                needs[0]
+                    .then(|| ops::reduce_owned(ops::matmul(&grad, inputs[1]), inputs[0].shape())),
+                needs[1].then(|| {
+                    ops::reduce_owned(ops::matmul_tn(&grad, inputs[0]), inputs[1].shape())
+                }),
+            ),
+            Op::LayerNorm { eps } => Grads::Three(ops::layer_norm_grad(
+                &grad,
+                inputs[0],
+                inputs[1],
+                *eps,
+                [needs[0], needs[1], needs[2]],
+            )),
             Op::Permute(perm) => Grads::One(ops::permute_grad(&grad, perm)),
             Op::Reshape => Grads::One(grad.reshaped(inputs[0].shape())),
             Op::Concat { axis } => {
@@ -354,6 +384,35 @@ mod tests {
         t.data().iter().map(|v| v.to_bits()).collect()
     }
 
+    /// `a · bᵀ` as one node gives the output and gradients of the
+    /// `matmul(a, permute(b))` pair it replaced, at `f32::to_bits`: its
+    /// backward's `matmul(grad, b)` and `matmul_tn(grad, a)` keep the
+    /// ascending chains of that pair's `matmul_nt` and transposed
+    /// `matmul_tn`.
+    #[test]
+    fn matmul_nt_matches_matmul_of_the_permuted_operand() {
+        use crate::{Parameter, Tape};
+        for (sa, sb) in [([3, 5, 7], [3, 6, 7]), ([2, 9, 16], [2, 11, 16])] {
+            let a = Parameter::new("a", pattern(&sa, 1));
+            let b = Parameter::new("b", pattern(&sb, 2));
+            let w = pattern(&[sa[0], sa[1], sb[1]], 3);
+            let run = |fused: bool| {
+                a.grad_mut().fill(0.0);
+                b.grad_mut().fill(0.0);
+                let tape = Tape::new();
+                let (va, vb) = (tape.param(&a), tape.param(&b));
+                let y = if fused {
+                    va.matmul_nt(&vb)
+                } else {
+                    va.matmul(&vb.permute(&[0, 2, 1]))
+                };
+                tape.backward(&y.mul(&tape.constant(w.clone())).sum_all());
+                (bits(&y.value()), bits(&a.grad()), bits(&b.grad()))
+            };
+            assert_eq!(run(true), run(false), "{sa:?} x {sb:?}");
+        }
+    }
+
     /// Every multi-input op under every needs mask: a needed slot holds
     /// the bits of the all-`true` call, a skipped slot holds nothing.
     #[test]
@@ -367,6 +426,16 @@ mod tests {
             (Op::Mul, vec![vec![2, 3, 4], vec![1]], vec![2, 3, 4]),
             (Op::Div, vec![vec![2, 3, 4], vec![3, 4]], vec![2, 3, 4]),
             (Op::MatMul, vec![vec![2, 3, 4], vec![4, 5]], vec![2, 3, 5]),
+            (
+                Op::MatMulNt,
+                vec![vec![2, 3, 4], vec![2, 5, 4]],
+                vec![2, 3, 5],
+            ),
+            (
+                Op::LayerNorm { eps: 1e-5 },
+                vec![vec![2, 3, 4], vec![4], vec![4]],
+                vec![2, 3, 4],
+            ),
             (
                 Op::TemporalConv { dilation: 2 },
                 vec![vec![1, 2, 6, 3], vec![2, 3, 4]],

@@ -189,6 +189,31 @@ impl Var {
         self.binary(other, Op::MatMul, v)
     }
 
+    /// Batched `self · otherᵀ` over the trailing two dims.
+    pub fn matmul_nt(&self, other: &Var) -> Var {
+        let v = self.with_values2(other, ops::matmul_nt);
+        self.binary(other, Op::MatMulNt, v)
+    }
+
+    /// Layer normalisation over the last axis with affine `gamma`, `beta`
+    /// (both `[d]`): one [`Op::LayerNorm`] node. Nothing recorded after it
+    /// may read `self` (see [`Op::LayerNorm`]).
+    pub fn layer_norm(&self, gamma: &Var, beta: &Var, eps: f32) -> Var {
+        let ids = [self.id, gamma.id, beta.id];
+        let value = {
+            let inner = self.tape.inner.borrow();
+            assert!(
+                [gamma, beta]
+                    .iter()
+                    .all(|v| std::rc::Rc::ptr_eq(&self.tape.inner, &v.tape.inner)),
+                "vars from different tapes"
+            );
+            let [x, g, b] = ids.map(|id| &inner.nodes[id].value);
+            ops::layer_norm(x, g, b, eps)
+        };
+        self.tape.push_op(Op::LayerNorm { eps }, &ids, value)
+    }
+
     // -- shape ---------------------------------------------------------------
 
     /// Permute dimensions.

@@ -36,9 +36,10 @@ use cts_autograd::Tape;
 use cts_bench::{prepare, ExpContext};
 use cts_data::{batches_from_windows, DatasetSpec};
 use cts_nn::{Adam, Forecaster, LossKind, Optimizer};
+use cts_tensor::ops::{self, reference};
 use cts_tensor::parallel::set_num_threads;
 use cts_tensor::simd::{self, SimdLevel};
-use cts_tensor::{arena, init, ops, Tensor};
+use cts_tensor::{arena, init, Tensor};
 use rand::{rngs::SmallRng, SeedableRng};
 
 /// Pass-through system allocator that counts calls and bytes.
@@ -162,7 +163,9 @@ fn thread_counts() -> Vec<usize> {
 /// and bias broadcasts at d_model 16, ProbSparse's last-axis `max_axis`
 /// and LayerNorm's last-axis `sum_axis_grad`, the shared-weight products
 /// `[8,32,12,16]×[16,16]` and `[8,32,12,8]×[8,8]ᵀ` and the 12-wide
-/// attention score product, at every worker count of
+/// attention score product, and the fused LayerNorm forward and backward
+/// beside the composed chain it replaced (`ops::reference`), at every
+/// worker count of
 /// [`thread_counts`], plus a forced-scalar run of each case in the same
 /// rounds as its threads=1 run, so each kernel has a scalar-vs-simd row
 /// pair.
@@ -208,6 +211,27 @@ fn bench_ops() -> (Vec<String>, String) {
     let w16 = init::uniform(&mut rng, [16, 16], -1.0, 1.0);
     let w8 = init::uniform(&mut rng, [8, 8], -1.0, 1.0);
     let keys_t = init::uniform(&mut rng, [256, 16, 12], -1.0, 1.0);
+    // LayerNorm at d_model 8 and 16: the fused kernel and the composed
+    // chain it replaced, forward and backward (every gradient asked for).
+    let gamma8 = init::uniform(&mut rng, [8], 0.5, 1.5);
+    let gamma16 = init::uniform(&mut rng, [16], 0.5, 1.5);
+    let g16 = init::uniform(&mut rng, [8, 32, 12, 16], -1.0, 1.0);
+    let ln = |x: &Tensor, gamma: &Tensor, beta: &Tensor, fused: bool| {
+        if fused {
+            ops::layer_norm(x, gamma, beta, 1e-5)
+        } else {
+            reference::layer_norm(x, gamma, beta, 1e-5)
+        }
+    };
+    let ln_grad = |g: &Tensor, x: &Tensor, gamma: &Tensor, fused: bool| {
+        let [gx, ..] = if fused {
+            ops::layer_norm_grad(g, x, gamma, 1e-5, [true; 3])
+        } else {
+            reference::layer_norm_grad(g, x, gamma, 1e-5, [true; 3])
+        };
+        // invariant: ∂x was asked for.
+        gx.expect("∂x")
+    };
 
     // (op, shape, timed iterations, kernel call); the search shapes are
     // ~10 µs calls, so they time more iterations.
@@ -399,6 +423,54 @@ fn bench_ops() -> (Vec<String>, String) {
             200,
             Box::new(|| ops::matmul(&keys, &keys_t)),
         ),
+        (
+            "layer_norm",
+            "[8,32,12,8]",
+            400,
+            Box::new(|| ln(&h, &gamma8, &bias, true)),
+        ),
+        (
+            "layer_norm.reference",
+            "[8,32,12,8]",
+            200,
+            Box::new(|| ln(&h, &gamma8, &bias, false)),
+        ),
+        (
+            "layer_norm",
+            "[8,32,12,16]",
+            200,
+            Box::new(|| ln(&xc, &gamma16, &bias16, true)),
+        ),
+        (
+            "layer_norm.reference",
+            "[8,32,12,16]",
+            100,
+            Box::new(|| ln(&xc, &gamma16, &bias16, false)),
+        ),
+        (
+            "layer_norm_grad",
+            "[8,32,12,8]",
+            200,
+            Box::new(|| ln_grad(&h_same, &h, &gamma8, true)),
+        ),
+        (
+            "layer_norm_grad.reference",
+            "[8,32,12,8]",
+            100,
+            Box::new(|| ln_grad(&h_same, &h, &gamma8, false)),
+        ),
+        (
+            "layer_norm_grad",
+            "[8,32,12,16]",
+            100,
+            Box::new(|| ln_grad(&g16, &xc, &gamma16, true)),
+        ),
+        (
+            "layer_norm_grad.reference",
+            "[8,32,12,16]",
+            50,
+            Box::new(|| ln_grad(&g16, &xc, &gamma16, false)),
+        ),
     ];
 
     let mut rows = Vec::new();
@@ -497,6 +569,17 @@ fn bench_ops() -> (Vec<String>, String) {
         speedup("elementwise.sigmoid", "[8,32,12,8]"),
         speedup("conv.temporal_grad_x", "[8,32,12,16] taps 2"),
     );
+    // The fused LayerNorm over the composed chain it replaced, forward and
+    // backward, at d_model 8 and 16.
+    let fused = |op: &str, shape: &str| {
+        ns(&format!("{op}.reference"), shape, active) / ns(op, shape, active)
+    };
+    let (lf8, lf16, lb8, lb16) = (
+        fused("layer_norm", "[8,32,12,8]"),
+        fused("layer_norm", "[8,32,12,16]"),
+        fused("layer_norm_grad", "[8,32,12,8]"),
+        fused("layer_norm_grad", "[8,32,12,16]"),
+    );
     let summary = format!(
         "  \"summary\": {{\"simd_active\": \"{active}\", \
          \"ratio_matmul_nt_vs_matmul_t1\": {nt_ratio:.3}, \
@@ -506,7 +589,10 @@ fn bench_ops() -> (Vec<String>, String) {
          \"speedup_simd_vs_scalar_t1\": {{\"matmul\": {mm:.3}, \"matmul.tn\": {tn:.3}, \
          \"elementwise.add\": {ew:.3}, \"softmax.last\": {sm:.3}, \
          \"elementwise.reduce_to_shape\": {rd:.3}, \"elementwise.tanh\": {th:.3}, \
-         \"elementwise.sigmoid\": {sg:.3}, \"conv.temporal_grad_x\": {gx:.3}}}}}"
+         \"elementwise.sigmoid\": {sg:.3}, \"conv.temporal_grad_x\": {gx:.3}}}, \
+         \"speedup_layer_norm_fused_vs_reference_t1\": {{\"forward [8,32,12,8]\": {lf8:.3}, \
+         \"forward [8,32,12,16]\": {lf16:.3}, \"backward [8,32,12,8]\": {lb8:.3}, \
+         \"backward [8,32,12,16]\": {lb16:.3}}}}}"
     );
 
     // The packed-B fix for matmul_nt: the pre-fix ratio was ~2.1×; hold the

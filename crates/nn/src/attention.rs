@@ -38,7 +38,7 @@ pub fn scaled_dot_attention<B: Backend>(
 ) -> B::V {
     // invariant: attention inputs are at least rank 1.
     let d = *be.shape(q).last().expect("attention on rank-0") as f32;
-    let mut scores = be.scale(&be.matmul(q, &be.permute(k, &[0, 2, 1])), 1.0 / d.sqrt());
+    let mut scores = be.scale(&be.matmul_nt(q, k), 1.0 / d.sqrt());
     if let Some(m) = mask {
         scores = be.add(&scores, &be.lend(m));
     }
@@ -90,10 +90,7 @@ pub fn prob_sparse_attention<B: Backend>(
         nonsel.extend((0..l).filter(|i| !sel.contains(i)));
 
         let q_sel = be.index_select(q, 1, sel);
-        let scores = be.scale(
-            &be.matmul(&q_sel, &be.permute(k, &[0, 2, 1])),
-            1.0 / (d as f32).sqrt(),
-        );
+        let scores = be.scale(&be.matmul_nt(&q_sel, k), 1.0 / (d as f32).sqrt());
         let attn_sel = be.matmul(&be.softmax_last(&scores), v); // [B', u, D]
 
         // Lazy queries output mean(V) (the Informer "self-attention
@@ -118,17 +115,17 @@ pub fn prob_sparse_attention<B: Backend>(
 /// scratch.
 pub(crate) fn top_queries<K: Kernels>(
     kn: &K,
-    q: &K::T,
-    k: &K::T,
+    q: &K::V,
+    k: &K::V,
     u: usize,
     idx: &mut Vec<usize>,
     sel: &mut Vec<usize>,
 ) {
     let scores = kn.matmul_nt(q, k); // [B', L, L]
     let max = kn.max_axis(&scores, 2); // [B', L]
-    let mean = kn.mean_axis(&scores, 2); // [B', L]
+    let mean = kn.mean_axis(&scores, 2, false); // [B', L]
     let m = kn.sub(&max, &mean);
-    let batch_avg = kn.mean_axis(&m, 0); // [L]
+    let batch_avg = kn.mean_axis(&m, 0, false); // [L]
     kn.top_u(&batch_avg, u, idx, sel);
 }
 
@@ -283,6 +280,45 @@ mod tests {
             }
         }
         assert_eq!(lazy, 7, "exactly one active query expected");
+    }
+
+    /// A NaN score ranks last: the selection cannot panic on one, and it
+    /// picks the finite top-u. Equal zeros keep their index order, as
+    /// under the `partial_cmp` order, so no finite selection moves.
+    #[test]
+    fn top_u_ranks_nan_last() {
+        use crate::backend::Eval;
+        let mut rng = SmallRng::seed_from_u64(9);
+        let (mut idx, mut sel) = (Vec::new(), Vec::new());
+        for nan_at in 0..32 {
+            let mut s: Vec<f32> = (0..32).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            s[nan_at] = f32::NAN;
+            Eval.top_u(&Tensor::from_vec([32], s.clone()), 4, &mut idx, &mut sel);
+            let mut finite: Vec<usize> = (0..32).filter(|&i| i != nan_at).collect();
+            finite.sort_by(|&a, &b| s[b].total_cmp(&s[a]));
+            let mut want = finite[..4].to_vec();
+            want.sort_unstable();
+            assert_eq!(sel, want, "NaN at {nan_at}");
+        }
+        let ties = Tensor::from_vec([4], vec![-0.0, f32::NAN, 0.0, 0.5]);
+        Eval.top_u(&ties, 2, &mut idx, &mut sel);
+        assert_eq!(sel, [0, 3]);
+    }
+
+    /// A NaN query at L = 32 (the spatial attention's sequence at 32
+    /// sensors) makes its position's batch-averaged measurement NaN; the
+    /// forward still runs and keeps its shape.
+    #[test]
+    fn prob_sparse_survives_a_nan_query_at_l32() {
+        use crate::backend::Eval;
+        let mut rng = SmallRng::seed_from_u64(10);
+        for pos in 0..32 {
+            let mut q = rand_x(&mut rng, 2, 32, 4);
+            q.data_mut()[(32 + pos) * 4] = f32::NAN;
+            let (k, v) = (rand_x(&mut rng, 2, 32, 4), rand_x(&mut rng, 2, 32, 4));
+            let y = prob_sparse_attention(&Eval, &q, &k, &v, 1.0);
+            assert_eq!(y.shape(), [2, 32, 4]);
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@ use crate::attention::top_queries;
 use cts_autograd::{Parameter, Tape, Var};
 use cts_tensor::{ops, Shape, Tensor};
 use std::cell::Ref;
+use std::cmp::Ordering;
 use std::ops::Deref;
 
 /// An execution strategy for a generic forward: the value type it flows
@@ -67,6 +68,11 @@ pub trait Backend {
     fn div(&self, a: &Self::V, b: &Self::V) -> Self::V;
     /// Batched matrix multiplication over the trailing two dims.
     fn matmul(&self, a: &Self::V, b: &Self::V) -> Self::V;
+    /// Batched `a · bᵀ` over the trailing two dims.
+    fn matmul_nt(&self, a: &Self::V, b: &Self::V) -> Self::V;
+    /// Layer normalisation over the last axis with affine `gamma`, `beta`
+    /// (both `[d]`), as one kernel (`cts_tensor::ops::layer_norm`).
+    fn layer_norm(&self, x: &Self::V, gamma: &Self::V, beta: &Self::V, eps: f32) -> Self::V;
     /// Negation.
     fn neg(&self, x: &Self::V) -> Self::V;
     /// ReLU.
@@ -101,23 +107,30 @@ pub trait Backend {
     fn concat(&self, parts: &[&Self::V], axis: usize) -> Self::V;
 }
 
-/// The few raw kernels ProbSparse's query measurement needs, so that the
-/// measurement is written once for real values ([`Eval`], which the tape
-/// also uses on its raw values) and for shapes ([`crate::Price`]).
-pub(crate) trait Kernels {
-    /// A raw value: a tensor, or a priced shape.
-    type T;
-    /// `a · bᵀ` over the trailing two dims (batch dims broadcast).
-    fn matmul_nt(&self, a: &Self::T, b: &Self::T) -> Self::T;
-    /// `a - b` (broadcasting).
-    fn sub(&self, a: &Self::T, b: &Self::T) -> Self::T;
+/// The two ops ProbSparse's query measurement needs beyond [`Backend`]'s,
+/// on the backends whose values are raw ([`Eval`], which the tape also
+/// uses on its raw values, and [`crate::Price`]'s shapes), so that the
+/// measurement is written once for both.
+pub(crate) trait Kernels: Backend {
     /// Maximum over `axis`, which is dropped.
-    fn max_axis(&self, x: &Self::T, axis: usize) -> Self::T;
-    /// Mean over `axis`, which is dropped.
-    fn mean_axis(&self, x: &Self::T, axis: usize) -> Self::T;
+    fn max_axis(&self, x: &Self::V, axis: usize) -> Self::V;
     /// The `u` indices of the largest entries of the 1-D `score` into
     /// `sel`, sorted ascending (`idx` is scratch).
-    fn top_u(&self, score: &Self::T, u: usize, idx: &mut Vec<usize>, sel: &mut Vec<usize>);
+    fn top_u(&self, score: &Self::V, u: usize, idx: &mut Vec<usize>, sel: &mut Vec<usize>);
+}
+
+/// The order [`Kernels::top_u`] ranks scores in: descending, NaN last. A
+/// total order, so the sort cannot panic on a NaN score; among non-NaN
+/// scores it is the `partial_cmp` order (equal zeros tie, and ties keep
+/// their index order in the stable sort).
+fn score_order(a: f32, b: f32) -> Ordering {
+    a.is_nan().cmp(&b.is_nan()).then(if a > b {
+        Ordering::Less
+    } else if a < b {
+        Ordering::Greater
+    } else {
+        Ordering::Equal
+    })
 }
 
 /// The tape-free backend: every op is the `cts_tensor::ops` kernel itself.
@@ -178,7 +191,11 @@ impl Backend for Tape {
 
     tape_ops! {
         unary: neg relu sigmoid tanh sqrt square softmax_last;
-        binary: add sub mul div matmul
+        binary: add sub mul div matmul matmul_nt
+    }
+
+    fn layer_norm(&self, x: &Var, gamma: &Var, beta: &Var, eps: f32) -> Var {
+        x.layer_norm(gamma, beta, eps)
     }
 
     fn scale(&self, x: &Var, c: f32) -> Var {
@@ -252,7 +269,11 @@ impl Backend for Eval {
 
     eval_ops! {
         unary: neg relu sigmoid tanh sqrt square softmax_last;
-        binary: add sub mul div matmul
+        binary: add sub mul div matmul matmul_nt
+    }
+
+    fn layer_norm(&self, x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor {
+        ops::layer_norm(x, gamma, beta, eps)
     }
 
     fn scale(&self, x: &Tensor, c: f32) -> Tensor {
@@ -293,29 +314,15 @@ impl Backend for Eval {
 }
 
 impl Kernels for Eval {
-    type T = Tensor;
-
-    fn matmul_nt(&self, a: &Tensor, b: &Tensor) -> Tensor {
-        ops::matmul_nt(a, b)
-    }
-
-    fn sub(&self, a: &Tensor, b: &Tensor) -> Tensor {
-        ops::sub(a, b)
-    }
-
     fn max_axis(&self, x: &Tensor, axis: usize) -> Tensor {
         ops::max_axis(x, axis, false)
-    }
-
-    fn mean_axis(&self, x: &Tensor, axis: usize) -> Tensor {
-        ops::mean_axis(x, axis, false)
     }
 
     fn top_u(&self, score: &Tensor, u: usize, idx: &mut Vec<usize>, sel: &mut Vec<usize>) {
         let s = score.data();
         idx.clear();
         idx.extend(0..s.len());
-        idx.sort_by(|&a, &b| s[b].partial_cmp(&s[a]).unwrap_or(std::cmp::Ordering::Equal));
+        idx.sort_by(|&a, &b| score_order(s[a], s[b]));
         sel.clear();
         sel.extend_from_slice(&idx[..u]);
         sel.sort_unstable();

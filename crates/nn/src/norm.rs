@@ -26,16 +26,12 @@ impl LayerNorm {
         }
     }
 
-    /// Normalise `[..., d]` per position over the channel axis.
+    /// Normalise `[..., d]` per position over the channel axis: one
+    /// fused kernel ([`Backend::layer_norm`]) with the bits of the
+    /// mean/centre/variance/scale/shift chain.
     pub fn forward<B: Backend>(&self, be: &B, x: &B::V) -> B::V {
-        let axis = be.shape(x).len() - 1;
-        let mean = be.mean_axis(x, axis, true);
-        let centered = be.sub(x, &mean);
-        let var = be.mean_axis(&be.square(&centered), axis, true);
-        let std = be.sqrt(&be.add_scalar(&var, self.eps));
-        let normed = be.div(&centered, &std);
-        let scaled = be.mul(&normed, &be.param(&self.gamma));
-        be.add(&scaled, &be.param(&self.beta))
+        let (gamma, beta) = (be.param(&self.gamma), be.param(&self.beta));
+        be.layer_norm(x, &gamma, &beta, self.eps)
     }
 
     /// Learnable affine parameters.
@@ -64,6 +60,73 @@ mod tests {
             let var: f32 = vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / 8.0;
             assert!(mean.abs() < 1e-4, "mean {mean}");
             assert!((var - 1.0).abs() < 1e-2, "var {var}");
+        }
+    }
+
+    /// The chain `LayerNorm::forward` recorded before it became one node.
+    fn composed(tape: &Tape, ln: &LayerNorm, x: &cts_autograd::Var) -> cts_autograd::Var {
+        let axis = x.shape().len() - 1;
+        let c = x.sub(&x.mean_axis(axis, true));
+        let sd = c.square().mean_axis(axis, true).add_scalar(ln.eps).sqrt();
+        c.div(&sd)
+            .mul(&tape.param(&ln.gamma))
+            .add(&tape.param(&ln.beta))
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The fused node gives the composed chain's output and, under every
+    /// wanted set the bi-level step uses, its gradients at `f32::to_bits`:
+    /// rows off the 8-row blocks, widths off the 8 lanes, a zero-variance
+    /// row and signed zeros.
+    #[test]
+    fn fused_node_matches_the_composed_chain_bitwise() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        for shape in [
+            vec![3usize, 5, 8],
+            vec![2, 9, 16],
+            vec![19, 3],
+            vec![4, 1],
+            vec![6],
+        ] {
+            let d = *shape.last().unwrap();
+            let ln = LayerNorm::new("ln", d);
+            *ln.gamma.value_mut() = init::uniform(&mut rng, [d], 0.5, 1.5);
+            *ln.beta.value_mut() = init::uniform(&mut rng, [d], -0.5, 0.5);
+            let mut xv = init::uniform(&mut rng, shape.clone(), -2.0, 2.0);
+            let data = xv.data_mut();
+            data[..d].fill(0.75);
+            data[d.min(data.len() - 1)] = -0.0;
+            data[data.len() - 1] = 0.0;
+            let x = Parameter::new("x", xv);
+            let w = init::uniform(&mut rng, shape.clone(), -1.0, 1.0);
+            let all = [x.clone(), ln.gamma.clone(), ln.beta.clone()];
+            let wanted: [Vec<Parameter>; 4] = [
+                all.to_vec(),
+                vec![x.clone()],
+                vec![ln.gamma.clone(), ln.beta.clone()],
+                vec![ln.beta.clone()],
+            ];
+            for want in &wanted {
+                let run = |fused: bool| {
+                    for p in &all {
+                        p.grad_mut().fill(0.0);
+                    }
+                    let tape = Tape::new();
+                    let xv = tape.param(&x).scale(1.0);
+                    let y = if fused {
+                        ln.forward(&tape, &xv)
+                    } else {
+                        composed(&tape, &ln, &xv)
+                    };
+                    tape.backward_for(&y.mul(&tape.constant(w.clone())).sum_all(), want);
+                    let grads: Vec<Vec<u32>> = all.iter().map(|p| bits(&p.grad())).collect();
+                    (bits(&y.value()), grads)
+                };
+                assert_eq!(run(true), run(false), "{shape:?}, {} wanted", want.len());
+            }
         }
     }
 

@@ -30,7 +30,7 @@
 
 use crate::backend::{Backend, Kernels, Leaf};
 use cts_autograd::Parameter;
-use cts_tensor::{broadcast_shapes, Shape, Tensor};
+use cts_tensor::{broadcast_shapes, ops, Shape, Tensor};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -304,6 +304,22 @@ impl Backend for Price {
         self.product(a, b, false)
     }
 
+    fn matmul_nt(&self, a: &Priced, b: &Priced) -> Priced {
+        self.product(a, b, true)
+    }
+
+    /// One row pass: reads `x`, `γ` and `β`, writes `x`'s shape, and does
+    /// [`ops::layer_norm_flops`] of work.
+    fn layer_norm(&self, x: &Priced, gamma: &Priced, beta: &Priced, _eps: f32) -> Priced {
+        let n = x.len();
+        let d = x.shape.last().map_or(0, |&d| d as u64);
+        let rows = n.checked_div(d).unwrap_or(0);
+        let work = ops::layer_norm_flops(n as usize, rows as usize) as u64;
+        let reads = n.saturating_add(gamma.len()).saturating_add(beta.len());
+        self.charge(|c| c.kernel(reads, work, n));
+        self.value(x.shape.clone())
+    }
+
     fn neg(&self, x: &Priced) -> Priced {
         self.unary(x)
     }
@@ -398,21 +414,7 @@ impl Backend for Price {
 }
 
 impl Kernels for Price {
-    type T = Priced;
-
-    fn matmul_nt(&self, a: &Priced, b: &Priced) -> Priced {
-        self.product(a, b, true)
-    }
-
-    fn sub(&self, a: &Priced, b: &Priced) -> Priced {
-        self.zip(a, b)
-    }
-
     fn max_axis(&self, x: &Priced, axis: usize) -> Priced {
-        self.reduce(x, axis, false)
-    }
-
-    fn mean_axis(&self, x: &Priced, axis: usize) -> Priced {
         self.reduce(x, axis, false)
     }
 

@@ -278,7 +278,7 @@ mod tests {
             },
         );
         let ctx = GraphContext::from_graph(&g, k);
-        for (kind, nodes) in [(OpKind::InformerT, 31), (OpKind::InformerS, 33)] {
+        for (kind, nodes) in [(OpKind::InformerT, 22), (OpKind::InformerS, 24)] {
             let op = build_operator(&mut rng, kind, "op", d, k, false);
             let tape = Tape::new();
             let x = tape.constant(init::uniform(&mut rng, [b, n, t, d], -1.0, 1.0));

@@ -14,6 +14,7 @@
 mod conv;
 mod elementwise;
 mod matmul;
+mod norm;
 mod reduce;
 mod shapeops;
 mod softmax;
@@ -23,6 +24,7 @@ pub mod reference;
 pub use conv::*;
 pub use elementwise::*;
 pub use matmul::*;
+pub use norm::*;
 pub use reduce::*;
 pub use shapeops::*;
 pub use softmax::*;

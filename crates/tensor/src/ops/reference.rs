@@ -399,3 +399,56 @@ pub fn stack(parts: &[&Tensor]) -> Tensor {
         .collect();
     Tensor::from_vec(out_shape, out)
 }
+
+/// LayerNorm over the last axis as the chain of kernels the fused
+/// `ops::layer_norm` replaced: `mean_axis → sub → square → mean_axis →
+/// add_scalar → sqrt → div → mul(γ) → add(β)`. The oracle whose bits the
+/// fused forward must give.
+pub fn layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor {
+    let (c, sd) = layer_norm_centred(x, eps);
+    super::add(&super::mul(&super::div(&c, &sd), gamma), beta)
+}
+
+/// `x − mean` and `√(var + eps)` of [`layer_norm`]'s chain.
+fn layer_norm_centred(x: &Tensor, eps: f32) -> (Tensor, Tensor) {
+    let axis = x.rank() - 1;
+    let c = super::sub(x, &super::mean_axis(x, axis, true));
+    let var = super::mean_axis(&super::square(&c), axis, true);
+    (c, super::sqrt(&super::add_scalar(&var, eps)))
+}
+
+/// `[∂x, ∂γ, ∂β]` of [`layer_norm`]'s chain as a tape sweep computes them:
+/// node by node from the output back, each with the gradient kernels of
+/// `Op::backward`, and two paths into one value summed with `axpy` in the
+/// sweep's order (the division's gradient into `c` first, then the
+/// square's; the subtraction's into `x` first, then the mean's). Each
+/// slot only where `needs` (`[x, γ, β]`) asks, as the tape skips the rest.
+pub fn layer_norm_grad(
+    grad: &Tensor,
+    x: &Tensor,
+    gamma: &Tensor,
+    eps: f32,
+    needs: [bool; 3],
+) -> [Option<Tensor>; 3] {
+    let axis = x.rank() - 1;
+    let (c, sd) = layer_norm_centred(x, eps);
+    let n = super::div(&c, &sd);
+    let gbeta = needs[2].then(|| super::reduce_to_shape(grad, gamma.shape()));
+    let ggamma = needs[1].then(|| super::mul_grad(grad, &n, gamma.shape()));
+    if !needs[0] {
+        return [None, ggamma, gbeta];
+    }
+    let gn = super::mul_grad(grad, gamma, x.shape());
+    let mut gc = super::div_grad_a(&gn, &sd, c.shape());
+    let gsd = super::div_grad_b(&gn, &c, &sd);
+    // `mean_axis_grad` reads the kept-axis gradient's buffer as is.
+    let gvar = super::sqrt_grad(&gsd, &sd);
+    gc.axpy(
+        1.0,
+        &super::square_grad(&super::mean_axis_grad(&gvar, c.shape(), axis), &c),
+    );
+    let gmean = super::reduce_owned(super::neg(&gc), sd.shape());
+    let mut gx = gc;
+    gx.axpy(1.0, &super::mean_axis_grad(&gmean, x.shape(), axis));
+    [Some(gx), ggamma, gbeta]
+}

@@ -40,7 +40,9 @@
 //! the result into `exp(x - m)`, which cannot observe the sign of a zero
 //! `m`. Sequential sums whose order a vector unit would have to change
 //! (softmax's `z`, dot products, `logsumexp`) stay scalar in the ops
-//! layer; they are not offered here.
+//! layer; they are not offered here. The LayerNorm bodies sum along rows
+//! without reordering: an 8×8 transpose puts eight rows on the lanes, one
+//! row per lane, so each row's sum is still one ascending scalar chain.
 //!
 //! # Why `unsafe` lives here (and why only here)
 //!
@@ -825,6 +827,191 @@ pub fn reduce_lanes8(
 }
 
 // ---------------------------------------------------------------------------
+// LayerNorm rows
+// ---------------------------------------------------------------------------
+
+/// Widest row the AVX2 LayerNorm bodies hold in their stack tile; wider
+/// rows take the scalar body (the same bits).
+pub const LN_MAX_D: usize = 64;
+
+/// `init + t0 + t1 + …`, one ascending chain. An `init` of `+0.0` is the
+/// chain a zeroed accumulator builds; `-0.0` is the additive identity,
+/// so it gives the terms' own sum (a lone term unchanged), as a reduction
+/// that a same-shape fast path skips does.
+#[inline(always)]
+fn chain(init: f32, terms: impl Iterator<Item = f32>) -> f32 {
+    terms.fold(init, |acc, t| acc + t)
+}
+
+/// The start of a fold over `len` terms that a reduction to a shape
+/// builds: `+0.0`, or the identity `-0.0` when there is one term and the
+/// reduction's same-shape fast path returns it as it is.
+#[inline(always)]
+pub fn fold_init(len: usize) -> f32 {
+    if len > 1 {
+        0.0
+    } else {
+        -0.0
+    }
+}
+
+/// One row's mean and `√(var + eps)`: each sum one ascending chain from
+/// `+0.0`, scaled by `1/d`, as `mean_axis` computes it.
+#[inline(always)]
+fn ln_stats(row: &[f32], inv_d: f32, eps: f32) -> (f32, f32) {
+    let m = chain(0.0, row.iter().copied()) * inv_d;
+    let var = chain(0.0, row.iter().map(|&v| (v - m) * (v - m))) * inv_d;
+    (m, (var + eps).sqrt())
+}
+
+/// `out = (x − m) / √(var + eps) · γ + β` for every row of `d = γ.len()`
+/// floats in `out`: the LayerNorm forward, with every IEEE operation of
+/// the composed `mean_axis → sub → square → mean_axis → add_scalar → sqrt
+/// → div → mul → add` chain in its order. The AVX2 body runs eight rows
+/// at once on the lanes of an 8×8 transpose, so each lane keeps its row's
+/// ascending sums; the remaining rows take the scalar body.
+pub fn layer_norm_rows(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) {
+    let d = gamma.len();
+    if d == 0 || out.is_empty() {
+        return;
+    }
+    assert!(
+        beta.len() == d && out.len().is_multiple_of(d) && x.len() >= out.len(),
+        "layer_norm_rows operands"
+    );
+    match level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: level() == Avx2 only after is_x86_feature_detected!("avx2");
+        // operand lengths were asserted above.
+        SimdLevel::Avx2 if d <= LN_MAX_D => unsafe {
+            x86::layer_norm_avx2(x, gamma, beta, eps, out)
+        },
+        _ => layer_norm_scalar(x, gamma, beta, eps, out),
+    }
+}
+
+fn layer_norm_scalar(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) {
+    let d = gamma.len();
+    let inv_d = 1.0 / d as f32;
+    for (o, row) in out.chunks_exact_mut(d).zip(x.chunks_exact(d)) {
+        let (m, sd) = ln_stats(row, inv_d, eps);
+        for (((o, &v), &g), &b) in o.iter_mut().zip(row).zip(gamma).zip(beta) {
+            *o = (v - m) / sd * g + b;
+        }
+    }
+}
+
+/// ∂x of [`layer_norm_rows`] for every row of `out`, given the upstream
+/// `g`, as the tape sweep of the composed chain builds it: with
+/// `c = x − m`, `gn = g·γ` and `sd = √(var + eps)`,
+///
+/// * `∂sd = Σ −(gn·c)/(sd·sd)`, `∂var = ∂sd/(2·sd)·(1/d)`;
+/// * `∂c = gn/sd + (2·∂var)·c` (the division's gradient first, then the
+///   square's);
+/// * `∂m = Σ −∂c`, and `∂x = ∂c + ∂m·(1/d)`.
+///
+/// Each sum is one ascending chain from [`fold_init`]`(d)`. The AVX2 body
+/// runs eight rows per transposed tile, as [`layer_norm_rows`] does.
+pub fn layer_norm_grad_rows(g: &[f32], x: &[f32], gamma: &[f32], eps: f32, out: &mut [f32]) {
+    let d = gamma.len();
+    if d == 0 || out.is_empty() {
+        return;
+    }
+    assert!(
+        out.len().is_multiple_of(d) && x.len() >= out.len() && g.len() >= out.len(),
+        "layer_norm_grad_rows operands"
+    );
+    match level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: level() == Avx2 only after is_x86_feature_detected!("avx2");
+        // operand lengths were asserted above.
+        SimdLevel::Avx2 if d <= LN_MAX_D => unsafe {
+            x86::layer_norm_grad_avx2(g, x, gamma, eps, out)
+        },
+        _ => layer_norm_grad_scalar(g, x, gamma, eps, out),
+    }
+}
+
+fn layer_norm_grad_scalar(g: &[f32], x: &[f32], gamma: &[f32], eps: f32, out: &mut [f32]) {
+    let d = gamma.len();
+    let (inv_d, init) = (1.0 / d as f32, fold_init(d));
+    for ((o, row), gr) in out
+        .chunks_exact_mut(d)
+        .zip(x.chunks_exact(d))
+        .zip(g.chunks_exact(d))
+    {
+        let (m, sd) = ln_stats(row, inv_d, eps);
+        let sd2 = sd * sd;
+        let terms = row.iter().zip(gr).zip(gamma);
+        let gsd = chain(
+            init,
+            terms.map(|((&v, &gv), &ga)| -(gv * ga * (v - m)) / sd2),
+        );
+        let tg = 2.0 * (gsd / (2.0 * sd) * inv_d);
+        for (((o, &v), &gv), &ga) in o.iter_mut().zip(row).zip(gr).zip(gamma) {
+            *o = gv * ga / sd + tg * (v - m);
+        }
+        let gmi = chain(init, o.iter().map(|&gc| -gc)) * inv_d;
+        for o in o.iter_mut() {
+            *o += gmi;
+        }
+    }
+}
+
+/// ∂γ of [`layer_norm_rows`] for the channels `c0..c0 + out.len()`:
+/// `out[j] = init + Σ_r g[r, c0+j] · n[r, c0+j]` over all rows `r` in
+/// ascending order, where `n = (x − m)/sd` is the row's normalised value.
+/// `init` is [`fold_init`] of the row count. The AVX2 body finds eight
+/// rows' statistics per transposed tile and keeps each channel's sum on
+/// its own lane.
+pub fn layer_norm_grad_gamma(
+    g: &[f32],
+    x: &[f32],
+    d: usize,
+    eps: f32,
+    c0: usize,
+    init: f32,
+    out: &mut [f32],
+) {
+    if d == 0 || out.is_empty() {
+        return;
+    }
+    assert!(
+        c0 + out.len() <= d && x.len().is_multiple_of(d) && g.len() == x.len(),
+        "layer_norm_grad_gamma operands"
+    );
+    match level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: level() == Avx2 only after is_x86_feature_detected!("avx2");
+        // operand lengths were asserted above.
+        SimdLevel::Avx2 if d <= LN_MAX_D => unsafe {
+            x86::layer_norm_grad_gamma_avx2(g, x, d, eps, c0, init, out)
+        },
+        _ => layer_norm_grad_gamma_scalar(g, x, d, eps, c0, init, out),
+    }
+}
+
+fn layer_norm_grad_gamma_scalar(
+    g: &[f32],
+    x: &[f32],
+    d: usize,
+    eps: f32,
+    c0: usize,
+    init: f32,
+    out: &mut [f32],
+) {
+    let inv_d = 1.0 / d as f32;
+    out.fill(init);
+    for (row, gr) in x.chunks_exact(d).zip(g.chunks_exact(d)) {
+        let (m, sd) = ln_stats(row, inv_d, eps);
+        let cols = row[c0..].iter().zip(&gr[c0..]);
+        for (o, (&v, &gv)) in out.iter_mut().zip(cols) {
+            *o += gv * ((v - m) / sd);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // x86_64 vector implementations
 // ---------------------------------------------------------------------------
 
@@ -834,7 +1021,10 @@ mod x86 {
     //! target feature is present; each body asserts its slice bounds
     //! before the pointer loop (`zip_rows_avx2` relies on its
     //! dispatcher's row check), so every load/store below is in bounds.
-    use super::{fold_max, pinned, BinOp, Gemm, Rows, UnOp, LANES, MAX_RDIMS, MR, MR_NARROW};
+    use super::{
+        fold_max, ln_stats, pinned, BinOp, Gemm, Rows, UnOp, LANES, LN_MAX_D, MAX_RDIMS, MR,
+        MR_NARROW,
+    };
     use std::arch::x86_64::*;
 
     // -- gemm ---------------------------------------------------------------
@@ -1287,6 +1477,326 @@ mod x86 {
             acc = _mm256_add_ps(acc, _mm256_loadu_ps(gp.add(base + roff)));
         });
         _mm256_storeu_ps(out.as_mut_ptr(), acc);
+    }
+
+    // -- LayerNorm rows -----------------------------------------------------
+
+    /// 8×8 transpose: lane `t` of output `j` is lane `j` of input `t`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+        let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+        let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+        let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+        let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        [
+            _mm256_permute2f128_ps::<0x20>(u0, u4),
+            _mm256_permute2f128_ps::<0x20>(u1, u5),
+            _mm256_permute2f128_ps::<0x20>(u2, u6),
+            _mm256_permute2f128_ps::<0x20>(u3, u7),
+            _mm256_permute2f128_ps::<0x31>(u0, u4),
+            _mm256_permute2f128_ps::<0x31>(u1, u5),
+            _mm256_permute2f128_ps::<0x31>(u2, u6),
+            _mm256_permute2f128_ps::<0x31>(u3, u7),
+        ]
+    }
+
+    /// Lanes `0..w` live.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn lane_mask(w: usize) -> __m256i {
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(w as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        )
+    }
+
+    /// The `d` columns of the eight `d`-float rows at `p` into
+    /// `tile[..d]`, lane `t` holding row `t`: 8×8 transposes of row
+    /// strips, the last one masked to the columns below `d`.
+    #[inline]
+    // SAFETY: to call, AVX2 must be available and `p` must start eight
+    // rows of `d` floats; `tile.len() >= d`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn load_cols(p: *const f32, d: usize, tile: &mut [__m256]) {
+        let mut j0 = 0;
+        while j0 < d {
+            let w = (d - j0).min(LANES);
+            let mask = lane_mask(w);
+            let mut rows = [_mm256_setzero_ps(); LANES];
+            for (t, row) in rows.iter_mut().enumerate() {
+                let src = p.add(t * d + j0);
+                // SAFETY: columns j0..j0 + w of row t lie inside the rows;
+                // masked-off lanes are neither read nor faulted on.
+                *row = if w == LANES {
+                    _mm256_loadu_ps(src)
+                } else {
+                    _mm256_maskload_ps(src, mask)
+                };
+            }
+            let cols = transpose8(rows);
+            if w == LANES {
+                // A fixed-width copy: the compiler keeps it in registers.
+                let dst: &mut [__m256; LANES] = (&mut tile[j0..j0 + LANES])
+                    .try_into()
+                    .unwrap_or_else(|_| unreachable!());
+                *dst = cols;
+            } else {
+                tile[j0..j0 + w].copy_from_slice(&cols[..w]);
+            }
+            j0 += LANES;
+        }
+    }
+
+    /// The 8-channel strips of `w` consecutive floats, the last one
+    /// masked to the floats below `w`.
+    #[derive(Clone, Copy)]
+    struct Strips {
+        count: usize,
+        w: usize,
+        masks: [__m256i; LN_MAX_D / LANES],
+    }
+
+    impl Strips {
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn new(w: usize) -> Self {
+            let mut masks = [_mm256_setzero_si256(); LN_MAX_D / LANES];
+            let count = w.div_ceil(LANES);
+            for (s, m) in masks.iter_mut().enumerate().take(count) {
+                *m = lane_mask(w - s * LANES);
+            }
+            Strips { count, w, masks }
+        }
+
+        /// Strip `s` of the floats at `p`.
+        #[inline]
+        // SAFETY: to call, AVX2 must be available and `p` must start `w`
+        // readable floats; masked-off lanes are neither read nor faulted on.
+        #[target_feature(enable = "avx2")]
+        unsafe fn load(&self, p: *const f32, s: usize) -> __m256 {
+            let p = p.add(s * LANES);
+            if (s + 1) * LANES <= self.w {
+                _mm256_loadu_ps(p)
+            } else {
+                _mm256_maskload_ps(p, self.masks[s])
+            }
+        }
+
+        /// Write `v` over strip `s` of the floats at `p`.
+        #[inline]
+        // SAFETY: to call, AVX2 must be available and `p` must start `w`
+        // writable floats; masked-off lanes are not written.
+        #[target_feature(enable = "avx2")]
+        unsafe fn store(&self, p: *mut f32, s: usize, v: __m256) {
+            let p = p.add(s * LANES);
+            if (s + 1) * LANES <= self.w {
+                _mm256_storeu_ps(p, v)
+            } else {
+                _mm256_maskstore_ps(p, self.masks[s], v)
+            }
+        }
+    }
+
+    /// Eight rows' mean and `√(var + eps)` from their columns (each lane
+    /// one row's ascending chains, as [`ln_stats`]); `tile[..d]` becomes
+    /// the centred `x − m`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn stats8(tile: &mut [__m256], inv_d: __m256, eps: __m256) -> (__m256, __m256) {
+        let mut s = _mm256_setzero_ps();
+        for &v in tile.iter() {
+            s = _mm256_add_ps(s, v);
+        }
+        let m = _mm256_mul_ps(s, inv_d);
+        let mut q = _mm256_setzero_ps();
+        for v in tile.iter_mut() {
+            *v = _mm256_sub_ps(*v, m);
+            q = _mm256_add_ps(q, _mm256_mul_ps(*v, *v));
+        }
+        let var = _mm256_mul_ps(q, inv_d);
+        (m, _mm256_sqrt_ps(_mm256_add_ps(var, eps)))
+    }
+
+    // SAFETY: to call, AVX2 must be available; the operand lengths are
+    // asserted below (and by the `layer_norm_rows` dispatcher).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn layer_norm_avx2(
+        x: &[f32],
+        gamma: &[f32],
+        beta: &[f32],
+        eps: f32,
+        out: &mut [f32],
+    ) {
+        let d = gamma.len();
+        assert!(d <= LN_MAX_D && beta.len() == d && x.len() >= out.len());
+        let rows = out.len() / d;
+        let (inv_d, veps) = (_mm256_set1_ps(1.0 / d as f32), _mm256_set1_ps(eps));
+        let st = Strips::new(d);
+        let (mut gs, mut bs) = (
+            [_mm256_setzero_ps(); LN_MAX_D / LANES],
+            [_mm256_setzero_ps(); LN_MAX_D / LANES],
+        );
+        for s in 0..st.count {
+            (gs[s], bs[s]) = (st.load(gamma.as_ptr(), s), st.load(beta.as_ptr(), s));
+        }
+        let mut tile = [_mm256_setzero_ps(); LN_MAX_D];
+        let tile = &mut tile[..d];
+        let (mut ms, mut sds) = ([0.0f32; LANES], [0.0f32; LANES]);
+        let mut r = 0;
+        while r + LANES <= rows {
+            load_cols(x.as_ptr().add(r * d), d, tile);
+            let (m, sd) = stats8(tile, inv_d, veps);
+            _mm256_storeu_ps(ms.as_mut_ptr(), m);
+            _mm256_storeu_ps(sds.as_mut_ptr(), sd);
+            // The output row by row, on channel strips.
+            for t in 0..LANES {
+                let (vm, vsd) = (_mm256_set1_ps(ms[t]), _mm256_set1_ps(sds[t]));
+                let off = (r + t) * d;
+                for s in 0..st.count {
+                    let xv = st.load(x.as_ptr().add(off), s);
+                    let n = _mm256_div_ps(_mm256_sub_ps(xv, vm), vsd);
+                    let y = _mm256_add_ps(_mm256_mul_ps(n, gs[s]), bs[s]);
+                    st.store(out.as_mut_ptr().add(off), s, y);
+                }
+            }
+            r += LANES;
+        }
+        super::layer_norm_scalar(&x[r * d..], gamma, beta, eps, &mut out[r * d..]);
+    }
+
+    // SAFETY: to call, AVX2 must be available; the operand lengths are
+    // asserted below (and by the `layer_norm_grad_rows` dispatcher).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn layer_norm_grad_avx2(
+        g: &[f32],
+        x: &[f32],
+        gamma: &[f32],
+        eps: f32,
+        out: &mut [f32],
+    ) {
+        let d = gamma.len();
+        assert!(d <= LN_MAX_D && x.len() >= out.len() && g.len() >= out.len());
+        let rows = out.len() / d;
+        let (inv_d, veps) = (_mm256_set1_ps(1.0 / d as f32), _mm256_set1_ps(eps));
+        let (two, sign) = (_mm256_set1_ps(2.0), _mm256_set1_ps(-0.0));
+        let init = _mm256_set1_ps(super::fold_init(d));
+        let st = Strips::new(d);
+        let mut gs = [_mm256_setzero_ps(); LN_MAX_D / LANES];
+        for (s, v) in gs.iter_mut().enumerate().take(st.count) {
+            *v = st.load(gamma.as_ptr(), s);
+        }
+        let mut xt = [_mm256_setzero_ps(); LN_MAX_D];
+        let mut gt = [_mm256_setzero_ps(); LN_MAX_D];
+        let (xt, gt) = (&mut xt[..d], &mut gt[..d]);
+        let mut stats = [[0.0f32; LANES]; 4];
+        let mut r = 0;
+        while r + LANES <= rows {
+            load_cols(x.as_ptr().add(r * d), d, xt);
+            load_cols(g.as_ptr().add(r * d), d, gt);
+            let (m, sd) = stats8(xt, inv_d, veps);
+            let sd2 = _mm256_mul_ps(sd, sd);
+            // gt becomes gn = g·γ.
+            let mut gsd = init;
+            for ((gv, &c), &ga) in gt.iter_mut().zip(xt.iter()).zip(gamma) {
+                *gv = _mm256_mul_ps(*gv, _mm256_set1_ps(ga));
+                let t = _mm256_xor_ps(_mm256_mul_ps(*gv, c), sign);
+                gsd = _mm256_add_ps(gsd, _mm256_div_ps(t, sd2));
+            }
+            let gvar = _mm256_mul_ps(_mm256_div_ps(gsd, _mm256_mul_ps(two, sd)), inv_d);
+            let tg = _mm256_mul_ps(two, gvar);
+            let mut gm = init;
+            for (&gn, &c) in gt.iter().zip(xt.iter()) {
+                let gc = _mm256_add_ps(_mm256_div_ps(gn, sd), _mm256_mul_ps(tg, c));
+                gm = _mm256_add_ps(gm, _mm256_xor_ps(gc, sign));
+            }
+            let gmi = _mm256_mul_ps(gm, inv_d);
+            for (dst, v) in stats.iter_mut().zip([m, sd, tg, gmi]) {
+                _mm256_storeu_ps(dst.as_mut_ptr(), v);
+            }
+            // ∂x row by row, on channel strips: ∂c (as above) + ∂m/d.
+            let [ms, sds, tgs, gmis] = &stats;
+            for t in 0..LANES {
+                let (vm, vsd) = (_mm256_set1_ps(ms[t]), _mm256_set1_ps(sds[t]));
+                let (vtg, vgmi) = (_mm256_set1_ps(tgs[t]), _mm256_set1_ps(gmis[t]));
+                let off = (r + t) * d;
+                for (s, &ga) in gs.iter().enumerate().take(st.count) {
+                    let c = _mm256_sub_ps(st.load(x.as_ptr().add(off), s), vm);
+                    let gn = _mm256_mul_ps(st.load(g.as_ptr().add(off), s), ga);
+                    let gc = _mm256_add_ps(_mm256_div_ps(gn, vsd), _mm256_mul_ps(vtg, c));
+                    st.store(out.as_mut_ptr().add(off), s, _mm256_add_ps(gc, vgmi));
+                }
+            }
+            r += LANES;
+        }
+        super::layer_norm_grad_scalar(&g[r * d..], &x[r * d..], gamma, eps, &mut out[r * d..]);
+    }
+
+    // SAFETY: to call, AVX2 must be available; the operand lengths are
+    // asserted below (and by the `layer_norm_grad_gamma` dispatcher).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn layer_norm_grad_gamma_avx2(
+        g: &[f32],
+        x: &[f32],
+        d: usize,
+        eps: f32,
+        c0: usize,
+        init: f32,
+        out: &mut [f32],
+    ) {
+        let w = out.len();
+        assert!(d <= LN_MAX_D && c0 + w <= d && g.len() == x.len());
+        let rows = x.len() / d;
+        let inv_d = 1.0 / d as f32;
+        let (vinv_d, veps) = (_mm256_set1_ps(inv_d), _mm256_set1_ps(eps));
+        let st = Strips::new(w);
+        let mut acc = [_mm256_set1_ps(init); LN_MAX_D / LANES];
+        let acc = &mut acc[..st.count];
+        let (xp, gp) = (x.as_ptr(), g.as_ptr());
+        // One row's contribution to every strip of channels c0..c0 + w.
+        let row = |acc: &mut [__m256], r: usize, m: f32, sd: f32| {
+            let (vm, vsd) = (_mm256_set1_ps(m), _mm256_set1_ps(sd));
+            let off = r * d + c0;
+            for (s, a) in acc.iter_mut().enumerate() {
+                let (xv, gv) = (st.load(xp.add(off), s), st.load(gp.add(off), s));
+                let n = _mm256_div_ps(_mm256_sub_ps(xv, vm), vsd);
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(gv, n));
+            }
+        };
+        let mut tile = [_mm256_setzero_ps(); LN_MAX_D];
+        let tile = &mut tile[..d];
+        let (mut ms, mut sds) = ([0.0f32; LANES], [0.0f32; LANES]);
+        let mut r = 0;
+        while r + LANES <= rows {
+            load_cols(xp.add(r * d), d, tile);
+            let (m, sd) = stats8(tile, vinv_d, veps);
+            _mm256_storeu_ps(ms.as_mut_ptr(), m);
+            _mm256_storeu_ps(sds.as_mut_ptr(), sd);
+            for t in 0..LANES {
+                row(acc, r + t, ms[t], sds[t]);
+            }
+            r += LANES;
+        }
+        while r < rows {
+            let (m, sd) = ln_stats(&x[r * d..(r + 1) * d], inv_d, eps);
+            row(acc, r, m, sd);
+            r += 1;
+        }
+        for (s, &a) in acc.iter().enumerate() {
+            st.store(out.as_mut_ptr(), s, a);
+        }
     }
 }
 

@@ -295,6 +295,42 @@ fn dirty_kernels_write_every_element() {
             || ops::matmul_tn(&at, &b),
         );
     }
+
+    // LayerNorm: the fused forward, ∂x and ∂γ against the composed chain,
+    // at the search shapes, rows and widths off the 8-row and 8-lane
+    // blocks, a width past the AVX2 tile, and one row.
+    let norms: [&[usize]; 6] = [
+        &[8, 32, 12, 16],
+        &[8, 32, 12, 8],
+        &[7, 33, 13, 11],
+        &[5, 3],
+        &[3, 70],
+        &[17],
+    ];
+    for shape in norms {
+        let d = shape[shape.len() - 1];
+        let (x, g) = (pattern(shape, 17), pattern(shape, 18));
+        let (gamma, beta) = (pattern(&[d], 19), pattern(&[d], 20));
+        check(
+            &format!("layer_norm {shape:?}"),
+            &reference::layer_norm(&x, &gamma, &beta, 1e-5),
+            || ops::layer_norm(&x, &gamma, &beta, 1e-5),
+        );
+        let want = reference::layer_norm_grad(&g, &x, &gamma, 1e-5, [true, true, false]);
+        for (i, name) in ["∂x", "∂γ"].into_iter().enumerate() {
+            let mut needs = [false; 3];
+            needs[i] = true;
+            check(
+                &format!("layer_norm_grad {name} {shape:?}"),
+                want[i].as_ref().expect("asked for"),
+                || {
+                    ops::layer_norm_grad(&g, &x, &gamma, 1e-5, needs)[i]
+                        .take()
+                        .expect("asked for")
+                },
+            );
+        }
+    }
 }
 
 /// `simd::zip_rows` on its own: every slice/splat pairing, runs of every

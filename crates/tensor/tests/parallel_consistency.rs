@@ -624,6 +624,59 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The fused LayerNorm against the composed chain it replaced
+    /// (`reference::layer_norm`, `reference::layer_norm_grad`) at
+    /// `f32::to_bits`, for y, ∂x, ∂γ and ∂β under a random needs mask and
+    /// the arch pass's (∂x alone), at 1–3 threads and every host SIMD
+    /// level. Widths on and off the 8 lanes (1, 3, 8, 16, 17), row counts
+    /// off the 8-row blocks and past the parallel threshold, rank 1, a
+    /// constant (zero-variance) row and signed zeros.
+    fn layer_norm_matches_the_composed_chain(
+        di in 0usize..5,
+        lead in 0usize..3,
+        rows in 1usize..300,
+        mask in 1usize..8,
+        threads in 1usize..4,
+        seed in 0u64..1_000_000
+    ) {
+        let _g = LOCK.lock().unwrap();
+        let d = [1, 3, 8, 16, 17][di];
+        let shape = if lead == 0 { vec![d] } else { vec![lead, rows, d] };
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut x = rand_tensor(&mut rng, shape.clone());
+        let mut g = rand_tensor(&mut rng, shape);
+        let (gamma, beta) = (rand_tensor(&mut rng, vec![d]), rand_tensor(&mut rng, vec![d]));
+        let n = x.len();
+        let xd = x.data_mut();
+        xd[..d].fill(0.625);
+        xd[n - 1] = -0.0;
+        xd[n / 2] = 0.0;
+        g.data_mut()[n / 3] = -0.0;
+        let y_want = reference::layer_norm(&x, &gamma, &beta, 1e-5);
+        let masks = [[mask & 1 == 1, mask & 2 == 2, mask & 4 == 4], [true, false, false]];
+        for level in host_levels() {
+            let y = with_threads(threads, || with_simd(level, || ops::layer_norm(&x, &gamma, &beta, 1e-5)));
+            prop_assert_eq!(bits(&y), bits(&y_want), "y at {:?}", level);
+            for needs in masks {
+                let want = reference::layer_norm_grad(&g, &x, &gamma, 1e-5, needs);
+                let got = with_threads(threads, || {
+                    with_simd(level, || ops::layer_norm_grad(&g, &x, &gamma, 1e-5, needs))
+                });
+                for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                    prop_assert_eq!(a.is_some(), needs[i]);
+                    if let (Some(a), Some(b)) = (a, b) {
+                        prop_assert_eq!(a.shape(), b.shape());
+                        prop_assert_eq!(bits(a), bits(b), "grad {} under {:?} at {:?}", i, needs, level);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Deterministic end-to-end: a matmul → softmax → reduce pipeline large
 /// enough to cross the parallel threshold must be bit-identical between a
 /// single forced worker and several.

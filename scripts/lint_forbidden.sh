@@ -47,6 +47,11 @@
 #      the `#![deny(unsafe_code)]` at lib.rs must stay load-bearing —
 #      a vectorized kernel belongs in the simd module, not inline.
 #      (Rule 2 still requires a `// SAFETY:` comment at every use.)
+#   9. No `partial_cmp` inside a `sort_by`/`sort_unstable_by` comparator
+#      (tracked from the call's opening parenthesis to its closing one,
+#      across lines). `partial_cmp(..).unwrap_or(Equal)` is not a total
+#      order once a NaN is compared, and the standard sorts may panic on
+#      such a comparator; write an explicit total order (e.g. NaN last).
 #
 # Exits non-zero with a `file:line` listing on any finding.
 set -euo pipefail
@@ -91,6 +96,20 @@ while IFS= read -r f; do
                 && line ~ /\.(send|recv|try_recv|recv_timeout)\(/ \
                 && line ~ /\.unwrap\(\)|\.expect\(/)
                 printf "%s:%d: channel result unwrapped in serving code (map to ServeError::ShardDown/FrontClosed)\n", FILENAME, NR
+            if (!in_sort && match(line, /sort(_unstable)?_by\(/)) {
+                in_sort = 1; depth = 0; rest = substr(line, RSTART)
+            } else if (in_sort) {
+                rest = line
+            }
+            if (in_sort) {
+                if (rest ~ /partial_cmp/)
+                    printf "%s:%d: partial_cmp in a sort comparator (not a total order with NaN)\n", FILENAME, NR
+                for (i = 1; i <= length(rest); i++) {
+                    ch = substr(rest, i, 1)
+                    if (ch == "(") depth++
+                    if (ch == ")" && --depth == 0) { in_sort = 0; break }
+                }
+            }
             if (FILENAME ~ /^crates\/tensor\/src\// && FILENAME !~ /crates\/tensor\/src\/(pool|simd)\.rs$/ \
                 && line ~ /(^|[^a-zA-Z_])unsafe([^a-zA-Z_]|$)/)
                 printf "%s:%d: unsafe in cts-tensor outside pool.rs/simd.rs (move the intrinsics into the simd module)\n", FILENAME, NR

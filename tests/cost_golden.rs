@@ -45,28 +45,28 @@ fn assert_rows(got: &[String], want: &str) {
 const OP_COSTS: &str = "
     zero/0 720 2880 2880 0 1 0 4096
     identity/0 0 0 0 0 0 0 4096
-    conv1d/0 24000 31080 24960 90 12 17280 34816
-    gdcc/0 44160 48672 39360 168 17 34560 55296
-    lstm/0 87360 117744 91200 324 166 69120 130560
-    gru/0 68640 111120 79680 246 214 51840 111872
-    trans-t/0 73680 60000 48000 120 17 60480 75776
-    inf-t/0 64020 66756 42528 120 24 51840 77696
-    cheb-gcn/0 55680 57444 45120 126 19 47520 75776
-    dgcn/0 81600 77992 59520 198 24 72000 100352
-    trans-s/0 49320 49920 37920 120 17 40320 67584
-    inf-s/0 48672 59340 38036 120 24 38880 75312
+    conv1d/0 24000 11880 11520 90 4 17280 16384
+    gdcc/0 44160 29472 25920 168 9 34560 36864
+    lstm/0 87360 98544 77760 324 158 69120 112128
+    gru/0 68640 91920 66240 246 206 51840 93440
+    trans-t/0 73680 40800 34560 120 9 60480 53248
+    inf-t/0 64020 47556 29088 120 16 51840 55168
+    cheb-gcn/0 55680 38244 31680 126 11 47520 57344
+    dgcn/0 81600 58792 46080 198 16 72000 81920
+    trans-s/0 49320 30720 24480 120 9 40320 45056
+    inf-s/0 48672 40140 24596 120 16 38880 52784
     zero/1 720 2880 2880 0 1 0 4096
     identity/1 0 0 0 0 0 0 4096
-    conv1d/1 24000 31080 24960 90 12 17280 34816
-    gdcc/1 44160 48672 39360 168 17 34560 55296
-    lstm/1 87360 117744 91200 324 166 69120 130560
-    gru/1 68640 111120 79680 246 214 51840 111872
-    trans-t/1 73680 60000 48000 120 17 60480 75776
-    inf-t/1 64020 66756 42528 120 24 51840 77696
-    cheb-gcn/1 55680 57444 45120 126 19 47520 75776
-    dgcn/1 115045 101880 77100 270 33 103880 137600
-    trans-s/1 49320 49920 37920 120 17 40320 67584
-    inf-s/1 48672 59340 38036 120 24 38880 75312
+    conv1d/1 24000 11880 11520 90 4 17280 16384
+    gdcc/1 44160 29472 25920 168 9 34560 36864
+    lstm/1 87360 98544 77760 324 158 69120 112128
+    gru/1 68640 91920 66240 246 206 51840 93440
+    trans-t/1 73680 40800 34560 120 9 60480 53248
+    inf-t/1 64020 47556 29088 120 16 51840 55168
+    cheb-gcn/1 55680 38244 31680 126 11 47520 57344
+    dgcn/1 115045 82680 63660 270 25 103880 119168
+    trans-s/1 49320 30720 24480 120 9 40320 45056
+    inf-s/1 48672 40140 24596 120 16 38880 52784
 ";
 
 #[test]
@@ -122,21 +122,21 @@ fn every_kind_arch() -> ArchSpec {
 
 const REPORT_STEPS: &str = "
     embed 3600 3912 5760 18 2 2880 8192
-    block0.e0 24000 31080 24960 90 12 17280 34816
-    block0.e1 44160 48672 39360 168 17 34560 55296
+    block0.e0 24000 11880 11520 90 4 17280 16384
+    block0.e1 44160 29472 25920 168 9 34560 36864
     block0.e2 1440 8640 5760 0 2 0 8192
     block0_residual 720 5760 2880 0 1 0 4096
-    block1.e0 87360 117744 91200 324 166 69120 130560
-    block1.e1 68640 111120 79680 246 214 51840 111872
+    block1.e0 87360 98544 77760 324 158 69120 112128
+    block1.e1 68640 91920 66240 246 206 51840 93440
     block1.e2 720 5760 2880 0 1 0 8192
     block1_residual 720 5760 2880 0 1 0 4096
-    block2.e0 73680 60000 48000 120 17 60480 75776
-    block2.e1 64020 66756 42528 120 24 51840 77696
-    block2.e2 56400 63204 48000 126 20 47520 79872
+    block2.e0 73680 40800 34560 120 9 60480 53248
+    block2.e1 64020 47556 29088 120 16 51840 55168
+    block2.e2 56400 44004 34560 126 12 47520 61440
     block2_residual 720 5760 2880 0 1 0 4096
-    block3.e0 115045 101880 77100 270 33 103880 137600
-    block3.e1 49320 49920 37920 120 17 40320 67584
-    block3.e2 49392 65100 40916 120 25 38880 79408
+    block3.e0 115045 82680 63660 270 25 103880 119168
+    block3.e1 49320 30720 24480 120 9 40320 45056
+    block3.e2 49392 45900 27476 120 17 38880 56880
     block3_residual 720 5760 2880 0 1 0 4096
     merge_block1 720 5760 2880 0 1 0 4096
     merge_block2 720 5760 2880 0 1 0 4096
@@ -145,10 +145,10 @@ const REPORT_STEPS: &str = "
 ";
 
 const REPORT_SUMMARY: &str = "
-    total 647947 781104 567584 1941 562 522920 908336
+    total 647947 589104 433184 1941 482 522920 707632
     num_slots 16
-    peak_bytes 178560 at block3.e0
-    ideal_peak_bytes 153984
+    peak_bytes 160128 at block3.e0
+    ideal_peak_bytes 135552
 ";
 
 #[test]
