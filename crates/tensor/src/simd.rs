@@ -847,7 +847,7 @@ fn chain(init: f32, terms: impl Iterator<Item = f32>) -> f32 {
 /// builds: `+0.0`, or the identity `-0.0` when there is one term and the
 /// reduction's same-shape fast path returns it as it is.
 #[inline(always)]
-pub fn fold_init(len: usize) -> f32 {
+fn fold_init(len: usize) -> f32 {
     if len > 1 {
         0.0
     } else {
@@ -910,7 +910,8 @@ fn layer_norm_scalar(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut
 ///   square's);
 /// * `∂m = Σ −∂c`, and `∂x = ∂c + ∂m·(1/d)`.
 ///
-/// Each sum is one ascending chain from [`fold_init`]`(d)`. The AVX2 body
+/// Each sum is one ascending chain from `+0.0` (from `-0.0`, the additive
+/// identity, when `d = 1`: the chain skips that reduction). The AVX2 body
 /// runs eight rows per transposed tile, as [`layer_norm_rows`] does.
 pub fn layer_norm_grad_rows(g: &[f32], x: &[f32], gamma: &[f32], eps: f32, out: &mut [f32]) {
     let d = gamma.len();
@@ -961,7 +962,8 @@ fn layer_norm_grad_scalar(g: &[f32], x: &[f32], gamma: &[f32], eps: f32, out: &m
 /// ∂γ of [`layer_norm_rows`] for the channels `c0..c0 + out.len()`:
 /// `out[j] = init + Σ_r g[r, c0+j] · n[r, c0+j]` over all rows `r` in
 /// ascending order, where `n = (x − m)/sd` is the row's normalised value.
-/// `init` is [`fold_init`] of the row count. The AVX2 body finds eight
+/// `init` is `+0.0`, or the identity `-0.0` for a rank-1 input, whose one
+/// row the chain's reduction returns as is. The AVX2 body finds eight
 /// rows' statistics per transposed tile and keeps each channel's sum on
 /// its own lane.
 pub fn layer_norm_grad_gamma(
