@@ -90,6 +90,26 @@ impl From<CheckpointError> for SearchError {
     }
 }
 
+/// The loop failures the search shares with `cts_nn::train_full`, one
+/// variant to one variant.
+impl From<TrainError> for SearchError {
+    fn from(e: TrainError) -> Self {
+        match e {
+            TrainError::Diverged {
+                epoch,
+                retries,
+                reason,
+            } => SearchError::Diverged {
+                epoch,
+                retries,
+                reason,
+            },
+            TrainError::Interrupted { epoch, step } => SearchError::Interrupted { epoch, step },
+            TrainError::Checkpoint(e) => SearchError::Checkpoint(e),
+        }
+    }
+}
+
 /// Typed failure of [`crate::AutoCts::try_evaluate`] (architecture
 /// evaluation, §3.4).
 #[derive(Debug)]

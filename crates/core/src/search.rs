@@ -1,29 +1,33 @@
 //! The joint bi-level search strategy (Algorithm 1), with crash-safe
 //! checkpointing and a divergence watchdog.
 //!
-//! Fault tolerance mirrors `cts_nn::train_full`: the loop optionally
-//! persists complete run state ([`RunState`]) at epoch boundaries —
-//! parameters, both Adam optimizers, the temperature schedule, the
-//! shuffle RNG, and the per-epoch trace — and a killed search resumes
-//! *bit-identically*. Epoch orderings are tracked as index permutations
-//! (shuffled with exactly the RNG consumption of
-//! [`cts_data::shuffle_windows`]), so resume replays the completed
-//! epochs' shuffles and then verifies the RNG landed on the
-//! checkpointed state, rejecting checkpoints from a different seed,
-//! config, or dataset.
+//! The loop's state has one form, [`RunState`]: parameters, both Adam
+//! optimizers, the temperature schedule, the shuffle RNG, and the
+//! per-epoch trace. The loop captures it at every epoch boundary as the
+//! watchdog's last-good state and, on the checkpoint cadence, writes that
+//! same capture to disk, so a killed search resumes *bit-identically*.
+//! Resume and rollback restore through one function. Epoch orderings are
+//! tracked as index permutations (shuffled with exactly the RNG
+//! consumption of [`cts_data::shuffle_windows`]), so a restore replays the
+//! completed epochs' shuffles and then verifies the RNG landed on the
+//! captured state, rejecting checkpoints from a different seed, config,
+//! or dataset. The watchdog policy itself is [`cts_nn::Watchdog`], shared
+//! with `cts_nn::train_full`.
 
 use crate::error::SearchError;
 use crate::{Genotype, SearchConfig, SupernetModel};
 use cts_autograd::{Parameter, Tape};
-use cts_data::{batches_from_windows, shuffle_in_place, DatasetSpec, SplitWindows, Window};
+use cts_data::{
+    batches_from_windows, shuffle_in_place, Batches, DatasetSpec, SplitWindows, Window,
+};
 use cts_graph::SensorGraph;
 use cts_nn::checkpoint::{
-    apply_parameters, load_run_state, save_run_state, CheckpointError, OptimizerState, RunCounters,
-    RunState, ScheduleState,
+    apply_parameters, load_run_state, save_run_state, CheckpointError, RunCounters, RunState,
+    ScheduleState,
 };
 use cts_nn::{
-    clip_grad_norm, fault, global_grad_norm, Adam, DivergenceReason, Forecaster, LossKind,
-    Optimizer, TemperatureSchedule,
+    clip_grad_norm, fault, global_grad_norm, Adam, DivergenceReason, EpochAbort, Forecaster,
+    LossKind, Optimizer, TemperatureSchedule, Verdict, Watchdog,
 };
 use cts_tensor::Tensor;
 use rand::{rngs::SmallRng, SeedableRng};
@@ -65,196 +69,330 @@ pub struct SearchStats {
     pub epochs: Vec<EpochStats>,
 }
 
-/// Why an epoch could not complete.
-enum EpochAbort {
-    Interrupted,
-    Diverged(DivergenceReason),
-}
-
-/// One health-checked pass of alternating (Θ, w) updates: consults the
-/// fault-injection plan and the watchdog at every step pair, refusing to
-/// apply a poisoned update. Returns the mean pseudo-validation loss.
-#[allow(clippy::too_many_arguments)]
-fn run_search_epoch(
-    model: &SupernetModel,
-    arch_opt: &mut Adam,
-    weight_opt: &mut Adam,
-    train_batches: &[(Tensor, Tensor)],
-    val_batches: &[(Tensor, Tensor)],
-    cfg: &SearchConfig,
+/// Everything [`joint_search`] carries across steps and epochs.
+/// [`RunState`] is its only saved form: a checkpoint, a resume and a
+/// watchdog rollback all go through [`SearchRun::capture`] and
+/// [`SearchRun::restore`].
+struct SearchRun<'a> {
+    cfg: &'a SearchConfig,
+    model: SupernetModel,
     loss_kind: LossKind,
-    steps: &mut usize,
-    memory_scalars: &mut usize,
-) -> Result<f32, EpochAbort> {
-    let watchdog_on = cfg.watchdog.enabled;
-    let mut val_loss_acc = 0.0f64;
-    let mut val_count = 0usize;
-    for (step_in_epoch, (x_tr, y_tr)) in train_batches.iter().enumerate() {
-        let gstep = *steps as u64;
-        if fault::take_abort(gstep) {
-            return Err(EpochAbort::Interrupted);
-        }
-        // line 3-4: update Θ on a pseudo-validation mini-batch
-        let (x_va, y_va) = &val_batches[step_in_epoch % val_batches.len()];
-        let step_val = {
-            let tape = Tape::new();
-            let fwd = cts_obs::span(cts_obs::Phase::Forward);
-            let xv = tape.constant(x_va.clone());
-            let pred = model.forward(&tape, &xv);
-            let mut loss = loss_kind.compute(&tape, &pred, y_va);
-            let lv = loss.value().item();
-            if watchdog_on && !lv.is_finite() {
-                return Err(EpochAbort::Diverged(DivergenceReason::NonFiniteLoss {
-                    step: gstep,
-                }));
-            }
-            val_loss_acc += lv as f64;
-            val_count += 1;
-            if cfg.cost_penalty > 0.0 {
-                // efficiency-aware objective (§6 future work):
-                // L_val + λ · E[operator cost]
-                loss = loss.add(&model.expected_cost(&tape).scale(cfg.cost_penalty));
-            }
-            drop(fwd);
-            // w gradients from this pass are not computed (first-order
-            // approximation): only Θ steps here.
-            {
-                let _span = cts_obs::span(cts_obs::Phase::Backward);
-                tape.backward_for(&loss, arch_opt.params());
-            }
-            if watchdog_on && !global_grad_norm(arch_opt.params()).is_finite() {
-                return Err(EpochAbort::Diverged(DivergenceReason::NonFiniteGradient {
-                    step: gstep,
-                }));
-            }
-            {
-                let _span = cts_obs::span(cts_obs::Phase::ArchStep);
-                arch_opt.step();
-            }
-            lv
-        };
-        // line 5-6: update w on a pseudo-training mini-batch
-        {
-            let tape = Tape::new();
-            let fwd = cts_obs::span(cts_obs::Phase::Forward);
-            let xv = tape.constant(x_tr.clone());
-            let pred = model.forward(&tape, &xv);
-            let loss = loss_kind.compute(&tape, &pred, y_tr);
-            if watchdog_on && !loss.value().item().is_finite() {
-                return Err(EpochAbort::Diverged(DivergenceReason::NonFiniteLoss {
-                    step: gstep,
-                }));
-            }
-            drop(fwd);
-            // Θ gradients from this pass are not computed either.
-            {
-                let _span = cts_obs::span(cts_obs::Phase::Backward);
-                tape.backward_for(&loss, weight_opt.params());
-            }
-            if fault::take_nan_grad(gstep) {
-                fault::poison_gradients(weight_opt.params());
-            }
-            if watchdog_on && !global_grad_norm(weight_opt.params()).is_finite() {
-                return Err(EpochAbort::Diverged(DivergenceReason::NonFiniteGradient {
-                    step: gstep,
-                }));
-            }
-            *memory_scalars = (*memory_scalars).max(tape.activation_scalars());
-            {
-                let _span = cts_obs::span(cts_obs::Phase::WeightStep);
-                if cfg.clip > 0.0 {
-                    clip_grad_norm(weight_opt.params(), cfg.clip);
-                }
-                weight_opt.step();
-            }
-        }
-        *steps += 1;
-        if cts_obs::trace_enabled() {
-            use cts_obs::runlog::Value;
-            cts_obs::runlog::emit(
-                "step",
-                &[
-                    ("kind", Value::Str("joint_search")),
-                    ("step", Value::U64(gstep)),
-                    ("val_loss", Value::F64(step_val as f64)),
-                ],
-            );
-        }
-    }
-    Ok(if val_count > 0 {
-        (val_loss_acc / val_count as f64) as f32
-    } else {
-        0.0
-    })
-}
-
-/// Last-good in-memory snapshot for watchdog rollback. Includes the
-/// shuffle permutations and RNG so a retried epoch replays the same
-/// batch order and checkpoint resume stays replayable.
-struct Snapshot {
-    values: Vec<Tensor>,
-    arch: OptimizerState,
-    weight: OptimizerState,
-    steps: usize,
-    memory_scalars: usize,
+    arch_opt: Adam,
+    weight_opt: Adam,
+    schedule: TemperatureSchedule,
+    /// Θ then w.
+    params: Vec<Parameter>,
+    /// The shuffle RNG, and its state right after model initialisation:
+    /// [`SearchRun::restore`] replays the completed epochs' shuffles from
+    /// there.
+    rng: SmallRng,
+    rng_init: [u64; 4],
+    /// The training split halved into pseudo-train / pseudo-validation
+    /// windows (§3.4).
+    pseudo_train: Vec<Window>,
+    pseudo_val: Vec<Window>,
+    /// Epoch orderings are cumulative in-place shuffles, tracked as index
+    /// permutations so a restore can replay them without the window data.
     perm_train: Vec<usize>,
     perm_val: Vec<usize>,
-    rng: [u64; 4],
+    steps: usize,
+    memory_scalars: usize,
+    final_val_loss: f32,
+    trace: Vec<EpochStats>,
+    /// Mean pseudo-validation loss per completed epoch (the spike test's
+    /// history).
+    loss_history: Vec<f32>,
+    epoch: usize,
+    /// Wall-clock seconds of earlier processes (resume only).
+    secs_before: f64,
+    started: cts_obs::Stopwatch,
 }
 
-impl Snapshot {
-    #[allow(clippy::too_many_arguments)]
-    fn capture(
-        params: &[Parameter],
-        arch_opt: &Adam,
-        weight_opt: &Adam,
-        steps: usize,
-        memory_scalars: usize,
-        perm_train: &[usize],
-        perm_val: &[usize],
-        rng: &SmallRng,
-    ) -> Self {
-        Self {
-            values: params.iter().map(|p| p.value().clone()).collect(),
-            arch: arch_opt.export_state("arch"),
-            weight: weight_opt.export_state("weight"),
-            steps,
-            memory_scalars,
-            perm_train: perm_train.to_vec(),
-            perm_val: perm_val.to_vec(),
-            rng: rng.state(),
+impl<'a> SearchRun<'a> {
+    fn new(
+        cfg: &'a SearchConfig,
+        spec: &DatasetSpec,
+        graph: &SensorGraph,
+        windows: &SplitWindows,
+    ) -> Result<Self, SearchError> {
+        let (pseudo_train, pseudo_val) = windows.pseudo_split();
+        if pseudo_train.is_empty() || pseudo_val.is_empty() {
+            return Err(SearchError::EmptySplit {
+                train: pseudo_train.len(),
+                val: pseudo_val.len(),
+            });
+        }
+        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let model = SupernetModel::new(&mut rng, cfg, spec, graph, &windows.scaler);
+        let params: Vec<Parameter> = model
+            .arch_parameters()
+            .into_iter()
+            .chain(model.weight_parameters())
+            .collect();
+        Ok(Self {
+            cfg,
+            loss_kind: LossKind::MaskedMae {
+                null_value: spec.null_value,
+            },
+            arch_opt: Adam::for_architecture(model.arch_parameters(), cfg.arch_lr, cfg.arch_wd),
+            weight_opt: Adam::new(model.weight_parameters(), cfg.weight_lr, cfg.weight_wd),
+            schedule: TemperatureSchedule::new(cfg.tau_init, cfg.tau_factor, cfg.tau_min),
+            model,
+            params,
+            rng_init: rng.state(),
+            rng,
+            perm_train: (0..pseudo_train.len()).collect(),
+            perm_val: (0..pseudo_val.len()).collect(),
+            pseudo_train,
+            pseudo_val,
+            steps: 0,
+            memory_scalars: 0,
+            final_val_loss: 0.0,
+            trace: Vec::with_capacity(cfg.epochs),
+            loss_history: Vec::with_capacity(cfg.epochs),
+            epoch: 0,
+            secs_before: 0.0,
+            started: cts_obs::Stopwatch::start(),
+        })
+    }
+
+    /// Store the loop's state in `rs`, in place where an earlier capture
+    /// of this run left buffers ([`RunState::store_params`]).
+    fn capture(&self, rs: &mut RunState) -> Result<(), CheckpointError> {
+        rs.store_params(&self.params)?;
+        rs.store_optimizers(&[("arch", &self.arch_opt), ("weight", &self.weight_opt)]);
+        rs.schedule = Some(ScheduleState {
+            tau: self.schedule.tau(),
+            factor: self.schedule.factor(),
+            min: self.schedule.min_tau(),
+        });
+        rs.counters = RunCounters {
+            epoch: self.epoch as u64,
+            step: self.steps as u64,
+            memory_scalars: self.memory_scalars as u64,
+            last_val: self.final_val_loss,
+            secs: self.secs_before + self.started.elapsed_secs(),
+            ..RunCounters::default()
+        };
+        rs.rng = Some(self.rng.state());
+        rs.trace.clear();
+        rs.trace.extend(
+            self.trace
+                .iter()
+                .map(|e| [e.tau, e.val_loss, e.alpha_entropy]),
+        );
+        rs.train_losses.clear();
+        rs.val_losses.clone_from(&self.loss_history);
+        rs.mid_epoch = None;
+        Ok(())
+    }
+
+    /// Continue from `rs`. The wall clock is not rewound: a resume takes
+    /// `rs.counters.secs` itself.
+    ///
+    /// The shuffle permutations are rebuilt by replaying `epoch` shuffles
+    /// from the post-initialisation RNG state, and the RNG must then land
+    /// on `rs.rng`: this proves a checkpoint belongs to this (seed, config,
+    /// dataset).
+    fn restore(&mut self, rs: &RunState) -> Result<(), SearchError> {
+        let incompatible = |m: String| SearchError::Checkpoint(CheckpointError::Incompatible(m));
+        apply_parameters(&rs.params, &self.params)?;
+        for p in &self.params {
+            p.zero_grad();
+        }
+        for os in &rs.optimizers {
+            match os.name.as_str() {
+                "arch" => self.arch_opt.import_state(os)?,
+                "weight" => self.weight_opt.import_state(os)?,
+                other => {
+                    return Err(incompatible(format!(
+                        "unknown optimizer {other:?} in search checkpoint"
+                    )))
+                }
+            }
+        }
+        if let Some(s) = &rs.schedule {
+            let sched = &self.schedule;
+            if s.factor != sched.factor() || s.min != sched.min_tau() {
+                return Err(incompatible(format!(
+                    "checkpoint temperature schedule (factor {}, min {}) does not \
+                     match the config (factor {}, min {})",
+                    s.factor,
+                    s.min,
+                    sched.factor(),
+                    sched.min_tau()
+                )));
+            }
+            self.schedule.restore(s.tau);
+        }
+        self.epoch = rs.counters.epoch as usize;
+        self.steps = rs.counters.step as usize;
+        self.memory_scalars = rs.counters.memory_scalars as usize;
+        self.final_val_loss = rs.counters.last_val;
+        self.trace = rs
+            .trace
+            .iter()
+            .map(|t| EpochStats {
+                tau: t[0],
+                val_loss: t[1],
+                alpha_entropy: t[2],
+            })
+            .collect();
+        self.loss_history.clone_from(&rs.val_losses);
+        if let Some(last) = self.trace.last() {
+            self.model.set_tau(last.tau);
+        }
+        self.rng = SmallRng::from_state(self.rng_init);
+        for perm in [&mut self.perm_train, &mut self.perm_val] {
+            perm.iter_mut().enumerate().for_each(|(i, p)| *p = i);
+        }
+        for _ in 0..self.epoch {
+            shuffle_in_place(&mut self.rng, &mut self.perm_train);
+            shuffle_in_place(&mut self.rng, &mut self.perm_val);
+        }
+        match rs.rng {
+            Some(state) if self.rng.state() != state => Err(incompatible(
+                "checkpoint RNG state does not match a deterministic replay — the \
+                 checkpoint was produced with a different seed, config, or dataset"
+                    .into(),
+            )),
+            _ => Ok(()),
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn restore(
-        &self,
-        params: &[Parameter],
-        arch_opt: &mut Adam,
-        weight_opt: &mut Adam,
-        steps: &mut usize,
-        memory_scalars: &mut usize,
-        perm_train: &mut Vec<usize>,
-        perm_val: &mut Vec<usize>,
-        rng: &mut SmallRng,
-    ) {
-        for (p, t) in params.iter().zip(&self.values) {
-            p.set_value(t.clone());
-            p.zero_grad();
+    /// Shuffle for the next epoch and batch both pseudo splits in the new
+    /// order.
+    fn shuffled_batches(&mut self) -> (Batches, Batches) {
+        shuffle_in_place(&mut self.rng, &mut self.perm_train);
+        shuffle_in_place(&mut self.rng, &mut self.perm_val);
+        let batches = |perm: &[usize], windows: &[Window]| {
+            let shuffled: Vec<Window> = perm.iter().map(|&i| windows[i].clone()).collect();
+            batches_from_windows(&shuffled, self.cfg.batch_size)
+        };
+        (
+            batches(&self.perm_train, &self.pseudo_train),
+            batches(&self.perm_val, &self.pseudo_val),
+        )
+    }
+
+    /// One health-checked pass of alternating (Θ, w) updates: consults the
+    /// fault-injection plan and the watchdog at every step pair, refusing
+    /// to apply a poisoned update. Returns the mean pseudo-validation loss.
+    fn run_epoch(
+        &mut self,
+        train_batches: &[(Tensor, Tensor)],
+        val_batches: &[(Tensor, Tensor)],
+    ) -> Result<f32, EpochAbort> {
+        let Self {
+            cfg,
+            model,
+            loss_kind,
+            arch_opt,
+            weight_opt,
+            steps,
+            memory_scalars,
+            ..
+        } = self;
+        let watchdog_on = cfg.watchdog.enabled;
+        let mut val_loss_acc = 0.0f64;
+        let mut val_count = 0usize;
+        for (step_in_epoch, (x_tr, y_tr)) in train_batches.iter().enumerate() {
+            let gstep = *steps as u64;
+            if fault::take_abort(gstep) {
+                return Err(EpochAbort::Interrupted);
+            }
+            // line 3-4: update Θ on a pseudo-validation mini-batch
+            let (x_va, y_va) = &val_batches[step_in_epoch % val_batches.len()];
+            let step_val = {
+                let tape = Tape::new();
+                let fwd = cts_obs::span(cts_obs::Phase::Forward);
+                let xv = tape.constant(x_va.clone());
+                let pred = model.forward(&tape, &xv);
+                let mut loss = loss_kind.compute(&tape, &pred, y_va);
+                let lv = loss.value().item();
+                if watchdog_on && !lv.is_finite() {
+                    return Err(EpochAbort::Diverged(DivergenceReason::NonFiniteLoss {
+                        step: gstep,
+                    }));
+                }
+                val_loss_acc += lv as f64;
+                val_count += 1;
+                if cfg.cost_penalty > 0.0 {
+                    // efficiency-aware objective (§6 future work):
+                    // L_val + λ · E[operator cost]
+                    loss = loss.add(&model.expected_cost(&tape).scale(cfg.cost_penalty));
+                }
+                drop(fwd);
+                // w gradients from this pass are not computed (first-order
+                // approximation): only Θ steps here.
+                {
+                    let _span = cts_obs::span(cts_obs::Phase::Backward);
+                    tape.backward_for(&loss, arch_opt.params());
+                }
+                if watchdog_on && !global_grad_norm(arch_opt.params()).is_finite() {
+                    return Err(EpochAbort::Diverged(DivergenceReason::NonFiniteGradient {
+                        step: gstep,
+                    }));
+                }
+                {
+                    let _span = cts_obs::span(cts_obs::Phase::ArchStep);
+                    arch_opt.step();
+                }
+                lv
+            };
+            // line 5-6: update w on a pseudo-training mini-batch
+            {
+                let tape = Tape::new();
+                let fwd = cts_obs::span(cts_obs::Phase::Forward);
+                let xv = tape.constant(x_tr.clone());
+                let pred = model.forward(&tape, &xv);
+                let loss = loss_kind.compute(&tape, &pred, y_tr);
+                if watchdog_on && !loss.value().item().is_finite() {
+                    return Err(EpochAbort::Diverged(DivergenceReason::NonFiniteLoss {
+                        step: gstep,
+                    }));
+                }
+                drop(fwd);
+                // Θ gradients from this pass are not computed either.
+                {
+                    let _span = cts_obs::span(cts_obs::Phase::Backward);
+                    tape.backward_for(&loss, weight_opt.params());
+                }
+                if fault::take_nan_grad(gstep) {
+                    fault::poison_gradients(weight_opt.params());
+                }
+                if watchdog_on && !global_grad_norm(weight_opt.params()).is_finite() {
+                    return Err(EpochAbort::Diverged(DivergenceReason::NonFiniteGradient {
+                        step: gstep,
+                    }));
+                }
+                *memory_scalars = (*memory_scalars).max(tape.activation_scalars());
+                {
+                    let _span = cts_obs::span(cts_obs::Phase::WeightStep);
+                    if cfg.clip > 0.0 {
+                        clip_grad_norm(weight_opt.params(), cfg.clip);
+                    }
+                    weight_opt.step();
+                }
+            }
+            *steps += 1;
+            if cts_obs::trace_enabled() {
+                use cts_obs::runlog::Value;
+                cts_obs::runlog::emit(
+                    "step",
+                    &[
+                        ("kind", Value::Str("joint_search")),
+                        ("step", Value::U64(gstep)),
+                        ("val_loss", Value::F64(step_val as f64)),
+                    ],
+                );
+            }
         }
-        arch_opt
-            .import_state(&self.arch)
-            // invariant: the snapshot was exported from this same optimizer.
-            .expect("snapshot taken from this optimizer");
-        weight_opt
-            .import_state(&self.weight)
-            // invariant: the snapshot was exported from this same optimizer.
-            .expect("snapshot taken from this optimizer");
-        *steps = self.steps;
-        *memory_scalars = self.memory_scalars;
-        perm_train.clone_from(&self.perm_train);
-        perm_val.clone_from(&self.perm_val);
-        *rng = SmallRng::from_state(self.rng);
+        Ok(if val_count > 0 {
+            (val_loss_acc / val_count as f64) as f32
+        } else {
+            0.0
+        })
     }
 }
 
@@ -280,115 +418,21 @@ pub fn joint_search(
     windows: &SplitWindows,
 ) -> Result<(Genotype, SupernetModel, SearchStats), SearchError> {
     cfg.try_validate().map_err(SearchError::InvalidConfig)?;
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let model = SupernetModel::new(&mut rng, cfg, spec, graph, &windows.scaler);
-
-    let (pseudo_train, pseudo_val) = windows.pseudo_split();
-    if pseudo_train.is_empty() || pseudo_val.is_empty() {
-        return Err(SearchError::EmptySplit {
-            train: pseudo_train.len(),
-            val: pseudo_val.len(),
-        });
-    }
-
-    let mut arch_opt = Adam::for_architecture(model.arch_parameters(), cfg.arch_lr, cfg.arch_wd);
-    let mut weight_opt = Adam::new(model.weight_parameters(), cfg.weight_lr, cfg.weight_wd);
-    let mut schedule = TemperatureSchedule::new(cfg.tau_init, cfg.tau_factor, cfg.tau_min);
-    let loss_kind = LossKind::MaskedMae {
-        null_value: spec.null_value,
-    };
-    let all_params: Vec<Parameter> = model
-        .arch_parameters()
-        .into_iter()
-        .chain(model.weight_parameters())
-        .collect();
-
-    // Epoch orderings are cumulative in-place shuffles, tracked as index
-    // permutations so resume can replay them without the window data.
-    let mut perm_train: Vec<usize> = (0..pseudo_train.len()).collect();
-    let mut perm_val: Vec<usize> = (0..pseudo_val.len()).collect();
-
-    let mut steps = 0usize;
-    let mut memory_scalars = 0usize;
-    let mut final_val_loss = 0.0f32;
-    let mut epoch_trace: Vec<EpochStats> = Vec::with_capacity(cfg.epochs);
-    let mut loss_history: Vec<f32> = Vec::with_capacity(cfg.epochs);
-    let mut epoch = 0usize;
-    let mut secs_before = 0.0f64;
+    let mut run = SearchRun::new(cfg, spec, graph, windows)?;
 
     // Resume from a previous run's checkpoint when configured. A corrupt
     // file is a hard error — it is never loaded, and never silently
     // replaced by a fresh start.
-    if let Some(ck) = &cfg.checkpoint {
-        if ck.resume && ck.path.exists() {
-            let rs = load_run_state(&ck.path)?;
-            apply_parameters(&rs.params, &all_params)?;
-            for os in &rs.optimizers {
-                match os.name.as_str() {
-                    "arch" => arch_opt.import_state(os)?,
-                    "weight" => weight_opt.import_state(os)?,
-                    other => {
-                        return Err(SearchError::Checkpoint(CheckpointError::Incompatible(
-                            format!("unknown optimizer {other:?} in search checkpoint"),
-                        )))
-                    }
-                }
-            }
-            if let Some(s) = &rs.schedule {
-                if s.factor != schedule.factor() || s.min != schedule.min_tau() {
-                    return Err(SearchError::Checkpoint(CheckpointError::Incompatible(
-                        format!(
-                            "checkpoint temperature schedule (factor {}, min {}) does not \
-                             match the config (factor {}, min {})",
-                            s.factor,
-                            s.min,
-                            schedule.factor(),
-                            schedule.min_tau()
-                        ),
-                    )));
-                }
-                schedule.restore(s.tau);
-            }
-            epoch = rs.counters.epoch as usize;
-            steps = rs.counters.step as usize;
-            memory_scalars = rs.counters.memory_scalars as usize;
-            final_val_loss = rs.counters.last_val;
-            secs_before = rs.counters.secs;
-            epoch_trace = rs
-                .trace
-                .iter()
-                .map(|t| EpochStats {
-                    tau: t[0],
-                    val_loss: t[1],
-                    alpha_entropy: t[2],
-                })
-                .collect();
-            loss_history = rs.val_losses.clone();
-            if let Some(last) = epoch_trace.last() {
-                model.set_tau(last.tau);
-            }
-            // Replay the completed epochs' shuffles, then verify the RNG
-            // landed exactly where the checkpoint recorded it — this both
-            // reconstructs the cumulative permutations and proves the
-            // checkpoint belongs to this (seed, config, dataset).
-            for _ in 0..epoch {
-                shuffle_in_place(&mut rng, &mut perm_train);
-                shuffle_in_place(&mut rng, &mut perm_val);
-            }
-            if let Some(state) = rs.rng {
-                if rng.state() != state {
-                    return Err(SearchError::Checkpoint(CheckpointError::Incompatible(
-                        "checkpoint RNG state does not match a deterministic replay — \
-                         the checkpoint was produced with a different seed, config, or \
-                         dataset"
-                            .into(),
-                    )));
-                }
-            }
-        }
+    if let Some(ck) = cfg
+        .checkpoint
+        .as_ref()
+        .filter(|ck| ck.resume && ck.path.exists())
+    {
+        let rs = load_run_state(&ck.path)?;
+        run.restore(&rs)?;
+        run.secs_before = rs.counters.secs;
     }
 
-    let started = cts_obs::Stopwatch::start();
     if cts_obs::metrics_enabled() {
         use cts_obs::runlog::Value;
         cts_obs::runlog::emit(
@@ -397,166 +441,54 @@ pub fn joint_search(
                 ("kind", Value::Str("joint_search")),
                 ("seed", Value::U64(cfg.seed)),
                 ("epochs", Value::U64(cfg.epochs as u64)),
-                ("start_epoch", Value::U64(epoch as u64)),
-                ("tau", Value::F64(schedule.tau() as f64)),
+                ("start_epoch", Value::U64(run.epoch as u64)),
+                ("tau", Value::F64(run.schedule.tau() as f64)),
             ],
         );
     }
-    let mut snapshot = Snapshot::capture(
-        &all_params,
-        &arch_opt,
-        &weight_opt,
-        steps,
-        memory_scalars,
-        &perm_train,
-        &perm_val,
-        &rng,
-    );
-    let mut rollbacks = 0usize;
+    let mut watchdog = Watchdog::new(&cfg.watchdog, "joint_search");
+    run.capture(watchdog.keep())?;
 
-    while epoch < cfg.epochs {
-        model.set_tau(schedule.tau());
-        shuffle_in_place(&mut rng, &mut perm_train);
-        shuffle_in_place(&mut rng, &mut perm_val);
-        let shuffled_train: Vec<Window> = perm_train
-            .iter()
-            .map(|&i| pseudo_train[i].clone())
-            .collect();
-        let shuffled_val: Vec<Window> = perm_val.iter().map(|&i| pseudo_val[i].clone()).collect();
-        let train_batches = batches_from_windows(&shuffled_train, cfg.batch_size);
-        let val_batches = batches_from_windows(&shuffled_val, cfg.batch_size);
-
-        let outcome = run_search_epoch(
-            &model,
-            &mut arch_opt,
-            &mut weight_opt,
-            &train_batches,
-            &val_batches,
-            cfg,
-            loss_kind,
-            &mut steps,
-            &mut memory_scalars,
-        );
-        let diverged = match outcome {
-            Err(EpochAbort::Interrupted) => {
-                return Err(SearchError::Interrupted {
-                    epoch,
-                    step: steps as u64,
-                });
-            }
-            Err(EpochAbort::Diverged(reason)) => Some(reason),
-            Ok(vl) if cfg.watchdog.enabled && cfg.watchdog.is_spike(vl, &loss_history) => {
-                Some(DivergenceReason::LossSpike {
-                    loss: vl,
-                    median: cfg.watchdog.running_median(&loss_history).unwrap_or(0.0),
-                })
-            }
-            Ok(vl) => {
-                final_val_loss = vl;
-                None
+    while run.epoch < cfg.epochs {
+        run.model.set_tau(run.schedule.tau());
+        let (train_batches, val_batches) = run.shuffled_batches();
+        let outcome = run.run_epoch(&train_batches, &val_batches);
+        let history = &run.loss_history;
+        let val_loss = match watchdog.judge(outcome, history, run.epoch, run.steps as u64)? {
+            Verdict::Keep(vl) => vl,
+            Verdict::Retry { good, lr_scale } => {
+                run.restore(good)?;
+                run.arch_opt.set_lr(run.arch_opt.lr() * lr_scale);
+                run.weight_opt.set_lr(run.weight_opt.lr() * lr_scale);
+                continue; // retry the same epoch at the reduced LRs
             }
         };
-        if let Some(reason) = diverged {
-            if rollbacks >= cfg.watchdog.max_retries {
-                return Err(SearchError::Diverged {
-                    epoch,
-                    retries: rollbacks,
-                    reason,
-                });
-            }
-            rollbacks += 1;
-            if cts_obs::metrics_enabled() {
-                use cts_obs::runlog::Value;
-                let reason_text = reason.to_string();
-                cts_obs::runlog::emit(
-                    "watchdog",
-                    &[
-                        ("kind", Value::Str("joint_search")),
-                        ("epoch", Value::U64(epoch as u64)),
-                        ("step", Value::U64(steps as u64)),
-                        ("reason", Value::Str(&reason_text)),
-                        ("rollbacks", Value::U64(rollbacks as u64)),
-                    ],
-                );
-            }
-            snapshot.restore(
-                &all_params,
-                &mut arch_opt,
-                &mut weight_opt,
-                &mut steps,
-                &mut memory_scalars,
-                &mut perm_train,
-                &mut perm_val,
-                &mut rng,
-            );
-            arch_opt.set_lr(arch_opt.lr() * cfg.watchdog.lr_cut);
-            weight_opt.set_lr(weight_opt.lr() * cfg.watchdog.lr_cut);
-            continue; // retry the same epoch at the reduced LRs
-        }
 
-        loss_history.push(final_val_loss);
+        run.final_val_loss = val_loss;
+        run.loss_history.push(val_loss);
         let epoch_stats = EpochStats {
-            tau: model.tau(),
-            val_loss: final_val_loss,
-            alpha_entropy: model.mean_alpha_entropy(),
+            tau: run.model.tau(),
+            val_loss,
+            alpha_entropy: run.model.mean_alpha_entropy(),
         };
-        epoch_trace.push(epoch_stats);
+        run.trace.push(epoch_stats);
         if cfg.use_temperature {
-            schedule.step();
+            run.schedule.step();
         }
-        epoch += 1;
-        snapshot = Snapshot::capture(
-            &all_params,
-            &arch_opt,
-            &weight_opt,
-            steps,
-            memory_scalars,
-            &perm_train,
-            &perm_val,
-            &rng,
-        );
-
+        run.epoch += 1;
+        let good = watchdog.keep();
+        run.capture(good)?;
         if let Some(ck) = &cfg.checkpoint {
-            if ck.due(epoch) || epoch == cfg.epochs {
-                let rs = RunState {
-                    params: RunState::capture_params(&all_params)?,
-                    optimizers: vec![
-                        arch_opt.export_state("arch"),
-                        weight_opt.export_state("weight"),
-                    ],
-                    schedule: Some(ScheduleState {
-                        tau: schedule.tau(),
-                        factor: schedule.factor(),
-                        min: schedule.min_tau(),
-                    }),
-                    counters: RunCounters {
-                        epoch: epoch as u64,
-                        step: steps as u64,
-                        memory_scalars: memory_scalars as u64,
-                        last_val: final_val_loss,
-                        secs: secs_before + started.elapsed_secs(),
-                        ..RunCounters::default()
-                    },
-                    rng: Some(rng.state()),
-                    trace: epoch_trace
-                        .iter()
-                        .map(|e| [e.tau, e.val_loss, e.alpha_entropy])
-                        .collect(),
-                    train_losses: Vec::new(),
-                    val_losses: loss_history.clone(),
-                    mid_epoch: None,
-                };
-                {
-                    let _span = cts_obs::span(cts_obs::Phase::CheckpointWrite);
-                    save_run_state(&ck.path, &rs)?;
-                }
+            if ck.due(run.epoch) || run.epoch == cfg.epochs {
+                let _span = cts_obs::span(cts_obs::Phase::CheckpointWrite);
+                save_run_state(&ck.path, good)?;
             }
         }
 
         if cts_obs::metrics_enabled() {
             use cts_obs::runlog::Value;
             // `epoch` was already advanced past the epoch that just ran.
-            let done = epoch as u64 - 1;
+            let done = run.epoch as u64 - 1;
             cts_obs::runlog::emit(
                 "epoch",
                 &[
@@ -568,9 +500,12 @@ pub fn joint_search(
                         "alpha_entropy",
                         Value::F64(epoch_stats.alpha_entropy as f64),
                     ),
-                    ("steps", Value::U64(steps as u64)),
-                    ("rollbacks", Value::U64(rollbacks as u64)),
-                    ("secs", Value::F64(secs_before + started.elapsed_secs())),
+                    ("steps", Value::U64(run.steps as u64)),
+                    ("rollbacks", Value::U64(watchdog.rollbacks() as u64)),
+                    (
+                        "secs",
+                        Value::F64(run.secs_before + run.started.elapsed_secs()),
+                    ),
                 ],
             );
             cts_obs::emit_epoch_rows(done);
@@ -580,7 +515,7 @@ pub fn joint_search(
 
     let genotype = {
         let _span = cts_obs::span(cts_obs::Phase::Derive);
-        model.derive()?
+        run.model.derive()?
     };
     // Static plan peak of the derived architecture (its compiled plan
     // priced on shapes) floors the activation term of the memory estimate.
@@ -591,27 +526,27 @@ pub fn joint_search(
         cfg.batch_size,
     )
     .map_or(0, |c| c.peak_bytes);
-    let mem = crate::stats::search_memory_estimate(&model, memory_scalars, plan_peak);
+    let mem = crate::stats::search_memory_estimate(&run.model, run.memory_scalars, plan_peak);
     let stats = SearchStats {
-        secs: secs_before + started.elapsed_secs(),
-        steps,
+        secs: run.secs_before + run.started.elapsed_secs(),
+        steps: run.steps,
         memory_mb: mem.peak_mb,
-        final_tau: model.tau(),
-        final_val_loss,
-        rollbacks,
-        epochs: epoch_trace,
+        final_tau: run.model.tau(),
+        final_val_loss: run.final_val_loss,
+        rollbacks: watchdog.rollbacks(),
+        epochs: run.trace,
     };
     if cts_obs::metrics_enabled() {
         use cts_obs::runlog::Value;
         // Final roll-up past the last epoch boundary so the derivation
         // phase (and any kernel work it did) reaches the log.
-        cts_obs::emit_epoch_rows(epoch as u64);
-        cts_tensor::metrics::emit_epoch_rows(epoch as u64);
+        cts_obs::emit_epoch_rows(run.epoch as u64);
+        cts_tensor::metrics::emit_epoch_rows(run.epoch as u64);
         cts_obs::runlog::emit(
             "run_end",
             &[
                 ("kind", Value::Str("joint_search")),
-                ("epochs", Value::U64(epoch as u64)),
+                ("epochs", Value::U64(run.epoch as u64)),
                 ("steps", Value::U64(stats.steps as u64)),
                 ("rollbacks", Value::U64(stats.rollbacks as u64)),
                 ("final_tau", Value::F64(stats.final_tau as f64)),
@@ -622,7 +557,7 @@ pub fn joint_search(
         );
         cts_obs::runlog::flush();
     }
-    Ok((genotype, model, stats))
+    Ok((genotype, run.model, stats))
 }
 
 #[cfg(test)]
@@ -745,14 +680,9 @@ mod tests {
     fn each_pass_leaves_the_other_sets_gradients_zero() {
         let cfg = small_cfg();
         let (spec, data, windows) = fixture(&cfg);
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let model = SupernetModel::new(&mut rng, &cfg, &spec, &data.graph, &windows.scaler);
-        let mut arch_opt =
-            Adam::for_architecture(model.arch_parameters(), cfg.arch_lr, cfg.arch_wd);
-        let mut weight_opt = Adam::new(model.weight_parameters(), cfg.weight_lr, cfg.weight_wd);
-        let loss_kind = LossKind::MaskedMae {
-            null_value: spec.null_value,
-        };
+        let mut run = SearchRun::new(&cfg, &spec, &data.graph, &windows).unwrap();
+        let (model, loss_kind) = (&run.model, run.loss_kind);
+        let (arch_opt, weight_opt) = (&mut run.arch_opt, &mut run.weight_opt);
         let batches = batches_from_windows(&windows.train, cfg.batch_size);
         let (x, y) = &batches[0];
         let nonzero = |ps: &[Parameter]| ps.iter().any(|p| p.grad().norm() > 0.0);
@@ -782,20 +712,9 @@ mod tests {
             "Adam::step left w gradients behind"
         );
 
-        let (mut steps, mut memory) = (0, 0);
-        let outcome = run_search_epoch(
-            &model,
-            &mut arch_opt,
-            &mut weight_opt,
-            &batches[..3],
-            &batches[3..6],
-            &cfg,
-            loss_kind,
-            &mut steps,
-            &mut memory,
-        );
+        let outcome = run.run_epoch(&batches[..3], &batches[3..6]);
         assert!(outcome.is_ok());
-        assert_eq!(steps, 3);
-        assert!(all_zero(arch_opt.params()) && all_zero(weight_opt.params()));
+        assert_eq!(run.steps, 3);
+        assert!(all_zero(run.arch_opt.params()) && all_zero(run.weight_opt.params()));
     }
 }

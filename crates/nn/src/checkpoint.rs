@@ -27,9 +27,10 @@
 // promoted to warnings (check.sh runs clippy with -D warnings).
 #![warn(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
+use crate::Adam;
 use cts_autograd::Parameter;
 use cts_tensor::Tensor;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -186,12 +187,14 @@ impl Default for RunCounters {
     }
 }
 
-/// Complete state of a training or search run at an epoch boundary.
+/// Complete state of a training or search run at an epoch boundary (or,
+/// with [`MidEpochState`], between two steps).
 ///
 /// Everything a resumed run needs to continue *bit-identically*: named
 /// parameter tensors, per-optimizer Adam moments, the temperature
 /// schedule position, counters, the shuffle RNG, and the per-epoch trace
-/// accumulated so far.
+/// accumulated so far. It is also the watchdog's last-good state
+/// ([`crate::Watchdog`]): rollback and resume restore the same value.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunState {
     /// Named parameter tensors (weights and architecture parameters).
@@ -224,18 +227,68 @@ impl RunState {
     /// Fails when two parameters share a name — the checkpoint could not
     /// be restored unambiguously.
     pub fn capture_params(params: &[Parameter]) -> Result<Vec<(String, Tensor)>, CheckpointError> {
-        let mut seen = HashMap::with_capacity(params.len());
-        let mut out = Vec::with_capacity(params.len());
-        for p in params {
-            let name = p.name();
-            if seen.insert(name.clone(), ()).is_some() {
-                return Err(CheckpointError::Incompatible(format!(
-                    "duplicate parameter name {name:?} — cannot checkpoint unambiguously"
-                )));
-            }
-            out.push((name, p.value().clone()));
+        let entries: Vec<(String, Tensor)> = params
+            .iter()
+            .map(|p| (p.name(), p.value().clone()))
+            .collect();
+        let mut seen = HashSet::with_capacity(entries.len());
+        if let Some((dup, _)) = entries.iter().find(|(n, _)| !seen.insert(n.as_str())) {
+            return Err(CheckpointError::Incompatible(format!(
+                "duplicate parameter name {dup:?} — cannot checkpoint unambiguously"
+            )));
         }
-        Ok(out)
+        Ok(entries)
+    }
+
+    /// Store the current value of each of `params` in `self.params`.
+    /// Entries that an earlier store of the same list left are overwritten
+    /// in place, so a loop that refreshes one state every epoch allocates
+    /// no name or buffer, and checks the names, only on the first store.
+    ///
+    /// # Errors
+    /// As [`RunState::capture_params`], on the first store.
+    pub fn store_params(&mut self, params: &[Parameter]) -> Result<(), CheckpointError> {
+        if self.params.len() == params.len() {
+            for ((_, t), p) in self.params.iter_mut().zip(params) {
+                refresh(t, &p.value());
+            }
+        } else {
+            self.params = Self::capture_params(params)?;
+        }
+        Ok(())
+    }
+
+    /// Store the state of each `(name, optimizer)` in `self.optimizers`,
+    /// in place like [`RunState::store_params`].
+    pub fn store_optimizers(&mut self, opts: &[(&str, &Adam)]) {
+        if self.optimizers.len() == opts.len() {
+            for (state, (_, opt)) in self.optimizers.iter_mut().zip(opts) {
+                opt.export_state_into(state);
+            }
+        } else {
+            self.optimizers = opts.iter().map(|(n, opt)| opt.export_state(n)).collect();
+        }
+    }
+}
+
+/// Overwrite `dst` with `src`, copying into `dst`'s buffer when the shapes
+/// match, so refreshing a held state allocates nothing.
+pub(crate) fn refresh(dst: &mut Tensor, src: &Tensor) {
+    if dst.shape() == src.shape() {
+        dst.data_mut().copy_from_slice(src.data());
+    } else {
+        *dst = src.clone();
+    }
+}
+
+/// [`refresh`] over a list, reallocating only when the lengths differ.
+pub(crate) fn refresh_all(dst: &mut Vec<Tensor>, src: &[Tensor]) {
+    if dst.len() == src.len() {
+        for (d, s) in dst.iter_mut().zip(src) {
+            refresh(d, s);
+        }
+    } else {
+        *dst = src.to_vec();
     }
 }
 
@@ -943,6 +996,23 @@ mod tests {
                 "bit flip at {at} accepted"
             );
         }
+    }
+
+    #[test]
+    fn store_params_refreshes_in_place() {
+        let ps = params(10);
+        let mut rs = RunState::default();
+        rs.store_params(&ps).unwrap();
+        let (name_at, data_at) = (rs.params[0].0.as_ptr(), rs.params[0].1.data().as_ptr());
+        ps[0].set_value(Tensor::full([3, 4], 7.0));
+        rs.store_params(&ps).unwrap();
+        assert_eq!(rs.params, RunState::capture_params(&ps).unwrap());
+        assert_eq!(rs.params[0].0.as_ptr(), name_at, "name reallocated");
+        assert_eq!(
+            rs.params[0].1.data().as_ptr(),
+            data_at,
+            "buffer reallocated"
+        );
     }
 
     #[test]

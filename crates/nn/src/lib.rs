@@ -40,6 +40,8 @@ pub use norm::LayerNorm;
 pub use optim::{clip_grad_norm, global_grad_norm, Adam, Optimizer, Sgd};
 pub use price::{arena_bytes, OpCost, Price, Priced};
 pub use rnn::{Gru, Lstm};
-pub use runstate::{CheckpointConfig, DivergenceReason, TrainError, WatchdogConfig};
+pub use runstate::{
+    CheckpointConfig, DivergenceReason, EpochAbort, TrainError, Verdict, Watchdog, WatchdogConfig,
+};
 pub use schedule::TemperatureSchedule;
-pub use trainer::{evaluate_loss, train_full, train_one_epoch, TrainConfig, TrainReport};
+pub use trainer::{evaluate_loss, train_full, TrainConfig, TrainReport};

@@ -1,7 +1,7 @@
 //! Optimisers: Adam (with L2 weight decay, as used for both the architecture
 //! parameters Θ and the network weights w in §4.1.4) and SGD.
 
-use crate::checkpoint::{CheckpointError, OptimizerState};
+use crate::checkpoint::{refresh_all, CheckpointError, OptimizerState};
 use cts_autograd::Parameter;
 use cts_tensor::Tensor;
 
@@ -78,6 +78,15 @@ impl Adam {
             m: self.m.clone(),
             v: self.v.clone(),
         }
+    }
+
+    /// [`Adam::export_state`] into a state it exported before, keeping the
+    /// name and copying into the moment buffers where their shapes match.
+    pub(crate) fn export_state_into(&self, state: &mut OptimizerState) {
+        state.t = self.t;
+        state.lr = self.lr;
+        refresh_all(&mut state.m, &self.m);
+        refresh_all(&mut state.v, &self.v);
     }
 
     /// Restore a state captured by [`Adam::export_state`].

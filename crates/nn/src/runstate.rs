@@ -1,8 +1,12 @@
-//! Fault-tolerant run configuration: checkpoint cadence and the
-//! divergence watchdog shared by [`crate::train_full`] and the search
-//! loop in `autocts`.
+//! Fault-tolerant runs: checkpoint cadence and the divergence watchdog
+//! shared by [`crate::train_full`] and the search loop in `autocts`.
+//!
+//! Both loops keep one form of their state, [`RunState`]: the checkpoint a
+//! run writes, the file a resumed run restores, and the last-good snapshot
+//! a watchdog rollback restores are the same value, captured by one
+//! function and restored by one function per loop.
 
-use crate::checkpoint::CheckpointError;
+use crate::checkpoint::{CheckpointError, RunState};
 use std::fmt;
 use std::path::PathBuf;
 
@@ -116,7 +120,9 @@ pub struct WatchdogConfig {
     /// Total rollback budget for one run; exhausting it surfaces an
     /// error.
     pub max_retries: usize,
-    /// Multiplier applied to the learning rate on every rollback.
+    /// Multiplier applied to the learning rate on every rollback. It
+    /// compounds: the k-th retry of one epoch runs at the last good
+    /// state's learning rate × `lr_cut`^k.
     pub lr_cut: f32,
 }
 
@@ -254,6 +260,133 @@ impl From<CheckpointError> for TrainError {
     }
 }
 
+/// Why an epoch attempt stopped before its last batch.
+#[derive(Debug)]
+pub enum EpochAbort {
+    /// The fault-injection plan killed the run ([`crate::fault::take_abort`]).
+    Interrupted,
+    /// A step's loss or gradient went non-finite.
+    Diverged(DivergenceReason),
+    /// A per-step side effect (a mid-epoch checkpoint write) failed.
+    Failed(TrainError),
+}
+
+/// What a loop does after an epoch attempt, from [`Watchdog::judge`].
+#[derive(Debug)]
+pub enum Verdict<'a> {
+    /// The epoch is healthy: keep its mean loss.
+    Keep(f32),
+    /// Restore the last-good state, multiply every optimizer's learning
+    /// rate by `lr_scale` and run the epoch again.
+    Retry {
+        /// The state to restore.
+        good: &'a RunState,
+        /// `lr_cut`^k for the k-th rollback since `good` was kept.
+        lr_scale: f32,
+    },
+}
+
+/// The divergence watchdog of one run: its last-good state, the rollback
+/// budget spent, and the learning-rate cut of the next retry.
+///
+/// The k-th rollback since the last good state retries at that state's
+/// learning rate × `lr_cut`^k, so a divergence that survives one cut meets
+/// a deeper one instead of replaying the same bits.
+pub struct Watchdog<'a> {
+    cfg: &'a WatchdogConfig,
+    /// `kind` field of the `watchdog` run-log rows (`"train"`, `"joint_search"`).
+    kind: &'static str,
+    good: RunState,
+    rollbacks: usize,
+    lr_scale: f32,
+}
+
+impl<'a> Watchdog<'a> {
+    /// Watch a run; capture its starting state into [`Watchdog::keep`]
+    /// before the first [`Watchdog::judge`].
+    pub fn new(cfg: &'a WatchdogConfig, kind: &'static str) -> Self {
+        Self {
+            cfg,
+            kind,
+            good: RunState::default(),
+            rollbacks: 0,
+            lr_scale: 1.0,
+        }
+    }
+
+    /// Rollbacks performed so far.
+    pub fn rollbacks(&self) -> usize {
+        self.rollbacks
+    }
+
+    /// The last-good state, for the loop to capture its current state into
+    /// after a completed epoch (and once at the start). The next rollback
+    /// cuts the learning rate from this state's. A checkpoint write saves
+    /// the same capture.
+    pub fn keep(&mut self) -> &mut RunState {
+        self.lr_scale = 1.0;
+        &mut self.good
+    }
+
+    /// Judge one epoch attempt that ended with `outcome`, given the
+    /// earlier epochs' mean losses `history` (for the spike test), at
+    /// `epoch` and global `step`.
+    ///
+    /// Every divergence emits a `watchdog` run-log row, the last one
+    /// included.
+    ///
+    /// # Errors
+    /// [`TrainError::Interrupted`] for an interrupted epoch, the error of a
+    /// failed step, and [`TrainError::Diverged`] once the retry budget is
+    /// spent.
+    pub fn judge(
+        &mut self,
+        outcome: Result<f32, EpochAbort>,
+        history: &[f32],
+        epoch: usize,
+        step: u64,
+    ) -> Result<Verdict<'_>, TrainError> {
+        let reason = match outcome {
+            Err(EpochAbort::Interrupted) => return Err(TrainError::Interrupted { epoch, step }),
+            Err(EpochAbort::Failed(e)) => return Err(e),
+            Err(EpochAbort::Diverged(reason)) => reason,
+            Ok(loss) if self.cfg.enabled && self.cfg.is_spike(loss, history) => {
+                DivergenceReason::LossSpike {
+                    loss,
+                    median: self.cfg.running_median(history).unwrap_or(0.0),
+                }
+            }
+            Ok(loss) => return Ok(Verdict::Keep(loss)),
+        };
+        if cts_obs::metrics_enabled() {
+            use cts_obs::runlog::Value;
+            cts_obs::runlog::emit(
+                "watchdog",
+                &[
+                    ("kind", Value::Str(self.kind)),
+                    ("epoch", Value::U64(epoch as u64)),
+                    ("step", Value::U64(step)),
+                    ("reason", Value::Str(&reason.to_string())),
+                    ("rollbacks", Value::U64(self.rollbacks as u64 + 1)),
+                ],
+            );
+        }
+        if self.rollbacks >= self.cfg.max_retries {
+            return Err(TrainError::Diverged {
+                epoch,
+                retries: self.rollbacks,
+                reason,
+            });
+        }
+        self.rollbacks += 1;
+        self.lr_scale *= self.cfg.lr_cut;
+        Ok(Verdict::Retry {
+            good: &self.good,
+            lr_scale: self.lr_scale,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,6 +443,61 @@ mod tests {
         assert!(!wd.is_spike(100.0, &[1.0, 1.0]));
         assert!(wd.is_spike(100.0, &[1.0, 1.2, 0.9]));
         assert!(!wd.is_spike(5.0, &[1.0, 1.2, 0.9]));
+    }
+
+    fn retry_scale(wd: &mut Watchdog<'_>) -> f32 {
+        let nan = Err(EpochAbort::Diverged(DivergenceReason::NonFiniteLoss {
+            step: 0,
+        }));
+        match wd.judge(nan, &[], 0, 0) {
+            Ok(Verdict::Retry { lr_scale, .. }) => lr_scale,
+            other => panic!("expected a retry, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn lr_cut_compounds_until_a_good_state_is_kept() {
+        let cfg = WatchdogConfig {
+            max_retries: 4,
+            ..Default::default()
+        };
+        let mut wd = Watchdog::new(&cfg, "test");
+        assert_eq!(retry_scale(&mut wd), 0.5);
+        assert_eq!(retry_scale(&mut wd), 0.25);
+        wd.keep();
+        assert_eq!(retry_scale(&mut wd), 0.5, "a kept state resets the cut");
+        assert_eq!(wd.rollbacks(), 3, "the budget spans the whole run");
+        retry_scale(&mut wd);
+        let nan = Err(EpochAbort::Diverged(DivergenceReason::NonFiniteLoss {
+            step: 7,
+        }));
+        match wd.judge(nan, &[], 2, 7) {
+            Err(TrainError::Diverged { epoch, retries, .. }) => {
+                assert_eq!((epoch, retries), (2, 4))
+            }
+            other => panic!("expected Diverged, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn judge_keeps_healthy_epochs_and_flags_spikes() {
+        let cfg = WatchdogConfig {
+            min_history: 2,
+            ..Default::default()
+        };
+        let mut wd = Watchdog::new(&cfg, "test");
+        assert!(matches!(
+            wd.judge(Ok(5.0), &[1.0, 1.0], 2, 9),
+            Ok(Verdict::Keep(5.0))
+        ));
+        assert!(matches!(
+            wd.judge(Ok(50.0), &[1.0, 1.0], 2, 9),
+            Ok(Verdict::Retry { .. })
+        ));
+        assert!(matches!(
+            wd.judge(Err(EpochAbort::Interrupted), &[], 2, 9),
+            Err(TrainError::Interrupted { epoch: 2, step: 9 })
+        ));
     }
 
     #[test]

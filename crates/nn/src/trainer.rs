@@ -3,16 +3,19 @@
 //!
 //! Fault tolerance: the loop optionally persists full run state
 //! ([`crate::checkpoint::RunState`]) at epoch boundaries and resumes
-//! bit-identically, and a divergence watchdog rolls back to the last
-//! good epoch on NaN losses/gradients or loss spikes, cuts the learning
-//! rate, and retries within a bounded budget before returning a typed
-//! [`TrainError`].
+//! bit-identically, and the divergence [`Watchdog`] rolls back to the
+//! last good state on NaN losses/gradients or loss spikes, cuts the
+//! learning rate, and retries within a bounded budget before returning a
+//! typed [`TrainError`]. Resume and rollback restore through the same
+//! function.
 
 use crate::checkpoint::{
-    apply_parameters, load_run_state, save_run_state, MidEpochState, OptimizerState, RunCounters,
+    apply_parameters, load_run_state, save_run_state, CheckpointError, MidEpochState, RunCounters,
     RunState,
 };
-use crate::runstate::{CheckpointConfig, DivergenceReason, TrainError, WatchdogConfig};
+use crate::runstate::{
+    CheckpointConfig, DivergenceReason, EpochAbort, TrainError, Verdict, Watchdog, WatchdogConfig,
+};
 use crate::{clip_grad_norm, fault, global_grad_norm, Adam, Forecaster, LossKind, Optimizer};
 use cts_autograd::Tape;
 use cts_tensor::Tensor;
@@ -71,30 +74,6 @@ pub struct TrainReport {
     pub rollbacks: usize,
 }
 
-/// One optimisation pass over `batches`; returns the mean loss.
-pub fn train_one_epoch(
-    model: &dyn Forecaster,
-    opt: &mut dyn Optimizer,
-    batches: &[(Tensor, Tensor)],
-    loss_kind: LossKind,
-    clip: f32,
-) -> f32 {
-    let mut total = 0.0f64;
-    for (x, y) in batches {
-        let tape = Tape::new();
-        let xv = tape.constant(x.clone());
-        let pred = model.forward(&tape, &xv);
-        let loss = loss_kind.compute(&tape, &pred, y);
-        total += loss.value().item() as f64;
-        tape.backward(&loss);
-        if clip > 0.0 {
-            clip_grad_norm(opt.params(), clip);
-        }
-        opt.step();
-    }
-    (total / batches.len().max(1) as f64) as f32
-}
-
 /// Mean loss of `model` over `batches` without updating weights.
 ///
 /// Uses the model's gradient-free [`Forecaster::forward_inference`] (the
@@ -114,116 +93,160 @@ pub fn evaluate_loss(
     (total / batches.len().max(1) as f64) as f32
 }
 
-/// Why an epoch could not complete.
-enum EpochAbort {
-    Interrupted,
-    Diverged(DivergenceReason),
-    /// A per-step side effect (mid-epoch checkpoint write) failed.
-    Failed(TrainError),
-}
-
-/// One health-checked optimisation pass: consults the fault-injection
-/// plan and the watchdog at every step, refusing to apply a poisoned
-/// update.
-///
-/// `start_batch`/`carry` resume a partially-completed epoch: the first
-/// `start_batch` batches are skipped and the loss accumulator starts at
-/// `carry` (an `f64` so the resumed epoch mean is bit-identical to the
-/// uninterrupted one). `on_step` runs after every applied optimizer step
-/// with `(opt, global_step, batches_done, loss_sum)` — the hook mid-epoch
-/// checkpointing hangs off.
-/// Post-step hook for [`run_epoch_checked`]: receives
-/// `(opt, global_step, batches_done, loss_sum)`; an `Err` aborts the epoch.
-type StepHook<'a> = dyn FnMut(&Adam, u64, u64, f64) -> Result<(), TrainError> + 'a;
-
-#[allow(clippy::too_many_arguments)] // one call site; a params struct would just rename the noise
-fn run_epoch_checked(
-    model: &dyn Forecaster,
-    opt: &mut Adam,
-    batches: &[(Tensor, Tensor)],
-    loss_kind: LossKind,
-    clip: f32,
-    watchdog_on: bool,
-    step: &mut u64,
-    start_batch: usize,
-    carry: f64,
-    on_step: &mut StepHook<'_>,
-) -> Result<f32, EpochAbort> {
-    let mut total = carry;
-    for (bi, (x, y)) in batches.iter().enumerate().skip(start_batch) {
-        if fault::take_abort(*step) {
-            return Err(EpochAbort::Interrupted);
-        }
-        let tape = Tape::new();
-        let fwd = cts_obs::span(cts_obs::Phase::Forward);
-        let xv = tape.constant(x.clone());
-        let pred = model.forward(&tape, &xv);
-        let loss = loss_kind.compute(&tape, &pred, y);
-        let lv = loss.value().item();
-        drop(fwd);
-        if watchdog_on && !lv.is_finite() {
-            return Err(EpochAbort::Diverged(DivergenceReason::NonFiniteLoss {
-                step: *step,
-            }));
-        }
-        total += lv as f64;
-        {
-            let _span = cts_obs::span(cts_obs::Phase::Backward);
-            tape.backward(&loss);
-        }
-        if fault::take_nan_grad(*step) {
-            fault::poison_gradients(opt.params());
-        }
-        if watchdog_on && !global_grad_norm(opt.params()).is_finite() {
-            return Err(EpochAbort::Diverged(DivergenceReason::NonFiniteGradient {
-                step: *step,
-            }));
-        }
-        {
-            let _span = cts_obs::span(cts_obs::Phase::WeightStep);
-            if clip > 0.0 {
-                clip_grad_norm(opt.params(), clip);
-            }
-            opt.step();
-        }
-        *step += 1;
-        on_step(opt, *step, (bi + 1) as u64, total).map_err(EpochAbort::Failed)?;
-    }
-    Ok((total / batches.len().max(1) as f64) as f32)
-}
-
-/// Last-good in-memory snapshot for watchdog rollback. Carries the
-/// in-epoch position `(batch, carry)` so a rollback from a run resumed
-/// mid-epoch retries from the resume point, not from an epoch boundary it
-/// never visited.
-struct GoodState {
-    values: Vec<Tensor>,
-    opt: OptimizerState,
+/// Everything [`train_full`] carries across steps and epochs.
+/// [`RunState`] is its only saved form: a checkpoint, a resume and a
+/// watchdog rollback all go through [`TrainRun::capture`] and
+/// [`TrainRun::restore`].
+struct TrainRun {
+    opt: Adam,
+    train_losses: Vec<f32>,
+    val_losses: Vec<f32>,
+    best: f32,
+    best_epoch: usize,
+    stall: usize,
     step: u64,
-    batch: usize,
-    carry: f64,
+    epoch: usize,
+    /// Position inside the current epoch: batches already applied and the
+    /// `f64` loss sum they contributed, so an epoch resumed mid-way has
+    /// the mean an uninterrupted one has. Zero at an epoch boundary.
+    mid: MidEpochState,
+    /// Wall-clock seconds of earlier processes (resume only).
+    secs_before: f64,
+    started: cts_obs::Stopwatch,
 }
 
-impl GoodState {
-    fn capture(opt: &Adam, step: u64, batch: usize, carry: f64) -> Self {
+const EPOCH_START: MidEpochState = MidEpochState {
+    batch: 0,
+    loss_sum: 0.0,
+};
+
+impl TrainRun {
+    fn new(model: &dyn Forecaster, cfg: &TrainConfig) -> Self {
         Self {
-            values: opt.params().iter().map(|p| p.value().clone()).collect(),
-            opt: opt.export_state("main"),
-            step,
-            batch,
-            carry,
+            opt: Adam::new(model.parameters(), cfg.lr, cfg.weight_decay),
+            train_losses: Vec::with_capacity(cfg.epochs),
+            val_losses: Vec::new(),
+            best: f32::INFINITY,
+            best_epoch: 0,
+            stall: 0,
+            step: 0,
+            epoch: 0,
+            mid: EPOCH_START,
+            secs_before: 0.0,
+            started: cts_obs::Stopwatch::start(),
         }
     }
 
-    fn restore(&self, opt: &mut Adam) -> u64 {
-        for (p, t) in opt.params().iter().zip(&self.values) {
-            p.set_value(t.clone());
+    /// Store the loop's state in `rs`, in place where an earlier capture
+    /// of this run left buffers ([`RunState::store_params`]).
+    fn capture(&self, rs: &mut RunState) -> Result<(), CheckpointError> {
+        rs.store_params(self.opt.params())?;
+        rs.store_optimizers(&[("main", &self.opt)]);
+        rs.schedule = None;
+        rs.counters = RunCounters {
+            epoch: self.epoch as u64,
+            step: self.step,
+            best_epoch: self.best_epoch as u64,
+            stall: self.stall as u64,
+            memory_scalars: 0,
+            best_val: self.best,
+            last_val: self.val_losses.last().copied().unwrap_or(0.0),
+            secs: self.secs_before + self.started.elapsed_secs(),
+        };
+        rs.rng = None;
+        rs.trace.clear();
+        rs.train_losses.clone_from(&self.train_losses);
+        rs.val_losses.clone_from(&self.val_losses);
+        rs.mid_epoch = (self.mid.batch > 0).then_some(self.mid);
+        Ok(())
+    }
+
+    /// Continue from `rs`. The wall clock is not rewound: a resume takes
+    /// `rs.counters.secs` itself.
+    fn restore(&mut self, rs: &RunState) -> Result<(), TrainError> {
+        apply_parameters(&rs.params, self.opt.params())?;
+        self.opt.zero_grad();
+        // A params-only checkpoint (`save_parameters`) resumes with fresh
+        // moments.
+        if let Some(os) = rs.optimizers.iter().find(|o| o.name == "main") {
+            self.opt.import_state(os)?;
         }
-        opt.zero_grad();
-        // invariant: the snapshot was exported from this same optimizer.
-        opt.import_state(&self.opt)
-            .expect("snapshot taken from this optimizer");
-        self.step
+        self.train_losses.clone_from(&rs.train_losses);
+        self.val_losses.clone_from(&rs.val_losses);
+        self.best = rs.counters.best_val;
+        self.best_epoch = rs.counters.best_epoch as usize;
+        self.stall = rs.counters.stall as usize;
+        self.step = rs.counters.step;
+        self.epoch = rs.counters.epoch as usize;
+        self.mid = rs.mid_epoch.unwrap_or(EPOCH_START);
+        Ok(())
+    }
+
+    /// One health-checked optimisation pass from `self.mid`: consults the
+    /// fault-injection plan and the watchdog at every step, refusing to
+    /// apply a poisoned update, and writes the mid-epoch checkpoints.
+    /// Returns the epoch's mean loss.
+    fn run_epoch(
+        &mut self,
+        model: &dyn Forecaster,
+        batches: &[(Tensor, Tensor)],
+        cfg: &TrainConfig,
+    ) -> Result<f32, EpochAbort> {
+        let watchdog_on = cfg.watchdog.enabled;
+        for (x, y) in batches.iter().skip(self.mid.batch as usize) {
+            if fault::take_abort(self.step) {
+                return Err(EpochAbort::Interrupted);
+            }
+            let tape = Tape::new();
+            let fwd = cts_obs::span(cts_obs::Phase::Forward);
+            let xv = tape.constant(x.clone());
+            let pred = model.forward(&tape, &xv);
+            let loss = cfg.loss.compute(&tape, &pred, y);
+            let lv = loss.value().item();
+            drop(fwd);
+            if watchdog_on && !lv.is_finite() {
+                return Err(EpochAbort::Diverged(DivergenceReason::NonFiniteLoss {
+                    step: self.step,
+                }));
+            }
+            self.mid.loss_sum += lv as f64;
+            {
+                let _span = cts_obs::span(cts_obs::Phase::Backward);
+                tape.backward(&loss);
+            }
+            if fault::take_nan_grad(self.step) {
+                fault::poison_gradients(self.opt.params());
+            }
+            if watchdog_on && !global_grad_norm(self.opt.params()).is_finite() {
+                return Err(EpochAbort::Diverged(DivergenceReason::NonFiniteGradient {
+                    step: self.step,
+                }));
+            }
+            {
+                let _span = cts_obs::span(cts_obs::Phase::WeightStep);
+                if cfg.clip > 0.0 {
+                    clip_grad_norm(self.opt.params(), cfg.clip);
+                }
+                self.opt.step();
+            }
+            self.step += 1;
+            self.mid.batch += 1;
+            // Mid-epoch checkpoint. The final batch of an epoch is skipped:
+            // the boundary checkpoint records that state without the
+            // mid-epoch chunk.
+            if let Some(ck) = &cfg.checkpoint {
+                if ck.steps_due(self.step) && (self.mid.batch as usize) < batches.len() {
+                    let _span = cts_obs::span(cts_obs::Phase::CheckpointWrite);
+                    let mut rs = RunState::default();
+                    self.capture(&mut rs)
+                        .and_then(|()| save_run_state(&ck.path, &rs))
+                        .map_err(|e| EpochAbort::Failed(e.into()))?;
+                }
+            }
+        }
+        let mean = (self.mid.loss_sum / batches.len().max(1) as f64) as f32;
+        self.mid = EPOCH_START;
+        Ok(mean)
     }
 }
 
@@ -235,212 +258,76 @@ impl GoodState {
 /// [`CheckpointConfig::every_steps`] enabled, from the last mid-epoch
 /// step checkpoint — and produces the *bit-identical* loss trace an
 /// uninterrupted run would have produced.
+///
+/// # Errors
+/// [`TrainError`] when the watchdog's budget is spent, the run is
+/// interrupted, or checkpoint I/O fails; also when two parameters share a
+/// name, since the run state could not be restored unambiguously.
 pub fn train_full(
     model: &dyn Forecaster,
     train_batches: &[(Tensor, Tensor)],
     val_batches: Option<&[(Tensor, Tensor)]>,
     cfg: &TrainConfig,
 ) -> Result<TrainReport, TrainError> {
-    let mut opt = Adam::new(model.parameters(), cfg.lr, cfg.weight_decay);
-    let mut train_losses = Vec::with_capacity(cfg.epochs);
-    let mut val_losses = Vec::new();
-    let mut best = f32::INFINITY;
-    let mut best_epoch = 0usize;
-    let mut stall = 0usize;
-    let mut step = 0u64;
-    let mut epoch = 0usize;
-    let mut secs_before = 0.0f64;
-    // In-epoch resume position: batches already applied this epoch and the
-    // f64 loss sum they contributed (non-zero only right after a mid-epoch
-    // resume or a rollback to a mid-epoch snapshot).
-    let mut start_batch = 0usize;
-    let mut carry = 0.0f64;
-
+    let mut run = TrainRun::new(model, cfg);
     // Resume from a previous run's checkpoint when configured. A corrupt
     // file is a hard error — it is never loaded, and never silently
     // replaced by a fresh start.
-    if let Some(ck) = &cfg.checkpoint {
-        if ck.resume && ck.path.exists() {
-            let rs = load_run_state(&ck.path)?;
-            apply_parameters(&rs.params, opt.params())?;
-            // v1 / params-only checkpoints resume with fresh moments.
-            if let Some(os) = rs.optimizers.iter().find(|o| o.name == "main") {
-                opt.import_state(os)?;
-            }
-            train_losses = rs.train_losses;
-            val_losses = rs.val_losses;
-            best = rs.counters.best_val;
-            best_epoch = rs.counters.best_epoch as usize;
-            stall = rs.counters.stall as usize;
-            step = rs.counters.step;
-            epoch = rs.counters.epoch as usize;
-            secs_before = rs.counters.secs;
-            if let Some(me) = rs.mid_epoch {
-                start_batch = me.batch as usize;
-                carry = me.loss_sum;
-            }
-        }
+    if let Some(ck) = cfg
+        .checkpoint
+        .as_ref()
+        .filter(|ck| ck.resume && ck.path.exists())
+    {
+        let rs = load_run_state(&ck.path)?;
+        run.restore(&rs)?;
+        run.secs_before = rs.counters.secs;
     }
+    let mut watchdog = Watchdog::new(&cfg.watchdog, "train");
+    run.capture(watchdog.keep())?;
 
-    let started = cts_obs::Stopwatch::start();
-    let mut snapshot = GoodState::capture(&opt, step, start_batch, carry);
-    let mut rollbacks = 0usize;
-
-    while epoch < cfg.epochs {
-        // Mid-epoch persistence hook: every `steps_per_checkpoint` applied
-        // steps, write the full run state plus the in-epoch position. The
-        // final batch of an epoch is skipped — the boundary checkpoint
-        // below records that state without the mid-epoch chunk.
-        let mut on_step = |opt: &Adam, step_now: u64, batches_done: u64, loss_sum: f64| {
-            let Some(ck) = &cfg.checkpoint else {
-                return Ok(());
-            };
-            if !ck.steps_due(step_now) || batches_done as usize >= train_batches.len() {
-                return Ok(());
-            }
-            let rs = RunState {
-                params: RunState::capture_params(opt.params())?,
-                optimizers: vec![opt.export_state("main")],
-                schedule: None,
-                counters: RunCounters {
-                    epoch: epoch as u64,
-                    step: step_now,
-                    best_epoch: best_epoch as u64,
-                    stall: stall as u64,
-                    memory_scalars: 0,
-                    best_val: best,
-                    last_val: val_losses.last().copied().unwrap_or(0.0),
-                    secs: secs_before + started.elapsed_secs(),
-                },
-                rng: None,
-                trace: Vec::new(),
-                train_losses: train_losses.clone(),
-                val_losses: val_losses.clone(),
-                mid_epoch: Some(MidEpochState {
-                    batch: batches_done,
-                    loss_sum,
-                }),
-            };
-            let _span = cts_obs::span(cts_obs::Phase::CheckpointWrite);
-            save_run_state(&ck.path, &rs)?;
-            Ok(())
-        };
-        let outcome = run_epoch_checked(
-            model,
-            &mut opt,
-            train_batches,
-            cfg.loss,
-            cfg.clip,
-            cfg.watchdog.enabled,
-            &mut step,
-            start_batch,
-            carry,
-            &mut on_step,
-        );
-        let diverged = match outcome {
-            Err(EpochAbort::Interrupted) => {
-                return Err(TrainError::Interrupted { epoch, step });
-            }
-            Err(EpochAbort::Failed(e)) => return Err(e),
-            Err(EpochAbort::Diverged(reason)) => Some(reason),
-            Ok(tl) if cfg.watchdog.enabled && cfg.watchdog.is_spike(tl, &train_losses) => {
-                Some(DivergenceReason::LossSpike {
-                    loss: tl,
-                    median: cfg.watchdog.running_median(&train_losses).unwrap_or(0.0),
-                })
-            }
-            Ok(tl) => {
-                train_losses.push(tl);
-                None
+    while run.epoch < cfg.epochs {
+        let outcome = run.run_epoch(model, train_batches, cfg);
+        let tl = match watchdog.judge(outcome, &run.train_losses, run.epoch, run.step)? {
+            Verdict::Keep(tl) => tl,
+            Verdict::Retry { good, lr_scale } => {
+                run.restore(good)?;
+                run.opt.set_lr(run.opt.lr() * lr_scale);
+                continue;
             }
         };
-        if let Some(reason) = diverged {
-            if cts_obs::metrics_enabled() {
-                cts_obs::runlog::emit(
-                    "watchdog",
-                    &[
-                        ("kind", cts_obs::runlog::Value::Str("train")),
-                        ("epoch", cts_obs::runlog::Value::U64(epoch as u64)),
-                        ("step", cts_obs::runlog::Value::U64(step)),
-                        ("reason", cts_obs::runlog::Value::Str(&reason.to_string())),
-                        (
-                            "rollbacks",
-                            cts_obs::runlog::Value::U64(rollbacks as u64 + 1),
-                        ),
-                    ],
-                );
-            }
-            if rollbacks >= cfg.watchdog.max_retries {
-                return Err(TrainError::Diverged {
-                    epoch,
-                    retries: rollbacks,
-                    reason,
-                });
-            }
-            rollbacks += 1;
-            step = snapshot.restore(&mut opt);
-            start_batch = snapshot.batch;
-            carry = snapshot.carry;
-            opt.set_lr(opt.lr() * cfg.watchdog.lr_cut);
-            continue; // retry the same epoch at the reduced LR
-        }
-        // The epoch completed: later epochs start from batch zero.
-        start_batch = 0;
-        carry = 0.0;
-        // invariant: the epoch loop pushed a loss just above.
-        let tl = *train_losses.last().expect("pushed above");
+        run.train_losses.push(tl);
 
         let mut stop = false;
         if let Some(vb) = val_batches {
             let vl = evaluate_loss(model, vb, cfg.loss);
-            val_losses.push(vl);
-            if vl < best {
-                best = vl;
-                best_epoch = epoch;
-                stall = 0;
+            run.val_losses.push(vl);
+            if vl < run.best {
+                run.best = vl;
+                run.best_epoch = run.epoch;
+                run.stall = 0;
             } else {
-                stall += 1;
-                if cfg.patience > 0 && stall >= cfg.patience {
+                run.stall += 1;
+                if cfg.patience > 0 && run.stall >= cfg.patience {
                     stop = true;
                 }
             }
-        } else if tl < best {
-            best = tl;
-            best_epoch = epoch;
+        } else if tl < run.best {
+            run.best = tl;
+            run.best_epoch = run.epoch;
         }
 
-        epoch += 1;
-        snapshot = GoodState::capture(&opt, step, 0, 0.0);
-
+        run.epoch += 1;
+        let good = watchdog.keep();
+        run.capture(good)?;
         if let Some(ck) = &cfg.checkpoint {
-            if ck.due(epoch) || stop || epoch == cfg.epochs {
-                let rs = RunState {
-                    params: RunState::capture_params(opt.params())?,
-                    optimizers: vec![opt.export_state("main")],
-                    schedule: None,
-                    counters: RunCounters {
-                        epoch: epoch as u64,
-                        step,
-                        best_epoch: best_epoch as u64,
-                        stall: stall as u64,
-                        memory_scalars: 0,
-                        best_val: best,
-                        last_val: val_losses.last().copied().unwrap_or(0.0),
-                        secs: secs_before + started.elapsed_secs(),
-                    },
-                    rng: None,
-                    trace: Vec::new(),
-                    train_losses: train_losses.clone(),
-                    val_losses: val_losses.clone(),
-                    mid_epoch: None,
-                };
+            if ck.due(run.epoch) || stop || run.epoch == cfg.epochs {
                 let _span = cts_obs::span(cts_obs::Phase::CheckpointWrite);
-                save_run_state(&ck.path, &rs)?;
+                save_run_state(&ck.path, good)?;
             }
         }
         if cts_obs::metrics_enabled() {
             use cts_obs::runlog::Value;
-            let done = epoch as u64 - 1;
+            let done = run.epoch as u64 - 1;
             cts_obs::runlog::emit(
                 "epoch",
                 &[
@@ -451,12 +338,15 @@ pub fn train_full(
                         // A missing validation set serializes as null
                         // (non-finite F64s are written as JSON null).
                         "val_loss",
-                        val_losses
+                        run.val_losses
                             .last()
                             .map_or(Value::F64(f64::NAN), |&v| Value::F64(v as f64)),
                     ),
-                    ("rollbacks", Value::U64(rollbacks as u64)),
-                    ("secs", Value::F64(secs_before + started.elapsed_secs())),
+                    ("rollbacks", Value::U64(watchdog.rollbacks() as u64)),
+                    (
+                        "secs",
+                        Value::F64(run.secs_before + run.started.elapsed_secs()),
+                    ),
                 ],
             );
             cts_obs::emit_epoch_rows(done);
@@ -467,13 +357,13 @@ pub fn train_full(
         }
     }
 
-    let completed = train_losses.len().max(1) as f64;
+    let completed = run.train_losses.len().max(1) as f64;
     Ok(TrainReport {
-        train_losses,
-        val_losses,
-        best_epoch,
-        secs_per_epoch: (secs_before + started.elapsed_secs()) / completed,
-        rollbacks,
+        secs_per_epoch: (run.secs_before + run.started.elapsed_secs()) / completed,
+        rollbacks: watchdog.rollbacks(),
+        train_losses: run.train_losses,
+        val_losses: run.val_losses,
+        best_epoch: run.best_epoch,
     })
 }
 
@@ -701,6 +591,201 @@ mod tests {
         assert_eq!(report.rollbacks, 1);
         assert_eq!(report.train_losses.len(), 8);
         assert!(report.train_losses.iter().all(|l| l.is_finite()));
+    }
+
+    /// [`TinyModel`] whose first `nan_forwards` forwards return NaN: a
+    /// divergence that replays on every retry until it has fired.
+    struct FlakyModel {
+        inner: TinyModel,
+        nan_forwards: std::cell::Cell<usize>,
+    }
+
+    impl Forecaster for FlakyModel {
+        fn forward(&self, tape: &Tape, x: &Var) -> Var {
+            let out = self.inner.forward(tape, x);
+            match self.nan_forwards.get() {
+                0 => out,
+                n => {
+                    self.nan_forwards.set(n - 1);
+                    out.scale(f32::NAN)
+                }
+            }
+        }
+        fn parameters(&self) -> Vec<Parameter> {
+            self.inner.parameters()
+        }
+        fn name(&self) -> &str {
+            "flaky"
+        }
+    }
+
+    fn param_bits(model: &dyn Forecaster) -> Vec<u32> {
+        model
+            .parameters()
+            .iter()
+            .flat_map(|p| {
+                p.value()
+                    .data()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
+    fn loss_bits(report: &TrainReport) -> Vec<u32> {
+        report.train_losses.iter().map(|l| l.to_bits()).collect()
+    }
+
+    #[test]
+    fn repeated_rollbacks_of_one_epoch_compound_the_lr_cut() {
+        let mut rng = SmallRng::seed_from_u64(23);
+        let batches = toy_batches(&mut rng, 4);
+        let cfg = TrainConfig {
+            epochs: 3,
+            lr: 0.05,
+            weight_decay: 0.0,
+            loss: LossKind::Mse,
+            ..Default::default()
+        };
+        let flaky = FlakyModel {
+            inner: tiny_model(8),
+            nan_forwards: std::cell::Cell::new(2),
+        };
+        let report = train_full(&flaky, &batches, None, &cfg).unwrap();
+        assert_eq!(report.rollbacks, 2);
+        // Two rollbacks of epoch 0: the run is a clean one at lr × cut².
+        let cut = cfg.watchdog.lr_cut;
+        let clean_model = tiny_model(8);
+        let clean = TrainConfig {
+            lr: cfg.lr * (cut * cut),
+            ..cfg.clone()
+        };
+        let reference = train_full(&clean_model, &batches, None, &clean).unwrap();
+        assert_eq!(loss_bits(&report), loss_bits(&reference));
+        assert_eq!(param_bits(&flaky), param_bits(&clean_model));
+    }
+
+    /// With `lr_cut = 1.0` a rollback changes nothing the retry reads: a
+    /// transient NaN blast leaves the clean run's bits.
+    #[test]
+    fn rollback_restores_exactly() {
+        let mut rng = SmallRng::seed_from_u64(24);
+        let batches = toy_batches(&mut rng, 4);
+        let cfg = TrainConfig {
+            epochs: 4,
+            lr: 0.05,
+            weight_decay: 0.0,
+            loss: LossKind::Mse,
+            watchdog: WatchdogConfig {
+                lr_cut: 1.0,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let clean_model = tiny_model(9);
+        let clean = train_full(&clean_model, &batches, None, &cfg).unwrap();
+        let model = tiny_model(9);
+        fault::arm(fault::FaultPlan {
+            nan_grad_at_step: Some(6),
+            ..fault::FaultPlan::default()
+        });
+        let rolled_back = train_full(&model, &batches, None, &cfg).unwrap();
+        fault::disarm();
+        assert_eq!(rolled_back.rollbacks, 1);
+        assert_eq!(loss_bits(&rolled_back), loss_bits(&clean));
+        assert_eq!(param_bits(&model), param_bits(&clean_model));
+    }
+
+    /// A run resumed mid-epoch rolls back to the resume point — batch and
+    /// loss sum included — not to an epoch boundary it never visited.
+    #[test]
+    fn rollback_after_mid_epoch_resume_restores_exactly() {
+        let dir = std::env::temp_dir().join("cts_train_midepoch_rollback_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("run.ckpt");
+        std::fs::remove_file(&ckpt).ok();
+
+        let mut rng = SmallRng::seed_from_u64(25);
+        let batches = toy_batches(&mut rng, 6);
+        let cfg = TrainConfig {
+            epochs: 3,
+            lr: 0.05,
+            weight_decay: 0.0,
+            loss: LossKind::Mse,
+            checkpoint: Some(CheckpointConfig::new(&ckpt).every_steps(4)),
+            watchdog: WatchdogConfig {
+                lr_cut: 1.0,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let clean_model = tiny_model(4);
+        let clean = train_full(
+            &clean_model,
+            &batches,
+            None,
+            &TrainConfig {
+                checkpoint: None,
+                ..cfg.clone()
+            },
+        )
+        .unwrap();
+
+        // Kill at step 9: the resume point is step 8, two batches into
+        // epoch 1. The resumed run then diverges at step 9, inside the
+        // epoch it resumed.
+        fault::arm(fault::FaultPlan {
+            abort_at_step: Some(9),
+            ..fault::FaultPlan::default()
+        });
+        let err = train_full(&tiny_model(4), &batches, None, &cfg).unwrap_err();
+        assert!(matches!(err, TrainError::Interrupted { .. }), "{err}");
+        let me = load_run_state(&ckpt).unwrap().mid_epoch;
+        assert_eq!(me.map(|m| m.batch), Some(2));
+        let model = tiny_model(99);
+        fault::arm(fault::FaultPlan {
+            nan_grad_at_step: Some(9),
+            ..fault::FaultPlan::default()
+        });
+        let resumed = train_full(&model, &batches, None, &cfg).unwrap();
+        fault::disarm();
+        assert_eq!(resumed.rollbacks, 1);
+        assert_eq!(loss_bits(&resumed), loss_bits(&clean));
+        assert_eq!(param_bits(&model), param_bits(&clean_model));
+        std::fs::remove_file(&ckpt).ok();
+    }
+
+    /// Run state is captured by parameter name, so a model that lists one
+    /// name twice is refused before its first step.
+    #[test]
+    fn duplicate_parameter_names_are_refused_before_training() {
+        struct Twice(TinyModel);
+        impl Forecaster for Twice {
+            fn forward(&self, tape: &Tape, x: &Var) -> Var {
+                self.0.forward(tape, x)
+            }
+            fn parameters(&self) -> Vec<Parameter> {
+                let mut ps = self.0.parameters();
+                ps.extend(self.0.parameters());
+                ps
+            }
+            fn name(&self) -> &str {
+                "twice"
+            }
+        }
+        let batches = toy_batches(&mut SmallRng::seed_from_u64(26), 2);
+        match train_full(
+            &Twice(tiny_model(1)),
+            &batches,
+            None,
+            &TrainConfig::default(),
+        ) {
+            Err(TrainError::Checkpoint(CheckpointError::Incompatible(m))) => {
+                assert!(m.contains("duplicate parameter name"), "{m}")
+            }
+            other => panic!("expected a duplicate-name error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@ cargo fmt --all --check
 echo "==> no ignored recovery tests"
 # The fault-tolerance suites must always run: an #[ignore] on any of them
 # would let a broken resume/watchdog path slip through the gate.
-if grep -n '#\[ignore' tests/fault_injection.rs tests/serve_fault.rs crates/nn/tests/run_state.rs 2>/dev/null; then
+if grep -n '#\[ignore' tests/fault_injection.rs tests/serve_fault.rs crates/nn/tests/run_state.rs \
+  crates/nn/src/trainer.rs crates/nn/src/runstate.rs 2>/dev/null; then
   echo "error: recovery tests must not be #[ignore]d" >&2
   exit 1
 fi
@@ -72,6 +73,10 @@ CTS_SIMD=off cargo test -q --workspace --offline
 echo "==> fault-injection suite (explicit)"
 cargo test --offline --test fault_injection -- --nocapture
 cargo test --offline -p cts-nn --test run_state
+# train_full's kill/resume and watchdog rollback tests (exact restore,
+# mid-epoch resume then rollback, the compounding LR cut) and the shared
+# watchdog policy's tests are unit tests.
+cargo test --offline -p cts-nn --lib -- trainer::tests runstate::tests
 
 # The zero-allocation and front-end gates below run once per worker count:
 # serial (CTS_NUM_THREADS=1) and the host's core count, so a 1-core box

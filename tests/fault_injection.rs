@@ -1,14 +1,18 @@
 //! Fault-injection tests of the crash-safe search runtime: kill the
 //! bi-level search mid-epoch and resume it bit-identically, survive NaN
-//! gradient blasts through the divergence watchdog, and reject corrupt
-//! or truncated checkpoints with a typed error instead of loading them.
+//! gradient blasts through the divergence watchdog (a rollback restores
+//! exactly, and repeated rollbacks cut the learning rate deeper), and
+//! reject corrupt or truncated checkpoints with a typed error instead of
+//! loading them.
 
 use autocts::{
     joint_search, AutoCts, BlockGenotype, EvalError, Genotype, SearchConfig, SearchError,
+    SearchStats,
 };
+use cts_autograd::Parameter;
 use cts_data::{batches_from_windows, build_windows, generate, DatasetSpec, SplitWindows};
-use cts_nn::checkpoint::CheckpointError;
-use cts_nn::{fault, CheckpointConfig, TrainError};
+use cts_nn::checkpoint::{load_run_state, CheckpointError};
+use cts_nn::{fault, CheckpointConfig, TrainError, WatchdogConfig};
 use cts_ops::OpKind;
 use std::path::PathBuf;
 
@@ -253,5 +257,99 @@ fn checkpoint_from_different_seed_is_rejected() {
         Err(other) => panic!("expected Incompatible, got {other:?}"),
         Ok(_) => panic!("checkpoint from another seed was accepted"),
     }
+    std::fs::remove_file(&ckpt).ok();
+}
+
+/// Every parameter's raw IEEE bits, in parameter order.
+fn param_bits(params: &[Parameter]) -> Vec<u32> {
+    params
+        .iter()
+        .flat_map(|p| {
+            p.value()
+                .data()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+/// The bits a search run leaves behind: genotype text, per-epoch trace
+/// and every architecture and weight parameter; and the run's stats.
+fn search_bits(cfg: &SearchConfig) -> (String, Vec<[u32; 3]>, Vec<u32>, SearchStats) {
+    let (spec, data, windows) = fixture();
+    let (genotype, model, stats) = joint_search(cfg, &spec, &data.graph, &windows).unwrap();
+    let trace = stats
+        .epochs
+        .iter()
+        .map(|e| {
+            [
+                e.tau.to_bits(),
+                e.val_loss.to_bits(),
+                e.alpha_entropy.to_bits(),
+            ]
+        })
+        .collect();
+    let mut params = param_bits(&model.arch_parameters());
+    params.extend(param_bits(&model.weight_parameters()));
+    (genotype.to_text(), trace, params, stats)
+}
+
+/// With `lr_cut = 1.0` a rollback changes nothing the retry reads: a
+/// transient NaN blast in epoch 1 must leave the clean run's genotype,
+/// trace and parameters to the last bit.
+#[test]
+fn search_rollback_restores_exactly() {
+    let cfg = SearchConfig {
+        watchdog: WatchdogConfig {
+            lr_cut: 1.0,
+            ..Default::default()
+        },
+        ..small_cfg()
+    };
+    let clean = search_bits(&cfg);
+    let steps_per_epoch = clean.3.steps / clean.3.epochs.len();
+    fault::arm(fault::FaultPlan {
+        nan_grad_at_step: Some(steps_per_epoch as u64 + 1),
+        ..fault::FaultPlan::default()
+    });
+    let rolled_back = search_bits(&cfg);
+    fault::disarm();
+    assert_eq!(
+        rolled_back.3.rollbacks, 1,
+        "the injected NaN did not roll back"
+    );
+    assert_eq!(rolled_back.0, clean.0, "genotype text");
+    assert_eq!(rolled_back.1, clean.1, "per-epoch trace bits");
+    assert!(rolled_back.2 == clean.2, "parameter bits differ");
+}
+
+/// A real divergence that survives the first cut must meet a deeper one:
+/// the k-th rollback of an epoch retries at the last good LR × `lr_cut`^k
+/// on both optimizers, not at the first rollback's LR again.
+#[test]
+fn search_rollbacks_of_one_epoch_compound_the_lr_cut() {
+    let (spec, data, windows) = fixture();
+    let ckpt = temp_ckpt("compound_cut.ckpt");
+    let lr_cut = 1e-14f32;
+    let cfg = SearchConfig {
+        weight_lr: 1e30,
+        watchdog: WatchdogConfig {
+            lr_cut,
+            ..Default::default()
+        },
+        ..small_cfg()
+    }
+    .with_checkpoint(CheckpointConfig::new(&ckpt).fresh());
+    let (_, _, stats) = match joint_search(&cfg, &spec, &data.graph, &windows) {
+        Ok(out) => out,
+        Err(e) => panic!("the compounded cut did not recover: {e}"),
+    };
+    assert_eq!(stats.rollbacks, 2);
+    let rs = load_run_state(&ckpt).unwrap();
+    let lr = |name: &str| rs.optimizers.iter().find(|o| o.name == name).unwrap().lr;
+    let scale = lr_cut * lr_cut;
+    assert_eq!(lr("arch").to_bits(), (cfg.arch_lr * scale).to_bits());
+    assert_eq!(lr("weight").to_bits(), (cfg.weight_lr * scale).to_bits());
     std::fs::remove_file(&ckpt).ok();
 }
