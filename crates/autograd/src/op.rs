@@ -140,6 +140,25 @@ pub enum Op {
         /// Variance offset under the square root.
         eps: f32,
     },
+    /// Eq. 4's mixed edge over partial channels (`ops::mixed_edge`),
+    /// one node for the chain `slice` (bypass) → `k` × `mul` → `k − 1` ×
+    /// `add` → `concat`. Inputs: the `k` operator outputs, their `k` `[1]`
+    /// weights, and the edge input `h` only when it has bypass channels.
+    /// Its backward gives the chain's bits when the node is recorded after
+    /// the operators (after `h`'s operator-channel slice), as the chain's
+    /// `concat` was, and when no operator output is also an operand
+    /// elsewhere.
+    MixedEdge {
+        /// Number of operators `k`.
+        k: usize,
+    },
+    /// ProbSparse's row placement (`ops::place_rows`; inputs: the
+    /// selected rows' attention output and `v_mean`), one node for the
+    /// chain `ones` → `mul` → `concat` → inverse `index_select`.
+    PlaceRows {
+        /// The selected rows, ascending.
+        sel: Vec<usize>,
+    },
     /// Dimension permutation.
     Permute(Shape),
     /// Reshape to a new shape of the same element count.
@@ -296,6 +315,16 @@ impl Op {
                 *eps,
                 [needs[0], needs[1], needs[2]],
             )),
+            Op::MixedEdge { k } => {
+                let (ys, rest) = inputs.split_at(*k);
+                let (ws, h) = rest.split_at(*k);
+                let h_shape = h.first().map(|h| h.shape());
+                Grads::Many(ops::mixed_edge_grad(&grad, ys, ws, h_shape, needs))
+            }
+            Op::PlaceRows { sel } => {
+                let [ga, gm] = ops::place_rows_grad(&grad, sel, [needs[0], needs[1]]);
+                Grads::Two(ga, gm)
+            }
             Op::Permute(perm) => Grads::One(ops::permute_grad(&grad, perm)),
             Op::Reshape => Grads::One(grad.reshaped(inputs[0].shape())),
             Op::Concat { axis } => {
@@ -413,6 +442,108 @@ mod tests {
         }
     }
 
+    /// `t` with signed zeros and NaNs planted along it.
+    fn special(mut t: Tensor) -> Tensor {
+        let n = t.len();
+        for (i, v) in t.data_mut().iter_mut().enumerate() {
+            match i % 11 {
+                3 => *v = -0.0,
+                7 => *v = 0.0,
+                _ if i == n / 2 => *v = f32::NAN,
+                _ => {}
+            }
+        }
+        t
+    }
+
+    /// The mixed edge as one node gives the output and every gradient of
+    /// the composed `slice`/`mul`/`add`/`concat` chain it replaced, at
+    /// `f32::to_bits`, under a full sweep and under `backward_for` of the
+    /// weights alone and of the architecture alone. Partial channels of
+    /// 1/4, 1/2 and 1 (no bypass input), 1–5 operators, the first an
+    /// identity that hands back its input (the fused edge gives it a node
+    /// of its own, as `MicroCell` does), and signed zeros and NaNs in the
+    /// operator outputs and the upstream gradient.
+    #[test]
+    fn mixed_edge_matches_the_composed_chain() {
+        use crate::{Parameter, Tape, Var};
+        let d = 8;
+        for d_op in [2, 4, 8] {
+            for k in 1..=5 {
+                let y_shape = [2, 3, 5, d_op];
+                let factors: Vec<Parameter> = (0..k)
+                    .map(|o| Parameter::new(format!("f{o}"), special(pattern(&y_shape, o))))
+                    .collect();
+                let alpha = Parameter::new("alpha", pattern(&[1, k + 1], 20));
+                let h = Parameter::new("h", special(pattern(&[2, 3, 5, d], 21)));
+                let g = special(pattern(&[2, 3, 5, d], 22));
+                let mut weights = factors.clone();
+                weights.push(h.clone());
+                let arch = [alpha.clone()];
+                let run = |fused: bool, wanted: Option<&[Parameter]>| {
+                    for p in weights.iter().chain(&arch) {
+                        p.grad_mut().fill(0.0);
+                    }
+                    let tape = Tape::new();
+                    // Operator 0 of `|O| = k + 1` is the zero operator.
+                    let probs = tape.param(&alpha).softmax_last();
+                    let hv = tape.param(&h);
+                    let x_op = (d_op < d).then(|| hv.slice(3, 0, d_op));
+                    let bypass = x_op
+                        .as_ref()
+                        .filter(|_| !fused)
+                        .map(|_| hv.slice(3, d_op, d));
+                    let input = x_op.as_ref().unwrap_or(&hv);
+                    let (mut ys, mut ws) = (Vec::new(), Vec::new());
+                    let mut mix: Option<Var> = None;
+                    for (o, f) in factors.iter().enumerate() {
+                        let w = probs.slice(1, o + 1, o + 2).reshape(&[1]);
+                        let y = match (o, fused) {
+                            (0, true) => input.reshape(&y_shape),
+                            (0, false) => input.clone(),
+                            _ => input.mul(&tape.param(f)),
+                        };
+                        if fused {
+                            ys.push(y);
+                            ws.push(w);
+                        } else {
+                            let term = y.mul(&w);
+                            mix = Some(match mix {
+                                Some(m) => m.add(&term),
+                                None => term,
+                            });
+                        }
+                    }
+                    let out = if fused {
+                        Var::mixed_edge(&ys, &ws, x_op.is_some().then_some(&hv))
+                    } else {
+                        let mix = mix.unwrap();
+                        match bypass {
+                            Some(b) => Var::concat(&[b, mix], 3),
+                            None => mix,
+                        }
+                    };
+                    let loss = out.mul(&tape.constant(g.clone())).sum_all();
+                    match wanted {
+                        Some(ps) => tape.backward_for(&loss, ps),
+                        None => tape.backward(&loss),
+                    }
+                    let mut got = vec![bits(&out.value())];
+                    got.extend(weights.iter().chain(&arch).map(|p| bits(&p.grad())));
+                    got
+                };
+                for wanted in [None, Some(&weights[..]), Some(&arch[..])] {
+                    assert_eq!(
+                        run(true, wanted),
+                        run(false, wanted),
+                        "d_op {d_op}, k {k}, {} wanted",
+                        wanted.map_or(0, |w| w.len())
+                    );
+                }
+            }
+        }
+    }
+
     /// Every multi-input op under every needs mask: a needed slot holds
     /// the bits of the all-`true` call, a skipped slot holds nothing.
     #[test]
@@ -440,6 +571,27 @@ mod tests {
                 Op::TemporalConv { dilation: 2 },
                 vec![vec![1, 2, 6, 3], vec![2, 3, 4]],
                 vec![1, 2, 6, 4],
+            ),
+            (
+                Op::MixedEdge { k: 2 },
+                vec![
+                    vec![2, 3, 2],
+                    vec![2, 3, 2],
+                    vec![1],
+                    vec![1],
+                    vec![2, 3, 5],
+                ],
+                vec![2, 3, 5],
+            ),
+            (
+                Op::MixedEdge { k: 2 },
+                vec![vec![2, 3, 4], vec![2, 3, 4], vec![1], vec![1]],
+                vec![2, 3, 4],
+            ),
+            (
+                Op::PlaceRows { sel: vec![1, 3] },
+                vec![vec![2, 2, 4], vec![2, 1, 4]],
+                vec![2, 5, 4],
             ),
             (
                 Op::Concat { axis: 1 },

@@ -214,6 +214,40 @@ impl Var {
         self.tape.push_op(Op::LayerNorm { eps }, &ids, value)
     }
 
+    /// Eq. 4's mixed edge: the operator outputs `ys` weighted by their
+    /// `[1]` weights `ws` and summed in order, after the bypass channels
+    /// `h[.., d_op..d]` when `h` is given (`ops::mixed_edge`). One
+    /// [`Op::MixedEdge`] node; pass `h` only when it is wider than the
+    /// operator outputs.
+    pub fn mixed_edge(ys: &[Var], ws: &[Var], h: Option<&Var>) -> Var {
+        assert!(!ys.is_empty(), "mixed edge of zero operators");
+        let tape = ys[0].tape.clone();
+        let ids: Shape = ys.iter().chain(ws).chain(h).map(|v| v.id).collect();
+        let value = {
+            let inner = tape.inner.borrow();
+            assert!(
+                ys.iter()
+                    .chain(ws)
+                    .chain(h)
+                    .all(|v| std::rc::Rc::ptr_eq(&tape.inner, &v.tape.inner)),
+                "vars from different tapes"
+            );
+            let vals: Vec<&Tensor> = ids.iter().map(|&id| &inner.nodes[id].value).collect();
+            let (yv, rest) = vals.split_at(ys.len());
+            let (wv, hv) = rest.split_at(ws.len());
+            ops::mixed_edge(yv, wv, hv.first().copied())
+        };
+        tape.push_op(Op::MixedEdge { k: ys.len() }, &ids, value)
+    }
+
+    /// ProbSparse's output rows: this `[B', u, D]` attention output at the
+    /// ascending rows `sel` of `0..len`, and `mean` (`[B', 1, D]`) times
+    /// one on every other row (`ops::place_rows`).
+    pub fn place_rows(&self, mean: &Var, sel: &[usize], len: usize) -> Var {
+        let v = self.with_values2(mean, |a, m| ops::place_rows(a, m, sel, len));
+        self.binary(mean, Op::PlaceRows { sel: sel.to_vec() }, v)
+    }
+
     // -- shape ---------------------------------------------------------------
 
     /// Permute dimensions.

@@ -122,7 +122,13 @@ impl MicroCell {
         nodes.pop().expect("m >= 2")
     }
 
-    /// The mixed transformation `f^{(i,j)}` of Eq. 4 with partial channels.
+    /// The mixed transformation `f^{(i,j)}` of Eq. 4 with partial channels:
+    /// one [`Var::mixed_edge`] node over the non-zero operators' outputs,
+    /// with `h_i` as its bypass input when `d_op < d`.
+    ///
+    /// The node comes after the operator-channel slice of `h_i` and after
+    /// every operator, so the sweep hands each input its gradient in the
+    /// order the composed slice/mul/add/concat chain did.
     fn edge_mixture(
         &self,
         tape: &Tape,
@@ -135,37 +141,27 @@ impl MicroCell {
         let probs = alpha
             .slice(0, pair, pair + 1)
             .softmax_last_with_temperature(tau); // [1, |O|]
-        let d = self.d_model;
-        let (x_op, x_bypass) = if self.d_op < d {
-            (
-                Some(h_i.slice(3, 0, self.d_op)),
-                Some(h_i.slice(3, self.d_op, d)),
-            )
-        } else {
-            (None, None)
-        };
+        let x_op = (self.d_op < self.d_model).then(|| h_i.slice(3, 0, self.d_op));
         let op_input = x_op.as_ref().unwrap_or(h_i);
-        let mut mix: Option<Var> = None;
+        let mut ys = Vec::with_capacity(self.op_set.len());
+        let mut ws = Vec::with_capacity(self.op_set.len());
         for (o_idx, kind) in self.op_set.iter().enumerate() {
             if *kind == OpKind::Zero {
                 continue; // contributes nothing; its softmax mass still
                           // deflates the other operators' weights
             }
-            let w = probs.slice(1, o_idx, o_idx + 1).reshape(&[1]);
-            let y = self.ops[pair][o_idx].forward(tape, op_input, ctx);
-            let term = y.mul(&w);
-            mix = Some(match mix {
-                Some(m) => m.add(&term),
-                None => term,
-            });
+            ws.push(probs.slice(1, o_idx, o_idx + 1).reshape(&[1]));
+            let mut y = self.ops[pair][o_idx].forward(tape, op_input, ctx);
+            if *kind == OpKind::Identity {
+                // Identity hands back its input node. A node of its own
+                // here passes `∂y` on into the input at this point of the
+                // sweep, where the composed chain's `mul` did, not ahead
+                // of the later operators' gradients.
+                y = y.reshape(&y.shape());
+            }
+            ys.push(y);
         }
-        // invariant: the mixed-op set contains non-zero operators.
-        let mixed = mix.expect("op set contains non-zero operators");
-        match x_bypass {
-            // rotate channels: bypass first, then the operator mixture
-            Some(bypass) => Var::concat(&[bypass, mixed], 3),
-            None => mixed,
-        }
+        Var::mixed_edge(&ys, &ws, x_op.is_some().then_some(h_i))
     }
 
     /// Differentiable expected operator cost of this cell:

@@ -52,19 +52,24 @@ pub fn prob_sparse_u(factor: f32, l: usize) -> usize {
     ((factor * (l as f32).ln()).ceil() as usize).clamp(1, l)
 }
 
-/// Index scratch (idx, sel, nonsel, inv) for the ProbSparse selection.
-type SparseScratch = (Vec<usize>, Vec<usize>, Vec<usize>, Vec<usize>);
+/// Index scratch (idx, sel) for the ProbSparse selection.
+type SparseScratch = (Vec<usize>, Vec<usize>);
 
 thread_local! {
     /// Reused across ProbSparse forwards so a steady-state compiled plan
     /// performs no per-forward `Vec` allocation.
-    static SPARSE_SCRATCH: RefCell<SparseScratch> =
-        const { RefCell::new((Vec::new(), Vec::new(), Vec::new(), Vec::new())) };
+    static SPARSE_SCRATCH: RefCell<SparseScratch> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// ProbSparse attention: only the top-`u` queries (by the max-mean sparsity
-/// measurement, computed on detached scores) attend; the remaining queries
-/// output the mean of `V`.
+/// measurement, computed on detached scores) attend; the remaining "lazy"
+/// queries output the mean of `V`.
+///
+/// The selected queries are gathered (`index_select`), attend over every
+/// key, and [`Backend::place_rows`] writes the `[B', L, D]` output once:
+/// each attention row back at its query's position, and `v_mean·1.0` on
+/// every lazy row. On the tape that is one node whose backward gathers the
+/// selected rows' gradient and sums the lazy rows' into `v_mean`.
 ///
 /// Deviation from the original Informer, noted in DESIGN.md: the
 /// measurement is averaged over the batch so one index set serves the whole
@@ -84,10 +89,8 @@ pub fn prob_sparse_attention<B: Backend>(
     }
     SPARSE_SCRATCH.with(|scratch| {
         let mut scratch = scratch.borrow_mut();
-        let (idx, sel, nonsel, inv) = &mut *scratch;
+        let (idx, sel) = &mut *scratch;
         be.top_queries(q, k, u, idx, sel);
-        nonsel.clear();
-        nonsel.extend((0..l).filter(|i| !sel.contains(i)));
 
         let q_sel = be.index_select(q, 1, sel);
         let scores = be.scale(&be.matmul_nt(&q_sel, k), 1.0 / (d as f32).sqrt());
@@ -96,17 +99,7 @@ pub fn prob_sparse_attention<B: Backend>(
         // Lazy queries output mean(V) (the Informer "self-attention
         // distilling" default for the non-causal case).
         let v_mean = be.mean_axis(v, 1, true); // [B', 1, D]
-        let expand = be.constant(Tensor::ones([1, l - u, 1]));
-        let v_rep = be.mul(&v_mean, &expand); // [B', L-u, D]
-
-        // Reassemble rows in original order via an inverse gather.
-        let stacked = be.concat(&[&attn_sel, &v_rep], 1); // rows: sel ++ nonsel
-        inv.clear();
-        inv.resize(l, 0);
-        for (pos, &orig) in sel.iter().chain(nonsel.iter()).enumerate() {
-            inv[orig] = pos;
-        }
-        be.index_select(&stacked, 1, inv)
+        be.place_rows(&attn_sel, &v_mean, sel, l)
     })
 }
 
@@ -280,6 +273,77 @@ mod tests {
             }
         }
         assert_eq!(lazy, 7, "exactly one active query expected");
+    }
+
+    /// ProbSparse attention as the chain [`Backend::place_rows`] replaced,
+    /// op by op: a ones constant times `v_mean`, the `concat` of
+    /// `[attn; v_rep]` and the inverse `index_select` into row order.
+    fn composed_prob_sparse<B: Backend>(be: &B, q: &B::V, k: &B::V, v: &B::V) -> B::V {
+        let (l, d) = (be.shape(q)[1], be.shape(q)[2]);
+        let u = prob_sparse_u(1.0, l);
+        let (mut idx, mut sel) = (Vec::new(), Vec::new());
+        be.top_queries(q, k, u, &mut idx, &mut sel);
+        let nonsel: Vec<usize> = (0..l).filter(|i| !sel.contains(i)).collect();
+        let q_sel = be.index_select(q, 1, &sel);
+        let scores = be.scale(&be.matmul_nt(&q_sel, k), 1.0 / (d as f32).sqrt());
+        let attn_sel = be.matmul(&be.softmax_last(&scores), v);
+        let v_mean = be.mean_axis(v, 1, true);
+        let v_rep = be.mul(&v_mean, &be.constant(Tensor::ones([1, l - u, 1])));
+        let stacked = be.concat(&[&attn_sel, &v_rep], 1);
+        let mut inv = vec![0; l];
+        for (pos, &orig) in sel.iter().chain(&nonsel).enumerate() {
+            inv[orig] = pos;
+        }
+        be.index_select(&stacked, 1, &inv)
+    }
+
+    /// The one-node row placement gives ProbSparse attention the bits of
+    /// the composed chain: the output on `Eval` and on the tape, and the
+    /// gradients of q, k and v on the tape, at `f32::to_bits`. At L = 12
+    /// (u = 3) and L = 32 (u = 4), with a NaN query row (ranked last, so
+    /// lazy) and signed zeros and a NaN in the upstream gradient.
+    #[test]
+    fn prob_sparse_placement_matches_the_composed_chain() {
+        use crate::backend::Eval;
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let mut rng = SmallRng::seed_from_u64(11);
+        for (b, l) in [(3, 12), (2, 32)] {
+            let d = 8;
+            let mut q = rand_x(&mut rng, b, l, d);
+            q.data_mut()[5 * d..6 * d].fill(f32::NAN);
+            let (k, v) = (rand_x(&mut rng, b, l, d), rand_x(&mut rng, b, l, d));
+            let mut g = rand_x(&mut rng, b, l, d);
+            for (i, x) in g.data_mut().iter_mut().enumerate() {
+                if i % 7 == 2 {
+                    *x = -0.0;
+                }
+            }
+            g.data_mut()[3 * d + 1] = f32::NAN;
+            let fused = prob_sparse_attention(&Eval, &q, &k, &v, 1.0);
+            let composed = composed_prob_sparse(&Eval, &q, &k, &v);
+            assert_eq!(bits(&fused), bits(&composed), "Eval at L = {l}");
+            let params =
+                [("q", &q), ("k", &k), ("v", &v)].map(|(n, t)| Parameter::new(n, t.clone()));
+            let run = |fused: bool| {
+                for p in &params {
+                    p.grad_mut().fill(0.0);
+                }
+                let tape = Tape::new();
+                let [qv, kv, vv] = [0, 1, 2].map(|i| tape.param(&params[i]));
+                let y = if fused {
+                    prob_sparse_attention(&tape, &qv, &kv, &vv, 1.0)
+                } else {
+                    composed_prob_sparse(&tape, &qv, &kv, &vv)
+                };
+                tape.backward(&y.mul(&tape.constant(g.clone())).sum_all());
+                let mut out = vec![bits(&y.value())];
+                out.extend(params.iter().map(|p| bits(&p.grad())));
+                out
+            };
+            let got = run(true);
+            assert_eq!(got[0], bits(&fused), "tape == Eval at L = {l}");
+            assert_eq!(got, run(false), "tape at L = {l}");
+        }
     }
 
     /// A NaN score ranks last: the selection cannot panic on one, and it

@@ -105,6 +105,10 @@ pub trait Backend {
     fn index_select(&self, x: &Self::V, axis: usize, indices: &[usize]) -> Self::V;
     /// Concatenate along `axis`.
     fn concat(&self, parts: &[&Self::V], axis: usize) -> Self::V;
+    /// ProbSparse's output rows (`cts_tensor::ops::place_rows`): `attn`
+    /// (`[B', u, D]`) at the ascending rows `sel` of `0..len`, and `mean`
+    /// (`[B', 1, D]`) times one on every other row.
+    fn place_rows(&self, attn: &Self::V, mean: &Self::V, sel: &[usize], len: usize) -> Self::V;
 }
 
 /// The two ops ProbSparse's query measurement needs beyond [`Backend`]'s,
@@ -233,6 +237,10 @@ impl Backend for Tape {
     fn concat(&self, parts: &[&Var], axis: usize) -> Var {
         Var::concat(parts, axis)
     }
+
+    fn place_rows(&self, attn: &Var, mean: &Var, sel: &[usize], len: usize) -> Var {
+        attn.place_rows(mean, sel, len)
+    }
 }
 
 impl Backend for Eval {
@@ -310,6 +318,10 @@ impl Backend for Eval {
 
     fn concat(&self, parts: &[&Tensor], axis: usize) -> Tensor {
         ops::concat(parts, axis)
+    }
+
+    fn place_rows(&self, attn: &Tensor, mean: &Tensor, sel: &[usize], len: usize) -> Tensor {
+        ops::place_rows(attn, mean, sel, len)
     }
 }
 

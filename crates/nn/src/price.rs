@@ -411,6 +411,17 @@ impl Backend for Price {
             .fold(0usize, |acc, p| acc.saturating_add(p.shape[axis]));
         self.moved(out)
     }
+
+    /// One pass: reads `attn` and `mean`, writes `[B', len, D]`, and does
+    /// [`ops::place_rows_flops`] of work (the lazy rows' `·1.0`).
+    fn place_rows(&self, attn: &Priced, mean: &Priced, sel: &[usize], len: usize) -> Priced {
+        let (b, d) = (attn.shape[0], attn.shape[2]);
+        let out = Shape::from_slice(&[b, len, d]);
+        let work = ops::place_rows_flops(b, len, sel.len(), d) as u64;
+        let (reads, writes) = (attn.len().saturating_add(mean.len()), elems(&out));
+        self.charge(|c| c.kernel(reads, work, writes));
+        self.value(out)
+    }
 }
 
 impl Kernels for Price {

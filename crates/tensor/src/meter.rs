@@ -39,7 +39,7 @@ pub struct MeterSnapshot {
     pub read_elems: u64,
     /// Elements written by metered kernel dispatches (output lengths).
     pub write_elems: u64,
-    /// Metered kernel dispatches (one per `for_units` call).
+    /// Metered kernel dispatches (one per `for_units` or `serial` call).
     pub kernel_calls: u64,
 }
 
@@ -93,7 +93,8 @@ pub fn snapshot() -> MeterSnapshot {
 }
 
 /// Record one metered kernel dispatch: `work` scalar ops writing
-/// `out_elems` elements. Called by `parallel::for_units` on the
+/// `out_elems` elements. Called by `parallel::for_units` (and
+/// `parallel::serial`) on the
 /// dispatching thread (kernel closures may
 /// run on pool workers, but dispatch — and therefore metering — is always
 /// caller-side).

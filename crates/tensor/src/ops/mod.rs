@@ -14,7 +14,9 @@
 mod conv;
 mod elementwise;
 mod matmul;
+mod mixed;
 mod norm;
+mod place;
 mod reduce;
 mod shapeops;
 mod softmax;
@@ -24,7 +26,9 @@ pub mod reference;
 pub use conv::*;
 pub use elementwise::*;
 pub use matmul::*;
+pub use mixed::*;
 pub use norm::*;
+pub use place::*;
 pub use reduce::*;
 pub use shapeops::*;
 pub use softmax::*;

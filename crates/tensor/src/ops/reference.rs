@@ -452,3 +452,94 @@ pub fn layer_norm_grad(
     gx.axpy(1.0, &super::mean_axis_grad(&gmean, x.shape(), axis));
     [Some(gx), ggamma, gbeta]
 }
+
+/// The mixed edge as the chain of kernels the fused `ops::mixed_edge`
+/// replaced: each operator output `mul`'d by its weight, the products
+/// `add`ed in operator order, and with a bypass input `h` its channels
+/// `h[.., d_op..d]` `slice`d off and `concat`ed in front.
+pub fn mixed_edge(ys: &[&Tensor], ws: &[&Tensor], h: Option<&Tensor>) -> Tensor {
+    let mut mix = super::mul(ys[0], ws[0]);
+    for (y, w) in ys[1..].iter().zip(&ws[1..]) {
+        mix = super::add(&mix, &super::mul(y, w));
+    }
+    match h {
+        Some(h) => {
+            let axis = h.rank() - 1;
+            let d_op = ys[0].shape()[axis];
+            let bypass = super::slice(h, axis, d_op, h.shape()[axis]);
+            super::concat(&[&bypass, &mix], axis)
+        }
+        None => mix,
+    }
+}
+
+/// `[∂y_1..∂y_k, ∂w_1..∂w_k, ∂h]` of [`mixed_edge`]'s chain as a tape
+/// sweep computes them: the `concat` re-slices the gradient, the `add`s
+/// pass it on unchanged, each `mul` gives `mul_grad` to both sides, and
+/// the bypass `slice` scatters into zeros. Each slot only where `needs`
+/// asks; `∂h` only with a bypass input of shape `h_shape`.
+pub fn mixed_edge_grad(
+    grad: &Tensor,
+    ys: &[&Tensor],
+    ws: &[&Tensor],
+    h_shape: Option<&[usize]>,
+    needs: &[bool],
+) -> Vec<Option<Tensor>> {
+    let k = ys.len();
+    let axis = grad.rank() - 1;
+    let d_op = ys[0].shape()[axis];
+    let nb = grad.shape()[axis] - d_op;
+    let g_mix = super::slice(grad, axis, nb, nb + d_op);
+    let mut out: Vec<Option<Tensor>> = Vec::with_capacity(needs.len());
+    for (o, y) in ys.iter().enumerate() {
+        out.push(needs[o].then(|| super::mul_grad(&g_mix, ws[o], y.shape())));
+    }
+    for (o, w) in ws.iter().enumerate() {
+        out.push(needs[k + o].then(|| super::mul_grad(&g_mix, ys[o], w.shape())));
+    }
+    if let Some(h) = h_shape {
+        out.push(needs[2 * k].then(|| {
+            let bypass = super::slice(grad, axis, 0, nb);
+            super::slice_grad(&bypass, h, axis, d_op)
+        }));
+    }
+    out
+}
+
+/// The lazy rows of a ProbSparse placement and the inverse gather that
+/// puts `[selected; lazy]` rows back in order.
+fn placement(sel: &[usize], l: usize) -> (Vec<usize>, Vec<usize>) {
+    let lazy: Vec<usize> = (0..l).filter(|r| !sel.contains(r)).collect();
+    let mut inv = vec![0; l];
+    for (pos, &orig) in sel.iter().chain(&lazy).enumerate() {
+        inv[orig] = pos;
+    }
+    (lazy, inv)
+}
+
+/// ProbSparse's row placement as the chain the fused `ops::place_rows`
+/// replaced: `v_rep = mean · ones([1, L − u, 1])`, `concat([attn; v_rep])`
+/// along the rows, then an inverse `index_select` into original order.
+pub fn place_rows(attn: &Tensor, mean: &Tensor, sel: &[usize], l: usize) -> Tensor {
+    let (lazy, inv) = placement(sel, l);
+    let v_rep = super::mul(mean, &Tensor::ones([1, lazy.len(), 1]));
+    super::index_select(&super::concat(&[attn, &v_rep], 1), 1, &inv)
+}
+
+/// `[∂attn, ∂mean]` of [`place_rows`]' chain as a tape sweep computes
+/// them: the inverse gather's scatter into zeros, the `concat`'s
+/// re-slices, and the `mul`'s `mul_grad` into `mean`. Each slot only
+/// where `needs` asks.
+pub fn place_rows_grad(grad: &Tensor, sel: &[usize], needs: [bool; 2]) -> [Option<Tensor>; 2] {
+    let (b, l, d) = (grad.shape()[0], grad.shape()[1], grad.shape()[2]);
+    let (lazy, inv) = placement(sel, l);
+    let stacked = super::index_select_grad(grad, &[b, l, d], 1, &inv);
+    let u = sel.len();
+    [
+        needs[0].then(|| super::slice(&stacked, 1, 0, u)),
+        needs[1].then(|| {
+            let ones = Tensor::ones([1, lazy.len(), 1]);
+            super::mul_grad(&super::slice(&stacked, 1, u, l), &ones, &[b, 1, d])
+        }),
+    ]
+}

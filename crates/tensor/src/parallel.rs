@@ -36,6 +36,9 @@
 //! Callers pass an estimated scalar-op count for the whole kernel; work
 //! smaller than [`PAR_THRESHOLD`] never crosses a thread boundary, so tiny
 //! tensors (the common case inside cell-search inner loops) pay nothing.
+//! A fused pass that fills several buffers at once, or whose sums are one
+//! serial chain no split shortens, runs through [`serial`]: on the calling
+//! thread, timed and metered like a serial [`for_units`] call.
 //!
 //! # Determinism registry
 //!
@@ -385,6 +388,18 @@ where
     });
     spec.stats.record(t, units as u64, true);
     crate::meter::add_exec(work, units * unit_len);
+}
+
+/// Run `f` once on the calling thread as one unit of `spec`, metered as
+/// `work` scalar ops writing `writes` elements: the serial path of
+/// [`for_units`] for a pass that writes several buffers, which `f` may
+/// borrow mutably.
+pub fn serial(spec: &'static KernelSpec, work: usize, writes: usize, f: impl FnOnce()) {
+    check_spec(spec);
+    let t = cts_obs::timer();
+    f();
+    spec.stats.record(t, 1, false);
+    crate::meter::add_exec(work, writes);
 }
 
 /// Snapshot every registered kernel's cumulative counters, in registry

@@ -1014,6 +1014,181 @@ fn layer_norm_grad_gamma_scalar(
 }
 
 // ---------------------------------------------------------------------------
+// Mixed-edge rows
+// ---------------------------------------------------------------------------
+
+/// The operands of one mixed edge (Eq. 4 over partial channels), as
+/// [`mix_rows`] and [`mix_grad_rows`] read them: the operator outputs
+/// `ys[o]`, rows of `width` floats starting at element `start`, and their
+/// softmax weights `ws[o]`.
+#[derive(Clone, Copy, Debug)]
+pub struct Mix<'a> {
+    /// Each operator's output buffer.
+    pub ys: &'a [&'a [f32]],
+    /// Each operator's weight.
+    pub ws: &'a [f32],
+    /// Offset of row 0 in every `ys[o]`.
+    pub start: usize,
+    /// Operator channels per row.
+    pub width: usize,
+}
+
+impl Mix<'_> {
+    /// Panics unless the operands cover `rows` rows.
+    fn check(&self, rows: usize) {
+        let end = self.start + rows * self.width;
+        assert!(
+            self.ys.len() == self.ws.len() && self.ys.iter().all(|y| y.len() >= end),
+            "mixed-edge operands out of bounds"
+        );
+    }
+}
+
+/// The operator channels of `out.len() / ld` output rows of `ld` floats:
+/// `out[r·ld + ld − width + j] = ((y₀·w₀ + y₁·w₁) + y₂·w₂) + …` over
+/// row `r` of each operand of `m`. Each product and each sum is one IEEE
+/// operation in operator order (no FMA) at every level; the lanes run
+/// across `j`. The first `ld − width` floats of each row are left alone.
+pub fn mix_rows(m: Mix, ld: usize, out: &mut [f32]) {
+    if m.width == 0 || out.is_empty() {
+        return;
+    }
+    assert!(
+        !m.ys.is_empty() && m.width <= ld && out.len().is_multiple_of(ld),
+        "mix_rows: rows of {ld} with {} operator channels",
+        m.width
+    );
+    m.check(out.len() / ld);
+    match level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: level() == Avx2 only after is_x86_feature_detected!("avx2");
+        // every operand row was bounds-checked above.
+        SimdLevel::Avx2 => unsafe { x86::mix_rows_avx2(m, ld, out) },
+        _ => {
+            // Operator by operator over a row, so each loop maps along the
+            // row; every element still sees its products and sums in
+            // operator order.
+            for (r, row) in out.chunks_exact_mut(ld).enumerate() {
+                let base = m.start + r * m.width;
+                let o = &mut row[ld - m.width..];
+                let first = &m.ys[0][base..base + m.width];
+                for (o, &y) in o.iter_mut().zip(first) {
+                    *o = y * m.ws[0];
+                }
+                for (y, &w) in m.ys[1..].iter().zip(&m.ws[1..]) {
+                    for (o, &y) in o.iter_mut().zip(&y[base..base + m.width]) {
+                        *o = *o + y * w;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Element `i` of the mixture: `y₀[i]·w₀`, then `+ y_o[i]·w_o` per operator.
+#[inline(always)]
+fn mix_one(m: Mix, i: usize) -> f32 {
+    let mut acc = m.ys[0][i] * m.ws[0];
+    for (y, &w) in m.ys[1..].iter().zip(&m.ws[1..]) {
+        acc = acc + y[i] * w;
+    }
+    acc
+}
+
+/// The outputs of one [`mix_grad_rows`] pass, each only where asked.
+#[derive(Debug)]
+pub struct MixGrads<'a, 'b> {
+    /// Per operator, its `∂y_o = g·w_o` (rows of `width`, from element
+    /// `start` as the operands are).
+    pub dy: &'b mut [Option<&'a mut [f32]>],
+    /// Per operator, the running `∂w_o` chain: `+= g·y_o` element by
+    /// element in ascending order.
+    pub dw: Option<&'b mut [f32]>,
+    /// The bypass input's gradient, rows of `ld`: `+0.0` on the `width`
+    /// operator channels, then the gradient's first `ld − width` floats.
+    pub dh: Option<&'b mut [f32]>,
+}
+
+/// The backward of [`mix_rows`] over the gradient `g` (rows of `ld`, the
+/// mixture in each row's last `width` floats), in one pass over `g`.
+/// `∂y_o` is `g·w_o`, and `∂w_o` goes on each `out.dw[o]` chain as
+/// `acc + g·y_o`, in ascending element order — the order a reduction to
+/// `[1]` sums a materialized `g·y_o` in. The chains of all operators run
+/// interleaved in blocks of eight elements, and each keeps its own order,
+/// so every level gives the scalar bits.
+pub fn mix_grad_rows(g: &[f32], ld: usize, m: Mix, out: MixGrads) {
+    if m.width == 0 || g.is_empty() {
+        return;
+    }
+    assert!(
+        m.width <= ld && g.len().is_multiple_of(ld),
+        "mix_grad_rows: rows of {ld} with {} operator channels",
+        m.width
+    );
+    let rows = g.len() / ld;
+    m.check(rows);
+    let span = m.start + rows * m.width;
+    assert!(
+        out.dy.len() == m.ys.len()
+            && out.dy.iter().flatten().all(|gy| gy.len() >= span)
+            && out.dw.as_ref().is_none_or(|s| s.len() == m.ys.len())
+            && out.dh.as_ref().is_none_or(|h| h.len() == g.len()),
+        "mix_grad_rows outputs"
+    );
+    let MixGrads {
+        dy: gys,
+        mut dw,
+        dh,
+    } = out;
+    if let Some(h) = dh {
+        let nb = ld - m.width;
+        for (hr, gr) in h.chunks_exact_mut(ld).zip(g.chunks_exact(ld)) {
+            hr[..m.width].fill(0.0);
+            hr[m.width..].copy_from_slice(&gr[..nb]);
+        }
+    }
+    match level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: level() == Avx2 only after is_x86_feature_detected!("avx2");
+        // every operand and output row was bounds-checked above.
+        SimdLevel::Avx2 => unsafe { x86::mix_grad_avx2(g, ld, m, gys, dw.as_deref_mut()) },
+        _ => {
+            for (r, gr) in g.chunks_exact(ld).enumerate() {
+                let base = m.start + r * m.width;
+                let gm = &gr[ld - m.width..];
+                for j0 in (0..m.width).step_by(LANES) {
+                    let block = &gm[j0..(j0 + LANES).min(m.width)];
+                    mix_grad_block(block, base + j0, m, gys, dw.as_deref_mut());
+                }
+            }
+        }
+    }
+}
+
+/// One block of [`mix_grad_rows`]' scalar body: `gm` holds the gradient
+/// of the operand elements `i0..i0 + gm.len()`.
+#[inline(always)]
+fn mix_grad_block(
+    gm: &[f32],
+    i0: usize,
+    m: Mix,
+    gys: &mut [Option<&mut [f32]>],
+    mut sums: Option<&mut [f32]>,
+) {
+    for (o, (y, &w)) in m.ys.iter().zip(m.ws).enumerate() {
+        if let Some(gy) = gys[o].as_deref_mut() {
+            for (d, &gv) in gy[i0..i0 + gm.len()].iter_mut().zip(gm) {
+                *d = gv * w;
+            }
+        }
+        if let Some(s) = sums.as_deref_mut() {
+            let terms = gm.iter().zip(&y[i0..i0 + gm.len()]);
+            s[o] = terms.fold(s[o], |acc, (&gv, &yv)| acc + gv * yv);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // x86_64 vector implementations
 // ---------------------------------------------------------------------------
 
@@ -1024,8 +1199,8 @@ mod x86 {
     //! before the pointer loop (`zip_rows_avx2` relies on its
     //! dispatcher's row check), so every load/store below is in bounds.
     use super::{
-        fold_max, ln_stats, pinned, BinOp, Gemm, Rows, UnOp, LANES, LN_MAX_D, MAX_RDIMS, MR,
-        MR_NARROW,
+        fold_max, ln_stats, mix_grad_block, mix_one, pinned, BinOp, Gemm, Mix, Rows, UnOp, LANES,
+        LN_MAX_D, MAX_RDIMS, MR, MR_NARROW,
     };
     use std::arch::x86_64::*;
 
@@ -1798,6 +1973,71 @@ mod x86 {
         }
         for (s, &a) in acc.iter().enumerate() {
             st.store(out.as_mut_ptr(), s, a);
+        }
+    }
+
+    // -- mixed edge -----------------------------------------------------------
+
+    // SAFETY: to call, AVX2 must be available and every operand row must
+    // lie inside its buffer (`mix_rows` checks them).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn mix_rows_avx2(m: Mix, ld: usize, out: &mut [f32]) {
+        let w = m.width;
+        for (r, row) in out.chunks_exact_mut(ld).enumerate() {
+            let base = m.start + r * w;
+            let o = row[ld - w..].as_mut_ptr();
+            let mut j = 0;
+            while j + 8 <= w {
+                let y0 = _mm256_loadu_ps(m.ys[0].as_ptr().add(base + j));
+                let mut acc = _mm256_mul_ps(y0, _mm256_set1_ps(m.ws[0]));
+                for (y, &wo) in m.ys[1..].iter().zip(&m.ws[1..]) {
+                    let yv = _mm256_loadu_ps(y.as_ptr().add(base + j));
+                    acc = _mm256_add_ps(acc, _mm256_mul_ps(yv, _mm256_set1_ps(wo)));
+                }
+                _mm256_storeu_ps(o.add(j), acc);
+                j += 8;
+            }
+            while j < w {
+                *o.add(j) = mix_one(m, base + j);
+                j += 1;
+            }
+        }
+    }
+
+    // SAFETY: to call, AVX2 must be available and every operand and output
+    // row must lie inside its buffer (`mix_grad_rows` checks them).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn mix_grad_avx2(
+        g: &[f32],
+        ld: usize,
+        m: Mix,
+        gys: &mut [Option<&mut [f32]>],
+        mut sums: Option<&mut [f32]>,
+    ) {
+        let w = m.width;
+        let mut tmp = [0.0f32; LANES];
+        for (r, gr) in g.chunks_exact(ld).enumerate() {
+            let base = m.start + r * w;
+            let gm = &gr[ld - w..];
+            let mut j = 0;
+            while j + 8 <= w {
+                let gv = _mm256_loadu_ps(gm.as_ptr().add(j));
+                for (o, (y, &wo)) in m.ys.iter().zip(m.ws).enumerate() {
+                    if let Some(gy) = gys[o].as_deref_mut() {
+                        let dy = _mm256_mul_ps(gv, _mm256_set1_ps(wo));
+                        _mm256_storeu_ps(gy.as_mut_ptr().add(base + j), dy);
+                    }
+                    if let Some(s) = sums.as_deref_mut() {
+                        let yv = _mm256_loadu_ps(y.as_ptr().add(base + j));
+                        _mm256_storeu_ps(tmp.as_mut_ptr(), _mm256_mul_ps(gv, yv));
+                        s[o] = tmp.iter().fold(s[o], |acc, &t| acc + t);
+                    }
+                }
+                j += 8;
+            }
+            if j < w {
+                mix_grad_block(&gm[j..], base + j, m, gys, sums.as_deref_mut());
+            }
         }
     }
 }

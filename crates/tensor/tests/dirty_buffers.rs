@@ -331,6 +331,78 @@ fn dirty_kernels_write_every_element() {
             );
         }
     }
+
+    // Mixed edge: the output (bypass rows and operator channels) and every
+    // ∂y_o and ∂h against the composed chain, at the search shape (eight
+    // operator channels of sixteen), ragged widths off the 8 lanes, and
+    // without a bypass input (one contiguous run per worker).
+    let edges: [(&[usize], usize, usize, usize); 4] = [
+        (&[8, 32, 12], 8, 16, 5),
+        (&[7, 33, 13], 3, 11, 2),
+        (&[5, 3, 7], 13, 13, 3),
+        (&[2, 2], 1, 4, 1),
+    ];
+    for (lead, d_op, d, k) in edges {
+        let y_shape: Vec<usize> = lead.iter().copied().chain([d_op]).collect();
+        let h_shape: Vec<usize> = lead.iter().copied().chain([d]).collect();
+        let ys: Vec<Tensor> = (0..k).map(|o| pattern(&y_shape, 21 + o as u32)).collect();
+        let ws: Vec<Tensor> = (0..k)
+            .map(|o| Tensor::scalar(0.3 - 0.1 * o as f32))
+            .collect();
+        let (h, g) = (pattern(&h_shape, 30), pattern(&h_shape, 31));
+        let (yr, wr): (Vec<&Tensor>, Vec<&Tensor>) = (ys.iter().collect(), ws.iter().collect());
+        let hr = (d > d_op).then_some(&h);
+        check(
+            &format!("mixed_edge {y_shape:?} into {d}"),
+            &reference::mixed_edge(&yr, &wr, hr),
+            || ops::mixed_edge(&yr, &wr, hr),
+        );
+        let needs = vec![true; 2 * k + usize::from(hr.is_some())];
+        let h_shape = hr.map(Tensor::shape);
+        let want = reference::mixed_edge_grad(&g, &yr, &wr, h_shape, &needs);
+        for (i, w) in want.iter().enumerate() {
+            let w = w.as_ref().expect("asked for");
+            check(
+                &format!("mixed_edge_grad {i} of {y_shape:?} into {d}"),
+                w,
+                || {
+                    ops::mixed_edge_grad(&g, &yr, &wr, h_shape, &needs)[i]
+                        .take()
+                        .expect("asked for")
+                },
+            );
+        }
+    }
+
+    // ProbSparse row placement: the output and both gradients, at the
+    // temporal and spatial search shapes and a row width off the lanes.
+    let placements: [(usize, usize, usize, &[usize]); 3] = [
+        (256, 12, 8, &[1, 4, 11]),
+        (96, 32, 8, &[0, 9, 10, 31]),
+        (5, 7, 3, &[2, 3]),
+    ];
+    for (b, l, d, sel) in placements {
+        let attn = pattern(&[b, sel.len(), d], 40);
+        let mean = pattern(&[b, 1, d], 41);
+        let g = pattern(&[b, l, d], 42);
+        check(
+            &format!("place_rows [{b}, {l}, {d}]"),
+            &reference::place_rows(&attn, &mean, sel, l),
+            || ops::place_rows(&attn, &mean, sel, l),
+        );
+        let want = reference::place_rows_grad(&g, sel, [true; 2]);
+        for (i, w) in want.iter().enumerate() {
+            check(
+                &format!("place_rows_grad {i} [{b}, {l}, {d}]"),
+                w.as_ref().expect("asked for"),
+                || {
+                    ops::place_rows_grad(&g, sel, [true; 2])[i]
+                        .take()
+                        .expect("asked for")
+                },
+            );
+        }
+    }
 }
 
 /// `simd::zip_rows` on its own: every slice/splat pairing, runs of every

@@ -677,6 +677,119 @@ proptest! {
     }
 }
 
+/// `t` with signed zeros planted every few elements and one NaN.
+fn with_specials(mut t: Tensor, salt: usize) -> Tensor {
+    let n = t.len();
+    for (i, v) in t.data_mut().iter_mut().enumerate() {
+        match (i + salt) % 13 {
+            4 => *v = -0.0,
+            9 => *v = 0.0,
+            _ => {}
+        }
+    }
+    t.data_mut()[(salt * 7) % n] = f32::NAN;
+    t
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The fused mixed edge against the composed chain it replaced
+    /// (`reference::mixed_edge`, `reference::mixed_edge_grad`) at
+    /// `f32::to_bits`: the output, and every gradient under the full
+    /// needs mask, the weights pass's (∂y and ∂h) and the architecture
+    /// pass's (∂w alone), at 1–3 threads and every host SIMD level.
+    /// Partial channels of 1/4, 1/2 and 1 (no bypass input), 1–5
+    /// operators, row counts past the parallel threshold, and signed
+    /// zeros and NaNs in the operator outputs and the gradient.
+    fn mixed_edge_matches_the_composed_chain(
+        pc in 0usize..3,
+        k in 1usize..6,
+        rows in 1usize..400,
+        threads in 1usize..4,
+        seed in 0u64..1_000_000
+    ) {
+        let _g = LOCK.lock().unwrap();
+        let d = 16;
+        let d_op = [4, 8, 16][pc];
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let ys: Vec<Tensor> = (0..k)
+            .map(|o| with_specials(rand_tensor(&mut rng, vec![rows, d_op]), o))
+            .collect();
+        let ws: Vec<Tensor> = (0..k).map(|_| Tensor::scalar(rng.gen_range(0.0..1.0))).collect();
+        let h = rand_tensor(&mut rng, vec![rows, d]);
+        let g = with_specials(rand_tensor(&mut rng, vec![rows, d]), k);
+        let (yr, wr): (Vec<&Tensor>, Vec<&Tensor>) = (ys.iter().collect(), ws.iter().collect());
+        let hr = (d_op < d).then_some(&h);
+        let h_shape = hr.map(Tensor::shape);
+        let y_want = reference::mixed_edge(&yr, &wr, hr);
+        let bypass = usize::from(hr.is_some());
+        let masks: Vec<Vec<bool>> = vec![
+            vec![true; 2 * k + bypass],
+            [vec![true; k], vec![false; k], vec![true; bypass]].concat(),
+            [vec![false; k], vec![true; k], vec![false; bypass]].concat(),
+        ];
+        for level in host_levels() {
+            let y = with_threads(threads, || with_simd(level, || ops::mixed_edge(&yr, &wr, hr)));
+            prop_assert_eq!(bits(&y), bits(&y_want), "y at {:?}", level);
+            for needs in &masks {
+                let want = reference::mixed_edge_grad(&g, &yr, &wr, h_shape, needs);
+                let got = with_threads(threads, || {
+                    with_simd(level, || ops::mixed_edge_grad(&g, &yr, &wr, h_shape, needs))
+                });
+                prop_assert_eq!(got.len(), want.len());
+                for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                    prop_assert_eq!(a.is_some(), needs[i]);
+                    if let (Some(a), Some(b)) = (a, b) {
+                        prop_assert_eq!(a.shape(), b.shape());
+                        prop_assert_eq!(bits(a), bits(b), "grad {} under {:?} at {:?}", i, needs, level);
+                    }
+                }
+            }
+        }
+    }
+
+    /// ProbSparse's fused row placement against the composed chain
+    /// (`reference::place_rows`, `reference::place_rows_grad`) at
+    /// `f32::to_bits`, for the output and both gradients, at L = 12 (u =
+    /// 3) and L = 32 (u = 4), batches past the parallel threshold, 1–3
+    /// threads and every host SIMD level, with signed zeros and NaNs in
+    /// the mean and the gradient.
+    fn place_rows_matches_the_composed_chain(
+        li in 0usize..2,
+        b in 1usize..300,
+        threads in 1usize..4,
+        seed in 0u64..1_000_000
+    ) {
+        let _g = LOCK.lock().unwrap();
+        let (l, u, d) = ([12, 32][li], [3, 4][li], 8);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rows: Vec<usize> = (0..l).collect();
+        for i in 0..u {
+            let j = rng.gen_range(i..l);
+            rows.swap(i, j);
+        }
+        let mut sel = rows[..u].to_vec();
+        sel.sort_unstable();
+        let attn = rand_tensor(&mut rng, vec![b, u, d]);
+        let mean = with_specials(rand_tensor(&mut rng, vec![b, 1, d]), 1);
+        let g = with_specials(rand_tensor(&mut rng, vec![b, l, d]), 2);
+        let y_want = reference::place_rows(&attn, &mean, &sel, l);
+        let want = reference::place_rows_grad(&g, &sel, [true; 2]);
+        for level in host_levels() {
+            let y = with_threads(threads, || with_simd(level, || ops::place_rows(&attn, &mean, &sel, l)));
+            prop_assert_eq!(bits(&y), bits(&y_want), "y at {:?}", level);
+            let got = with_threads(threads, || {
+                with_simd(level, || ops::place_rows_grad(&g, &sel, [true; 2]))
+            });
+            for (i, (a, w)) in got.iter().zip(&want).enumerate() {
+                let (a, w) = (a.as_ref().unwrap(), w.as_ref().unwrap());
+                prop_assert_eq!(bits(a), bits(w), "grad {} at {:?}", i, level);
+            }
+        }
+    }
+}
+
 /// Deterministic end-to-end: a matmul → softmax → reduce pipeline large
 /// enough to cross the parallel threshold must be bit-identical between a
 /// single forced worker and several.
