@@ -50,11 +50,11 @@ const OP_COSTS: &str = "
     lstm/0 87360 98544 77760 324 158 69120 112128
     gru/0 68640 91920 66240 246 206 51840 93440
     trans-t/0 73680 40800 34560 120 9 60480 53248
-    inf-t/0 64020 47556 29088 120 16 51840 55168
+    inf-t/0 64020 48240 29808 120 16 51840 46912
     cheb-gcn/0 55680 38244 31680 126 11 47520 57344
     dgcn/0 81600 58792 46080 198 16 72000 81920
     trans-s/0 49320 30720 24480 120 9 40320 45056
-    inf-s/0 48672 40140 24596 120 16 38880 52784
+    inf-s/0 48672 41280 25748 120 16 38880 46624
     zero/1 720 2880 2880 0 1 0 4096
     identity/1 0 0 0 0 0 0 4096
     conv1d/1 24000 11880 11520 90 4 17280 16384
@@ -62,11 +62,11 @@ const OP_COSTS: &str = "
     lstm/1 87360 98544 77760 324 158 69120 112128
     gru/1 68640 91920 66240 246 206 51840 93440
     trans-t/1 73680 40800 34560 120 9 60480 53248
-    inf-t/1 64020 47556 29088 120 16 51840 55168
+    inf-t/1 64020 48240 29808 120 16 51840 46912
     cheb-gcn/1 55680 38244 31680 126 11 47520 57344
     dgcn/1 115045 82680 63660 270 25 103880 119168
     trans-s/1 49320 30720 24480 120 9 40320 45056
-    inf-s/1 48672 40140 24596 120 16 38880 52784
+    inf-s/1 48672 41280 25748 120 16 38880 46624
 ";
 
 #[test]
@@ -131,12 +131,12 @@ const REPORT_STEPS: &str = "
     block1.e2 720 5760 2880 0 1 0 8192
     block1_residual 720 5760 2880 0 1 0 4096
     block2.e0 73680 40800 34560 120 9 60480 53248
-    block2.e1 64020 47556 29088 120 16 51840 55168
+    block2.e1 64020 48240 29808 120 16 51840 46912
     block2.e2 56400 44004 34560 126 12 47520 61440
     block2_residual 720 5760 2880 0 1 0 4096
     block3.e0 115045 82680 63660 270 25 103880 119168
     block3.e1 49320 30720 24480 120 9 40320 45056
-    block3.e2 49392 45900 27476 120 17 38880 56880
+    block3.e2 49392 47040 28628 120 17 38880 50720
     block3_residual 720 5760 2880 0 1 0 4096
     merge_block1 720 5760 2880 0 1 0 4096
     merge_block2 720 5760 2880 0 1 0 4096
@@ -145,7 +145,7 @@ const REPORT_STEPS: &str = "
 ";
 
 const REPORT_SUMMARY: &str = "
-    total 647947 589104 433184 1941 482 522920 707632
+    total 647947 590928 435056 1941 482 522920 693216
     num_slots 16
     peak_bytes 160128 at block3.e0
     ideal_peak_bytes 135552
