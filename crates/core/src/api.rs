@@ -181,4 +181,23 @@ mod tests {
         assert!(report.parameters > 0);
         assert_eq!(report.horizons.len(), spec.output_len);
     }
+
+    /// An operator set of zero operators alone leaves every edge nothing
+    /// to mix: `try_new` refuses it as a typed error instead of letting
+    /// the search panic on its first edge.
+    #[test]
+    fn zero_only_op_set_is_refused() {
+        let cfg = SearchConfig {
+            m: 3,
+            b: 1,
+            d_model: 4,
+            op_set: vec![cts_ops::OpKind::Zero],
+            ..Default::default()
+        };
+        match AutoCts::try_new(cfg) {
+            Err(SearchError::InvalidConfig(msg)) => assert!(msg.contains("zero"), "{msg}"),
+            Err(other) => panic!("expected InvalidConfig, got {other:?}"),
+            Ok(_) => panic!("a zero-only operator set was accepted"),
+        }
+    }
 }

@@ -207,6 +207,11 @@ impl SearchConfig {
         if self.op_set.is_empty() {
             return Err("operator set must not be empty".into());
         }
+        if self.op_set.iter().all(|&k| k == OpKind::Zero) {
+            return Err(
+                "operator set needs an operator other than zero (every edge mixes one)".into(),
+            );
+        }
         if self.d_model < 2 {
             return Err("d_model must be at least 2".into());
         }
