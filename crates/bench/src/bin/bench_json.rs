@@ -81,14 +81,6 @@ struct Measure {
     simd: &'static str,
 }
 
-/// Time `iters` calls of `f` after `warmup` discarded ones.
-fn measure(warmup: usize, iters: usize, mut f: impl FnMut()) -> Measure {
-    for _ in 0..warmup {
-        f();
-    }
-    window(iters, f)
-}
-
 /// One timing window of `iters` calls of `f`, with the allocation counters
 /// read around it.
 fn window(iters: usize, mut f: impl FnMut()) -> Measure {
@@ -163,9 +155,9 @@ fn thread_counts() -> Vec<usize> {
 /// and bias broadcasts at d_model 16, ProbSparse's last-axis `max_axis`
 /// and LayerNorm's last-axis `sum_axis_grad`, the shared-weight products
 /// `[8,32,12,16]×[16,16]` and `[8,32,12,8]×[8,8]ᵀ` and the 12-wide
-/// attention score product, and the fused LayerNorm forward and backward
-/// beside the composed chain it replaced (`ops::reference`), at every
-/// worker count of
+/// attention score product, and the fused LayerNorm, mixed edge and
+/// ProbSparse row placement, forward and backward, each beside the
+/// composed chain it replaced (`ops::reference`), at every worker count of
 /// [`thread_counts`], plus a forced-scalar run of each case in the same
 /// rounds as its threads=1 run, so each kernel has a scalar-vs-simd row
 /// pair.
@@ -231,6 +223,62 @@ fn bench_ops() -> (Vec<String>, String) {
         };
         // invariant: ∂x was asked for.
         gx.expect("∂x")
+    };
+    // Eq. 4's mixed edge at the search shape: five operator outputs of
+    // eight channels into d_model 16, fused and as the composed chain it
+    // replaced, forward and backward (every gradient asked for).
+    let edge_ys: Vec<Tensor> = (0..5)
+        .map(|_| init::uniform(&mut rng, [8, 32, 12, 8], -1.0, 1.0))
+        .collect();
+    let edge_ws: Vec<Tensor> = (0..5)
+        .map(|_| init::uniform(&mut rng, [1], 0.0, 0.4))
+        .collect();
+    let edge_h = init::uniform(&mut rng, [8, 32, 12, 16], -1.0, 1.0);
+    let edge_g = init::uniform(&mut rng, [8, 32, 12, 16], -1.0, 1.0);
+    let edge_yr: Vec<&Tensor> = edge_ys.iter().collect();
+    let edge_wr: Vec<&Tensor> = edge_ws.iter().collect();
+    let edge = |fused: bool| {
+        if fused {
+            ops::mixed_edge(&edge_yr, &edge_wr, Some(&edge_h))
+        } else {
+            reference::mixed_edge(&edge_yr, &edge_wr, Some(&edge_h))
+        }
+    };
+    let edge_grad = |fused: bool| {
+        let (h, needs) = (Some(edge_h.shape()), [true; 11]);
+        let mut grads = if fused {
+            ops::mixed_edge_grad(&edge_g, &edge_yr, &edge_wr, h, &needs)
+        } else {
+            reference::mixed_edge_grad(&edge_g, &edge_yr, &edge_wr, h, &needs)
+        };
+        // invariant: every gradient was asked for.
+        grads.swap_remove(0).expect("∂y_1")
+    };
+    // ProbSparse's row placement at the temporal (`[B·N, T, d]`, u = 3) and
+    // spatial (`[B·T, N, d]`, u = 4) attention shapes, fused and as the
+    // composed chain, forward and backward.
+    let (sel_t, sel_s) = ([2usize, 5, 9], [3usize, 10, 17, 29]);
+    let attn_t = init::uniform(&mut rng, [256, 3, 8], -1.0, 1.0);
+    let mean_t = init::uniform(&mut rng, [256, 1, 8], -1.0, 1.0);
+    let g_t = init::uniform(&mut rng, [256, 12, 8], -1.0, 1.0);
+    let attn_s = init::uniform(&mut rng, [96, 4, 8], -1.0, 1.0);
+    let mean_s = init::uniform(&mut rng, [96, 1, 8], -1.0, 1.0);
+    let g_s = init::uniform(&mut rng, [96, 32, 8], -1.0, 1.0);
+    let place = |attn: &Tensor, mean: &Tensor, sel: &[usize], l: usize, fused: bool| {
+        if fused {
+            ops::place_rows(attn, mean, sel, l)
+        } else {
+            reference::place_rows(attn, mean, sel, l)
+        }
+    };
+    let place_grad = |g: &Tensor, sel: &[usize], fused: bool| {
+        let [ga, _] = if fused {
+            ops::place_rows_grad(g, sel, [true; 2])
+        } else {
+            reference::place_rows_grad(g, sel, [true; 2])
+        };
+        // invariant: ∂attn was asked for.
+        ga.expect("∂attn")
     };
 
     // (op, shape, timed iterations, kernel call); the search shapes are
@@ -471,6 +519,78 @@ fn bench_ops() -> (Vec<String>, String) {
             50,
             Box::new(|| ln_grad(&g16, &xc, &gamma16, false)),
         ),
+        (
+            "mixed_edge",
+            "[8,32,12,8]x5 into 16",
+            200,
+            Box::new(|| edge(true)),
+        ),
+        (
+            "mixed_edge.reference",
+            "[8,32,12,8]x5 into 16",
+            100,
+            Box::new(|| edge(false)),
+        ),
+        (
+            "mixed_edge_grad",
+            "[8,32,12,8]x5 into 16",
+            100,
+            Box::new(|| edge_grad(true)),
+        ),
+        (
+            "mixed_edge_grad.reference",
+            "[8,32,12,8]x5 into 16",
+            50,
+            Box::new(|| edge_grad(false)),
+        ),
+        (
+            "place_rows",
+            "[256,12,8] u 3",
+            400,
+            Box::new(|| place(&attn_t, &mean_t, &sel_t, 12, true)),
+        ),
+        (
+            "place_rows.reference",
+            "[256,12,8] u 3",
+            200,
+            Box::new(|| place(&attn_t, &mean_t, &sel_t, 12, false)),
+        ),
+        (
+            "place_rows",
+            "[96,32,8] u 4",
+            400,
+            Box::new(|| place(&attn_s, &mean_s, &sel_s, 32, true)),
+        ),
+        (
+            "place_rows.reference",
+            "[96,32,8] u 4",
+            200,
+            Box::new(|| place(&attn_s, &mean_s, &sel_s, 32, false)),
+        ),
+        (
+            "place_rows_grad",
+            "[256,12,8] u 3",
+            400,
+            Box::new(|| place_grad(&g_t, &sel_t, true)),
+        ),
+        (
+            "place_rows_grad.reference",
+            "[256,12,8] u 3",
+            200,
+            Box::new(|| place_grad(&g_t, &sel_t, false)),
+        ),
+        (
+            "place_rows_grad",
+            "[96,32,8] u 4",
+            400,
+            Box::new(|| place_grad(&g_s, &sel_s, true)),
+        ),
+        (
+            "place_rows_grad.reference",
+            "[96,32,8] u 4",
+            200,
+            Box::new(|| place_grad(&g_s, &sel_s, false)),
+        ),
     ];
 
     let mut rows = Vec::new();
@@ -580,6 +700,19 @@ fn bench_ops() -> (Vec<String>, String) {
         fused("layer_norm_grad", "[8,32,12,8]"),
         fused("layer_norm_grad", "[8,32,12,16]"),
     );
+    // The fused mixed edge and ProbSparse row placement over the composed
+    // chains they replaced, forward and backward.
+    let edge_shape = "[8,32,12,8]x5 into 16";
+    let (ef, eb) = (
+        fused("mixed_edge", edge_shape),
+        fused("mixed_edge_grad", edge_shape),
+    );
+    let (pft, pfs, pbt, pbs) = (
+        fused("place_rows", "[256,12,8] u 3"),
+        fused("place_rows", "[96,32,8] u 4"),
+        fused("place_rows_grad", "[256,12,8] u 3"),
+        fused("place_rows_grad", "[96,32,8] u 4"),
+    );
     let summary = format!(
         "  \"summary\": {{\"simd_active\": \"{active}\", \
          \"ratio_matmul_nt_vs_matmul_t1\": {nt_ratio:.3}, \
@@ -592,7 +725,12 @@ fn bench_ops() -> (Vec<String>, String) {
          \"elementwise.sigmoid\": {sg:.3}, \"conv.temporal_grad_x\": {gx:.3}}}, \
          \"speedup_layer_norm_fused_vs_reference_t1\": {{\"forward [8,32,12,8]\": {lf8:.3}, \
          \"forward [8,32,12,16]\": {lf16:.3}, \"backward [8,32,12,8]\": {lb8:.3}, \
-         \"backward [8,32,12,16]\": {lb16:.3}}}}}"
+         \"backward [8,32,12,16]\": {lb16:.3}}}, \
+         \"speedup_mixed_edge_fused_vs_reference_t1\": {{\"forward {edge_shape}\": {ef:.3}, \
+         \"backward {edge_shape}\": {eb:.3}}}, \
+         \"speedup_place_rows_fused_vs_reference_t1\": {{\"forward [256,12,8] u 3\": {pft:.3}, \
+         \"forward [96,32,8] u 4\": {pfs:.3}, \"backward [256,12,8] u 3\": {pbt:.3}, \
+         \"backward [96,32,8] u 4\": {pbs:.3}}}}}"
     );
 
     // The packed-B fix for matmul_nt: the pre-fix ratio was ~2.1×; hold the
@@ -633,9 +771,14 @@ fn bench_ops() -> (Vec<String>, String) {
     (rows, summary)
 }
 
+/// Timed one-step windows per search-step config.
+const SEARCH_STEP_WINDOWS: usize = 11;
+
 /// One bi-level search step (Θ update + w update) on the default-scale
 /// supernet — the unit cost behind the paper's search times. Each pass
 /// asks for the gradients its optimizer steps, as `joint_search` does.
+/// Each row is the fastest of [`SEARCH_STEP_WINDOWS`] one-step windows,
+/// interleaved across the configs, with their median and slowest.
 ///
 /// Uses [`ExpContext::from_env`] (the documented `NODES`/`BATCH`/`D_MODEL`
 /// knobs), not the smoke context: at smoke scale nearly every kernel sits
@@ -679,22 +822,46 @@ fn bench_search_step() -> (Vec<String>, String) {
         configs.push((pair_threads, true));
     }
     configs.push((pair_threads, false));
+    // Rounds of one timed step per config, the configs taking turns, so a
+    // slow phase of the host hits every config alike; each config's row
+    // keeps its fastest window, with the median and slowest beside it.
+    // One untimed step before each window brings the pool and the arena
+    // to that config's steady state after the switch.
+    let mut best: Vec<Option<Measure>> = configs.iter().map(|_| None).collect();
+    let mut windows: Vec<Vec<u64>> = vec![Vec::new(); configs.len()];
+    for _ in 0..SEARCH_STEP_WINDOWS {
+        for (ci, &(threads, on)) in configs.iter().enumerate() {
+            set_num_threads(threads);
+            arena::set_enabled(Some(on));
+            if !on {
+                arena::clear(); // free lists must not serve this config
+            }
+            step();
+            let m = window(1, &mut step);
+            windows[ci].push(m.ns_per_iter);
+            if best[ci]
+                .as_ref()
+                .is_none_or(|b| m.ns_per_iter < b.ns_per_iter)
+            {
+                best[ci] = Some(m);
+            }
+        }
+    }
     let mut rows = Vec::new();
     let mut arena_on = (1, 1);
     let mut arena_off = (1, 1);
-    for &(threads, on) in &configs {
-        set_num_threads(threads);
-        arena::set_enabled(Some(on));
-        if !on {
-            arena::clear(); // free lists must not serve this config
-        }
-        let m = measure(2, 5, &mut step);
-        rows.push(row_json(
-            "search_step.bilevel",
-            "metr-la default-scale supernet",
-            threads,
-            on,
-            &m,
+    for ((&(threads, on), m), ws) in configs.iter().zip(&best).zip(&mut windows) {
+        let Some(m) = m else { continue };
+        ws.sort_unstable();
+        rows.push(with_spread(
+            row_json(
+                "search_step.bilevel",
+                "metr-la default-scale supernet",
+                threads,
+                on,
+                m,
+            ),
+            ws,
         ));
         if threads == pair_threads {
             let counts = (m.allocs_per_iter, m.bytes_per_iter);
