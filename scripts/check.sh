@@ -101,11 +101,13 @@ for n in "${thread_counts[@]}"; do
   # (tests/compiled_parity.rs).
   CTS_NUM_THREADS="$n" cargo test --offline --test compiled_parity
 
-  echo "==> search golden (CTS_NUM_THREADS=$n)"
-  # The bi-level search must reproduce its pinned bits whatever the worker
-  # count, since the GEMMs split output rows across workers differently
-  # per count (tests/search_golden.rs).
+  echo "==> search and retrain goldens (CTS_NUM_THREADS=$n)"
+  # The bi-level search and the from-scratch retraining must reproduce
+  # their pinned bits whatever the worker count, since the GEMMs split
+  # output rows across workers differently per count
+  # (tests/search_golden.rs, tests/retrain_golden.rs).
   CTS_NUM_THREADS="$n" cargo test --offline --test search_golden
+  CTS_NUM_THREADS="$n" cargo test --offline --test retrain_golden
 
   echo "==> allocation-regression gate (CTS_NUM_THREADS=$n)"
   # A steady-state supernet train step must stay within the pinned
