@@ -104,7 +104,6 @@ pub fn mixed_edge(ys: &[&Tensor], ws: &[&Tensor], h: Option<&Tensor>) -> Tensor 
         let m = Mix {
             ys: &slices,
             ws: &w,
-            start: 0,
             width,
         };
         simd::mix_rows(m, ld, &mut out);
@@ -153,7 +152,7 @@ pub fn mixed_edge_grad(
         .map(|&b| b.then(|| arena::take_dirty(n)))
         .collect();
     let mut gh = need_h.then(|| arena::take_dirty(grad.len()));
-    let mut sums = arena::take_dirty(k);
+    let mut sums = arena::take_zeroed(k);
     let spec = if fold_w {
         &kernels::REDUCE_TO_SHAPE
     } else {
@@ -172,10 +171,8 @@ pub fn mixed_edge_grad(
         let m = Mix {
             ys: &slices,
             ws: &w,
-            start: 0,
             width,
         };
-        sums.fill(0.0);
         let mut dy: Vec<Option<&mut [f32]>> = gy.iter_mut().map(|b| b.as_deref_mut()).collect();
         let out = MixGrads {
             dy: &mut dy,
@@ -203,57 +200,4 @@ pub fn mixed_edge_grad(
         grads.push(gh.map(|b| Tensor::from_vec(h, b)));
     }
     grads
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ops::reference;
-
-    fn bits(t: &Tensor) -> Vec<u32> {
-        t.data().iter().map(|v| v.to_bits()).collect()
-    }
-
-    fn pattern(shape: &[usize], salt: u32) -> Tensor {
-        let n: usize = shape.iter().product();
-        let data = (0..n as u32)
-            .map(|i| (i.wrapping_mul(2_654_435_761).wrapping_add(salt) % 997) as f32 * 0.01 - 5.0)
-            .collect::<Vec<f32>>();
-        Tensor::from_vec(shape.to_vec(), data)
-    }
-
-    #[test]
-    fn fused_matches_the_composed_chain() {
-        for (lead, d_op, d, k) in [
-            (vec![2, 3, 4], 2, 8, 3),
-            (vec![1, 5, 2], 8, 16, 5),
-            (vec![3, 2, 2], 11, 11, 2),
-            (vec![2, 1, 3], 3, 3, 1),
-        ] {
-            let y_shape: Vec<usize> = lead.iter().copied().chain([d_op]).collect();
-            let h_shape: Vec<usize> = lead.iter().copied().chain([d]).collect();
-            let ys: Vec<Tensor> = (0..k).map(|o| pattern(&y_shape, o as u32)).collect();
-            let ws: Vec<Tensor> = (0..k)
-                .map(|o| Tensor::scalar(0.1 + 0.17 * o as f32))
-                .collect();
-            let h = pattern(&h_shape, 40);
-            let g = pattern(&h_shape, 41);
-            let (yr, wr): (Vec<&Tensor>, Vec<&Tensor>) = (ys.iter().collect(), ws.iter().collect());
-            let hr = (d > d_op).then_some(&h);
-            let got = mixed_edge(&yr, &wr, hr);
-            let want = reference::mixed_edge(&yr, &wr, hr);
-            assert_eq!(got.shape(), want.shape());
-            assert_eq!(bits(&got), bits(&want), "y {y_shape:?} into {d}");
-            let needs = vec![true; 2 * k + usize::from(hr.is_some())];
-            let h_shape = hr.map(Tensor::shape);
-            let got = mixed_edge_grad(&g, &yr, &wr, h_shape, &needs);
-            let want = reference::mixed_edge_grad(&g, &yr, &wr, h_shape, &needs);
-            assert_eq!(got.len(), want.len());
-            for (i, (a, b)) in got.iter().zip(&want).enumerate() {
-                let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-                assert_eq!(a.shape(), b.shape(), "grad {i}");
-                assert_eq!(bits(a), bits(b), "grad {i} of {y_shape:?} into {d}");
-            }
-        }
-    }
 }

@@ -1019,16 +1019,13 @@ fn layer_norm_grad_gamma_scalar(
 
 /// The operands of one mixed edge (Eq. 4 over partial channels), as
 /// [`mix_rows`] and [`mix_grad_rows`] read them: the operator outputs
-/// `ys[o]`, rows of `width` floats starting at element `start`, and their
-/// softmax weights `ws[o]`.
+/// `ys[o]`, rows of `width` floats, and their softmax weights `ws[o]`.
 #[derive(Clone, Copy, Debug)]
 pub struct Mix<'a> {
     /// Each operator's output buffer.
     pub ys: &'a [&'a [f32]],
     /// Each operator's weight.
     pub ws: &'a [f32],
-    /// Offset of row 0 in every `ys[o]`.
-    pub start: usize,
     /// Operator channels per row.
     pub width: usize,
 }
@@ -1036,7 +1033,7 @@ pub struct Mix<'a> {
 impl Mix<'_> {
     /// Panics unless the operands cover `rows` rows.
     fn check(&self, rows: usize) {
-        let end = self.start + rows * self.width;
+        let end = rows * self.width;
         assert!(
             self.ys.len() == self.ws.len() && self.ys.iter().all(|y| y.len() >= end),
             "mixed-edge operands out of bounds"
@@ -1069,7 +1066,7 @@ pub fn mix_rows(m: Mix, ld: usize, out: &mut [f32]) {
             // row; every element still sees its products and sums in
             // operator order.
             for (r, row) in out.chunks_exact_mut(ld).enumerate() {
-                let base = m.start + r * m.width;
+                let base = r * m.width;
                 let o = &mut row[ld - m.width..];
                 let first = &m.ys[0][base..base + m.width];
                 for (o, &y) in o.iter_mut().zip(first) {
@@ -1077,7 +1074,7 @@ pub fn mix_rows(m: Mix, ld: usize, out: &mut [f32]) {
                 }
                 for (y, &w) in m.ys[1..].iter().zip(&m.ws[1..]) {
                     for (o, &y) in o.iter_mut().zip(&y[base..base + m.width]) {
-                        *o = *o + y * w;
+                        *o += y * w;
                     }
                 }
             }
@@ -1090,7 +1087,7 @@ pub fn mix_rows(m: Mix, ld: usize, out: &mut [f32]) {
 fn mix_one(m: Mix, i: usize) -> f32 {
     let mut acc = m.ys[0][i] * m.ws[0];
     for (y, &w) in m.ys[1..].iter().zip(&m.ws[1..]) {
-        acc = acc + y[i] * w;
+        acc += y[i] * w;
     }
     acc
 }
@@ -1098,8 +1095,7 @@ fn mix_one(m: Mix, i: usize) -> f32 {
 /// The outputs of one [`mix_grad_rows`] pass, each only where asked.
 #[derive(Debug)]
 pub struct MixGrads<'a, 'b> {
-    /// Per operator, its `∂y_o = g·w_o` (rows of `width`, from element
-    /// `start` as the operands are).
+    /// Per operator, its `∂y_o = g·w_o` (rows of `width`).
     pub dy: &'b mut [Option<&'a mut [f32]>],
     /// Per operator, the running `∂w_o` chain: `+= g·y_o` element by
     /// element in ascending order.
@@ -1127,7 +1123,7 @@ pub fn mix_grad_rows(g: &[f32], ld: usize, m: Mix, out: MixGrads) {
     );
     let rows = g.len() / ld;
     m.check(rows);
-    let span = m.start + rows * m.width;
+    let span = rows * m.width;
     assert!(
         out.dy.len() == m.ys.len()
             && out.dy.iter().flatten().all(|gy| gy.len() >= span)
@@ -1154,7 +1150,7 @@ pub fn mix_grad_rows(g: &[f32], ld: usize, m: Mix, out: MixGrads) {
         SimdLevel::Avx2 => unsafe { x86::mix_grad_avx2(g, ld, m, gys, dw.as_deref_mut()) },
         _ => {
             for (r, gr) in g.chunks_exact(ld).enumerate() {
-                let base = m.start + r * m.width;
+                let base = r * m.width;
                 let gm = &gr[ld - m.width..];
                 for j0 in (0..m.width).step_by(LANES) {
                     let block = &gm[j0..(j0 + LANES).min(m.width)];
@@ -1984,7 +1980,7 @@ mod x86 {
     pub unsafe fn mix_rows_avx2(m: Mix, ld: usize, out: &mut [f32]) {
         let w = m.width;
         for (r, row) in out.chunks_exact_mut(ld).enumerate() {
-            let base = m.start + r * w;
+            let base = r * w;
             let o = row[ld - w..].as_mut_ptr();
             let mut j = 0;
             while j + 8 <= w {
@@ -2017,7 +2013,7 @@ mod x86 {
         let w = m.width;
         let mut tmp = [0.0f32; LANES];
         for (r, gr) in g.chunks_exact(ld).enumerate() {
-            let base = m.start + r * w;
+            let base = r * w;
             let gm = &gr[ld - w..];
             let mut j = 0;
             while j + 8 <= w {
