@@ -153,10 +153,11 @@ impl MicroCell {
             ws.push(probs.slice(1, o_idx, o_idx + 1).reshape(&[1]));
             let mut y = self.ops[pair][o_idx].forward(tape, op_input, ctx);
             if *kind == OpKind::Identity {
-                // Identity hands back its input node. A node of its own
-                // here passes `∂y` on into the input at this point of the
-                // sweep, where the composed chain's `mul` did, not ahead
-                // of the later operators' gradients.
+                // Identity hands back its input node itself. A node of
+                // its own here delivers the identity's gradient into the
+                // input at this point of the sweep, after the later
+                // operators' gradients, so the input's gradient keeps the
+                // summation order `search_golden` pins.
                 y = y.reshape(&y.shape());
             }
             ys.push(y);

@@ -43,6 +43,8 @@
 //! layer; they are not offered here. The LayerNorm bodies sum along rows
 //! without reordering: an 8×8 transpose puts eight rows on the lanes, one
 //! row per lane, so each row's sum is still one ascending scalar chain.
+//! The mixed edge's weight gradients ([`mix_grad_rows`]) are one scalar
+//! chain per operator, interleaved across operators, never across lanes.
 //!
 //! # Why `unsafe` lives here (and why only here)
 //!
