@@ -93,10 +93,9 @@ pub fn snapshot() -> MeterSnapshot {
 }
 
 /// Record one metered kernel dispatch: `work` scalar ops writing
-/// `out_elems` elements. Called by `parallel::for_units` (and
-/// `parallel::serial`) on the
-/// dispatching thread (kernel closures may
-/// run on pool workers, but dispatch — and therefore metering — is always
+/// `out_elems` elements. Called by `parallel::for_units` and
+/// `parallel::serial` on the dispatching thread (kernel closures may run
+/// on pool workers, but dispatch — and therefore metering — is always
 /// caller-side).
 pub(crate) fn add_exec(work: usize, out_elems: usize) {
     if !enabled() {

@@ -186,48 +186,3 @@ pub fn place_rows_grad(grad: &Tensor, sel: &[usize], needs: [bool; 2]) -> [Optio
     });
     [gattn, gmean]
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ops::reference;
-
-    fn bits(t: &Tensor) -> Vec<u32> {
-        t.data().iter().map(|v| v.to_bits()).collect()
-    }
-
-    fn pattern(shape: &[usize], salt: u32) -> Tensor {
-        let n: usize = shape.iter().product();
-        let data = (0..n as u32)
-            .map(|i| (i.wrapping_mul(2_654_435_761).wrapping_add(salt) % 997) as f32 * 0.01 - 5.0)
-            .collect::<Vec<f32>>();
-        Tensor::from_vec(shape.to_vec(), data)
-    }
-
-    #[test]
-    fn fused_matches_the_composed_chain() {
-        for (b, l, d, sel) in [
-            (3, 6, 4, vec![0, 2, 3]),
-            (2, 12, 8, vec![5, 11]),
-            (1, 5, 3, vec![1, 2, 3, 4]),
-            (4, 4, 9, vec![]),
-        ] {
-            let u = sel.len();
-            let attn = pattern(&[b, u, d], 1);
-            let mut mean = pattern(&[b, 1, d], 2);
-            mean.data_mut()[0] = -0.0;
-            let mut g = pattern(&[b, l, d], 3);
-            g.data_mut()[1] = -0.0;
-            let got = place_rows(&attn, &mean, &sel, l);
-            let want = reference::place_rows(&attn, &mean, &sel, l);
-            assert_eq!(bits(&got), bits(&want), "b {b} l {l} sel {sel:?}");
-            let got = place_rows_grad(&g, &sel, [true; 2]);
-            let want = reference::place_rows_grad(&g, &sel, [true; 2]);
-            for (i, (a, w)) in got.iter().zip(&want).enumerate() {
-                let (a, w) = (a.as_ref().unwrap(), w.as_ref().unwrap());
-                assert_eq!(a.shape(), w.shape(), "grad {i}");
-                assert_eq!(bits(a), bits(w), "grad {i}, b {b} l {l} sel {sel:?}");
-            }
-        }
-    }
-}
