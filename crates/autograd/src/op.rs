@@ -140,17 +140,17 @@ pub enum Op {
         /// Variance offset under the square root.
         eps: f32,
     },
-    /// Eq. 4's mixed edge over partial channels (`ops::mixed_edge`),
-    /// one node for the chain `slice` (bypass) → `k` × `mul` → `k − 1` ×
-    /// `add` → `concat`. Inputs: the `k` operator outputs, their `k` `[1]`
-    /// weights, and the edge input `h` only when it has bypass channels.
-    /// Its backward gives the chain's bits when the node is recorded after
-    /// the operators (after `h`'s operator-channel slice), as the chain's
-    /// `concat` was, and when no operator output is also an operand
-    /// elsewhere.
+    /// The supernet's softmax-weighted sum (`ops::mixed_edge`; Eq. 4's
+    /// edge, a node's `β` sum, Eq. 18's `γ` sum): one node for the chain
+    /// per term `slice` of the row → `reshape` → `mul`, the `add`s, and an
+    /// edge's bypass `slice` and `concat`. Inputs: the `k` terms, the row,
+    /// and an edge input `h` with bypass channels. Its backward gives the
+    /// chain's bits when the node is recorded after every term (after
+    /// `h`'s operator-channel slice) and no other reader of a term `y_o`
+    /// is recorded between the chain's first use of `y_o` and this node.
     MixedEdge {
-        /// Number of operators `k`.
-        k: usize,
+        /// The row's columns that weigh the terms, ascending.
+        cols: Shape,
     },
     /// ProbSparse's row placement (`ops::place_rows`; inputs: the
     /// selected rows' attention output and `v_mean`), one node for the
@@ -315,11 +315,10 @@ impl Op {
                 *eps,
                 [needs[0], needs[1], needs[2]],
             )),
-            Op::MixedEdge { k } => {
-                let (ys, rest) = inputs.split_at(*k);
-                let (ws, h) = rest.split_at(*k);
-                let h_shape = h.first().map(|h| h.shape());
-                Grads::Many(ops::mixed_edge_grad(&grad, ys, ws, h_shape, needs))
+            Op::MixedEdge { cols } => {
+                let (ys, rest) = inputs.split_at(cols.len());
+                let h = rest.get(1).map(|h| h.shape());
+                Grads::Many(ops::mixed_edge_grad(&grad, ys, rest[0], cols, h, needs))
             }
             Op::PlaceRows { sel } => {
                 let [ga, gm] = ops::place_rows_grad(&grad, sel, [needs[0], needs[1]]);
@@ -442,41 +441,45 @@ mod tests {
         }
     }
 
-    /// `t` with signed zeros and NaNs planted along it.
-    fn special(mut t: Tensor) -> Tensor {
+    /// `t` with signed zeros planted along it, and a NaN when `nan`.
+    fn special(mut t: Tensor, nan: bool) -> Tensor {
         let n = t.len();
         for (i, v) in t.data_mut().iter_mut().enumerate() {
             match i % 11 {
                 3 => *v = -0.0,
                 7 => *v = 0.0,
-                _ if i == n / 2 => *v = f32::NAN,
+                _ if nan && i == n / 2 => *v = f32::NAN,
                 _ => {}
             }
         }
         t
     }
 
-    /// The mixed edge as one node gives the output and every gradient of
-    /// the composed `slice`/`mul`/`add`/`concat` chain it replaced, at
+    /// The mixed edge as one node reading the softmax row gives the
+    /// output and every gradient of the composed chain it replaced — per
+    /// operator a `slice` of the row, a `reshape` to `[1]` and a `mul`,
+    /// then the `add`s, the bypass `slice` and the `concat` — at
     /// `f32::to_bits`, under a full sweep and under `backward_for` of the
     /// weights alone and of the architecture alone. Partial channels of
-    /// 1/4, 1/2 and 1 (no bypass input), 1–5 operators, the first an
-    /// identity that hands back its input (the fused edge gives it a node
-    /// of its own, as `MicroCell` does), and signed zeros and NaNs in the
-    /// operator outputs and the upstream gradient.
+    /// 1/4, 1/2 and 1 (no bypass input), 1–5 operators after a zero
+    /// operator whose column no term reads, the first an identity that
+    /// hands back its input (the fused edge gives it a node of its own,
+    /// as `MicroCell` does), and signed zeros in the operator outputs and
+    /// the upstream gradient, with and without NaNs (a NaN there turns
+    /// every weight's gradient into NaN).
     #[test]
     fn mixed_edge_matches_the_composed_chain() {
         use crate::{Parameter, Tape, Var};
         let d = 8;
-        for d_op in [2, 4, 8] {
+        for (d_op, nan) in [2, 4, 8].into_iter().flat_map(|d| [(d, false), (d, true)]) {
             for k in 1..=5 {
                 let y_shape = [2, 3, 5, d_op];
                 let factors: Vec<Parameter> = (0..k)
-                    .map(|o| Parameter::new(format!("f{o}"), special(pattern(&y_shape, o))))
+                    .map(|o| Parameter::new(format!("f{o}"), special(pattern(&y_shape, o), nan)))
                     .collect();
                 let alpha = Parameter::new("alpha", pattern(&[1, k + 1], 20));
-                let h = Parameter::new("h", special(pattern(&[2, 3, 5, d], 21)));
-                let g = special(pattern(&[2, 3, 5, d], 22));
+                let h = Parameter::new("h", special(pattern(&[2, 3, 5, d], 21), nan));
+                let g = special(pattern(&[2, 3, 5, d], 22), nan);
                 let mut weights = factors.clone();
                 weights.push(h.clone());
                 let arch = [alpha.clone()];
@@ -494,10 +497,9 @@ mod tests {
                         .filter(|_| !fused)
                         .map(|_| hv.slice(3, d_op, d));
                     let input = x_op.as_ref().unwrap_or(&hv);
-                    let (mut ys, mut ws) = (Vec::new(), Vec::new());
+                    let mut ys = Vec::new();
                     let mut mix: Option<Var> = None;
                     for (o, f) in factors.iter().enumerate() {
-                        let w = probs.slice(1, o + 1, o + 2).reshape(&[1]);
                         let y = match (o, fused) {
                             (0, true) => input.reshape(&y_shape),
                             (0, false) => input.clone(),
@@ -505,8 +507,8 @@ mod tests {
                         };
                         if fused {
                             ys.push(y);
-                            ws.push(w);
                         } else {
+                            let w = probs.slice(1, o + 1, o + 2).reshape(&[1]);
                             let term = y.mul(&w);
                             mix = Some(match mix {
                                 Some(m) => m.add(&term),
@@ -515,7 +517,7 @@ mod tests {
                         }
                     }
                     let out = if fused {
-                        Var::mixed_edge(&ys, &ws, x_op.is_some().then_some(&hv))
+                        Var::mixed_edge(&ys, &probs, 1..=k, x_op.is_some().then_some(&hv))
                     } else {
                         let mix = mix.unwrap();
                         match bypass {
@@ -536,10 +538,86 @@ mod tests {
                     assert_eq!(
                         run(true, wanted),
                         run(false, wanted),
-                        "d_op {d_op}, k {k}, {} wanted",
+                        "d_op {d_op}, k {k}, NaN {nan}, {} wanted",
                         wanted.map_or(0, |w| w.len())
                     );
                 }
+            }
+        }
+    }
+
+    /// The bypass-free mixture of the β and γ sums — every column of the
+    /// row used — as one node gives the bits of the composed chain (per
+    /// term `slice` → `reshape` → `mul`, then the `add`s), under a full
+    /// sweep and under `backward_for` of the weights alone and of the
+    /// architecture alone. As with γ's embedding, which feeds block 1 and
+    /// its residual before any block input mixes it, the first term is
+    /// also read by a node recorded before the mixture and by one
+    /// recorded after it; 1–5 terms, with signed zeros in the terms and
+    /// the upstream gradients, with and without NaNs.
+    #[test]
+    fn mixed_sum_matches_the_composed_chain() {
+        use crate::{Parameter, Tape, Var};
+        let shape = [2, 3, 5, 4];
+        for (k, nan) in (1..=5).flat_map(|k| [(k, false), (k, true)]) {
+            let z = Parameter::new("z", special(pattern(&shape, 30), nan));
+            let factors: Vec<Parameter> = (1..k)
+                .map(|o| Parameter::new(format!("f{o}"), special(pattern(&shape, o), nan)))
+                .collect();
+            let gamma = Parameter::new("gamma", pattern(&[k], 31));
+            let gs: Vec<Tensor> = (0..3)
+                .map(|i| special(pattern(&shape, 32 + i), nan))
+                .collect();
+            let mut weights = factors.clone();
+            weights.push(z.clone());
+            let arch = [gamma.clone()];
+            let run = |fused: bool, wanted: Option<&[Parameter]>| {
+                for p in weights.iter().chain(&arch) {
+                    p.grad_mut().fill(0.0);
+                }
+                let tape = Tape::new();
+                let zv = tape.param(&z).tanh();
+                // A reader of the first term recorded before the mixture
+                // (block 1 and its residual), and the later terms.
+                let residual = zv.add(&zv.square());
+                let mut terms = vec![zv.clone()];
+                terms.extend(factors.iter().map(|f| residual.mul(&tape.param(f))));
+                let row = tape.param(&gamma).reshape(&[1, k]).softmax_last();
+                let out = if fused {
+                    Var::mixed_edge(&terms, &row, 0..k, None)
+                } else {
+                    let mut acc: Option<Var> = None;
+                    for (i, t) in terms.iter().enumerate() {
+                        let term = t.mul(&row.slice(1, i, i + 1).reshape(&[1]));
+                        acc = Some(match acc {
+                            Some(a) => a.add(&term),
+                            None => term,
+                        });
+                    }
+                    acc.unwrap()
+                };
+                // A reader recorded after the mixture (a later block input).
+                let later = zv.mul(&tape.constant(gs[2].clone()));
+                let loss = out
+                    .mul(&tape.constant(gs[0].clone()))
+                    .add(&residual.mul(&tape.constant(gs[1].clone())))
+                    .add(&later)
+                    .sum_all();
+                match wanted {
+                    Some(ps) => tape.backward_for(&loss, ps),
+                    None => tape.backward(&loss),
+                }
+                let mut got = vec![bits(&out.value())];
+                got.extend(weights.iter().chain(&arch).map(|p| bits(&p.grad())));
+                got
+            };
+            for wanted in [None, Some(&weights[..]), Some(&arch[..])] {
+                assert_eq!(
+                    run(true, wanted),
+                    run(false, wanted),
+                    "k {k}, NaN {nan}, {} wanted",
+                    wanted.map_or(0, |w| w.len())
+                );
             }
         }
     }
@@ -573,19 +651,17 @@ mod tests {
                 vec![1, 2, 6, 4],
             ),
             (
-                Op::MixedEdge { k: 2 },
-                vec![
-                    vec![2, 3, 2],
-                    vec![2, 3, 2],
-                    vec![1],
-                    vec![1],
-                    vec![2, 3, 5],
-                ],
+                Op::MixedEdge {
+                    cols: [1, 3].into(),
+                },
+                vec![vec![2, 3, 2], vec![2, 3, 2], vec![1, 4], vec![2, 3, 5]],
                 vec![2, 3, 5],
             ),
             (
-                Op::MixedEdge { k: 2 },
-                vec![vec![2, 3, 4], vec![2, 3, 4], vec![1], vec![1]],
+                Op::MixedEdge {
+                    cols: [0, 1].into(),
+                },
+                vec![vec![2, 3, 4], vec![2, 3, 4], vec![1, 2]],
                 vec![2, 3, 4],
             ),
             (

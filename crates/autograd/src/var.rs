@@ -214,30 +214,34 @@ impl Var {
         self.tape.push_op(Op::LayerNorm { eps }, &ids, value)
     }
 
-    /// Eq. 4's mixed edge: the operator outputs `ys` weighted by their
-    /// `[1]` weights `ws` and summed in order, after the bypass channels
-    /// `h[.., d_op..d]` when `h` is given (`ops::mixed_edge`). One
-    /// [`Op::MixedEdge`] node; pass `h` only when it is wider than the
-    /// operator outputs.
-    pub fn mixed_edge(ys: &[Var], ws: &[Var], h: Option<&Var>) -> Var {
-        assert!(!ys.is_empty(), "mixed edge of zero operators");
-        let tape = ys[0].tape.clone();
-        let ids: Shape = ys.iter().chain(ws).chain(h).map(|v| v.id).collect();
+    /// The supernet's softmax-weighted sum (`ops::mixed_edge`): the terms
+    /// `ys` weighted by the ascending columns `cols` of the softmax row
+    /// `row` (`[1, K]`), after the bypass channels `h[.., d_op..d]` when
+    /// `h` is given. One [`Op::MixedEdge`] node for Eq. 4's `softmax(α/τ)`,
+    /// `softmax(β)` and Eq. 18's `softmax(γ)`; record it as that op says.
+    pub fn mixed_edge(
+        ys: &[Var],
+        row: &Var,
+        cols: impl IntoIterator<Item = usize>,
+        h: Option<&Var>,
+    ) -> Var {
+        assert!(!ys.is_empty(), "mixture of zero terms");
+        let tape = row.tape.clone();
+        let cols: Shape = cols.into_iter().collect();
+        let ids: Shape = ys.iter().chain([row]).chain(h).map(|v| v.id).collect();
         let value = {
             let inner = tape.inner.borrow();
             assert!(
                 ys.iter()
-                    .chain(ws)
                     .chain(h)
                     .all(|v| std::rc::Rc::ptr_eq(&tape.inner, &v.tape.inner)),
                 "vars from different tapes"
             );
             let vals: Vec<&Tensor> = ids.iter().map(|&id| &inner.nodes[id].value).collect();
             let (yv, rest) = vals.split_at(ys.len());
-            let (wv, hv) = rest.split_at(ws.len());
-            ops::mixed_edge(yv, wv, hv.first().copied())
+            ops::mixed_edge(yv, rest[0], &cols, rest.get(1).copied())
         };
-        tape.push_op(Op::MixedEdge { k: ys.len() }, &ids, value)
+        tape.push_op(Op::MixedEdge { cols }, &ids, value)
     }
 
     /// ProbSparse's output rows: this `[B', u, D]` attention output at the

@@ -225,31 +225,31 @@ fn bench_ops() -> (Vec<String>, String) {
         gx.expect("∂x")
     };
     // Eq. 4's mixed edge at the search shape: five operator outputs of
-    // eight channels into d_model 16, fused and as the composed chain it
-    // replaced, forward and backward (every gradient asked for).
+    // eight channels into d_model 16, weighted by columns 1..6 of a
+    // softmax row of six (column 0 is the zero operator's), fused and as
+    // the composed chain it replaced, forward and backward (every gradient
+    // asked for).
     let edge_ys: Vec<Tensor> = (0..5)
         .map(|_| init::uniform(&mut rng, [8, 32, 12, 8], -1.0, 1.0))
         .collect();
-    let edge_ws: Vec<Tensor> = (0..5)
-        .map(|_| init::uniform(&mut rng, [1], 0.0, 0.4))
-        .collect();
+    let edge_row = init::uniform(&mut rng, [1, 6], 0.0, 0.4);
     let edge_h = init::uniform(&mut rng, [8, 32, 12, 16], -1.0, 1.0);
     let edge_g = init::uniform(&mut rng, [8, 32, 12, 16], -1.0, 1.0);
     let edge_yr: Vec<&Tensor> = edge_ys.iter().collect();
-    let edge_wr: Vec<&Tensor> = edge_ws.iter().collect();
+    let edge_cols = [1, 2, 3, 4, 5];
     let edge = |fused: bool| {
         if fused {
-            ops::mixed_edge(&edge_yr, &edge_wr, Some(&edge_h))
+            ops::mixed_edge(&edge_yr, &edge_row, &edge_cols, Some(&edge_h))
         } else {
-            reference::mixed_edge(&edge_yr, &edge_wr, Some(&edge_h))
+            reference::mixed_edge(&edge_yr, &edge_row, &edge_cols, Some(&edge_h))
         }
     };
     let edge_grad = |fused: bool| {
-        let (h, needs) = (Some(edge_h.shape()), [true; 11]);
+        let (h, needs) = (Some(edge_h.shape()), [true; 7]);
         let mut grads = if fused {
-            ops::mixed_edge_grad(&edge_g, &edge_yr, &edge_wr, h, &needs)
+            ops::mixed_edge_grad(&edge_g, &edge_yr, &edge_row, &edge_cols, h, &needs)
         } else {
-            reference::mixed_edge_grad(&edge_g, &edge_yr, &edge_wr, h, &needs)
+            reference::mixed_edge_grad(&edge_g, &edge_yr, &edge_row, &edge_cols, h, &needs)
         };
         // invariant: every gradient was asked for.
         grads.swap_remove(0).expect("∂y_1")

@@ -41,17 +41,7 @@ impl MacroTopology {
             .param(&self.gammas[j - 1])
             .reshape(&[1, j])
             .softmax_last();
-        let mut acc: Option<Var> = None;
-        for (i, src) in sources.iter().enumerate() {
-            let w = weights.slice(1, i, i + 1).reshape(&[1]);
-            let term = src.mul(&w);
-            acc = Some(match acc {
-                Some(a) => a.add(&term),
-                None => term,
-            });
-        }
-        // invariant: j >= 1, so the sum has at least one term.
-        acc.expect("j >= 1")
+        Var::mixed_edge(sources, &weights, 0..j, None)
     }
 
     /// The γ parameters.

@@ -105,18 +105,12 @@ impl MicroCell {
                 .param(&self.betas[j - 1])
                 .reshape(&[1, j])
                 .softmax_last();
-            let mut acc: Option<Var> = None;
-            for (i, h_i) in nodes.iter().enumerate() {
-                let f_ij = self.edge_mixture(tape, h_i, ctx, &alpha, pair_index(i, j), tau);
-                let w = beta.slice(1, i, i + 1).reshape(&[1]);
-                let term = f_ij.mul(&w);
-                acc = Some(match acc {
-                    Some(a) => a.add(&term),
-                    None => term,
-                });
-            }
-            // invariant: every latent node has at least one predecessor edge.
-            nodes.push(acc.expect("every node has predecessors"));
+            let edges: Vec<Var> = nodes
+                .iter()
+                .enumerate()
+                .map(|(i, h_i)| self.edge_mixture(tape, h_i, ctx, &alpha, pair_index(i, j), tau))
+                .collect();
+            nodes.push(Var::mixed_edge(&edges, &beta, 0..j, None));
         }
         // invariant: m >= 2, so the node list is non-empty.
         nodes.pop().expect("m >= 2")
@@ -124,7 +118,8 @@ impl MicroCell {
 
     /// The mixed transformation `f^{(i,j)}` of Eq. 4 with partial channels:
     /// one [`Var::mixed_edge`] node over the non-zero operators' outputs,
-    /// with `h_i` as its bypass input when `d_op < d`.
+    /// weighted by their columns of `softmax(α/τ)`, with `h_i` as its
+    /// bypass input when `d_op < d`.
     ///
     /// The node comes after the operator-channel slice of `h_i` and after
     /// every operator, so the sweep hands each input its gradient in the
@@ -143,26 +138,23 @@ impl MicroCell {
             .softmax_last_with_temperature(tau); // [1, |O|]
         let x_op = (self.d_op < self.d_model).then(|| h_i.slice(3, 0, self.d_op));
         let op_input = x_op.as_ref().unwrap_or(h_i);
-        let mut ys = Vec::with_capacity(self.op_set.len());
-        let mut ws = Vec::with_capacity(self.op_set.len());
-        for (o_idx, kind) in self.op_set.iter().enumerate() {
-            if *kind == OpKind::Zero {
-                continue; // contributes nothing; its softmax mass still
-                          // deflates the other operators' weights
-            }
-            ws.push(probs.slice(1, o_idx, o_idx + 1).reshape(&[1]));
-            let mut y = self.ops[pair][o_idx].forward(tape, op_input, ctx);
-            if *kind == OpKind::Identity {
-                // Identity hands back its input node itself. A node of
-                // its own here delivers the identity's gradient into the
-                // input at this point of the sweep, after the later
-                // operators' gradients, so the input's gradient keeps the
-                // summation order `search_golden` pins.
-                y = y.reshape(&y.shape());
-            }
-            ys.push(y);
+        // The zero operator contributes nothing; its softmax mass still
+        // deflates the other operators' weights.
+        let cols: Vec<usize> = (0..self.op_set.len())
+            .filter(|&o| self.op_set[o] != OpKind::Zero)
+            .collect();
+        let mut ys = Vec::with_capacity(cols.len());
+        for &o in &cols {
+            let y = self.ops[pair][o].forward(tape, op_input, ctx);
+            // Identity hands back its input node itself. A node of its own
+            // here delivers the identity's gradient into the input at this
+            // point of the sweep, after the later operators' gradients, so
+            // the input's gradient keeps the summation order
+            // `search_golden` pins.
+            let identity = self.op_set[o] == OpKind::Identity;
+            ys.push(if identity { y.reshape(&y.shape()) } else { y });
         }
-        Var::mixed_edge(&ys, &ws, x_op.is_some().then_some(h_i))
+        Var::mixed_edge(&ys, &probs, cols, x_op.is_some().then_some(h_i))
     }
 
     /// Differentiable expected operator cost of this cell:

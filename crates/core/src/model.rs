@@ -127,6 +127,16 @@ impl SupernetModel {
         self.tau.get()
     }
 
+    /// The τ the α softmaxes run at: the current temperature, or 1 when
+    /// the search runs without one.
+    fn softmax_tau(&self) -> f32 {
+        if self.cfg.use_temperature {
+            self.tau.get()
+        } else {
+            1.0
+        }
+    }
+
     /// Update τ (driven by the search loop's schedule).
     ///
     /// τ ≤ 0 or non-finite would silently poison every α-softmax deep in
@@ -182,11 +192,7 @@ impl SupernetModel {
     /// Mean α entropy across cells at the current temperature — the
     /// discretisation-gap diagnostic of §3.2.2.
     pub fn mean_alpha_entropy(&self) -> f32 {
-        let tau = if self.cfg.use_temperature {
-            self.tau.get()
-        } else {
-            1.0
-        };
+        let tau = self.softmax_tau();
         let total: f32 = self.cells.iter().map(|c| c.alpha_entropy(tau)).sum();
         total / self.cells.len() as f32
     }
@@ -194,11 +200,7 @@ impl SupernetModel {
     /// Differentiable expected operator cost of the whole backbone (sum of
     /// the cells' expected costs), for efficiency-aware search.
     pub fn expected_cost(&self, tape: &Tape) -> Var {
-        let tau = if self.cfg.use_temperature {
-            self.tau.get()
-        } else {
-            1.0
-        };
+        let tau = self.softmax_tau();
         let mut acc: Option<Var> = None;
         for cell in &self.cells {
             let c = cell.expected_cost(tape, tau);
@@ -226,11 +228,7 @@ impl SupernetModel {
 
 impl Forecaster for SupernetModel {
     fn forward(&self, tape: &Tape, x: &Var) -> Var {
-        let tau = if self.cfg.use_temperature {
-            self.tau.get()
-        } else {
-            1.0
-        };
+        let tau = self.softmax_tau();
         let sc = &self.scaffold;
         let z = sc.embed.forward(tape, x);
         let mut sources = vec![z.clone()];

@@ -453,12 +453,20 @@ pub fn layer_norm_grad(
     [Some(gx), ggamma, gbeta]
 }
 
-/// The mixed edge as the chain of kernels the fused `ops::mixed_edge`
-/// replaced: each operator output `mul`'d by its weight, the products
-/// `add`ed in operator order, and with a bypass input `h` its channels
-/// `h[.., d_op..d]` `slice`d off and `concat`ed in front.
-pub fn mixed_edge(ys: &[&Tensor], ws: &[&Tensor], h: Option<&Tensor>) -> Tensor {
-    let mut mix = super::mul(ys[0], ws[0]);
+/// The weights the chain reads: each column `cols[o]` of the `[1, K]`
+/// softmax row `slice`d out and reshaped to `[1]`.
+fn row_weights(row: &Tensor, cols: &[usize]) -> Vec<Tensor> {
+    let w = |c| super::slice(row, 1, c, c + 1).reshaped(&[1][..]);
+    cols.iter().map(|&c| w(c)).collect()
+}
+
+/// The mixture as the chain of kernels the fused `ops::mixed_edge`
+/// replaced: each term `mul`'d by its weight sliced out of `row`, the
+/// products `add`ed in term order, and with a bypass input `h` its
+/// channels `h[.., d_op..d]` `slice`d off and `concat`ed in front.
+pub fn mixed_edge(ys: &[&Tensor], row: &Tensor, cols: &[usize], h: Option<&Tensor>) -> Tensor {
+    let ws = row_weights(row, cols);
+    let mut mix = super::mul(ys[0], &ws[0]);
     for (y, w) in ys[1..].iter().zip(&ws[1..]) {
         mix = super::add(&mix, &super::mul(y, w));
     }
@@ -473,15 +481,17 @@ pub fn mixed_edge(ys: &[&Tensor], ws: &[&Tensor], h: Option<&Tensor>) -> Tensor 
     }
 }
 
-/// `[∂y_1..∂y_k, ∂w_1..∂w_k, ∂h]` of [`mixed_edge`]'s chain as a tape
-/// sweep computes them: the `concat` re-slices the gradient, the `add`s
-/// pass it on unchanged, each `mul` gives `mul_grad` to both sides, and
-/// the bypass `slice` scatters into zeros. Each slot only where `needs`
-/// asks; `∂h` only with a bypass input of shape `h_shape`.
+/// `[∂y_1..∂y_k, ∂row, ∂h]` of [`mixed_edge`]'s chain as a tape sweep
+/// computes them: the `concat` re-slices the gradient, the `add`s pass it
+/// on, each `mul` gives `mul_grad` to both sides, each weight's `slice`
+/// scatters it into a zero row, summed last term first, and so does the
+/// bypass `slice`. Each slot only where `needs` asks; `∂h` only with a
+/// bypass input of shape `h_shape`.
 pub fn mixed_edge_grad(
     grad: &Tensor,
     ys: &[&Tensor],
-    ws: &[&Tensor],
+    row: &Tensor,
+    cols: &[usize],
     h_shape: Option<&[usize]>,
     needs: &[bool],
 ) -> Vec<Option<Tensor>> {
@@ -491,14 +501,21 @@ pub fn mixed_edge_grad(
     let nb = grad.shape()[axis] - d_op;
     let g_mix = super::slice(grad, axis, nb, nb + d_op);
     let mut out: Vec<Option<Tensor>> = Vec::with_capacity(needs.len());
-    for (o, y) in ys.iter().enumerate() {
-        out.push(needs[o].then(|| super::mul_grad(&g_mix, ws[o], y.shape())));
+    for (o, (y, w)) in ys.iter().zip(row_weights(row, cols)).enumerate() {
+        out.push(needs[o].then(|| super::mul_grad(&g_mix, &w, y.shape())));
     }
-    for (o, w) in ws.iter().enumerate() {
-        out.push(needs[k + o].then(|| super::mul_grad(&g_mix, ys[o], w.shape())));
-    }
+    out.push(needs[k].then(|| {
+        let mut rows = ys.iter().zip(cols).rev().map(|(y, &c)| {
+            let gw = super::mul_grad(&g_mix, y, &[1]).reshaped(&[1, 1][..]);
+            super::slice_grad(&gw, row.shape(), 1, c)
+        });
+        // invariant: a mixture has at least one term.
+        let mut sum = rows.next().expect("k >= 1");
+        rows.for_each(|g| sum.axpy(1.0, &g));
+        sum
+    }));
     if let Some(h) = h_shape {
-        out.push(needs[2 * k].then(|| {
+        out.push(needs[k + 1].then(|| {
             let bypass = super::slice(grad, axis, 0, nb);
             super::slice_grad(&bypass, h, axis, d_op)
         }));

@@ -333,9 +333,10 @@ fn dirty_kernels_write_every_element() {
     }
 
     // Mixed edge: the output (bypass rows and operator channels) and every
-    // ∂y_o and ∂h against the composed chain, at the search shape (eight
-    // operator channels of sixteen), ragged widths off the 8 lanes, and
-    // without a bypass input (one contiguous run per worker).
+    // ∂y_o, ∂row and ∂h against the composed chain, at the search shape
+    // (eight operator channels of sixteen, the zero operator's column
+    // skipped), ragged widths off the 8 lanes, and without a bypass input
+    // (one contiguous run per worker, every column used).
     let edges: [(&[usize], usize, usize, usize); 4] = [
         (&[8, 32, 12], 8, 16, 5),
         (&[7, 33, 13], 3, 11, 2),
@@ -346,27 +347,30 @@ fn dirty_kernels_write_every_element() {
         let y_shape: Vec<usize> = lead.iter().copied().chain([d_op]).collect();
         let h_shape: Vec<usize> = lead.iter().copied().chain([d]).collect();
         let ys: Vec<Tensor> = (0..k).map(|o| pattern(&y_shape, 21 + o as u32)).collect();
-        let ws: Vec<Tensor> = (0..k)
-            .map(|o| Tensor::scalar(0.3 - 0.1 * o as f32))
-            .collect();
         let (h, g) = (pattern(&h_shape, 30), pattern(&h_shape, 31));
-        let (yr, wr): (Vec<&Tensor>, Vec<&Tensor>) = (ys.iter().collect(), ws.iter().collect());
         let hr = (d > d_op).then_some(&h);
+        let skip = usize::from(hr.is_some());
+        let cols: Vec<usize> = (skip..k + skip).collect();
+        let row = Tensor::from_vec(
+            vec![1, k + skip],
+            (0..k + skip).map(|o| 0.3 - 0.1 * o as f32).collect(),
+        );
+        let yr: Vec<&Tensor> = ys.iter().collect();
         check(
             &format!("mixed_edge {y_shape:?} into {d}"),
-            &reference::mixed_edge(&yr, &wr, hr),
-            || ops::mixed_edge(&yr, &wr, hr),
+            &reference::mixed_edge(&yr, &row, &cols, hr),
+            || ops::mixed_edge(&yr, &row, &cols, hr),
         );
-        let needs = vec![true; 2 * k + usize::from(hr.is_some())];
+        let needs = vec![true; k + 1 + skip];
         let h_shape = hr.map(Tensor::shape);
-        let want = reference::mixed_edge_grad(&g, &yr, &wr, h_shape, &needs);
+        let want = reference::mixed_edge_grad(&g, &yr, &row, &cols, h_shape, &needs);
         for (i, w) in want.iter().enumerate() {
             let w = w.as_ref().expect("asked for");
             check(
                 &format!("mixed_edge_grad {i} of {y_shape:?} into {d}"),
                 w,
                 || {
-                    ops::mixed_edge_grad(&g, &yr, &wr, h_shape, &needs)[i]
+                    ops::mixed_edge_grad(&g, &yr, &row, &cols, h_shape, &needs)[i]
                         .take()
                         .expect("asked for")
                 },

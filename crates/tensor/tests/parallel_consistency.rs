@@ -677,8 +677,9 @@ proptest! {
     }
 }
 
-/// `t` with signed zeros planted every few elements and one NaN.
-fn with_specials(mut t: Tensor, salt: usize) -> Tensor {
+/// `t` with signed zeros planted every few elements, and one NaN when
+/// `nan`.
+fn with_specials(mut t: Tensor, salt: usize, nan: bool) -> Tensor {
     let n = t.len();
     for (i, v) in t.data_mut().iter_mut().enumerate() {
         match (i + salt) % 13 {
@@ -687,23 +688,29 @@ fn with_specials(mut t: Tensor, salt: usize) -> Tensor {
             _ => {}
         }
     }
-    t.data_mut()[(salt * 7) % n] = f32::NAN;
+    if nan {
+        t.data_mut()[(salt * 7) % n] = f32::NAN;
+    }
     t
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The fused mixed edge against the composed chain it replaced
+    /// The fused mixture against the composed chain it replaced
     /// (`reference::mixed_edge`, `reference::mixed_edge_grad`) at
     /// `f32::to_bits`: the output, and every gradient under the full
     /// needs mask, the weights pass's (∂y and ∂h) and the architecture
-    /// pass's (∂w alone), at 1–3 threads and every host SIMD level.
-    /// Partial channels of 1/4, 1/2 and 1 (no bypass input), 1–5
-    /// operators, row counts past the parallel threshold, and signed
-    /// zeros and NaNs in the operator outputs and the gradient.
+    /// pass's (∂row alone), at 1–3 threads and every host SIMD level.
+    /// Partial channels of 1/4, 1/2 and 1 (no bypass input), 1–5 terms
+    /// weighted by the ascending columns of a softmax row of up to 7 that
+    /// one random mask picks (the zero operator's column skipped, or
+    /// every column used), row counts past the parallel threshold, and
+    /// signed zeros in the operator outputs and the gradient, with NaNs
+    /// in half the cases (a NaN there makes every weight's gradient NaN).
     fn mixed_edge_matches_the_composed_chain(
         pc in 0usize..3,
+        nan in 0usize..2,
         k in 1usize..6,
         rows in 1usize..400,
         threads in 1usize..4,
@@ -714,28 +721,36 @@ proptest! {
         let d_op = [4, 8, 16][pc];
         let mut rng = SmallRng::seed_from_u64(seed);
         let ys: Vec<Tensor> = (0..k)
-            .map(|o| with_specials(rand_tensor(&mut rng, vec![rows, d_op]), o))
+            .map(|o| with_specials(rand_tensor(&mut rng, vec![rows, d_op]), o, nan == 1))
             .collect();
-        let ws: Vec<Tensor> = (0..k).map(|_| Tensor::scalar(rng.gen_range(0.0..1.0))).collect();
+        // `k` ascending columns of a row of `k + extra` entries.
+        let extra = rng.gen_range(0..3);
+        let mut cols: Vec<usize> = (0..k + extra).collect();
+        while cols.len() > k {
+            cols.remove(rng.gen_range(0..cols.len()));
+        }
+        let row = rand_tensor(&mut rng, vec![1, k + extra]);
         let h = rand_tensor(&mut rng, vec![rows, d]);
-        let g = with_specials(rand_tensor(&mut rng, vec![rows, d]), k);
-        let (yr, wr): (Vec<&Tensor>, Vec<&Tensor>) = (ys.iter().collect(), ws.iter().collect());
+        let g = with_specials(rand_tensor(&mut rng, vec![rows, d]), k, nan == 1);
+        let yr: Vec<&Tensor> = ys.iter().collect();
         let hr = (d_op < d).then_some(&h);
         let h_shape = hr.map(Tensor::shape);
-        let y_want = reference::mixed_edge(&yr, &wr, hr);
+        let y_want = reference::mixed_edge(&yr, &row, &cols, hr);
         let bypass = usize::from(hr.is_some());
         let masks: Vec<Vec<bool>> = vec![
-            vec![true; 2 * k + bypass],
-            [vec![true; k], vec![false; k], vec![true; bypass]].concat(),
-            [vec![false; k], vec![true; k], vec![false; bypass]].concat(),
+            vec![true; k + 1 + bypass],
+            [vec![true; k], vec![false], vec![true; bypass]].concat(),
+            [vec![false; k], vec![true], vec![false; bypass]].concat(),
         ];
         for level in host_levels() {
-            let y = with_threads(threads, || with_simd(level, || ops::mixed_edge(&yr, &wr, hr)));
+            let y = with_threads(threads, || {
+                with_simd(level, || ops::mixed_edge(&yr, &row, &cols, hr))
+            });
             prop_assert_eq!(bits(&y), bits(&y_want), "y at {:?}", level);
             for needs in &masks {
-                let want = reference::mixed_edge_grad(&g, &yr, &wr, h_shape, needs);
+                let want = reference::mixed_edge_grad(&g, &yr, &row, &cols, h_shape, needs);
                 let got = with_threads(threads, || {
-                    with_simd(level, || ops::mixed_edge_grad(&g, &yr, &wr, h_shape, needs))
+                    with_simd(level, || ops::mixed_edge_grad(&g, &yr, &row, &cols, h_shape, needs))
                 });
                 prop_assert_eq!(got.len(), want.len());
                 for (i, (a, b)) in got.iter().zip(&want).enumerate() {
@@ -772,8 +787,8 @@ proptest! {
         let mut sel = rows[..u].to_vec();
         sel.sort_unstable();
         let attn = rand_tensor(&mut rng, vec![b, u, d]);
-        let mean = with_specials(rand_tensor(&mut rng, vec![b, 1, d]), 1);
-        let g = with_specials(rand_tensor(&mut rng, vec![b, l, d]), 2);
+        let mean = with_specials(rand_tensor(&mut rng, vec![b, 1, d]), 1, true);
+        let g = with_specials(rand_tensor(&mut rng, vec![b, l, d]), 2, true);
         let y_want = reference::place_rows(&attn, &mean, &sel, l);
         let want = reference::place_rows_grad(&g, &sel, [true; 2]);
         for level in host_levels() {
