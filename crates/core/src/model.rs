@@ -373,9 +373,7 @@ impl DerivedModel {
         // structural ones: at least one block, the backbone's length and
         // backward-only indices, m >= 2, forward edges, an incoming edge
         // per node. The scaffold sized the embedding to d_model and the
-        // output layer to input_len·d_model. Every operator kind maps
-        // [B, N, T, d_model] to itself over the context's own N, so no
-        // Shape or Mismatch error is left.
+        // output layer to input_len·d_model.
         // invariant: a validated genotype over layers sized here compiles.
         let plan = ExecPlan::compile(spec).expect("a validated genotype compiles");
         Self {

@@ -37,7 +37,7 @@ pub fn arch_spec(
             input_len: spec.input_len,
             horizon: spec.output_len,
             d_model: cfg.d_model,
-            num_nodes: Some(graph.n()),
+            num_nodes: graph.n(),
             gcn_k: cfg.gcn_k,
             // Mirrors `make_context` in model.rs: a graph with no usable
             // adjacency (all-zero weights) gets a learned adaptive one.
@@ -66,9 +66,8 @@ pub fn cost_budgets(cfg: &SearchConfig) -> CostBudgets {
 }
 
 /// Statically verify a genotype against the config/dataset it would be
-/// instantiated with. `Ok` carries the full report (inferred merged shape,
-/// edge liveness, warnings); `Err` means at least one error-severity
-/// finding.
+/// instantiated with. `Ok` carries the full report (edge liveness,
+/// warnings); `Err` means at least one error-severity finding.
 ///
 /// When any cost budget is set on `cfg`, the genotype is additionally
 /// priced by [`analyze_cost`] at `cfg.batch_size` and
@@ -96,12 +95,11 @@ pub fn preflight(
 /// The plan [`analyze_cost`] prices: the genotype compiled as it would be
 /// served, with one fixed-seed operator instance per kind shared by every
 /// edge of that kind (pricing reads only weight shapes), on a shape-only
-/// context over `N` nodes (`N` = 1 when unbound).
+/// context over `N` nodes.
 fn pricing_plan(spec: &ArchSpec) -> Result<ExecPlan, PlanError> {
     let dims = &spec.dims;
-    let nodes = dims.num_nodes.unwrap_or(1);
     let mut rng = SmallRng::seed_from_u64(0);
-    let mut ctx = GraphContext::shapes_only(nodes, dims.gcn_k);
+    let mut ctx = GraphContext::shapes_only(dims.num_nodes, dims.gcn_k);
     if dims.adaptive {
         ctx = ctx.with_adaptive(&mut rng, dims.adaptive_emb);
     }
@@ -157,22 +155,17 @@ fn pricing_plan(spec: &ArchSpec) -> Result<ExecPlan, PlanError> {
         out_shift: 0.0,
         input_len: dims.input_len,
         d_model: dims.d_model,
-        nodes,
+        nodes: dims.num_nodes,
         features: dims.features,
     })
 }
 
 /// A plan the compiler refused, as a verifier error.
 fn refusal(err: &PlanError) -> VerifyError {
-    let (kind, site) = match err {
-        PlanError::Shape { step, issue, .. } => (FindingKind::from(issue), format!("step{step}")),
-        PlanError::Mismatch { step, .. } => (FindingKind::BroadcastMismatch, format!("step{step}")),
-        PlanError::Invalid(_) => (FindingKind::MalformedBlock, "model".to_string()),
-    };
     let mut report = VerifyReport::default();
     report.error(
-        kind,
-        site,
+        FindingKind::MalformedBlock,
+        "model",
         format!("the architecture cannot be priced: {err}"),
     );
     VerifyError { report }
@@ -186,8 +179,7 @@ fn refusal(err: &PlanError) -> VerifyError {
 /// instrumented meter observes during one `ExecPlan::try_run` of the same
 /// genotype, bit for bit; [`CostReport::from_steps`] adds the totals and
 /// both peak models. The graph supports are known by shape only, so any
-/// node count prices. When `dims.num_nodes` is `None` the node dim prices
-/// as 1 — callers that want node-count scaling must bind it.
+/// node count prices.
 ///
 /// # Errors
 /// [`VerifyError`] when the genotype fails validation
@@ -210,7 +202,6 @@ mod tests {
     use super::*;
     use crate::BlockGenotype;
     use cts_data::generate;
-    use cts_tensor::sym::format_shape;
 
     fn fixture() -> (SearchConfig, DatasetSpec, SensorGraph) {
         let spec = DatasetSpec::metr_la().scaled(0.05, 0.02);
@@ -243,11 +234,7 @@ mod tests {
     fn healthy_genotype_preflights_clean() {
         let (cfg, spec, graph) = fixture();
         let report = preflight(&cfg, &genotype(), &spec, &graph).expect("clean genotype");
-        let merged = report.merged_shape.expect("shape pass ran to completion");
-        assert_eq!(
-            format_shape(&merged),
-            format!("[B, {}, {}, {}]", graph.n(), spec.input_len, cfg.d_model)
-        );
+        assert_eq!(report.edge_liveness, vec![vec![true; 3]; 2]);
     }
 
     #[test]
@@ -293,7 +280,7 @@ mod tests {
             input_len: 12,
             horizon: 12,
             d_model: 8,
-            num_nodes: Some(num_nodes),
+            num_nodes,
             gcn_k: 2,
             adaptive: false,
             adaptive_emb: 0,

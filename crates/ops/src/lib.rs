@@ -17,7 +17,6 @@ mod basic;
 mod context;
 mod gcn_ops;
 mod kinds;
-mod meta;
 mod registry;
 mod rnn_ops;
 mod step_cost;
@@ -29,7 +28,6 @@ pub use basic::{Conv1dOp, GdccOp, IdentityOp, ZeroOp};
 pub use context::{node_mix, GraphContext};
 pub use gcn_ops::{ChebGcnOp, DgcnOp};
 pub use kinds::{OpFamily, OpKind};
-pub use meta::{ShapeCtx, ShapeIssue};
 pub use registry::{build_operator, compact_set, full_set, Operator, StOperator};
 pub use rnn_ops::{GruOp, LstmOp};
 pub use step_cost::StepCost;

@@ -41,9 +41,9 @@ pub trait StOperator {
     /// operator's own forward run on [`Price`], with `param_count` the
     /// length of its parameters.
     ///
-    /// `input` must be a shape the operator accepts (see
-    /// [`OpKind::infer_shape`]); like the forward itself, pricing panics
-    /// on one it does not.
+    /// `input` must be a `[B, N, T, D]` shape with `D` the operator's width
+    /// and `N` the context's node count; like the forward itself, pricing
+    /// panics on one it does not.
     fn cost(&self, input: &[usize], ctx: &GraphContext) -> OpCost {
         let be = Price::new();
         self.forward_price(&be, &be.input(input), ctx);
@@ -182,7 +182,9 @@ mod tests {
     /// of its forward on `Price` must equal, bit for bit, the instrumented
     /// meter's observation of one forward on both the tape-free and the
     /// tape entry point (pre-flight budgets price training steps with this
-    /// cost), and pricing itself must run no kernel.
+    /// cost), and pricing itself must run no kernel. It also pins the one
+    /// shape invariant of the search space: every kind maps `[B, N, T, D]`
+    /// to itself on all three backends.
     #[test]
     fn cost_matches_meter_for_every_op() {
         let (b, n, t, d, k) = (2usize, 5usize, 12usize, 6usize, 2usize);
@@ -207,6 +209,13 @@ mod tests {
                 let (want, pricing) = metered(|| op.cost(x.shape(), &ctx));
                 let no_kernels = meter::MeterSnapshot::default();
                 assert_eq!(pricing, no_kernels, "{kind}: pricing ran a kernel");
+                let be = Price::new();
+                let priced = op.forward_price(&be, &be.input(x.shape()), &ctx);
+                assert_eq!(
+                    &*be.shape(&priced),
+                    x.shape(),
+                    "{kind} (adaptive={adaptive}, price): changed shape"
+                );
                 let tape = Tape::new();
                 let xv = tape.constant(x.clone());
                 let eval = metered(|| op.forward_eval(&x, &ctx).shape().to_vec());

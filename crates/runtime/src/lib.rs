@@ -4,10 +4,9 @@
 //! time it is pure overhead — every forward allocates `Rc` nodes, clones
 //! parameter tensors onto the tape, and rebuilds the graph from scratch.
 //! This crate compiles a derived architecture once into an [`ExecPlan`]: a
-//! topologically ordered flat list of op records whose intermediate buffer
-//! shapes are pre-computed symbolically (via the same `OpKind::infer_shape`
-//! contract `cts-verify` uses), then executed as a plain loop that calls the
-//! tensor kernels directly. After [`ExecPlan::prewarm`], a steady-state
+//! topologically ordered flat list of op records over a workspace of
+//! `[B, N, T, D]` slots (every operator maps that shape to itself), then
+//! executed as a plain loop that calls the tensor kernels directly. After [`ExecPlan::prewarm`], a steady-state
 //! forward performs **zero** heap allocations (all buffers cycle through the
 //! tensor arena) and is bit-identical to the tape forward by construction:
 //! every layer and operator has one forward, generic over a

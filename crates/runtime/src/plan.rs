@@ -2,8 +2,7 @@
 
 use crate::error::ServeError;
 use cts_nn::{count_parameters, Backend, Eval, Linear, OpCost, Price, Priced};
-use cts_ops::{GraphContext, OpKind, ShapeCtx, ShapeIssue, StOperator, StepCost};
-use cts_tensor::sym::{eval_shape, format_shape, SymDim};
+use cts_ops::{GraphContext, StOperator, StepCost};
 use cts_tensor::{arena, Tensor};
 use std::cell::RefCell;
 use std::fmt;
@@ -53,24 +52,6 @@ pub struct PlanSpec {
 /// Why a [`PlanSpec`] failed to compile.
 #[derive(Debug)]
 pub enum PlanError {
-    /// A step's input shape was rejected by the operator's shape rule.
-    Shape {
-        /// Index of the offending step in the flat program.
-        step: usize,
-        /// The operator kind that rejected its input.
-        kind: OpKind,
-        /// The shape rule's explanation.
-        issue: ShapeIssue,
-    },
-    /// The two sides of a residual/merge add have different shapes.
-    Mismatch {
-        /// Index of the offending step in the flat program.
-        step: usize,
-        /// Rendered shape of the left operand.
-        left: String,
-        /// Rendered shape of the right operand.
-        right: String,
-    },
     /// The spec is structurally invalid (bad backbone index, empty block,
     /// node without an incoming edge, layer sized for a different width…).
     Invalid(String),
@@ -79,12 +60,6 @@ pub enum PlanError {
 impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PlanError::Shape { step, kind, issue } => {
-                write!(f, "step {step} ({kind}): {issue}")
-            }
-            PlanError::Mismatch { step, left, right } => {
-                write!(f, "step {step}: add operands disagree: {left} vs {right}")
-            }
             PlanError::Invalid(msg) => write!(f, "invalid plan spec: {msg}"),
         }
     }
@@ -171,8 +146,8 @@ pub struct ExecPlan {
     output: Rc<Linear>,
     ctx: Rc<GraphContext>,
     steps: Vec<Step>,
-    /// Symbolic shape of every slot (`[B, N, T, D]` with `B` free).
-    slot_shapes: Vec<Vec<SymDim>>,
+    /// Workspace size: every slot holds one `[B, N, T, D]` activation.
+    num_slots: usize,
     merged_slot: usize,
     out_scale: f32,
     out_shift: f32,
@@ -187,13 +162,14 @@ pub struct ExecPlan {
 }
 
 impl ExecPlan {
-    /// Compile a spec into a flat program, statically validating every
-    /// intermediate shape through the `OpKind::infer_shape` contract (the
-    /// same rules `cts-verify` applies to candidate architectures).
+    /// Compile a spec into a flat program. Every operator maps
+    /// `[B, N, T, D]` to itself, so once the structure and the layer widths
+    /// check out, every slot holds one `[B, N, T, D]` activation.
     ///
     /// # Errors
-    /// [`PlanError`] when the spec is structurally invalid or any step's
-    /// shapes cannot be proven consistent.
+    /// [`PlanError::Invalid`] when the spec is structurally invalid: no
+    /// blocks, a bad backbone, `m < 2`, a non-forward edge, a node without
+    /// an incoming edge, or embed/output layers sized for another width.
     pub fn compile(spec: PlanSpec) -> Result<Self, PlanError> {
         if spec.blocks.is_empty() {
             return Err(PlanError::Invalid("no blocks".into()));
@@ -225,21 +201,8 @@ impl ExecPlan {
             )));
         }
 
-        let shape_ctx = ShapeCtx {
-            width: spec.d_model,
-            graph_nodes: Some(spec.nodes),
-        };
-        // Every backbone intermediate is [B, N, T, D] with B left symbolic;
-        // the per-step checks below prove it rather than assume it.
-        let bntd = vec![
-            SymDim::Sym("B"),
-            SymDim::Const(spec.nodes),
-            SymDim::Const(spec.input_len),
-            SymDim::Const(spec.d_model),
-        ];
-
         let mut steps: Vec<Step> = Vec::new();
-        let mut slot_shapes: Vec<Vec<SymDim>> = vec![bntd]; // slot 0 = z
+        let mut num_slots = 1usize; // slot 0 = z
 
         // source_slots[k]: 0 = embedding output, k > 0 = block k-1 residual.
         let mut source_slots = vec![0usize];
@@ -262,11 +225,8 @@ impl ExecPlan {
             let mut node_slots = vec![input_slot];
             for j in 1..block.m {
                 let mut first = true;
-                let dst = {
-                    let s = slot_shapes[input_slot].clone();
-                    slot_shapes.push(s);
-                    slot_shapes.len() - 1
-                };
+                let dst = num_slots;
+                num_slots += 1;
                 for (edge, (from, to, op)) in block.edges.iter().enumerate() {
                     if *to != j {
                         continue;
@@ -276,26 +236,9 @@ impl ExecPlan {
                             "block {i}: edge {from}→{to} is not a forward edge"
                         )));
                     }
-                    let src = node_slots[*from];
-                    let out_shape = op
-                        .kind()
-                        .infer_shape(&slot_shapes[src], &shape_ctx)
-                        .map_err(|issue| PlanError::Shape {
-                            step: steps.len(),
-                            kind: op.kind(),
-                            issue,
-                        })?;
-                    if !first && out_shape != slot_shapes[dst] {
-                        return Err(PlanError::Mismatch {
-                            step: steps.len(),
-                            left: format_shape(&slot_shapes[dst]),
-                            right: format_shape(&out_shape),
-                        });
-                    }
-                    slot_shapes[dst] = out_shape;
                     steps.push(Step::Op {
                         op: Rc::clone(op),
-                        src,
+                        src: node_slots[*from],
                         dst,
                         accumulate: !first,
                         block: i,
@@ -312,16 +255,8 @@ impl ExecPlan {
             }
             // Block-level residual: out = block(input) + input.
             let out_slot = node_slots[block.m - 1];
-            if slot_shapes[out_slot] != slot_shapes[input_slot] {
-                return Err(PlanError::Mismatch {
-                    step: steps.len(),
-                    left: format_shape(&slot_shapes[out_slot]),
-                    right: format_shape(&slot_shapes[input_slot]),
-                });
-            }
-            let resid = slot_shapes.len();
-            let resid_shape = slot_shapes[out_slot].clone();
-            slot_shapes.push(resid_shape);
+            let resid = num_slots;
+            num_slots += 1;
             steps.push(Step::Add {
                 a: out_slot,
                 b: input_slot,
@@ -337,16 +272,8 @@ impl ExecPlan {
         // exactly like the tape forward.
         let mut merged_slot = block_out_slots[0];
         for (block, &next) in block_out_slots.iter().enumerate().skip(1) {
-            if slot_shapes[next] != slot_shapes[merged_slot] {
-                return Err(PlanError::Mismatch {
-                    step: steps.len(),
-                    left: format_shape(&slot_shapes[merged_slot]),
-                    right: format_shape(&slot_shapes[next]),
-                });
-            }
-            let dst = slot_shapes.len();
-            let dst_shape = slot_shapes[merged_slot].clone();
-            slot_shapes.push(dst_shape);
+            let dst = num_slots;
+            num_slots += 1;
             steps.push(Step::Add {
                 a: merged_slot,
                 b: next,
@@ -357,13 +284,12 @@ impl ExecPlan {
             merged_slot = dst;
         }
 
-        let num_slots = slot_shapes.len();
         Ok(Self {
             embed: spec.embed,
             output: spec.output,
             ctx: spec.ctx,
             steps,
-            slot_shapes,
+            num_slots,
             merged_slot,
             out_scale: spec.out_scale,
             out_shift: spec.out_shift,
@@ -426,13 +352,10 @@ impl ExecPlan {
     ///
     /// [`try_run`]: Self::try_run
     pub fn prewarm(&self, batch: usize) {
-        let lens: Vec<usize> = self
-            .slot_shapes
-            .iter()
-            .filter_map(|s| eval_shape(s, &[("B", batch)]))
-            .map(|dims| dims.iter().product())
-            .collect();
-        arena::prewarm(&lens);
+        let slot_len = batch
+            .saturating_mul(self.nodes)
+            .saturating_mul(self.flat_width);
+        arena::prewarm(&vec![slot_len; self.num_slots]);
         let x = Tensor::zeros([batch, self.nodes, self.input_len, self.features]);
         // The input is built to the plan's own dims, so warm-up runs can
         // only fail under an armed fault plan; ignore those.
@@ -450,7 +373,7 @@ impl ExecPlan {
         x: &B::V,
         apply: impl Fn(&dyn StOperator, &B::V, &GraphContext) -> B::V,
     ) -> B::V {
-        let mut slots: Vec<Option<B::V>> = (0..self.slot_shapes.len()).map(|_| None).collect();
+        let mut slots: Vec<Option<B::V>> = (0..self.num_slots).map(|_| None).collect();
         self.exec(be, x, &mut slots, apply, |_| {})
     }
 
@@ -526,7 +449,7 @@ impl ExecPlan {
     pub fn step_costs(&self, batch: usize) -> Vec<StepCost> {
         let be = Price::new();
         let x = be.input(&[batch, self.nodes, self.input_len, self.features]);
-        let mut slots: Vec<Option<Priced>> = (0..self.slot_shapes.len()).map(|_| None).collect();
+        let mut slots: Vec<Option<Priced>> = (0..self.num_slots).map(|_| None).collect();
         let mut costs = Vec::with_capacity(self.steps.len().saturating_add(2));
         let apply =
             |op: &dyn StOperator, x: &Priced, ctx: &GraphContext| op.forward_price(&be, x, ctx);
@@ -602,7 +525,7 @@ impl ExecPlan {
 
     /// Number of workspace slots (diagnostics / reports).
     pub fn num_slots(&self) -> usize {
-        self.slot_shapes.len()
+        self.num_slots
     }
 
     /// Node (sensor) count the plan was compiled for.
@@ -633,7 +556,7 @@ impl ExecPlan {
 mod tests {
     use super::*;
     use cts_graph::SensorGraph;
-    use cts_ops::build_operator;
+    use cts_ops::{build_operator, OpKind};
     use cts_tensor::init;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -739,16 +662,10 @@ mod tests {
     }
 
     #[test]
-    fn rejects_width_mismatch_via_shape_rule() {
+    fn rejects_embed_output_width_mismatch() {
         let mut rng = SmallRng::seed_from_u64(4);
         let mut spec = tiny_spec(&mut rng, OpKind::Gdcc);
-        // An operator built for a different width than the plan's d_model.
-        let wrong: Rc<dyn StOperator> =
-            Rc::from(build_operator(&mut rng, OpKind::Gdcc, "w", 8, 2, false));
-        spec.blocks[0].edges[0].2 = wrong;
-        // The shape rule checks the declared kind against the plan width; a
-        // width-8 GDCC inside a width-4 plan still infers fine (kind-level
-        // metadata), but an embed/output mismatch is caught structurally.
+        // The embedding and output layers are sized for width 4.
         spec.d_model = 8;
         let err = ExecPlan::compile(spec).err().unwrap();
         assert!(matches!(err, PlanError::Invalid(_)), "{err}");

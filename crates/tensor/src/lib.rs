@@ -27,7 +27,6 @@ pub mod metrics;
 pub mod ops;
 pub mod parallel;
 pub mod simd;
-pub mod sym;
 
 pub use shape::{broadcast_shapes, strides_for, Shape};
 pub use tensor::Tensor;

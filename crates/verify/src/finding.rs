@@ -1,7 +1,5 @@
 //! Findings: what the analyzer reports and how severe each item is.
 
-use cts_ops::ShapeIssue;
-use cts_tensor::sym::SymShape;
 use std::fmt;
 
 /// How bad a finding is.
@@ -24,17 +22,6 @@ pub enum FindingKind {
     DanglingNode,
     /// The macro backbone wires a block to a source that doesn't exist yet.
     BadBackbone,
-    /// An operator rejected its input rank.
-    RankError,
-    /// An operator's channel width doesn't match its input.
-    ChannelMismatch,
-    /// A spatial operator fed a node dim that isn't the graph's.
-    NodeCountMismatch,
-    /// Two summed values cannot be broadcast together.
-    BroadcastMismatch,
-    /// The merged backbone output doesn't round-trip `[B, N, T, D]` into
-    /// the output head's `T·D` flatten.
-    RoundTrip,
     /// Every incoming edge of a node is `zero`: the node is identically 0.
     AllZeroInput,
     /// A parametric edge no gradient can reach (behind `zero` on every
@@ -47,17 +34,6 @@ pub enum FindingKind {
     /// resource budget (per-step FLOPs, peak arena bytes, or predicted
     /// latency); the finding names the offending step.
     OverBudget,
-}
-
-impl From<&ShapeIssue> for FindingKind {
-    /// The finding class of an operator's shape-rule rejection.
-    fn from(issue: &ShapeIssue) -> Self {
-        match issue {
-            ShapeIssue::Rank { .. } => FindingKind::RankError,
-            ShapeIssue::Channel { .. } => FindingKind::ChannelMismatch,
-            ShapeIssue::Nodes { .. } => FindingKind::NodeCountMismatch,
-        }
-    }
 }
 
 /// One analyzer finding: what, where, how severe, and a human-readable
@@ -93,9 +69,6 @@ impl fmt::Display for Finding {
 pub struct VerifyReport {
     /// Everything the passes flagged.
     pub findings: Vec<Finding>,
-    /// Inferred shape of the merged backbone output (when the shape pass
-    /// got that far).
-    pub merged_shape: Option<SymShape>,
     /// Per block, per edge (in `BlockSpec::edges` order): can a gradient
     /// flow through this edge? `zero` edges are always dead. Exposed so
     /// the sweep binary can cross-check against the runtime tape audit.

@@ -3,18 +3,15 @@
 //! The joint micro+macro search space of AutoCTS is discrete and fully
 //! describable without running a model: an [`ArchSpec`] names the block
 //! DAGs, the operator on every edge, and the backbone wiring. This crate
-//! analyzes that description without executing a kernel — the shape and
-//! reachability passes are abstract interpretation over it, and the cost
-//! report ([`CostReport`]) rolls up the compiled plan's steps priced on
-//! shapes — and reports, per architecture:
+//! analyzes that description without executing a kernel and reports, per
+//! architecture:
 //!
-//! 1. **Symbolic shape inference** ([`validate_genotype`]): every operator
-//!    exposes a `shape_fn` ([`OpKind::infer_shape`]) mapping a symbolic
-//!    input shape to its output shape. The analyzer walks the embedding,
-//!    every block DAG, the residual/skip sums, and the output head,
-//!    inferring each intermediate shape and flagging rank errors, channel
-//!    mismatches, broadcast-incompatible sums, and dims that fail to
-//!    round-trip `[B, N, T, D]` through the ST-backbone.
+//! 1. **Structure** ([`validate_genotype`]): every block DAG has at least
+//!    two nodes, forward edges only and an incoming edge per node, and the
+//!    backbone wires each block to the embedding or an earlier block.
+//!    Shapes need no pass of their own: every operator maps
+//!    `[B, N, T, D]` to itself, so a structurally valid architecture is
+//!    shape-valid.
 //! 2. **Gradient reachability**: a static liveness pass over the op DAG
 //!    proving every trainable parameter is reachable from the loss through
 //!    at least one non-`zero` path, and flagging dead nodes and starved
@@ -36,14 +33,14 @@ mod cost;
 mod finding;
 mod spec;
 
-pub use analyze::{validate_block, validate_genotype};
+pub use analyze::validate_genotype;
 pub use cost::{check_budgets, CostBudgets, CostReport, LatencyModel};
 pub use finding::{Finding, FindingKind, Severity, VerifyError, VerifyReport};
 pub use spec::{ArchSpec, BlockSpec, ModelDims};
 
-// Re-exported so downstream callers can name the shape-fn and cost types
+// Re-exported so downstream callers can name the operator and cost types
 // without depending on cts-ops directly.
-pub use cts_ops::{OpCost, OpKind, ShapeCtx, ShapeIssue, StepCost};
+pub use cts_ops::{OpCost, OpKind, StepCost};
 
 /// Validate and convert to a `Result`: `Ok(report)` when no error-severity
 /// finding was recorded, `Err(VerifyError)` otherwise (warnings ride along

@@ -8,20 +8,19 @@
 
 use cts_ops::OpKind;
 
-/// Concrete model dimensions the shape pass binds constants from.
+/// Concrete model dimensions the cost pass prices with.
 #[derive(Clone, Debug)]
 pub struct ModelDims {
     /// Input feature count per node and timestep.
     pub features: usize,
-    /// Input window length `T` (the backbone must round-trip it).
+    /// Input window length `T`.
     pub input_len: usize,
     /// Forecast horizon `Q` (output steps).
     pub horizon: usize,
     /// Channel width `D` of the ST-backbone.
     pub d_model: usize,
-    /// Node count `N` of the sensor graph; `None` leaves it symbolic
-    /// (spatial ops then accept any node dim).
-    pub num_nodes: Option<usize>,
+    /// Node count `N` of the sensor graph.
+    pub num_nodes: usize,
     /// Diffusion / Chebyshev order `K` of the GCN-family operators (sizes
     /// their weight stacks; the cost pass prices `K` propagation rounds).
     pub gcn_k: usize,

@@ -38,7 +38,7 @@ fn dims(n: usize) -> ModelDims {
         input_len: 12,
         horizon: 12,
         d_model: 32,
-        num_nodes: Some(n),
+        num_nodes: n,
         gcn_k: 2,
         adaptive: false,
         adaptive_emb: 0,

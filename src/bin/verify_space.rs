@@ -5,8 +5,8 @@
 //! derived micro topology (M = 3: edges (0,1), (1,2), (0,2)) crossed with
 //! every macro backbone at B = 2, the sweep:
 //!
-//! 1. runs `cts-verify` pre-flight (shape inference + gradient
-//!    reachability + structure) — no kernel executed;
+//! 1. runs `cts-verify` pre-flight (structure + gradient reachability)
+//!    — no kernel executed;
 //! 2. smoke-trains every *accepted* candidate for one step,
 //!    cross-checks the static edge-liveness verdict against the autograd
 //!    tape (`Tape::reachable_params`) and the actual gradients, and
@@ -397,11 +397,6 @@ fn kind_name(kind: FindingKind) -> &'static str {
         FindingKind::MalformedBlock => "malformed block",
         FindingKind::DanglingNode => "dangling node",
         FindingKind::BadBackbone => "bad backbone",
-        FindingKind::RankError => "rank error",
-        FindingKind::ChannelMismatch => "channel mismatch",
-        FindingKind::NodeCountMismatch => "node-count mismatch",
-        FindingKind::BroadcastMismatch => "broadcast mismatch",
-        FindingKind::RoundTrip => "round-trip",
         FindingKind::AllZeroInput => "all-zero input",
         FindingKind::StarvedParam => "starved parameter",
         FindingKind::DeadNode => "dead node",

@@ -105,7 +105,7 @@ fn every_kind_arch() -> ArchSpec {
             input_len: 12,
             horizon: 3,
             d_model: 6,
-            num_nodes: Some(5),
+            num_nodes: 5,
             gcn_k: 2,
             adaptive: true,
             adaptive_emb: 4,

@@ -1,23 +1,22 @@
 //! Property tests tying the static analyzer to the runtime: for random
 //! search-space sizes, window lengths, and seeds, (1) every derived
-//! genotype passes pre-flight, and (2) the statically inferred merged
-//! shape matches the tensors the real model produces.
+//! genotype passes pre-flight, and (2) the real model built from it
+//! produces the forecast shape.
 
 use autocts::preflight::{arch_spec, preflight};
 use autocts::{derive_genotype, DerivedModel, SearchConfig, SupernetModel};
 use cts_autograd::Tape;
 use cts_data::{batches_from_windows, build_windows, generate, DatasetSpec};
 use cts_nn::Forecaster;
-use cts_tensor::sym::eval_shape;
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, SeedableRng};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Static shape inference agrees with runtime shapes for randomized
-    /// genotypes and input lengths, and derivation never produces a
-    /// genotype the analyzer rejects.
+    /// Derivation never produces a genotype the analyzer rejects, and the
+    /// model built from it forecasts `[B, N, Q]` for randomized genotypes
+    /// and input lengths.
     #[test]
     fn static_shapes_agree_with_runtime(
         m in 2usize..5,
@@ -35,18 +34,13 @@ proptest! {
         let genotype = derive_genotype(&supernet).expect("finite snapshot derives");
 
         // 1. pre-flight accepts every derived genotype…
-        let report = preflight(&cfg, &genotype, &spec, &data.graph)
+        preflight(&cfg, &genotype, &spec, &data.graph)
             .expect("derived genotype rejected by static verification");
 
-        // 2. …its merged-shape verdict binds to the concrete batch dims…
+        // 2. …and the real model produces the forecast shape.
         let batches = batches_from_windows(&windows.train, cfg.batch_size);
         let (x, _) = &batches[0];
         let bsz = x.shape()[0];
-        let merged = report.merged_shape.expect("shape pass incomplete");
-        let bound = eval_shape(&merged, &[("B", bsz)]).expect("unbound symbol in merged shape");
-        prop_assert_eq!(bound, vec![bsz, data.graph.n(), input_len, cfg.d_model]);
-
-        // 3. …and the real model produces exactly the predicted output.
         let model = DerivedModel::new(&mut rng, &cfg, &genotype, &spec, &data.graph, &windows.scaler);
         let tape = Tape::new();
         let xv = tape.constant(x.clone());
